@@ -20,7 +20,6 @@ import os
 import platform
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -146,22 +145,6 @@ def _grid(lo, hi, points, spacing):
     return np.linspace(lo, hi, int(points))
 
 
-def _worker_count():
-    raw = os.environ.get("HORNLAB_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
-def _pmap(fn, items):
-    workers = _worker_count()
-    if workers == 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
-
-
 # ---------------------------------------------------------------------------
 # Pipelines
 # ---------------------------------------------------------------------------
@@ -169,6 +152,11 @@ def _pmap(fn, items):
 
 def _mode_profile(cfg, p):
     m = cfg["mode"]
+    if int(m["i"]) < 1:
+        raise ConfigError(
+            f"mode.i={m['i']} with mode.mu={m['mu']} has no decaying tip "
+            "profile: modes needs mode.i >= 1, and freq-elliptic takes "
+            "mode.i >= 1 or the constant state mode.i=0, mode.mu=0")
     return profile_from_k2(p, int(m["i"]), float(m["mu"]), float(m["r_min"]),
                            n_grid=int(m["n_grid"]),
                            tol=min(cfg["tolerances"]["ode"], 1e-11))

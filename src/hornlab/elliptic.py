@@ -248,14 +248,11 @@ def elliptic_E(state, r, tol=1e-10):
     """Energy E(r), bulk form, cross-validated against the boundary form.
 
     The two representations must agree to 1e-6 relative to the positive
-    energy envelope; disagreement raises ConsistencyError.
+    energy envelope, and the tip tail below a profile window must be
+    negligible; otherwise ConsistencyError.
     """
     _check_in_domain(state, r)
-    E_bulk, E_bdry, scale = _E_both(state, r, tol)
-    if abs(E_bulk - E_bdry) > 1e-6 * max(scale, abs(E_bulk), abs(E_bdry)):
-        raise ConsistencyError(
-            f"bulk/boundary energy mismatch at r={r}: {E_bulk} vs {E_bdry}")
-    return E_bulk
+    return _E_both(state, r, tol)[0]
 
 
 def _E_boundary(state, r):
@@ -269,18 +266,34 @@ def _E_boundary(state, r):
 
 
 def _E_both(state, r, tol):
-    p = state.params
+    """(bulk E, boundary E, energy scale) at r, cross-checked."""
     if state.kind == "constant":
         return 0.0, 0.0, 0.0
     r_lo = state.profile.r_min if state.kind == "profile" else 0.0
-    tail = _tip_tail_bound(state)
-    bulk = _bulk_integral(state, r_lo, r, tol)
+    return _checked_energy(state, r, r_lo, _bulk_integral(state, r_lo, r, tol),
+                           _tip_tail_bound(state))
+
+
+def _checked_energy(state, r, r_lo, bulk, tail):
+    """(bulk E, boundary E, energy scale) at r from the bulk integral over
+    [r_lo, r] and the certified tip tail below r_lo.
+
+    The tail must be negligible against the bulk integral, and the two
+    routes to E must agree to 1e-6 of the positive energy envelope;
+    otherwise ConsistencyError names the radius.
+    """
     if tail > max(1e-9 * abs(bulk), 1e-300):
         raise ConsistencyError(
-            f"uncontrolled tip tail below the profile window: {tail}")
-    pref = math.exp((2 - p.n) * math.log(r))
+            f"uncontrolled tip tail below the profile window at r={r}: "
+            f"tail bound {tail} against bulk integral {bulk}")
+    pref = math.exp((2 - state.params.n) * math.log(r))
+    E_bulk = pref * bulk
+    E_bdry = _E_boundary(state, r)
     scale = pref * _bulk_abs_scale(state, r_lo, r)
-    return pref * bulk, _E_boundary(state, r), scale
+    if abs(E_bulk - E_bdry) > 1e-6 * max(scale, abs(E_bulk), abs(E_bdry)):
+        raise ConsistencyError(
+            f"bulk/boundary energy mismatch at r={r}: {E_bulk} vs {E_bdry}")
+    return E_bulk, E_bdry, scale
 
 
 def _bulk_abs_scale(state, r_lo, r_hi):
@@ -311,7 +324,6 @@ def elliptic_scan(state, r_grid, tol=1e-10):
         raise DomainValidationError("r_grid must be strictly increasing")
     _check_in_domain(state, r_grid[0])
     _check_in_domain(state, r_grid[-1])
-    p = state.params
 
     if state.kind == "constant":
         I = np.array([elliptic_I(state, r) for r in r_grid])
@@ -333,15 +345,7 @@ def elliptic_scan(state, r_grid, tol=1e-10):
         # derivative blows up like 1/distance and U is genuinely singular
         if Ir == 0.0 or sgn[0] == 0 or abs(r * ld[0]) > 1e12:
             raise ConsistencyError(f"nodal sphere: I vanishes at r = {r}")
-        pref = math.exp((2 - p.n) * math.log(r))
-        E_bulk = pref * cum
-        E_bdry = _E_boundary(state, r)
-        scale = pref * _bulk_abs_scale(state, r_lo, r)
-        if abs(E_bulk - E_bdry) > 1e-6 * max(scale, abs(E_bulk), abs(E_bdry)):
-            raise ConsistencyError(
-                f"bulk/boundary energy mismatch at r={r}: {E_bulk} vs {E_bdry}")
-        if tail > max(1e-9 * abs(cum), 1e-300):
-            raise ConsistencyError("uncontrolled tip tail in scan")
+        E_bulk = _checked_energy(state, r, r_lo, cum, tail)[0]
         I_col.append(Ir)
         E_col.append(E_bulk)
         U_col.append(E_bulk / Ir)

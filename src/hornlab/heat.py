@@ -286,12 +286,7 @@ def weyl_check(eigs, p):
     over the computed list."""
     if len(eigs) < 8:
         raise DomainValidationError("weyl_check needs >= 8 eigenvalues")
-    js = np.arange(1, len(eigs) + 1, dtype=float)
-    nus = np.array([e.nu for e in eigs])
-    gamma = 2.0 / p.bigN
-    C1 = float(np.min(nus / js ** gamma))
-    C2 = float(np.max(nus / js ** 2))
-    return C1, C2
+    return _growth_constants(eigs, p)[:2]
 
 
 def _growth_constants(eigs, p):

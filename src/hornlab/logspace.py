@@ -12,20 +12,6 @@ import numpy as np
 NEG_INF = float("-inf")
 
 
-def log_abs(x):
-    """Split a float into (sign, log|x|)."""
-    if x == 0.0:
-        return 0, NEG_INF
-    return (1 if x > 0 else -1), math.log(abs(x))
-
-
-def signed_exp(sign, logmag):
-    """Back to linear space; silent underflow to 0.0."""
-    if sign == 0 or logmag == NEG_INF:
-        return 0.0
-    return sign * math.exp(logmag)
-
-
 def logsumexp_signed(signs, logs):
     """Sum of sign_i * exp(log_i) as a (sign, log|sum|) pair.
 
@@ -44,8 +30,3 @@ def logsumexp_signed(signs, logs):
     if acc == 0.0:
         return 0, NEG_INF
     return (1 if acc > 0 else -1), m + math.log(abs(acc))
-
-
-def logaddexp_signed(s1, l1, s2, l2):
-    """Two-term version of logsumexp_signed."""
-    return logsumexp_signed([s1, s2], [l1, l2])

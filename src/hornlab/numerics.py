@@ -1,23 +1,20 @@
 """Shared numerical kernels.
 
-Real-order Bessel functions J_nu, Y_nu and the real Gamma function are
-implemented here directly: ascending power series at small argument,
-Hankel's large-argument expansion at fractional order plus stable upward
-recurrence beyond, and a Lanczos approximation for Gamma.  Only moderate
-(nu, x) ranges occur in the horn computations (nu = (c-1)/2 stays small for
-sensible parameters); the implementation is tuned for relative error
-<= 1e-10 over nu <= 20, x <= 100 and degrades gracefully outside.
-
-ODE integration, adaptive quadrature, bracketed root finding and line
-fitting are thin contracts over scipy (DOP853 with dense output, QUADPACK,
-Brent) -- mature implementations behind fixed interfaces, so every caller
-and test exercises the same surface.
+Every kernel is a thin contract over scipy: real-order Bessel functions
+J_nu, Y_nu and their derivatives (scipy.special, after Amos, ACM TOMS
+Algorithm 644), the real Gamma function and its logarithm, ODE integration
+(DOP853 with dense output), adaptive quadrature (QUADPACK), bracketed root
+finding (Brent) and line fitting.  The wrappers fix the domains and the
+error types, so every caller and test exercises the same surface, and an
+argument outside a function's domain raises DomainValidationError instead
+of returning nan.
 """
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import special
 from scipy.integrate import quad as _scipy_quad
 from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
@@ -25,45 +22,20 @@ from scipy.optimize import brentq
 from .errors import (DomainValidationError, IntegrationError, QuadratureError,
                      RootBracketError)
 
-EULER_GAMMA = 0.5772156649015328606
-
 # ---------------------------------------------------------------------------
-# Gamma function (Lanczos, g = 607/128 with 15 coefficients)
+# Gamma and Bessel functions of real argument and order
 # ---------------------------------------------------------------------------
-
-_LANCZOS_G = 4.7421875
-_LANCZOS_C = (
-    0.99999999999999709182,
-    57.156235665862923517, -59.597960355475491248, 14.136097974741747174,
-    -0.49191381609762019978, 3.3994649984811888699e-5,
-    4.6523628927048575665e-5, -9.8374475304879564677e-5,
-    1.5808870322491248884e-4, -2.1026444172410488319e-4,
-    2.1743961811521264320e-4, -1.6431810653676389022e-4,
-    8.4418223983852743293e-5, -2.6190838401581408670e-5,
-    3.6899182659531622704e-6,
-)
-
-
-def _lanczos_sum(x):
-    s = _LANCZOS_C[0]
-    for k in range(1, 15):
-        s += _LANCZOS_C[k] / (x + k)
-    return s
 
 
 def gamma_real(x):
     """Gamma(x) for real x away from the poles 0, -1, -2, ...
 
-    Relative accuracy ~1e-14 on (0, 30); overflows past x ~ 171.6.
+    Overflows to inf past x ~ 171.6.
     """
     x = float(x)
     if x <= 0.0 and x == math.floor(x):
         raise DomainValidationError(f"gamma_real pole at non-positive integer x={x}")
-    if x < 0.5:
-        return math.pi / (math.sin(math.pi * x) * gamma_real(1.0 - x))
-    z = x - 1.0
-    t = z + _LANCZOS_G + 0.5
-    return math.sqrt(2.0 * math.pi) * t ** (z + 0.5) * math.exp(-t) * _lanczos_sum(z)
+    return float(special.gamma(x))
 
 
 def lgamma_real(x):
@@ -71,120 +43,7 @@ def lgamma_real(x):
     x = float(x)
     if not x > 0.0:
         raise DomainValidationError(f"lgamma_real needs x > 0, got {x}")
-    if x < 0.5:
-        return math.log(math.pi / math.sin(math.pi * x)) - lgamma_real(1.0 - x)
-    z = x - 1.0
-    t = z + _LANCZOS_G + 0.5
-    return 0.5 * math.log(2.0 * math.pi) + (z + 0.5) * math.log(t) - t \
-        + math.log(_lanczos_sum(z))
-
-
-# ---------------------------------------------------------------------------
-# Bessel functions of real order
-# ---------------------------------------------------------------------------
-
-# Ascending series is used for x <= max(12, nu): up to the turning point the
-# terms never grow enough to cancel catastrophically (amplification <= ~1e4),
-# keeping 1e-10 relative accuracy in doubles.  Beyond that, Hankel's
-# expansion at the fractional part of the order (converged to ~1e-12 for
-# x > 12) seeds upward recurrence; the recurrence never climbs past the
-# turning point nu ~ x by construction of the switch, so it is stable for J,
-# and Y is recurrence-dominant everywhere.
-_SERIES_X_MAX = 12.0
-
-
-def _bessel_j_series(nu, x):
-    # valid for nu > -1 (or any non-negative-integer nu with Gamma sign), x >= 0
-    if x == 0.0:
-        if nu == 0.0:
-            return 1.0
-        if nu > 0.0:
-            return 0.0
-        raise DomainValidationError("J_nu(0) diverges for nu < 0")
-    half = 0.5 * x
-    term = math.exp(nu * math.log(half) - lgamma_real(nu + 1.0)) if nu + 1.0 > 0 \
-        else half ** nu / gamma_real(nu + 1.0)
-    total = term
-    peak = abs(term)
-    z = -half * half
-    for m in range(1, 2000):
-        term *= z / (m * (nu + m))
-        total += term
-        peak = max(peak, abs(total))
-        if abs(term) <= 1e-18 * peak:
-            return total
-    raise QuadratureError("Bessel series failed to converge", estimate=total)
-
-
-def _hankel_pq(nu, x):
-    # P and Q sums of the large-argument expansion; truncate at the smallest
-    # term (asymptotic series).
-    mu4 = 4.0 * nu * nu
-    P = 1.0
-    Q = 0.0
-    tk = 1.0
-    k = 0
-    prev = abs(tk)
-    while k < 80:
-        tk *= (mu4 - (2 * k + 1) ** 2) / (8.0 * (k + 1) * x)
-        k += 1
-        if abs(tk) >= prev and k > 2:
-            break
-        prev = abs(tk)
-        if k % 2 == 1:
-            Q += tk if (k // 2) % 2 == 0 else -tk
-        else:
-            P += tk if (k // 2) % 2 == 0 else -tk
-        if abs(tk) < 1e-18:
-            break
-    return P, Q
-
-
-def _bessel_jy_asym(nu, x):
-    P, Q = _hankel_pq(nu, x)
-    chi = x - (0.5 * nu + 0.25) * math.pi
-    fac = math.sqrt(2.0 / (math.pi * x))
-    return (fac * (P * math.cos(chi) - Q * math.sin(chi)),
-            fac * (P * math.sin(chi) + Q * math.cos(chi)))
-
-
-def _bessel_y_int_series(n, x):
-    # Ascending series for integer order, x <= ~12.
-    half = 0.5 * x
-    lnh = math.log(half)
-    jn = _bessel_j_series(float(n), x)
-    # finite sum of negative powers: sum_{k<n} (n-k-1)!/k! (x^2/4)^k (x/2)^-n
-    s1 = 0.0
-    if n > 0:
-        z = half * half
-        for k in range(n):
-            s1 += (gamma_real(float(n - k)) / gamma_real(k + 1.0)) * z ** k
-        s1 *= half ** (-n)
-    # psi-series
-    z = -half * half
-    term = half ** n / gamma_real(n + 1.0)
-    h_k = 0.0            # psi(k+1) + gamma = H_k
-    h_nk = sum(1.0 / m for m in range(1, n + 1))  # H_{n+k} at k = 0
-    s3 = term * (h_k + h_nk - 2.0 * EULER_GAMMA)
-    peak = abs(s3)
-    for k in range(1, 2000):
-        term *= z / (k * (n + k))
-        h_k += 1.0 / k
-        h_nk += 1.0 / (n + k)
-        contrib = term * (h_k + h_nk - 2.0 * EULER_GAMMA)
-        s3 += contrib
-        peak = max(peak, abs(s3))
-        if abs(term) * (h_k + h_nk + 2.0) <= 1e-18 * max(peak, 1e-300):
-            break
-    return (2.0 / math.pi) * lnh * jn - s1 / math.pi - s3 / math.pi
-
-
-def _bessel_y_reflect(nu, x):
-    # non-integer order via the connection with J_{+-nu}; loses ~log10(dist)
-    # digits within ~1e-6 of an integer order (documented, not special-cased)
-    jp = _bessel_j_series(nu, x)
-    jm = _bessel_j_series(-nu, x)
-    return (jp * math.cos(nu * math.pi) - jm) / math.sin(nu * math.pi)
+    return float(special.gammaln(x))
 
 
 def bessel_j(nu, x):
@@ -193,29 +52,7 @@ def bessel_j(nu, x):
         raise DomainValidationError(f"bessel_j needs nu >= 0, got {nu}")
     if not x >= 0:
         raise DomainValidationError(f"bessel_j needs x >= 0, got {x}")
-    nu = float(nu)
-    x = float(x)
-    if x <= max(_SERIES_X_MAX, nu):
-        return _bessel_j_series(nu, x)
-    m = int(math.floor(nu))
-    frac = nu - m
-    j0 = _bessel_jy_asym(frac, x)[0]
-    j1 = _bessel_jy_asym(frac + 1.0, x)[0]
-    return _rec_to_order(j0, j1, frac, x, m)
-
-
-def _rec_to_order(f0, f1, frac, x, m):
-    # return f at order frac + m given f at frac and frac+1
-    if m == 0:
-        return f0
-    if m == 1:
-        return f1
-    a, b = f0, f1
-    mu = frac + 1.0
-    for _ in range(m - 1):
-        a, b = b, (2.0 * mu / x) * b - a
-        mu += 1.0
-    return b
+    return float(special.jv(float(nu), float(x)))
 
 
 def bessel_y(nu, x):
@@ -227,49 +64,30 @@ def bessel_y(nu, x):
         raise DomainValidationError(f"bessel_y needs nu >= 0, got {nu}")
     if not x > 0:
         raise DomainValidationError(f"bessel_y has a pole at x = 0 (got x={x})")
-    nu = float(nu)
-    x = float(x)
-    m = int(math.floor(nu))
-    frac = nu - m
-    if x > _SERIES_X_MAX:
-        y0 = _bessel_jy_asym(frac, x)[1]
-        y1 = _bessel_jy_asym(frac + 1.0, x)[1]
-        return _rec_to_order(y0, y1, frac, x, m)
-    # small x: evaluate directly at the target order; the ascending series
-    # at order nu has far less cancellation than recurrence from order 0
-    if frac == 0.0:
-        return _bessel_y_int_series(m, x)
-    return _bessel_y_reflect(nu, x)
+    return float(special.yv(float(nu), float(x)))
 
 
 def _bessel_j_any(nu, x):
+    """J_nu(x) for real order of either sign; a negative order needs x > 0."""
     if nu >= 0:
         return bessel_j(nu, x)
-    mu = -nu
-    return bessel_j(mu, x) * math.cos(mu * math.pi) \
-        - bessel_y(mu, x) * math.sin(mu * math.pi)
-
-
-def _bessel_y_any(nu, x):
-    if nu >= 0:
-        return bessel_y(nu, x)
-    mu = -nu
-    return bessel_y(mu, x) * math.cos(mu * math.pi) \
-        + bessel_j(mu, x) * math.sin(mu * math.pi)
+    if not x > 0:
+        raise DomainValidationError(f"J_nu(x) at order {nu} < 0 needs x > 0, got {x}")
+    return float(special.jv(float(nu), float(x)))
 
 
 def bessel_j_prime(nu, x):
-    """d/dx J_nu(x) via the neighbour relation; x > 0."""
+    """d/dx J_nu(x), real order nu; x > 0."""
     if not x > 0:
         raise DomainValidationError("bessel_j_prime needs x > 0")
-    return 0.5 * (_bessel_j_any(nu - 1.0, x) - _bessel_j_any(nu + 1.0, x))
+    return float(special.jvp(float(nu), float(x)))
 
 
 def bessel_y_prime(nu, x):
-    """d/dx Y_nu(x) via the neighbour relation; x > 0."""
+    """d/dx Y_nu(x), real order nu; x > 0."""
     if not x > 0:
         raise DomainValidationError("bessel_y_prime needs x > 0")
-    return 0.5 * (_bessel_y_any(nu - 1.0, x) - _bessel_y_any(nu + 1.0, x))
+    return float(special.yvp(float(nu), float(x)))
 
 
 # ---------------------------------------------------------------------------

@@ -65,12 +65,11 @@ def test_csv_bit_identical_across_runs(tmp_path):
         assert (d1 / name).read_bytes() == (d2 / name).read_bytes()
 
 
-def test_threaded_run_identical(tmp_path, monkeypatch):
-    d1, d2 = tmp_path / "serial", tmp_path / "threads"
+def test_repeat_run_identical(tmp_path):
+    d1, d2 = tmp_path / "first", tmp_path / "second"
     args = ["--set", "freq.R_points=8", "--set", "eigs.count=2",
             "--set", "heat.coeffs=[1.0,0.7]"]
     assert main(["freq-parabolic", "--out", str(d1)] + args) == EXIT_OK
-    monkeypatch.setenv("HORNLAB_THREADS", "3")
     assert main(["freq-parabolic", "--out", str(d2)] + args) == EXIT_OK
     assert (d1 / "freq_parabolic.csv").read_bytes() == \
         (d2 / "freq_parabolic.csv").read_bytes()
@@ -89,6 +88,16 @@ def test_config_error_exit_code(tmp_path):
     code = main(["modes", "--out", str(tmp_path),
                  "--set", "tolerances.ode=-1"])
     assert code == EXIT_CONFIG
+
+
+@pytest.mark.parametrize("command", ["modes", "freq-elliptic"])
+def test_radial_mode_without_profile_is_config_error(tmp_path, command):
+    # i = 0 with mu > 0 has no decaying tip profile: the fault is the config
+    code = main([command, "--out", str(tmp_path),
+                 "--set", "mode.i=0", "--set", "mode.mu=1.0"])
+    assert code == EXIT_CONFIG
+    man = json.loads((tmp_path / "manifest.json").read_text())
+    assert "mode.i" in man["error"] and "mode.mu" in man["error"]
 
 
 def test_numerical_error_writes_manifest(tmp_path):

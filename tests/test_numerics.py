@@ -62,7 +62,8 @@ def test_bessel_y_pole_direction():
         bessel_y(1.0, 0.0)
 
 
-@pytest.mark.parametrize("nu", [0.0, 0.5, 1.375, 3.0, 5.0, 11.5, 20.0])
+@pytest.mark.parametrize("nu", [0.0, 0.5, 1.375, 3.0, 5.0, 11.5, 20.0,
+                                3.000001, 0.9999998])
 def test_bessel_accuracy_contract(nu):
     # relative error <= 1e-10 over the stated (nu, x) range
     for x in np.geomspace(0.08, 100.0, 23):
