@@ -32,7 +32,7 @@ from .modes import (RadialProfile, decay_exponent_fit, normalization_bound,
 from .numerics import (DenseSolution, LineFit, bessel_j, bessel_j_prime,
                        bessel_y, bessel_y_prime, find_root_bracketed,
                        fit_line, gamma_real, integrate_ode, lgamma_real,
-                       quad_adaptive, quad_adaptive_err)
+                       quad_adaptive, quad_adaptive_err, quad_log)
 from .parabolic import (BackwardKernel, ModeCaloric, UnitCaloric,
                         check_D_lower, check_ID_relation, check_N_bound,
                         kernel_log, parabolic_IDN, parabolic_scan)

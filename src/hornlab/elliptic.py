@@ -28,7 +28,7 @@ from .artifacts import write_csv
 from .errors import ConsistencyError, DomainValidationError
 from .geometry import measure_weight_log, sphere_eigenvalue
 from .modes import decay_exponent_fit, radial_mode_zero
-from .numerics import bessel_j, fit_line, quad_adaptive_err
+from .numerics import bessel_j, fit_line, quad_log
 
 _KIND_ELLIPTIC = "elliptic"
 _KIND_PARABOLIC = "parabolic"
@@ -74,14 +74,13 @@ class ModeState:
             p = self.params
             nu = (p.c - 1.0) / 2.0
             x = r * math.sqrt(self.mu)
-            vals = np.array([radial_mode_zero(p, self.mu, rr) for rr in r])
+            vals = radial_mode_zero(p, self.mu, r)
             sign = np.sign(vals)
-            with np.errstate(divide="ignore"):
-                lm = np.log(np.abs(vals))
             # f'(r) = -mu^((nu+1)/2) x^-nu J_{nu+1}(x); dlog = f'/f
-            der = np.array([
-                -math.sqrt(self.mu) * bessel_j(nu + 1.0, xx) /
-                bessel_j(nu, xx) if xx > 0 else 0.0 for xx in x])
+            with np.errstate(divide="ignore", invalid="ignore"):
+                lm = np.log(np.abs(vals))
+                der = np.where(x > 0, -math.sqrt(self.mu)
+                               * bessel_j(nu + 1.0, x) / bessel_j(nu, x), 0.0)
             return sign, lm, der
         return self.profile.eval_log(r)
 
@@ -207,22 +206,12 @@ def _abs_energy_density_log(state, r):
 
 
 def _bulk_integral(state, r_lo, r_hi, tol):
-    """int_{r_lo}^{r_hi} (f'^2 + V f^2 + lam f^2) w ds, exp-shifted."""
+    """int_{r_lo}^{r_hi} (f'^2 + V f^2 + lam f^2) w ds."""
     if r_hi <= r_lo:
         return 0.0
-    probe = np.linspace(max(r_lo, 1e-9 * r_hi), r_hi, 65)
-    shift = float(np.max(_abs_energy_density_log(state, probe)))
-    if not np.isfinite(shift):
-        return 0.0
-
-    def fn(r):
-        s, L = _energy_density_log(state, np.array([r]))
-        if s[0] == 0:
-            return 0.0
-        return s[0] * math.exp(L[0] - shift)
-
-    val, _ = quad_adaptive_err(fn, r_lo, r_hi, tol)
-    return val * math.exp(shift)
+    sign, log_val, _ = quad_log(lambda r: _energy_density_log(state, r),
+                                r_lo, r_hi, tol)
+    return sign * math.exp(log_val)
 
 
 def _tip_tail_bound(state):

@@ -378,17 +378,7 @@ class CaloricSeries:
             with np.errstate(divide="ignore", invalid="ignore"):
                 lD[j] = lF[j] + np.log(np.abs(ld))
             sD[j] = sF[j] * np.sign(ld)
-        return (*_colsum(sF, lF), *_colsum(sD, lD))
-
-
-def _colsum(signs, logs):
-    out_s = np.empty(signs.shape[1])
-    out_l = np.empty(signs.shape[1])
-    for col in range(signs.shape[1]):
-        s, L = logsumexp_signed(signs[:, col], logs[:, col])
-        out_s[col] = s
-        out_l[col] = L
-    return out_s, out_l
+        return (*logsumexp_signed(sF, lF), *logsumexp_signed(sD, lD))
 
 
 def make_caloric_series(pairs, coeffs, t_min):

@@ -5,8 +5,6 @@ Radial modes on the horn underflow double precision long before the tip
 (sign, log|value|).  A sign of 0 encodes an exact zero, paired with -inf.
 """
 
-import math
-
 import numpy as np
 
 NEG_INF = float("-inf")
@@ -16,17 +14,20 @@ def logsumexp_signed(signs, logs):
     """Sum of sign_i * exp(log_i) as a (sign, log|sum|) pair.
 
     Cancellation between terms is handled exactly as in linear arithmetic
-    relative to the dominant magnitude.
+    relative to the dominant magnitude.  1-D input gives (int, float); 2-D
+    input sums down axis 0 and gives one (sign, log) per column as two
+    float arrays.
     """
     signs = np.asarray(signs, dtype=float)
     logs = np.asarray(logs, dtype=float)
     live = (signs != 0) & np.isfinite(logs)
-    if not np.any(live):
-        return 0, NEG_INF
-    logs = logs[live]
-    signs = signs[live]
-    m = logs.max()
-    acc = float(np.sum(signs * np.exp(logs - m)))
-    if acc == 0.0:
-        return 0, NEG_INF
-    return (1 if acc > 0 else -1), m + math.log(abs(acc))
+    m = np.max(np.where(live, logs, NEG_INF), axis=0, initial=NEG_INF)
+    m = np.where(np.isfinite(m), m, 0.0)
+    terms = signs * np.exp(np.where(live, logs - m, NEG_INF))
+    acc = np.sum(np.where(live, terms, 0.0), axis=0)
+    sign = np.sign(acc)
+    with np.errstate(divide="ignore"):
+        log = np.where(acc == 0.0, NEG_INF, m + np.log(np.abs(acc)))
+    if acc.ndim == 0:
+        return int(sign), float(log)
+    return sign, log

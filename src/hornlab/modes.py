@@ -37,8 +37,8 @@ from scipy.interpolate import CubicHermiteSpline
 
 from .artifacts import write_csv
 from .errors import ConsistencyError, DomainValidationError
-from .geometry import measure_weight_log, sphere_eigenvalue
-from .numerics import fit_line, integrate_ode, quad_adaptive_err
+from .geometry import sphere_eigenvalue
+from .numerics import fit_line, integrate_ode, quad_log
 
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(10)
 
@@ -389,18 +389,21 @@ def radial_mode_zero(p, mu, r):
     """Bounded radial branch for i = 0: r^((1-c)/2) J_((c-1)/2)(r sqrt(mu)).
 
     Finite at the tip with limit mu^((c-1)/4) / (2^((c-1)/2) Gamma((c+1)/2)).
+    r may be an array; a scalar r returns a float.
     """
     from .numerics import bessel_j, gamma_real
     if not mu > 0:
         raise DomainValidationError("radial_mode_zero needs mu > 0")
-    if not r >= 0:
+    r = np.asarray(r, dtype=float)
+    if not np.all(r >= 0):
         raise DomainValidationError("radial_mode_zero needs r >= 0")
     nu = (p.c - 1.0) / 2.0
     x = r * math.sqrt(mu)
     limit = mu ** (nu / 2.0) / (2.0 ** nu * gamma_real(nu + 1.0))
-    if x < 1e-8:
-        return limit * (1.0 - x * x / (4.0 * (nu + 1.0)))
-    return bessel_j(nu, x) * r ** (-nu)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = np.where(x < 1e-8, limit * (1.0 - x * x / (4.0 * (nu + 1.0))),
+                       bessel_j(nu, x) * r ** (-nu))
+    return float(out) if out.ndim == 0 else out
 
 
 def decay_exponent_fit(profile):
@@ -425,17 +428,13 @@ def normalization_bound(p, i, mu, tol=1e-10):
     r_min = s_hi ** (-1.0 / p.eps)
     prof = profile_from_k2(p, i, mu, r_min, n_grid=32, tol=1e-12)
 
+    wlog_c = (1 - p.n) * math.log(2.0)
+
     def log_integrand(r):
-        _, lm, _ = prof.eval_log(np.array([r]))
-        return float(2.0 * lm[0]) + measure_weight_log(p, r)
+        return 1.0, 2.0 * prof.eval_log(r)[1] + wlog_c + p.c * np.log(r)
 
-    r_top = prof.r_max
-    probe = np.linspace(r_min, r_top, 200)
-    shift = max(log_integrand(r) for r in probe)
-
-    val, _ = quad_adaptive_err(
-        lambda r: math.exp(log_integrand(r) - shift), r_min, r_top, tol)
-    norm2 = val * math.exp(shift) if val > 0 else 0.0
+    _, log_norm2, _ = quad_log(log_integrand, r_min, prof.r_max, tol)
+    norm2 = math.exp(log_norm2)
     if norm2 <= 0:
         raise ConsistencyError("vanishing norm in normalization_bound")
     computed = 1.0 / math.sqrt(norm2)

@@ -3,11 +3,12 @@
 Every kernel is a thin contract over scipy: real-order Bessel functions
 J_nu, Y_nu and their derivatives (scipy.special, after Amos, ACM TOMS
 Algorithm 644), the real Gamma function and its logarithm, ODE integration
-(DOP853 with dense output), adaptive quadrature (QUADPACK), bracketed root
-finding (Brent) and line fitting.  The wrappers fix the domains and the
-error types, so every caller and test exercises the same surface, and an
-argument outside a function's domain raises DomainValidationError instead
-of returning nan.
+(DOP853 with dense output), adaptive quadrature (QUADPACK) of linear
+integrands and composite Gauss-Legendre quadrature of log-represented
+ones, bracketed root finding (Brent) and line fitting.  The wrappers fix
+the domains and the error types, so every caller and test exercises the
+same surface, and an argument outside a function's domain raises
+DomainValidationError instead of returning nan.
 """
 
 import math
@@ -47,12 +48,19 @@ def lgamma_real(x):
 
 
 def bessel_j(nu, x):
-    """Bessel function of the first kind, real order nu >= 0, x >= 0."""
+    """Bessel function of the first kind, real order nu >= 0, x >= 0.
+
+    x may be an array (the result is an array of the same shape); a scalar
+    x returns a float.
+    """
     if not nu >= 0:
         raise DomainValidationError(f"bessel_j needs nu >= 0, got {nu}")
-    if not x >= 0:
-        raise DomainValidationError(f"bessel_j needs x >= 0, got {x}")
-    return float(special.jv(float(nu), float(x)))
+    x = np.asarray(x, dtype=float)
+    bad = x[~(x >= 0)]
+    if bad.size:
+        raise DomainValidationError(f"bessel_j needs x >= 0, got {bad[0]}")
+    out = special.jv(float(nu), x)
+    return float(out) if x.ndim == 0 else out
 
 
 def bessel_y(nu, x):
@@ -177,6 +185,90 @@ def quad_adaptive_err(f, a, b, tol):
 def quad_adaptive(f, a, b, tol):
     """Adaptive quadrature with absolute-or-relative error <= tol."""
     return quad_adaptive_err(f, a, b, tol)[0]
+
+
+# ---------------------------------------------------------------------------
+# Log-space quadrature
+# ---------------------------------------------------------------------------
+
+_GL_X, _GL_W = np.polynomial.legendre.leggauss(16)
+_LOG_QUAD_PANELS = 8          # panels of the first level
+_LOG_QUAD_MAX_PANELS = 1024   # last level: 16384 nodes
+
+
+def _log_quad_nodes(a, b, panels):
+    """16-point Gauss-Legendre nodes and weights on `panels` geometric
+    panels of [a, b]; for a = 0 the geometric panels cover [b/panels, b]
+    below a leading panel [0, b/panels]."""
+    if a > 0:
+        edges = np.geomspace(a, b, panels + 1)
+    else:
+        edges = np.concatenate([[0.0], np.geomspace(b / panels, b, panels + 1)])
+    mid = 0.5 * (edges[1:] + edges[:-1])
+    half = 0.5 * np.diff(edges)
+    return ((mid[:, None] + half[:, None] * _GL_X).ravel(),
+            (half[:, None] * _GL_W).ravel())
+
+
+def quad_log(fn_log, a, b, tol):
+    """Integral over [a, b], 0 <= a < b, of f = sign * exp(log).
+
+    fn_log(x) maps an array of nodes to (signs, logs); a sign of 0 or a log
+    of -inf is an exact zero, and signs may be any value that broadcasts
+    against x.  Each level of composite 16-point Gauss-Legendre on
+    geometric panels calls fn_log once on all its nodes and sums in units
+    of the largest integrand magnitude among them, so neither the
+    integrand nor the integral has to be representable in linear space.
+    The panel count doubles from level to level; the difference of two
+    successive levels is the error estimate, and the finer level is
+    accepted once that difference is at most tol times the integral of
+    |f| (for a non-negative f: relative error tol).
+
+    Returns (sign, log|integral|, log error estimate); a zero integral is
+    (0, -inf, log error estimate).  Past the last level raises
+    QuadratureError whose estimate is the (sign, log|integral|) pair of
+    the finest level and whose bound is the log of its error estimate.
+    """
+    if not 0 <= a < b:
+        raise DomainValidationError(f"quad_log needs 0 <= a < b, got [{a}, {b}]")
+    if not tol > 0:
+        raise DomainValidationError("quad_log needs tol > 0")
+    prev = None
+    panels = _LOG_QUAD_PANELS
+    while True:
+        x, w = _log_quad_nodes(a, b, panels)
+        signs, logs = fn_log(x)
+        signs = np.broadcast_to(np.asarray(signs, dtype=float), x.shape)
+        logs = np.asarray(logs, dtype=float)
+        bad = np.isnan(signs) | np.isnan(logs) | (logs == np.inf)
+        if np.any(bad):
+            raise QuadratureError(
+                f"integrand is not finite at x = {x[bad][0]} on [{a}, {b}]")
+        live = (signs != 0) & (logs > -np.inf)
+        shift = -math.inf
+        mag = np.zeros_like(w)
+        if np.any(live):
+            shift = float(np.max(logs[live]))
+            mag[live] = w[live] * np.exp(logs[live] - shift)
+        level = (float(np.sum(signs * mag)), float(np.sum(mag)), shift)
+        if prev is not None:
+            top = max(shift, prev[2])
+            if top == -math.inf:
+                return 0, -math.inf, -math.inf
+            val = level[0] * math.exp(shift - top)
+            err = abs(val - prev[0] * math.exp(prev[2] - top))
+            log_err = math.log(err) + top if err > 0 else -math.inf
+            sign = (val > 0) - (val < 0)
+            log_val = math.log(abs(val)) + top if sign else -math.inf
+            if err <= tol * level[1] * math.exp(shift - top):
+                return sign, log_val, log_err
+            if panels >= _LOG_QUAD_MAX_PANELS:
+                raise QuadratureError(
+                    f"log-space quadrature on [{a}, {b}] did not reach "
+                    f"tolerance {tol} with {panels} panels",
+                    estimate=(sign, log_val), bound=log_err)
+        prev = level
+        panels *= 2
 
 
 # ---------------------------------------------------------------------------

@@ -30,9 +30,7 @@ import numpy as np
 from .elliptic import FrequencyScan, _KIND_PARABOLIC
 from .errors import ConsistencyError, DomainValidationError
 from .geometry import sphere_area, sphere_eigenvalue
-from .numerics import fit_line, quad_adaptive_err
-
-_LOG_FLOOR = -745.0  # below exp() underflow
+from .numerics import fit_line, quad_log
 
 
 @dataclass(frozen=True)
@@ -108,21 +106,6 @@ def _slice_bounds(u, R):
     return lo, hi
 
 
-def _log_quad(fn_log, lo, hi, tol):
-    """integral of exp(fn_log) with an exp-shift; returns (log value, shift)."""
-    probe = np.linspace(lo, hi, 257)
-    L = fn_log(probe)
-    shift = float(np.max(L))
-    if not np.isfinite(shift) or shift < _LOG_FLOOR:
-        return -math.inf
-    val, _ = quad_adaptive_err(
-        lambda r: math.exp(min(fn_log(np.array([r]))[0] - shift, 50.0)),
-        lo, hi, tol)
-    if val <= 0:
-        return -math.inf
-    return shift + math.log(val)
-
-
 def parabolic_IDN(u, R, tol=1e-12):
     """(I, D, N) on the backward slice t = -R^2.
 
@@ -139,8 +122,8 @@ def parabolic_IDN(u, R, tol=1e-12):
     wlog_c = (1 - p.n) * math.log(2.0)
 
     def d_log(r):
-        sF, lF, _, _ = u.slice_log(r, t)
-        return 2.0 * lF + kernel_log(kern, r, t) + wlog_c + p.c * np.log(r)
+        _, lF, _, _ = u.slice_log(r, t)
+        return 1.0, 2.0 * lF + kernel_log(kern, r, t) + wlog_c + p.c * np.log(r)
 
     def i_log(r):
         # log of (|Fr|^2 + 4 mu_i r^(-2-2eps) |F|^2) G w, exp-shifted per point
@@ -155,14 +138,12 @@ def parabolic_IDN(u, R, tol=1e-12):
                 + ang * np.exp(2.0 * np.where(dead, -np.inf, lF - m_safe))
             out = 2.0 * m_safe + np.log(total) \
                 + kernel_log(kern, r, t) + wlog_c + p.c * np.log(r)
-        return np.where(dead | (total == 0.0), -np.inf, out)
+        return 1.0, np.where(dead | (total == 0.0), -np.inf, out)
 
-    logD = _log_quad(d_log, lo, hi, tol)
-    if logD == -math.inf:
+    D = u.sphere_factor * math.exp(quad_log(d_log, lo, hi, tol)[1])
+    if D == 0.0:
         raise ConsistencyError(f"D vanishes on the slice R = {R}")
-    D = u.sphere_factor * math.exp(logD)
-    logI = _log_quad(i_log, lo, hi, tol)
-    I = 0.0 if logI == -math.inf else R * R * u.sphere_factor * math.exp(logI)
+    I = R * R * u.sphere_factor * math.exp(quad_log(i_log, lo, hi, tol)[1])
     return I, D, I / D
 
 

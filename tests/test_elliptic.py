@@ -7,8 +7,10 @@ from support import oracle_E_2d, oracle_I_2d
 from hornlab import (ConsistencyError, DomainValidationError, bessel_state,
                      check_I_lower, check_logI_identity, check_U_growth,
                      constant_state, elliptic_E, elliptic_I, elliptic_scan,
-                     find_root_bracketed, profile_state, radial_mode_zero)
+                     find_root_bracketed, gamma_real, profile_state,
+                     radial_mode_zero)
 from hornlab.elliptic import FrequencyScan
+from hornlab.numerics import bessel_j
 
 
 @pytest.fixture(scope="module")
@@ -42,6 +44,32 @@ def test_I_vanishes_on_nodal_sphere(p_default):
     root = find_root_bracketed(
         lambda r: radial_mode_zero(p_default, mu, r), 0.1, 0.2, 1e-14)
     assert elliptic_I(st, root) <= 1e-28
+
+
+def test_bessel_radial_log_matches_scalar_branch(p_default):
+    # the array evaluation against the per-radius scalar formulas, from
+    # r = 0 and the x < 1e-8 series branch past the first node of J_nu
+    mu = 2.0
+    st = bessel_state(p_default, mu, (0.01, 0.5))
+    nu = (p_default.c - 1.0) / 2.0
+    limit = mu ** (nu / 2.0) / (2.0 ** nu * gamma_real(nu + 1.0))
+    r = np.concatenate([[0.0, 1e-12, 5e-9], np.geomspace(1e-6, 5.0, 60)])
+    sign, lm, ld = st.radial_log(r)
+    assert np.any(sign < 0)
+    for k, rr in enumerate(r.tolist()):
+        x = rr * math.sqrt(mu)
+        f = limit * (1.0 - x * x / (4.0 * (nu + 1.0))) if x < 1e-8 \
+            else bessel_j(nu, x) * rr ** (-nu)
+        der = -math.sqrt(mu) * bessel_j(nu + 1.0, x) / bessel_j(nu, x) \
+            if x > 0 else 0.0
+        assert radial_mode_zero(p_default, mu, rr) == pytest.approx(
+            f, rel=1e-15)
+        assert sign[k] == math.copysign(1.0, f)
+        assert sign[k] * math.exp(lm[k]) == pytest.approx(f, rel=1e-15)
+        assert ld[k] == pytest.approx(der, rel=1e-15, abs=0.0)
+    assert isinstance(radial_mode_zero(p_default, mu, 0.3), float)
+    with pytest.raises(DomainValidationError):
+        radial_mode_zero(p_default, mu, np.array([0.5, -1e-3]))
 
 
 def test_I_matches_product_quadrature(state_i1_mu1, p_default):

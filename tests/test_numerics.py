@@ -9,7 +9,7 @@ from hornlab import (DomainValidationError, IntegrationError, QuadratureError,
                      RootBracketError, bessel_j, bessel_j_prime, bessel_y,
                      bessel_y_prime, find_root_bracketed, fit_line,
                      gamma_real, integrate_ode, quad_adaptive,
-                     quad_adaptive_err)
+                     quad_adaptive_err, quad_log)
 
 
 # ---------------------------------------------------------------------------
@@ -98,6 +98,18 @@ def test_bessel_recurrence_invariant():
             lhs = _bessel_j_any(nu - 1.0, x) + bessel_j(nu + 1.0, x)
             rhs = (2.0 * nu / x) * bessel_j(nu, x)
             assert lhs == pytest.approx(rhs, rel=1e-8, abs=1e-280)
+
+
+def test_bessel_j_array_matches_scalar():
+    xs = np.array([0.0, 1e-9, 0.3, 2.0, 17.5])
+    got = bessel_j(1.375, xs)
+    assert isinstance(got, np.ndarray) and got.shape == xs.shape
+    for x, g in zip(xs.tolist(), got.tolist()):
+        one = bessel_j(1.375, x)
+        assert isinstance(one, float)
+        assert one == g
+    with pytest.raises(DomainValidationError):
+        bessel_j(1.375, np.array([0.5, -1e-3]))
 
 
 def test_bessel_domain_errors():
@@ -215,6 +227,99 @@ def test_quad_budget_exhaustion_carries_estimate():
     with pytest.raises(QuadratureError) as err:
         quad_adaptive(f, 1e-8, 1.0, 1e-13)
     assert err.value.estimate is not None
+    assert err.value.bound is not None
+
+
+# ---------------------------------------------------------------------------
+# Log-space quadrature
+# ---------------------------------------------------------------------------
+
+
+def test_quad_log_polynomial_from_zero():
+    # a = 0 takes the leading panel [0, first edge]
+    sign, log_val, log_err = quad_log(lambda x: (1.0, 2.0 * np.log(x)),
+                                      0.0, 1.0, 1e-12)
+    assert sign == 1
+    assert log_val == pytest.approx(math.log(1.0 / 3.0), rel=1e-12)
+    assert log_err < math.log(1e-12 / 3.0)
+
+
+def test_quad_log_gaussian_moment():
+    # int_0^inf exp(-s^2) s^c ds = Gamma((c+1)/2) / 2; the tail past 12 is
+    # below exp(-140), and the integrand carries an offset of exp(-900),
+    # far below the double range
+    c = 3.75
+    sign, log_val, _ = quad_log(
+        lambda s: (1.0, -s * s + c * np.log(s) - 900.0), 0.0, 12.0, 1e-12)
+    assert sign == 1
+    exact = math.log(oracle_gamma((c + 1.0) / 2.0) / 2.0) - 900.0
+    assert log_val - exact == pytest.approx(0.0, abs=1e-12)
+
+
+def test_quad_log_signed_cancellation():
+    # int_0^(10 pi + 1) cos x dx = sin 1, against int |cos x| dx ~ 20.8
+    b = 10.0 * math.pi + 1.0
+    sign, log_val, log_err = quad_log(
+        lambda x: (np.sign(np.cos(x)), np.log(np.abs(np.cos(x))) + 800.0),
+        0.0, b, 1e-12)
+    assert sign == 1
+    assert log_val - 800.0 == pytest.approx(math.log(math.sin(1.0)),
+                                            abs=1e-11)
+    assert log_err - 800.0 < math.log(1e-12 * 21.0)
+    sign, log_val, _ = quad_log(
+        lambda x: (-np.sign(np.cos(x)), np.log(np.abs(np.cos(x)))),
+        0.0, b, 1e-12)
+    assert sign == -1
+    assert log_val == pytest.approx(math.log(math.sin(1.0)), abs=1e-11)
+
+
+def test_quad_log_zero_integrand():
+    assert quad_log(lambda x: (1.0, np.full_like(x, -np.inf)),
+                    0.0, 1.0, 1e-12) == (0, -math.inf, -math.inf)
+    assert quad_log(lambda x: (np.zeros_like(x), np.zeros_like(x)),
+                    0.5, 1.0, 1e-12) == (0, -math.inf, -math.inf)
+
+
+def test_quad_log_narrow_peak_not_clipped():
+    # f(r) = r^20 exp(-r/1e-5) peaks at r = 2e-4 with a relative width of
+    # ~20%.  An evenly spaced probe of [1e-6, 1] steps over the peak, and
+    # a shift taken from that probe with the exponent clipped at 50 loses
+    # a factor ~exp(34); the node maximum of each level cannot miss it.
+    sign, log_val, _ = quad_log(
+        lambda r: (1.0, 20.0 * np.log(r) - r / 1e-5), 1e-6, 1.0, 1e-12)
+    exact = math.lgamma(21.0) + 21.0 * math.log(1e-5)
+    assert exact == pytest.approx(-199.43582, abs=1e-5)
+    assert sign == 1
+    assert log_val == pytest.approx(exact, abs=1e-10)
+
+
+def test_quad_log_rejects_bad_arguments():
+    f = lambda x: (1.0, np.zeros_like(x))
+    for a, b in ((1.0, 0.5), (1.0, 1.0), (-1.0, 1.0)):
+        with pytest.raises(DomainValidationError):
+            quad_log(f, a, b, 1e-8)
+    for tol in (0.0, -1e-8):
+        with pytest.raises(DomainValidationError):
+            quad_log(f, 0.0, 1.0, tol)
+
+
+def test_quad_log_nonfinite_integrand():
+    with pytest.raises(QuadratureError):
+        quad_log(lambda x: (1.0, np.where(x > 0.5, np.nan, 0.0)),
+                 0.0, 1.0, 1e-8)
+
+
+def test_quad_log_budget_exhaustion_carries_estimate():
+    # sin(1/x)/x oscillates unresolvably near 0: the panel cap is reached
+    def f(x):
+        v = np.sin(1.0 / x) / x
+        return np.sign(v), np.log(np.abs(v))
+
+    with pytest.raises(QuadratureError) as err:
+        quad_log(f, 1e-8, 1.0, 1e-10)
+    sign, log_val = err.value.estimate
+    assert sign in (-1, 0, 1)
+    assert math.isfinite(log_val)
     assert err.value.bound is not None
 
 
