@@ -6,12 +6,14 @@ select the decaying branch at the tip (the growing branch is not square
 integrable), so shooting anchors the solution with the decaying branch's
 logarithmic derivative at the threshold radius and integrates outward.
 
-Eigenvalues are isolated by a parity-corrected oscillation count: the
-radial solution starts positive at the tip, so after z sign changes the
-boundary value must carry sign (-1)^z; a mismatch means one more zero is
-hiding inside the last grid cell.  The corrected count jumps exactly at
-the eigenvalues, giving bisection brackets on which the boundary value is
-guaranteed to change sign.
+Each shot integrates a modified Pruefer angle theta (Pryce 1993; Bailey,
+Everitt and Zettl, SLEIGN2, 2001) instead of the solution itself: with
+k = sqrt(max(nu, 1)), k f = rho sin(theta) and f' = rho cos(theta).  The
+radial solution is positive at the anchor, so theta starts in (0, pi), and
+wherever sin(theta) = 0 its derivative is k > 0, so theta crosses each
+multiple of pi upward only.  floor(theta(r_out) / pi) is therefore exactly
+the number of eigenvalues below nu, with no grid that could miss a pair of
+close zeros, and eigenvalue j is the single root of theta(r_out; nu) = j pi.
 
 Series evaluation, time derivatives and the tail certificate all run in
 signed log space; the dropped tail is majorized through the empirical
@@ -33,7 +35,7 @@ from .geometry import measure_weight_log, sphere_eigenvalue
 from .logspace import NEG_INF, logsumexp_signed
 from .modes import (RadialProfile, r_mu, solve_k2, tip_exponent, tip_rate)
 from .numerics import find_root_bracketed, fit_line, integrate_ode, \
-    lgamma_real, quad_adaptive_err
+    lgamma_real, quad_adaptive_err, quad_log
 
 
 # ---------------------------------------------------------------------------
@@ -61,8 +63,8 @@ def _tip_anchor(p, i, nu, tol):
         q = A * s ** -2.0 + rho2 - inv2 * s ** expo
         return [y[1], q * y[0], 1.0 / (y[0] * y[0])]
 
-    sol = integrate_ode(fld, (s_lo, s_ext), [1.0, 1.0, 0.0], tol)
-    _, _, J = sol.eval(s_ext)[0]
+    _, _, J = integrate_ode(fld, (s_lo, s_ext), [1.0, 1.0, 0.0], tol,
+                            dense=False)
     tail_mid = 0.5 * ((rho / 2.0) * math.exp(-2.0 * rho * (s_ext - s_lo))
                       + math.exp(-2.0 * (rho + 1.0) * (s_ext - s_lo))
                       / (2.0 * (rho + 1.0)))
@@ -82,26 +84,32 @@ def _outer_field(p, i, nu):
 
 
 def _shoot(p, i, nu, r_out, tol):
-    """(boundary value, visible zero count, outer dense solution, r_sw)."""
+    """Modified Pruefer angle theta(r_out) of the tip-decaying solution.
+
+    theta starts in (0, pi) at the anchor, where the solution is positive,
+    and crosses every multiple of pi upward, so floor(theta / pi) is the
+    number of eigenvalues below nu.
+    """
     s_lo, kap2 = _tip_anchor(p, i, nu, tol)
     r_sw = s_lo ** (-1.0 / p.eps)
     dlog = -(p.eps * s_lo / r_sw) * kap2 - (p.c - 1.0 - p.eps) / (2.0 * r_sw)
-    sol = integrate_ode(_outer_field(p, i, nu), (r_sw, r_out), [1.0, dlog], tol)
-    n_pts = max(400, int(40.0 * math.sqrt(max(nu, 1.0)) * r_out))
-    rg = np.linspace(r_sw, r_out, n_pts)[:-1]
-    fv = sol.states(rg)[0]
-    mx = float(np.max(np.abs(fv)))
-    live = fv[np.abs(fv) > 1e-12 * mx]
-    zeros = int(np.sum(np.sign(live[:-1]) * np.sign(live[1:]) < 0))
-    B = float(sol.states(np.array([r_out]))[0][0])
-    return B, zeros, sol, r_sw
+    # k f = rho sin(theta), f' = rho cos(theta)
+    k = math.sqrt(max(nu, 1.0))
+    mu4 = 4.0 * sphere_eigenvalue(p.n, i)
+    c = p.c
+    ee = -2.0 - 2.0 * p.eps
 
+    def fld(r, y):
+        sn, cs = math.sin(y[0]), math.cos(y[0])
+        return [k * cs * cs + (c / r) * sn * cs
+                + ((nu - mu4 * r ** ee) / k) * sn * sn]
 
-def _count_eff(p, i, nu, r_out, tol):
-    # parity-corrected zero count; jumps exactly at the eigenvalues
-    B, z, _, _ = _shoot(p, i, nu, r_out, tol)
-    parity = 1.0 if z % 2 == 0 else -1.0
-    return z + (0 if B * parity > 0 else 1)
+    # the integrator holds errors relative to |theta|, which grows to about
+    # k r_out; an eigenvalue needs theta's absolute error near tol (at tol
+    # itself, nu_11 for r_out = 1.6 is off by 5e-11 relative)
+    theta = integrate_ode(fld, (r_sw, r_out), [math.atan2(k, dlog)],
+                          tol / max(1.0, k * r_out), dense=False)
+    return float(theta[0])
 
 
 @dataclass
@@ -120,11 +128,21 @@ class EigenPair:
     norm_defect: float
 
 
-def dirichlet_eigenvalues(p, i, r_out, count, tol=1e-12, root_rel=1e-12,
-                          budget=400):
+# Shots the search may spend on one eigenvalue, about five times the 8 it
+# is meant to need: it averages 6, and the first eigenvalue, which has no
+# earlier shots to take a secant through, takes 10.
+_SHOTS_PER_EIGENVALUE = 40
+
+
+def dirichlet_eigenvalues(p, i, r_out, count, tol=1e-12, root_rel=1e-12):
     """First `count` eigenvalues of the radial operator, tip-decaying branch
-    at 0 and g(r_out) = 0, by oscillation-count bisection plus boundary-value
-    root polishing.
+    at 0 and g(r_out) = 0, as the roots of theta(r_out; nu) = j pi.
+
+    Every shot is kept, and no nu is shot twice.  Eigenvalue j is
+    bracketed by the shots whose angles lie on either side of j pi; while
+    one side is missing, the next trial comes from a secant of theta
+    against sqrt(nu), along which theta grows about linearly (WKB).  Brent
+    then polishes the root inside the bracket.
     """
     if not i >= 1:
         raise DomainValidationError("dirichlet_eigenvalues needs i >= 1")
@@ -134,37 +152,62 @@ def dirichlet_eigenvalues(p, i, r_out, count, tol=1e-12, root_rel=1e-12,
     if not r_out > s_lo0 ** (-1.0 / p.eps):
         raise DomainValidationError(
             f"r_out must exceed the tip window top {s_lo0 ** (-1.0 / p.eps)}")
+    shots = {}  # trial nu -> theta(r_out; nu)
     evals = []
-    spent = [0]
+    spent = 0
 
-    def count_eff(nu):
-        spent[0] += 1
-        if spent[0] > budget * count:
-            raise EigenSearchError(
-                f"eigenvalue search exceeded its budget of "
-                f"{budget * count} shots while locating index {len(evals) + 1}")
-        return _count_eff(p, i, nu, r_out, tol)
+    def theta(nu):
+        nonlocal spent
+        if nu not in shots:
+            spent += 1
+            if spent > _SHOTS_PER_EIGENVALUE:
+                raise EigenSearchError(
+                    f"eigenvalue search spent its {_SHOTS_PER_EIGENVALUE} "
+                    f"shots without locating index {len(evals) + 1}")
+            shots[nu] = _shoot(p, i, nu, r_out, tol)
+        return shots[nu]
 
-    lo = 0.5
+    # first trial: the lowest Dirichlet eigenvalue of -f'' on [0, r_out]
+    nu_try = (math.pi / r_out) ** 2
     for j in range(1, count + 1):
-        hi = max(lo * 1.3, lo + 1.0)
-        while count_eff(hi) < j:
-            hi *= 1.6
-        aa, bb = lo, hi
-        while count_eff(aa) != j - 1 or count_eff(bb) != j \
-                or (bb - aa) > 0.05 * bb:
-            m = 0.5 * (aa + bb)
-            if count_eff(m) >= j:
-                bb = m
-            else:
-                aa = m
-        nu_j = find_root_bracketed(
-            lambda x: _shoot(p, i, x, r_out, tol)[0], aa, bb,
-            root_rel * bb)
-        evals.append(nu_j)
-        lo = nu_j * (1.0 + 1e-9)
+        spent = 0
+        target = j * math.pi
+        while True:
+            below = [nu for nu, th in shots.items() if th <= target]
+            above = [nu for nu, th in shots.items() if th > target]
+            if below and above:
+                break
+            if shots:
+                nu_try = _secant_trial(shots, target, r_out)
+            theta(nu_try)
+        lo, hi = max(below), min(above)
+        evals.append(find_root_bracketed(lambda x: theta(x) - target,
+                                         lo, hi, root_rel * hi))
     return [_build_pair(p, i, nu, j + 1, r_out, tol)
             for j, nu in enumerate(evals)]
+
+
+def _secant_trial(shots, target, r_out):
+    """Next trial nu when every shot lies on one side of theta = target.
+
+    The secant of theta against sqrt(nu) through the outermost shot (the
+    highest nu when every angle is at most the target, else the lowest)
+    and its neighbour; with one shot, or a slope that is not positive, the
+    slope is r_out (WKB on an interval of length r_out).  The trial lies
+    strictly beyond the outermost shot, so every trial is a new shot.
+    """
+    up = all(th <= target for th in shots.values())
+    outer = sorted(shots, reverse=up)[:2]
+    nu_a, th_a = outer[0], shots[outer[0]]
+    slope = r_out
+    if len(outer) == 2:
+        nu_b = outer[1]
+        sec = (shots[nu_b] - th_a) / (math.sqrt(nu_b) - math.sqrt(nu_a))
+        slope = sec if sec > 0 else slope
+    x = math.sqrt(nu_a) + (target - th_a) / slope
+    if up:
+        return max(x * x, math.nextafter(nu_a, math.inf))
+    return min(max(x, 0.5 * math.sqrt(nu_a)) ** 2, math.nextafter(nu_a, 0.0))
 
 
 def _build_pair(p, i, nu, j, r_out, tol):
@@ -196,19 +239,18 @@ def _build_pair(p, i, nu, j, r_out, tol):
     def outer_sq(r):
         return float(f_spl(r)) ** 2 * math.exp(wlog_c + p.c * math.log(r))
 
+    # the outer integrand is a C^1 Hermite spline: adaptive subdivision
+    # finds its knots, where fixed Gauss-Legendre panels would not
     outer_n, _ = quad_adaptive_err(outer_sq, r_sw, r_out, 1e-12)
 
     def tip_log_sq(r):
         s = r ** (-p.eps)
-        lm = float(k2.log_eval(s)[0]) + beta * math.log(s) - log_at_anchor
-        return 2.0 * lm + wlog_c + p.c * math.log(r)
+        lm = k2.log_eval(s)[0] + beta * np.log(s) - log_at_anchor
+        return 1.0, 2.0 * lm + wlog_c + p.c * np.log(r)
 
     r_tip_lo = s_tip_max ** (-1.0 / p.eps)
-    probe = np.linspace(r_tip_lo, r_sw, 65)
-    shift = max(tip_log_sq(r) for r in probe)
-    tip_val, _ = quad_adaptive_err(
-        lambda r: math.exp(tip_log_sq(r) - shift), r_tip_lo, r_sw, 1e-12)
-    tip_n = tip_val * math.exp(shift)
+    _, tip_log, _ = quad_log(tip_log_sq, r_tip_lo, r_sw, 1e-12)
+    tip_n = math.exp(tip_log)
     # below r_tip_lo the density has shed >= 2*40 e-foldings: certified off
     norm = math.sqrt(outer_n + tip_n)
     scale_log = -math.log(norm)

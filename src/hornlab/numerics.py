@@ -3,12 +3,12 @@
 Every kernel is a thin contract over scipy: real-order Bessel functions
 J_nu, Y_nu and their derivatives (scipy.special, after Amos, ACM TOMS
 Algorithm 644), the real Gamma function and its logarithm, ODE integration
-(DOP853 with dense output), adaptive quadrature (QUADPACK) of linear
-integrands and composite Gauss-Legendre quadrature of log-represented
-ones, bracketed root finding (Brent) and line fitting.  The wrappers fix
-the domains and the error types, so every caller and test exercises the
-same surface, and an argument outside a function's domain raises
-DomainValidationError instead of returning nan.
+(DOP853, with dense output or the endpoint only), adaptive quadrature
+(QUADPACK) of linear integrands and composite Gauss-Legendre quadrature of
+log-represented ones, bracketed root finding (Brent) and line fitting.
+The wrappers fix the domains and the error types, so every caller and test
+exercises the same surface, and an argument outside a function's domain
+raises DomainValidationError instead of returning nan.
 """
 
 import math
@@ -99,7 +99,7 @@ def bessel_y_prime(nu, x):
 
 
 # ---------------------------------------------------------------------------
-# ODE integration with dense output
+# ODE integration
 # ---------------------------------------------------------------------------
 
 
@@ -139,22 +139,27 @@ class DenseSolution:
         return self.eval(x)
 
 
-def integrate_ode(field, span, y0, tol, max_step=np.inf):
+def integrate_ode(field, span, y0, tol, max_step=np.inf, dense=True):
     """Adaptive explicit integration (8th order, embedded error estimate).
 
     Local error per unit step is controlled at `tol` (absolute and
-    relative).  Step-size underflow raises IntegrationError carrying the
-    failure location.
+    relative).  Returns a DenseSolution on `span`; with dense=False it
+    returns only the state at span[1] as an array, which skips the extra
+    interpolation stages of every step (the steps themselves are the same).
+    Step-size underflow raises IntegrationError carrying the failure
+    location.
     """
     if not tol > 0:
         raise DomainValidationError("integrate_ode needs tol > 0")
     res = solve_ivp(field, span, np.atleast_1d(np.asarray(y0, dtype=float)),
                     method="DOP853", rtol=tol, atol=tol * 1e-2,
-                    dense_output=True, max_step=max_step)
+                    dense_output=dense, max_step=max_step)
     if res.status != 0 or not res.success:
         loc = res.t[-1] if res.t.size else span[0]
         raise IntegrationError(
             f"integration failed near x = {loc}: {res.message}", location=loc)
+    if not dense:
+        return res.y[:, -1]
     return DenseSolution(field, res.sol, span, tol)
 
 

@@ -4,11 +4,17 @@ import numpy as np
 import pytest
 
 from hornlab import (ConsistencyError, DomainValidationError, EigenPair,
-                     analyticity_probe, caloric_decay_check,
+                     EigenSearchError, analyticity_probe, caloric_decay_check,
                      coefficients_from_initial, dirichlet_eigenvalues,
                      evaluate_caloric, fit_line, make_caloric_series,
                      sphere_eigenvalue, tail_bound, time_derivative, tip_rate,
                      weyl_check)
+from hornlab import heat
+
+# pairs8_rout2 eigenvalues from the earlier oscillation-count search
+PAIRS8_ROUT2_NU = [10.00860578069562, 25.807764065364, 47.52967782392161,
+                   74.9986346873378, 108.09950740438147, 146.7510531204037,
+                   190.89243427790572, 240.4760877104673]
 
 
 # ---------------------------------------------------------------------------
@@ -21,6 +27,49 @@ def test_eigenvalues_simple_and_increasing(pairs8_rout2):
     assert all(b > a for a, b in zip(nus, nus[1:]))
     gaps = [b - a for a, b in zip(nus, nus[1:])]
     assert min(gaps) > 1e-6 * max(nus)
+
+
+def test_eigenvalues_pinned(pairs8_rout2):
+    nus = [q.nu for q in pairs8_rout2]
+    assert nus == pytest.approx(PAIRS8_ROUT2_NU, rel=1e-9)
+
+
+def test_high_eigenvalue_within_root_tolerance(pairs12_rout16):
+    # nu_11 at r_out = 1.6, converged: roots of the boundary value and of
+    # the Pruefer angle agree to 2e-13 at ODE tolerance 3e-14
+    assert pairs12_rout16[10].nu == pytest.approx(676.63695269768, rel=1e-12)
+
+
+def test_prufer_angle_counts_eigenvalues_exactly(pairs8_rout2, p_default):
+    # floor(theta / pi) at nu is the number of eigenvalues below nu: check
+    # it below nu_1 and midway between neighbours
+    nus = [q.nu for q in pairs8_rout2]
+    trials = [0.5 * nus[0]] + [0.5 * (a + b) for a, b in zip(nus, nus[1:])]
+    thetas = [heat._shoot(p_default, 1, nu, 2.0, 1e-12) for nu in trials]
+    assert [math.floor(th / math.pi) for th in thetas] == list(range(8))
+    assert all(b > a for a, b in zip(thetas, thetas[1:]))
+
+
+def test_eigensearch_budget_names_index(p_default, monkeypatch):
+    monkeypatch.setattr(heat, "_SHOTS_PER_EIGENVALUE", 1)
+    with pytest.raises(EigenSearchError, match="index 1"):
+        dirichlet_eigenvalues(p_default, 1, 2.0, 2)
+
+
+def test_secant_trial_steps_past_the_outermost_shot():
+    # secant of theta against sqrt(nu); every trial is a new nu beyond the
+    # shots on the known side, so the bracket search cannot stall
+    up = heat._secant_trial({4.0: 1.0, 9.0: 2.0}, math.pi, 2.0)
+    assert up == pytest.approx((3.0 + math.pi - 2.0) ** 2, rel=1e-14)
+    down = heat._secant_trial({16.0: 5.0, 25.0: 6.0}, math.pi, 2.0)
+    assert down == pytest.approx((4.0 + math.pi - 5.0) ** 2, rel=1e-14)
+    # a slope that is not positive falls back to r_out
+    flat = heat._secant_trial({4.0: 2.0, 9.0: 2.0}, math.pi, 2.0)
+    assert flat == pytest.approx((3.0 + (math.pi - 2.0) / 2.0) ** 2,
+                                 rel=1e-14)
+    # a shot exactly on the target still yields a new trial
+    assert heat._secant_trial({9.0: math.pi}, math.pi, 2.0) > 9.0
+    assert heat._secant_trial({9.0: 4.0}, math.pi, 2.0) < 9.0
 
 
 def test_oscillation_counts(pairs8_rout2):

@@ -160,6 +160,25 @@ def test_ode_trig_exp_accuracy_scaling():
                                                  rel=100 * tol)
 
 
+def test_ode_endpoint_only_matches_dense():
+    # same steps without the interpolation stages: the same endpoint state
+    # from fewer field evaluations
+    calls = {"dense": 0, "end": 0}
+
+    def field(key):
+        def fld(x, y):
+            calls[key] += 1
+            return [y[1], -y[0]]
+        return fld
+
+    sol = integrate_ode(field("dense"), (0.0, 10.0), [1.0, 0.0], 1e-10)
+    end = integrate_ode(field("end"), (0.0, 10.0), [1.0, 0.0], 1e-10,
+                        dense=False)
+    assert isinstance(end, np.ndarray) and end.shape == (2,)
+    assert np.array_equal(end, sol.states(np.array([10.0]))[:, 0])
+    assert calls["end"] < calls["dense"]
+
+
 def test_ode_initial_condition_and_span():
     sol = integrate_ode(lambda x, y: y, (0.0, 1.0), [2.0], 1e-10)
     assert sol.eval(0.0)[0][0] == pytest.approx(2.0, rel=1e-12)
