@@ -32,7 +32,7 @@ from .geometry import HornParams
 from .heat import (analyticity_probe, caloric_decay_check,
                    dirichlet_eigenvalues, make_caloric_series,
                    time_derivative, weyl_check)
-from .modes import decay_exponent_fit, profile_from_k2
+from .modes import decay_exponent_fit, profile_from_k2, tip_window_top
 from .parabolic import (UnitCaloric, check_D_lower, check_ID_relation,
                         check_N_bound, parabolic_scan)
 
@@ -157,6 +157,12 @@ def _mode_profile(cfg, p):
             f"mode.i={m['i']} with mode.mu={m['mu']} has no decaying tip "
             "profile: modes needs mode.i >= 1, and freq-elliptic takes "
             "mode.i >= 1 or the constant state mode.i=0, mode.mu=0")
+    top = tip_window_top(p, float(m["mu"]))
+    if not 0 < float(m["r_min"]) < top:
+        raise ConfigError(f"mode.r_min={m['r_min']} must lie in (0, {top}), "
+                          f"below the tip window top at mode.mu={m['mu']}")
+    if int(m["n_grid"]) < 16:
+        raise ConfigError(f"mode.n_grid={m['n_grid']} must be >= 16")
     return profile_from_k2(p, int(m["i"]), float(m["mu"]), float(m["r_min"]),
                            n_grid=int(m["n_grid"]),
                            tol=min(cfg["tolerances"]["ode"], 1e-11))
@@ -256,6 +262,12 @@ def _run_freq_parabolic(cfg, p, out, artifacts, state=None):
 
 def _run_eigs(cfg, p, out, artifacts):
     e = cfg["eigs"]
+    top = tip_window_top(p, 0.0)
+    if not float(e["r_out"]) > top:
+        raise ConfigError(f"eigs.r_out={e['r_out']} must exceed the tip "
+                          f"window top {top}")
+    if int(e["count"]) < 1:
+        raise ConfigError(f"eigs.count={e['count']} must be >= 1")
     pairs = dirichlet_eigenvalues(p, int(e["i"]), float(e["r_out"]),
                                   int(e["count"]),
                                   tol=min(cfg["tolerances"]["ode"], 1e-12),

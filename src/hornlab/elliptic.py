@@ -26,7 +26,7 @@ import numpy as np
 
 from .artifacts import write_csv
 from .errors import ConsistencyError, DomainValidationError
-from .geometry import measure_weight_log, sphere_eigenvalue
+from .geometry import angular_coupling, measure_weight_log, sphere_eigenvalue
 from .modes import decay_exponent_fit, radial_mode_zero
 from .numerics import bessel_j, fit_line, quad_log
 
@@ -178,39 +178,30 @@ def elliptic_I(state, r):
                     + 2.0 * lm[0])
 
 
-def _energy_density_log(state, r):
-    """log of (f'^2 + 4 mu_i r^(-2-2eps) f^2 + lam f^2) w(r), plus its sign."""
+def _energy_density_log(state, lam, r, radial=None):
+    """(sign, log) of (f'^2 + 4 mu_i r^(-2-2eps) f^2 + lam f^2) w(r) at
+    radii r; radial is state.radial_log(r) when the caller already has it.
+
+    lam = state.lam gives the energy density; lam = |state.lam| gives its
+    positive envelope, the scale of the bulk/boundary comparison.
+    """
     p = state.params
-    sign, lm, ld = state.radial_log(r)
-    ang = 4.0 * state.mu_i * r ** (-2.0 - 2.0 * p.eps) \
-        if state.mu_i > 0 else np.zeros_like(r)
-    bracket = ld ** 2 + ang + state.lam
-    wlog = (1 - p.n) * math.log(2.0) + p.c * np.log(r)
+    sign, lm, ld = state.radial_log(r) if radial is None else radial
+    bracket = ld ** 2 + state.mu_i * angular_coupling(p, r) + lam
     with np.errstate(divide="ignore", invalid="ignore"):
-        out_log = 2.0 * lm + wlog + np.log(np.abs(bracket))
+        out_log = 2.0 * lm + measure_weight_log(p, r) + np.log(np.abs(bracket))
     out_sign = np.where(bracket == 0, 0.0, np.sign(bracket))
     out_sign = np.where(sign == 0, 0.0, out_sign)
     out_log = np.where(sign == 0, -np.inf, out_log)
     return out_sign, out_log
 
 
-def _abs_energy_density_log(state, r):
-    """Same with |lam|: positive envelope used as the comparison scale."""
-    p = state.params
-    _, lm, ld = state.radial_log(r)
-    ang = 4.0 * state.mu_i * r ** (-2.0 - 2.0 * p.eps) \
-        if state.mu_i > 0 else np.zeros_like(r)
-    bracket = ld ** 2 + ang + abs(state.lam)
-    wlog = (1 - p.n) * math.log(2.0) + p.c * np.log(r)
-    return 2.0 * lm + wlog + np.log(bracket)
-
-
 def _bulk_integral(state, r_lo, r_hi, tol):
     """int_{r_lo}^{r_hi} (f'^2 + V f^2 + lam f^2) w ds."""
     if r_hi <= r_lo:
         return 0.0
-    sign, log_val, _ = quad_log(lambda r: _energy_density_log(state, r),
-                                r_lo, r_hi, tol)
+    sign, log_val, _ = quad_log(
+        lambda r: _energy_density_log(state, state.lam, r), r_lo, r_hi, tol)
     return sign * math.exp(log_val)
 
 
@@ -228,7 +219,7 @@ def _tip_tail_bound(state):
     if fit.slope >= 0:
         raise ConsistencyError("profile decay fit has non-negative slope")
     r0 = prof.r_min
-    env = float(_abs_energy_density_log(state, np.array([r0]))[0])
+    env = _energy_density_log(state, abs(state.lam), np.array([r0]))[1][0]
     return math.exp(env) * r0 ** (1.0 + state.params.eps) \
         / (2.0 * abs(fit.slope) * state.params.eps)
 
@@ -245,13 +236,19 @@ def elliptic_E(state, r, tol=1e-10):
 
 
 def _E_boundary(state, r):
+    """(r^(2-n) w f f', |lam| energy envelope) at r, from one evaluation
+    of f."""
     p = state.params
-    sign, lm, ld = state.radial_log(np.array([r]))
+    r_arr = np.array([r])
+    radial = state.radial_log(r_arr)
+    sign, lm, ld = radial
+    env = math.exp(_energy_density_log(state, abs(state.lam), r_arr,
+                                       radial)[1][0])
     if sign[0] == 0:
-        return 0.0
+        return 0.0, env
     # r^(2-n) w f f' = r^(2-n) w f^2 dlog
     return ld[0] * math.exp((2 - p.n) * math.log(r)
-                            + measure_weight_log(p, r) + 2.0 * lm[0])
+                            + measure_weight_log(p, r) + 2.0 * lm[0]), env
 
 
 def _E_both(state, r, tol):
@@ -277,21 +274,14 @@ def _checked_energy(state, r, r_lo, bulk, tail):
             f"tail bound {tail} against bulk integral {bulk}")
     pref = math.exp((2 - state.params.n) * math.log(r))
     E_bulk = pref * bulk
-    E_bdry = _E_boundary(state, r)
-    scale = pref * _bulk_abs_scale(state, r_lo, r)
+    E_bdry, env = _E_boundary(state, r)
+    # f^2 grows like exp(-2C r^-eps) toward r, so the envelope of the
+    # density over [r_lo, r] peaks at r
+    scale = pref * env * (r - r_lo)
     if abs(E_bulk - E_bdry) > 1e-6 * max(scale, abs(E_bulk), abs(E_bdry)):
         raise ConsistencyError(
             f"bulk/boundary energy mismatch at r={r}: {E_bulk} vs {E_bdry}")
     return E_bulk, E_bdry, scale
-
-
-def _bulk_abs_scale(state, r_lo, r_hi):
-    probe = np.linspace(max(r_lo, 1e-9 * r_hi), r_hi, 65)
-    L = _abs_energy_density_log(state, probe)
-    m = float(np.max(L))
-    if not np.isfinite(m):
-        return 0.0
-    return math.exp(m) * (r_hi - r_lo)
 
 
 def _check_in_domain(state, r):

@@ -21,6 +21,8 @@ products).
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import DomainValidationError
 from .numerics import gamma_real
 
@@ -79,22 +81,26 @@ def make_horn_params(n, bigN, eps, eta):
     return HornParams(n=n, bigN=float(bigN), eps=float(eps), eta=float(eta), c=c)
 
 
+def _check_positive(name, r):
+    if not (np.all(r > 0) if isinstance(r, np.ndarray) else r > 0):
+        raise DomainValidationError(f"{name} needs r > 0, got {r}")
+
+
 def measure_weight(p, r):
     """Radial density w(r) = 2^(1-n) r^c of the weighted volume measure.
 
     The measure is dm = w(r) dr dS(theta), dS the round unit-sphere measure;
     the same density also carries the area measure on the level set {r}.
     """
-    if not r > 0:
-        raise DomainValidationError(f"measure_weight needs r > 0, got {r}")
+    _check_positive("measure_weight", r)
     return 2.0 ** (1 - p.n) * r ** p.c
 
 
 def measure_weight_log(p, r):
-    """log w(r); valid for r > 0."""
-    if not r > 0:
-        raise DomainValidationError(f"measure_weight_log needs r > 0, got {r}")
-    return (1 - p.n) * math.log(2.0) + p.c * math.log(r)
+    """log w(r) for r > 0, scalar or array (elementwise)."""
+    _check_positive("measure_weight_log", r)
+    log_r = np.log(r) if isinstance(r, np.ndarray) else math.log(r)
+    return (1 - p.n) * math.log(2.0) + p.c * log_r
 
 
 def laplacian_radial_power(p, alpha):
@@ -116,9 +122,9 @@ def hess_r2_multipliers(p):
 
 
 def angular_coupling(p, r):
-    """Coefficient 4 r^(-2-2eps) multiplying the spherical Laplacian."""
-    if not r > 0:
-        raise DomainValidationError(f"angular_coupling needs r > 0, got {r}")
+    """Coefficient 4 r^(-2-2eps) multiplying the spherical Laplacian, for
+    r > 0, scalar or array (elementwise)."""
+    _check_positive("angular_coupling", r)
     return 4.0 * r ** (-2.0 - 2.0 * p.eps)
 
 

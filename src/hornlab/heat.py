@@ -33,43 +33,15 @@ from .errors import (ConsistencyError, DomainValidationError,
                      EigenSearchError)
 from .geometry import measure_weight_log, sphere_eigenvalue
 from .logspace import NEG_INF, logsumexp_signed
-from .modes import (RadialProfile, r_mu, solve_k2, tip_exponent, tip_rate)
+from .modes import (RadialProfile, log_norm_sq, profile_from_k2, r_mu,
+                    tip_anchor, tip_rate, tip_window_top)
 from .numerics import find_root_bracketed, fit_line, integrate_ode, \
-    lgamma_real, quad_adaptive_err, quad_log
+    lgamma_real, quad_adaptive_err
 
 
 # ---------------------------------------------------------------------------
 # Shooting machinery
 # ---------------------------------------------------------------------------
-
-
-def _tip_anchor(p, i, nu, tol):
-    """(r_mu, kappa2(r_mu)) for trial eigenvalue nu.
-
-    kappa2(r_mu) = 1 - 1/J_tot with J_tot = int_{r_mu}^inf k1^-2; the short
-    integration window plus the analytic tail bracket keeps the relative
-    tail error below ~1e-12 of J_tot.
-    """
-    s_lo = r_mu(p, nu)
-    rho = tip_rate(p, i)
-    beta = tip_exponent(p)
-    A = beta * (beta + 1.0)
-    rho2 = 4.0 * sphere_eigenvalue(p.n, i) / p.eps ** 2
-    inv2 = nu / p.eps ** 2
-    expo = -2.0 / p.eps - 2.0
-    s_ext = s_lo + (30.0 + math.log(rho * (rho + 1.0))) / (2.0 * rho) + 0.5
-
-    def fld(s, y):
-        q = A * s ** -2.0 + rho2 - inv2 * s ** expo
-        return [y[1], q * y[0], 1.0 / (y[0] * y[0])]
-
-    _, _, J = integrate_ode(fld, (s_lo, s_ext), [1.0, 1.0, 0.0], tol,
-                            dense=False)
-    tail_mid = 0.5 * ((rho / 2.0) * math.exp(-2.0 * rho * (s_ext - s_lo))
-                      + math.exp(-2.0 * (rho + 1.0) * (s_ext - s_lo))
-                      / (2.0 * (rho + 1.0)))
-    j_tot = J + tail_mid
-    return s_lo, 1.0 - 1.0 / j_tot
 
 
 def _outer_field(p, i, nu):
@@ -90,9 +62,7 @@ def _shoot(p, i, nu, r_out, tol):
     and crosses every multiple of pi upward, so floor(theta / pi) is the
     number of eigenvalues below nu.
     """
-    s_lo, kap2 = _tip_anchor(p, i, nu, tol)
-    r_sw = s_lo ** (-1.0 / p.eps)
-    dlog = -(p.eps * s_lo / r_sw) * kap2 - (p.c - 1.0 - p.eps) / (2.0 * r_sw)
+    r_sw, dlog = tip_anchor(p, i, nu, tol)
     # k f = rho sin(theta), f' = rho cos(theta)
     k = math.sqrt(max(nu, 1.0))
     mu4 = 4.0 * sphere_eigenvalue(p.n, i)
@@ -148,10 +118,9 @@ def dirichlet_eigenvalues(p, i, r_out, count, tol=1e-12, root_rel=1e-12):
         raise DomainValidationError("dirichlet_eigenvalues needs i >= 1")
     if not count >= 1:
         raise DomainValidationError("dirichlet_eigenvalues needs count >= 1")
-    s_lo0 = r_mu(p, 0.0)
-    if not r_out > s_lo0 ** (-1.0 / p.eps):
+    if not r_out > tip_window_top(p, 0.0):
         raise DomainValidationError(
-            f"r_out must exceed the tip window top {s_lo0 ** (-1.0 / p.eps)}")
+            f"r_out must exceed the tip window top {tip_window_top(p, 0.0)}")
     shots = {}  # trial nu -> theta(r_out; nu)
     evals = []
     spent = 0
@@ -211,17 +180,13 @@ def _secant_trial(shots, target, r_out):
 
 
 def _build_pair(p, i, nu, j, r_out, tol):
-    beta = tip_exponent(p)
-    rho = tip_rate(p, i)
     s_lo = r_mu(p, nu)
-    r_sw = s_lo ** (-1.0 / p.eps)
+    r_sw = tip_window_top(p, nu)
     # tip branch over ~40 decay e-foldings; everything below is certified off
-    s_tip_max = s_lo + 40.0 / rho + 2.0
-    k2 = solve_k2(p, i, nu, s_tip_max, tol=tol)
-    log_at_anchor = float(k2.log_eval(s_lo)[0]) + beta * math.log(s_lo)
-    kap_anchor = float(k2.log_eval(s_lo)[1])
-    dlog_anchor = -(p.eps * s_lo / r_sw) * kap_anchor \
-        - (p.c - 1.0 - p.eps) / (2.0 * r_sw)
+    r_tip_lo = (s_lo + 40.0 / tip_rate(p, i) + 2.0) ** (-1.0 / p.eps)
+    tip = profile_from_k2(p, i, nu, r_tip_lo, n_grid=48, tol=tol)
+    log_at_anchor = float(tip.log_mag[0])
+    dlog_anchor = float(tip.log_deriv[0])
 
     sol = integrate_ode(_outer_field(p, i, nu), (r_sw, r_out),
                         [1.0, dlog_anchor], tol)
@@ -234,34 +199,18 @@ def _build_pair(p, i, nu, j, r_out, tol):
     # L2(w dr) norm: outer part in linear space, tip part in log space
     f_spl = CubicHermiteSpline(r_nodes, f_nodes, fp_nodes)
     fp_spl = CubicHermiteSpline(r_nodes, fp_nodes, fpp_nodes)
-    wlog_c = (1 - p.n) * math.log(2.0)
 
     def outer_sq(r):
-        return float(f_spl(r)) ** 2 * math.exp(wlog_c + p.c * math.log(r))
+        return float(f_spl(r)) ** 2 * math.exp(measure_weight_log(p, r))
 
     # the outer integrand is a C^1 Hermite spline: adaptive subdivision
     # finds its knots, where fixed Gauss-Legendre panels would not
     outer_n, _ = quad_adaptive_err(outer_sq, r_sw, r_out, 1e-12)
-
-    def tip_log_sq(r):
-        s = r ** (-p.eps)
-        lm = k2.log_eval(s)[0] + beta * np.log(s) - log_at_anchor
-        return 1.0, 2.0 * lm + wlog_c + p.c * np.log(r)
-
-    r_tip_lo = s_tip_max ** (-1.0 / p.eps)
-    _, tip_log, _ = quad_log(tip_log_sq, r_tip_lo, r_sw, 1e-12)
-    tip_n = math.exp(tip_log)
+    tip_n = math.exp(log_norm_sq(tip, r_tip_lo, r_sw, 1e-12)
+                     - 2.0 * log_at_anchor)
     # below r_tip_lo the density has shed >= 2*40 e-foldings: certified off
     norm = math.sqrt(outer_n + tip_n)
     scale_log = -math.log(norm)
-
-    # assemble the stitched profile
-    s_tip_grid = np.linspace(s_lo, s_tip_max, 48)[1:]  # strictly past r_sw
-    r_tip_grid = s_tip_grid ** (-1.0 / p.eps)
-    Lt, kt = k2.log_eval(s_tip_grid)
-    tip_logmag = Lt + beta * np.log(s_tip_grid) - log_at_anchor + scale_log
-    tip_dlog = -(p.eps * s_tip_grid / r_tip_grid) * kt \
-        - (p.c - 1.0 - p.eps) / (2.0 * r_tip_grid)
 
     out_sign = np.sign(f_nodes)
     out_sign[-1] = out_sign[-2] if out_sign[-1] == 0 else out_sign[-1]
@@ -269,42 +218,39 @@ def _build_pair(p, i, nu, j, r_out, tol):
         out_logmag = np.log(np.abs(f_nodes)) + scale_log
         out_dlog = fp_nodes / f_nodes
 
-    r_grid = np.concatenate([r_tip_grid[::-1], r_nodes[1:]])
-    s_grid_all = r_grid ** (-p.eps)
-    sign_all = np.concatenate([np.ones(r_tip_grid.size, dtype=int),
-                               out_sign[1:].astype(int)])
-    logmag_all = np.concatenate([tip_logmag[::-1], out_logmag[1:]])
-    dlog_all = np.concatenate([tip_dlog[::-1], out_dlog[1:]])
-
-    order = np.argsort(s_grid_all)
+    # stitch the grids: the tip grid lies strictly past r_sw and is rescaled
+    # to the outer solution's f(r_sw) = 1
+    r_grid = np.concatenate([tip.r_grid[1:], r_nodes[1:]])
+    s_grid = r_grid ** (-p.eps)
+    order = np.argsort(s_grid)
+    sign = np.concatenate([tip.sign[1:], out_sign[1:].astype(int)])
+    log_mag = np.concatenate([tip.log_mag[1:] - log_at_anchor + scale_log,
+                              out_logmag[1:]])
+    log_deriv = np.concatenate([tip.log_deriv[1:], out_dlog[1:]])
 
     def _eval(r):
         r = np.atleast_1d(np.asarray(r, dtype=float))
         sgn = np.empty_like(r)
         lm = np.empty_like(r)
         ld = np.empty_like(r)
-        tip = r < r_sw
-        if np.any(tip):
-            s = r[tip] ** (-p.eps)
-            L, kap = k2.log_eval(s)
-            lm[tip] = L + beta * np.log(s) - log_at_anchor + scale_log
-            ld[tip] = -(p.eps * s / r[tip]) * kap \
-                - (p.c - 1.0 - p.eps) / (2.0 * r[tip])
-            sgn[tip] = 1.0
-        if np.any(~tip):
-            ro = r[~tip]
+        inner = r < r_sw
+        if np.any(inner):
+            sgn[inner], lm_tip, ld[inner] = tip.eval_log(r[inner])
+            lm[inner] = lm_tip - log_at_anchor + scale_log
+        if np.any(~inner):
+            ro = r[~inner]
             fv = f_spl(ro)
             fpv = fp_spl(ro)
-            sgn[~tip] = np.where(fv == 0, 0.0, np.sign(fv))
+            sgn[~inner] = np.where(fv == 0, 0.0, np.sign(fv))
             with np.errstate(divide="ignore", invalid="ignore"):
-                lm[~tip] = np.log(np.abs(fv)) + scale_log
-                ld[~tip] = fpv / fv
+                lm[~inner] = np.log(np.abs(fv)) + scale_log
+                ld[~inner] = fpv / fv
         return sgn, lm, ld
 
     g = RadialProfile(params=p, i=i, mu=nu,
-                      s_grid=s_grid_all[order], r_grid=r_grid[order],
-                      sign=sign_all[order], log_mag=logmag_all[order],
-                      log_deriv=dlog_all[order], s_sandwich=s_lo, _eval=_eval)
+                      s_grid=s_grid[order], r_grid=r_grid[order],
+                      sign=sign[order], log_mag=log_mag[order],
+                      log_deriv=log_deriv[order], s_sandwich=s_lo, _eval=_eval)
 
     mx = float(np.max(np.abs(f_nodes)))
     norm_defect = abs(f_nodes[-1]) / mx

@@ -7,8 +7,7 @@ A separated eigenmode u = f_i(r) phi_i(theta) with L u = -mu u satisfies
 Substituting s = r^(-eps) and peeling off the power s^beta with
 beta = (c-1-eps)/(2 eps) brings this to normal form on the tip side,
 
-    k''(s) = ( B s^-2 + rho^2/4 * 4 ... ) k(s)
-           = ( A s^-2 + 4 mu_i / eps^2 - (mu/eps^2) s^(-2/eps - 2) ) k(s),
+    k''(s) = ( A s^-2 + 4 mu_i / eps^2 - (mu/eps^2) s^(-2/eps - 2) ) k(s),
 
 with A = beta (beta + 1).  Past the threshold abscissa s = r_mu the bracket
 A s^-2 - (mu/eps^2) s^(-2/eps-2) lies in [0, 1], so solutions behave like
@@ -37,7 +36,7 @@ from scipy.interpolate import CubicHermiteSpline
 
 from .artifacts import write_csv
 from .errors import ConsistencyError, DomainValidationError
-from .geometry import sphere_eigenvalue
+from .geometry import measure_weight_log, sphere_eigenvalue
 from .numerics import fit_line, integrate_ode, quad_log
 
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(10)
@@ -70,11 +69,29 @@ def r_mu(p, mu):
     return max(first, (A * p.eps * p.eps / mu) ** (-p.eps / 2.0))
 
 
+def tip_window_top(p, mu):
+    """r_mu^(-1/eps): the radius of the threshold abscissa, the top of the
+    tip window on which the decaying branch is constructed."""
+    return r_mu(p, mu) ** (-1.0 / p.eps)
+
+
 def tip_bracket(p, mu, s):
     """A s^-2 - (mu/eps^2) s^(-2/eps-2); in [0, 1] for s >= r_mu."""
-    beta = tip_exponent(p)
-    A = beta * (beta + 1.0)
-    return A * s ** -2.0 - (mu / p.eps ** 2) * s ** (-2.0 / p.eps - 2.0)
+    return _q_factory(p, 0, mu)(s)
+
+
+def _tip_log(p, s, r, log_k, kappa):
+    """(log f, d log f/dr) of f(r) = k(s) s^beta at s = r^-eps, from
+    log k(s) and kappa = d log k/ds."""
+    return (log_k + tip_exponent(p) * np.log(s),
+            -(p.eps * s / r) * kappa - (p.c - 1.0 - p.eps) / (2.0 * r))
+
+
+def _tail_bracket_log(rho, width):
+    """(log lower, log upper) bound on int_{s_ext}^inf k1^-2 ds, from the k1
+    sandwich, for s_ext = r_mu + width."""
+    return (-math.log(2.0 * (rho + 1.0)) - 2.0 * (rho + 1.0) * width,
+            math.log(rho / 2.0) - 2.0 * rho * width)
 
 
 def _q_factory(p, i, mu):
@@ -124,6 +141,31 @@ def solve_k1(p, i, mu, s_max, tol=1e-12):
     sol = integrate_ode(fld, (s_lo, s_max), [1.0, 1.0], tol)
     _verify_k1_sandwich(p, i, mu, sol, s_lo, s_max)
     return sol
+
+
+def tip_anchor(p, i, mu, tol):
+    """(r_mu^(-1/eps), d log f/dr there) of the decaying tip branch.
+
+    kappa2(r_mu) = 1 - 1/J_tot with J_tot = int_{r_mu}^inf k1^-2; the short
+    integration window plus the analytic tail bracket keeps the relative
+    tail error below ~1e-12 of J_tot.  Only the endpoint is integrated, so
+    this is the cheap anchor of a shot; profile_from_k2 gives the same
+    slope as its log_deriv[0].
+    """
+    s_lo = r_mu(p, mu)
+    rho = tip_rate(p, i)
+    s_ext = s_lo + (30.0 + math.log(rho * (rho + 1.0))) / (2.0 * rho) + 0.5
+    q = _q_factory(p, i, mu)
+
+    def fld(s, y):
+        return [y[1], q(s) * y[0], 1.0 / (y[0] * y[0])]
+
+    _, _, J = integrate_ode(fld, (s_lo, s_ext), [1.0, 1.0, 0.0], tol,
+                            dense=False)
+    log_tail_lo, log_tail_hi = _tail_bracket_log(rho, s_ext - s_lo)
+    j_tot = J + 0.5 * (math.exp(log_tail_hi) + math.exp(log_tail_lo))
+    r_top = s_lo ** (-1.0 / p.eps)
+    return r_top, float(_tip_log(p, s_lo, r_top, 0.0, 1.0 - 1.0 / j_tot)[1])
 
 
 class TipDecaySolution:
@@ -232,8 +274,7 @@ def solve_k2(p, i, mu, s_max, tol=1e-12, nodes_per_unit=160):
                              .sum(axis=1) * halfs)
 
     # analytic tail bracket past s_ext from the k1 sandwich
-    log_tail_hi = math.log(rho / 2.0) - 2.0 * rho * (s_ext - s_lo)
-    log_tail_lo = -math.log(2.0 * (rho + 1.0)) - 2.0 * (rho + 1.0) * (s_ext - s_lo)
+    log_tail_lo, log_tail_hi = _tail_bracket_log(rho, s_ext - s_lo)
     log_tail_mid = np.logaddexp(log_tail_hi, log_tail_lo) - math.log(2.0)
 
     # remaining integral M(s) accumulated from the top: no cancellation
@@ -326,14 +367,11 @@ class RadialProfile:
             raise DomainValidationError(
                 f"evaluation outside represented range "
                 f"[{self.r_min}, {self.r_max}]")
-        if self._eval is not None:
-            return self._eval(r)
-        # fallback: interpolate the stored grid (monotone sign assumed)
-        s = r ** (-self.params.eps)
-        lm = np.interp(s, self.s_grid, self.log_mag)
-        ld = np.interp(s, self.s_grid, self.log_deriv)
-        sg = np.interp(s, self.s_grid, self.sign.astype(float))
-        return np.sign(sg) + (sg == 0), lm, ld
+        if self._eval is None:
+            raise DomainValidationError(
+                "profile carries a grid but no evaluator; interpolating the "
+                "stored signs would be wrong across a node")
+        return self._eval(r)
 
     def to_csv(self, path):
         order = np.argsort(self.r_grid)
@@ -358,26 +396,21 @@ def profile_from_k2(p, i, mu, r_min, n_grid=64, tol=1e-12):
             "radial branch radial_mode_zero for i = 0")
     if n_grid < 16:
         raise DomainValidationError("profile_from_k2 needs n_grid >= 16")
-    s_lo = r_mu(p, mu)
-    r_top = s_lo ** (-1.0 / p.eps)
+    r_top = tip_window_top(p, mu)
     if not 0 < r_min < r_top:
         raise DomainValidationError(
             f"r_min must lie in (0, r_mu^(-1/eps)) = (0, {r_top}), got {r_min}")
-    beta = tip_exponent(p)
+    s_lo = r_mu(p, mu)
     s_max = r_min ** (-p.eps)
     k2 = solve_k2(p, i, mu, s_max, tol=tol)
 
     s_grid = np.linspace(s_lo, s_max, n_grid)
     r_grid = s_grid ** (-1.0 / p.eps)
-    L, kap = k2.log_eval(s_grid)
-    log_mag = L + beta * np.log(s_grid)
-    log_der = -(p.eps * s_grid / r_grid) * kap - (p.c - 1.0 - p.eps) / (2.0 * r_grid)
+    log_mag, log_der = _tip_log(p, s_grid, r_grid, *k2.log_eval(s_grid))
 
     def _eval(r):
         s = np.asarray(r, dtype=float) ** (-p.eps)
-        Ls, ks = k2.log_eval(s)
-        lm = Ls + beta * np.log(s)
-        ld = -(p.eps * s / r) * ks - (p.c - 1.0 - p.eps) / (2.0 * r)
+        lm, ld = _tip_log(p, s, r, *k2.log_eval(s))
         return np.ones_like(lm), lm, ld
 
     return RadialProfile(params=p, i=i, mu=mu, s_grid=s_grid, r_grid=r_grid,
@@ -427,16 +460,19 @@ def normalization_bound(p, i, mu, tol=1e-10):
     s_hi = s_lo + 10.0 / rho + 5.0
     r_min = s_hi ** (-1.0 / p.eps)
     prof = profile_from_k2(p, i, mu, r_min, n_grid=32, tol=1e-12)
-
-    wlog_c = (1 - p.n) * math.log(2.0)
-
-    def log_integrand(r):
-        return 1.0, 2.0 * prof.eval_log(r)[1] + wlog_c + p.c * np.log(r)
-
-    _, log_norm2, _ = quad_log(log_integrand, r_min, prof.r_max, tol)
-    norm2 = math.exp(log_norm2)
+    norm2 = math.exp(log_norm_sq(prof, r_min, prof.r_max, tol))
     if norm2 <= 0:
         raise ConsistencyError("vanishing norm in normalization_bound")
     computed = 1.0 / math.sqrt(norm2)
     bound = math.exp((rho + 2.0) * s_lo) * s_lo ** ((1.0 + p.eps) / p.eps)
     return computed, bound
+
+
+def log_norm_sq(profile, r_lo, r_hi, tol):
+    """log int_{r_lo}^{r_hi} f^2 w dr of a profile, by quad_log."""
+    p = profile.params
+
+    def log_integrand(r):
+        return 1.0, 2.0 * profile.eval_log(r)[1] + measure_weight_log(p, r)
+
+    return quad_log(log_integrand, r_lo, r_hi, tol)[1]

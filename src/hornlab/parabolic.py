@@ -29,7 +29,8 @@ import numpy as np
 
 from .elliptic import FrequencyScan, _KIND_PARABOLIC
 from .errors import ConsistencyError, DomainValidationError
-from .geometry import sphere_area, sphere_eigenvalue
+from .geometry import (angular_coupling, measure_weight_log, sphere_area,
+                       sphere_eigenvalue)
 from .numerics import fit_line, quad_log
 
 
@@ -119,17 +120,15 @@ def parabolic_IDN(u, R, tol=1e-12):
     t = -R * R
     mu_i = sphere_eigenvalue(p.n, u.sphere_index)
     lo, hi = _slice_bounds(u, R)
-    wlog_c = (1 - p.n) * math.log(2.0)
 
     def d_log(r):
         _, lF, _, _ = u.slice_log(r, t)
-        return 1.0, 2.0 * lF + kernel_log(kern, r, t) + wlog_c + p.c * np.log(r)
+        return 1.0, 2.0 * lF + kernel_log(kern, r, t) + measure_weight_log(p, r)
 
     def i_log(r):
         # log of (|Fr|^2 + 4 mu_i r^(-2-2eps) |F|^2) G w, exp-shifted per point
         _, lF, _, lFr = u.slice_log(r, t)
-        ang = 4.0 * mu_i * r ** (-2.0 - 2.0 * p.eps) if mu_i > 0 \
-            else np.zeros_like(r)
+        ang = mu_i * angular_coupling(p, r)
         m = np.maximum(lF, lFr)
         dead = ~np.isfinite(m)
         m_safe = np.where(dead, 0.0, m)
@@ -137,7 +136,7 @@ def parabolic_IDN(u, R, tol=1e-12):
             total = np.exp(2.0 * np.where(dead, -np.inf, lFr - m_safe)) \
                 + ang * np.exp(2.0 * np.where(dead, -np.inf, lF - m_safe))
             out = 2.0 * m_safe + np.log(total) \
-                + kernel_log(kern, r, t) + wlog_c + p.c * np.log(r)
+                + kernel_log(kern, r, t) + measure_weight_log(p, r)
         return 1.0, np.where(dead | (total == 0.0), -np.inf, out)
 
     D = u.sphere_factor * math.exp(quad_log(d_log, lo, hi, tol)[1])

@@ -8,6 +8,10 @@ import pytest
 from hornlab.cli import (EXIT_BOUNDS, EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK,
                          load_config, main, run)
 from hornlab.errors import ConfigError
+from hornlab.geometry import make_horn_params
+from hornlab.modes import tip_window_top
+
+P_DEFAULT = make_horn_params(3, 4.0, 0.5, 0.25)
 
 FAST_DEMO = [
     "--set", "eigs.count=2",
@@ -100,14 +104,31 @@ def test_radial_mode_without_profile_is_config_error(tmp_path, command):
     assert "mode.i" in man["error"] and "mode.mu" in man["error"]
 
 
+@pytest.mark.parametrize("command, key, value, bound", [
+    ("modes", "mode.r_min", "0.5", repr(tip_window_top(P_DEFAULT, 1.0))),
+    ("eigs", "eigs.r_out", "0.1", repr(tip_window_top(P_DEFAULT, 0.0))),
+    ("modes", "mode.n_grid", "8", "16"),
+    ("eigs", "eigs.count", "0", "1"),
+])
+def test_window_and_count_keys_are_config_errors(tmp_path, command, key,
+                                                 value, bound):
+    # a window or count the pipeline cannot use is the config's fault: the
+    # error names the key and its bound
+    code = main([command, "--out", str(tmp_path), "--set", f"{key}={value}"])
+    assert code == EXIT_CONFIG
+    man = json.loads((tmp_path / "manifest.json").read_text())
+    assert key in man["error"] and bound in man["error"]
+
+
 def test_numerical_error_writes_manifest(tmp_path):
-    # r_min outside the tip window: domain error inside the pipeline
-    code = main(["modes", "--out", str(tmp_path),
-                 "--set", "mode.r_min=0.5"])
+    # at n=2, N=3 the tip tail below the default profile window is not
+    # negligible: a numerical failure inside the pipeline
+    code = main(["freq-elliptic", "--out", str(tmp_path),
+                 "--set", "params.n=2", "--set", "params.N=3"])
     assert code == EXIT_NUMERICAL
     man = json.loads((tmp_path / "manifest.json").read_text())
     assert man["status"] == "error"
-    assert man["stage"] == "modes"
+    assert man["stage"] == "freq-elliptic"
     assert "error" in man
 
 

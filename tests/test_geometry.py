@@ -59,6 +59,10 @@ def test_measure_weight_log_linear(p_default):
     lw = np.array([measure_weight_log(p_default, x) for x in r])
     slopes = np.diff(lw) / np.diff(np.log(r))
     assert np.allclose(slopes, p_default.c, rtol=1e-12)
+    # an array of radii matches the scalar path element by element
+    assert measure_weight_log(p_default, r) == pytest.approx(lw, rel=1e-15)
+    with pytest.raises(DomainValidationError):
+        measure_weight_log(p_default, np.array([0.5, 0.0]))
 
 
 def test_laplacian_radial_power(p_default):
@@ -93,6 +97,11 @@ def test_angular_coupling(p_default):
     assert angular_coupling(p0, 0.3) == pytest.approx(4.0 / 0.09, rel=1e-9)
     with pytest.raises(DomainValidationError):
         angular_coupling(p_default, -1.0)
+    r = np.array([1.0, 2.0, 0.3])
+    scalar = [angular_coupling(p_default, x) for x in r]
+    assert angular_coupling(p_default, r) == pytest.approx(scalar, rel=1e-15)
+    with pytest.raises(DomainValidationError):
+        angular_coupling(p_default, np.array([0.3, -1.0]))
 
 
 def test_sphere_eigenvalue():

@@ -7,8 +7,8 @@ from hornlab import (ConsistencyError, DomainValidationError, EigenPair,
                      EigenSearchError, analyticity_probe, caloric_decay_check,
                      coefficients_from_initial, dirichlet_eigenvalues,
                      evaluate_caloric, fit_line, make_caloric_series,
-                     sphere_eigenvalue, tail_bound, time_derivative, tip_rate,
-                     weyl_check)
+                     profile_from_k2, sphere_eigenvalue, tail_bound,
+                     time_derivative, tip_rate, weyl_check)
 from hornlab import heat
 
 # pairs8_rout2 eigenvalues from the earlier oscillation-count search
@@ -127,6 +127,22 @@ def test_tip_outer_stitching_consistent(pairs8_rout2):
     _, _, ld_lo = prof.eval_log(np.array([r_seam * 0.999]))
     _, _, ld_hi = prof.eval_log(np.array([r_seam * 1.001]))
     assert ld_lo[0] == pytest.approx(ld_hi[0], rel=2e-2)
+
+
+def test_tip_branch_is_profile_from_k2(pairs8_rout2, p_default):
+    # below the seam an eigenfunction is the decaying tip profile at its nu,
+    # up to one constant factor
+    for pair in pairs8_rout2[:4]:
+        g = pair.g
+        r_seam = g.s_sandwich ** (-1.0 / p_default.eps)
+        prof = profile_from_k2(p_default, 1, pair.nu, g.r_min, n_grid=16)
+        r = np.geomspace(g.r_min, r_seam, 40)[1:-1]
+        sg, lg, dg = g.eval_log(r)
+        sp, lp, dp = prof.eval_log(r)
+        assert np.all(sg == 1.0) and np.all(sp == 1.0)
+        shift = lg - lp
+        assert np.ptp(shift) <= 1e-12
+        assert dg == pytest.approx(dp, rel=1e-12)
 
 
 def test_weyl_sandwich(pairs12_rout16, p_default):

@@ -9,6 +9,7 @@ from hornlab import (ConsistencyError, DomainValidationError, RadialProfile,
                      normalization_bound, profile_from_k2, r_mu,
                      radial_mode_zero, solve_k1, solve_k2, sphere_eigenvalue,
                      tip_bracket, tip_exponent, tip_rate)
+from hornlab.modes import tip_anchor, tip_window_top
 
 
 # ---------------------------------------------------------------------------
@@ -285,6 +286,29 @@ def test_decay_fit_constant_profile(p_default):
                          log_mag=np.zeros(16), log_deriv=np.zeros(16),
                          s_sandwich=3.0)
     assert decay_exponent_fit(prof).slope == pytest.approx(0.0, abs=1e-14)
+
+
+def test_profile_without_evaluator_refuses_to_evaluate(p_default):
+    # a grid alone would interpolate signs linearly, wrong across a node
+    s = np.linspace(3.0, 8.0, 16)
+    prof = RadialProfile(params=p_default, i=1, mu=0.0, s_grid=s,
+                         r_grid=s ** -2.0, sign=np.ones(16, dtype=int),
+                         log_mag=np.zeros(16), log_deriv=np.zeros(16),
+                         s_sandwich=3.0)
+    with pytest.raises(DomainValidationError, match="no evaluator"):
+        prof.eval_log(np.array([0.05]))
+
+
+@pytest.mark.parametrize("i", [1, 2])
+@pytest.mark.parametrize("mu", [1.0, 10.0, 100.0, 600.0])
+def test_tip_anchor_matches_profile_slope(p_default, i, mu):
+    # the shots' endpoint-only anchor and the dense decaying branch are two
+    # routes to the same d log f/dr at the tip window top
+    top = tip_window_top(p_default, mu)
+    r_top, dlog = tip_anchor(p_default, i, mu, 1e-12)
+    prof = profile_from_k2(p_default, i, mu, 0.5 * top, n_grid=16, tol=1e-12)
+    assert r_top == prof.r_max == top
+    assert dlog == pytest.approx(prof.log_deriv[0], rel=1e-11)
 
 
 def test_normalization_bound_finite(p_default):
