@@ -152,6 +152,8 @@ def _grid(lo, hi, points, spacing):
 
 def _mode_profile(cfg, p):
     m = cfg["mode"]
+    if not float(m["mu"]) >= 0:
+        raise ConfigError(f"mode.mu={m['mu']} must be >= 0")
     if int(m["i"]) < 1:
         raise ConfigError(
             f"mode.i={m['i']} with mode.mu={m['mu']} has no decaying tip "
@@ -262,6 +264,8 @@ def _run_freq_parabolic(cfg, p, out, artifacts, state=None):
 
 def _run_eigs(cfg, p, out, artifacts):
     e = cfg["eigs"]
+    if int(e["i"]) < 1:
+        raise ConfigError(f"eigs.i={e['i']} must be >= 1")
     top = tip_window_top(p, 0.0)
     if not float(e["r_out"]) > top:
         raise ConfigError(f"eigs.r_out={e['r_out']} must exceed the tip "

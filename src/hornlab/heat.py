@@ -31,7 +31,8 @@ from scipy.interpolate import CubicHermiteSpline
 
 from .errors import (ConsistencyError, DomainValidationError,
                      EigenSearchError)
-from .geometry import measure_weight_log, sphere_eigenvalue
+from .geometry import (measure_weight, measure_weight_log,
+                       sphere_eigenvalue)
 from .logspace import NEG_INF, logsumexp_signed
 from .modes import (RadialProfile, log_norm_sq, profile_from_k2, r_mu,
                     tip_anchor, tip_rate, tip_window_top)
@@ -99,8 +100,8 @@ class EigenPair:
 
 
 # Shots the search may spend on one eigenvalue, about five times the 8 it
-# is meant to need: it averages 6, and the first eigenvalue, which has no
-# earlier shots to take a secant through, takes 10.
+# is meant to need: it averages under 6, and the first eigenvalue, which
+# starts from the WKB trial, takes 7.
 _SHOTS_PER_EIGENVALUE = 40
 
 
@@ -108,7 +109,8 @@ def dirichlet_eigenvalues(p, i, r_out, count, tol=1e-12, root_rel=1e-12):
     """First `count` eigenvalues of the radial operator, tip-decaying branch
     at 0 and g(r_out) = 0, as the roots of theta(r_out; nu) = j pi.
 
-    Every shot is kept, and no nu is shot twice.  Eigenvalue j is
+    Every shot is kept, and no nu is shot twice.  The first trial solves
+    the WKB phase condition (_wkb_first_trial).  Eigenvalue j is
     bracketed by the shots whose angles lie on either side of j pi; while
     one side is missing, the next trial comes from a secant of theta
     against sqrt(nu), along which theta grows about linearly (WKB).  Brent
@@ -136,8 +138,7 @@ def dirichlet_eigenvalues(p, i, r_out, count, tol=1e-12, root_rel=1e-12):
             shots[nu] = _shoot(p, i, nu, r_out, tol)
         return shots[nu]
 
-    # first trial: the lowest Dirichlet eigenvalue of -f'' on [0, r_out]
-    nu_try = (math.pi / r_out) ** 2
+    nu_try = _wkb_first_trial(p, i, r_out)
     for j in range(1, count + 1):
         spent = 0
         target = j * math.pi
@@ -152,8 +153,34 @@ def dirichlet_eigenvalues(p, i, r_out, count, tol=1e-12, root_rel=1e-12):
         lo, hi = max(below), min(above)
         evals.append(find_root_bracketed(lambda x: theta(x) - target,
                                          lo, hi, root_rel * hi))
-    return [_build_pair(p, i, nu, j + 1, r_out, tol)
-            for j, nu in enumerate(evals)]
+    return [_build_pair(p, i, nu, r_out, tol) for nu in evals]
+
+
+def _wkb_first_trial(p, i, r_out):
+    """First trial nu: the root of the WKB phase condition
+
+        int sqrt(nu - V(r))_+ dr = 3 pi / 4  over (0, r_out],
+
+    one turning point and the Dirichlet wall at r_out, for the Liouville
+    potential V = 4 mu_i r^(-2-2eps) + c (c-2) / (4 r^2) of the radial
+    equation (f = r^(-c/2) u removes the (c/r) f' drift).  The phase is a
+    midpoint sum on 1024 cells.  A well deep enough to hold the phase at
+    nu = 0 has no positive root; the trial is then (pi / r_out)^2.
+    """
+    h = r_out / 1024
+    r = (np.arange(1024) + 0.5) * h
+    V = (4.0 * sphere_eigenvalue(p.n, i) * r ** (-2.0 - 2.0 * p.eps)
+         + p.c * (p.c - 2.0) / (4.0 * r * r))
+
+    def excess_phase(nu):
+        return h * np.sqrt(np.maximum(nu - V, 0.0)).sum() - 0.75 * math.pi
+
+    if excess_phase(0.0) >= 0.0:
+        return (math.pi / r_out) ** 2
+    hi = 1.0
+    while excess_phase(hi) < 0.0:
+        hi *= 2.0
+    return find_root_bracketed(excess_phase, 0.0, hi, 1e-6 * hi)
 
 
 def _secant_trial(shots, target, r_out):
@@ -179,7 +206,7 @@ def _secant_trial(shots, target, r_out):
     return min(max(x, 0.5 * math.sqrt(nu_a)) ** 2, math.nextafter(nu_a, 0.0))
 
 
-def _build_pair(p, i, nu, j, r_out, tol):
+def _build_pair(p, i, nu, r_out, tol):
     s_lo = r_mu(p, nu)
     r_sw = tip_window_top(p, nu)
     # tip branch over ~40 decay e-foldings; everything below is certified off
@@ -188,28 +215,26 @@ def _build_pair(p, i, nu, j, r_out, tol):
     log_at_anchor = float(tip.log_mag[0])
     dlog_anchor = float(tip.log_deriv[0])
 
-    sol = integrate_ode(_outer_field(p, i, nu), (r_sw, r_out),
-                        [1.0, dlog_anchor], tol)
+    # the outer solve carries the outer part of the L2(w dr) norm,
+    # int_{r_sw}^r f^2 w, as its third component
+    fld = _outer_field(p, i, nu)
+
+    def fld_norm(r, y):
+        return [*fld(r, y), y[0] * y[0] * measure_weight(p, r)]
+
+    sol = integrate_ode(fld_norm, (r_sw, r_out), [1.0, dlog_anchor, 0.0], tol)
     n_outer = max(1200, int(120.0 * math.sqrt(max(nu, 1.0)) * r_out))
     r_nodes = np.linspace(r_sw, r_out, n_outer)
-    f_nodes, fp_nodes = sol.states(r_nodes)
-    fld = _outer_field(p, i, nu)
+    f_nodes, fp_nodes, norm_nodes = sol.states(r_nodes)
     fpp_nodes = np.array(fld(r_nodes, [f_nodes, fp_nodes]))[1]
-
-    # L2(w dr) norm: outer part in linear space, tip part in log space
     f_spl = CubicHermiteSpline(r_nodes, f_nodes, fp_nodes)
     fp_spl = CubicHermiteSpline(r_nodes, fp_nodes, fpp_nodes)
 
-    def outer_sq(r):
-        return float(f_spl(r)) ** 2 * math.exp(measure_weight_log(p, r))
-
-    # the outer integrand is a C^1 Hermite spline: adaptive subdivision
-    # finds its knots, where fixed Gauss-Legendre panels would not
-    outer_n, _ = quad_adaptive_err(outer_sq, r_sw, r_out, 1e-12)
+    # L2(w dr) norm: outer part in linear space, tip part in log space
     tip_n = math.exp(log_norm_sq(tip, r_tip_lo, r_sw, 1e-12)
                      - 2.0 * log_at_anchor)
     # below r_tip_lo the density has shed >= 2*40 e-foldings: certified off
-    norm = math.sqrt(outer_n + tip_n)
+    norm = math.sqrt(norm_nodes[-1] + tip_n)
     scale_log = -math.log(norm)
 
     out_sign = np.sign(f_nodes)

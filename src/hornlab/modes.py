@@ -10,18 +10,37 @@ beta = (c-1-eps)/(2 eps) brings this to normal form on the tip side,
     k''(s) = ( A s^-2 + 4 mu_i / eps^2 - (mu/eps^2) s^(-2/eps - 2) ) k(s),
 
 with A = beta (beta + 1).  Past the threshold abscissa s = r_mu the bracket
-A s^-2 - (mu/eps^2) s^(-2/eps-2) lies in [0, 1], so solutions behave like
-exp(+-rho s) with rho = 2 sqrt(mu_i)/eps up to explicit two-sided bounds.
-The growing branch k1 is integrated forward from unit Cauchy data at r_mu;
-the decaying branch is the reduction-of-order solution
+A s^-2 - (mu/eps^2) s^(-2/eps-2) lies in [0, 1], so q(s), the whole
+coefficient, lies in [rho^2, rho^2 + 1] with rho = 2 sqrt(mu_i)/eps, and
+solutions behave like exp(+-rho s) up to explicit two-sided bounds.  The
+growing branch k1 is integrated forward from unit Cauchy data at r_mu.
 
-    k2(s) = k1(s) * integral_s^inf k1(t)^-2 dt,
+The decaying branch k2 is carried by its logarithmic derivative
+kappa = k2'/k2, which solves the Riccati equation kappa' = q - kappa^2,
+and by Lambda' = kappa.  A comparison argument puts kappa in
+[-sqrt(rho^2+1), -rho] on [r_mu, inf), because k2 stays positive and
+tends to 0:
 
-whose tail beyond the integration window is bounded analytically from the
-k1 sandwich and added with a certified remainder.  The remaining integral
-is accumulated from the far end in log space: evaluating k1 * (J_tot - J(s))
-directly would cancel catastrophically once the remaining mass drops below
-resolution, about three e-foldings past r_mu.
+  - if kappa(s0) > -rho, then kappa' >= rho^2 - kappa^2 keeps kappa above
+    -rho and, like the solution of kappa' = rho^2 - kappa^2 started there,
+    carries it above 0, after which k2 grows;
+  - if kappa(s0) < -sqrt(rho^2+1), then kappa' <= rho^2 + 1 - kappa^2
+    sends kappa to -inf at a finite s, where k2 would vanish.
+
+The same inequalities make the interval invariant for the flow in
+decreasing s, and the difference d of two solutions inside it obeys
+d' = -(kappa_a + kappa_b) d with -(kappa_a + kappa_b) >= 2 rho.  So the
+pair is integrated *backward*, down to r_mu from
+
+    s_far = s_top + (30 + log(rho + 1))/(2 rho) + 0.5,
+    kappa(s_far) = -sqrt(q(s_far)),
+
+where s_top is the top of the span wanted.  The start lies in the
+interval, so its error is at most sqrt(rho^2+1) - rho, and it shrinks like
+exp(-2 rho (s_far - s)).  The Wronskian k1 k2' - k1' k2 = -1, with
+k1 = k1' = 1 at r_mu, fixes the scale: log k2(r_mu) = -log(1 - kappa(r_mu))
+and log k2(s) = log k2(r_mu) + Lambda(s) - Lambda(r_mu).  Nothing is
+exponentiated, so the span has no representable-range limit.
 
 Everything tip-side is represented as (sign, log-magnitude): the physical
 profile f_i(r) = k2(r^-eps) r^(-(c-1-eps)/2) underflows double precision
@@ -38,8 +57,6 @@ from .artifacts import write_csv
 from .errors import ConsistencyError, DomainValidationError
 from .geometry import measure_weight_log, sphere_eigenvalue
 from .numerics import fit_line, integrate_ode, quad_log
-
-_GL_X, _GL_W = np.polynomial.legendre.leggauss(10)
 
 
 def tip_exponent(p):
@@ -85,13 +102,6 @@ def _tip_log(p, s, r, log_k, kappa):
     log k(s) and kappa = d log k/ds."""
     return (log_k + tip_exponent(p) * np.log(s),
             -(p.eps * s / r) * kappa - (p.c - 1.0 - p.eps) / (2.0 * r))
-
-
-def _tail_bracket_log(rho, width):
-    """(log lower, log upper) bound on int_{s_ext}^inf k1^-2 ds, from the k1
-    sandwich, for s_ext = r_mu + width."""
-    return (-math.log(2.0 * (rho + 1.0)) - 2.0 * (rho + 1.0) * width,
-            math.log(rho / 2.0) - 2.0 * rho * width)
 
 
 def _q_factory(p, i, mu):
@@ -143,48 +153,49 @@ def solve_k1(p, i, mu, s_max, tol=1e-12):
     return sol
 
 
+def _s_far(rho, s_top):
+    """Start of the backward Riccati integration for a span ending at s_top;
+    the start's error has shrunk by (rho + 1) e^(30 + rho) at s_top."""
+    return s_top + (30.0 + math.log(rho + 1.0)) / (2.0 * rho) + 0.5
+
+
 def tip_anchor(p, i, mu, tol):
     """(r_mu^(-1/eps), d log f/dr there) of the decaying tip branch.
 
-    kappa2(r_mu) = 1 - 1/J_tot with J_tot = int_{r_mu}^inf k1^-2; the short
-    integration window plus the analytic tail bracket keeps the relative
-    tail error below ~1e-12 of J_tot.  Only the endpoint is integrated, so
-    this is the cheap anchor of a shot; profile_from_k2 gives the same
-    slope as its log_deriv[0].
+    Only kappa = k2'/k2 is integrated, backward from s_far to r_mu and
+    endpoint only, so this is the cheap anchor of a shot; profile_from_k2
+    gives the same slope as its log_deriv[0].
     """
     s_lo = r_mu(p, mu)
-    rho = tip_rate(p, i)
-    s_ext = s_lo + (30.0 + math.log(rho * (rho + 1.0))) / (2.0 * rho) + 0.5
+    s_far = _s_far(tip_rate(p, i), s_lo)
     q = _q_factory(p, i, mu)
 
     def fld(s, y):
-        return [y[1], q(s) * y[0], 1.0 / (y[0] * y[0])]
+        return [q(s) - y[0] * y[0]]
 
-    _, _, J = integrate_ode(fld, (s_lo, s_ext), [1.0, 1.0, 0.0], tol,
-                            dense=False)
-    log_tail_lo, log_tail_hi = _tail_bracket_log(rho, s_ext - s_lo)
-    j_tot = J + 0.5 * (math.exp(log_tail_hi) + math.exp(log_tail_lo))
+    kappa = integrate_ode(fld, (s_far, s_lo), [-math.sqrt(q(s_far))], tol,
+                          dense=False)[0]
     r_top = s_lo ** (-1.0 / p.eps)
-    return r_top, float(_tip_log(p, s_lo, r_top, 0.0, 1.0 - 1.0 / j_tot)[1])
+    return r_top, float(_tip_log(p, s_lo, r_top, 0.0, kappa)[1])
 
 
 class TipDecaySolution:
     """Decaying branch k2 on [r_mu, s_max] (DenseSolution-compatible).
 
     Carries log k2 and its logarithmic derivative on a fine node grid as
-    Hermite splines (the Riccati identity provides exact node derivatives),
-    plus the certified analytic tail bounds used past the integration
-    window.  eval() reproduces linear-space values where they are
-    representable.
+    Hermite splines (the Riccati identity provides exact node derivatives).
+    tail_rel_uncertainty = (sqrt(rho^2+1) - rho) exp(-2 rho (s_far - s_max))
+    bounds the error that the backward start leaves in kappa at s_max, the
+    worst point of the span.  eval() reproduces linear-space values where
+    they are representable.
     """
 
-    def __init__(self, p, i, mu, span, tol, nodes, log_k2, kappa2, q,
-                 tail_lo, tail_hi, tail_rel_uncertainty):
+    def __init__(self, p, i, mu, span, nodes, log_k2, kappa2, q,
+                 tail_rel_uncertainty):
         self.params = p
         self.i = i
         self.mu = mu
         self.span = span
-        self.tolerance = tol
         self.r_mu = span[0]
         self.rho = tip_rate(p, i)
         self._q = q
@@ -194,8 +205,6 @@ class TipDecaySolution:
         # Hermite data: d/ds log k2 = kappa2, d/ds kappa2 = q - kappa2^2
         self._logspl = CubicHermiteSpline(nodes, log_k2, kappa2)
         self._kapspl = CubicHermiteSpline(nodes, kappa2, q(nodes) - kappa2 ** 2)
-        self.tail_lo = tail_lo
-        self.tail_hi = tail_hi
         self.tail_rel_uncertainty = tail_rel_uncertainty
 
     @property
@@ -230,11 +239,13 @@ class TipDecaySolution:
 
 
 def solve_k2(p, i, mu, s_max, tol=1e-12, nodes_per_unit=160):
-    """Decaying branch on [r_mu, s_max] by reduction of order.
+    """Decaying branch on [r_mu, s_max] from one backward Riccati solve.
 
-    The k1 integration is extended far enough past s_max that the analytic
-    tail bracket contributes a relative uncertainty <= 1e-12 everywhere on
-    the returned span; the midpoint of the bracket is added as the tail.
+    kappa and Lambda are integrated from s_far down to r_mu with dense
+    output and sampled on nodes_per_unit nodes per unit of s (at least
+    400 intervals); the Wronskian scale fixes log k2(r_mu).  Raises
+    ConsistencyError if the start at s_far could leave a kappa error above
+    1e-12 anywhere on the span.
     """
     if not i >= 1:
         raise DomainValidationError("solve_k2 needs i >= 1 (mu_i > 0)")
@@ -243,70 +254,28 @@ def solve_k2(p, i, mu, s_max, tol=1e-12, nodes_per_unit=160):
         raise DomainValidationError(
             f"s_max must exceed r_mu = {s_lo}, got {s_max}")
     rho = tip_rate(p, i)
-    span_len = s_max - s_lo
-    if rho * span_len > 280.0:
-        raise DomainValidationError(
-            "requested span exceeds the representable range of the growing "
-            f"branch (rho * span = {rho * span_len:.1f} > 280)")
-    # extension so the tail bracket is negligible relative to the remaining
-    # integral at s_max (worst point of the span)
-    delta = (28.0 + math.log(rho * (rho + 1.0)) + 2.0 * span_len) / (2.0 * rho)
-    s_ext = s_max + delta
+    s_far = _s_far(rho, s_max)
+    rel_unc = ((math.sqrt(rho * rho + 1.0) - rho)
+               * math.exp(-2.0 * rho * (s_far - s_max)))
+    if rel_unc > 1e-12:
+        raise ConsistencyError(
+            f"backward start uncertainty {rel_unc:.2e} exceeds 1e-12; "
+            "start window too short")
     q = _q_factory(p, i, mu)
 
     def fld(s, y):
-        return [y[1], q(s) * y[0]]
+        return [q(s) - y[0] * y[0], y[0]]
 
-    k1 = integrate_ode(fld, (s_lo, s_ext), [1.0, 1.0], tol)
-    _verify_k1_sandwich(p, i, mu, k1, s_lo, s_ext)
+    sol = integrate_ode(fld, (s_far, s_lo), [-math.sqrt(q(s_far)), 0.0], tol)
+    n_nodes = max(400, int(nodes_per_unit * (s_max - s_lo))) + 1
+    nodes = np.linspace(s_lo, s_max, n_nodes)
+    kappa2, lam = sol.states(nodes)
+    log_k2 = lam - lam[0] - math.log(1.0 - kappa2[0])
 
-    n_nodes = max(400, int(nodes_per_unit * (s_ext - s_lo))) + 1
-    nodes = np.linspace(s_lo, s_ext, n_nodes)
-
-    # segment integrals of k1^-2 by fixed Gauss-Legendre, carried as logs
-    mids = 0.5 * (nodes[:-1] + nodes[1:])
-    halfs = 0.5 * np.diff(nodes)
-    pts = mids[:, None] + halfs[:, None] * _GL_X[None, :]
-    k1_pts = k1.states(pts.ravel())[0].reshape(pts.shape)
-    L = -2.0 * np.log(k1_pts)
-    shift = L.max(axis=1)
-    seg_log = shift + np.log((np.exp(L - shift[:, None]) * _GL_W[None, :])
-                             .sum(axis=1) * halfs)
-
-    # analytic tail bracket past s_ext from the k1 sandwich
-    log_tail_lo, log_tail_hi = _tail_bracket_log(rho, s_ext - s_lo)
-    log_tail_mid = np.logaddexp(log_tail_hi, log_tail_lo) - math.log(2.0)
-
-    # remaining integral M(s) accumulated from the top: no cancellation
-    log_M = np.empty(n_nodes)
-    log_M[-1] = log_tail_mid
-    for j in range(n_nodes - 2, -1, -1):
-        log_M[j] = np.logaddexp(log_M[j + 1], seg_log[j])
-
-    k1_nodes, k1p_nodes = k1.states(nodes)
-    log_k1 = np.log(k1_nodes)
-    kappa1 = k1p_nodes / k1_nodes
-    log_k2 = log_k1 + log_M
-    kappa2 = kappa1 - np.exp(-2.0 * log_k1 - log_M)
-
-    keep = nodes <= s_max + 1e-12
-    if keep.sum() < 8:
-        keep = np.arange(n_nodes) < 8
-    # certified relative uncertainty of the added tail at the worst kept node
-    idx_top = np.where(keep)[0][-1]
-    rel_unc = 0.5 * abs(math.exp(log_tail_hi - log_M[idx_top])
-                        - math.exp(log_tail_lo - log_M[idx_top]))
-    if rel_unc > 1e-12:
-        raise ConsistencyError(
-            f"tail bracket uncertainty {rel_unc:.2e} exceeds 1e-12; "
-            "extension window too short")
-
-    sol = TipDecaySolution(p, i, mu, (s_lo, s_max), tol,
-                           nodes[keep], log_k2[keep], kappa2[keep], q,
-                           math.exp(log_tail_lo), math.exp(log_tail_hi),
-                           rel_unc)
-    _verify_k2_sandwich(sol)
-    return sol
+    k2 = TipDecaySolution(p, i, mu, (s_lo, s_max), nodes, log_k2, kappa2, q,
+                          rel_unc)
+    _verify_k2_sandwich(k2)
+    return k2
 
 
 def _verify_k2_sandwich(sol):

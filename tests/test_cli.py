@@ -109,6 +109,8 @@ def test_radial_mode_without_profile_is_config_error(tmp_path, command):
     ("eigs", "eigs.r_out", "0.1", repr(tip_window_top(P_DEFAULT, 0.0))),
     ("modes", "mode.n_grid", "8", "16"),
     ("eigs", "eigs.count", "0", "1"),
+    ("eigs", "eigs.i", "0", "1"),
+    ("modes", "mode.mu", "-1", "0"),
 ])
 def test_window_and_count_keys_are_config_errors(tmp_path, command, key,
                                                  value, bound):

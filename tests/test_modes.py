@@ -140,9 +140,49 @@ def test_k2_anchor_box(p_default):
     assert k2.tail_rel_uncertainty <= 1e-12
 
 
-def test_k2_span_guard(p_default):
-    with pytest.raises(DomainValidationError):
-        solve_k2(p_default, 1, 1.0, r_mu(p_default, 1.0) + 60.0)
+def test_k2_long_span(p_default):
+    # rho * span = 340: k1 would overflow there, the log-space Riccati
+    # branch does not, and it agrees with a short solve where they overlap
+    s0 = r_mu(p_default, 1.0)
+    long = solve_k2(p_default, 1, 1.0, s0 + 60.0)
+    assert tip_rate(p_default, 1) * 60.0 > 280.0
+    assert long.tail_rel_uncertainty <= 1e-12
+    short = solve_k2(p_default, 1, 1.0, s0 + 10.0)
+    ss = np.linspace(s0, s0 + 10.0, 41)
+    assert np.max(np.abs(long.log_eval(ss)[0] - short.log_eval(ss)[0])) <= 1e-10
+    assert long.log_eval(s0 + 60.0)[0] < -330.0
+
+
+@pytest.mark.parametrize("i", [1, 2])
+@pytest.mark.parametrize("mu", [0.0, 1.0, 100.0])
+def test_k2_kappa_comparison_interval(p_default, i, mu):
+    # q lies in [rho^2, rho^2 + 1] past r_mu, which traps the decaying
+    # log-derivative in [-sqrt(rho^2 + 1), -rho]
+    rho = tip_rate(p_default, i)
+    s0 = r_mu(p_default, mu)
+    k2 = solve_k2(p_default, i, mu, s0 + 10.0)
+    kappa = k2.log_eval(k2._nodes)[1]
+    slack = 1e-12 * rho
+    assert np.all(kappa <= -rho + slack)
+    assert np.all(kappa >= -math.sqrt(rho * rho + 1.0) - slack)
+
+
+@pytest.mark.parametrize("i,mu,span,offsets,log_k2", [
+    # recorded from the reduction-of-order construction (k1 forward, the
+    # remaining integral of k1^-2 summed from the far end, analytic tail)
+    (1, 1.0, 10.0, [0.0, 0.7, 2.5, 6.0, 10.0],
+     [-1.9078640491364018, -5.913628037344508, -16.158677035421107,
+      -36.00622808202132, -58.656622257478546]),
+    (2, 100.0, 20.0, [0.0, 1.3, 5.0, 12.0, 20.0],
+     [-2.379656595223876, -15.13856383304903, -51.431134054742294,
+      -120.03946470371656, -198.4320070386711]),
+])
+def test_k2_matches_reduction_of_order(p_default, i, mu, span, offsets,
+                                       log_k2):
+    s0 = r_mu(p_default, mu)
+    k2 = solve_k2(p_default, i, mu, s0 + span)
+    got = k2.log_eval(s0 + np.array(offsets))[0]
+    assert np.max(np.abs(got - np.array(log_k2))) <= 1e-10
 
 
 # ---------------------------------------------------------------------------
