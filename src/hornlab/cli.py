@@ -29,9 +29,10 @@ from .elliptic import (check_I_lower, check_logI_identity, check_U_growth,
                        constant_state, elliptic_scan, profile_state)
 from .errors import ConfigError, HornError
 from .geometry import HornParams
-from .heat import (analyticity_probe, caloric_decay_check,
-                   dirichlet_eigenvalues, make_caloric_series,
-                   time_derivative, weyl_check)
+from .heat import (caloric_decay_check, dirichlet_eigenvalues,
+                   make_caloric_series, taylor_coefficients, taylor_radius,
+                   weyl_check)
+from .logspace import NEG_INF
 from .modes import decay_exponent_fit, profile_from_k2, tip_window_top
 from .parabolic import (UnitCaloric, check_D_lower, check_ID_relation,
                         check_N_bound, parabolic_scan)
@@ -139,6 +140,15 @@ def params_from_config(cfg):
     return HornParams.from_json(cfg["params"])
 
 
+def _check_window(cfg, block, keys, lo, hi, what):
+    """ConfigError naming the first of cfg[block][keys] outside [lo, hi]
+    (with the 1e-12 relative slack of the evaluators' range checks)."""
+    for key in keys:
+        if not lo * (1 - 1e-12) <= float(cfg[block][key]) <= hi * (1 + 1e-12):
+            raise ConfigError(f"{block}.{key}={cfg[block][key]} must lie in "
+                              f"[{lo}, {hi}], {what}")
+
+
 def _grid(lo, hi, points, spacing):
     if spacing == "log":
         return np.geomspace(lo, hi, int(points))
@@ -191,12 +201,14 @@ def _run_modes(cfg, p, out, artifacts):
                       "residual_fraction": fit.max_residual / rng if rng else 0.0},
         "grid_points": int(prof.s_grid.size),
         "r_range": [prof.r_min, prof.r_max],
-    }
+    }, prof
 
 
 def _run_freq_elliptic(cfg, p, out, artifacts):
     state = _elliptic_state(cfg, p)
     fr = cfg["freq"]
+    _check_window(cfg, "freq", ("lo", "hi"), *state.domain,
+                  "the elliptic state's domain (from mode.r_min and mode.mu)")
     grid = _grid(fr["lo"], fr["hi"], fr["points"], fr["spacing"])
     quad_tol = min(cfg["tolerances"]["quad"], 1e-9)
     scan = elliptic_scan(state, grid, tol=quad_tol)
@@ -216,7 +228,7 @@ def _run_freq_elliptic(cfg, p, out, artifacts):
     rpath = os.path.join(out, "freq_elliptic_report.json")
     write_json(rpath, report)
     artifacts.append(rpath)
-    return report
+    return report, scan
 
 
 def _parabolic_state(cfg, p, out, artifacts):
@@ -259,7 +271,7 @@ def _run_freq_parabolic(cfg, p, out, artifacts, state=None):
     rpath = os.path.join(out, "freq_parabolic_report.json")
     write_json(rpath, report)
     artifacts.append(rpath)
-    return report
+    return report, scan
 
 
 def _run_eigs(cfg, p, out, artifacts):
@@ -302,6 +314,8 @@ def _run_heat(cfg, p, out, artifacts, pairs=None):
         _, pairs = _run_eigs(cfg, p, out, artifacts)
     series = _series_from_config(cfg, p, pairs)
     h = cfg["heat"]
+    _check_window(cfg, "heat", ("r_lo", "r_hi"), *series.r_support,
+                  "the range every eigenfunction represents")
     r_grid = np.geomspace(float(h["r_lo"]), float(h["r_hi"]), int(h["points"]))
     rows = []
     slopes = {}
@@ -325,18 +339,14 @@ def _run_analyticity(cfg, p, out, artifacts, series=None):
         series = _series_from_config(cfg, p, pairs)
     a = cfg["analyticity"]
     r0, t0, kmax = float(a["r0"]), float(a["t0"]), int(a["kmax"])
-    radius = analyticity_probe(series, r0, t0, kmax)
-    from .numerics import lgamma_real
-    coeffs = []
-    for k in range(kmax + 1):
-        s, L = time_derivative(series, k, r0, t0)
-        coeffs.append(None if s == 0 else float(L - lgamma_real(k + 1.0)))
+    log_ak = taylor_coefficients(series, r0, t0, kmax)
     report = {"t0": t0, "r0": r0, "kmax": kmax,
-              "fitted_radius": radius, "coefficients": coeffs}
+              "fitted_radius": taylor_radius(log_ak),
+              "coefficients": [None if L == NEG_INF else L for L in log_ak]}
     rpath = os.path.join(out, "analyticity.json")
     write_json(rpath, report)
     artifacts.append(rpath)
-    return report
+    return report, log_ak
 
 
 def _run_demo(cfg, p, out, artifacts):
@@ -346,9 +356,9 @@ def _run_demo(cfg, p, out, artifacts):
     """
     eig_report, pairs = _run_eigs(cfg, p, out, artifacts)
     heat_report, series = _run_heat(cfg, p, out, artifacts, pairs=pairs)
-    ell_report = _run_freq_elliptic(cfg, p, out, artifacts)
-    par_report = _run_freq_parabolic(cfg, p, out, artifacts, state=series)
-    ana_report = _run_analyticity(cfg, p, out, artifacts, series=series)
+    ell_report, _ = _run_freq_elliptic(cfg, p, out, artifacts)
+    par_report, _ = _run_freq_parabolic(cfg, p, out, artifacts, state=series)
+    ana_report, _ = _run_analyticity(cfg, p, out, artifacts, series=series)
 
     th = DEMO_THRESHOLDS
     slopes = [v["slope"] for v in heat_report["decay_by_t"].values()]
@@ -376,17 +386,19 @@ def _run_demo(cfg, p, out, artifacts):
     spath = os.path.join(out, "summary.json")
     write_json(spath, summary)
     artifacts.append(spath)
-    return summary
+    return summary, series
 
 
+# Each pipeline returns (report for the manifest, what it built: profile,
+# eigenpairs, scan, series or Taylor coefficients).
 COMMANDS = {
-    "modes": lambda cfg, p, out, art: _run_modes(cfg, p, out, art),
-    "eigs": lambda cfg, p, out, art: _run_eigs(cfg, p, out, art)[0],
-    "freq-elliptic": lambda cfg, p, out, art: _run_freq_elliptic(cfg, p, out, art),
-    "freq-parabolic": lambda cfg, p, out, art: _run_freq_parabolic(cfg, p, out, art),
-    "heat": lambda cfg, p, out, art: _run_heat(cfg, p, out, art)[0],
-    "analyticity": lambda cfg, p, out, art: _run_analyticity(cfg, p, out, art),
-    "demo-counterexample": lambda cfg, p, out, art: _run_demo(cfg, p, out, art),
+    "modes": _run_modes,
+    "eigs": _run_eigs,
+    "freq-elliptic": _run_freq_elliptic,
+    "freq-parabolic": _run_freq_parabolic,
+    "heat": _run_heat,
+    "analyticity": _run_analyticity,
+    "demo-counterexample": _run_demo,
 }
 
 
@@ -422,7 +434,7 @@ def run(config, command, out_dir=None):
             raise ConfigError(f"unknown command '{command}'")
         p = params_from_config(config)
         manifest["stage"] = command
-        result = COMMANDS[command](config, p, out, manifest["artifacts"])
+        result, _ = COMMANDS[command](config, p, out, manifest["artifacts"])
         manifest["result"] = result
         manifest["status"] = "ok"
         manifest["stage"] = "done"

@@ -9,9 +9,11 @@ scale-invariant quantities reduce to radial form:
          = r^(2-n) w(r) f(r) f'(r)          (boundary form)
     U(r) = E(r) / I(r)
 
-Both routes to E are computed at every evaluation and must agree; a
-mismatch signals quadrature or profile inaccuracy and aborts rather than
-silently propagating.  The exact logarithmic-derivative identity
+Every kind of state enters only through radial_log(r) = (sign, log|f|,
+d log|f|/dr), and a scan evaluates it once on its whole grid.  Both routes
+to E are computed at every evaluation and must agree; a mismatch signals
+quadrature or profile inaccuracy and aborts rather than silently
+propagating.  The exact logarithmic-derivative identity
 
     r (log I)'(r) - 2 U(r) = c - n + 1
 
@@ -167,15 +169,26 @@ class FrequencyScan:
 # ---------------------------------------------------------------------------
 
 
+# math.exp element by element: numpy's vector exp can differ from it in the
+# last bit depending on the CPU's SIMD path, which would move rounding-level
+# report values such as the constant state's identity defect
+_exp = np.vectorize(math.exp, otypes=[float])
+
+
+def _boundary_mass(state, r, radial):
+    """I = r^(1-n) w(r) f(r)^2 at radii r (array), from radial_log(r);
+    0 where f vanishes or underflows."""
+    p = state.params
+    sign, lm, _ = radial
+    I = _exp((1 - p.n) * np.log(r) + measure_weight_log(p, r) + 2.0 * lm)
+    return np.where((sign == 0) | ~np.isfinite(lm), 0.0, I)
+
+
 def elliptic_I(state, r):
     """Boundary mass I(r) = r^(1-n) w(r) f(r)^2 (log-space assembly)."""
     _check_in_domain(state, r)
-    p = state.params
-    sign, lm, _ = state.radial_log(np.array([r]))
-    if sign[0] == 0 or not np.isfinite(lm[0]):
-        return 0.0
-    return math.exp((1 - p.n) * math.log(r) + measure_weight_log(p, r)
-                    + 2.0 * lm[0])
+    r_arr = np.array([float(r)])
+    return float(_boundary_mass(state, r_arr, state.radial_log(r_arr))[0])
 
 
 def _energy_density_log(state, lam, r, radial=None):
@@ -235,52 +248,51 @@ def elliptic_E(state, r, tol=1e-10):
     return _E_both(state, r, tol)[0]
 
 
-def _E_boundary(state, r):
-    """(r^(2-n) w f f', |lam| energy envelope) at r, from one evaluation
-    of f."""
-    p = state.params
-    r_arr = np.array([r])
-    radial = state.radial_log(r_arr)
-    sign, lm, ld = radial
-    env = math.exp(_energy_density_log(state, abs(state.lam), r_arr,
-                                       radial)[1][0])
-    if sign[0] == 0:
-        return 0.0, env
-    # r^(2-n) w f f' = r^(2-n) w f^2 dlog
-    return ld[0] * math.exp((2 - p.n) * math.log(r)
-                            + measure_weight_log(p, r) + 2.0 * lm[0]), env
-
-
 def _E_both(state, r, tol):
     """(bulk E, boundary E, energy scale) at r, cross-checked."""
-    if state.kind == "constant":
-        return 0.0, 0.0, 0.0
     r_lo = state.profile.r_min if state.kind == "profile" else 0.0
-    return _checked_energy(state, r, r_lo, _bulk_integral(state, r_lo, r, tol),
-                           _tip_tail_bound(state))
+    r_arr = np.array([float(r)])
+    out = _checked_energy(state, r_arr, state.radial_log(r_arr), r_lo,
+                          np.array([_bulk_integral(state, r_lo, r, tol)]),
+                          _tip_tail_bound(state))
+    return tuple(float(v[0]) for v in out)
 
 
-def _checked_energy(state, r, r_lo, bulk, tail):
-    """(bulk E, boundary E, energy scale) at r from the bulk integral over
-    [r_lo, r] and the certified tip tail below r_lo.
+def _checked_energy(state, r, radial, r_lo, bulk, tail):
+    """(bulk E, boundary E, energy scale) at radii r (array), from
+    radial = state.radial_log(r), the bulk integrals over [r_lo, r] and
+    the certified tip tail below r_lo.
 
-    The tail must be negligible against the bulk integral, and the two
-    routes to E must agree to 1e-6 of the positive energy envelope;
-    otherwise ConsistencyError names the radius.
+    The tail must be negligible against each bulk integral, and the two
+    routes to E, the bulk form and the boundary form r^(2-n) w f f', must
+    agree to 1e-6 of the positive energy envelope; otherwise
+    ConsistencyError names the first radius at fault.
     """
-    if tail > max(1e-9 * abs(bulk), 1e-300):
+    p = state.params
+    sign, lm, ld = radial
+    bad = tail > np.maximum(1e-9 * np.abs(bulk), 1e-300)
+    if np.any(bad):
+        k = int(np.argmax(bad))
         raise ConsistencyError(
-            f"uncontrolled tip tail below the profile window at r={r}: "
-            f"tail bound {tail} against bulk integral {bulk}")
-    pref = math.exp((2 - state.params.n) * math.log(r))
+            f"uncontrolled tip tail below the profile window at r={r[k]}: "
+            f"tail bound {tail} against bulk integral {bulk[k]}")
+    log_pref = (2 - p.n) * np.log(r)
+    pref = _exp(log_pref)
     E_bulk = pref * bulk
-    E_bdry, env = _E_boundary(state, r)
+    # r^(2-n) w f f' = r^(2-n) w f^2 dlog
+    with np.errstate(invalid="ignore"):
+        E_bdry = np.where(sign == 0, 0.0, ld * _exp(
+            log_pref + measure_weight_log(p, r) + 2.0 * lm))
+    env = _exp(_energy_density_log(state, abs(state.lam), r, radial)[1])
     # f^2 grows like exp(-2C r^-eps) toward r, so the envelope of the
     # density over [r_lo, r] peaks at r
     scale = pref * env * (r - r_lo)
-    if abs(E_bulk - E_bdry) > 1e-6 * max(scale, abs(E_bulk), abs(E_bdry)):
-        raise ConsistencyError(
-            f"bulk/boundary energy mismatch at r={r}: {E_bulk} vs {E_bdry}")
+    bad = np.abs(E_bulk - E_bdry) > 1e-6 * np.maximum(
+        scale, np.maximum(np.abs(E_bulk), np.abs(E_bdry)))
+    if np.any(bad):
+        k = int(np.argmax(bad))
+        raise ConsistencyError(f"bulk/boundary energy mismatch at r={r[k]}: "
+                               f"{E_bulk[k]} vs {E_bdry[k]}")
     return E_bulk, E_bdry, scale
 
 
@@ -292,8 +304,9 @@ def _check_in_domain(state, r):
 
 
 def elliptic_scan(state, r_grid, tol=1e-10):
-    """Scan rows (r, I, E, U); E accumulated segment-by-segment (bulk form)
-    with the boundary form cross-checked at every row.
+    """Scan rows (r, I, E, U) from one evaluation of the state on the
+    grid; E accumulated segment-by-segment (bulk form) with the boundary
+    form cross-checked at every row.
 
     A nodal sphere (I = 0) on the grid aborts with the offending radius:
     U is genuinely singular there.
@@ -304,33 +317,23 @@ def elliptic_scan(state, r_grid, tol=1e-10):
     _check_in_domain(state, r_grid[0])
     _check_in_domain(state, r_grid[-1])
 
-    if state.kind == "constant":
-        I = np.array([elliptic_I(state, r) for r in r_grid])
-        E = np.zeros_like(I)
-        U = np.zeros_like(I)
-        return FrequencyScan(kind=_KIND_ELLIPTIC, scale=r_grid, I=I, ED=E, UN=U)
-
+    radial = state.radial_log(r_grid)
+    I = _boundary_mass(state, r_grid, radial)
+    # a grid point within rounding distance of a node: the logarithmic
+    # derivative blows up like 1/distance and U is genuinely singular
+    nodal = (I == 0.0) | (np.abs(r_grid * radial[2]) > 1e12)
+    if np.any(nodal):
+        raise ConsistencyError(
+            f"nodal sphere: I vanishes at r = {r_grid[np.argmax(nodal)]}")
     r_lo = state.profile.r_min if state.kind == "profile" else 0.0
-    tail = _tip_tail_bound(state)
     segs = np.concatenate([[r_lo], r_grid])
-    cum = 0.0
-    I_col, E_col, U_col = [], [], []
     seg_tol = tol / max(1, r_grid.size)
-    for k, r in enumerate(r_grid):
-        cum += _bulk_integral(state, segs[k], segs[k + 1], seg_tol)
-        Ir = elliptic_I(state, r)
-        sgn, _, ld = state.radial_log(np.array([r]))
-        # a grid point within rounding distance of a node: the logarithmic
-        # derivative blows up like 1/distance and U is genuinely singular
-        if Ir == 0.0 or sgn[0] == 0 or abs(r * ld[0]) > 1e12:
-            raise ConsistencyError(f"nodal sphere: I vanishes at r = {r}")
-        E_bulk = _checked_energy(state, r, r_lo, cum, tail)[0]
-        I_col.append(Ir)
-        E_col.append(E_bulk)
-        U_col.append(E_bulk / Ir)
-    return FrequencyScan(kind=_KIND_ELLIPTIC, scale=r_grid,
-                         I=np.array(I_col), ED=np.array(E_col),
-                         UN=np.array(U_col))
+    bulk = np.cumsum([_bulk_integral(state, a, b, seg_tol)
+                      for a, b in zip(segs[:-1], segs[1:])])
+    E = _checked_energy(state, r_grid, radial, r_lo, bulk,
+                        _tip_tail_bound(state))[0]
+    return FrequencyScan(kind=_KIND_ELLIPTIC, scale=r_grid, I=I, ED=E,
+                         UN=E / I)
 
 
 # ---------------------------------------------------------------------------

@@ -212,8 +212,7 @@ def _build_pair(p, i, nu, r_out, tol):
     # tip branch over ~40 decay e-foldings; everything below is certified off
     r_tip_lo = (s_lo + 40.0 / tip_rate(p, i) + 2.0) ** (-1.0 / p.eps)
     tip = profile_from_k2(p, i, nu, r_tip_lo, n_grid=48, tol=tol)
-    log_at_anchor = float(tip.log_mag[0])
-    dlog_anchor = float(tip.log_deriv[0])
+    _, log_at_anchor, dlog_anchor = (float(v) for v in tip.eval_log(r_sw))
 
     # the outer solve carries the outer part of the L2(w dr) norm,
     # int_{r_sw}^r f^2 w, as its third component
@@ -237,45 +236,25 @@ def _build_pair(p, i, nu, r_out, tol):
     norm = math.sqrt(norm_nodes[-1] + tip_n)
     scale_log = -math.log(norm)
 
-    out_sign = np.sign(f_nodes)
-    out_sign[-1] = out_sign[-2] if out_sign[-1] == 0 else out_sign[-1]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out_logmag = np.log(np.abs(f_nodes)) + scale_log
-        out_dlog = fp_nodes / f_nodes
-
-    # stitch the grids: the tip grid lies strictly past r_sw and is rescaled
-    # to the outer solution's f(r_sw) = 1
-    r_grid = np.concatenate([tip.r_grid[1:], r_nodes[1:]])
-    s_grid = r_grid ** (-p.eps)
-    order = np.argsort(s_grid)
-    sign = np.concatenate([tip.sign[1:], out_sign[1:].astype(int)])
-    log_mag = np.concatenate([tip.log_mag[1:] - log_at_anchor + scale_log,
-                              out_logmag[1:]])
-    log_deriv = np.concatenate([tip.log_deriv[1:], out_dlog[1:]])
-
-    def _eval(r):
-        r = np.atleast_1d(np.asarray(r, dtype=float))
-        sgn = np.empty_like(r)
-        lm = np.empty_like(r)
-        ld = np.empty_like(r)
+    def evaluator(r):
+        # below r_sw the tip branch, rescaled to the outer solution's
+        # f(r_sw) = 1; from r_sw on the outer splines
+        r = np.atleast_1d(r)
         inner = r < r_sw
+        out = np.empty((3, r.size))
         if np.any(inner):
-            sgn[inner], lm_tip, ld[inner] = tip.eval_log(r[inner])
-            lm[inner] = lm_tip - log_at_anchor + scale_log
-        if np.any(~inner):
-            ro = r[~inner]
-            fv = f_spl(ro)
-            fpv = fp_spl(ro)
-            sgn[~inner] = np.where(fv == 0, 0.0, np.sign(fv))
-            with np.errstate(divide="ignore", invalid="ignore"):
-                lm[~inner] = np.log(np.abs(fv)) + scale_log
-                ld[~inner] = fpv / fv
-        return sgn, lm, ld
+            sgn, lm, ld = tip.eval_log(r[inner])
+            out[:, inner] = sgn, lm - log_at_anchor + scale_log, ld
+        fv, fpv = f_spl(r[~inner]), fp_spl(r[~inner])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            out[:, ~inner] = (np.sign(fv), np.log(np.abs(fv)) + scale_log,
+                              fpv / fv)
+        return out
 
+    # the grid marks the cap, the seam and the bottom of the tip branch
     g = RadialProfile(params=p, i=i, mu=nu,
-                      s_grid=s_grid[order], r_grid=r_grid[order],
-                      sign=sign[order], log_mag=log_mag[order],
-                      log_deriv=log_deriv[order], s_sandwich=s_lo, _eval=_eval)
+                      s_grid=np.array([r_out ** -p.eps, s_lo, tip.s_grid[-1]]),
+                      s_sandwich=s_lo, evaluator=evaluator)
 
     mx = float(np.max(np.abs(f_nodes)))
     norm_defect = abs(f_nodes[-1]) / mx
@@ -374,8 +353,12 @@ class CaloricSeries:
         lo = max(pair.g.r_min for pair in self.pairs)
         return (lo, self.pairs[0].r_out)
 
-    def slice_log(self, r, t):
-        """(sign F, log|F|, sign dF/dr, log|dF/dr|) at time t, array r."""
+    def slice_log(self, r, t, k=0):
+        """(sign F, log|F|, sign dF/dr, log|dF/dr|) at time t, array r, of
+        F = d^k/dt^k of the series: term j picks up (-nu_j)^k, that is
+        k log nu_j in magnitude and (-1)^k in sign.  The one place the
+        series is summed.
+        """
         r = np.atleast_1d(np.asarray(r, dtype=float))
         K = len(self.pairs)
         sF = np.empty((K, r.size))
@@ -386,8 +369,8 @@ class CaloricSeries:
             sgn, lm, ld = pair.g.eval_log(r)
             amp = math.log(abs(cj)) if cj != 0 else -math.inf
             csign = 1.0 if cj >= 0 else -1.0
-            sF[j] = csign * sgn
-            lF[j] = amp - pair.nu * t + lm
+            sF[j] = csign * sgn * (-1.0) ** k
+            lF[j] = amp - pair.nu * t + lm + k * math.log(pair.nu)
             with np.errstate(divide="ignore", invalid="ignore"):
                 lD[j] = lF[j] + np.log(np.abs(ld))
             sD[j] = sF[j] * np.sign(ld)
@@ -437,52 +420,45 @@ def evaluate_caloric(series, r, t):
     """(sign, log-magnitude) of the truncated series at (r, t), t > 0."""
     if not t > 0:
         raise DomainValidationError("evaluate_caloric needs t > 0")
-    sF, lF, _, _ = series.slice_log(np.array([float(r)]), t)
-    return int(sF[0]), float(lF[0])
+    return time_derivative(series, 0, r, t)
 
 
 def time_derivative(series, k, r, t):
-    """(sign, log-magnitude) of d^k/dt^k of the series at (r, t).
-
-    Term j picks up (-nu_j)^k: k log nu_j in magnitude, (-1)^k in sign.
-    """
+    """(sign, log-magnitude) of d^k/dt^k of the series at (r, t)."""
     if not t > 0:
         raise DomainValidationError("time_derivative needs t > 0")
     if not (int(k) == k and k >= 0):
         raise DomainValidationError("time_derivative needs integer k >= 0")
-    k = int(k)
-    r = float(r)
-    signs, logs = [], []
-    for pair, cj in zip(series.pairs, series.coeffs):
-        sgn, lm, _ = pair.g.eval_log(np.array([r]))
-        if cj == 0 or sgn[0] == 0:
-            continue
-        csign = 1.0 if cj > 0 else -1.0
-        signs.append(csign * sgn[0] * (-1.0) ** k)
-        logs.append(math.log(abs(cj)) - pair.nu * t + lm[0]
-                    + k * math.log(pair.nu))
-    s, L = logsumexp_signed(signs, logs)
-    return int(s), float(L)
+    sF, lF, _, _ = series.slice_log(np.array([float(r)]), t, int(k))
+    return int(sF[0]), float(lF[0])
 
 
-def analyticity_probe(series, r0, t0, kmax):
-    """Lower estimate of the Taylor radius of t -> u(r0, t) at t0.
-
-    Taylor coefficients a_k = d^k_t u / k! are formed in log space; the
-    radius is 1 / max_{k in [kmax/2, kmax]} |a_k|^(1/k), a conservative
-    window estimate of 1/limsup |a_k|^(1/k).  The zero series returns +inf.
-    """
-    if not kmax >= 8:
-        raise DomainValidationError("analyticity_probe needs kmax >= 8")
+def taylor_coefficients(series, r0, t0, kmax):
+    """log|a_k|, k = 0..kmax, of the Taylor coefficients a_k = d^k_t u / k!
+    of t -> u(r0, t) at t0; an exact zero is -inf."""
     log_ak = []
     for k in range(kmax + 1):
         s, L = time_derivative(series, k, r0, t0)
         log_ak.append(NEG_INF if s == 0 else L - lgamma_real(k + 1.0))
+    return log_ak
+
+
+def taylor_radius(log_ak):
+    """1 / max_{k in [kmax/2, kmax]} |a_k|^(1/k) from taylor_coefficients
+    up to kmax, a conservative window estimate of 1/limsup |a_k|^(1/k);
+    +inf when every a_k in the window is zero."""
+    kmax = len(log_ak) - 1
+    if not kmax >= 8:
+        raise DomainValidationError("analyticity_probe needs kmax >= 8")
     window = [L / k for k, L in enumerate(log_ak)
               if k >= max(1, kmax // 2) and L != NEG_INF]
-    if not window:
-        return math.inf
-    return 1.0 / math.exp(max(window))
+    return 1.0 / math.exp(max(window)) if window else math.inf
+
+
+def analyticity_probe(series, r0, t0, kmax):
+    """Lower estimate of the Taylor radius of t -> u(r0, t) at t0; see
+    taylor_radius."""
+    return taylor_radius(taylor_coefficients(series, r0, t0, kmax))
 
 
 def caloric_decay_check(series, r_grid, t):

@@ -238,12 +238,16 @@ class TipDecaySolution:
         return self.eval(s)
 
 
-def solve_k2(p, i, mu, s_max, tol=1e-12, nodes_per_unit=160):
+# Hermite nodes of the decaying branch per unit of s (at least 400 intervals)
+_K2_NODES_PER_UNIT = 160
+
+
+def solve_k2(p, i, mu, s_max, tol=1e-12):
     """Decaying branch on [r_mu, s_max] from one backward Riccati solve.
 
     kappa and Lambda are integrated from s_far down to r_mu with dense
-    output and sampled on nodes_per_unit nodes per unit of s (at least
-    400 intervals); the Wronskian scale fixes log k2(r_mu).  Raises
+    output and sampled on _K2_NODES_PER_UNIT nodes per unit of s; the
+    Wronskian scale fixes log k2(r_mu).  Raises
     ConsistencyError if the start at s_far could leave a kappa error above
     1e-12 anywhere on the span.
     """
@@ -267,7 +271,7 @@ def solve_k2(p, i, mu, s_max, tol=1e-12, nodes_per_unit=160):
         return [q(s) - y[0] * y[0], y[0]]
 
     sol = integrate_ode(fld, (s_far, s_lo), [-math.sqrt(q(s_far)), 0.0], tol)
-    n_nodes = max(400, int(nodes_per_unit * (s_max - s_lo))) + 1
+    n_nodes = max(400, int(_K2_NODES_PER_UNIT * (s_max - s_lo))) + 1
     nodes = np.linspace(s_lo, s_max, n_nodes)
     kappa2, lam = sol.states(nodes)
     log_k2 = lam - lam[0] - math.log(1.0 - kappa2[0])
@@ -300,33 +304,29 @@ def _verify_k2_sandwich(sol):
 
 @dataclass
 class RadialProfile:
-    """Underflow-safe radial mode on a grid, with interpolation.
+    """Underflow-safe radial mode: an abscissa grid and its evaluator.
 
-    The grid is carried in the transformed abscissa s = r^-eps (increasing s
-    means approaching the tip).  sign / log_mag / log_deriv are per grid
-    point; log_deriv is d log|f| / dr.  s_sandwich marks the part of the
-    grid (s >= s_sandwich) on which the two-sided tip bounds apply; for
-    profiles built from the decaying branch that is the whole grid.
+    evaluator(r) gives (sign, log|f|, d log|f|/dr) at an array of radii and
+    is the one route to the mode's values.  The grid is carried in the
+    transformed abscissa s = r^-eps (increasing s means approaching the
+    tip); it fixes the represented range [r_min, r_max], and sign / log_mag
+    / log_deriv are the evaluator's values on it.  s_sandwich marks the part
+    of the range (s >= s_sandwich) on which the two-sided tip bounds apply;
+    for profiles built from the decaying branch that is the whole range.
     """
 
     params: object
     i: int
     mu: float
     s_grid: np.ndarray
-    r_grid: np.ndarray
-    sign: np.ndarray
-    log_mag: np.ndarray
-    log_deriv: np.ndarray
     s_sandwich: float
-    _eval: object = field(default=None, repr=False)
+    evaluator: object = field(repr=False)
 
-    @property
-    def r_min(self):
-        return float(self.r_grid.min())
-
-    @property
-    def r_max(self):
-        return float(self.r_grid.max())
+    def __post_init__(self):
+        self.r_grid = self.s_grid ** (-1.0 / self.params.eps)
+        self.r_min = float(self.r_grid.min())
+        self.r_max = float(self.r_grid.max())
+        self.sign, self.log_mag, self.log_deriv = self.eval_log(self.r_grid)
 
     def eval_log(self, r):
         """(sign, log|f|, d log|f|/dr) at r, scalar or array."""
@@ -336,11 +336,7 @@ class RadialProfile:
             raise DomainValidationError(
                 f"evaluation outside represented range "
                 f"[{self.r_min}, {self.r_max}]")
-        if self._eval is None:
-            raise DomainValidationError(
-                "profile carries a grid but no evaluator; interpolating the "
-                "stored signs would be wrong across a node")
-        return self._eval(r)
+        return self.evaluator(r)
 
     def to_csv(self, path):
         order = np.argsort(self.r_grid)
@@ -354,7 +350,8 @@ def profile_from_k2(p, i, mu, r_min, n_grid=64, tol=1e-12):
     """Tip profile f_i(r) = k2(r^-eps) r^(-(c-1-eps)/2) on [r_min, r_mu^(-1/eps)].
 
     Unit overall scale (the free factor cancels in every frequency
-    quantity).  Assembled entirely in (sign, log-magnitude) space:
+    quantity); the grid is n_grid points uniform in s.  The evaluator works
+    entirely in (sign, log-magnitude) space:
 
         log f = log k2(s) + beta log s,          s = r^-eps,
         d log f / dr = -(eps s / r) kappa2(s) - (c-1-eps)/(2 r).
@@ -373,18 +370,14 @@ def profile_from_k2(p, i, mu, r_min, n_grid=64, tol=1e-12):
     s_max = r_min ** (-p.eps)
     k2 = solve_k2(p, i, mu, s_max, tol=tol)
 
-    s_grid = np.linspace(s_lo, s_max, n_grid)
-    r_grid = s_grid ** (-1.0 / p.eps)
-    log_mag, log_der = _tip_log(p, s_grid, r_grid, *k2.log_eval(s_grid))
-
-    def _eval(r):
-        s = np.asarray(r, dtype=float) ** (-p.eps)
+    def evaluator(r):
+        s = r ** (-p.eps)
         lm, ld = _tip_log(p, s, r, *k2.log_eval(s))
         return np.ones_like(lm), lm, ld
 
-    return RadialProfile(params=p, i=i, mu=mu, s_grid=s_grid, r_grid=r_grid,
-                         sign=np.ones(n_grid, dtype=int), log_mag=log_mag,
-                         log_deriv=log_der, s_sandwich=s_lo, _eval=_eval)
+    return RadialProfile(params=p, i=i, mu=mu,
+                         s_grid=np.linspace(s_lo, s_max, n_grid),
+                         s_sandwich=s_lo, evaluator=evaluator)
 
 
 def radial_mode_zero(p, mu, r):

@@ -139,7 +139,7 @@ class DenseSolution:
         return self.eval(x)
 
 
-def integrate_ode(field, span, y0, tol, max_step=np.inf, dense=True):
+def integrate_ode(field, span, y0, tol, dense=True):
     """Adaptive explicit integration (8th order, embedded error estimate).
 
     Local error per unit step is controlled at `tol` (absolute and
@@ -153,7 +153,7 @@ def integrate_ode(field, span, y0, tol, max_step=np.inf, dense=True):
         raise DomainValidationError("integrate_ode needs tol > 0")
     res = solve_ivp(field, span, np.atleast_1d(np.asarray(y0, dtype=float)),
                     method="DOP853", rtol=tol, atol=tol * 1e-2,
-                    dense_output=dense, max_step=max_step)
+                    dense_output=dense)
     if res.status != 0 or not res.success:
         loc = res.t[-1] if res.t.size else span[0]
         raise IntegrationError(

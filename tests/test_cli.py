@@ -111,6 +111,8 @@ def test_radial_mode_without_profile_is_config_error(tmp_path, command):
     ("eigs", "eigs.count", "0", "1"),
     ("eigs", "eigs.i", "0", "1"),
     ("modes", "mode.mu", "-1", "0"),
+    ("heat", "heat.r_lo", "0.005", "0.00721"),
+    ("freq-elliptic", "freq.hi", "0.2", repr(tip_window_top(P_DEFAULT, 1.0))),
 ])
 def test_window_and_count_keys_are_config_errors(tmp_path, command, key,
                                                  value, bound):

@@ -131,6 +131,21 @@ def test_scan_rows_invariants(scan_i1_mu1):
     assert np.max(np.abs(scan_i1_mu1.UN - ratio)) <= 1e-12 * np.max(np.abs(ratio))
 
 
+@pytest.mark.parametrize("kind", ["profile", "bessel"])
+def test_scan_rows_match_scalar_functionals(kind, state_i1_mu1, p_default):
+    # one evaluation of the state on the grid gives the rows that the
+    # per-radius elliptic_I and elliptic_E give one at a time
+    if kind == "profile":
+        st, grid = state_i1_mu1, np.geomspace(0.04, 0.13, 12)
+    else:
+        st, grid = bessel_state(p_default, 1.5, (0.01, 0.5)), \
+            np.geomspace(0.02, 0.45, 12)
+    scan = elliptic_scan(st, grid)
+    for k, r in enumerate(grid):
+        assert scan.I[k] == pytest.approx(elliptic_I(st, r), rel=1e-12)
+        assert scan.ED[k] == pytest.approx(elliptic_E(st, r), rel=1e-8)
+
+
 def test_scan_constant_U_zero(p_default):
     st = constant_state(p_default, (0.01, 2.0))
     scan = elliptic_scan(st, np.geomspace(0.02, 0.13, 16))

@@ -287,6 +287,21 @@ def test_analyticity_two_pair(series2):
     assert rho24 >= rho16 * (1 - 1e-12)
 
 
+def test_taylor_coefficients_are_time_derivatives(series4):
+    # the one helper behind analyticity_probe and the CLI's coefficient
+    # list: a_k = d^k_t u / k!, in log space
+    r0, t0, kmax = 0.8, 0.5, 16
+    log_ak = heat.taylor_coefficients(series4, r0, t0, kmax)
+    assert len(log_ak) == kmax + 1
+    for k, L in enumerate(log_ak):
+        s, Ld = time_derivative(series4, k, r0, t0)
+        assert s != 0
+        assert math.exp(L) == pytest.approx(
+            math.exp(Ld) / math.factorial(k), rel=1e-13)
+    assert heat.taylor_radius(log_ak) == \
+        analyticity_probe(series4, r0, t0, kmax)
+
+
 def test_analyticity_zero_series(pairs8_rout2):
     zero = make_caloric_series(pairs8_rout2[:2], [0.0, 0.0], t_min=0.1)
     assert analyticity_probe(zero, 0.8, 0.5, 16) == math.inf

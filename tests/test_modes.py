@@ -320,23 +320,14 @@ def test_radial_mode_zero_scaling_identity(p_default):
 
 
 def test_decay_fit_constant_profile(p_default):
-    s = np.linspace(3.0, 8.0, 16)
-    prof = RadialProfile(params=p_default, i=1, mu=0.0, s_grid=s,
-                         r_grid=s ** -2.0, sign=np.ones(16, dtype=int),
-                         log_mag=np.zeros(16), log_deriv=np.zeros(16),
-                         s_sandwich=3.0)
+    def constant(r):
+        return np.ones_like(r), np.zeros_like(r), np.zeros_like(r)
+
+    prof = RadialProfile(params=p_default, i=1, mu=0.0,
+                         s_grid=np.linspace(3.0, 8.0, 16), s_sandwich=3.0,
+                         evaluator=constant)
+    assert np.all(prof.log_mag == 0.0)
     assert decay_exponent_fit(prof).slope == pytest.approx(0.0, abs=1e-14)
-
-
-def test_profile_without_evaluator_refuses_to_evaluate(p_default):
-    # a grid alone would interpolate signs linearly, wrong across a node
-    s = np.linspace(3.0, 8.0, 16)
-    prof = RadialProfile(params=p_default, i=1, mu=0.0, s_grid=s,
-                         r_grid=s ** -2.0, sign=np.ones(16, dtype=int),
-                         log_mag=np.zeros(16), log_deriv=np.zeros(16),
-                         s_sandwich=3.0)
-    with pytest.raises(DomainValidationError, match="no evaluator"):
-        prof.eval_log(np.array([0.05]))
 
 
 @pytest.mark.parametrize("i", [1, 2])
