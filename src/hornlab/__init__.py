@@ -30,9 +30,10 @@ from .modes import (RadialProfile, decay_exponent_fit, normalization_bound,
                     profile_from_k2, r_mu, radial_mode_zero, solve_k1,
                     solve_k2, tip_bracket, tip_exponent, tip_rate)
 from .numerics import (DenseSolution, LineFit, bessel_j, bessel_j_prime,
-                       bessel_y, bessel_y_prime, find_root_bracketed,
-                       fit_line, gamma_real, integrate_ode, lgamma_real,
-                       quad_adaptive, quad_adaptive_err, quad_log)
+                       bessel_y, bessel_y_prime, check_in_range,
+                       find_root_bracketed, fit_line, gamma_real,
+                       integrate_ode, lgamma_real, quad_adaptive,
+                       quad_adaptive_err, quad_log)
 from .parabolic import (BackwardKernel, ModeCaloric, UnitCaloric,
                         check_D_lower, check_ID_relation, check_N_bound,
                         kernel_log, parabolic_IDN, parabolic_scan)

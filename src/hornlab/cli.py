@@ -22,18 +22,20 @@ import sys
 import time
 
 import numpy as np
+import scipy
 
 from . import __version__
 from .artifacts import write_csv, write_json
 from .elliptic import (check_I_lower, check_logI_identity, check_U_growth,
                        constant_state, elliptic_scan, profile_state)
-from .errors import ConfigError, HornError
+from .errors import ConfigError, DomainValidationError, HornError
 from .geometry import HornParams
 from .heat import (caloric_decay_check, dirichlet_eigenvalues,
                    make_caloric_series, taylor_coefficients, taylor_radius,
                    weyl_check)
 from .logspace import NEG_INF
 from .modes import decay_exponent_fit, profile_from_k2, tip_window_top
+from .numerics import check_in_range
 from .parabolic import (UnitCaloric, check_D_lower, check_ID_relation,
                         check_N_bound, parabolic_scan)
 
@@ -58,7 +60,6 @@ DEFAULT_CONFIG = {
 # thresholds applied by demo-counterexample when deciding exit code 4
 DEMO_THRESHOLDS = {
     "decay_slope_max": 0.0,
-    "decay_resid_frac_max": 0.10,
     "logI_defect_max": 1e-3,
     "ID_defect_max": 1e-4,
     "U_growth_defect_max": 1e-8,
@@ -141,12 +142,13 @@ def params_from_config(cfg):
 
 
 def _check_window(cfg, block, keys, lo, hi, what):
-    """ConfigError naming the first of cfg[block][keys] outside [lo, hi]
-    (with the 1e-12 relative slack of the evaluators' range checks)."""
+    """ConfigError naming the first of cfg[block][keys] outside [lo, hi] (or
+    NaN) by the evaluators' rule, check_in_range, and saying `what` it is."""
     for key in keys:
-        if not lo * (1 - 1e-12) <= float(cfg[block][key]) <= hi * (1 + 1e-12):
-            raise ConfigError(f"{block}.{key}={cfg[block][key]} must lie in "
-                              f"[{lo}, {hi}], {what}")
+        try:
+            check_in_range(float(cfg[block][key]), lo, hi, f"{block}.{key}")
+        except DomainValidationError as exc:
+            raise ConfigError(f"{exc}, {what}") from exc
 
 
 def _grid(lo, hi, points, spacing):
@@ -258,8 +260,8 @@ def _run_freq_parabolic(cfg, p, out, artifacts, state=None):
     R_ref = float(np.sqrt(grid[0] * grid[-1]))
     defect = check_ID_relation(state, R_ref, 1e-3 * R_ref,
                                tol=min(cfg["tolerances"]["quad"], 1e-12))
-    n_defect, N_C = check_N_bound(state, grid, scan=scan)
-    fit = check_D_lower(state, grid, scan=scan)
+    n_defect, N_C = check_N_bound(state, scan)
+    fit = check_D_lower(state, scan)
     report = {
         "ID_defect": defect,
         "ID_reference_scale": R_ref,
@@ -338,6 +340,8 @@ def _run_analyticity(cfg, p, out, artifacts, series=None):
         _, pairs = _run_eigs(cfg, p, out, artifacts)
         series = _series_from_config(cfg, p, pairs)
     a = cfg["analyticity"]
+    _check_window(cfg, "analyticity", ("r0",), *series.r_support,
+                  "the range every eigenfunction represents")
     r0, t0, kmax = float(a["r0"]), float(a["t0"]), int(a["kmax"])
     log_ak = taylor_coefficients(series, r0, t0, kmax)
     report = {"t0": t0, "r0": r0, "kmax": kmax,
@@ -418,16 +422,12 @@ def run(config, command, out_dir=None):
             "hornlab": __version__,
             "python": platform.python_version(),
             "numpy": np.__version__,
+            "scipy": scipy.__version__,
         },
         "status": "error",
         "stage": "setup",
         "artifacts": [],
     }
-    try:
-        import scipy
-        manifest["versions"]["scipy"] = scipy.__version__
-    except Exception:  # pragma: no cover
-        pass
     code = EXIT_NUMERICAL
     try:
         if command not in COMMANDS:

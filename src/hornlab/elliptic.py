@@ -22,7 +22,7 @@ against central differences of log I on the scan grid.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -30,7 +30,7 @@ from .artifacts import write_csv
 from .errors import ConsistencyError, DomainValidationError
 from .geometry import angular_coupling, measure_weight_log, sphere_eigenvalue
 from .modes import decay_exponent_fit, radial_mode_zero
-from .numerics import bessel_j, fit_line, quad_log
+from .numerics import bessel_j, check_in_range, fit_line, quad_log
 
 _KIND_ELLIPTIC = "elliptic"
 _KIND_PARABOLIC = "parabolic"
@@ -43,19 +43,18 @@ _KIND_PARABOLIC = "parabolic"
 
 @dataclass(frozen=True)
 class ModeState:
-    """One separated solution u = f_i(r) phi_i(theta).
-
-    kind: "profile" (decaying tip branch, i >= 1), "bessel" (bounded radial
-    branch, i = 0, mu > 0) or "constant" (f == 1, i = 0, mu = 0).
-    domain is the radial window on which the state may be evaluated.
-    """
+    """One separated solution u = f_i(r) phi_i(theta) on the radial window
+    domain.  Its factory sets radial_log(r) = (sign, log|f|, d log|f|/dr)
+    at an array of radii, r_lo, where the bulk energy integral starts, and
+    tail, the certified energy below r_lo."""
 
     params: object
     i: int
     mu: float
-    kind: str
-    profile: object
     domain: tuple
+    radial_log: object
+    r_lo: float = 0.0
+    tail: float = 0.0
 
     @property
     def lam(self):
@@ -66,61 +65,60 @@ class ModeState:
     def mu_i(self):
         return sphere_eigenvalue(self.params.n, self.i)
 
-    def radial_log(self, r):
-        """(sign, log|f|, d log|f|/dr) at radii r (array)."""
-        r = np.asarray(r, dtype=float)
-        if self.kind == "constant":
-            z = np.zeros_like(r)
-            return np.ones_like(r), z, z
-        if self.kind == "bessel":
-            p = self.params
-            nu = (p.c - 1.0) / 2.0
-            x = r * math.sqrt(self.mu)
-            vals = radial_mode_zero(p, self.mu, r)
-            sign = np.sign(vals)
-            # f'(r) = -mu^((nu+1)/2) x^-nu J_{nu+1}(x); dlog = f'/f
-            with np.errstate(divide="ignore", invalid="ignore"):
-                lm = np.log(np.abs(vals))
-                der = np.where(x > 0, -math.sqrt(self.mu)
-                               * bessel_j(nu + 1.0, x) / bessel_j(nu, x), 0.0)
-            return sign, lm, der
-        return self.profile.eval_log(r)
-
 
 def constant_state(p, domain):
     """f == 1, i = 0, mu = 0 (harmonic)."""
-    _check_domain(domain)
-    return ModeState(params=p, i=0, mu=0.0, kind="constant",
-                     profile=None, domain=(float(domain[0]), float(domain[1])))
+
+    def radial_log(r):
+        r = np.asarray(r, dtype=float)
+        z = np.zeros_like(r)
+        return np.ones_like(r), z, z
+
+    return ModeState(params=p, i=0, mu=0.0, radial_log=radial_log,
+                     domain=_checked_domain(domain))
 
 
 def bessel_state(p, mu, domain):
     """Bounded radial branch, i = 0, mu > 0."""
-    _check_domain(domain)
+    domain = _checked_domain(domain)
     if not mu > 0:
         raise DomainValidationError("bessel_state needs mu > 0")
-    return ModeState(params=p, i=0, mu=float(mu), kind="bessel",
-                     profile=None, domain=(float(domain[0]), float(domain[1])))
+    mu = float(mu)
+    nu = (p.c - 1.0) / 2.0
+
+    def radial_log(r):
+        r = np.asarray(r, dtype=float)
+        x = r * math.sqrt(mu)
+        vals = radial_mode_zero(p, mu, r)
+        sign = np.sign(vals)
+        # f'(r) = -mu^((nu+1)/2) x^-nu J_{nu+1}(x); dlog = f'/f
+        with np.errstate(divide="ignore", invalid="ignore"):
+            lm = np.log(np.abs(vals))
+            der = np.where(x > 0, -math.sqrt(mu)
+                           * bessel_j(nu + 1.0, x) / bessel_j(nu, x), 0.0)
+        return sign, lm, der
+
+    return ModeState(params=p, i=0, mu=mu, domain=domain,
+                     radial_log=radial_log)
 
 
 def profile_state(profile, domain=None):
-    """State carried by a tip RadialProfile (i >= 1)."""
+    """State carried by a tip RadialProfile (i >= 1), on a domain inside
+    its range; the energy below the profile's r_min is bounded once, here."""
     if domain is None:
         domain = (profile.r_min, profile.r_max)
-    _check_domain(domain)
-    if domain[0] < profile.r_min * (1 - 1e-12) or \
-            domain[1] > profile.r_max * (1 + 1e-12):
-        raise DomainValidationError(
-            f"domain {domain} not contained in the profile range "
-            f"[{profile.r_min}, {profile.r_max}]")
-    return ModeState(params=profile.params, i=profile.i, mu=profile.mu,
-                     kind="profile", profile=profile,
-                     domain=(float(domain[0]), float(domain[1])))
+    domain = _checked_domain(domain)
+    check_in_range(domain, profile.r_min, profile.r_max, "profile_state domain")
+    state = ModeState(params=profile.params, i=profile.i, mu=profile.mu,
+                      domain=domain, radial_log=profile.eval_log,
+                      r_lo=profile.r_min)
+    return replace(state, tail=_tip_tail_bound(state, profile))
 
 
-def _check_domain(domain):
+def _checked_domain(domain):
     if not (len(domain) == 2 and 0 < domain[0] < domain[1]):
         raise DomainValidationError(f"invalid radial domain {domain}")
+    return float(domain[0]), float(domain[1])
 
 
 # ---------------------------------------------------------------------------
@@ -186,7 +184,7 @@ def _boundary_mass(state, r, radial):
 
 def elliptic_I(state, r):
     """Boundary mass I(r) = r^(1-n) w(r) f(r)^2 (log-space assembly)."""
-    _check_in_domain(state, r)
+    check_in_range(r, *state.domain, "state radius")
     r_arr = np.array([float(r)])
     return float(_boundary_mass(state, r_arr, state.radial_log(r_arr))[0])
 
@@ -218,16 +216,13 @@ def _bulk_integral(state, r_lo, r_hi, tol):
     return sign * math.exp(log_val)
 
 
-def _tip_tail_bound(state):
+def _tip_tail_bound(state, prof):
     """Certified bound on the energy integral below the profile window.
 
     Uses the fitted decay law of log|f| in r^-eps: below r_min the density
     is dominated by f(r_min)^2 w(r_min) r_min^(1+eps) (dlog^2 + V + |lam|)
     / (2 |slope| eps).
     """
-    if state.kind != "profile":
-        return 0.0
-    prof = state.profile
     fit = decay_exponent_fit(prof)
     if fit.slope >= 0:
         raise ConsistencyError("profile decay fit has non-negative slope")
@@ -244,24 +239,22 @@ def elliptic_E(state, r, tol=1e-10):
     energy envelope, and the tip tail below a profile window must be
     negligible; otherwise ConsistencyError.
     """
-    _check_in_domain(state, r)
+    check_in_range(r, *state.domain, "state radius")
     return _E_both(state, r, tol)[0]
 
 
 def _E_both(state, r, tol):
     """(bulk E, boundary E, energy scale) at r, cross-checked."""
-    r_lo = state.profile.r_min if state.kind == "profile" else 0.0
     r_arr = np.array([float(r)])
-    out = _checked_energy(state, r_arr, state.radial_log(r_arr), r_lo,
-                          np.array([_bulk_integral(state, r_lo, r, tol)]),
-                          _tip_tail_bound(state))
+    out = _checked_energy(state, r_arr, state.radial_log(r_arr),
+                          np.array([_bulk_integral(state, state.r_lo, r, tol)]))
     return tuple(float(v[0]) for v in out)
 
 
-def _checked_energy(state, r, radial, r_lo, bulk, tail):
+def _checked_energy(state, r, radial, bulk):
     """(bulk E, boundary E, energy scale) at radii r (array), from
-    radial = state.radial_log(r), the bulk integrals over [r_lo, r] and
-    the certified tip tail below r_lo.
+    radial = state.radial_log(r) and the bulk integrals over
+    [state.r_lo, r], against the certified tip tail state.tail below r_lo.
 
     The tail must be negligible against each bulk integral, and the two
     routes to E, the bulk form and the boundary form r^(2-n) w f f', must
@@ -270,12 +263,12 @@ def _checked_energy(state, r, radial, r_lo, bulk, tail):
     """
     p = state.params
     sign, lm, ld = radial
-    bad = tail > np.maximum(1e-9 * np.abs(bulk), 1e-300)
+    bad = state.tail > np.maximum(1e-9 * np.abs(bulk), 1e-300)
     if np.any(bad):
         k = int(np.argmax(bad))
         raise ConsistencyError(
             f"uncontrolled tip tail below the profile window at r={r[k]}: "
-            f"tail bound {tail} against bulk integral {bulk[k]}")
+            f"tail bound {state.tail} against bulk integral {bulk[k]}")
     log_pref = (2 - p.n) * np.log(r)
     pref = _exp(log_pref)
     E_bulk = pref * bulk
@@ -286,7 +279,7 @@ def _checked_energy(state, r, radial, r_lo, bulk, tail):
     env = _exp(_energy_density_log(state, abs(state.lam), r, radial)[1])
     # f^2 grows like exp(-2C r^-eps) toward r, so the envelope of the
     # density over [r_lo, r] peaks at r
-    scale = pref * env * (r - r_lo)
+    scale = pref * env * (r - state.r_lo)
     bad = np.abs(E_bulk - E_bdry) > 1e-6 * np.maximum(
         scale, np.maximum(np.abs(E_bulk), np.abs(E_bdry)))
     if np.any(bad):
@@ -294,13 +287,6 @@ def _checked_energy(state, r, radial, r_lo, bulk, tail):
         raise ConsistencyError(f"bulk/boundary energy mismatch at r={r[k]}: "
                                f"{E_bulk[k]} vs {E_bdry[k]}")
     return E_bulk, E_bdry, scale
-
-
-def _check_in_domain(state, r):
-    lo, hi = state.domain
-    if not (lo * (1 - 1e-12) <= r <= hi * (1 + 1e-12)):
-        raise DomainValidationError(
-            f"radius {r} outside the state domain [{lo}, {hi}]")
 
 
 def elliptic_scan(state, r_grid, tol=1e-10):
@@ -314,8 +300,7 @@ def elliptic_scan(state, r_grid, tol=1e-10):
     r_grid = np.asarray(r_grid, dtype=float)
     if r_grid.size < 1 or np.any(np.diff(r_grid) <= 0):
         raise DomainValidationError("r_grid must be strictly increasing")
-    _check_in_domain(state, r_grid[0])
-    _check_in_domain(state, r_grid[-1])
+    check_in_range(r_grid, *state.domain, "state radius")
 
     radial = state.radial_log(r_grid)
     I = _boundary_mass(state, r_grid, radial)
@@ -325,13 +310,11 @@ def elliptic_scan(state, r_grid, tol=1e-10):
     if np.any(nodal):
         raise ConsistencyError(
             f"nodal sphere: I vanishes at r = {r_grid[np.argmax(nodal)]}")
-    r_lo = state.profile.r_min if state.kind == "profile" else 0.0
-    segs = np.concatenate([[r_lo], r_grid])
+    segs = np.concatenate([[state.r_lo], r_grid])
     seg_tol = tol / max(1, r_grid.size)
     bulk = np.cumsum([_bulk_integral(state, a, b, seg_tol)
                       for a, b in zip(segs[:-1], segs[1:])])
-    E = _checked_energy(state, r_grid, radial, r_lo, bulk,
-                        _tip_tail_bound(state))[0]
+    E = _checked_energy(state, r_grid, radial, bulk)[0]
     return FrequencyScan(kind=_KIND_ELLIPTIC, scale=r_grid, I=I, ED=E,
                          UN=E / I)
 

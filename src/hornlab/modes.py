@@ -56,7 +56,7 @@ from scipy.interpolate import CubicHermiteSpline
 from .artifacts import write_csv
 from .errors import ConsistencyError, DomainValidationError
 from .geometry import measure_weight_log, sphere_eigenvalue
-from .numerics import fit_line, integrate_ode, quad_log
+from .numerics import check_in_range, fit_line, integrate_ode, quad_log
 
 
 def tip_exponent(p):
@@ -190,14 +190,10 @@ class TipDecaySolution:
     they are representable.
     """
 
-    def __init__(self, p, i, mu, span, nodes, log_k2, kappa2, q,
+    def __init__(self, span, rho, nodes, log_k2, kappa2, q,
                  tail_rel_uncertainty):
-        self.params = p
-        self.i = i
-        self.mu = mu
         self.span = span
-        self.r_mu = span[0]
-        self.rho = tip_rate(p, i)
+        self.rho = rho
         self._q = q
         self._nodes = nodes
         self._log_k2 = log_k2
@@ -215,16 +211,9 @@ class TipDecaySolution:
     def dvalue_at_rmu(self):
         return self._kappa2[0] * math.exp(self._log_k2[0])
 
-    def _check(self, s):
-        a, b = self.span
-        pad = 1e-12 * max(1.0, abs(b))
-        if np.any(np.asarray(s) < a - pad) or np.any(np.asarray(s) > b + pad):
-            raise DomainValidationError(
-                f"evaluation at s={s} outside span [{a}, {b}]")
-
     def log_eval(self, s):
         """(log k2, kappa2 = k2'/k2) at s (scalar or array)."""
-        self._check(s)
+        check_in_range(s, *self.span, "tip abscissa s")
         return self._logspl(s), self._kapspl(s)
 
     def eval(self, s):
@@ -233,9 +222,6 @@ class TipDecaySolution:
         v = np.exp(L)
         vp = kap * v
         return np.array([v, vp]), np.array([vp, self._q(s) * v])
-
-    def __call__(self, s):
-        return self.eval(s)
 
 
 # Hermite nodes of the decaying branch per unit of s (at least 400 intervals)
@@ -276,7 +262,7 @@ def solve_k2(p, i, mu, s_max, tol=1e-12):
     kappa2, lam = sol.states(nodes)
     log_k2 = lam - lam[0] - math.log(1.0 - kappa2[0])
 
-    k2 = TipDecaySolution(p, i, mu, (s_lo, s_max), nodes, log_k2, kappa2, q,
+    k2 = TipDecaySolution((s_lo, s_max), rho, nodes, log_k2, kappa2, q,
                           rel_unc)
     _verify_k2_sandwich(k2)
     return k2
@@ -331,11 +317,7 @@ class RadialProfile:
     def eval_log(self, r):
         """(sign, log|f|, d log|f|/dr) at r, scalar or array."""
         r = np.asarray(r, dtype=float)
-        pad = 1e-12 * max(1.0, self.r_max)
-        if np.any(r < self.r_min - pad) or np.any(r > self.r_max + pad):
-            raise DomainValidationError(
-                f"evaluation outside represented range "
-                f"[{self.r_min}, {self.r_max}]")
+        check_in_range(r, self.r_min, self.r_max, "represented radius")
         return self.evaluator(r)
 
     def to_csv(self, path):

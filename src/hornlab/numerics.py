@@ -24,6 +24,22 @@ from .errors import (DomainValidationError, IntegrationError, QuadratureError,
                      RootBracketError)
 
 # ---------------------------------------------------------------------------
+# Represented ranges
+# ---------------------------------------------------------------------------
+
+
+def check_in_range(x, lo, hi, name):
+    """The one range rule: DomainValidationError naming `name` and the value
+    unless every x lies in [lo, hi], with a slack of 1e-12 |bound| at each
+    end.  NaN lies in no range; an empty array passes."""
+    x = np.asarray(x, dtype=float)
+    a, b = lo - 1e-12 * abs(lo), hi + 1e-12 * abs(hi)
+    if x.size and not (x.min() >= a and x.max() <= b):
+        bad = x[~((x >= a) & (x <= b))].flat[0]
+        raise DomainValidationError(f"{name}={bad} must lie in [{lo}, {hi}]")
+
+
+# ---------------------------------------------------------------------------
 # Gamma and Bessel functions of real argument and order
 # ---------------------------------------------------------------------------
 
@@ -111,32 +127,20 @@ class DenseSolution:
     state.
     """
 
-    def __init__(self, field, sol, span, tolerance):
+    def __init__(self, field, sol, span):
         self._field = field
         self._sol = sol
         self.span = (float(span[0]), float(span[1]))
-        self.tolerance = float(tolerance)
-
-    def _check(self, x):
-        a, b = self.span
-        lo, hi = min(a, b), max(a, b)
-        pad = 1e-12 * max(1.0, abs(lo), abs(hi))
-        if np.any(np.asarray(x) < lo - pad) or np.any(np.asarray(x) > hi + pad):
-            raise DomainValidationError(
-                f"evaluation at x={x} outside span [{lo}, {hi}]")
 
     def eval(self, x):
-        self._check(x)
+        check_in_range(x, *sorted(self.span), "ODE abscissa")
         y = self._sol(x)
         return y, np.asarray(self._field(x, y))
 
     def states(self, xs):
         """Vectorized state evaluation on an array of abscissae."""
-        self._check(xs)
+        check_in_range(xs, *sorted(self.span), "ODE abscissa")
         return self._sol(np.asarray(xs, dtype=float))
-
-    def __call__(self, x):
-        return self.eval(x)
 
 
 def integrate_ode(field, span, y0, tol, dense=True):
@@ -160,7 +164,7 @@ def integrate_ode(field, span, y0, tol, dense=True):
             f"integration failed near x = {loc}: {res.message}", location=loc)
     if not dense:
         return res.y[:, -1]
-    return DenseSolution(field, res.sol, span, tol)
+    return DenseSolution(field, res.sol, span)
 
 
 # ---------------------------------------------------------------------------

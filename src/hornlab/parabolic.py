@@ -184,16 +184,14 @@ def check_ID_relation(u, R, h, tol=1e-12):
     return abs(I - fd) / scale
 
 
-def check_N_bound(u, R_grid, tol=1e-12, scan=None):
-    """Discrete check of (log N)'(R) >= -2 eps / R across a scan.
+def check_N_bound(u, scan):
+    """Discrete check of (log N)'(R) >= -2 eps / R across a scan of u.
 
     Returns (defect, C): defect is the largest violation of
     log N(R_{k+1}) - log N(R_k) >= -2 eps (log R_{k+1} - log R_k),
     C = max N(R) R^(2eps).  A state with N == 0 everywhere (u == 1)
     passes trivially with C = 0; N = 0 at isolated grid points is an error.
     """
-    if scan is None:
-        scan = parabolic_scan(u, R_grid, tol)
     if scan.scale.size < 3:
         raise DomainValidationError("check_N_bound needs >= 3 grid points")
     eps = u.params.eps
@@ -209,14 +207,12 @@ def check_N_bound(u, R_grid, tol=1e-12, scan=None):
     return defect, C
 
 
-def check_D_lower(u, R_grid, tol=1e-12, scan=None):
-    """Fit of log D against 1 - (R/R_top)^(-2eps).
+def check_D_lower(u, scan):
+    """Fit of log D against 1 - (R/R_top)^(-2eps) across a scan of u.
 
     A non-negative slope certifies D decays no faster than
     exp(-C R^(-2eps)) toward small scales.
     """
-    if scan is None:
-        scan = parabolic_scan(u, R_grid, tol)
     if scan.scale.size < 8:
         raise DomainValidationError("check_D_lower needs >= 8 grid points")
     eps = u.params.eps

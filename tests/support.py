@@ -116,8 +116,7 @@ def oracle_E_2d(state, r, p, tol=1e-11):
         zee = lam * f * f * sphere_quad(lambda th: phi1(th) ** 2)
         return (grad_r + grad_a + zee) * w
 
-    lo = state.profile.r_min if state.kind == "profile" else 0.0
-    val, _ = quad(radial_part, lo, r, epsabs=tol, epsrel=tol, limit=300)
+    val, _ = quad(radial_part, state.r_lo, r, epsabs=tol, epsrel=tol, limit=300)
     return r ** (2 - p.n) * val
 
 

@@ -143,7 +143,7 @@ def test_criterion_06_frequency_bounds(p_default, profile_i1_mu0,
 
     grid = np.geomspace(0.05, 0.5, 10)
     scan = parabolic_scan(series2, grid)
-    n_defect, n_C = check_N_bound(series2, grid, scan=scan)
+    n_defect, n_C = check_N_bound(series2, scan)
     nvals = scan.UN * grid ** (2 * p_default.eps)
     par_ok = n_defect <= 1e-6 and np.all(np.isfinite(nvals)) \
         and math.isfinite(n_C)
@@ -165,7 +165,7 @@ def test_criterion_07_lower_bounds(profile_i1_mu1, series2):
 
     grid = np.geomspace(0.02, 0.2, 10)
     scan_p = parabolic_scan(series2, grid)
-    fit_d = check_D_lower(series2, grid, scan=scan_p)
+    fit_d = check_D_lower(series2, scan_p)
     rng_d = np.log(scan_p.ED).max() - np.log(scan_p.ED).min()
 
     ok = fit_i.slope >= 0 and fit_i.max_residual <= 0.10 * rng_i \

@@ -112,6 +112,10 @@ def test_radial_mode_without_profile_is_config_error(tmp_path, command):
     ("eigs", "eigs.i", "0", "1"),
     ("modes", "mode.mu", "-1", "0"),
     ("heat", "heat.r_lo", "0.005", "0.00721"),
+    ("analyticity", "analyticity.r0", "3.0", "2.0]"),
+    ("analyticity", "analyticity.r0", "0.005", "0.00721"),
+    ("analyticity", "analyticity.r0", "NaN", "2.0]"),
+    ("demo-counterexample", "analyticity.r0", "NaN", "2.0]"),
     ("freq-elliptic", "freq.hi", "0.2", repr(tip_window_top(P_DEFAULT, 1.0))),
 ])
 def test_window_and_count_keys_are_config_errors(tmp_path, command, key,

@@ -81,6 +81,27 @@ def test_I_matches_product_quadrature(state_i1_mu1, p_default):
 def test_I_outside_domain(state_i1_mu1):
     with pytest.raises(DomainValidationError):
         elliptic_I(state_i1_mu1, 0.2)
+    with pytest.raises(DomainValidationError):
+        elliptic_I(state_i1_mu1, math.nan)
+
+
+def test_states_carry_bulk_floor_and_tail(profile_i1_mu1, p_default):
+    # a profile's bulk energy starts at its r_min, below which the tail is
+    # certified once; the closed-form states integrate from r = 0
+    st = profile_state(profile_i1_mu1)
+    assert st.r_lo == profile_i1_mu1.r_min
+    assert st.tail > 0.0
+    for st in (constant_state(p_default, (0.01, 2.0)),
+               bessel_state(p_default, 1.0, (0.01, 0.5))):
+        assert st.r_lo == st.tail == 0.0
+
+
+def test_profile_state_domain_inside_profile_range(profile_i1_mu1):
+    lo, hi = profile_i1_mu1.r_min, profile_i1_mu1.r_max
+    assert profile_state(profile_i1_mu1, (lo * (1 - 5e-13), hi)).domain[0] \
+        == lo * (1 - 5e-13)
+    with pytest.raises(DomainValidationError, match="profile_state domain"):
+        profile_state(profile_i1_mu1, (lo, hi * (1 + 1e-11)))
 
 
 # ---------------------------------------------------------------------------

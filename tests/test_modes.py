@@ -206,6 +206,32 @@ def test_profile_rejects_bad_window(p_default):
         profile_from_k2(p_default, 1, 1.0, 0.05, 8)
 
 
+@pytest.mark.parametrize("end", ["lo", "hi"])
+@pytest.mark.parametrize("evaluator", ["eval_log", "states", "log_eval"])
+def test_range_checks_share_one_rule(evaluator, end, profile_i1_mu1,
+                                     p_default):
+    # the profile, an ODE solution on a backward span and the decaying
+    # branch all accept a point 5e-13 |bound| past a nonzero end, and
+    # refuse one 1e-11 |bound| past it and NaN
+    if evaluator == "eval_log":
+        fn = profile_i1_mu1.eval_log
+        lo, hi = profile_i1_mu1.r_min, profile_i1_mu1.r_max
+    elif evaluator == "states":
+        fn = integrate_ode(lambda x, y: [y[1], -y[0]], (2.0, 0.5),
+                           [0.0, 1.0], 1e-10).states
+        lo, hi = 0.5, 2.0
+    else:
+        k2 = solve_k2(p_default, 1, 1.0, r_mu(p_default, 1.0) + 3.0)
+        fn, (lo, hi) = k2.log_eval, k2.span
+    bound, out = (lo, -1.0) if end == "lo" else (hi, 1.0)
+    mid = 0.5 * (lo + hi)
+    fn(np.array([mid, bound + out * 5e-13 * abs(bound)]))
+    with pytest.raises(DomainValidationError):
+        fn(np.array([mid, bound + out * 1e-11 * abs(bound)]))
+    with pytest.raises(DomainValidationError):
+        fn(np.array([mid, np.nan]))
+
+
 def test_profile_decay_slope_bracket(profile_i1_mu1, p_default):
     rho = tip_rate(p_default, 1)
     fit = decay_exponent_fit(profile_i1_mu1)

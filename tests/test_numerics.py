@@ -7,8 +7,8 @@ from support import (J0_FIRST_ZERO, oracle_besselj, oracle_bessely,
 
 from hornlab import (DomainValidationError, IntegrationError, QuadratureError,
                      RootBracketError, bessel_j, bessel_j_prime, bessel_y,
-                     bessel_y_prime, find_root_bracketed, fit_line,
-                     gamma_real, integrate_ode, quad_adaptive,
+                     bessel_y_prime, check_in_range, find_root_bracketed,
+                     fit_line, gamma_real, integrate_ode, quad_adaptive,
                      quad_adaptive_err, quad_log)
 
 
@@ -186,6 +186,23 @@ def test_ode_initial_condition_and_span():
         sol.eval(1.5)
     with pytest.raises(DomainValidationError):
         sol.eval(-0.1)
+
+
+def test_check_in_range_rule():
+    # slack 1e-12 |bound| at each end, none at a zero bound; NaN fails,
+    # an empty array passes, and the error names the value and the range
+    check_in_range(np.array([]), 1.0, 2.0, "x")
+    check_in_range(np.array([1.0 - 5e-13, 2.0 + 1e-12]), 1.0, 2.0, "x")
+    check_in_range(0.0, 0.0, 1.0, "x")
+    for bad in (1.0 - 2e-12, 2.0 + 3e-12, np.nan):
+        with pytest.raises(DomainValidationError):
+            check_in_range(np.array([1.5, bad, 1.5]), 1.0, 2.0, "x")
+    with pytest.raises(DomainValidationError, match=r"^x=nan must lie in"):
+        check_in_range(float("nan"), 1.0, 2.0, "x")
+    with pytest.raises(DomainValidationError, match=r"r0=3\.0 .*\[1\.0, 2\.0\]"):
+        check_in_range([1.5, 3.0], 1.0, 2.0, "r0")
+    with pytest.raises(DomainValidationError):
+        check_in_range(-1e-300, 0.0, 1.0, "x")
 
 
 def test_ode_failure_reports_location():

@@ -77,11 +77,11 @@ def test_unit_caloric_closed_form(p_default):
 def test_unit_caloric_identity_and_bounds(p_default):
     u = UnitCaloric(p_default)
     assert check_ID_relation(u, 0.2, 2e-4) <= 1e-9
-    grid = np.geomspace(0.05, 0.5, 10)
-    defect, C = check_N_bound(u, grid)
+    scan = parabolic_scan(u, np.geomspace(0.05, 0.5, 10))
+    defect, C = check_N_bound(u, scan)
     assert defect == 0.0
     assert C == 0.0
-    fit = check_D_lower(u, grid)
+    fit = check_D_lower(u, scan)
     assert fit.slope == pytest.approx(0.0, abs=1e-7)
 
 
@@ -154,11 +154,11 @@ def test_ID_relation_rejects_bad_h(series2):
 
 def test_N_bound_series(series2, p_default):
     grid = np.geomspace(0.05, 0.5, 10)
-    defect, C = check_N_bound(series2, grid)
+    scan = parabolic_scan(series2, grid)
+    defect, C = check_N_bound(series2, scan)
     assert defect <= 1e-3
     assert 0 < C < 20.0
     # N R^(2eps) bounded across the decade
-    scan = parabolic_scan(series2, grid)
     vals = scan.UN * grid ** (2 * p_default.eps)
     assert np.all(np.isfinite(vals)) and np.all(vals > 0)
 
@@ -167,21 +167,21 @@ def test_N_bound_single_lowest_mode(pairs8_rout2, p_default):
     # the lowest mode alone: N R^(2eps) bounded across a decade of scales
     from hornlab import make_caloric_series
     single = make_caloric_series(pairs8_rout2[:1], [1.0], t_min=0.002)
-    grid = np.geomspace(0.05, 0.5, 10)
-    defect, C = check_N_bound(single, grid)
+    scan = parabolic_scan(single, np.geomspace(0.05, 0.5, 10))
+    defect, C = check_N_bound(single, scan)
     assert defect <= 1e-6
     assert math.isfinite(C) and C > 0
 
 
 def test_D_lower_series(series2):
-    grid = np.geomspace(0.02, 0.2, 10)
-    fit = check_D_lower(series2, grid)
-    scan = parabolic_scan(series2, grid)
+    scan = parabolic_scan(series2, np.geomspace(0.02, 0.2, 10))
+    fit = check_D_lower(series2, scan)
     rng = np.log(scan.ED).max() - np.log(scan.ED).min()
     assert fit.slope >= 0.0
     assert fit.max_residual <= 0.10 * rng
     # slope stable under grid refinement
-    fit2 = check_D_lower(series2, np.geomspace(0.02, 0.2, 20))
+    fit2 = check_D_lower(series2,
+                         parabolic_scan(series2, np.geomspace(0.02, 0.2, 20)))
     assert abs(fit2.slope - fit.slope) <= 0.1 * abs(fit.slope)
 
 
