@@ -111,25 +111,47 @@ def load_config(path=None, overrides=()):
     return cfg
 
 
+def _is_number(x):
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+def _check_numbers(cfg, default, prefix=""):
+    """ConfigError naming the first leaf whose DEFAULT_CONFIG value is a
+    number (every default list is a list of numbers) and whose configured
+    value is not: a bool or a string is no number."""
+    for key, dflt in default.items():
+        name, value = prefix + key, cfg.get(key)
+        if isinstance(dflt, dict):
+            if not isinstance(value, dict):
+                raise ConfigError(f"{name} must be an object, got {value!r}")
+            _check_numbers(value, dflt, name + ".")
+        elif _is_number(dflt) and not _is_number(value):
+            raise ConfigError(f"{name}={value!r} must be a number")
+        elif isinstance(dflt, list) and not (
+                isinstance(value, list) and all(map(_is_number, value))):
+            raise ConfigError(f"{name}={value!r} must be a list of numbers")
+
+
 def _validate_config(cfg):
-    tol = cfg.get("tolerances", {})
+    _check_numbers(cfg, DEFAULT_CONFIG)
+    tol = cfg["tolerances"]
     for key in ("ode", "quad", "root"):
-        if not (isinstance(tol.get(key), (int, float)) and tol[key] > 0):
+        if not tol[key] > 0:
             raise ConfigError(f"tolerances.{key} must be positive")
-    fr = cfg.get("freq", {})
+    fr = cfg["freq"]
     for lo_k, hi_k, n_k in (("lo", "hi", "points"), ("R_lo", "R_hi", "R_points")):
-        if not fr.get(lo_k, 1) < fr.get(hi_k, 2):
+        if not fr[lo_k] < fr[hi_k]:
             raise ConfigError(f"freq.{lo_k} must be below freq.{hi_k}")
-        if not int(fr.get(n_k, 2)) >= 2:
+        if not int(fr[n_k]) >= 2:
             raise ConfigError(f"freq.{n_k} must be >= 2")
-    if fr.get("spacing", "log") not in ("log", "linear"):
+    if fr["spacing"] not in ("log", "linear"):
         raise ConfigError("freq.spacing must be 'log' or 'linear'")
-    heat = cfg.get("heat", {})
-    if not heat.get("t_list"):
+    heat = cfg["heat"]
+    if not heat["t_list"]:
         raise ConfigError("heat.t_list must be a non-empty list")
     if any(not t > 0 for t in heat["t_list"]):
         raise ConfigError("heat.t_list entries must be positive")
-    if not heat.get("r_lo", 1) < heat.get("r_hi", 2):
+    if not heat["r_lo"] < heat["r_hi"]:
         raise ConfigError("heat.r_lo must be below heat.r_hi")
     try:
         params_from_config(cfg)

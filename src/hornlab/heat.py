@@ -77,7 +77,7 @@ def _shoot(p, i, nu, r_out, tol):
 
     # the integrator holds errors relative to |theta|, which grows to about
     # k r_out; an eigenvalue needs theta's absolute error near tol (at tol
-    # itself, nu_11 for r_out = 1.6 is off by 5e-11 relative)
+    # itself, nu_11 for r_out = 1.6 is off by 8e-12 relative)
     theta = integrate_ode(fld, (r_sw, r_out), [math.atan2(k, dlog)],
                           tol / max(1.0, k * r_out), dense=False)
     return float(theta[0])

@@ -3,21 +3,24 @@
 Every kernel is a thin contract over scipy: real-order Bessel functions
 J_nu, Y_nu and their derivatives (scipy.special, after Amos, ACM TOMS
 Algorithm 644), the real Gamma function and its logarithm, ODE integration
-(DOP853, with dense output or the endpoint only), adaptive quadrature
-(QUADPACK) of linear integrands and composite Gauss-Legendre quadrature of
-log-represented ones, bracketed root finding (Brent) and line fitting.
+(DOP853 under one tolerance contract, with two backends: Hairer's compiled
+code when only the endpoint is needed, solve_ivp's port for dense output),
+adaptive quadrature (QUADPACK) of linear integrands and composite
+Gauss-Legendre quadrature of log-represented ones, bracketed root finding
+(Brent) and line fitting.
 The wrappers fix the domains and the error types, so every caller and test
 exercises the same surface, and an argument outside a function's domain
 raises DomainValidationError instead of returning nan.
 """
 
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import special
 from scipy.integrate import quad as _scipy_quad
-from scipy.integrate import solve_ivp
+from scipy.integrate import ode, solve_ivp
 from scipy.optimize import brentq
 
 from .errors import (DomainValidationError, IntegrationError, QuadratureError,
@@ -143,28 +146,72 @@ class DenseSolution:
         return self._sol(np.asarray(xs, dtype=float))
 
 
-def integrate_ode(field, span, y0, tol, dense=True):
-    """Adaptive explicit integration (8th order, embedded error estimate).
+_EPS = float(np.finfo(float).eps)
+_NO_STEP_BUDGET = 2**31 - 1  # the largest int32 step cap: no budget
 
-    Local error per unit step is controlled at `tol` (absolute and
-    relative).  Returns a DenseSolution on `span`; with dense=False it
-    returns only the state at span[1] as an array, which skips the extra
-    interpolation stages of every step (the steps themselves are the same).
-    Step-size underflow raises IntegrationError carrying the failure
-    location.
+
+def _call_field(x, y, field):
+    return field(x, y)
+
+
+def _no_dense_output(x, y):
+    return 1
+
+
+def integrate_ode(field, span, y0, tol, dense=True):
+    """Adaptive explicit integration: DOP853, the 8(5,3) Runge-Kutta pair
+    of Dormand and Prince with Hairer's error norm and step control.
+
+    Local error per unit step is controlled at `tol`, as rtol = tol and
+    atol = tol / 100, with no step budget and no stiffness interrupt; the
+    span may run backward.  Returns a DenseSolution on `span`; with
+    dense=False it returns only the state at span[1], as an array.
+
+    One contract, two backends.  The endpoint-only solve runs Hairer's
+    compiled DOP853 (scipy.integrate.ode), so no Python runs per step
+    beyond the field.  The dense solve runs solve_ivp's Python port of
+    the same method, because scipy exposes the continuous extension
+    (Hairer's CONTD8) only there.  Their step-size controllers differ in
+    detail, so the two endpoints agree within the tolerance, not bitwise.
+    Each backend honours tolerances down to its own floor, 10 eps compiled
+    and 100 eps in solve_ivp (which raises a smaller rtol to it with only
+    a warning); a smaller tol raises DomainValidationError.  Step-size
+    underflow raises IntegrationError carrying the failure location.
     """
-    if not tol > 0:
-        raise DomainValidationError("integrate_ode needs tol > 0")
-    res = solve_ivp(field, span, np.atleast_1d(np.asarray(y0, dtype=float)),
-                    method="DOP853", rtol=tol, atol=tol * 1e-2,
-                    dense_output=dense)
-    if res.status != 0 or not res.success:
-        loc = res.t[-1] if res.t.size else span[0]
+    floor = (100.0 if dense else 10.0) * _EPS
+    if not tol >= floor:
+        raise DomainValidationError(
+            f"integrate_ode needs tol >= {floor:.3g} "
+            f"({'dense' if dense else 'endpoint-only'} solve), got tol={tol}")
+    y0 = np.atleast_1d(np.asarray(y0, dtype=float))
+    if dense:
+        res = solve_ivp(field, span, y0, method="DOP853", rtol=tol,
+                        atol=tol * 1e-2, dense_output=True)
+        if res.status != 0 or not res.success:
+            loc = res.t[-1] if res.t.size else span[0]
+            raise IntegrationError(
+                f"integration failed near x = {loc}: {res.message}",
+                location=loc)
+        return DenseSolution(field, res.sol, span)
+    solver = ode(_call_field).set_integrator(
+        "dop853", rtol=tol, atol=tol * 1e-2, nsteps=_NO_STEP_BUDGET)
+    solver.set_f_params(field).set_initial_value(y0, span[0])
+    dop = solver._integrator
+    dop.iwork[3] = -1  # Hairer's IWORK(4) < 0: no stiffness test
+    # the compiled runner leaks a reference to each callable it is handed,
+    # so it gets module-level ones: the field rides as an extra argument,
+    # and the dense-output callback (never called at iout = 0) replaces the
+    # integrator's bound method, which would keep the integrator alive
+    dop.call_args[2] = _no_dense_output
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # raised below instead
+        y = solver.integrate(span[1])
+    code = solver.get_return_code()
+    if code < 0:
         raise IntegrationError(
-            f"integration failed near x = {loc}: {res.message}", location=loc)
-    if not dense:
-        return res.y[:, -1]
-    return DenseSolution(field, res.sol, span)
+            f"integration failed near x = {solver.t}: "
+            f"{dop.messages.get(code, f'istate {code}')}", location=solver.t)
+    return y
 
 
 # ---------------------------------------------------------------------------

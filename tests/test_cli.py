@@ -128,6 +128,28 @@ def test_window_and_count_keys_are_config_errors(tmp_path, command, key,
     assert key in man["error"] and bound in man["error"]
 
 
+@pytest.mark.parametrize("command, assignment, message", [
+    ("analyticity", "analyticity.r0=abc", "analyticity.r0='abc' must be a number"),
+    ("freq-elliptic", "freq.lo=abc", "freq.lo='abc' must be a number"),
+    ("modes", "mode.r_min=abc", "mode.r_min='abc' must be a number"),
+    ("eigs", "eigs.count=true", "eigs.count=True must be a number"),
+    ("heat", 'heat.t_list=[0.5, "x"]',
+     "heat.t_list=[0.5, 'x'] must be a list of numbers"),
+    ("heat", "heat.coeffs=1.0", "heat.coeffs=1.0 must be a list of numbers"),
+])
+def test_non_numeric_values_are_config_errors(tmp_path, capsys, command,
+                                              assignment, message):
+    # a leaf whose default is a number (or a list of numbers) must be one:
+    # the config error names the key before any computation
+    with pytest.raises(ConfigError) as err:
+        load_config(None, [assignment])
+    assert str(err.value) == message
+    code = main([command, "--out", str(tmp_path), "--set", assignment])
+    assert code == EXIT_CONFIG
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "manifest.json").exists()
+
+
 def test_numerical_error_writes_manifest(tmp_path):
     # at n=2, N=3 the tip tail below the default profile window is not
     # negligible: a numerical failure inside the pipeline

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -48,6 +49,19 @@ def test_prufer_angle_counts_eigenvalues_exactly(pairs8_rout2, p_default):
     thetas = [heat._shoot(p_default, 1, nu, 2.0, 1e-12) for nu in trials]
     assert [math.floor(th / math.pi) for th in thetas] == list(range(8))
     assert all(b > a for a, b in zip(thetas, thetas[1:]))
+
+
+def test_shot_tolerance_below_solve_ivp_floor(p_default):
+    # near nu_30 the shot's ODE tolerance tol / (k r_out) is 9.3e-15, below
+    # the dense backend's 100 eps floor but above the compiled one's 10 eps:
+    # the endpoint-only solve honours it without a warning and agrees with
+    # a looser shot
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        theta = heat._shoot(p_default, 2, 2896.0, 2.0, 1e-12)
+    assert math.floor(theta / math.pi) == 29
+    assert theta == pytest.approx(heat._shoot(p_default, 2, 2896.0, 2.0, 1e-11),
+                                  rel=0.0, abs=1e-10)
 
 
 def test_eigensearch_budget_names_index(p_default, monkeypatch):

@@ -1,4 +1,7 @@
+import gc
 import math
+import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -161,8 +164,10 @@ def test_ode_trig_exp_accuracy_scaling():
 
 
 def test_ode_endpoint_only_matches_dense():
-    # same steps without the interpolation stages: the same endpoint state
-    # from fewer field evaluations
+    # the compiled endpoint-only solve and the dense solve both reach the
+    # exact state within 100 tol, agree with each other as closely, and the
+    # endpoint-only solve spends fewer field evaluations
+    tol = 1e-10
     calls = {"dense": 0, "end": 0}
 
     def field(key):
@@ -171,12 +176,72 @@ def test_ode_endpoint_only_matches_dense():
             return [y[1], -y[0]]
         return fld
 
-    sol = integrate_ode(field("dense"), (0.0, 10.0), [1.0, 0.0], 1e-10)
-    end = integrate_ode(field("end"), (0.0, 10.0), [1.0, 0.0], 1e-10,
+    sol = integrate_ode(field("dense"), (0.0, 10.0), [1.0, 0.0], tol)
+    end = integrate_ode(field("end"), (0.0, 10.0), [1.0, 0.0], tol,
                         dense=False)
     assert isinstance(end, np.ndarray) and end.shape == (2,)
-    assert np.array_equal(end, sol.states(np.array([10.0]))[:, 0])
+    exact = np.array([math.cos(10.0), -math.sin(10.0)])
+    dense_end = sol.states(np.array([10.0]))[:, 0]
+    assert np.allclose(end, exact, rtol=0.0, atol=100 * tol)
+    assert np.allclose(dense_end, exact, rtol=0.0, atol=100 * tol)
+    assert np.allclose(end, dense_end, rtol=0.0, atol=100 * tol)
     assert calls["end"] < calls["dense"]
+
+
+def test_ode_endpoint_only_backward_span():
+    # a decreasing span, as tip_anchor integrates from s_far down to s_lo
+    tol = 1e-10
+    end = integrate_ode(lambda x, y: [y[1], -y[0]], (10.0, 0.5),
+                        [math.cos(10.0), -math.sin(10.0)], tol, dense=False)
+    assert np.allclose(end, [math.cos(0.5), -math.sin(0.5)], rtol=0.0,
+                       atol=100 * tol)
+
+
+def test_ode_endpoint_only_has_no_stiffness_interrupt():
+    # about 3200 accepted steps held at the stability limit: Hairer's
+    # stiffness test would stop this solve after 1000, the dense backend
+    # has none, and the contract has no step budget
+    lam, tol = 1e5, 1e-6
+    end = integrate_ode(lambda x, y: [-lam * (y[0] - math.cos(x))],
+                        (0.0, 0.2), [1.0], tol, dense=False)
+    exact = ((lam * lam * math.cos(0.2) + lam * math.sin(0.2)
+              + math.exp(-lam * 0.2)) / (lam * lam + 1.0))
+    assert end[0] == pytest.approx(exact, abs=100 * tol)
+
+
+def test_ode_endpoint_only_keeps_nothing_alive():
+    # scipy's compiled runner leaks a reference to each callable it is
+    # handed; neither the field nor the integrator may outlive the solve
+    from scipy.integrate._ode import dop853
+
+    class Field:
+        def __call__(self, x, y):
+            return [y[1], -y[0]]
+
+    def integrators():
+        gc.collect()
+        return sum(isinstance(o, dop853) for o in gc.get_objects())
+
+    before = integrators()
+    fld = Field()
+    ref = weakref.ref(fld)
+    for _ in range(10):
+        integrate_ode(fld, (0.0, 1.0), [1.0, 0.0], 1e-10, dense=False)
+    del fld
+    assert integrators() == before
+    assert ref() is None
+
+
+@pytest.mark.parametrize("dense, floor", [(True, 100), (False, 10)])
+def test_ode_tolerance_floor_is_refused(dense, floor):
+    # each backend honours tolerances down to its floor in units of eps
+    # and refuses a smaller one instead of clamping it
+    eps = np.finfo(float).eps
+    fld = lambda x, y: [y[1], -y[0]]  # noqa: E731
+    integrate_ode(fld, (0.0, 1.0), [1.0, 0.0], floor * eps, dense=dense)
+    with pytest.raises(DomainValidationError, match="tol="):
+        integrate_ode(fld, (0.0, 1.0), [1.0, 0.0], 0.9 * floor * eps,
+                      dense=dense)
 
 
 def test_ode_initial_condition_and_span():
@@ -210,6 +275,17 @@ def test_ode_failure_reports_location():
     with pytest.raises(IntegrationError) as err:
         integrate_ode(lambda x, y: y * y, (0.0, 2.0), [1.0], 1e-10)
     assert err.value.location is not None
+    assert 0.9 <= err.value.location <= 2.0
+
+
+def test_ode_endpoint_only_failure_reports_location():
+    # the compiled backend's failure is an IntegrationError at the failure
+    # location, and its UserWarning does not escape
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(IntegrationError) as err:
+            integrate_ode(lambda x, y: y * y, (0.0, 2.0), [1.0], 1e-10,
+                          dense=False)
     assert 0.9 <= err.value.location <= 2.0
 
 
