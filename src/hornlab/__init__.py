@@ -17,25 +17,23 @@ from .elliptic import (FrequencyScan, ModeState, bessel_state,
 from .errors import (ConfigError, ConsistencyError, DomainValidationError,
                      EigenSearchError, HornError, IntegrationError,
                      QuadratureError, RootBracketError)
-from .geometry import (HornParams, angular_coupling, hess_r2_multipliers,
-                       laplacian_radial_power, make_horn_params,
+from .geometry import (HornParams, angular_coupling, make_horn_params,
                        measure_weight, measure_weight_log, sphere_area,
                        sphere_eigenvalue)
 from .heat import (CaloricSeries, EigenPair, analyticity_probe,
                    caloric_decay_check, coefficients_from_initial,
-                   dirichlet_eigenvalues, evaluate_caloric,
-                   make_caloric_series, tail_bound, time_derivative,
-                   weyl_check)
+                   dirichlet_eigenvalues, make_caloric_series, tail_bound,
+                   time_derivative, weyl_check)
 from .modes import (RadialProfile, decay_exponent_fit, normalization_bound,
                     profile_from_k2, r_mu, radial_mode_zero, solve_k1,
-                    solve_k2, tip_bracket, tip_exponent, tip_rate)
+                    solve_k2, tip_exponent, tip_rate)
 from .numerics import (DenseSolution, LineFit, bessel_j, bessel_j_prime,
                        bessel_y, bessel_y_prime, check_in_range,
                        find_root_bracketed, fit_line, gamma_real,
-                       integrate_ode, lgamma_real, quad_adaptive,
-                       quad_adaptive_err, quad_log)
-from .parabolic import (BackwardKernel, ModeCaloric, UnitCaloric,
-                        check_D_lower, check_ID_relation, check_N_bound,
-                        kernel_log, parabolic_IDN, parabolic_scan)
+                       integrate_ode, lgamma_real, quad_adaptive_err,
+                       quad_log)
+from .parabolic import (ModeCaloric, UnitCaloric, check_D_lower,
+                        check_ID_relation, check_N_bound, kernel_log,
+                        parabolic_IDN, parabolic_scan)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -16,6 +16,7 @@ stage if any) is always written, even when the run fails.  Exit codes:
 import argparse
 import copy
 import json
+import math
 import os
 import platform
 import sys
@@ -115,21 +116,38 @@ def _is_number(x):
     return isinstance(x, (int, float)) and not isinstance(x, bool)
 
 
+# Windows that _check_window holds to a computed range when their pipeline
+# runs; a NaN or an infinity fails there, with the range in the message.
+_WINDOWS = {"freq.lo", "freq.hi", "heat.r_lo", "heat.r_hi", "analyticity.r0"}
+
+
 def _check_numbers(cfg, default, prefix=""):
     """ConfigError naming the first leaf whose DEFAULT_CONFIG value is a
     number (every default list is a list of numbers) and whose configured
-    value is not: a bool or a string is no number."""
+    value is not a finite one (windows aside): a bool or a string is no
+    number.  A leaf whose default is an int must be integral, and is
+    stored as an int.  (abs(x) < inf, unlike math.isfinite, also takes an
+    int past float range.)"""
     for key, dflt in default.items():
         name, value = prefix + key, cfg.get(key)
         if isinstance(dflt, dict):
             if not isinstance(value, dict):
                 raise ConfigError(f"{name} must be an object, got {value!r}")
             _check_numbers(value, dflt, name + ".")
-        elif _is_number(dflt) and not _is_number(value):
-            raise ConfigError(f"{name}={value!r} must be a number")
-        elif isinstance(dflt, list) and not (
-                isinstance(value, list) and all(map(_is_number, value))):
-            raise ConfigError(f"{name}={value!r} must be a list of numbers")
+        elif _is_number(dflt):
+            if not _is_number(value):
+                raise ConfigError(f"{name}={value!r} must be a number")
+            if not (abs(value) < math.inf or name in _WINDOWS):
+                raise ConfigError(f"{name}={value!r} must be finite")
+            if isinstance(dflt, int):
+                if value != int(value):
+                    raise ConfigError(f"{name}={value!r} must be an integer")
+                cfg[key] = int(value)
+        elif isinstance(dflt, list):
+            if not (isinstance(value, list) and all(map(_is_number, value))):
+                raise ConfigError(f"{name}={value!r} must be a list of numbers")
+            if not all(abs(v) < math.inf for v in value):
+                raise ConfigError(f"{name}={value!r} must be finite")
 
 
 def _validate_config(cfg):
@@ -139,11 +157,18 @@ def _validate_config(cfg):
         if not tol[key] > 0:
             raise ConfigError(f"tolerances.{key} must be positive")
     fr = cfg["freq"]
-    for lo_k, hi_k, n_k in (("lo", "hi", "points"), ("R_lo", "R_hi", "R_points")):
+    for lo_k, hi_k in (("lo", "hi"), ("R_lo", "R_hi")):
         if not fr[lo_k] < fr[hi_k]:
             raise ConfigError(f"freq.{lo_k} must be below freq.{hi_k}")
-        if not int(fr[n_k]) >= 2:
-            raise ConfigError(f"freq.{n_k} must be >= 2")
+    for block, key in (("freq", "lo"), ("freq", "R_lo"), ("analyticity", "t0")):
+        if not cfg[block][key] > 0:
+            raise ConfigError(f"{block}.{key}={cfg[block][key]} must be > 0")
+    # the scans' lower-bound fits, the caloric decay fit and the Taylor
+    # radius window each need at least 8 rows or terms
+    for block, key in (("freq", "points"), ("freq", "R_points"),
+                       ("heat", "points"), ("analyticity", "kmax")):
+        if not cfg[block][key] >= 8:
+            raise ConfigError(f"{block}.{key}={cfg[block][key]} must be >= 8")
     if fr["spacing"] not in ("log", "linear"):
         raise ConfigError("freq.spacing must be 'log' or 'linear'")
     heat = cfg["heat"]
@@ -168,15 +193,15 @@ def _check_window(cfg, block, keys, lo, hi, what):
     NaN) by the evaluators' rule, check_in_range, and saying `what` it is."""
     for key in keys:
         try:
-            check_in_range(float(cfg[block][key]), lo, hi, f"{block}.{key}")
+            check_in_range(cfg[block][key], lo, hi, f"{block}.{key}")
         except DomainValidationError as exc:
             raise ConfigError(f"{exc}, {what}") from exc
 
 
 def _grid(lo, hi, points, spacing):
     if spacing == "log":
-        return np.geomspace(lo, hi, int(points))
-    return np.linspace(lo, hi, int(points))
+        return np.geomspace(lo, hi, points)
+    return np.linspace(lo, hi, points)
 
 
 # ---------------------------------------------------------------------------
@@ -186,27 +211,26 @@ def _grid(lo, hi, points, spacing):
 
 def _mode_profile(cfg, p):
     m = cfg["mode"]
-    if not float(m["mu"]) >= 0:
+    if not m["mu"] >= 0:
         raise ConfigError(f"mode.mu={m['mu']} must be >= 0")
-    if int(m["i"]) < 1:
+    if m["i"] < 1:
         raise ConfigError(
             f"mode.i={m['i']} with mode.mu={m['mu']} has no decaying tip "
             "profile: modes needs mode.i >= 1, and freq-elliptic takes "
             "mode.i >= 1 or the constant state mode.i=0, mode.mu=0")
-    top = tip_window_top(p, float(m["mu"]))
-    if not 0 < float(m["r_min"]) < top:
+    top = tip_window_top(p, m["mu"])
+    if not 0 < m["r_min"] < top:
         raise ConfigError(f"mode.r_min={m['r_min']} must lie in (0, {top}), "
                           f"below the tip window top at mode.mu={m['mu']}")
-    if int(m["n_grid"]) < 16:
+    if m["n_grid"] < 16:
         raise ConfigError(f"mode.n_grid={m['n_grid']} must be >= 16")
-    return profile_from_k2(p, int(m["i"]), float(m["mu"]), float(m["r_min"]),
-                           n_grid=int(m["n_grid"]),
+    return profile_from_k2(p, m["i"], m["mu"], m["r_min"], n_grid=m["n_grid"],
                            tol=min(cfg["tolerances"]["ode"], 1e-11))
 
 
 def _elliptic_state(cfg, p):
     m = cfg["mode"]
-    if int(m["i"]) == 0 and float(m["mu"]) == 0.0:
+    if m["i"] == 0 and m["mu"] == 0:
         fr = cfg["freq"]
         return constant_state(p, (fr["lo"] * 0.5, fr["hi"] * 2.0))
     return profile_state(_mode_profile(cfg, p))
@@ -260,9 +284,9 @@ def _parabolic_state(cfg, p, out, artifacts):
     # or states with a genuine cap condition, so i >= 1 runs go through the
     # Dirichlet series rather than a bare profile window
     m = cfg["mode"]
-    if int(m["i"]) == 0 and float(m["mu"]) == 0.0:
+    if m["i"] == 0 and m["mu"] == 0:
         return UnitCaloric(p)
-    if int(m["i"]) == 0:
+    if m["i"] == 0:
         raise ConfigError(
             "freq-parabolic supports the unit caloric state (i=0, mu=0) or "
             "Dirichlet series with i >= 1")
@@ -300,16 +324,15 @@ def _run_freq_parabolic(cfg, p, out, artifacts, state=None):
 
 def _run_eigs(cfg, p, out, artifacts):
     e = cfg["eigs"]
-    if int(e["i"]) < 1:
+    if e["i"] < 1:
         raise ConfigError(f"eigs.i={e['i']} must be >= 1")
     top = tip_window_top(p, 0.0)
-    if not float(e["r_out"]) > top:
+    if not e["r_out"] > top:
         raise ConfigError(f"eigs.r_out={e['r_out']} must exceed the tip "
                           f"window top {top}")
-    if int(e["count"]) < 1:
+    if e["count"] < 1:
         raise ConfigError(f"eigs.count={e['count']} must be >= 1")
-    pairs = dirichlet_eigenvalues(p, int(e["i"]), float(e["r_out"]),
-                                  int(e["count"]),
+    pairs = dirichlet_eigenvalues(p, e["i"], e["r_out"], e["count"],
                                   tol=min(cfg["tolerances"]["ode"], 1e-12),
                                   root_rel=min(cfg["tolerances"]["root"], 1e-10))
     path = os.path.join(out, "eigs.csv")
@@ -340,21 +363,21 @@ def _run_heat(cfg, p, out, artifacts, pairs=None):
     h = cfg["heat"]
     _check_window(cfg, "heat", ("r_lo", "r_hi"), *series.r_support,
                   "the range every eigenfunction represents")
-    r_grid = np.geomspace(float(h["r_lo"]), float(h["r_hi"]), int(h["points"]))
+    r_grid = np.geomspace(h["r_lo"], h["r_hi"], h["points"])
     rows = []
     slopes = {}
     for t in h["t_list"]:
-        sF, lF, _, _ = series.slice_log(r_grid, float(t))
+        sF, lF, _, _ = series.slice_log(r_grid, t)
         rows.extend((float(r), float(t), int(s), float(L))
                     for r, s, L in zip(r_grid, sF, lF))
-        fit = caloric_decay_check(series, r_grid, float(t))
+        fit = caloric_decay_check(series, r_grid, t)
         slopes[str(t)] = {"slope": fit.slope, "residual": fit.max_residual}
     path = os.path.join(out, "heat.csv")
     write_csv(path, ["r", "t", "sign", "log_mag"], rows)
     artifacts.append(path)
     return {"decay_by_t": slopes,
             "tail_certificate": series.tail_certificate,
-            "truncation": series.truncation}, series
+            "truncation": len(series.pairs)}, series
 
 
 def _run_analyticity(cfg, p, out, artifacts, series=None):
@@ -364,7 +387,7 @@ def _run_analyticity(cfg, p, out, artifacts, series=None):
     a = cfg["analyticity"]
     _check_window(cfg, "analyticity", ("r0",), *series.r_support,
                   "the range every eigenfunction represents")
-    r0, t0, kmax = float(a["r0"]), float(a["t0"]), int(a["kmax"])
+    r0, t0, kmax = a["r0"], a["t0"], a["kmax"]
     log_ak = taylor_coefficients(series, r0, t0, kmax)
     report = {"t0": t0, "r0": r0, "kmax": kmax,
               "fitted_radius": taylor_radius(log_ak),

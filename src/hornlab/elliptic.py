@@ -240,15 +240,10 @@ def elliptic_E(state, r, tol=1e-10):
     negligible; otherwise ConsistencyError.
     """
     check_in_range(r, *state.domain, "state radius")
-    return _E_both(state, r, tol)[0]
-
-
-def _E_both(state, r, tol):
-    """(bulk E, boundary E, energy scale) at r, cross-checked."""
     r_arr = np.array([float(r)])
-    out = _checked_energy(state, r_arr, state.radial_log(r_arr),
-                          np.array([_bulk_integral(state, state.r_lo, r, tol)]))
-    return tuple(float(v[0]) for v in out)
+    bulk = np.array([_bulk_integral(state, state.r_lo, r, tol)])
+    return float(_checked_energy(state, r_arr, state.radial_log(r_arr),
+                                 bulk)[0][0])
 
 
 def _checked_energy(state, r, radial, bulk):

@@ -44,13 +44,9 @@ class HornParams:
     eta: float
     c: float
 
-    def to_json(self):
-        return {"n": self.n, "N": self.bigN, "eps": self.eps, "eta": self.eta}
-
     @staticmethod
     def from_json(obj):
-        return make_horn_params(int(obj["n"]), float(obj["N"]),
-                                float(obj["eps"]), float(obj["eta"]))
+        return make_horn_params(obj["n"], obj["N"], obj["eps"], obj["eta"])
 
 
 def drift_exponent(n, bigN, eps, eta):
@@ -101,24 +97,6 @@ def measure_weight_log(p, r):
     _check_positive("measure_weight_log", r)
     log_r = np.log(r) if isinstance(r, np.ndarray) else math.log(r)
     return (1 - p.n) * math.log(2.0) + p.c * log_r
-
-
-def laplacian_radial_power(p, alpha):
-    """Coefficient q(alpha) with  L r^alpha = q(alpha) * r^(alpha-2).
-
-    q(alpha) = alpha (alpha + c - 1); the roots are 0 and 1 - c.
-    """
-    return alpha * (alpha + p.c - 1.0)
-
-
-def hess_r2_multipliers(p):
-    """Hessian of r^2: (radial, spherical) multipliers (2, 2(1+eps)).
-
-    Hess(r^2) = 2 dr (x) dr + 2(1+eps) * warp^2 * g_sphere; the spherical
-    multiplier exceeds the radial one by exactly 2 eps, which is the whole
-    source of the frequency drift on the horn.
-    """
-    return 2.0, 2.0 * (1.0 + p.eps)
 
 
 def angular_coupling(p, r):

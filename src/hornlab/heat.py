@@ -254,7 +254,7 @@ def _build_pair(p, i, nu, r_out, tol):
     # the grid marks the cap, the seam and the bottom of the tip branch
     g = RadialProfile(params=p, i=i, mu=nu,
                       s_grid=np.array([r_out ** -p.eps, s_lo, tip.s_grid[-1]]),
-                      s_sandwich=s_lo, evaluator=evaluator)
+                      evaluator=evaluator)
 
     mx = float(np.max(np.abs(f_nodes)))
     norm_defect = abs(f_nodes[-1]) / mx
@@ -333,7 +333,6 @@ class CaloricSeries:
 
     pairs: list
     coeffs: np.ndarray
-    truncation: int
     tail_certificate: float
 
     @property
@@ -343,10 +342,6 @@ class CaloricSeries:
     @property
     def sphere_index(self):
         return self.pairs[0].mode_index
-
-    @property
-    def sphere_factor(self):
-        return 1.0
 
     @property
     def r_support(self):
@@ -390,12 +385,14 @@ def make_caloric_series(pairs, coeffs, t_min):
     coeffs = np.asarray(coeffs, dtype=float)
     if coeffs.size != len(pairs):
         raise DomainValidationError("one coefficient per pair required")
-    cap = float(np.max(np.abs(coeffs))) if coeffs.size else 1.0
-    cap = cap if cap > 0 else 1.0
+    if not np.all(np.isfinite(coeffs)):
+        raise DomainValidationError(
+            f"caloric series coefficients must be finite, got {coeffs}")
+    cap = float(np.max(np.abs(coeffs))) or 1.0
     p = pairs[0].g.params
     cert = tail_bound(pairs, len(pairs), t_min, p, coeff_cap=cap)
     return CaloricSeries(pairs=list(pairs), coeffs=coeffs,
-                         truncation=len(pairs), tail_certificate=cert)
+                         tail_certificate=cert)
 
 
 def coefficients_from_initial(pairs, fn, tol=1e-10):
@@ -414,13 +411,6 @@ def coefficients_from_initial(pairs, fn, tol=1e-10):
         val, _ = quad_adaptive_err(integrand, lo, hi, tol)
         out.append(val)
     return np.array(out)
-
-
-def evaluate_caloric(series, r, t):
-    """(sign, log-magnitude) of the truncated series at (r, t), t > 0."""
-    if not t > 0:
-        raise DomainValidationError("evaluate_caloric needs t > 0")
-    return time_derivative(series, 0, r, t)
 
 
 def time_derivative(series, k, r, t):

@@ -92,11 +92,6 @@ def tip_window_top(p, mu):
     return r_mu(p, mu) ** (-1.0 / p.eps)
 
 
-def tip_bracket(p, mu, s):
-    """A s^-2 - (mu/eps^2) s^(-2/eps-2); in [0, 1] for s >= r_mu."""
-    return _q_factory(p, 0, mu)(s)
-
-
 def _tip_log(p, s, r, log_k, kappa):
     """(log f, d log f/dr) of f(r) = k(s) s^beta at s = r^-eps, from
     log k(s) and kappa = d log k/ds."""
@@ -196,20 +191,10 @@ class TipDecaySolution:
         self.rho = rho
         self._q = q
         self._nodes = nodes
-        self._log_k2 = log_k2
-        self._kappa2 = kappa2
         # Hermite data: d/ds log k2 = kappa2, d/ds kappa2 = q - kappa2^2
         self._logspl = CubicHermiteSpline(nodes, log_k2, kappa2)
         self._kapspl = CubicHermiteSpline(nodes, kappa2, q(nodes) - kappa2 ** 2)
         self.tail_rel_uncertainty = tail_rel_uncertainty
-
-    @property
-    def value_at_rmu(self):
-        return math.exp(self._log_k2[0])
-
-    @property
-    def dvalue_at_rmu(self):
-        return self._kappa2[0] * math.exp(self._log_k2[0])
 
     def log_eval(self, s):
         """(log k2, kappa2 = k2'/k2) at s (scalar or array)."""
@@ -296,16 +281,13 @@ class RadialProfile:
     is the one route to the mode's values.  The grid is carried in the
     transformed abscissa s = r^-eps (increasing s means approaching the
     tip); it fixes the represented range [r_min, r_max], and sign / log_mag
-    / log_deriv are the evaluator's values on it.  s_sandwich marks the part
-    of the range (s >= s_sandwich) on which the two-sided tip bounds apply;
-    for profiles built from the decaying branch that is the whole range.
+    / log_deriv are the evaluator's values on it.
     """
 
     params: object
     i: int
     mu: float
     s_grid: np.ndarray
-    s_sandwich: float
     evaluator: object = field(repr=False)
 
     def __post_init__(self):
@@ -359,7 +341,7 @@ def profile_from_k2(p, i, mu, r_min, n_grid=64, tol=1e-12):
 
     return RadialProfile(params=p, i=i, mu=mu,
                          s_grid=np.linspace(s_lo, s_max, n_grid),
-                         s_sandwich=s_lo, evaluator=evaluator)
+                         evaluator=evaluator)
 
 
 def radial_mode_zero(p, mu, r):

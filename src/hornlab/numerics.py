@@ -222,9 +222,10 @@ def integrate_ode(field, span, y0, tol, dense=True):
 def quad_adaptive_err(f, a, b, tol):
     """Adaptive quadrature returning (value, error bound)."""
     if not a < b:
-        raise DomainValidationError(f"quad_adaptive needs a < b, got [{a}, {b}]")
+        raise DomainValidationError(
+            f"quad_adaptive_err needs a < b, got [{a}, {b}]")
     if not tol > 0:
-        raise DomainValidationError("quad_adaptive needs tol > 0")
+        raise DomainValidationError("quad_adaptive_err needs tol > 0")
     out = _scipy_quad(f, a, b, epsabs=tol, epsrel=tol, limit=300, full_output=1)
     val, err = out[0], out[1]
     if len(out) > 3:  # an explanation message is present: budget exhausted
@@ -236,11 +237,6 @@ def quad_adaptive_err(f, a, b, tol):
             f"quadrature error bound {err} exceeds requested tolerance {tol}",
             estimate=val, bound=err)
     return val, err
-
-
-def quad_adaptive(f, a, b, tol):
-    """Adaptive quadrature with absolute-or-relative error <= tol."""
-    return quad_adaptive_err(f, a, b, tol)[0]
 
 
 # ---------------------------------------------------------------------------

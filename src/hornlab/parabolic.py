@@ -18,12 +18,12 @@ integrands are assembled in log space: an eigenmode carries exp(+nu R^2)
 on backward slices, and near the tip the state itself is log-represented.
 
 Caloric states plug in through a small duck-typed surface: attributes
-params, sphere_index, sphere_factor, r_support, and a method
-slice_log(r, t) -> (sign_F, log|F|, sign_Fr, log|Fr|) for arrays r.
+params, sphere_index, r_support, and a method
+slice_log(r, t) -> (sign_F, log|F|, sign_Fr, log|Fr|) for arrays r, where
+F is the radial factor against the unit-normalized spherical harmonic.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,27 +31,18 @@ from .elliptic import FrequencyScan, _KIND_PARABOLIC
 from .errors import ConsistencyError, DomainValidationError
 from .geometry import (angular_coupling, measure_weight_log, sphere_area,
                        sphere_eigenvalue)
+from .logspace import logsumexp_signed
 from .numerics import fit_line, quad_log
 
 
-@dataclass(frozen=True)
-class BackwardKernel:
-    """Backward Gaussian weight centred at the tip at time 0."""
-
-    params: object
-
-    @property
-    def exponent(self):
-        return (self.params.c + 1.0) / 2.0
-
-
-def kernel_log(g, r, t):
-    """log G(r, t) = -exponent log(-t) + r^2/(4t); needs t < 0."""
+def kernel_log(p, r, t):
+    """log G(r, t) = -((c+1)/2) log(-t) + r^2/(4t) of the backward weight
+    centred at the tip at time 0; needs t < 0."""
     if not t < 0:
         raise DomainValidationError(f"kernel_log needs t < 0, got {t}")
     if np.any(np.asarray(r) < 0):
         raise DomainValidationError("kernel_log needs r >= 0")
-    return -g.exponent * math.log(-t) + np.asarray(r) ** 2 / (4.0 * t)
+    return -(p.c + 1.0) / 2.0 * math.log(-t) + np.asarray(r) ** 2 / (4.0 * t)
 
 
 # ---------------------------------------------------------------------------
@@ -60,18 +51,19 @@ def kernel_log(g, r, t):
 
 
 class UnitCaloric:
-    """The literal caloric function u == 1 on the infinite horn."""
+    """The literal caloric function u == 1 on the infinite horn: sqrt(area
+    of S^{n-1}) times the unit-normalized constant harmonic."""
 
     def __init__(self, params):
         self.params = params
         self.sphere_index = 0
-        self.sphere_factor = sphere_area(params.n)
         self.r_support = (0.0, math.inf)
 
     def slice_log(self, r, t):
         r = np.asarray(r, dtype=float)
-        z = np.zeros_like(r)
-        return np.ones_like(r), z, z, np.full_like(r, -np.inf)
+        log_F = 0.5 * math.log(sphere_area(self.params.n))
+        return (np.ones_like(r), np.full_like(r, log_F), np.zeros_like(r),
+                np.full_like(r, -np.inf))
 
 
 class ModeCaloric:
@@ -81,7 +73,6 @@ class ModeCaloric:
         self.state = state
         self.params = state.params
         self.sphere_index = state.i
-        self.sphere_factor = 1.0
         self.r_support = state.domain
 
     def slice_log(self, r, t):
@@ -116,33 +107,27 @@ def parabolic_IDN(u, R, tol=1e-12):
     if not R > 0:
         raise DomainValidationError("parabolic_IDN needs R > 0")
     p = u.params
-    kern = BackwardKernel(p)
     t = -R * R
     mu_i = sphere_eigenvalue(p.n, u.sphere_index)
     lo, hi = _slice_bounds(u, R)
 
     def d_log(r):
         _, lF, _, _ = u.slice_log(r, t)
-        return 1.0, 2.0 * lF + kernel_log(kern, r, t) + measure_weight_log(p, r)
+        return 1.0, 2.0 * lF + kernel_log(p, r, t) + measure_weight_log(p, r)
 
     def i_log(r):
-        # log of (|Fr|^2 + 4 mu_i r^(-2-2eps) |F|^2) G w, exp-shifted per point
+        # log of (|Fr|^2 + 4 mu_i r^(-2-2eps) |F|^2) G w
         _, lF, _, lFr = u.slice_log(r, t)
-        ang = mu_i * angular_coupling(p, r)
-        m = np.maximum(lF, lFr)
-        dead = ~np.isfinite(m)
-        m_safe = np.where(dead, 0.0, m)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            total = np.exp(2.0 * np.where(dead, -np.inf, lFr - m_safe)) \
-                + ang * np.exp(2.0 * np.where(dead, -np.inf, lF - m_safe))
-            out = 2.0 * m_safe + np.log(total) \
-                + kernel_log(kern, r, t) + measure_weight_log(p, r)
-        return 1.0, np.where(dead | (total == 0.0), -np.inf, out)
+        with np.errstate(divide="ignore"):
+            log_ang = np.log(mu_i * angular_coupling(p, r))
+        sign, log = logsumexp_signed(np.ones((2, r.size)),
+                                     [2.0 * lFr, log_ang + 2.0 * lF])
+        return sign, log + kernel_log(p, r, t) + measure_weight_log(p, r)
 
-    D = u.sphere_factor * math.exp(quad_log(d_log, lo, hi, tol)[1])
+    D = math.exp(quad_log(d_log, lo, hi, tol)[1])
     if D == 0.0:
         raise ConsistencyError(f"D vanishes on the slice R = {R}")
-    I = R * R * u.sphere_factor * math.exp(quad_log(i_log, lo, hi, tol)[1])
+    I = R * R * math.exp(quad_log(i_log, lo, hi, tol)[1])
     return I, D, I / D
 
 

@@ -24,9 +24,12 @@ FAST_DEMO = [
 
 
 def test_load_config_defaults_and_overrides(tmp_path):
-    cfg = load_config(None, ["params.eps=0.4", "freq.points=32"])
+    cfg = load_config(None, ["params.eps=0.4", "freq.points=32",
+                             "eigs.count=3.0"])
     assert cfg["params"]["eps"] == 0.4
     assert cfg["freq"]["points"] == 32
+    # an integral value of an integer leaf is stored as an int
+    assert cfg["eigs"]["count"] == 3 and isinstance(cfg["eigs"]["count"], int)
     doc = tmp_path / "cfg.json"
     doc.write_text(json.dumps({"mode": {"mu": 2.0}}))
     cfg = load_config(str(doc))
@@ -115,6 +118,7 @@ def test_radial_mode_without_profile_is_config_error(tmp_path, command):
     ("analyticity", "analyticity.r0", "3.0", "2.0]"),
     ("analyticity", "analyticity.r0", "0.005", "0.00721"),
     ("analyticity", "analyticity.r0", "NaN", "2.0]"),
+    ("analyticity", "analyticity.r0", "Infinity", "2.0]"),
     ("demo-counterexample", "analyticity.r0", "NaN", "2.0]"),
     ("freq-elliptic", "freq.hi", "0.2", repr(tip_window_top(P_DEFAULT, 1.0))),
 ])
@@ -136,11 +140,31 @@ def test_window_and_count_keys_are_config_errors(tmp_path, command, key,
     ("heat", 'heat.t_list=[0.5, "x"]',
      "heat.t_list=[0.5, 'x'] must be a list of numbers"),
     ("heat", "heat.coeffs=1.0", "heat.coeffs=1.0 must be a list of numbers"),
+    ("freq-elliptic", "freq.points=NaN", "freq.points=nan must be finite"),
+    ("modes", "mode.n_grid=Infinity", "mode.n_grid=inf must be finite"),
+    ("analyticity", "analyticity.kmax=NaN",
+     "analyticity.kmax=nan must be finite"),
+    ("modes", "mode.mu=Infinity", "mode.mu=inf must be finite"),
+    ("eigs", "eigs.r_out=Infinity", "eigs.r_out=inf must be finite"),
+    ("heat", "heat.coeffs=[NaN,1]", "heat.coeffs=[nan, 1] must be finite"),
+    ("modes", "mode.i=1.5", "mode.i=1.5 must be an integer"),
+    ("eigs", "eigs.count=2.7", "eigs.count=2.7 must be an integer"),
+    ("freq-elliptic", "freq.points=10.9", "freq.points=10.9 must be an integer"),
+    ("modes", "mode.n_grid=16.9", "mode.n_grid=16.9 must be an integer"),
+    ("eigs", "eigs.i=1.9", "eigs.i=1.9 must be an integer"),
+    ("modes", "params.n=3.5", "params.n=3.5 must be an integer"),
+    ("freq-elliptic", "freq.points=5", "freq.points=5 must be >= 8"),
+    ("freq-parabolic", "freq.R_points=3", "freq.R_points=3 must be >= 8"),
+    ("heat", "heat.points=7", "heat.points=7 must be >= 8"),
+    ("analyticity", "analyticity.kmax=4", "analyticity.kmax=4 must be >= 8"),
+    ("analyticity", "analyticity.t0=0", "analyticity.t0=0 must be > 0"),
+    ("freq-parabolic", "freq.R_lo=0", "freq.R_lo=0 must be > 0"),
 ])
 def test_non_numeric_values_are_config_errors(tmp_path, capsys, command,
                                               assignment, message):
-    # a leaf whose default is a number (or a list of numbers) must be one:
-    # the config error names the key before any computation
+    # a leaf whose default is a number (or a list of numbers) must be a
+    # finite one, integral where the default is an int, and at least its
+    # floor: the config error names the key before any computation
     with pytest.raises(ConfigError) as err:
         load_config(None, [assignment])
     assert str(err.value) == message

@@ -122,8 +122,11 @@ def test_E_positive_on_tip_region(state_i1_mu1):
 def test_E_bulk_boundary_agreement(state_i1_mu1):
     # elliptic_E enforces the agreement internally; a successful call at
     # r = 0.1 certifies the two routes match to 1e-6 of the energy scale
-    from hornlab.elliptic import _E_both
-    bulk, bdry, scale = _E_both(state_i1_mu1, 0.1, 1e-10)
+    from hornlab.elliptic import _bulk_integral, _checked_energy
+    r = np.array([0.1])
+    integral = _bulk_integral(state_i1_mu1, state_i1_mu1.r_lo, 0.1, 1e-10)
+    (bulk,), (bdry,), (scale,) = _checked_energy(
+        state_i1_mu1, r, state_i1_mu1.radial_log(r), np.array([integral]))
     assert bulk == pytest.approx(bdry, abs=1e-6 * max(scale, abs(bulk)))
 
 

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from hornlab import (DomainValidationError, HornParams, angular_coupling,
-                     hess_r2_multipliers, laplacian_radial_power,
                      make_horn_params, measure_weight, measure_weight_log,
                      sphere_area, sphere_eigenvalue)
 
@@ -65,29 +64,11 @@ def test_measure_weight_log_linear(p_default):
         measure_weight_log(p_default, np.array([0.5, 0.0]))
 
 
-def test_laplacian_radial_power(p_default):
-    assert laplacian_radial_power(p_default, 2.0) == pytest.approx(9.5, abs=0)
-    assert laplacian_radial_power(p_default, 0.0) == 0.0
-    # second root at alpha = 1 - c
-    assert laplacian_radial_power(p_default, 1.0 - p_default.c) == \
-        pytest.approx(0.0, abs=1e-14)
-
-
 def test_laplacian_uses_c_minus_one(p_default):
     # N - 2 + (n-1) eps - (N-n) eta == c - 1
     p = p_default
     lhs = p.bigN - 2 + (p.n - 1) * p.eps - (p.bigN - p.n) * p.eta
     assert lhs == pytest.approx(p.c - 1.0, rel=1e-15)
-
-
-def test_hess_multipliers(p_default):
-    rad, sph = hess_r2_multipliers(p_default)
-    assert rad == 2.0
-    assert sph == pytest.approx(3.0, abs=0)
-    assert sph - rad == pytest.approx(2 * p_default.eps, abs=1e-15)
-    # smooth-cone limit
-    p0 = make_horn_params(3, 4, 1e-12, 0.25)
-    assert hess_r2_multipliers(p0)[1] == pytest.approx(2.0, abs=1e-11)
 
 
 def test_angular_coupling(p_default):
@@ -128,14 +109,23 @@ def test_identity_constant_matches_fields():
 
 
 def test_json_roundtrip_recomputes_c(p_default):
-    doc = p_default.to_json()
-    assert set(doc) == {"n", "N", "eps", "eta"}
+    doc = {"n": p_default.n, "N": p_default.bigN, "eps": p_default.eps,
+           "eta": p_default.eta}
     doc = json.loads(json.dumps(doc))
     q = HornParams.from_json(doc)
     assert q == p_default
     # a stored c value is never trusted
     doc["c"] = 999.0
     assert HornParams.from_json(doc).c == pytest.approx(3.75, abs=0)
+
+
+def test_from_json_refuses_non_integral_n():
+    # the values reach make_horn_params uncast, so n = 3.5 is refused
+    # rather than truncated to 3
+    with pytest.raises(DomainValidationError, match="n must be an integer"):
+        HornParams.from_json({"n": 3.5, "N": 4.0, "eps": 0.5, "eta": 0.25})
+    assert HornParams.from_json(
+        {"n": 3.0, "N": 4, "eps": 0.5, "eta": 0.25}).n == 3
 
 
 def test_sphere_area():

@@ -7,10 +7,11 @@ import pytest
 from hornlab import (ConsistencyError, DomainValidationError, EigenPair,
                      EigenSearchError, analyticity_probe, caloric_decay_check,
                      coefficients_from_initial, dirichlet_eigenvalues,
-                     evaluate_caloric, fit_line, make_caloric_series,
-                     profile_from_k2, sphere_eigenvalue, tail_bound,
-                     time_derivative, tip_rate, weyl_check)
+                     fit_line, make_caloric_series, profile_from_k2,
+                     sphere_eigenvalue, tail_bound, time_derivative,
+                     tip_rate, weyl_check)
 from hornlab import heat
+from hornlab.modes import tip_window_top
 
 # pairs8_rout2 eigenvalues from the earlier oscillation-count search
 PAIRS8_ROUT2_NU = [10.00860578069562, 25.807764065364, 47.52967782392161,
@@ -137,7 +138,7 @@ def test_tip_outer_stitching_consistent(pairs8_rout2):
     # log-derivative continuous across the representation seam, which sits
     # at the threshold abscissa
     prof = pairs8_rout2[0].g
-    r_seam = prof.s_sandwich ** (-1.0 / prof.params.eps)
+    r_seam = tip_window_top(prof.params, prof.mu)
     _, _, ld_lo = prof.eval_log(np.array([r_seam * 0.999]))
     _, _, ld_hi = prof.eval_log(np.array([r_seam * 1.001]))
     assert ld_lo[0] == pytest.approx(ld_hi[0], rel=2e-2)
@@ -148,7 +149,7 @@ def test_tip_branch_is_profile_from_k2(pairs8_rout2, p_default):
     # up to one constant factor
     for pair in pairs8_rout2[:4]:
         g = pair.g
-        r_seam = g.s_sandwich ** (-1.0 / p_default.eps)
+        r_seam = tip_window_top(p_default, pair.nu)
         prof = profile_from_k2(p_default, 1, pair.nu, g.r_min, n_grid=16)
         r = np.geomspace(g.r_min, r_seam, 40)[1:-1]
         sg, lg, dg = g.eval_log(r)
@@ -225,7 +226,7 @@ def test_single_pair_evaluation(pairs8_rout2):
     single = make_caloric_series(pairs8_rout2[:1], [1.0], t_min=0.1)
     pair = pairs8_rout2[0]
     r, t = 0.8, 0.4
-    s, L = evaluate_caloric(single, r, t)
+    s, L = time_derivative(single, 0, r, t)
     sgn, lm, _ = pair.g.eval_log(np.array([r]))
     assert s == sgn[0]
     assert L == pytest.approx(lm[0] - pair.nu * t, rel=1e-12)
@@ -234,8 +235,8 @@ def test_single_pair_evaluation(pairs8_rout2):
 def test_coefficient_linearity(series4, pairs8_rout2):
     doubled = make_caloric_series(pairs8_rout2[:4],
                                   2.0 * series4.coeffs, t_min=0.25)
-    s1, L1 = evaluate_caloric(series4, 0.5, 0.5)
-    s2, L2 = evaluate_caloric(doubled, 0.5, 0.5)
+    s1, L1 = time_derivative(series4, 0, 0.5, 0.5)
+    s2, L2 = time_derivative(doubled, 0, 0.5, 0.5)
     assert s1 == s2
     assert L2 - L1 == pytest.approx(math.log(2.0), rel=1e-12)
 
@@ -247,15 +248,23 @@ def test_truncation_error_below_certificate(pairs8_rout2, p_default):
     short = make_caloric_series(pairs8_rout2[:2], [1.0, 0.7], t_min)
     cert = tail_bound(pairs8_rout2, 2, t_min, p_default, coeff_cap=1.0)
     for r in (0.3, 0.8, 1.5):
-        sf, Lf = evaluate_caloric(full, r, t_min)
-        ss, Ls = evaluate_caloric(short, r, t_min)
+        sf, Lf = time_derivative(full, 0, r, t_min)
+        ss, Ls = time_derivative(short, 0, r, t_min)
         diff = abs(sf * math.exp(Lf) - ss * math.exp(Ls))
         assert diff <= cert
 
 
 def test_time_derivative_order_zero(series4):
-    assert time_derivative(series4, 0, 0.7, 0.6) == \
-        evaluate_caloric(series4, 0.7, 0.6)
+    sF, lF, _, _ = series4.slice_log(np.array([0.7]), 0.6)
+    assert time_derivative(series4, 0, 0.7, 0.6) == (sF[0], lF[0])
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_coefficient_refused(pairs8_rout2, bad):
+    # the log-space sum treats a NaN term as an exact zero, so a NaN
+    # coefficient would silently drop its pair
+    with pytest.raises(DomainValidationError, match="must be finite"):
+        make_caloric_series(pairs8_rout2[:2], [bad, 1.0], t_min=0.25)
 
 
 def test_time_derivative_single_pair_closed_form(pairs8_rout2):
@@ -276,8 +285,8 @@ def test_time_derivative_matches_finite_difference(series4):
     r, t = 0.6, 0.5
     s, L = time_derivative(series4, 1, r, t)
     h = 1e-5
-    sa, La = evaluate_caloric(series4, r, t + h)
-    sb, Lb = evaluate_caloric(series4, r, t - h)
+    sa, La = time_derivative(series4, 0, r, t + h)
+    sb, Lb = time_derivative(series4, 0, r, t - h)
     fd = (sa * math.exp(La) - sb * math.exp(Lb)) / (2 * h)
     assert s * math.exp(L) == pytest.approx(fd, rel=1e-6)
 

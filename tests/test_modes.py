@@ -8,8 +8,8 @@ from hornlab import (ConsistencyError, DomainValidationError, RadialProfile,
                      decay_exponent_fit, integrate_ode, make_horn_params,
                      normalization_bound, profile_from_k2, r_mu,
                      radial_mode_zero, solve_k1, solve_k2, sphere_eigenvalue,
-                     tip_bracket, tip_exponent, tip_rate)
-from hornlab.modes import tip_anchor, tip_window_top
+                     tip_exponent, tip_rate)
+from hornlab.modes import _q_factory, tip_anchor, tip_window_top
 
 
 # ---------------------------------------------------------------------------
@@ -36,9 +36,10 @@ def test_r_mu_harmonic_branch(p_default):
 @pytest.mark.parametrize("mu", [0.5, 1.0, 2.0])
 def test_r_mu_defining_inequality(p_default, mu):
     # 0 <= A s^-2 - (mu/eps^2) s^(-2/eps-2) <= 1 for s >= r_mu, asserted at
-    # the threshold and a decade above it
+    # the threshold and a decade above it; at i = 0 the whole coefficient
+    # q(s) is that bracket
     for s in (r_mu(p_default, mu), 10.0 * r_mu(p_default, mu)):
-        val = tip_bracket(p_default, mu, s)
+        val = _q_factory(p_default, 0, mu)(s)
         assert -1e-12 <= val <= 1.0 + 1e-12
 
 
@@ -132,7 +133,9 @@ def test_k2_anchor_box(p_default):
     rho = tip_rate(p_default, 1)
     s0 = r_mu(p_default, 1.0)
     k2 = solve_k2(p_default, 1, 1.0, s0 + 3.0)
-    v, vp = k2.value_at_rmu, k2.dvalue_at_rmu
+    L, kappa = k2.log_eval(s0)
+    v = math.exp(L)
+    vp = kappa * v
     energy = v * v + vp * vp
     assert 0.0 < energy < float("inf")
     # the value itself obeys the two-sided bounds at zero offset
@@ -244,7 +247,7 @@ def test_profile_monotone_vanishing(profile_i1_mu1):
     # log-magnitude decreasing toward the tip: strictly decreasing in s
     # past the threshold offset, and the tip value far below any r > 2 r_min
     prof = profile_i1_mu1
-    past = prof.s_grid >= prof.s_sandwich + 1.0
+    past = prof.s_grid >= r_mu(prof.params, prof.mu) + 1.0
     assert np.all(np.diff(prof.log_mag[past]) < 0)
     r_min = prof.r_min
     _, lm_min, _ = prof.eval_log(np.array([r_min]))
@@ -256,7 +259,8 @@ def test_profile_monotone_vanishing(profile_i1_mu1):
 def test_profile_log_mag_finite(profile_i1_mu1):
     assert np.all(np.isfinite(profile_i1_mu1.log_mag))
     assert np.all(profile_i1_mu1.sign == 1)
-    assert profile_i1_mu1.s_grid[0] >= profile_i1_mu1.s_sandwich - 1e-12
+    assert profile_i1_mu1.s_grid[0] >= r_mu(profile_i1_mu1.params, 1.0) \
+        - 1e-12
 
 
 def test_profile_mode_ode_residual(profile_i1_mu1, p_default):
@@ -350,7 +354,7 @@ def test_decay_fit_constant_profile(p_default):
         return np.ones_like(r), np.zeros_like(r), np.zeros_like(r)
 
     prof = RadialProfile(params=p_default, i=1, mu=0.0,
-                         s_grid=np.linspace(3.0, 8.0, 16), s_sandwich=3.0,
+                         s_grid=np.linspace(3.0, 8.0, 16),
                          evaluator=constant)
     assert np.all(prof.log_mag == 0.0)
     assert decay_exponent_fit(prof).slope == pytest.approx(0.0, abs=1e-14)

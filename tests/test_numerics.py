@@ -11,8 +11,8 @@ from support import (J0_FIRST_ZERO, oracle_besselj, oracle_bessely,
 from hornlab import (DomainValidationError, IntegrationError, QuadratureError,
                      RootBracketError, bessel_j, bessel_j_prime, bessel_y,
                      bessel_y_prime, check_in_range, find_root_bracketed,
-                     fit_line, gamma_real, integrate_ode, quad_adaptive,
-                     quad_adaptive_err, quad_log)
+                     fit_line, gamma_real, integrate_ode, quad_adaptive_err,
+                     quad_log)
 
 
 # ---------------------------------------------------------------------------
@@ -295,7 +295,7 @@ def test_ode_endpoint_only_failure_reports_location():
 
 
 def test_quad_polynomial():
-    assert quad_adaptive(lambda x: x * x, 0.0, 1.0, 1e-12) == \
+    assert quad_adaptive_err(lambda x: x * x, 0.0, 1.0, 1e-12)[0] == \
         pytest.approx(1.0 / 3.0, rel=1e-12)
 
 
@@ -308,12 +308,12 @@ def test_quad_gaussian_moment_mapped():
         s = u / (1.0 - u)
         return math.exp(-s * s) * s ** c / (1.0 - u) ** 2
 
-    val = quad_adaptive(mapped, 0.0, 1.0 - 1e-12, 1e-10)
+    val = quad_adaptive_err(mapped, 0.0, 1.0 - 1e-12, 1e-10)[0]
     assert val == pytest.approx(oracle_gamma((c + 1.0) / 2.0) / 2.0, rel=1e-8)
 
 
 def test_quad_endpoint_singularity():
-    assert quad_adaptive(lambda x: x ** -0.5, 0.0, 1.0, 1e-10) == \
+    assert quad_adaptive_err(lambda x: x ** -0.5, 0.0, 1.0, 1e-10)[0] == \
         pytest.approx(2.0, rel=1e-9)
 
 
@@ -330,14 +330,14 @@ def test_quad_error_bound_honest():
 
 def test_quad_rejects_bad_interval():
     with pytest.raises(DomainValidationError):
-        quad_adaptive(lambda x: x, 1.0, 0.0, 1e-8)
+        quad_adaptive_err(lambda x: x, 1.0, 0.0, 1e-8)
 
 
 def test_quad_budget_exhaustion_carries_estimate():
     # highly oscillatory near 0: subdivision budget runs out
     f = lambda x: math.sin(1.0 / x) / x
     with pytest.raises(QuadratureError) as err:
-        quad_adaptive(f, 1e-8, 1.0, 1e-13)
+        quad_adaptive_err(f, 1e-8, 1.0, 1e-13)
     assert err.value.estimate is not None
     assert err.value.bound is not None
 

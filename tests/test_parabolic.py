@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from support import oracle_D_2d, oracle_gamma
 
-from hornlab import (BackwardKernel, ConsistencyError, DomainValidationError,
+from hornlab import (ConsistencyError, DomainValidationError,
                      ModeCaloric, UnitCaloric, check_D_lower,
                      check_ID_relation, check_N_bound, kernel_log,
                      parabolic_IDN, parabolic_scan, profile_state,
@@ -22,35 +22,35 @@ def mode_caloric(profile_i1_mu1):
 
 
 def test_kernel_exponent(p_default):
-    kern = BackwardKernel(p_default)
-    assert kern.exponent == pytest.approx((p_default.c + 1) / 2, abs=0)
-    assert kern.exponent == pytest.approx(2.375, abs=0)
-    # exponent equals (N + (n-1) eps - (N-n) eta)/2
+    # at r = 0, t = -e the kernel is exactly minus its exponent (c+1)/2
     p = p_default
+    assert kernel_log(p, 0.0, -math.e) == -(p.c + 1) / 2
+    assert kernel_log(p, 0.0, -math.e) == pytest.approx(-2.375, abs=0)
+    # exponent equals (N + (n-1) eps - (N-n) eta)/2
     alt = (p.bigN + (p.n - 1) * p.eps - (p.bigN - p.n) * p.eta) / 2.0
-    assert kern.exponent == pytest.approx(alt, rel=1e-15)
+    assert -kernel_log(p, 0.0, -math.e) == pytest.approx(alt, rel=1e-15)
 
 
 def test_kernel_log_values(p_default):
-    kern = BackwardKernel(p_default)
-    assert kernel_log(kern, 0.0, -1.0) == 0.0
-    assert kernel_log(kern, 2.0, -1.0) == pytest.approx(-1.0, rel=1e-14)
+    assert kernel_log(p_default, 0.0, -1.0) == 0.0
+    assert kernel_log(p_default, 2.0, -1.0) == pytest.approx(-1.0, rel=1e-14)
     with pytest.raises(DomainValidationError):
-        kernel_log(kern, 1.0, 0.0)
+        kernel_log(p_default, 1.0, 0.0)
     with pytest.raises(DomainValidationError):
-        kernel_log(kern, 1.0, 0.5)
+        kernel_log(p_default, 1.0, 0.5)
 
 
 def test_kernel_parabolic_scaling(p_default):
-    # kernel_log(r, t) = kernel_log(r/s, t/s^2) - 2 exponent log s
-    kern = BackwardKernel(p_default)
+    # kernel_log(r, t) = kernel_log(r/s, t/s^2) - (c+1) log s
+    exponent = (p_default.c + 1) / 2
     rng = np.random.default_rng(3)
     for _ in range(10):
         r = float(rng.uniform(0.1, 3.0))
         t = -float(rng.uniform(0.1, 2.0))
         s = float(rng.uniform(0.5, 2.0))
-        lhs = kernel_log(kern, r, t)
-        rhs = kernel_log(kern, r / s, t / s ** 2) - 2.0 * kern.exponent * math.log(s)
+        lhs = kernel_log(p_default, r, t)
+        rhs = kernel_log(p_default, r / s, t / s ** 2) \
+            - 2.0 * exponent * math.log(s)
         assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
 
 
