@@ -16,7 +16,7 @@ from .elliptic import (FrequencyScan, ModeState, bessel_state,
                        profile_state)
 from .errors import (ConfigError, ConsistencyError, DomainValidationError,
                      EigenSearchError, HornError, IntegrationError,
-                     QuadratureError, RootBracketError)
+                     QuadratureError, RootBracketError, ToleranceFloorError)
 from .geometry import (HornParams, angular_coupling, make_horn_params,
                        measure_weight, measure_weight_log, sphere_area,
                        sphere_eigenvalue)
@@ -30,8 +30,7 @@ from .modes import (RadialProfile, decay_exponent_fit, normalization_bound,
 from .numerics import (DenseSolution, LineFit, bessel_j, bessel_j_prime,
                        bessel_y, bessel_y_prime, check_in_range,
                        find_root_bracketed, fit_line, gamma_real,
-                       integrate_ode, lgamma_real, quad_adaptive_err,
-                       quad_log)
+                       integrate_ode, lgamma_real, quad_log)
 from .parabolic import (ModeCaloric, UnitCaloric, check_D_lower,
                         check_ID_relation, check_N_bound, kernel_log,
                         parabolic_IDN, parabolic_scan)

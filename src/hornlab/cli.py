@@ -29,7 +29,8 @@ from . import __version__
 from .artifacts import write_csv, write_json
 from .elliptic import (check_I_lower, check_logI_identity, check_U_growth,
                        constant_state, elliptic_scan, profile_state)
-from .errors import ConfigError, DomainValidationError, HornError
+from .errors import (ConfigError, DomainValidationError, HornError,
+                     ToleranceFloorError)
 from .geometry import HornParams
 from .heat import (caloric_decay_check, dirichlet_eigenvalues,
                    make_caloric_series, taylor_coefficients, taylor_radius,
@@ -356,10 +357,10 @@ def _series_from_config(cfg, p, pairs):
     return make_caloric_series(pairs, coeffs, t_min)
 
 
-def _run_heat(cfg, p, out, artifacts, pairs=None):
-    if pairs is None:
+def _run_heat(cfg, p, out, artifacts, series=None):
+    if series is None:
         _, pairs = _run_eigs(cfg, p, out, artifacts)
-    series = _series_from_config(cfg, p, pairs)
+        series = _series_from_config(cfg, p, pairs)
     h = cfg["heat"]
     _check_window(cfg, "heat", ("r_lo", "r_hi"), *series.r_support,
                   "the range every eigenfunction represents")
@@ -380,13 +381,17 @@ def _run_heat(cfg, p, out, artifacts, pairs=None):
             "truncation": len(series.pairs)}, series
 
 
+def _check_r0(cfg, series):
+    _check_window(cfg, "analyticity", ("r0",), *series.r_support,
+                  "the range every eigenfunction represents")
+
+
 def _run_analyticity(cfg, p, out, artifacts, series=None):
     if series is None:
         _, pairs = _run_eigs(cfg, p, out, artifacts)
         series = _series_from_config(cfg, p, pairs)
+    _check_r0(cfg, series)
     a = cfg["analyticity"]
-    _check_window(cfg, "analyticity", ("r0",), *series.r_support,
-                  "the range every eigenfunction represents")
     r0, t0, kmax = a["r0"], a["t0"], a["kmax"]
     log_ak = taylor_coefficients(series, r0, t0, kmax)
     report = {"t0": t0, "r0": r0, "kmax": kmax,
@@ -404,7 +409,9 @@ def _run_demo(cfg, p, out, artifacts):
     One summary report; a threshold miss flips the exit code to 4.
     """
     eig_report, pairs = _run_eigs(cfg, p, out, artifacts)
-    heat_report, series = _run_heat(cfg, p, out, artifacts, pairs=pairs)
+    series = _series_from_config(cfg, p, pairs)
+    _check_r0(cfg, series)  # before any scan runs
+    heat_report, _ = _run_heat(cfg, p, out, artifacts, series=series)
     ell_report, _ = _run_freq_elliptic(cfg, p, out, artifacts)
     par_report, _ = _run_freq_parabolic(cfg, p, out, artifacts, state=series)
     ana_report, _ = _run_analyticity(cfg, p, out, artifacts, series=series)
@@ -489,6 +496,13 @@ def run(config, command, out_dir=None):
             code = EXIT_BOUNDS
     except ConfigError as exc:
         manifest["error"] = str(exc)
+        code = EXIT_CONFIG
+    except ToleranceFloorError as exc:
+        # every ODE tolerance of a pipeline is derived from tolerances.ode
+        manifest["error"] = (
+            f"tolerances.ode={config['tolerances']['ode']} is too small: "
+            f"{command} derived the ODE tolerance {exc.tol:.3g}, below the "
+            f"integrator's floor {exc.floor:.3g}")
         code = EXIT_CONFIG
     except HornError as exc:
         manifest["error"] = f"{type(exc).__name__}: {exc}"

@@ -13,6 +13,16 @@ class DomainValidationError(HornError, ValueError):
     """An argument or parameter violates a stated constraint."""
 
 
+class ToleranceFloorError(DomainValidationError):
+    """A tolerance lies below the floor an integrator honours; carries the
+    tolerance asked for and the floor."""
+
+    def __init__(self, message, tol, floor):
+        super().__init__(message)
+        self.tol = tol
+        self.floor = floor
+
+
 class ConfigError(HornError, ValueError):
     """A run configuration is malformed or inconsistent."""
 

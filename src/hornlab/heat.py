@@ -27,7 +27,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import CubicHermiteSpline
 
 from .errors import (ConsistencyError, DomainValidationError,
                      EigenSearchError)
@@ -36,8 +35,8 @@ from .geometry import (measure_weight, measure_weight_log,
 from .logspace import NEG_INF, logsumexp_signed
 from .modes import (RadialProfile, log_norm_sq, profile_from_k2, r_mu,
                     tip_anchor, tip_rate, tip_window_top)
-from .numerics import find_root_bracketed, fit_line, integrate_ode, \
-    lgamma_real, quad_adaptive_err
+from .numerics import (find_root_bracketed, fit_line, integrate_ode,
+                       lgamma_real, quad_log)
 
 
 # ---------------------------------------------------------------------------
@@ -222,30 +221,24 @@ def _build_pair(p, i, nu, r_out, tol):
         return [*fld(r, y), y[0] * y[0] * measure_weight(p, r)]
 
     sol = integrate_ode(fld_norm, (r_sw, r_out), [1.0, dlog_anchor, 0.0], tol)
-    n_outer = max(1200, int(120.0 * math.sqrt(max(nu, 1.0)) * r_out))
-    r_nodes = np.linspace(r_sw, r_out, n_outer)
-    f_nodes, fp_nodes, norm_nodes = sol.states(r_nodes)
-    fpp_nodes = np.array(fld(r_nodes, [f_nodes, fp_nodes]))[1]
-    f_spl = CubicHermiteSpline(r_nodes, f_nodes, fp_nodes)
-    fp_spl = CubicHermiteSpline(r_nodes, fp_nodes, fpp_nodes)
 
     # L2(w dr) norm: outer part in linear space, tip part in log space
     tip_n = math.exp(log_norm_sq(tip, r_tip_lo, r_sw, 1e-12)
                      - 2.0 * log_at_anchor)
     # below r_tip_lo the density has shed >= 2*40 e-foldings: certified off
-    norm = math.sqrt(norm_nodes[-1] + tip_n)
+    norm = math.sqrt(sol.step_states[2, -1] + tip_n)
     scale_log = -math.log(norm)
 
     def evaluator(r):
         # below r_sw the tip branch, rescaled to the outer solution's
-        # f(r_sw) = 1; from r_sw on the outer splines
+        # f(r_sw) = 1; from r_sw on the outer solve
         r = np.atleast_1d(r)
         inner = r < r_sw
         out = np.empty((3, r.size))
         if np.any(inner):
             sgn, lm, ld = tip.eval_log(r[inner])
             out[:, inner] = sgn, lm - log_at_anchor + scale_log, ld
-        fv, fpv = f_spl(r[~inner]), fp_spl(r[~inner])
+        fv, fpv = sol.states(r[~inner])[:2]
         with np.errstate(divide="ignore", invalid="ignore"):
             out[:, ~inner] = (np.sign(fv), np.log(np.abs(fv)) + scale_log,
                               fpv / fv)
@@ -256,6 +249,11 @@ def _build_pair(p, i, nu, r_out, tol):
                       s_grid=np.array([r_out ** -p.eps, s_lo, tip.s_grid[-1]]),
                       evaluator=evaluator)
 
+    # the Dirichlet defect and the zero count read the outer solve on a node
+    # grid fine enough to separate neighbouring zeros
+    n_outer = max(1200, int(120.0 * math.sqrt(max(nu, 1.0)) * r_out))
+    r_nodes = np.linspace(r_sw, r_out, n_outer)
+    f_nodes = sol.states(r_nodes)[0]
     mx = float(np.max(np.abs(f_nodes)))
     norm_defect = abs(f_nodes[-1]) / mx
     if norm_defect > 1e-8:
@@ -396,20 +394,22 @@ def make_caloric_series(pairs, coeffs, t_min):
 
 
 def coefficients_from_initial(pairs, fn, tol=1e-10):
-    """Expansion coefficients <fn, g_j> in L^2(w dr) over (0, r_out]."""
+    """Expansion coefficients <fn, g_j> in L^2(w dr) over the range each
+    g_j represents, by quad_log; fn maps an array of radii to its values,
+    and tol bounds each error relative to the integral of |fn g_j| w."""
     p = pairs[0].g.params
     out = []
     for pair in pairs:
-        lo = pair.g.r_min
-        hi = pair.r_out
+        def log_integrand(r):
+            v = np.asarray(fn(r), dtype=float)
+            sgn, lm, _ = pair.g.eval_log(r)
+            with np.errstate(divide="ignore"):
+                return (np.sign(v) * sgn,
+                        np.log(np.abs(v)) + lm + measure_weight_log(p, r))
 
-        def integrand(r):
-            sgn, lm, _ = pair.g.eval_log(np.array([r]))
-            g = 0.0 if sgn[0] == 0 else sgn[0] * math.exp(lm[0])
-            return fn(r) * g * math.exp(measure_weight_log(p, r))
-
-        val, _ = quad_adaptive_err(integrand, lo, hi, tol)
-        out.append(val)
+        sign, log_val, _ = quad_log(log_integrand, pair.g.r_min, pair.r_out,
+                                    tol)
+        out.append(sign * math.exp(log_val))
     return np.array(out)
 
 

@@ -51,7 +51,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.interpolate import CubicHermiteSpline
 
 from .artifacts import write_csv
 from .errors import ConsistencyError, DomainValidationError
@@ -177,29 +176,31 @@ def tip_anchor(p, i, mu, tol):
 class TipDecaySolution:
     """Decaying branch k2 on [r_mu, s_max] (DenseSolution-compatible).
 
-    Carries log k2 and its logarithmic derivative on a fine node grid as
-    Hermite splines (the Riccati identity provides exact node derivatives).
+    Holds the backward Riccati solve, a DenseSolution of (kappa2, Lambda)
+    on [r_mu, s_far], and reads log k2 and its logarithmic derivative off
+    its continuous extension:
+    log k2(s) = Lambda(s) - Lambda(r_mu) - log(1 - kappa2(r_mu)).
     tail_rel_uncertainty = (sqrt(rho^2+1) - rho) exp(-2 rho (s_far - s_max))
     bounds the error that the backward start leaves in kappa at s_max, the
     worst point of the span.  eval() reproduces linear-space values where
     they are representable.
     """
 
-    def __init__(self, span, rho, nodes, log_k2, kappa2, q,
-                 tail_rel_uncertainty):
+    def __init__(self, span, rho, sol, q, tail_rel_uncertainty):
         self.span = span
         self.rho = rho
         self._q = q
-        self._nodes = nodes
-        # Hermite data: d/ds log k2 = kappa2, d/ds kappa2 = q - kappa2^2
-        self._logspl = CubicHermiteSpline(nodes, log_k2, kappa2)
-        self._kapspl = CubicHermiteSpline(nodes, kappa2, q(nodes) - kappa2 ** 2)
+        self._sol = sol
+        # the solve ends at r_mu: its last recorded state fixes the scale
+        kappa_lo, lam_lo = sol.step_states[:, -1]
+        self._log_offset = -lam_lo - math.log(1.0 - kappa_lo)
         self.tail_rel_uncertainty = tail_rel_uncertainty
 
     def log_eval(self, s):
         """(log k2, kappa2 = k2'/k2) at s (scalar or array)."""
         check_in_range(s, *self.span, "tip abscissa s")
-        return self._logspl(s), self._kapspl(s)
+        kappa2, lam = self._sol.states(s)
+        return lam + self._log_offset, kappa2
 
     def eval(self, s):
         """((k2, k2'), (k2', k2'')) in linear space."""
@@ -209,18 +210,14 @@ class TipDecaySolution:
         return np.array([v, vp]), np.array([vp, self._q(s) * v])
 
 
-# Hermite nodes of the decaying branch per unit of s (at least 400 intervals)
-_K2_NODES_PER_UNIT = 160
-
-
 def solve_k2(p, i, mu, s_max, tol=1e-12):
     """Decaying branch on [r_mu, s_max] from one backward Riccati solve.
 
-    kappa and Lambda are integrated from s_far down to r_mu with dense
-    output and sampled on _K2_NODES_PER_UNIT nodes per unit of s; the
-    Wronskian scale fixes log k2(r_mu).  Raises
-    ConsistencyError if the start at s_far could leave a kappa error above
-    1e-12 anywhere on the span.
+    kappa and Lambda are integrated from s_far down to r_mu as one dense
+    solve, which the returned TipDecaySolution evaluates directly; the
+    Wronskian scale fixes log k2(r_mu).  Raises ConsistencyError if the
+    start at s_far could leave a kappa error above 1e-12 anywhere on the
+    span.
     """
     if not i >= 1:
         raise DomainValidationError("solve_k2 needs i >= 1 (mu_i > 0)")
@@ -242,13 +239,7 @@ def solve_k2(p, i, mu, s_max, tol=1e-12):
         return [q(s) - y[0] * y[0], y[0]]
 
     sol = integrate_ode(fld, (s_far, s_lo), [-math.sqrt(q(s_far)), 0.0], tol)
-    n_nodes = max(400, int(_K2_NODES_PER_UNIT * (s_max - s_lo))) + 1
-    nodes = np.linspace(s_lo, s_max, n_nodes)
-    kappa2, lam = sol.states(nodes)
-    log_k2 = lam - lam[0] - math.log(1.0 - kappa2[0])
-
-    k2 = TipDecaySolution((s_lo, s_max), rho, nodes, log_k2, kappa2, q,
-                          rel_unc)
+    k2 = TipDecaySolution((s_lo, s_max), rho, sol, q, rel_unc)
     _verify_k2_sandwich(k2)
     return k2
 

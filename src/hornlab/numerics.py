@@ -3,11 +3,11 @@
 Every kernel is a thin contract over scipy: real-order Bessel functions
 J_nu, Y_nu and their derivatives (scipy.special, after Amos, ACM TOMS
 Algorithm 644), the real Gamma function and its logarithm, ODE integration
-(DOP853 under one tolerance contract, with two backends: Hairer's compiled
-code when only the endpoint is needed, solve_ivp's port for dense output),
-adaptive quadrature (QUADPACK) of linear integrands and composite
-Gauss-Legendre quadrature of log-represented ones, bracketed root finding
-(Brent) and line fitting.
+(Hairer's compiled DOP853, one backend with one tolerance floor; a dense
+solve rebuilds Hairer's continuous extension from the recorded steps, with
+scipy's coefficient table, so its field must accept arrays), composite
+Gauss-Legendre quadrature of log-represented integrands, bracketed root
+finding (Brent) and line fitting.
 The wrappers fix the domains and the error types, so every caller and test
 exercises the same surface, and an argument outside a function's domain
 raises DomainValidationError instead of returning nan.
@@ -18,13 +18,15 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.polynomial import polynomial as P
 from scipy import special
-from scipy.integrate import quad as _scipy_quad
-from scipy.integrate import ode, solve_ivp
+from scipy.integrate import ode
+from scipy.integrate._ivp import dop853_coefficients as _DOP
+from scipy.interpolate import PPoly
 from scipy.optimize import brentq
 
 from .errors import (DomainValidationError, IntegrationError, QuadratureError,
-                     RootBracketError)
+                     RootBracketError, ToleranceFloorError)
 
 # ---------------------------------------------------------------------------
 # Represented ranges
@@ -125,84 +127,147 @@ def bessel_y_prime(nu, x):
 class DenseSolution:
     """Continuously evaluable ODE solution on a fixed span.
 
-    eval(x) returns (state, d/dx state); the derivative is recomputed from
-    the vector field, so it satisfies the ODE exactly at the interpolated
+    Carries the accepted steps of the solve (abscissae `steps`, states
+    `step_states` as an (n, len(steps)) array) and, as one piecewise
+    polynomial, Hairer's order-7 continuous extension of DOP853 on each
+    step; the extension passes through the recorded states.  eval(x)
+    returns (state, d/dx state); the derivative is recomputed from the
+    vector field, so it satisfies the ODE exactly at the interpolated
     state.
     """
 
-    def __init__(self, field, sol, span):
+    def __init__(self, field, span, steps, step_states):
         self._field = field
-        self._sol = sol
         self.span = (float(span[0]), float(span[1]))
+        self.steps = steps
+        self.step_states = step_states
+        self._poly = PPoly(_continuous_extension(field, steps, step_states),
+                           steps)
 
     def eval(self, x):
-        check_in_range(x, *sorted(self.span), "ODE abscissa")
-        y = self._sol(x)
+        y = self.states(x)
         return y, np.asarray(self._field(x, y))
 
     def states(self, xs):
-        """Vectorized state evaluation on an array of abscissae."""
+        """State at a scalar x, (n,), or at an array of abscissae,
+        (n, len(xs))."""
         check_in_range(xs, *sorted(self.span), "ODE abscissa")
-        return self._sol(np.asarray(xs, dtype=float))
+        return self._poly(np.asarray(xs, dtype=float)).T
 
 
-_EPS = float(np.finfo(float).eps)
+def _stage(field, x, y):
+    """The field at abscissae x and states y (n, len(x)), every component
+    broadcast to x's shape."""
+    return np.array([np.broadcast_to(v, x.shape) for v in field(x, y)],
+                    dtype=float)
+
+
+def _extension_basis(k):
+    """Ascending coefficients of t^(k//2 + 1) (1 - t)^((k + 1)//2), the
+    polynomial that multiplies F_k in the continuous extension."""
+    c = P.polymul(P.polypow([0.0, 1.0], k // 2 + 1),
+                  P.polypow([1.0, -1.0], (k + 1) // 2))
+    return np.pad(c, (0, 8 - c.size))
+
+
+# (power of t, k): the extension minus y0 is sum_k F_k basis_k(t)
+_EXTENSION_POWERS = np.stack([_extension_basis(k) for k in range(7)], axis=1)
+
+
+def _continuous_extension(field, steps, step_states):
+    """PPoly coefficients (8, len(steps) - 1, n) of Hairer's continuous
+    extension of DOP853 on each recorded step, with the F_k that
+    solve_ivp's Dop853DenseOutput builds.
+
+    The stages of every step are recomputed from its start, one array call
+    of the field per stage: the 12 of the step, f at the recorded end, and
+    the 3 extra stages of the extension.  delta_y = F_0 is the difference
+    of the recorded states, so each polynomial runs from its step's start
+    state to its end state.  In the step fraction t = (x - x0) / h the
+    extension is
+
+        y0 + F0 t + F1 t (1-t) + F2 t^2 (1-t) + F3 t^2 (1-t)^2 + ...
+           + F6 t^4 (1-t)^3,
+
+    solve_ivp's nested form expanded, here into powers of x - x0.
+    """
+    h = np.diff(steps)
+    x0, y0, y1 = steps[:-1], step_states[:, :-1], step_states[:, 1:]
+    K = np.empty((_DOP.N_STAGES_EXTENDED, *y0.shape))
+    for s in range(_DOP.N_STAGES_EXTENDED):
+        if s == _DOP.N_STAGES:
+            K[s] = _stage(field, steps[1:], y1)
+        else:
+            K[s] = _stage(field, x0 + _DOP.C[s] * h,
+                          y0 + h * np.tensordot(_DOP.A[s, :s], K[:s], 1))
+    dy = y1 - y0
+    F = np.stack([dy, h * K[0] - dy, 2.0 * dy - h * (K[_DOP.N_STAGES] + K[0]),
+                  *(h * np.tensordot(_DOP.D, K, 1))])
+    a = np.tensordot(_EXTENSION_POWERS, F, 1)
+    a[0] = y0
+    powers = np.arange(7, -1, -1)[:, None, None]
+    return (a[::-1] / h ** powers).transpose(0, 2, 1)
+
+
+# the smallest tolerance the compiled DOP853 honours: 10 eps
+_TOL_FLOOR = 10.0 * float(np.finfo(float).eps)
 _NO_STEP_BUDGET = 2**31 - 1  # the largest int32 step cap: no budget
 
 
-def _call_field(x, y, field):
+# The compiled runner leaks a reference to each callable it is handed, so it
+# gets module-level ones only.  The field and a dense solve's step log ride
+# as extra arguments, which the runner passes to the field and to the step
+# callback alike.
+def _call_field(x, y, field, log):
     return field(x, y)
 
 
-def _no_dense_output(x, y):
+def _record_step(x, y, field, log):
+    log.append((x, y.copy()))  # y is the runner's work array
     return 1
+
+
+def _continue(x, y, field, log):
+    return 1
+
+
+class _StepLog(list):
+    """The accepted steps of one dense solve, as (x, state) pairs."""
 
 
 def integrate_ode(field, span, y0, tol, dense=True):
     """Adaptive explicit integration: DOP853, the 8(5,3) Runge-Kutta pair
-    of Dormand and Prince with Hairer's error norm and step control.
+    of Dormand and Prince with Hairer's error norm and step control, run
+    by Hairer's compiled code (scipy.integrate.ode), so no Python runs per
+    step beyond the field and a one-line step callback.
 
     Local error per unit step is controlled at `tol`, as rtol = tol and
     atol = tol / 100, with no step budget and no stiffness interrupt; the
-    span may run backward.  Returns a DenseSolution on `span`; with
-    dense=False it returns only the state at span[1], as an array.
+    span may run backward.  A tol below the floor 10 eps raises
+    ToleranceFloorError (a DomainValidationError carrying tol and the
+    floor); step-size underflow raises IntegrationError carrying the
+    failure location.
 
-    One contract, two backends.  The endpoint-only solve runs Hairer's
-    compiled DOP853 (scipy.integrate.ode), so no Python runs per step
-    beyond the field.  The dense solve runs solve_ivp's Python port of
-    the same method, because scipy exposes the continuous extension
-    (Hairer's CONTD8) only there.  Their step-size controllers differ in
-    detail, so the two endpoints agree within the tolerance, not bitwise.
-    Each backend honours tolerances down to its own floor, 10 eps compiled
-    and 100 eps in solve_ivp (which raises a smaller rtol to it with only
-    a warning); a smaller tol raises DomainValidationError.  Step-size
-    underflow raises IntegrationError carrying the failure location.
+    Returns a DenseSolution on `span`, rebuilt from the recorded steps
+    after the solve; its field must then accept an array of abscissae with
+    states of shape (n, len(x)).  With dense=False it returns only the
+    state at span[1], as an array, and the field sees scalars only.
     """
-    floor = (100.0 if dense else 10.0) * _EPS
-    if not tol >= floor:
-        raise DomainValidationError(
-            f"integrate_ode needs tol >= {floor:.3g} "
-            f"({'dense' if dense else 'endpoint-only'} solve), got tol={tol}")
+    if not tol >= _TOL_FLOOR:
+        raise ToleranceFloorError(
+            f"integrate_ode needs tol >= {_TOL_FLOOR:.3g}, got tol={tol}",
+            tol=tol, floor=_TOL_FLOOR)
     y0 = np.atleast_1d(np.asarray(y0, dtype=float))
-    if dense:
-        res = solve_ivp(field, span, y0, method="DOP853", rtol=tol,
-                        atol=tol * 1e-2, dense_output=True)
-        if res.status != 0 or not res.success:
-            loc = res.t[-1] if res.t.size else span[0]
-            raise IntegrationError(
-                f"integration failed near x = {loc}: {res.message}",
-                location=loc)
-        return DenseSolution(field, res.sol, span)
     solver = ode(_call_field).set_integrator(
         "dop853", rtol=tol, atol=tol * 1e-2, nsteps=_NO_STEP_BUDGET)
-    solver.set_f_params(field).set_initial_value(y0, span[0])
+    log = _StepLog()
+    solver.set_f_params(field, log).set_initial_value(y0, span[0])
     dop = solver._integrator
     dop.iwork[3] = -1  # Hairer's IWORK(4) < 0: no stiffness test
-    # the compiled runner leaks a reference to each callable it is handed,
-    # so it gets module-level ones: the field rides as an extra argument,
-    # and the dense-output callback (never called at iout = 0) replaces the
-    # integrator's bound method, which would keep the integrator alive
-    dop.call_args[2] = _no_dense_output
+    # IOUT = 1: the callback runs after every accepted step.  It also keeps
+    # the field-call count of a solve the same from run to run, which it is
+    # not at IOUT = 0.
+    dop.call_args[2:4] = (_record_step if dense else _continue), 1
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)  # raised below instead
         y = solver.integrate(span[1])
@@ -211,32 +276,10 @@ def integrate_ode(field, span, y0, tol, dense=True):
         raise IntegrationError(
             f"integration failed near x = {solver.t}: "
             f"{dop.messages.get(code, f'istate {code}')}", location=solver.t)
-    return y
-
-
-# ---------------------------------------------------------------------------
-# Adaptive quadrature
-# ---------------------------------------------------------------------------
-
-
-def quad_adaptive_err(f, a, b, tol):
-    """Adaptive quadrature returning (value, error bound)."""
-    if not a < b:
-        raise DomainValidationError(
-            f"quad_adaptive_err needs a < b, got [{a}, {b}]")
-    if not tol > 0:
-        raise DomainValidationError("quad_adaptive_err needs tol > 0")
-    out = _scipy_quad(f, a, b, epsabs=tol, epsrel=tol, limit=300, full_output=1)
-    val, err = out[0], out[1]
-    if len(out) > 3:  # an explanation message is present: budget exhausted
-        raise QuadratureError(
-            f"quadrature did not converge on [{a}, {b}]: {out[3]}",
-            estimate=val, bound=err)
-    if not (err <= tol * max(1.0, abs(val)) * 10.0):
-        raise QuadratureError(
-            f"quadrature error bound {err} exceeds requested tolerance {tol}",
-            estimate=val, bound=err)
-    return val, err
+    if not dense:
+        return y
+    return DenseSolution(field, span, np.array([x for x, _ in log]),
+                         np.array([s for _, s in log]).T)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import os
 
 import numpy as np
@@ -9,6 +10,7 @@ from hornlab.cli import (EXIT_BOUNDS, EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK,
                          load_config, main, run)
 from hornlab.errors import ConfigError
 from hornlab.geometry import make_horn_params
+from hornlab.heat import _wkb_first_trial
 from hornlab.modes import tip_window_top
 
 P_DEFAULT = make_horn_params(3, 4.0, 0.5, 0.25)
@@ -125,11 +127,40 @@ def test_radial_mode_without_profile_is_config_error(tmp_path, command):
 def test_window_and_count_keys_are_config_errors(tmp_path, command, key,
                                                  value, bound):
     # a window or count the pipeline cannot use is the config's fault: the
-    # error names the key and its bound
+    # error names the key and its bound, and comes before any scan runs
     code = main([command, "--out", str(tmp_path), "--set", f"{key}={value}"])
     assert code == EXIT_CONFIG
     man = json.loads((tmp_path / "manifest.json").read_text())
     assert key in man["error"] and bound in man["error"]
+    for scan in ("heat.csv", "freq_elliptic.csv"):
+        assert not (tmp_path / scan).exists()
+
+
+# the first shot of the default eigen search runs at tol / (k r_out), with
+# k = sqrt(nu) at the WKB trial nu
+FIRST_SHOT_TOL = 1e-14 / (math.sqrt(_wkb_first_trial(P_DEFAULT, 1, 2.0)) * 2.0)
+
+
+@pytest.mark.parametrize("command, value, derived", [
+    ("modes", "1e-15", 1e-15),
+    ("freq-elliptic", "1e-15", 1e-15),
+    ("eigs", "1e-16", 1e-16),
+    # the tip anchors run at 1e-14, above the floor; the shots do not
+    ("eigs", "1e-14", FIRST_SHOT_TOL),
+    ("demo-counterexample", "1e-14", FIRST_SHOT_TOL),
+])
+def test_ode_tolerance_below_floor_is_config_error(tmp_path, command, value,
+                                                   derived):
+    # a tolerance the integrator cannot honour is the config's fault, also
+    # when a stage derives it from tolerances.ode: the error names the key,
+    # the derived tolerance and the floor
+    code = main([command, "--out", str(tmp_path),
+                 "--set", f"tolerances.ode={value}"])
+    assert code == EXIT_CONFIG
+    error = json.loads((tmp_path / "manifest.json").read_text())["error"]
+    assert error.startswith(f"tolerances.ode={value} is too small: {command}")
+    assert f"the ODE tolerance {derived:.3g}," in error
+    assert f"floor {10 * np.finfo(float).eps:.3g}" in error
 
 
 @pytest.mark.parametrize("command, assignment, message", [

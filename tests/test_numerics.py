@@ -9,9 +9,9 @@ from support import (J0_FIRST_ZERO, oracle_besselj, oracle_bessely,
                      oracle_gamma, oracle_j0_first_zero)
 
 from hornlab import (DomainValidationError, IntegrationError, QuadratureError,
-                     RootBracketError, bessel_j, bessel_j_prime, bessel_y,
-                     bessel_y_prime, check_in_range, find_root_bracketed,
-                     fit_line, gamma_real, integrate_ode, quad_adaptive_err,
+                     RootBracketError, ToleranceFloorError, bessel_j,
+                     bessel_j_prime, bessel_y, bessel_y_prime, check_in_range,
+                     find_root_bracketed, fit_line, gamma_real, integrate_ode,
                      quad_log)
 
 
@@ -164,28 +164,79 @@ def test_ode_trig_exp_accuracy_scaling():
 
 
 def test_ode_endpoint_only_matches_dense():
-    # the compiled endpoint-only solve and the dense solve both reach the
-    # exact state within 100 tol, agree with each other as closely, and the
-    # endpoint-only solve spends fewer field evaluations
+    # one backend: the endpoint-only solve and the dense solve take the same
+    # steps, so the dense solution's last recorded state is the endpoint
+    # bitwise, and both lie within 100 tol of the exact state
     tol = 1e-10
-    calls = {"dense": 0, "end": 0}
-
-    def field(key):
-        def fld(x, y):
-            calls[key] += 1
-            return [y[1], -y[0]]
-        return fld
-
-    sol = integrate_ode(field("dense"), (0.0, 10.0), [1.0, 0.0], tol)
-    end = integrate_ode(field("end"), (0.0, 10.0), [1.0, 0.0], tol,
-                        dense=False)
+    fld = lambda x, y: [y[1], -y[0]]  # noqa: E731
+    sol = integrate_ode(fld, (0.0, 10.0), [1.0, 0.0], tol)
+    end = integrate_ode(fld, (0.0, 10.0), [1.0, 0.0], tol, dense=False)
     assert isinstance(end, np.ndarray) and end.shape == (2,)
+    assert np.array_equal(sol.step_states[:, -1], end)
     exact = np.array([math.cos(10.0), -math.sin(10.0)])
-    dense_end = sol.states(np.array([10.0]))[:, 0]
     assert np.allclose(end, exact, rtol=0.0, atol=100 * tol)
-    assert np.allclose(dense_end, exact, rtol=0.0, atol=100 * tol)
-    assert np.allclose(end, dense_end, rtol=0.0, atol=100 * tol)
-    assert calls["end"] < calls["dense"]
+    assert np.allclose(sol.states(np.array([10.0]))[:, 0], exact, rtol=0.0,
+                       atol=100 * tol)
+
+
+def test_ode_dense_interior_accuracy():
+    # y'' = rho^2 y over two units, the constant-coefficient tip equation:
+    # the continuous extension holds 1e-10 relative at 4001 interior points
+    # (it reads about 2e-12)
+    rho = 5.66
+    sol = integrate_ode(lambda s, y: [y[1], rho * rho * y[0]], (0.0, 2.0),
+                        [1.0, 1.0], 1e-12)
+    xs = np.linspace(0.0, 2.0, 4001)
+    exact = np.cosh(rho * xs) + np.sinh(rho * xs) / rho
+    assert np.max(np.abs(sol.states(xs)[0] / exact - 1.0)) <= 1e-10
+    dexact = rho * np.sinh(rho * xs) + np.cosh(rho * xs)
+    assert np.max(np.abs(sol.states(xs)[1] / dexact - 1.0)) <= 1e-10
+
+
+def test_ode_dense_backward_span():
+    # a decreasing span, as solve_k2 integrates from s_far down to r_mu
+    tol = 1e-10
+    sol = integrate_ode(lambda x, y: [y[1], -y[0]], (10.0, 0.5),
+                        [math.cos(10.0), -math.sin(10.0)], tol)
+    assert sol.span == (10.0, 0.5)
+    assert np.all(np.diff(sol.steps) < 0)
+    assert sol.steps[0] == 10.0 and sol.steps[-1] == pytest.approx(0.5)
+    xs = np.linspace(0.5, 10.0, 1001)
+    got = sol.states(xs)
+    assert np.max(np.abs(got[0] - np.cos(xs))) <= 100 * tol
+    assert np.max(np.abs(got[1] + np.sin(xs))) <= 100 * tol
+    y, dy = sol.eval(3.0)
+    assert dy == pytest.approx([y[1], -y[0]], rel=1e-15)
+
+
+def test_ode_dense_passes_through_recorded_steps():
+    # the extension of each step starts at its recorded state exactly and
+    # ends at the next one up to rounding
+    sol = integrate_ode(lambda x, y: [y[1], 4.0 * y[0] + math.pi],
+                        (0.0, 3.0), [1.0, 2.0], 1e-10)
+    assert sol.steps.size > 10
+    assert sol.step_states.shape == (2, sol.steps.size)
+    assert np.array_equal(sol.states(sol.steps[:-1]), sol.step_states[:, :-1])
+    assert np.allclose(sol.states(sol.steps[-1]), sol.step_states[:, -1],
+                       rtol=1e-14, atol=0.0)
+
+
+def test_ode_field_calls_repeat_exactly():
+    # the compiled runner at IOUT = 0 re-evaluates f at the start of every
+    # step from some point in a process on; the step callback keeps one
+    # solve's field-call count the same on every repeat
+    counts = []
+    for _ in range(40):
+        calls = [0]
+
+        def fld(x, y):
+            calls[0] += 1
+            return [y[1], -y[0]]
+
+        with warnings.catch_warnings():
+            integrate_ode(fld, (0.0, 1.0), [1.0, 0.0], 1e-10, dense=False)
+        counts.append(calls[0])
+    assert len(set(counts)) == 1
 
 
 def test_ode_endpoint_only_backward_span():
@@ -209,39 +260,53 @@ def test_ode_endpoint_only_has_no_stiffness_interrupt():
     assert end[0] == pytest.approx(exact, abs=100 * tol)
 
 
-def test_ode_endpoint_only_keeps_nothing_alive():
+def _assert_solves_keep_nothing_alive(dense):
     # scipy's compiled runner leaks a reference to each callable it is
-    # handed; neither the field nor the integrator may outlive the solve
+    # handed; neither the field, nor the integrator, nor a dense solve's
+    # step log may outlive the solve and its solution
     from scipy.integrate._ode import dop853
+
+    from hornlab.numerics import _StepLog
 
     class Field:
         def __call__(self, x, y):
             return [y[1], -y[0]]
 
-    def integrators():
+    def survivors():
         gc.collect()
-        return sum(isinstance(o, dop853) for o in gc.get_objects())
+        return sum(isinstance(o, (dop853, _StepLog)) for o in gc.get_objects())
 
-    before = integrators()
+    before = survivors()
     fld = Field()
     ref = weakref.ref(fld)
     for _ in range(10):
-        integrate_ode(fld, (0.0, 1.0), [1.0, 0.0], 1e-10, dense=False)
-    del fld
-    assert integrators() == before
+        sol = integrate_ode(fld, (0.0, 1.0), [1.0, 0.0], 1e-10, dense=dense)
+    del fld, sol
+    assert survivors() == before
     assert ref() is None
 
 
-@pytest.mark.parametrize("dense, floor", [(True, 100), (False, 10)])
+def test_ode_endpoint_only_keeps_nothing_alive():
+    _assert_solves_keep_nothing_alive(dense=False)
+
+
+def test_ode_dense_keeps_nothing_alive():
+    _assert_solves_keep_nothing_alive(dense=True)
+
+
+@pytest.mark.parametrize("dense, floor", [(True, 10), (False, 10)])
 def test_ode_tolerance_floor_is_refused(dense, floor):
-    # each backend honours tolerances down to its floor in units of eps
-    # and refuses a smaller one instead of clamping it
+    # one backend, one floor for dense and endpoint-only solves: tolerances
+    # down to 10 eps are honoured and a smaller one is refused instead of
+    # clamped, with the tol and the floor
     eps = np.finfo(float).eps
     fld = lambda x, y: [y[1], -y[0]]  # noqa: E731
     integrate_ode(fld, (0.0, 1.0), [1.0, 0.0], floor * eps, dense=dense)
-    with pytest.raises(DomainValidationError, match="tol="):
+    with pytest.raises(ToleranceFloorError, match="tol=") as err:
         integrate_ode(fld, (0.0, 1.0), [1.0, 0.0], 0.9 * floor * eps,
                       dense=dense)
+    assert isinstance(err.value, DomainValidationError)
+    assert (err.value.tol, err.value.floor) == (0.9 * floor * eps, floor * eps)
 
 
 def test_ode_initial_condition_and_span():
@@ -287,59 +352,6 @@ def test_ode_endpoint_only_failure_reports_location():
             integrate_ode(lambda x, y: y * y, (0.0, 2.0), [1.0], 1e-10,
                           dense=False)
     assert 0.9 <= err.value.location <= 2.0
-
-
-# ---------------------------------------------------------------------------
-# Quadrature
-# ---------------------------------------------------------------------------
-
-
-def test_quad_polynomial():
-    assert quad_adaptive_err(lambda x: x * x, 0.0, 1.0, 1e-12)[0] == \
-        pytest.approx(1.0 / 3.0, rel=1e-12)
-
-
-def test_quad_gaussian_moment_mapped():
-    # int_0^inf exp(-s^2) s^c ds = Gamma((c+1)/2) / 2, mapped to (0, 1)
-    # by s = u/(1-u) with explicit Jacobian
-    c = 3.75
-
-    def mapped(u):
-        s = u / (1.0 - u)
-        return math.exp(-s * s) * s ** c / (1.0 - u) ** 2
-
-    val = quad_adaptive_err(mapped, 0.0, 1.0 - 1e-12, 1e-10)[0]
-    assert val == pytest.approx(oracle_gamma((c + 1.0) / 2.0) / 2.0, rel=1e-8)
-
-
-def test_quad_endpoint_singularity():
-    assert quad_adaptive_err(lambda x: x ** -0.5, 0.0, 1.0, 1e-10)[0] == \
-        pytest.approx(2.0, rel=1e-9)
-
-
-def test_quad_error_bound_honest():
-    cases = [
-        (lambda x: x * x, 0.0, 1.0, 1.0 / 3.0),
-        (lambda x: math.sin(x), 0.0, math.pi, 2.0),
-        (lambda x: x ** -0.5, 0.0, 1.0, 2.0),
-    ]
-    for f, a, b, exact in cases:
-        val, bound = quad_adaptive_err(f, a, b, 1e-10)
-        assert abs(val - exact) <= max(bound, 1e-15)
-
-
-def test_quad_rejects_bad_interval():
-    with pytest.raises(DomainValidationError):
-        quad_adaptive_err(lambda x: x, 1.0, 0.0, 1e-8)
-
-
-def test_quad_budget_exhaustion_carries_estimate():
-    # highly oscillatory near 0: subdivision budget runs out
-    f = lambda x: math.sin(1.0 / x) / x
-    with pytest.raises(QuadratureError) as err:
-        quad_adaptive_err(f, 1e-8, 1.0, 1e-13)
-    assert err.value.estimate is not None
-    assert err.value.bound is not None
 
 
 # ---------------------------------------------------------------------------
