@@ -87,13 +87,13 @@ def _apply_set(cfg, assignment):
         value = json.loads(raw)
     except json.JSONDecodeError:
         value = raw
+    *blocks, leaf = path.split(".")
     node = cfg
-    keys = path.split(".")
-    for key in keys[:-1]:
-        if key not in node or not isinstance(node[key], dict):
-            node[key] = {}
+    for key in blocks:
+        if not isinstance(node.get(key), dict):
+            raise ConfigError(f"unknown config key {path}")
         node = node[key]
-    node[keys[-1]] = value
+    node[leaf] = value
 
 
 def load_config(path=None, overrides=()):
@@ -128,7 +128,10 @@ def _check_numbers(cfg, default, prefix=""):
     value is not a finite one (windows aside): a bool or a string is no
     number.  A leaf whose default is an int must be integral, and is
     stored as an int.  (abs(x) < inf, unlike math.isfinite, also takes an
-    int past float range.)"""
+    int past float range.)  A key that DEFAULT_CONFIG lacks is refused."""
+    unknown = [key for key in cfg if key not in default]
+    if unknown:
+        raise ConfigError(f"unknown config key {prefix + unknown[0]}")
     for key, dflt in default.items():
         name, value = prefix + key, cfg.get(key)
         if isinstance(dflt, dict):
@@ -230,11 +233,16 @@ def _mode_profile(cfg, p):
 
 
 def _elliptic_state(cfg, p):
-    m = cfg["mode"]
+    """The elliptic state mode selects, with freq.lo and freq.hi checked
+    against its domain."""
+    m, fr = cfg["mode"], cfg["freq"]
     if m["i"] == 0 and m["mu"] == 0:
-        fr = cfg["freq"]
-        return constant_state(p, (fr["lo"] * 0.5, fr["hi"] * 2.0))
-    return profile_state(_mode_profile(cfg, p))
+        state = constant_state(p, (fr["lo"] * 0.5, fr["hi"] * 2.0))
+    else:
+        state = profile_state(_mode_profile(cfg, p))
+    _check_window(cfg, "freq", ("lo", "hi"), *state.domain,
+                  "the elliptic state's domain (from mode.r_min and mode.mu)")
+    return state
 
 
 def _run_modes(cfg, p, out, artifacts):
@@ -253,11 +261,8 @@ def _run_modes(cfg, p, out, artifacts):
     }, prof
 
 
-def _run_freq_elliptic(cfg, p, out, artifacts):
-    state = _elliptic_state(cfg, p)
+def _run_freq_elliptic(cfg, p, out, artifacts, state):
     fr = cfg["freq"]
-    _check_window(cfg, "freq", ("lo", "hi"), *state.domain,
-                  "the elliptic state's domain (from mode.r_min and mode.mu)")
     grid = _grid(fr["lo"], fr["hi"], fr["points"], fr["spacing"])
     quad_tol = min(cfg["tolerances"]["quad"], 1e-9)
     scan = elliptic_scan(state, grid, tol=quad_tol)
@@ -291,15 +296,12 @@ def _parabolic_state(cfg, p, out, artifacts):
         raise ConfigError(
             "freq-parabolic supports the unit caloric state (i=0, mu=0) or "
             "Dirichlet series with i >= 1")
-    _, pairs = _run_eigs(cfg, p, out, artifacts)
-    return _series_from_config(cfg, p, pairs)
+    return _series(cfg, p, out, artifacts)[1]
 
 
-def _run_freq_parabolic(cfg, p, out, artifacts, state=None):
+def _run_freq_parabolic(cfg, p, out, artifacts, state):
     fr = cfg["freq"]
     grid = _grid(fr["R_lo"], fr["R_hi"], fr["R_points"], fr["spacing"])
-    if state is None:
-        state = _parabolic_state(cfg, p, out, artifacts)
     scan = parabolic_scan(state, grid, tol=min(cfg["tolerances"]["quad"], 1e-11))
     path = os.path.join(out, "freq_parabolic.csv")
     scan.to_csv(path)
@@ -349,21 +351,28 @@ def _run_eigs(cfg, p, out, artifacts):
     return report, pairs
 
 
-def _series_from_config(cfg, p, pairs):
-    coeffs = list(cfg["heat"]["coeffs"])[:len(pairs)]
-    if len(coeffs) < len(pairs):
-        coeffs = coeffs + [0.0] * (len(pairs) - len(coeffs))
-    t_min = min(cfg["heat"]["t_list"])
-    return make_caloric_series(pairs, coeffs, t_min)
-
-
-def _run_heat(cfg, p, out, artifacts, series=None):
-    if series is None:
-        _, pairs = _run_eigs(cfg, p, out, artifacts)
-        series = _series_from_config(cfg, p, pairs)
+def _series(cfg, p, out, artifacts):
+    """(eigs report, caloric series): the series on the eigen search's
+    pairs, heat.coeffs padded with zeros to eigs.count, with the windows
+    that read it, heat.r_lo, heat.r_hi and analyticity.r0, checked as soon
+    as it exists."""
     h = cfg["heat"]
-    _check_window(cfg, "heat", ("r_lo", "r_hi"), *series.r_support,
-                  "the range every eigenfunction represents")
+    count = cfg["eigs"]["count"]
+    if len(h["coeffs"]) > count:
+        raise ConfigError(f"heat.coeffs has {len(h['coeffs'])} entries, "
+                          f"more than eigs.count={count}")
+    report, pairs = _run_eigs(cfg, p, out, artifacts)
+    series = make_caloric_series(
+        pairs, h["coeffs"] + [0.0] * (count - len(h["coeffs"])),
+        min(h["t_list"]))
+    for block, keys in (("heat", ("r_lo", "r_hi")), ("analyticity", ("r0",))):
+        _check_window(cfg, block, keys, *series.r_support,
+                      "the range every eigenfunction represents")
+    return report, series
+
+
+def _run_heat(cfg, p, out, artifacts, series):
+    h = cfg["heat"]
     r_grid = np.geomspace(h["r_lo"], h["r_hi"], h["points"])
     rows = []
     slopes = {}
@@ -378,19 +387,10 @@ def _run_heat(cfg, p, out, artifacts, series=None):
     artifacts.append(path)
     return {"decay_by_t": slopes,
             "tail_certificate": series.tail_certificate,
-            "truncation": len(series.pairs)}, series
+            "truncation": len(series.terms)}, series
 
 
-def _check_r0(cfg, series):
-    _check_window(cfg, "analyticity", ("r0",), *series.r_support,
-                  "the range every eigenfunction represents")
-
-
-def _run_analyticity(cfg, p, out, artifacts, series=None):
-    if series is None:
-        _, pairs = _run_eigs(cfg, p, out, artifacts)
-        series = _series_from_config(cfg, p, pairs)
-    _check_r0(cfg, series)
+def _run_analyticity(cfg, p, out, artifacts, series):
     a = cfg["analyticity"]
     r0, t0, kmax = a["r0"], a["t0"], a["kmax"]
     log_ak = taylor_coefficients(series, r0, t0, kmax)
@@ -404,17 +404,18 @@ def _run_analyticity(cfg, p, out, artifacts, series=None):
 
 
 def _run_demo(cfg, p, out, artifacts):
-    """eigs -> caloric series -> tip-decay check -> both frequency scans.
+    """elliptic state -> eigs -> caloric series -> tip-decay check -> both
+    frequency scans -> analyticity probe.
 
-    One summary report; a threshold miss flips the exit code to 4.
+    Both states are built, and every window checked, before any scan
+    runs.  One summary report; a threshold miss flips the exit code to 4.
     """
-    eig_report, pairs = _run_eigs(cfg, p, out, artifacts)
-    series = _series_from_config(cfg, p, pairs)
-    _check_r0(cfg, series)  # before any scan runs
-    heat_report, _ = _run_heat(cfg, p, out, artifacts, series=series)
-    ell_report, _ = _run_freq_elliptic(cfg, p, out, artifacts)
-    par_report, _ = _run_freq_parabolic(cfg, p, out, artifacts, state=series)
-    ana_report, _ = _run_analyticity(cfg, p, out, artifacts, series=series)
+    state = _elliptic_state(cfg, p)
+    eig_report, series = _series(cfg, p, out, artifacts)
+    heat_report, _ = _run_heat(cfg, p, out, artifacts, series)
+    ell_report, _ = _run_freq_elliptic(cfg, p, out, artifacts, state)
+    par_report, _ = _run_freq_parabolic(cfg, p, out, artifacts, series)
+    ana_report, _ = _run_analyticity(cfg, p, out, artifacts, series)
 
     th = DEMO_THRESHOLDS
     slopes = [v["slope"] for v in heat_report["decay_by_t"].values()]
@@ -446,14 +447,19 @@ def _run_demo(cfg, p, out, artifacts):
 
 
 # Each pipeline returns (report for the manifest, what it built: profile,
-# eigenpairs, scan, series or Taylor coefficients).
+# eigenpairs, scan, series or Taylor coefficients).  A stage that reads a
+# state or a series takes it as an argument; its command builds it first.
 COMMANDS = {
     "modes": _run_modes,
     "eigs": _run_eigs,
-    "freq-elliptic": _run_freq_elliptic,
-    "freq-parabolic": _run_freq_parabolic,
-    "heat": _run_heat,
-    "analyticity": _run_analyticity,
+    "freq-elliptic": lambda cfg, p, out, arts: _run_freq_elliptic(
+        cfg, p, out, arts, _elliptic_state(cfg, p)),
+    "freq-parabolic": lambda cfg, p, out, arts: _run_freq_parabolic(
+        cfg, p, out, arts, _parabolic_state(cfg, p, out, arts)),
+    "heat": lambda cfg, p, out, arts: _run_heat(
+        cfg, p, out, arts, _series(cfg, p, out, arts)[1]),
+    "analyticity": lambda cfg, p, out, arts: _run_analyticity(
+        cfg, p, out, arts, _series(cfg, p, out, arts)[1]),
     "demo-counterexample": _run_demo,
 }
 

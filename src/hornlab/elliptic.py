@@ -66,15 +66,16 @@ class ModeState:
         return sphere_eigenvalue(self.params.n, self.i)
 
 
+def _constant_radial_log(r):
+    """(sign, log|f|, d log|f|/dr) of f == 1 at an array of radii."""
+    r = np.asarray(r, dtype=float)
+    z = np.zeros_like(r)
+    return np.ones_like(r), z, z
+
+
 def constant_state(p, domain):
     """f == 1, i = 0, mu = 0 (harmonic)."""
-
-    def radial_log(r):
-        r = np.asarray(r, dtype=float)
-        z = np.zeros_like(r)
-        return np.ones_like(r), z, z
-
-    return ModeState(params=p, i=0, mu=0.0, radial_log=radial_log,
+    return ModeState(params=p, i=0, mu=0.0, radial_log=_constant_radial_log,
                      domain=_checked_domain(domain))
 
 
@@ -319,15 +320,6 @@ def elliptic_scan(state, r_grid, tol=1e-10):
 # ---------------------------------------------------------------------------
 
 
-def _dlog_central(x, y):
-    """3-point first derivative of y(x) at the interior points (order 2)."""
-    hm = x[1:-1] - x[:-2]
-    hp = x[2:] - x[1:-1]
-    return (y[2:] * hm / (hp * (hm + hp))
-            + y[1:-1] * (hp - hm) / (hm * hp)
-            - y[:-2] * hp / (hm * (hm + hp)))
-
-
 def check_logI_identity(state, scan):
     """Max defect of the scale-invariant identity r (log I)' - 2U = c - n + 1.
 
@@ -338,9 +330,7 @@ def check_logI_identity(state, scan):
     if scan.scale.size < 3:
         raise DomainValidationError("check_logI_identity needs >= 3 rows")
     p = state.params
-    x = np.log(scan.scale)
-    logI = np.log(scan.I)
-    d = _dlog_central(x, logI)
+    d = np.gradient(np.log(scan.I), np.log(scan.scale))[1:-1]
     defect = np.abs(d - 2.0 * scan.UN[1:-1] - (p.c - p.n + 1.0))
     return float(np.max(defect))
 
@@ -364,15 +354,20 @@ def check_U_growth(state, scan):
     return defect, C
 
 
-def check_I_lower(state, scan):
-    """Fit of log I against 1 - (r/r_top)^(-2eps).
+def floor_fit(scale, mass, eps):
+    """Fit of log mass against 1 - (scale/scale_top)^(-2eps) across a scan
+    of at least 8 rows: the floor check of both frequency functionals.
 
-    A non-negative slope certifies that I decays no faster than
-    exp(-C r^(-2eps)); the top of the scan range stands in as the
+    A non-negative slope certifies that the mass decays no faster than
+    exp(-C scale^(-2eps)); the top of the scan range stands in as the
     reference scale.
     """
-    if scan.scale.size < 8:
-        raise DomainValidationError("check_I_lower needs >= 8 rows")
-    eps = state.params.eps
-    x = 1.0 - (scan.scale / scan.scale[-1]) ** (-2.0 * eps)
-    return fit_line(x, np.log(scan.I))
+    if scale.size < 8:
+        raise DomainValidationError("a floor fit needs >= 8 scan rows")
+    x = 1.0 - (scale / scale[-1]) ** (-2.0 * eps)
+    return fit_line(x, np.log(mass))
+
+
+def check_I_lower(state, scan):
+    """Floor fit of the boundary mass I across an elliptic scan."""
+    return floor_fit(scan.scale, scan.I, state.params.eps)

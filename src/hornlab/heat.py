@@ -327,43 +327,42 @@ def tail_bound(eigs, k, t, p, coeff_cap=1.0):
 
 @dataclass
 class CaloricSeries:
-    """Truncated spectral solution sum_j c_j exp(-nu_j t) g_j(r) phi_i."""
+    """The one caloric state type: u = sum_j c_j exp(-nu_j t) g_j(r) phi_i
+    with spherical index i, on the radii r_support.  Each term is a pair
+    (radial evaluator, rate nu_j), the evaluator giving (sign, log|g_j|,
+    d log|g_j|/dr) at an array of radii; tail_certificate bounds the part
+    a truncated series drops (0 for an exact state)."""
 
-    pairs: list
+    params: object
+    sphere_index: int
+    r_support: tuple
+    terms: list
     coeffs: np.ndarray
-    tail_certificate: float
-
-    @property
-    def params(self):
-        return self.pairs[0].g.params
-
-    @property
-    def sphere_index(self):
-        return self.pairs[0].mode_index
-
-    @property
-    def r_support(self):
-        lo = max(pair.g.r_min for pair in self.pairs)
-        return (lo, self.pairs[0].r_out)
+    tail_certificate: float = 0.0
 
     def slice_log(self, r, t, k=0):
         """(sign F, log|F|, sign dF/dr, log|dF/dr|) at time t, array r, of
         F = d^k/dt^k of the series: term j picks up (-nu_j)^k, that is
-        k log nu_j in magnitude and (-1)^k in sign.  The one place the
-        series is summed.
+        k log nu_j in magnitude and (-1)^k in sign, and a term with
+        nu_j = 0 is an exact zero for k >= 1.  The one place the series is
+        summed.
         """
         r = np.atleast_1d(np.asarray(r, dtype=float))
-        K = len(self.pairs)
+        K = len(self.terms)
         sF = np.empty((K, r.size))
         lF = np.empty((K, r.size))
         sD = np.empty((K, r.size))
         lD = np.empty((K, r.size))
-        for j, (pair, cj) in enumerate(zip(self.pairs, self.coeffs)):
-            sgn, lm, ld = pair.g.eval_log(r)
+        for j, ((radial_log, nu), cj) in enumerate(zip(self.terms,
+                                                       self.coeffs)):
+            if k and nu == 0:
+                sF[j], lF[j], sD[j], lD[j] = 0.0, -math.inf, 0.0, -math.inf
+                continue
+            sgn, lm, ld = radial_log(r)
             amp = math.log(abs(cj)) if cj != 0 else -math.inf
             csign = 1.0 if cj >= 0 else -1.0
             sF[j] = csign * sgn * (-1.0) ** k
-            lF[j] = amp - pair.nu * t + lm + k * math.log(pair.nu)
+            lF[j] = amp - nu * t + lm + (k * math.log(nu) if k else 0.0)
             with np.errstate(divide="ignore", invalid="ignore"):
                 lD[j] = lF[j] + np.log(np.abs(ld))
             sD[j] = sF[j] * np.sign(ld)
@@ -389,8 +388,11 @@ def make_caloric_series(pairs, coeffs, t_min):
     cap = float(np.max(np.abs(coeffs))) or 1.0
     p = pairs[0].g.params
     cert = tail_bound(pairs, len(pairs), t_min, p, coeff_cap=cap)
-    return CaloricSeries(pairs=list(pairs), coeffs=coeffs,
-                         tail_certificate=cert)
+    r_support = (max(pair.g.r_min for pair in pairs), pairs[0].r_out)
+    return CaloricSeries(params=p, sphere_index=pairs[0].mode_index,
+                         r_support=r_support,
+                         terms=[(pair.g.eval_log, pair.nu) for pair in pairs],
+                         coeffs=coeffs, tail_certificate=cert)
 
 
 def coefficients_from_initial(pairs, fn, tol=1e-10):

@@ -111,18 +111,21 @@ def _q_factory(p, i, mu):
     return q
 
 
-def _verify_k1_sandwich(p, i, mu, sol, s_lo, s_hi):
-    rho = tip_rate(p, i)
+def _check_sandwich(rho, span, log_k, lower, upper, branch):
+    """ConsistencyError unless log k, a function of an array of abscissas,
+    lies between the lines lower and upper at 65 points of span, with a
+    slack of 1e-9.  A line (a, b) is a + b (s - s_lo); the comparison
+    bounds need rho >= 1."""
     if rho < 1.0:
-        return  # the lower comparison bound requires rho >= 1
+        return
+    s_lo, s_hi = span
     ss = np.linspace(s_lo, s_hi, 65)
-    k = sol.states(ss)[0]
-    up = np.exp((rho + 1.0) * (ss - s_lo))
-    lo = np.exp(rho * (ss - s_lo)) / rho
-    slack = 1.0 + 1e-9
-    if not (np.all(k <= up * slack) and np.all(k >= lo / slack)):
+    d = ss - s_lo
+    L = log_k(ss)
+    if not (np.all(L <= upper[0] + upper[1] * d + 1e-9)
+            and np.all(L >= lower[0] + lower[1] * d - 1e-9)):
         raise ConsistencyError(
-            "growing tip branch violates its two-sided exponential bounds")
+            f"{branch} tip branch violates its two-sided exponential bounds")
 
 
 def solve_k1(p, i, mu, s_max, tol=1e-12):
@@ -143,7 +146,9 @@ def solve_k1(p, i, mu, s_max, tol=1e-12):
         return [y[1], q(s) * y[0]]
 
     sol = integrate_ode(fld, (s_lo, s_max), [1.0, 1.0], tol)
-    _verify_k1_sandwich(p, i, mu, sol, s_lo, s_max)
+    rho = tip_rate(p, i)
+    _check_sandwich(rho, (s_lo, s_max), lambda ss: np.log(sol.states(ss)[0]),
+                    (-math.log(rho), rho), (0.0, rho + 1.0), "growing")
     return sol
 
 
@@ -240,23 +245,10 @@ def solve_k2(p, i, mu, s_max, tol=1e-12):
 
     sol = integrate_ode(fld, (s_far, s_lo), [-math.sqrt(q(s_far)), 0.0], tol)
     k2 = TipDecaySolution((s_lo, s_max), rho, sol, q, rel_unc)
-    _verify_k2_sandwich(k2)
+    _check_sandwich(rho, k2.span, lambda ss: k2.log_eval(ss)[0],
+                    (-math.log(2.0 * (rho ** 2 + rho)), -rho - 2.0),
+                    (math.log(rho / 2.0), -rho + 1.0), "decaying")
     return k2
-
-
-def _verify_k2_sandwich(sol):
-    rho = sol.rho
-    if rho < 1.0:
-        return
-    s_lo, s_hi = sol.span
-    ss = np.linspace(s_lo, s_hi, 65)
-    L, _ = sol.log_eval(ss)
-    up = math.log(rho / 2.0) + (-rho + 1.0) * (ss - s_lo)
-    lo = -math.log(2.0 * (rho ** 2 + rho)) + (-rho - 2.0) * (ss - s_lo)
-    slack = 1e-9
-    if not (np.all(L <= up + slack) and np.all(L >= lo - slack)):
-        raise ConsistencyError(
-            "decaying tip branch violates its two-sided exponential bounds")
 
 
 # ---------------------------------------------------------------------------

@@ -17,22 +17,25 @@ reduced to radial quadrature for separated caloric states.  Slice
 integrands are assembled in log space: an eigenmode carries exp(+nu R^2)
 on backward slices, and near the tip the state itself is log-represented.
 
-Caloric states plug in through a small duck-typed surface: attributes
-params, sphere_index, r_support, and a method
-slice_log(r, t) -> (sign_F, log|F|, sign_Fr, log|Fr|) for arrays r, where
-F is the radial factor against the unit-normalized spherical harmonic.
+Every caloric state is a heat.CaloricSeries, read through its slice_log(r,
+t) -> (sign_F, log|F|, sign_Fr, log|Fr|) for arrays r, where F is the
+radial factor against the unit-normalized spherical harmonic: a truncated
+Dirichlet series, the one-term ModeCaloric of a mode state, or the unit
+state UnitCaloric, which keeps the closed form of its one constant term.
 """
 
 import math
 
 import numpy as np
 
-from .elliptic import FrequencyScan, _KIND_PARABOLIC
+from .elliptic import (FrequencyScan, _KIND_PARABOLIC, _constant_radial_log,
+                       floor_fit)
 from .errors import ConsistencyError, DomainValidationError
 from .geometry import (angular_coupling, measure_weight_log, sphere_area,
                        sphere_eigenvalue)
+from .heat import CaloricSeries
 from .logspace import logsumexp_signed
-from .numerics import fit_line, quad_log
+from .numerics import quad_log
 
 
 def kernel_log(p, r, t):
@@ -50,39 +53,36 @@ def kernel_log(p, r, t):
 # ---------------------------------------------------------------------------
 
 
-class UnitCaloric:
-    """The literal caloric function u == 1 on the infinite horn: sqrt(area
-    of S^{n-1}) times the unit-normalized constant harmonic."""
+class UnitCaloric(CaloricSeries):
+    """The literal caloric function u == 1 on the infinite horn: one
+    constant term, sqrt(area of S^{n-1}) times the unit-normalized
+    constant harmonic."""
 
     def __init__(self, params):
-        self.params = params
-        self.sphere_index = 0
-        self.r_support = (0.0, math.inf)
+        super().__init__(params=params, sphere_index=0,
+                         r_support=(0.0, math.inf),
+                         terms=[(_constant_radial_log, 0.0)],
+                         coeffs=np.array([math.sqrt(sphere_area(params.n))]))
 
-    def slice_log(self, r, t):
+    def slice_log(self, r, t, k=0):
+        """The closed form of the series sum: F = sqrt(area) for k = 0 and
+        an exact zero for k >= 1, with dF/dr = 0 throughout."""
         r = np.asarray(r, dtype=float)
-        log_F = 0.5 * math.log(sphere_area(self.params.n))
-        return (np.ones_like(r), np.full_like(r, log_F), np.zeros_like(r),
-                np.full_like(r, -np.inf))
+        sign, log_F = ((1.0, 0.5 * math.log(sphere_area(self.params.n)))
+                       if k == 0 else (0.0, -math.inf))
+        return (np.full_like(r, sign), np.full_like(r, log_F),
+                np.zeros_like(r), np.full_like(r, -np.inf))
 
 
-class ModeCaloric:
-    """Caloric extension u = exp(-mu t) f_i(r) phi_i of a ModeState."""
+class ModeCaloric(CaloricSeries):
+    """Caloric extension u = exp(-mu t) f_i(r) phi_i of a ModeState: one
+    term of rate mu and coefficient 1."""
 
     def __init__(self, state):
-        self.state = state
-        self.params = state.params
-        self.sphere_index = state.i
-        self.r_support = state.domain
-
-    def slice_log(self, r, t):
-        r = np.asarray(r, dtype=float)
-        sign, lm, ld = self.state.radial_log(r)
-        shift = -self.state.mu * t
-        with np.errstate(divide="ignore", invalid="ignore"):
-            log_fr = lm + np.log(np.abs(ld)) + shift
-        sign_fr = sign * np.sign(ld)
-        return sign, lm + shift, sign_fr, log_fr
+        super().__init__(params=state.params, sphere_index=state.i,
+                         r_support=state.domain,
+                         terms=[(state.radial_log, state.mu)],
+                         coeffs=np.array([1.0]))
 
 
 # ---------------------------------------------------------------------------
@@ -193,13 +193,5 @@ def check_N_bound(u, scan):
 
 
 def check_D_lower(u, scan):
-    """Fit of log D against 1 - (R/R_top)^(-2eps) across a scan of u.
-
-    A non-negative slope certifies D decays no faster than
-    exp(-C R^(-2eps)) toward small scales.
-    """
-    if scan.scale.size < 8:
-        raise DomainValidationError("check_D_lower needs >= 8 grid points")
-    eps = u.params.eps
-    x = 1.0 - (scan.scale / scan.scale[-1]) ** (-2.0 * eps)
-    return fit_line(x, np.log(scan.ED))
+    """Floor fit of the slice mass D across a parabolic scan."""
+    return floor_fit(scan.scale, scan.ED, u.params.eps)

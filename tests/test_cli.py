@@ -1,7 +1,9 @@
 import csv
+import importlib.util
 import json
 import math
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -123,6 +125,14 @@ def test_radial_mode_without_profile_is_config_error(tmp_path, command):
     ("analyticity", "analyticity.r0", "Infinity", "2.0]"),
     ("demo-counterexample", "analyticity.r0", "NaN", "2.0]"),
     ("freq-elliptic", "freq.hi", "0.2", repr(tip_window_top(P_DEFAULT, 1.0))),
+    ("demo-counterexample", "freq.hi", "0.5",
+     repr(tip_window_top(P_DEFAULT, 1.0))),
+    ("demo-counterexample", "mode.r_min", "0.5",
+     repr(tip_window_top(P_DEFAULT, 1.0))),
+    ("demo-counterexample", "freq.lo", "0.001",
+     repr(tip_window_top(P_DEFAULT, 1.0))),
+    ("heat", "analyticity.r0", "3.0", "2.0]"),
+    ("freq-parabolic", "heat.r_lo", "0.005", "0.00721"),
 ])
 def test_window_and_count_keys_are_config_errors(tmp_path, command, key,
                                                  value, bound):
@@ -132,8 +142,62 @@ def test_window_and_count_keys_are_config_errors(tmp_path, command, key,
     assert code == EXIT_CONFIG
     man = json.loads((tmp_path / "manifest.json").read_text())
     assert key in man["error"] and bound in man["error"]
-    for scan in ("heat.csv", "freq_elliptic.csv"):
+    for scan in ("heat.csv", "freq_elliptic.csv", "freq_parabolic.csv"):
         assert not (tmp_path / scan).exists()
+    # the elliptic state and its windows are checked before the eigen search
+    if key.startswith(("mode.", "freq.")):
+        assert not (tmp_path / "eigs.csv").exists()
+
+
+@pytest.mark.parametrize("command, assignment, key", [
+    ("eigs", "eigs.cout=9", "eigs.cout"),
+    ("freq-elliptic", "freq.lo0=0.1", "freq.lo0"),
+    ("modes", "foo.bar=1", "foo.bar"),
+    ("modes", "params.n.x=1", "params.n.x"),
+])
+def test_unknown_set_keys_are_config_errors(tmp_path, capsys, command,
+                                            assignment, key):
+    # a key that DEFAULT_CONFIG lacks is a typo, never a silent no-op
+    with pytest.raises(ConfigError, match=f"unknown config key {key}$"):
+        load_config(None, [assignment])
+    code = main([command, "--out", str(tmp_path), "--set", assignment])
+    assert code == EXIT_CONFIG
+    assert f"unknown config key {key}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("doc, key", [
+    ({"eigs": {"cout": 9}}, "eigs.cout"),
+    ({"freq": {"lo": 0.05, "lo0": 0.1}}, "freq.lo0"),
+    ({"foo": {"bar": 1}}, "foo"),
+])
+def test_unknown_file_keys_are_config_errors(tmp_path, doc, key):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ConfigError, match=f"unknown config key {key}$"):
+        load_config(str(path))
+
+
+def test_benchmark_config_loads(tmp_path):
+    # hornbench's demo workload writes its frozen BASE_CONFIG to a file and
+    # loads it with load_config: a config rule must not refuse it
+    source = Path(__file__).resolve().parents[1] / "hornbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("workloads", source)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(workloads.BASE_CONFIG))
+    cfg = load_config(str(path))
+    assert {k: cfg[k] for k in workloads.BASE_CONFIG} == workloads.BASE_CONFIG
+
+
+def test_coefficients_beyond_eigen_count_are_config_error(tmp_path):
+    # a coefficient without an eigenpair would be dropped: refused before
+    # the eigen search, naming both keys
+    code = main(["heat", "--out", str(tmp_path), "--set", "eigs.count=2"])
+    assert code == EXIT_CONFIG
+    error = json.loads((tmp_path / "manifest.json").read_text())["error"]
+    assert error == "heat.coeffs has 4 entries, more than eigs.count=2"
+    assert not (tmp_path / "eigs.csv").exists()
 
 
 # the first shot of the default eigen search runs at tol / (k r_out), with

@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 from support import oracle_D_2d, oracle_gamma
 
-from hornlab import (ConsistencyError, DomainValidationError,
-                     ModeCaloric, UnitCaloric, check_D_lower,
+from hornlab import (CaloricSeries, ConsistencyError, DomainValidationError,
+                     ModeCaloric, ModeState, UnitCaloric, check_D_lower,
                      check_ID_relation, check_N_bound, kernel_log,
-                     parabolic_IDN, parabolic_scan, profile_state,
-                     sphere_area)
+                     make_caloric_series, parabolic_IDN, parabolic_scan,
+                     profile_state, sphere_area, time_derivative)
 
 
 @pytest.fixture(scope="module")
@@ -83,6 +83,53 @@ def test_unit_caloric_identity_and_bounds(p_default):
     assert C == 0.0
     fit = check_D_lower(u, scan)
     assert fit.slope == pytest.approx(0.0, abs=1e-7)
+
+
+def test_unit_caloric_time_derivatives(p_default):
+    # u == 1: sqrt(area) at k = 0, an exact zero for every k >= 1
+    u = UnitCaloric(p_default)
+    assert time_derivative(u, 0, 0.3, 0.5) == \
+        (1, 0.5 * math.log(sphere_area(p_default.n)))
+    for k in (1, 2, 3):
+        assert time_derivative(u, k, 0.3, 0.5) == (0, -math.inf)
+
+
+# ---------------------------------------------------------------------------
+# one caloric state type
+# ---------------------------------------------------------------------------
+
+
+def test_every_caloric_state_is_a_series(p_default, mode_caloric):
+    # one slice_log, on CaloricSeries; UnitCaloric keeps only its closed form
+    assert isinstance(mode_caloric, CaloricSeries)
+    assert isinstance(UnitCaloric(p_default), CaloricSeries)
+    assert "slice_log" not in vars(ModeCaloric)
+
+
+def test_mode_caloric_on_eigenpair_matches_series(pairs8_rout2):
+    pair = pairs8_rout2[1]
+    state = ModeState(params=pair.g.params, i=pair.mode_index, mu=pair.nu,
+                      domain=(pair.g.r_min, pair.r_out),
+                      radial_log=pair.g.eval_log)
+    mc = ModeCaloric(state)
+    series = make_caloric_series([pair], [1.0], 0.25)
+    assert mc.r_support == series.r_support
+    r = np.geomspace(0.02, 1.9, 40)
+    for k in range(4):
+        for got, want in zip(mc.slice_log(r, 0.5, k),
+                             series.slice_log(r, 0.5, k)):
+            np.testing.assert_array_equal(got, want)
+        assert time_derivative(mc, k, 0.7, 0.5) == \
+            time_derivative(series, k, 0.7, 0.5)
+
+
+def test_zero_rate_term_has_exact_zero_time_derivatives(profile_i1_mu0):
+    # a mu = 0 state does not change in time: d^k/dt^k = 0 exactly, k >= 1
+    mc = ModeCaloric(profile_state(profile_i1_mu0))
+    sign, log = time_derivative(mc, 0, 0.05, 0.5)
+    assert sign == 1 and math.isfinite(log)
+    for k in (1, 2, 3):
+        assert time_derivative(mc, k, 0.05, 0.5) == (0, -math.inf)
 
 
 # ---------------------------------------------------------------------------
