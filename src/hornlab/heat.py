@@ -389,10 +389,13 @@ def make_caloric_series(pairs, coeffs, t_min):
     p = pairs[0].g.params
     cert = tail_bound(pairs, len(pairs), t_min, p, coeff_cap=cap)
     r_support = (max(pair.g.r_min for pair in pairs), pairs[0].r_out)
+    # each term looks eval_log up on its profile when it is called, not
+    # here, so that a series built before RadialProfile.eval_log is wrapped
+    # (hornbench's layer tracer) runs the wrapped evaluator
+    terms = [(lambda r, g=pair.g: g.eval_log(r), pair.nu) for pair in pairs]
     return CaloricSeries(params=p, sphere_index=pairs[0].mode_index,
-                         r_support=r_support,
-                         terms=[(pair.g.eval_log, pair.nu) for pair in pairs],
-                         coeffs=coeffs, tail_certificate=cert)
+                         r_support=r_support, terms=terms, coeffs=coeffs,
+                         tail_certificate=cert)
 
 
 def coefficients_from_initial(pairs, fn, tol=1e-10):

@@ -21,7 +21,7 @@ Every caloric state is a heat.CaloricSeries, read through its slice_log(r,
 t) -> (sign_F, log|F|, sign_Fr, log|Fr|) for arrays r, where F is the
 radial factor against the unit-normalized spherical harmonic: a truncated
 Dirichlet series, the one-term ModeCaloric of a mode state, or the unit
-state UnitCaloric, which keeps the closed form of its one constant term.
+state UnitCaloric, one constant term of rate 0.
 """
 
 import math
@@ -63,15 +63,6 @@ class UnitCaloric(CaloricSeries):
                          r_support=(0.0, math.inf),
                          terms=[(_constant_radial_log, 0.0)],
                          coeffs=np.array([math.sqrt(sphere_area(params.n))]))
-
-    def slice_log(self, r, t, k=0):
-        """The closed form of the series sum: F = sqrt(area) for k = 0 and
-        an exact zero for k >= 1, with dF/dr = 0 throughout."""
-        r = np.asarray(r, dtype=float)
-        sign, log_F = ((1.0, 0.5 * math.log(sphere_area(self.params.n)))
-                       if k == 0 else (0.0, -math.inf))
-        return (np.full_like(r, sign), np.full_like(r, log_F),
-                np.zeros_like(r), np.full_like(r, -np.inf))
 
 
 class ModeCaloric(CaloricSeries):

@@ -263,6 +263,23 @@ def test_time_derivative_order_zero(series4):
     assert time_derivative(series4, 0, 0.7, 0.6) == (sF[0], lF[0])
 
 
+def test_series_looks_up_eval_log_when_summed(series4, monkeypatch):
+    # a series built before RadialProfile.eval_log is wrapped still runs
+    # the wrapper, once per term on the 7 radii (eval_log also calls itself
+    # on its own points)
+    from hornlab.modes import RadialProfile
+    original = RadialProfile.eval_log
+    calls = []
+
+    def wrapped(self, r):
+        calls.append(np.size(r))
+        return original(self, r)
+
+    monkeypatch.setattr(RadialProfile, "eval_log", wrapped)
+    series4.slice_log(np.geomspace(0.05, 1.5, 7), 0.5)
+    assert calls.count(7) == len(series4.terms)
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_non_finite_coefficient_refused(pairs8_rout2, bad):
     # the log-space sum treats a NaN term as an exact zero, so a NaN

@@ -100,10 +100,11 @@ def test_unit_caloric_time_derivatives(p_default):
 
 
 def test_every_caloric_state_is_a_series(p_default, mode_caloric):
-    # one slice_log, on CaloricSeries; UnitCaloric keeps only its closed form
+    # one slice_log, on CaloricSeries; neither subclass has its own
     assert isinstance(mode_caloric, CaloricSeries)
     assert isinstance(UnitCaloric(p_default), CaloricSeries)
     assert "slice_log" not in vars(ModeCaloric)
+    assert "slice_log" not in vars(UnitCaloric)
 
 
 def test_mode_caloric_on_eigenpair_matches_series(pairs8_rout2):
