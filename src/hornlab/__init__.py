@@ -16,7 +16,8 @@ from .elliptic import (FrequencyScan, ModeState, bessel_state,
                        profile_state)
 from .errors import (ConfigError, ConsistencyError, DomainValidationError,
                      EigenSearchError, HornError, IntegrationError,
-                     QuadratureError, RootBracketError, ToleranceFloorError)
+                     QuadratureError, RootBracketError, TipTailError,
+                     ToleranceFloorError)
 from .geometry import (HornParams, angular_coupling, make_horn_params,
                        measure_weight, measure_weight_log, sphere_area,
                        sphere_eigenvalue)

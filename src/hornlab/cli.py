@@ -30,7 +30,7 @@ from .artifacts import write_csv, write_json
 from .elliptic import (check_I_lower, check_logI_identity, check_U_growth,
                        constant_state, elliptic_scan, profile_state)
 from .errors import (ConfigError, DomainValidationError, HornError,
-                     ToleranceFloorError)
+                     TipTailError, ToleranceFloorError)
 from .geometry import HornParams
 from .heat import (caloric_decay_check, dirichlet_eigenvalues,
                    make_caloric_series, taylor_coefficients, taylor_radius,
@@ -265,7 +265,15 @@ def _run_freq_elliptic(cfg, p, out, artifacts, state):
     fr = cfg["freq"]
     grid = _grid(fr["lo"], fr["hi"], fr["points"], fr["spacing"])
     quad_tol = min(cfg["tolerances"]["quad"], 1e-9)
-    scan = elliptic_scan(state, grid, tol=quad_tol)
+    try:
+        scan = elliptic_scan(state, grid, tol=quad_tol)
+    except TipTailError as exc:
+        # the energy between mode.r_min and a scan radius grows with the
+        # radius, so a higher freq.lo (or a lower mode.r_min) clears it
+        raise ConfigError(
+            f"freq.lo={fr['lo']} lies too close to "
+            f"mode.r_min={cfg['mode']['r_min']}: {exc}; raise freq.lo or "
+            "lower mode.r_min") from exc
     path = os.path.join(out, "freq_elliptic.csv")
     scan.to_csv(path)
     artifacts.append(path)
@@ -296,6 +304,10 @@ def _parabolic_state(cfg, p, out, artifacts):
         raise ConfigError(
             "freq-parabolic supports the unit caloric state (i=0, mu=0) or "
             "Dirichlet series with i >= 1")
+    if m["i"] != cfg["eigs"]["i"]:
+        raise ConfigError(
+            f"mode.i={m['i']} differs from eigs.i={cfg['eigs']['i']}: "
+            "freq-parabolic runs the Dirichlet series of index eigs.i")
     return _series(cfg, p, out, artifacts)[1]
 
 

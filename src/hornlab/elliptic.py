@@ -27,7 +27,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .artifacts import write_csv
-from .errors import ConsistencyError, DomainValidationError
+from .errors import ConsistencyError, DomainValidationError, TipTailError
 from .geometry import angular_coupling, measure_weight_log, sphere_eigenvalue
 from .modes import decay_exponent_fit, radial_mode_zero
 from .numerics import bessel_j, check_in_range, fit_line, quad_log
@@ -208,13 +208,19 @@ def _energy_density_log(state, lam, r, radial=None):
     return out_sign, out_log
 
 
-def _bulk_integral(state, r_lo, r_hi, tol):
-    """int_{r_lo}^{r_hi} (f'^2 + V f^2 + lam f^2) w ds."""
-    if r_hi <= r_lo:
-        return 0.0
-    sign, log_val, _ = quad_log(
-        lambda r: _energy_density_log(state, state.lam, r), r_lo, r_hi, tol)
-    return sign * math.exp(log_val)
+def _bulk_integrals(state, a, b, tol):
+    """int_a^b (f'^2 + V f^2 + lam f^2) w ds for each row of the arrays a
+    and b, every nonempty row in one quad_log call; an empty row (b <= a)
+    is 0."""
+    def density_log(x, rows):
+        return [v.reshape(x.shape) for v in
+                _energy_density_log(state, state.lam, x.ravel())]
+
+    out = np.zeros(a.size)
+    full = b > a
+    sign, log_val, _ = quad_log(density_log, a[full], b[full], tol)
+    out[full] = sign * _exp(log_val)
+    return out
 
 
 def _tip_tail_bound(state, prof):
@@ -242,7 +248,7 @@ def elliptic_E(state, r, tol=1e-10):
     """
     check_in_range(r, *state.domain, "state radius")
     r_arr = np.array([float(r)])
-    bulk = np.array([_bulk_integral(state, state.r_lo, r, tol)])
+    bulk = _bulk_integrals(state, np.array([state.r_lo]), r_arr, tol)
     return float(_checked_energy(state, r_arr, state.radial_log(r_arr),
                                  bulk)[0][0])
 
@@ -252,17 +258,18 @@ def _checked_energy(state, r, radial, bulk):
     radial = state.radial_log(r) and the bulk integrals over
     [state.r_lo, r], against the certified tip tail state.tail below r_lo.
 
-    The tail must be negligible against each bulk integral, and the two
-    routes to E, the bulk form and the boundary form r^(2-n) w f f', must
-    agree to 1e-6 of the positive energy envelope; otherwise
-    ConsistencyError names the first radius at fault.
+    The tail must be negligible against each bulk integral (otherwise
+    TipTailError, a ConsistencyError), and the two routes to E, the bulk
+    form and the boundary form r^(2-n) w f f', must agree to 1e-6 of the
+    positive energy envelope (otherwise ConsistencyError); either names
+    the first radius at fault.
     """
     p = state.params
     sign, lm, ld = radial
     bad = state.tail > np.maximum(1e-9 * np.abs(bulk), 1e-300)
     if np.any(bad):
         k = int(np.argmax(bad))
-        raise ConsistencyError(
+        raise TipTailError(
             f"uncontrolled tip tail below the profile window at r={r[k]}: "
             f"tail bound {state.tail} against bulk integral {bulk[k]}")
     log_pref = (2 - p.n) * np.log(r)
@@ -287,8 +294,9 @@ def _checked_energy(state, r, radial, bulk):
 
 def elliptic_scan(state, r_grid, tol=1e-10):
     """Scan rows (r, I, E, U) from one evaluation of the state on the
-    grid; E accumulated segment-by-segment (bulk form) with the boundary
-    form cross-checked at every row.
+    grid; E accumulated segment-by-segment (bulk form), every segment a
+    row of one quad_log call, with the boundary form cross-checked at
+    every row.
 
     A nodal sphere (I = 0) on the grid aborts with the offending radius:
     U is genuinely singular there.
@@ -308,8 +316,7 @@ def elliptic_scan(state, r_grid, tol=1e-10):
             f"nodal sphere: I vanishes at r = {r_grid[np.argmax(nodal)]}")
     segs = np.concatenate([[state.r_lo], r_grid])
     seg_tol = tol / max(1, r_grid.size)
-    bulk = np.cumsum([_bulk_integral(state, a, b, seg_tol)
-                      for a, b in zip(segs[:-1], segs[1:])])
+    bulk = np.cumsum(_bulk_integrals(state, segs[:-1], segs[1:], seg_tol))
     E = _checked_energy(state, r_grid, radial, bulk)[0]
     return FrequencyScan(kind=_KIND_ELLIPTIC, scale=r_grid, I=I, ED=E,
                          UN=E / I)

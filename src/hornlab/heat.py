@@ -341,13 +341,17 @@ class CaloricSeries:
     tail_certificate: float = 0.0
 
     def slice_log(self, r, t, k=0):
-        """(sign F, log|F|, sign dF/dr, log|dF/dr|) at time t, array r, of
-        F = d^k/dt^k of the series: term j picks up (-nu_j)^k, that is
-        k log nu_j in magnitude and (-1)^k in sign, and a term with
-        nu_j = 0 is an exact zero for k >= 1.  The one place the series is
-        summed.
+        """(sign F, log|F|, sign dF/dr, log|dF/dr|) at radii r and times t,
+        arrays that broadcast against each other, of F = d^k/dt^k of the
+        series: term j picks up (-nu_j)^k, that is k log nu_j in magnitude
+        and (-1)^k in sign, and a term with nu_j = 0 is an exact zero for
+        k >= 1.  Each term's radial evaluator runs once, on every radius
+        of the broadcast.  The one place the series is summed.
         """
-        r = np.atleast_1d(np.asarray(r, dtype=float))
+        r, t = np.broadcast_arrays(np.atleast_1d(np.asarray(r, dtype=float)),
+                                   np.asarray(t, dtype=float))
+        shape = r.shape
+        r, t = r.ravel(), t.ravel()
         K = len(self.terms)
         sF = np.empty((K, r.size))
         lF = np.empty((K, r.size))
@@ -366,7 +370,8 @@ class CaloricSeries:
             with np.errstate(divide="ignore", invalid="ignore"):
                 lD[j] = lF[j] + np.log(np.abs(ld))
             sD[j] = sF[j] * np.sign(ld)
-        return (*logsumexp_signed(sF, lF), *logsumexp_signed(sD, lD))
+        return tuple(v.reshape(shape) for v in (*logsumexp_signed(sF, lF),
+                                                *logsumexp_signed(sD, lD)))
 
 
 def make_caloric_series(pairs, coeffs, t_min):
@@ -400,22 +405,26 @@ def make_caloric_series(pairs, coeffs, t_min):
 
 def coefficients_from_initial(pairs, fn, tol=1e-10):
     """Expansion coefficients <fn, g_j> in L^2(w dr) over the range each
-    g_j represents, by quad_log; fn maps an array of radii to its values,
-    and tol bounds each error relative to the integral of |fn g_j| w."""
+    g_j represents, one quad_log row per pair; fn maps an array of radii
+    to its values, and tol bounds each error relative to the integral of
+    |fn g_j| w."""
     p = pairs[0].g.params
-    out = []
-    for pair in pairs:
-        def log_integrand(r):
-            v = np.asarray(fn(r), dtype=float)
-            sgn, lm, _ = pair.g.eval_log(r)
-            with np.errstate(divide="ignore"):
-                return (np.sign(v) * sgn,
-                        np.log(np.abs(v)) + lm + measure_weight_log(p, r))
 
-        sign, log_val, _ = quad_log(log_integrand, pair.g.r_min, pair.r_out,
-                                    tol)
-        out.append(sign * math.exp(log_val))
-    return np.array(out)
+    def log_integrand(x, rows):
+        v = np.asarray(fn(x.ravel()), dtype=float).reshape(x.shape)
+        sgn = np.empty_like(x)
+        lm = np.empty_like(x)
+        for k, j in enumerate(rows):
+            sgn[k], lm[k], _ = pairs[j].g.eval_log(x[k])
+        with np.errstate(divide="ignore"):
+            return (np.sign(v) * sgn,
+                    np.log(np.abs(v)) + lm + measure_weight_log(p, x))
+
+    sign, log_val, _ = quad_log(log_integrand,
+                                [pair.g.r_min for pair in pairs],
+                                [pair.r_out for pair in pairs], tol)
+    return np.array([s * math.exp(L) for s, L in zip(sign.tolist(),
+                                                     log_val.tolist())])
 
 
 def time_derivative(series, k, r, t):

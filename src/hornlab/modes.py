@@ -381,7 +381,8 @@ def log_norm_sq(profile, r_lo, r_hi, tol):
     """log int_{r_lo}^{r_hi} f^2 w dr of a profile, by quad_log."""
     p = profile.params
 
-    def log_integrand(r):
-        return 1.0, 2.0 * profile.eval_log(r)[1] + measure_weight_log(p, r)
+    def log_integrand(r, rows):
+        lm = profile.eval_log(r.ravel())[1].reshape(r.shape)
+        return 1.0, 2.0 * lm + measure_weight_log(p, r)
 
     return quad_log(log_integrand, r_lo, r_hi, tol)[1]

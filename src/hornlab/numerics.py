@@ -288,82 +288,147 @@ def integrate_ode(field, span, y0, tol, dense=True):
 
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(16)
 _LOG_QUAD_PANELS = 8          # panels of the first level
-_LOG_QUAD_MAX_PANELS = 1024   # last level: 16384 nodes
+_LOG_QUAD_MAX_PANELS = 1024   # last level: 16384 nodes a row
+# nodes in one integrand call: a level whose open rows hold more is split
+# into calls of whole rows (at least one row a call, 16400 nodes at most),
+# so memory stays bounded however many rows a caller batches; past about
+# this size larger calls only add to the peak memory, not to the speed
+_LOG_QUAD_MAX_NODES = 8192
 
 
-def _log_quad_nodes(a, b, panels):
-    """16-point Gauss-Legendre nodes and weights on `panels` geometric
-    panels of [a, b]; for a = 0 the geometric panels cover [b/panels, b]
-    below a leading panel [0, b/panels]."""
-    if a > 0:
-        edges = np.geomspace(a, b, panels + 1)
-    else:
-        edges = np.concatenate([[0.0], np.geomspace(b / panels, b, panels + 1)])
-    mid = 0.5 * (edges[1:] + edges[:-1])
-    half = 0.5 * np.diff(edges)
-    return ((mid[:, None] + half[:, None] * _GL_X).ravel(),
-            (half[:, None] * _GL_W).ravel())
+def _log_quad_nodes(a, b, panels, lead):
+    """16-point Gauss-Legendre nodes and weights, each (rows, width), on
+    `panels` geometric panels of every row's [a, b]; a row that leads
+    (a = 0) has its geometric panels on [b/panels, b] below a leading
+    panel [0, b/panels].  When only some rows lead, the others repeat
+    their last panel after their own nodes at weight 0, so all rows are
+    one width."""
+    edges = np.geomspace(np.where(lead, b / panels, a), b, panels + 1).T
+    mid = 0.5 * (edges[:, 1:] + edges[:, :-1])
+    half = 0.5 * np.diff(edges, axis=1)
+    weight = half
+    if np.any(lead):
+        first = 0.5 * (edges[:, :1] + 0.0)  # mid and half of [0, edges[0]]
+        pad = lead[:, None]
+        mid = np.where(pad, np.hstack([first, mid]),
+                       np.hstack([mid, mid[:, -1:]]))
+        half = np.where(pad, np.hstack([first, half]),
+                        np.hstack([half, half[:, -1:]]))
+        weight = np.where(pad | (np.arange(panels + 1) < panels), half, 0.0)
+    rows = a.size
+    return ((mid[:, :, None] + half[:, :, None] * _GL_X).reshape(rows, -1),
+            (weight[:, :, None] * _GL_W).reshape(rows, -1))
+
+
+def _log_quad_level(fn_log, a, b, rows, panels):
+    """One level on the open rows: per row, the sums of f and |f| over its
+    nodes in units of exp(shift), and the shift, the largest log among
+    its nonzero nodes (-inf when every node is zero).  Each row is summed
+    on its own nodes alone, by numpy's pairwise summation, as a call on
+    that row alone would sum it."""
+    a, b = a[rows], b[rows]
+    lead = a == 0
+    x, w = _log_quad_nodes(a, b, panels, lead)
+    signs, logs = fn_log(x, rows)
+    signs = np.broadcast_to(np.asarray(signs, dtype=float), x.shape)
+    logs = np.asarray(logs, dtype=float)
+    bad = np.isnan(signs) | np.isnan(logs) | (logs == np.inf)
+    if np.any(bad):
+        k, j = np.argwhere(bad)[0]
+        raise QuadratureError(f"integrand is not finite at x = {x[k, j]} "
+                              f"on [{a[k]}, {b[k]}]")
+    live = (w > 0) & (signs != 0) & (logs > -np.inf)
+    shift = np.max(np.where(live, logs, -np.inf), axis=1)
+    mag = np.zeros_like(w)
+    mag[live] = w[live] * np.exp(logs[live] - np.repeat(shift, live.sum(1)))
+    terms = signs * mag
+    if lead.any() and not lead.all():
+        own = 16 * panels  # the nodes of a row that does not lead
+        return (np.where(lead, terms.sum(1), terms[:, :own].sum(1)),
+                np.where(lead, mag.sum(1), mag[:, :own].sum(1)), shift)
+    return terms.sum(1), mag.sum(1), shift
 
 
 def quad_log(fn_log, a, b, tol):
-    """Integral over [a, b], 0 <= a < b, of f = sign * exp(log).
+    """Integrals over [a, b], 0 <= a < b, of f = sign * exp(log), for one
+    interval or a batch of them.
 
-    fn_log(x) maps an array of nodes to (signs, logs); a sign of 0 or a log
-    of -inf is an exact zero, and signs may be any value that broadcasts
-    against x.  Each level of composite 16-point Gauss-Legendre on
-    geometric panels calls fn_log once on all its nodes and sums in units
-    of the largest integrand magnitude among them, so neither the
-    integrand nor the integral has to be representable in linear space.
-    The panel count doubles from level to level; the difference of two
-    successive levels is the error estimate, and the finer level is
-    accepted once that difference is at most tol times the integral of
-    |f| (for a non-negative f: relative error tol).
+    a and b are scalars or 1-D arrays of m intervals (broadcast against
+    each other); the rows are the intervals.  fn_log(x, rows) maps the
+    nodes x, shape (open rows, nodes), of the rows whose indices are
+    `rows` to (signs, logs) of x's shape; a sign of 0 or a log of -inf is
+    an exact zero, and signs may be any value that broadcasts against x.
+    Each level of composite 16-point Gauss-Legendre on geometric panels
+    calls fn_log once on the nodes of every row still open (in several
+    calls of whole rows past 8192 nodes); a row has the same nodes, the
+    same panels and the same result whatever else is in the batch.  Each
+    row is summed in units of the largest integrand magnitude among its
+    nodes, so neither the integrand nor the integral has to be
+    representable in linear space.  The panel count doubles from level to
+    level; the difference of two successive levels is a row's error
+    estimate, and the row closes at the finer level once that difference
+    is at most tol times the integral of |f| (for a non-negative f:
+    relative error tol).
 
-    Returns (sign, log|integral|, log error estimate); a zero integral is
-    (0, -inf, log error estimate).  Past the last level raises
-    QuadratureError whose estimate is the (sign, log|integral|) pair of
-    the finest level and whose bound is the log of its error estimate.
+    Returns (sign, log|integral|, log error estimate), as a scalar triple
+    for scalar a and b and as three arrays otherwise; a zero integral is
+    (0, -inf, log error estimate).  A row past the last level raises
+    QuadratureError naming its interval, whose estimate is the (sign,
+    log|integral|) pair of the finest level and whose bound is the log of
+    its error estimate; an integrand that is NaN or +inf at a node raises
+    QuadratureError naming the node and its row's interval.
     """
-    if not 0 <= a < b:
-        raise DomainValidationError(f"quad_log needs 0 <= a < b, got [{a}, {b}]")
+    scalar = np.ndim(a) == 0 and np.ndim(b) == 0
+    a, b = (np.array(v, dtype=float).ravel()
+            for v in np.broadcast_arrays(a, b))
+    bad = ~((0 <= a) & (a < b))
+    if np.any(bad):
+        k = int(np.argmax(bad))
+        raise DomainValidationError(
+            f"quad_log needs 0 <= a < b, got [{a[k]}, {b[k]}]")
     if not tol > 0:
         raise DomainValidationError("quad_log needs tol > 0")
+    sign = np.zeros(a.size, dtype=int)
+    log_val = np.full(a.size, -math.inf)
+    log_err = np.full(a.size, -math.inf)
+    rows = np.arange(a.size)
     prev = None
     panels = _LOG_QUAD_PANELS
-    while True:
-        x, w = _log_quad_nodes(a, b, panels)
-        signs, logs = fn_log(x)
-        signs = np.broadcast_to(np.asarray(signs, dtype=float), x.shape)
-        logs = np.asarray(logs, dtype=float)
-        bad = np.isnan(signs) | np.isnan(logs) | (logs == np.inf)
-        if np.any(bad):
-            raise QuadratureError(
-                f"integrand is not finite at x = {x[bad][0]} on [{a}, {b}]")
-        live = (signs != 0) & (logs > -np.inf)
-        shift = -math.inf
-        mag = np.zeros_like(w)
-        if np.any(live):
-            shift = float(np.max(logs[live]))
-            mag[live] = w[live] * np.exp(logs[live] - shift)
-        level = (float(np.sum(signs * mag)), float(np.sum(mag)), shift)
+    while rows.size:
+        per_call = max(1, _LOG_QUAD_MAX_NODES // (16 * (panels + 1)))
+        parts = [_log_quad_level(fn_log, a, b, rows[k:k + per_call], panels)
+                 for k in range(0, rows.size, per_call)]
+        level = parts[0] if len(parts) == 1 else \
+            [np.concatenate(v) for v in zip(*parts)]
         if prev is not None:
-            top = max(shift, prev[2])
-            if top == -math.inf:
-                return 0, -math.inf, -math.inf
-            val = level[0] * math.exp(shift - top)
-            err = abs(val - prev[0] * math.exp(prev[2] - top))
-            log_err = math.log(err) + top if err > 0 else -math.inf
-            sign = (val > 0) - (val < 0)
-            log_val = math.log(abs(val)) + top if sign else -math.inf
-            if err <= tol * level[1] * math.exp(shift - top):
-                return sign, log_val, log_err
-            if panels >= _LOG_QUAD_MAX_PANELS:
-                raise QuadratureError(
-                    f"log-space quadrature on [{a}, {b}] did not reach "
-                    f"tolerance {tol} with {panels} panels",
-                    estimate=(sign, log_val), bound=log_err)
-        prev = level
+            done = np.zeros(rows.size, dtype=bool)
+            for k, (row, s, mag, shift, s_prev, shift_prev) in enumerate(zip(
+                    rows.tolist(), *(v.tolist() for v in (*level, *prev)))):
+                top = max(shift, shift_prev)
+                if top == -math.inf:  # zero on both levels
+                    done[k] = True
+                    continue
+                val = s * math.exp(shift - top)
+                err = abs(val - s_prev * math.exp(shift_prev - top))
+                row_err = math.log(err) + top if err > 0 else -math.inf
+                row_sign = (val > 0) - (val < 0)
+                row_val = math.log(abs(val)) + top if row_sign else -math.inf
+                if err <= tol * mag * math.exp(shift - top):
+                    sign[row], log_val[row], log_err[row] = \
+                        row_sign, row_val, row_err
+                    done[k] = True
+                elif panels >= _LOG_QUAD_MAX_PANELS:
+                    raise QuadratureError(
+                        f"log-space quadrature on [{a[row]}, {b[row]}] did "
+                        f"not reach tolerance {tol} with {panels} panels",
+                        estimate=(row_sign, row_val), bound=row_err)
+            rows = rows[~done]
+            level = [v[~done] for v in level]
+        prev = (level[0], level[2])
         panels *= 2
+    if scalar:
+        return int(sign[0]), float(log_val[0]), float(log_err[0])
+    return sign, log_val, log_err
 
 
 # ---------------------------------------------------------------------------

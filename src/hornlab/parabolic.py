@@ -29,7 +29,7 @@ import math
 import numpy as np
 
 from .elliptic import (FrequencyScan, _KIND_PARABOLIC, _constant_radial_log,
-                       floor_fit)
+                       _exp, floor_fit)
 from .errors import ConsistencyError, DomainValidationError
 from .geometry import (angular_coupling, measure_weight_log, sphere_area,
                        sphere_eigenvalue)
@@ -40,12 +40,14 @@ from .numerics import quad_log
 
 def kernel_log(p, r, t):
     """log G(r, t) = -((c+1)/2) log(-t) + r^2/(4t) of the backward weight
-    centred at the tip at time 0; needs t < 0."""
-    if not t < 0:
+    centred at the tip at time 0; needs t < 0.  t may be an array that
+    broadcasts against r."""
+    t = np.asarray(t, dtype=float)
+    if not np.all(t < 0):
         raise DomainValidationError(f"kernel_log needs t < 0, got {t}")
     if np.any(np.asarray(r) < 0):
         raise DomainValidationError("kernel_log needs r >= 0")
-    return -(p.c + 1.0) / 2.0 * math.log(-t) + np.asarray(r) ** 2 / (4.0 * t)
+    return -(p.c + 1.0) / 2.0 * np.log(-t) + np.asarray(r) ** 2 / (4.0 * t)
 
 
 # ---------------------------------------------------------------------------
@@ -89,49 +91,67 @@ def _slice_bounds(u, R):
     return lo, hi
 
 
+def _slices_ID(u, R, tol):
+    """(I, D) arrays on the backward slices t = -R^2 of the array R.
+
+    One quad_log call takes D of every slice as its first rows and I as
+    the rest; a slice's D and I rows share their nodes while both are
+    open, so each level evaluates the series once per open slice.  D = 0
+    on any slice is an error.
+    """
+    if not np.all(R > 0):
+        raise DomainValidationError("parabolic_IDN needs R > 0")
+    p = u.params
+    m = R.size
+    t = -R * R
+    mu_i = sphere_eigenvalue(p.n, u.sphere_index)
+    lo, hi = np.array([_slice_bounds(u, s) for s in R.tolist()]).T
+
+    def log_integrand(x, rows):
+        # rows k and m + k are the D and I rows of slice k
+        slices = rows % m
+        _, first, back = np.unique(slices, return_index=True,
+                                   return_inverse=True)
+        ts = t[slices][:, None]
+        _, lF, _, lFr = (v[back] for v in u.slice_log(x[first], ts[first]))
+        # I: log of (|Fr|^2 + 4 mu_i r^(-2-2eps) |F|^2) G w
+        with np.errstate(divide="ignore"):
+            log_ang = np.log(mu_i * angular_coupling(p, x))
+        sign, log = logsumexp_signed(np.ones((2, *x.shape)),
+                                     [2.0 * lFr, log_ang + 2.0 * lF])
+        is_I = (rows >= m)[:, None]
+        return (np.where(is_I, sign, 1.0),
+                np.where(is_I, log, 2.0 * lF) + kernel_log(p, x, ts)
+                + measure_weight_log(p, x))
+
+    _, log_val, _ = quad_log(log_integrand, np.concatenate([lo, lo]),
+                             np.concatenate([hi, hi]), tol)
+    D = _exp(log_val[:m])
+    if np.any(D == 0.0):
+        raise ConsistencyError(
+            f"D vanishes on the slice R = {R[np.argmax(D == 0.0)]}")
+    return R * R * _exp(log_val[m:]), D
+
+
 def parabolic_IDN(u, R, tol=1e-12):
     """(I, D, N) on the backward slice t = -R^2.
 
     Radial quadrature against w(r) exp(log G); N = I/D exactly as computed.
     D = 0 is an error.
     """
-    if not R > 0:
-        raise DomainValidationError("parabolic_IDN needs R > 0")
-    p = u.params
-    t = -R * R
-    mu_i = sphere_eigenvalue(p.n, u.sphere_index)
-    lo, hi = _slice_bounds(u, R)
-
-    def d_log(r):
-        _, lF, _, _ = u.slice_log(r, t)
-        return 1.0, 2.0 * lF + kernel_log(p, r, t) + measure_weight_log(p, r)
-
-    def i_log(r):
-        # log of (|Fr|^2 + 4 mu_i r^(-2-2eps) |F|^2) G w
-        _, lF, _, lFr = u.slice_log(r, t)
-        with np.errstate(divide="ignore"):
-            log_ang = np.log(mu_i * angular_coupling(p, r))
-        sign, log = logsumexp_signed(np.ones((2, r.size)),
-                                     [2.0 * lFr, log_ang + 2.0 * lF])
-        return sign, log + kernel_log(p, r, t) + measure_weight_log(p, r)
-
-    D = math.exp(quad_log(d_log, lo, hi, tol)[1])
-    if D == 0.0:
-        raise ConsistencyError(f"D vanishes on the slice R = {R}")
-    I = R * R * math.exp(quad_log(i_log, lo, hi, tol)[1])
-    return I, D, I / D
+    I, D = _slices_ID(u, np.array([float(R)]), tol)
+    return float(I[0]), float(D[0]), float(I[0] / D[0])
 
 
 def parabolic_scan(u, R_grid, tol=1e-12):
-    """Scan rows (R, I, D, N) over increasing scales."""
+    """Scan rows (R, I, D, N) over increasing scales, every slice's D and I
+    in one quad_log call."""
     R_grid = np.asarray(R_grid, dtype=float)
     if R_grid.size < 1 or np.any(np.diff(R_grid) <= 0):
         raise DomainValidationError("R_grid must be strictly increasing")
-    rows = [parabolic_IDN(u, R, tol) for R in R_grid]
-    I = np.array([r[0] for r in rows])
-    D = np.array([r[1] for r in rows])
-    Nn = np.array([r[2] for r in rows])
-    return FrequencyScan(kind=_KIND_PARABOLIC, scale=R_grid, I=I, ED=D, UN=Nn)
+    I, D = _slices_ID(u, R_grid, tol)
+    return FrequencyScan(kind=_KIND_PARABOLIC, scale=R_grid, I=I, ED=D,
+                         UN=I / D)
 
 
 # ---------------------------------------------------------------------------
@@ -150,9 +170,8 @@ def check_ID_relation(u, R, h, tol=1e-12):
     """
     if not 0 < h < R:
         raise DomainValidationError("check_ID_relation needs 0 < h < R")
-    I, _, _ = parabolic_IDN(u, R, tol)
-    _, Dp, _ = parabolic_IDN(u, R + h, tol)
-    _, Dm, _ = parabolic_IDN(u, R - h, tol)
+    (_, I, _), (Dm, _, Dp) = (
+        v.tolist() for v in _slices_ID(u, np.array([R - h, R, R + h]), tol))
     fd = (R / 4.0) * (Dp - Dm) / (2.0 * h)
     scale = max(abs(I), abs(fd), (abs(Dp) + abs(Dm)) / 8.0)
     if scale == 0.0:

@@ -270,15 +270,49 @@ def test_non_numeric_values_are_config_errors(tmp_path, capsys, command,
 
 
 def test_numerical_error_writes_manifest(tmp_path):
-    # at n=2, N=3 the tip tail below the default profile window is not
-    # negligible: a numerical failure inside the pipeline
+    # no level of the log-space quadrature reaches a tolerance of 1e-300:
+    # a numerical failure inside the pipeline
     code = main(["freq-elliptic", "--out", str(tmp_path),
-                 "--set", "params.n=2", "--set", "params.N=3"])
+                 "--set", "tolerances.quad=1e-300", "--set", "freq.points=8"])
     assert code == EXIT_NUMERICAL
     man = json.loads((tmp_path / "manifest.json").read_text())
     assert man["status"] == "error"
     assert man["stage"] == "freq-elliptic"
-    assert "error" in man
+    assert "QuadratureError" in man["error"]
+
+
+@pytest.mark.parametrize("command, settings", [
+    ("freq-elliptic", ["freq.lo=0.02"]),
+    ("freq-elliptic", ["freq.lo=0.0201"]),
+    # at n=2, N=3 the tail below mode.r_min outweighs the energy up to the
+    # default freq.lo; freq.lo=0.06 clears it
+    ("freq-elliptic", ["params.n=2", "params.N=3"]),
+    ("demo-counterexample", ["freq.lo=0.0201"]),
+])
+def test_uncontrolled_tip_tail_names_freq_lo(tmp_path, command, settings):
+    # a scan row whose energy above mode.r_min does not dwarf the certified
+    # tail below it is the window's fault: exit 2, naming freq.lo and the
+    # mode.r_min it must clear
+    args = [command, "--out", str(tmp_path)] + FAST_DEMO
+    for assignment in settings:
+        args += ["--set", assignment]
+    assert main(args) == EXIT_CONFIG
+    man = json.loads((tmp_path / "manifest.json").read_text())
+    assert "freq.lo=" in man["error"] and "mode.r_min=0.02" in man["error"]
+    assert "uncontrolled tip tail" in man["error"]
+    assert not (tmp_path / "freq_elliptic.csv").exists()
+
+
+def test_parabolic_mode_index_must_match_eigs_index(tmp_path):
+    # freq-parabolic runs the series built on eigs.i; a different mode.i
+    # would be silently ignored
+    args = ["freq-parabolic", "--out", str(tmp_path), "--set", "eigs.count=2",
+            "--set", "heat.coeffs=[1,0.7]", "--set", "mode.mu=5"]
+    assert main(args + ["--set", "mode.i=2"]) == EXIT_CONFIG
+    man = json.loads((tmp_path / "manifest.json").read_text())
+    assert "mode.i=2" in man["error"] and "eigs.i=1" in man["error"]
+    assert not (tmp_path / "eigs.csv").exists()
+    assert main(args + ["--set", "mode.i=2", "--set", "eigs.i=2"]) == EXIT_OK
 
 
 def test_eigs_command(tmp_path):

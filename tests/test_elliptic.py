@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 from support import oracle_E_2d, oracle_I_2d
 
-from hornlab import (ConsistencyError, DomainValidationError, bessel_state,
-                     check_I_lower, check_logI_identity, check_U_growth,
-                     constant_state, elliptic_E, elliptic_I, elliptic_scan,
-                     find_root_bracketed, gamma_real, profile_state,
-                     radial_mode_zero)
+from hornlab import (ConsistencyError, DomainValidationError, TipTailError,
+                     bessel_state, check_I_lower, check_logI_identity,
+                     check_U_growth, constant_state, elliptic_E, elliptic_I,
+                     elliptic_scan, find_root_bracketed, gamma_real,
+                     profile_state, radial_mode_zero)
 from hornlab.elliptic import FrequencyScan
 from hornlab.numerics import bessel_j
 
@@ -122,11 +122,12 @@ def test_E_positive_on_tip_region(state_i1_mu1):
 def test_E_bulk_boundary_agreement(state_i1_mu1):
     # elliptic_E enforces the agreement internally; a successful call at
     # r = 0.1 certifies the two routes match to 1e-6 of the energy scale
-    from hornlab.elliptic import _bulk_integral, _checked_energy
+    from hornlab.elliptic import _bulk_integrals, _checked_energy
     r = np.array([0.1])
-    integral = _bulk_integral(state_i1_mu1, state_i1_mu1.r_lo, 0.1, 1e-10)
+    integral = _bulk_integrals(state_i1_mu1, np.array([state_i1_mu1.r_lo]),
+                               r, 1e-10)
     (bulk,), (bdry,), (scale,) = _checked_energy(
-        state_i1_mu1, r, state_i1_mu1.radial_log(r), np.array([integral]))
+        state_i1_mu1, r, state_i1_mu1.radial_log(r), integral)
     assert bulk == pytest.approx(bdry, abs=1e-6 * max(scale, abs(bulk)))
 
 
@@ -157,8 +158,9 @@ def test_scan_rows_invariants(scan_i1_mu1):
 
 @pytest.mark.parametrize("kind", ["profile", "bessel"])
 def test_scan_rows_match_scalar_functionals(kind, state_i1_mu1, p_default):
-    # one evaluation of the state on the grid gives the rows that the
-    # per-radius elliptic_I and elliptic_E give one at a time
+    # one evaluation of the state on the grid, and one quad_log call for
+    # all its segments, give the rows that the per-radius elliptic_I and
+    # elliptic_E give one at a time
     if kind == "profile":
         st, grid = state_i1_mu1, np.geomspace(0.04, 0.13, 12)
     else:
@@ -167,7 +169,7 @@ def test_scan_rows_match_scalar_functionals(kind, state_i1_mu1, p_default):
     scan = elliptic_scan(st, grid)
     for k, r in enumerate(grid):
         assert scan.I[k] == pytest.approx(elliptic_I(st, r), rel=1e-12)
-        assert scan.ED[k] == pytest.approx(elliptic_E(st, r), rel=1e-8)
+        assert scan.ED[k] == pytest.approx(elliptic_E(st, r), rel=1e-14)
 
 
 def test_scan_constant_U_zero(p_default):
@@ -192,6 +194,15 @@ def test_scan_U_grows_toward_tip(scan_i1_mu1, p_default):
     U = scan_i1_mu1.UN
     assert U[0] > U[-1]
     assert np.max(U * scan_i1_mu1.scale ** (2 * p_default.eps)) < 10.0
+
+
+def test_scan_row_at_window_bottom_has_uncontrolled_tail(state_i1_mu1):
+    # the energy between r_lo and a row just above it does not dwarf the
+    # certified tail below r_lo: TipTailError, which is a ConsistencyError
+    grid = np.array([1.01 * state_i1_mu1.r_lo, 0.1])
+    with pytest.raises(TipTailError, match="uncontrolled tip tail") as err:
+        elliptic_scan(state_i1_mu1, grid)
+    assert isinstance(err.value, ConsistencyError)
 
 
 def test_scan_requires_increasing_grid(state_i1_mu1):

@@ -236,6 +236,22 @@ def test_single_pair_evaluation(pairs8_rout2):
     assert L == pytest.approx(lm[0] - pair.nu * t, rel=1e-12)
 
 
+def test_slice_log_array_t_equals_scalar_loop(series4):
+    # times broadcast against radii, one radial evaluation per term for all
+    # of them, give bitwise the slices of the scalar-t calls
+    r = np.geomspace(0.02, 1.5, 24)
+    t = np.array([0.1, 0.35, 0.8, 1.4])
+    rows = r * (1.0 + 0.1 * np.arange(4))[:, None]  # other radii per time
+    for k in (0, 1, 3):
+        for radii in (r, rows):
+            got = series4.slice_log(radii, t[:, None], k)
+            for j, tj in enumerate(t):
+                want = series4.slice_log(np.broadcast_to(radii, rows.shape)[j],
+                                         tj, k)
+                for g, w in zip(got, want):
+                    np.testing.assert_array_equal(g[j], w)
+
+
 def test_coefficient_linearity(series4, pairs8_rout2):
     doubled = make_caloric_series(pairs8_rout2[:4],
                                   2.0 * series4.coeffs, t_min=0.25)
@@ -406,6 +422,9 @@ def test_coefficients_recover_eigenfunction(pairs8_rout2):
     assert coeffs[0] == pytest.approx(1.0, abs=1e-7)
     assert abs(coeffs[1]) <= 1e-7
     assert abs(coeffs[2]) <= 1e-7
+    # one quad_log row per pair: each is bitwise its own one-pair expansion
+    for j, pair_j in enumerate(pairs8_rout2[:3]):
+        assert coefficients_from_initial([pair_j], g1)[0] == coeffs[j]
 
 
 def test_series_constructor_validation(pairs8_rout2):

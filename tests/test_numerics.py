@@ -361,7 +361,7 @@ def test_ode_endpoint_only_failure_reports_location():
 
 def test_quad_log_polynomial_from_zero():
     # a = 0 takes the leading panel [0, first edge]
-    sign, log_val, log_err = quad_log(lambda x: (1.0, 2.0 * np.log(x)),
+    sign, log_val, log_err = quad_log(lambda x, rows: (1.0, 2.0 * np.log(x)),
                                       0.0, 1.0, 1e-12)
     assert sign == 1
     assert log_val == pytest.approx(math.log(1.0 / 3.0), rel=1e-12)
@@ -374,7 +374,8 @@ def test_quad_log_gaussian_moment():
     # far below the double range
     c = 3.75
     sign, log_val, _ = quad_log(
-        lambda s: (1.0, -s * s + c * np.log(s) - 900.0), 0.0, 12.0, 1e-12)
+        lambda s, rows: (1.0, -s * s + c * np.log(s) - 900.0),
+        0.0, 12.0, 1e-12)
     assert sign == 1
     exact = math.log(oracle_gamma((c + 1.0) / 2.0) / 2.0) - 900.0
     assert log_val - exact == pytest.approx(0.0, abs=1e-12)
@@ -384,23 +385,24 @@ def test_quad_log_signed_cancellation():
     # int_0^(10 pi + 1) cos x dx = sin 1, against int |cos x| dx ~ 20.8
     b = 10.0 * math.pi + 1.0
     sign, log_val, log_err = quad_log(
-        lambda x: (np.sign(np.cos(x)), np.log(np.abs(np.cos(x))) + 800.0),
+        lambda x, rows: (np.sign(np.cos(x)),
+                         np.log(np.abs(np.cos(x))) + 800.0),
         0.0, b, 1e-12)
     assert sign == 1
     assert log_val - 800.0 == pytest.approx(math.log(math.sin(1.0)),
                                             abs=1e-11)
     assert log_err - 800.0 < math.log(1e-12 * 21.0)
     sign, log_val, _ = quad_log(
-        lambda x: (-np.sign(np.cos(x)), np.log(np.abs(np.cos(x)))),
+        lambda x, rows: (-np.sign(np.cos(x)), np.log(np.abs(np.cos(x)))),
         0.0, b, 1e-12)
     assert sign == -1
     assert log_val == pytest.approx(math.log(math.sin(1.0)), abs=1e-11)
 
 
 def test_quad_log_zero_integrand():
-    assert quad_log(lambda x: (1.0, np.full_like(x, -np.inf)),
+    assert quad_log(lambda x, rows: (1.0, np.full_like(x, -np.inf)),
                     0.0, 1.0, 1e-12) == (0, -math.inf, -math.inf)
-    assert quad_log(lambda x: (np.zeros_like(x), np.zeros_like(x)),
+    assert quad_log(lambda x, rows: (np.zeros_like(x), np.zeros_like(x)),
                     0.5, 1.0, 1e-12) == (0, -math.inf, -math.inf)
 
 
@@ -410,7 +412,7 @@ def test_quad_log_narrow_peak_not_clipped():
     # a shift taken from that probe with the exponent clipped at 50 loses
     # a factor ~exp(34); the node maximum of each level cannot miss it.
     sign, log_val, _ = quad_log(
-        lambda r: (1.0, 20.0 * np.log(r) - r / 1e-5), 1e-6, 1.0, 1e-12)
+        lambda r, rows: (1.0, 20.0 * np.log(r) - r / 1e-5), 1e-6, 1.0, 1e-12)
     exact = math.lgamma(21.0) + 21.0 * math.log(1e-5)
     assert exact == pytest.approx(-199.43582, abs=1e-5)
     assert sign == 1
@@ -418,7 +420,7 @@ def test_quad_log_narrow_peak_not_clipped():
 
 
 def test_quad_log_rejects_bad_arguments():
-    f = lambda x: (1.0, np.zeros_like(x))
+    f = lambda x, rows: (1.0, np.zeros_like(x))
     for a, b in ((1.0, 0.5), (1.0, 1.0), (-1.0, 1.0)):
         with pytest.raises(DomainValidationError):
             quad_log(f, a, b, 1e-8)
@@ -429,13 +431,13 @@ def test_quad_log_rejects_bad_arguments():
 
 def test_quad_log_nonfinite_integrand():
     with pytest.raises(QuadratureError):
-        quad_log(lambda x: (1.0, np.where(x > 0.5, np.nan, 0.0)),
+        quad_log(lambda x, rows: (1.0, np.where(x > 0.5, np.nan, 0.0)),
                  0.0, 1.0, 1e-8)
 
 
 def test_quad_log_budget_exhaustion_carries_estimate():
     # sin(1/x)/x oscillates unresolvably near 0: the panel cap is reached
-    def f(x):
+    def f(x, rows):
         v = np.sin(1.0 / x) / x
         return np.sign(v), np.log(np.abs(v))
 
@@ -445,6 +447,92 @@ def test_quad_log_budget_exhaustion_carries_estimate():
     assert sign in (-1, 0, 1)
     assert math.isfinite(log_val)
     assert err.value.bound is not None
+
+
+# One integrand per row: a = 0 and a > 0 rows, a signed row with an offset
+# far outside the double range, a narrow peak, and an exact zero.
+_BATCH_A = np.array([0.0, 1e-6, 0.3, 0.0, 2.0, 0.5])
+_BATCH_B = np.array([1.0, 1.0, 5.0, 12.0, 31.0, 1.0])
+
+
+def _batch_row(j, x):
+    with np.errstate(divide="ignore"):
+        if j == 0:
+            return np.ones_like(x), 2.0 * np.log(x)
+        if j == 1:
+            return np.ones_like(x), 20.0 * np.log(x) - x / 1e-5
+        if j == 2:
+            return np.sign(np.cos(x)), np.log(np.abs(np.cos(x))) + 800.0
+        if j == 3:
+            return np.ones_like(x), -x * x + 3.75 * np.log(x) - 900.0
+        if j == 4:
+            return np.zeros_like(x), np.zeros_like(x)
+        return -np.ones_like(x), -np.log(x)
+
+
+def _batch_integrand(x, rows):
+    out = np.empty((2, *x.shape))
+    for k, j in enumerate(rows):
+        out[:, k] = _batch_row(j, x[k])
+    return out[0], out[1]
+
+
+@pytest.mark.parametrize("max_nodes, first_level", [
+    (8192, [[0, 1, 2, 3, 4, 5]]),
+    (300, [[0, 1], [2, 3], [4, 5]]),  # two rows of 9 panels a call
+])
+def test_quad_log_batch_rows_equal_single_calls(monkeypatch, max_nodes,
+                                                first_level):
+    # every row gets the nodes, the value and the error estimate of its own
+    # single-interval call, bitwise, whatever else is in the batch and
+    # however a level is split into integrand calls
+    from hornlab import numerics
+    monkeypatch.setattr(numerics, "_LOG_QUAD_MAX_NODES", max_nodes)
+    calls = []
+
+    def integrand(x, rows):
+        calls.append((x.shape, rows.tolist()))
+        return _batch_integrand(x, rows)
+
+    sign, log_val, log_err = quad_log(integrand, _BATCH_A, _BATCH_B, 1e-12)
+    for j in range(_BATCH_A.size):
+        one = quad_log(lambda x, rows: _batch_row(j, x), _BATCH_A[j],
+                       _BATCH_B[j], 1e-12)
+        assert (sign[j], log_val[j], log_err[j]) == one
+    assert (sign[4], log_val[4], log_err[4]) == (0, -math.inf, -math.inf)
+    assert sign[5] == -1
+    assert log_val[5] == pytest.approx(math.log(math.log(2.0)), rel=1e-14)
+    # the first level takes every row in as few calls as the cap allows,
+    # and a call past the cap holds a single row
+    assert [rows for _, rows in calls[:len(first_level)]] == first_level
+    assert all(shape[0] == 1 or shape[0] * shape[1] <= max_nodes
+               for shape, _ in calls)
+
+
+def test_quad_log_batch_row_past_the_cap_names_its_interval():
+    # sin(1/x)/x on row 1 cannot be resolved; rows 0 and 2 close early, and
+    # the error names row 1's interval
+    open_rows = []
+
+    def f(x, rows):
+        open_rows.append(rows.tolist())
+        v = np.where((rows == 1)[:, None], np.sin(1.0 / x) / x, x * x)
+        return np.sign(v), np.log(np.abs(v))
+
+    with pytest.raises(QuadratureError,
+                       match=r"on \[1e-08, 1.0\] did not reach") as err:
+        quad_log(f, [0.25, 1e-8, 2.0], [1.0, 1.0, 3.0], 1e-10)
+    assert open_rows[0] == [0, 1, 2] and open_rows[-1] == [1]
+    assert math.isfinite(err.value.estimate[1])
+
+
+def test_quad_log_batch_nan_names_its_row():
+    def f(x, rows):
+        return 1.0, np.where((rows == 1)[:, None] & (x > 0.5), np.nan, 0.0)
+
+    with pytest.raises(QuadratureError,
+                       match=r"not finite at x = 0\.5.* on \[0\.25, 1\.0\]"):
+        quad_log(f, [0.0, 0.25], [1.0, 1.0], 1e-8)
 
 
 # ---------------------------------------------------------------------------

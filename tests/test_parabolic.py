@@ -85,6 +85,24 @@ def test_unit_caloric_identity_and_bounds(p_default):
     assert fit.slope == pytest.approx(0.0, abs=1e-7)
 
 
+@pytest.mark.parametrize("kind", ["series", "unit"])
+def test_batched_slices_equal_single_slices(kind, series2, p_default):
+    # parabolic_scan and check_ID_relation run all their slices in one
+    # quad_log call; each slice is bitwise the one-slice parabolic_IDN
+    u = series2 if kind == "series" else UnitCaloric(p_default)
+    R = np.geomspace(0.02, 0.2, 7)
+    scan = parabolic_scan(u, R)
+    for k, Rk in enumerate(R):
+        assert (scan.I[k], scan.ED[k], scan.UN[k]) == \
+            parabolic_IDN(u, float(Rk))
+    Rc, h = 0.06, 6e-5
+    I, _, _ = parabolic_IDN(u, Rc)
+    Dp, Dm = parabolic_IDN(u, Rc + h)[1], parabolic_IDN(u, Rc - h)[1]
+    fd = (Rc / 4.0) * (Dp - Dm) / (2.0 * h)
+    scale = max(abs(I), abs(fd), (abs(Dp) + abs(Dm)) / 8.0)
+    assert check_ID_relation(u, Rc, h) == abs(I - fd) / scale
+
+
 def test_unit_caloric_time_derivatives(p_default):
     # u == 1: sqrt(area) at k = 0, an exact zero for every k >= 1
     u = UnitCaloric(p_default)
