@@ -516,11 +516,13 @@ def run(config, command, out_dir=None):
         manifest["error"] = str(exc)
         code = EXIT_CONFIG
     except ToleranceFloorError as exc:
-        # every ODE tolerance of a pipeline is derived from tolerances.ode
+        # every ODE tolerance of a pipeline is derived from tolerances.ode,
+        # every quadrature tolerance from tolerances.quad
+        leaf = {"ODE": "ode", "quadrature": "quad"}[exc.solver]
         manifest["error"] = (
-            f"tolerances.ode={config['tolerances']['ode']} is too small: "
-            f"{command} derived the ODE tolerance {exc.tol:.3g}, below the "
-            f"integrator's floor {exc.floor:.3g}")
+            f"tolerances.{leaf}={config['tolerances'][leaf]} is too small: "
+            f"{command} derived the {exc.solver} tolerance {exc.tol:.3g}, "
+            f"below the {exc.solver} floor {exc.floor:.3g}")
         code = EXIT_CONFIG
     except HornError as exc:
         manifest["error"] = f"{type(exc).__name__}: {exc}"

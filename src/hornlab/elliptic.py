@@ -45,8 +45,8 @@ _KIND_PARABOLIC = "parabolic"
 class ModeState:
     """One separated solution u = f_i(r) phi_i(theta) on the radial window
     domain.  Its factory sets radial_log(r) = (sign, log|f|, d log|f|/dr)
-    at an array of radii, r_lo, where the bulk energy integral starts, and
-    tail, the certified energy below r_lo."""
+    at radii of any shape, three arrays of r's shape; r_lo, where the bulk
+    energy integral starts; and tail, the certified energy below r_lo."""
 
     params: object
     i: int
@@ -67,10 +67,9 @@ class ModeState:
 
 
 def _constant_radial_log(r):
-    """(sign, log|f|, d log|f|/dr) of f == 1 at an array of radii."""
-    r = np.asarray(r, dtype=float)
-    z = np.zeros_like(r)
-    return np.ones_like(r), z, z
+    """(sign, log|f|, d log|f|/dr) of f == 1 at radii r."""
+    z = np.zeros_like(r, dtype=float)
+    return np.ones_like(z), z, z
 
 
 def constant_state(p, domain):
@@ -88,7 +87,6 @@ def bessel_state(p, mu, domain):
     nu = (p.c - 1.0) / 2.0
 
     def radial_log(r):
-        r = np.asarray(r, dtype=float)
         x = r * math.sqrt(mu)
         vals = radial_mode_zero(p, mu, r)
         sign = np.sign(vals)
@@ -175,7 +173,7 @@ _exp = np.vectorize(math.exp, otypes=[float])
 
 
 def _boundary_mass(state, r, radial):
-    """I = r^(1-n) w(r) f(r)^2 at radii r (array), from radial_log(r);
+    """I = r^(1-n) w(r) f(r)^2 at radii r of any shape, from radial_log(r);
     0 where f vanishes or underflows."""
     p = state.params
     sign, lm, _ = radial
@@ -186,8 +184,7 @@ def _boundary_mass(state, r, radial):
 def elliptic_I(state, r):
     """Boundary mass I(r) = r^(1-n) w(r) f(r)^2 (log-space assembly)."""
     check_in_range(r, *state.domain, "state radius")
-    r_arr = np.array([float(r)])
-    return float(_boundary_mass(state, r_arr, state.radial_log(r_arr))[0])
+    return float(_boundary_mass(state, r, state.radial_log(r)))
 
 
 def _energy_density_log(state, lam, r, radial=None):
@@ -213,8 +210,7 @@ def _bulk_integrals(state, a, b, tol):
     and b, every nonempty row in one quad_log call; an empty row (b <= a)
     is 0."""
     def density_log(x, rows):
-        return [v.reshape(x.shape) for v in
-                _energy_density_log(state, state.lam, x.ravel())]
+        return _energy_density_log(state, state.lam, x)
 
     out = np.zeros(a.size)
     full = b > a

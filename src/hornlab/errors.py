@@ -14,13 +14,14 @@ class DomainValidationError(HornError, ValueError):
 
 
 class ToleranceFloorError(DomainValidationError):
-    """A tolerance lies below the floor an integrator honours; carries the
-    tolerance asked for and the floor."""
+    """A tolerance lies below the floor a solver, "ODE" or "quadrature",
+    honours; carries the tolerance asked for, the floor and the solver."""
 
-    def __init__(self, message, tol, floor):
+    def __init__(self, message, tol, floor, solver):
         super().__init__(message)
         self.tol = tol
         self.floor = floor
+        self.solver = solver
 
 
 class ConfigError(HornError, ValueError):

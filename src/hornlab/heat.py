@@ -231,17 +231,19 @@ def _build_pair(p, i, nu, r_out, tol):
 
     def evaluator(r):
         # below r_sw the tip branch, rescaled to the outer solution's
-        # f(r_sw) = 1; from r_sw on the outer solve
-        r = np.atleast_1d(r)
+        # f(r_sw) = 1; from r_sw on the outer solve.  Each array is masked
+        # on its own, several times faster than out[:, mask] = (...)
         inner = r < r_sw
-        out = np.empty((3, r.size))
+        out = [np.empty(r.shape) for _ in range(3)]
         if np.any(inner):
             sgn, lm, ld = tip.eval_log(r[inner])
-            out[:, inner] = sgn, lm - log_at_anchor + scale_log, ld
+            for o, v in zip(out, (sgn, lm - log_at_anchor + scale_log, ld)):
+                o[inner] = v
         fv, fpv = sol.states(r[~inner])[:2]
         with np.errstate(divide="ignore", invalid="ignore"):
-            out[:, ~inner] = (np.sign(fv), np.log(np.abs(fv)) + scale_log,
-                              fpv / fv)
+            outer = (np.sign(fv), np.log(np.abs(fv)) + scale_log, fpv / fv)
+        for o, v in zip(out, outer):
+            o[~inner] = v
         return out
 
     # the grid marks the cap, the seam and the bottom of the tip branch
@@ -341,22 +343,16 @@ class CaloricSeries:
     tail_certificate: float = 0.0
 
     def slice_log(self, r, t, k=0):
-        """(sign F, log|F|, sign dF/dr, log|dF/dr|) at radii r and times t,
-        arrays that broadcast against each other, of F = d^k/dt^k of the
-        series: term j picks up (-nu_j)^k, that is k log nu_j in magnitude
-        and (-1)^k in sign, and a term with nu_j = 0 is an exact zero for
+        """(sign F, log|F|, sign dF/dr, log|dF/dr|), each of the broadcast
+        shape of the radii r and times t, of F = d^k/dt^k of the series:
+        term j picks up (-nu_j)^k, that is k log nu_j in magnitude and
+        (-1)^k in sign, and a term with nu_j = 0 is an exact zero for
         k >= 1.  Each term's radial evaluator runs once, on every radius
         of the broadcast.  The one place the series is summed.
         """
-        r, t = np.broadcast_arrays(np.atleast_1d(np.asarray(r, dtype=float)),
-                                   np.asarray(t, dtype=float))
-        shape = r.shape
-        r, t = r.ravel(), t.ravel()
-        K = len(self.terms)
-        sF = np.empty((K, r.size))
-        lF = np.empty((K, r.size))
-        sD = np.empty((K, r.size))
-        lD = np.empty((K, r.size))
+        r, t = np.broadcast_arrays(r, t)
+        shape = (len(self.terms), *r.shape)
+        sF, lF, sD, lD = (np.empty(shape) for _ in range(4))
         for j, ((radial_log, nu), cj) in enumerate(zip(self.terms,
                                                        self.coeffs)):
             if k and nu == 0:
@@ -370,8 +366,7 @@ class CaloricSeries:
             with np.errstate(divide="ignore", invalid="ignore"):
                 lD[j] = lF[j] + np.log(np.abs(ld))
             sD[j] = sF[j] * np.sign(ld)
-        return tuple(v.reshape(shape) for v in (*logsumexp_signed(sF, lF),
-                                                *logsumexp_signed(sD, lD)))
+        return (*logsumexp_signed(sF, lF), *logsumexp_signed(sD, lD))
 
 
 def make_caloric_series(pairs, coeffs, t_min):
@@ -405,17 +400,15 @@ def make_caloric_series(pairs, coeffs, t_min):
 
 def coefficients_from_initial(pairs, fn, tol=1e-10):
     """Expansion coefficients <fn, g_j> in L^2(w dr) over the range each
-    g_j represents, one quad_log row per pair; fn maps an array of radii
-    to its values, and tol bounds each error relative to the integral of
-    |fn g_j| w."""
+    g_j represents, one quad_log row per pair; fn maps radii of any shape
+    to values of that shape, and tol bounds each error relative to the
+    integral of |fn g_j| w."""
     p = pairs[0].g.params
 
     def log_integrand(x, rows):
-        v = np.asarray(fn(x.ravel()), dtype=float).reshape(x.shape)
-        sgn = np.empty_like(x)
-        lm = np.empty_like(x)
-        for k, j in enumerate(rows):
-            sgn[k], lm[k], _ = pairs[j].g.eval_log(x[k])
+        v = np.asarray(fn(x), dtype=float)
+        sgn, lm, _ = np.stack([pairs[j].g.eval_log(xj)
+                               for xj, j in zip(x, rows)], axis=1)
         with np.errstate(divide="ignore"):
             return (np.sign(v) * sgn,
                     np.log(np.abs(v)) + lm + measure_weight_log(p, x))
@@ -433,8 +426,8 @@ def time_derivative(series, k, r, t):
         raise DomainValidationError("time_derivative needs t > 0")
     if not (int(k) == k and k >= 0):
         raise DomainValidationError("time_derivative needs integer k >= 0")
-    sF, lF, _, _ = series.slice_log(np.array([float(r)]), t, int(k))
-    return int(sF[0]), float(lF[0])
+    sF, lF, _, _ = series.slice_log(float(r), t, int(k))
+    return int(sF), float(lF)
 
 
 def taylor_coefficients(series, r0, t0, kmax):
@@ -450,13 +443,15 @@ def taylor_coefficients(series, r0, t0, kmax):
 def taylor_radius(log_ak):
     """1 / max_{k in [kmax/2, kmax]} |a_k|^(1/k) from taylor_coefficients
     up to kmax, a conservative window estimate of 1/limsup |a_k|^(1/k);
-    +inf when every a_k in the window is zero."""
+    +inf when every a_k in the window is zero or the radius lies past the
+    double range."""
     kmax = len(log_ak) - 1
     if not kmax >= 8:
         raise DomainValidationError("analyticity_probe needs kmax >= 8")
     window = [L / k for k, L in enumerate(log_ak)
               if k >= max(1, kmax // 2) and L != NEG_INF]
-    return 1.0 / math.exp(max(window)) if window else math.inf
+    root = math.exp(max(window)) if window else 0.0
+    return 1.0 / root if root > 0.0 else math.inf
 
 
 def analyticity_probe(series, r0, t0, kmax):

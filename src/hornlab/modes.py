@@ -260,11 +260,11 @@ def solve_k2(p, i, mu, s_max, tol=1e-12):
 class RadialProfile:
     """Underflow-safe radial mode: an abscissa grid and its evaluator.
 
-    evaluator(r) gives (sign, log|f|, d log|f|/dr) at an array of radii and
-    is the one route to the mode's values.  The grid is carried in the
-    transformed abscissa s = r^-eps (increasing s means approaching the
-    tip); it fixes the represented range [r_min, r_max], and sign / log_mag
-    / log_deriv are the evaluator's values on it.
+    evaluator(r) gives (sign, log|f|, d log|f|/dr), three arrays of the
+    shape of the radii r, and is the one route to the mode's values.  The
+    grid is carried in the transformed abscissa s = r^-eps (increasing s
+    means approaching the tip); it fixes the represented range [r_min,
+    r_max], and sign / log_mag / log_deriv are the evaluator's values on it.
     """
 
     params: object
@@ -280,7 +280,7 @@ class RadialProfile:
         self.sign, self.log_mag, self.log_deriv = self.eval_log(self.r_grid)
 
     def eval_log(self, r):
-        """(sign, log|f|, d log|f|/dr) at r, scalar or array."""
+        """(sign, log|f|, d log|f|/dr) at r, each of the shape of r."""
         r = np.asarray(r, dtype=float)
         check_in_range(r, self.r_min, self.r_max, "represented radius")
         return self.evaluator(r)
@@ -382,7 +382,6 @@ def log_norm_sq(profile, r_lo, r_hi, tol):
     p = profile.params
 
     def log_integrand(r, rows):
-        lm = profile.eval_log(r.ravel())[1].reshape(r.shape)
-        return 1.0, 2.0 * lm + measure_weight_log(p, r)
+        return 1.0, 2.0 * profile.eval_log(r)[1] + measure_weight_log(p, r)
 
     return quad_log(log_integrand, r_lo, r_hi, tol)[1]

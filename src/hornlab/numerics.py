@@ -141,18 +141,19 @@ class DenseSolution:
         self.span = (float(span[0]), float(span[1]))
         self.steps = steps
         self.step_states = step_states
+        # axis=1: the state axis leads the values, as in step_states
         self._poly = PPoly(_continuous_extension(field, steps, step_states),
-                           steps)
+                           steps, axis=1)
 
     def eval(self, x):
         y = self.states(x)
         return y, np.asarray(self._field(x, y))
 
     def states(self, xs):
-        """State at a scalar x, (n,), or at an array of abscissae,
-        (n, len(xs))."""
+        """States at abscissae xs of any shape, (n, *xs.shape); a scalar
+        gives (n,)."""
         check_in_range(xs, *sorted(self.span), "ODE abscissa")
-        return self._poly(np.asarray(xs, dtype=float)).T
+        return self._poly(xs)
 
 
 def _stage(field, x, y):
@@ -175,7 +176,7 @@ _EXTENSION_POWERS = np.stack([_extension_basis(k) for k in range(7)], axis=1)
 
 
 def _continuous_extension(field, steps, step_states):
-    """PPoly coefficients (8, len(steps) - 1, n) of Hairer's continuous
+    """PPoly coefficients (n, 8, len(steps) - 1) of Hairer's continuous
     extension of DOP853 on each recorded step, with the F_k that
     solve_ivp's Dop853DenseOutput builds.
 
@@ -206,7 +207,7 @@ def _continuous_extension(field, steps, step_states):
     a = np.tensordot(_EXTENSION_POWERS, F, 1)
     a[0] = y0
     powers = np.arange(7, -1, -1)[:, None, None]
-    return (a[::-1] / h ** powers).transpose(0, 2, 1)
+    return (a[::-1] / h ** powers).transpose(1, 0, 2)
 
 
 # the smallest tolerance the compiled DOP853 honours: 10 eps
@@ -256,7 +257,7 @@ def integrate_ode(field, span, y0, tol, dense=True):
     if not tol >= _TOL_FLOOR:
         raise ToleranceFloorError(
             f"integrate_ode needs tol >= {_TOL_FLOOR:.3g}, got tol={tol}",
-            tol=tol, floor=_TOL_FLOOR)
+            tol=tol, floor=_TOL_FLOOR, solver="ODE")
     y0 = np.atleast_1d(np.asarray(y0, dtype=float))
     solver = ode(_call_field).set_integrator(
         "dop853", rtol=tol, atol=tol * 1e-2, nsteps=_NO_STEP_BUDGET)
@@ -294,41 +295,31 @@ _LOG_QUAD_MAX_PANELS = 1024   # last level: 16384 nodes a row
 # so memory stays bounded however many rows a caller batches; past about
 # this size larger calls only add to the peak memory, not to the speed
 _LOG_QUAD_MAX_NODES = 8192
+_QUAD_TOL_FLOOR = float(np.finfo(float).eps)  # the smallest tol honoured
 
 
 def _log_quad_nodes(a, b, panels, lead):
     """16-point Gauss-Legendre nodes and weights, each (rows, width), on
-    `panels` geometric panels of every row's [a, b]; a row that leads
-    (a = 0) has its geometric panels on [b/panels, b] below a leading
-    panel [0, b/panels].  When only some rows lead, the others repeat
-    their last panel after their own nodes at weight 0, so all rows are
-    one width."""
-    edges = np.geomspace(np.where(lead, b / panels, a), b, panels + 1).T
+    `panels` geometric panels of every row's [a, b]; when the rows lead
+    (a = 0), the geometric panels lie on [b/panels, b] below a leading
+    panel [0, b/panels]."""
+    edges = np.geomspace(b / panels if lead else a, b, panels + 1).T
+    if lead:
+        edges = np.hstack([np.zeros((a.size, 1)), edges])
     mid = 0.5 * (edges[:, 1:] + edges[:, :-1])
     half = 0.5 * np.diff(edges, axis=1)
-    weight = half
-    if np.any(lead):
-        first = 0.5 * (edges[:, :1] + 0.0)  # mid and half of [0, edges[0]]
-        pad = lead[:, None]
-        mid = np.where(pad, np.hstack([first, mid]),
-                       np.hstack([mid, mid[:, -1:]]))
-        half = np.where(pad, np.hstack([first, half]),
-                        np.hstack([half, half[:, -1:]]))
-        weight = np.where(pad | (np.arange(panels + 1) < panels), half, 0.0)
-    rows = a.size
-    return ((mid[:, :, None] + half[:, :, None] * _GL_X).reshape(rows, -1),
-            (weight[:, :, None] * _GL_W).reshape(rows, -1))
+    return ((mid[:, :, None] + half[:, :, None] * _GL_X).reshape(a.size, -1),
+            (half[:, :, None] * _GL_W).reshape(a.size, -1))
 
 
 def _log_quad_level(fn_log, a, b, rows, panels):
-    """One level on the open rows: per row, the sums of f and |f| over its
-    nodes in units of exp(shift), and the shift, the largest log among
-    its nonzero nodes (-inf when every node is zero).  Each row is summed
-    on its own nodes alone, by numpy's pairwise summation, as a call on
-    that row alone would sum it."""
+    """One level on the open rows, which all lead or all do not: per row,
+    the sums of f and |f| over its nodes in units of exp(shift), and the
+    shift, the largest log among its nonzero nodes (-inf when every node
+    is zero).  Each row is summed by numpy's pairwise summation, as a
+    call on that row alone would sum it."""
     a, b = a[rows], b[rows]
-    lead = a == 0
-    x, w = _log_quad_nodes(a, b, panels, lead)
+    x, w = _log_quad_nodes(a, b, panels, a[0] == 0)
     signs, logs = fn_log(x, rows)
     signs = np.broadcast_to(np.asarray(signs, dtype=float), x.shape)
     logs = np.asarray(logs, dtype=float)
@@ -337,16 +328,11 @@ def _log_quad_level(fn_log, a, b, rows, panels):
         k, j = np.argwhere(bad)[0]
         raise QuadratureError(f"integrand is not finite at x = {x[k, j]} "
                               f"on [{a[k]}, {b[k]}]")
-    live = (w > 0) & (signs != 0) & (logs > -np.inf)
+    live = (signs != 0) & (logs > -np.inf)
     shift = np.max(np.where(live, logs, -np.inf), axis=1)
     mag = np.zeros_like(w)
     mag[live] = w[live] * np.exp(logs[live] - np.repeat(shift, live.sum(1)))
-    terms = signs * mag
-    if lead.any() and not lead.all():
-        own = 16 * panels  # the nodes of a row that does not lead
-        return (np.where(lead, terms.sum(1), terms[:, :own].sum(1)),
-                np.where(lead, mag.sum(1), mag[:, :own].sum(1)), shift)
-    return terms.sum(1), mag.sum(1), shift
+    return (signs * mag).sum(1), mag.sum(1), shift
 
 
 def quad_log(fn_log, a, b, tol):
@@ -359,16 +345,17 @@ def quad_log(fn_log, a, b, tol):
     `rows` to (signs, logs) of x's shape; a sign of 0 or a log of -inf is
     an exact zero, and signs may be any value that broadcasts against x.
     Each level of composite 16-point Gauss-Legendre on geometric panels
-    calls fn_log once on the nodes of every row still open (in several
-    calls of whole rows past 8192 nodes); a row has the same nodes, the
-    same panels and the same result whatever else is in the batch.  Each
-    row is summed in units of the largest integrand magnitude among its
-    nodes, so neither the integrand nor the integral has to be
-    representable in linear space.  The panel count doubles from level to
-    level; the difference of two successive levels is a row's error
-    estimate, and the row closes at the finer level once that difference
-    is at most tol times the integral of |f| (for a non-negative f:
-    relative error tol).
+    calls fn_log once on the nodes of every row still open, the rows with
+    a = 0, which carry one more panel, in calls of their own (and either
+    kind in several calls of whole rows past 8192 nodes); a row has the
+    same nodes, the same panels and the same result whatever else is in
+    the batch.  Each row is summed in units of the largest integrand
+    magnitude among its nodes, so neither the integrand nor the integral
+    has to be representable in linear space.  The panel count doubles
+    from level to level; the difference of two successive levels is a
+    row's error estimate, and the row closes at the finer level once that
+    difference is at most tol times the integral of |f| (for a
+    non-negative f: relative error tol).
 
     Returns (sign, log|integral|, log error estimate), as a scalar triple
     for scalar a and b and as three arrays otherwise; a zero integral is
@@ -376,7 +363,9 @@ def quad_log(fn_log, a, b, tol):
     QuadratureError naming its interval, whose estimate is the (sign,
     log|integral|) pair of the finest level and whose bound is the log of
     its error estimate; an integrand that is NaN or +inf at a node raises
-    QuadratureError naming the node and its row's interval.
+    QuadratureError naming the node and its row's interval.  A tol below
+    machine epsilon, which asks two levels to agree bit for bit, raises
+    ToleranceFloorError (carrying tol and that floor) up front.
     """
     scalar = np.ndim(a) == 0 and np.ndim(b) == 0
     a, b = (np.array(v, dtype=float).ravel()
@@ -386,20 +375,24 @@ def quad_log(fn_log, a, b, tol):
         k = int(np.argmax(bad))
         raise DomainValidationError(
             f"quad_log needs 0 <= a < b, got [{a[k]}, {b[k]}]")
-    if not tol > 0:
-        raise DomainValidationError("quad_log needs tol > 0")
+    if not tol >= _QUAD_TOL_FLOOR:
+        raise ToleranceFloorError(
+            f"quad_log needs tol >= {_QUAD_TOL_FLOOR:.3g}, got tol={tol}",
+            tol=tol, floor=_QUAD_TOL_FLOOR, solver="quadrature")
     sign = np.zeros(a.size, dtype=int)
     log_val = np.full(a.size, -math.inf)
     log_err = np.full(a.size, -math.inf)
-    rows = np.arange(a.size)
+    # the open rows, those with a = 0 first: every level keeps this order
+    rows = np.argsort(a > 0, kind="stable")
     prev = None
     panels = _LOG_QUAD_PANELS
     while rows.size:
+        leads = np.count_nonzero(a[rows] == 0)
         per_call = max(1, _LOG_QUAD_MAX_NODES // (16 * (panels + 1)))
-        parts = [_log_quad_level(fn_log, a, b, rows[k:k + per_call], panels)
-                 for k in range(0, rows.size, per_call)]
-        level = parts[0] if len(parts) == 1 else \
-            [np.concatenate(v) for v in zip(*parts)]
+        parts = [_log_quad_level(fn_log, a, b, group[k:k + per_call], panels)
+                 for group in (rows[:leads], rows[leads:])
+                 for k in range(0, group.size, per_call)]
+        level = [np.concatenate(v) for v in zip(*parts)]
         if prev is not None:
             done = np.zeros(rows.size, dtype=bool)
             for k, (row, s, mag, shift, s_prev, shift_prev) in enumerate(zip(

@@ -37,6 +37,8 @@ from .heat import CaloricSeries
 from .logspace import logsumexp_signed
 from .numerics import quad_log
 
+_LOG_MAX = math.log(np.finfo(float).max)  # the log of the largest double
+
 
 def kernel_log(p, r, t):
     """log G(r, t) = -((c+1)/2) log(-t) + r^2/(4t) of the backward weight
@@ -97,7 +99,7 @@ def _slices_ID(u, R, tol):
     One quad_log call takes D of every slice as its first rows and I as
     the rest; a slice's D and I rows share their nodes while both are
     open, so each level evaluates the series once per open slice.  D = 0
-    on any slice is an error.
+    or a D or I past the double range on any slice is an error.
     """
     if not np.all(R > 0):
         raise DomainValidationError("parabolic_IDN needs R > 0")
@@ -126,6 +128,14 @@ def _slices_ID(u, R, tol):
 
     _, log_val, _ = quad_log(log_integrand, np.concatenate([lo, lo]),
                              np.concatenate([hi, hi]), tol)
+    # D and I carry exp(2 nu R^2) and the squared coefficients
+    log_D, log_I = log_val[:m], log_val[m:] + 2.0 * np.log(R)
+    over = np.maximum(log_D, log_I) > _LOG_MAX
+    if np.any(over):
+        k = np.argmax(over)
+        raise ConsistencyError(
+            f"D or I overflows the double range on the slice R = {R[k]}: "
+            f"log D = {log_D[k]}, log I = {log_I[k]}")
     D = _exp(log_val[:m])
     if np.any(D == 0.0):
         raise ConsistencyError(

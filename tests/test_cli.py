@@ -270,15 +270,41 @@ def test_non_numeric_values_are_config_errors(tmp_path, capsys, command,
 
 
 def test_numerical_error_writes_manifest(tmp_path):
-    # no level of the log-space quadrature reaches a tolerance of 1e-300:
-    # a numerical failure inside the pipeline
-    code = main(["freq-elliptic", "--out", str(tmp_path),
-                 "--set", "tolerances.quad=1e-300", "--set", "freq.points=8"])
+    # on the slice R = 1e-6 the backward weight lives in a sliver at the
+    # bottom of the series' range, which no level of the quadrature
+    # resolves: a numerical failure inside the pipeline
+    code = main(["freq-parabolic", "--out", str(tmp_path),
+                 "--set", "freq.R_lo=1e-6"])
     assert code == EXIT_NUMERICAL
     man = json.loads((tmp_path / "manifest.json").read_text())
     assert man["status"] == "error"
-    assert man["stage"] == "freq-elliptic"
+    assert man["stage"] == "freq-parabolic"
     assert "QuadratureError" in man["error"]
+
+
+def test_parabolic_overflow_names_the_slice(tmp_path):
+    # at R = 3 the fourth eigenmode's exp(2 nu R^2) leaves the double range:
+    # a numerical failure naming the slice, not a crash
+    code = main(["freq-parabolic", "--out", str(tmp_path),
+                 "--set", "freq.R_hi=3"])
+    assert code == EXIT_NUMERICAL
+    error = json.loads((tmp_path / "manifest.json").read_text())["error"]
+    assert error.startswith("ConsistencyError: D or I overflows the double "
+                            "range on the slice R = 3.0:")
+
+
+def test_quad_tolerance_below_floor_is_config_error(tmp_path):
+    # no two levels of the quadrature can agree closer than machine epsilon:
+    # a derived tolerance below it is refused before any level runs, naming
+    # tolerances.quad, the derived tolerance and the floor
+    code = main(["freq-elliptic", "--out", str(tmp_path),
+                 "--set", "tolerances.quad=1e-300", "--set", "freq.points=8"])
+    assert code == EXIT_CONFIG
+    error = json.loads((tmp_path / "manifest.json").read_text())["error"]
+    assert error == (
+        "tolerances.quad=1e-300 is too small: freq-elliptic derived the "
+        f"quadrature tolerance {1e-300 / 8:.3g}, below the quadrature floor "
+        f"{np.finfo(float).eps:.3g}")
 
 
 @pytest.mark.parametrize("command, settings", [

@@ -12,7 +12,8 @@ from hornlab import (ConsistencyError, DomainValidationError, EigenPair,
                      sphere_eigenvalue, tail_bound, time_derivative,
                      tip_rate, weyl_check)
 from hornlab import heat
-from hornlab.modes import tip_window_top
+from hornlab.elliptic import bessel_state, constant_state
+from hornlab.modes import solve_k2, tip_window_top
 
 # pairs8_rout2 eigenvalues from the earlier oscillation-count search
 PAIRS8_ROUT2_NU = [10.00860578069562, 25.807764065364, 47.52967782392161,
@@ -162,6 +163,33 @@ def test_tip_branch_is_profile_from_k2(pairs8_rout2, p_default):
         shift = lg - lp
         assert np.ptp(shift) <= 1e-12
         assert dg == pytest.approx(dp, rel=1e-12)
+
+
+def _assert_any_shape(fn, lo, hi):
+    # fn on a 16x16 array of radii gives arrays of that shape, bitwise its
+    # flat call reshaped; a scalar gives 0-d values
+    grid = np.geomspace(lo, hi, 256).reshape(16, 16)
+    got, flat = fn(grid), fn(grid.ravel())
+    for g, f in zip(got, flat):
+        assert np.shape(g) == grid.shape
+        assert np.asarray(g).tobytes() == f.reshape(grid.shape).tobytes()
+    # a 0-d call may take numpy's scalar loops: equal to rounding
+    for g, f in zip(fn(grid[3, 5]), flat):
+        assert np.ndim(g) == 0
+        np.testing.assert_allclose(g, f[53], rtol=1e-15, atol=0.0)
+
+
+def test_radial_evaluators_take_radii_of_any_shape(p_default, profile_i1_mu1,
+                                                   pairs8_rout2):
+    _assert_any_shape(profile_i1_mu1.eval_log, profile_i1_mu1.r_min,
+                      profile_i1_mu1.r_max)
+    for pair in pairs8_rout2[:2]:  # tip branch and outer solve alike
+        _assert_any_shape(pair.g.eval_log, pair.g.r_min, pair.r_out)
+    for state in (bessel_state(p_default, 2.0, (0.01, 1.0)),
+                  constant_state(p_default, (0.01, 1.0))):
+        _assert_any_shape(state.radial_log, 0.01, 1.0)
+    k2 = solve_k2(p_default, 1, 1.0, 12.0)
+    _assert_any_shape(k2.log_eval, *k2.span)
 
 
 def test_weyl_sandwich(pairs12_rout16, p_default):
@@ -365,6 +393,12 @@ def test_taylor_coefficients_are_time_derivatives(series4):
 def test_analyticity_zero_series(pairs8_rout2):
     zero = make_caloric_series(pairs8_rout2[:2], [0.0, 0.0], t_min=0.1)
     assert analyticity_probe(zero, 0.8, 0.5, 16) == math.inf
+
+
+def test_analyticity_radius_past_double_range(series2):
+    # at t0 = 1e6 the coefficients are about exp(-1e7 k): the radius lies
+    # past the double range and reads +inf, as for a zero series
+    assert analyticity_probe(series2, 0.8, 1e6, 16) == math.inf
 
 
 # ---------------------------------------------------------------------------

@@ -478,8 +478,8 @@ def _batch_integrand(x, rows):
 
 
 @pytest.mark.parametrize("max_nodes, first_level", [
-    (8192, [[0, 1, 2, 3, 4, 5]]),
-    (300, [[0, 1], [2, 3], [4, 5]]),  # two rows of 9 panels a call
+    (8192, [[0, 3], [1, 2, 4, 5]]),
+    (300, [[0, 3], [1, 2], [4, 5]]),  # two rows of 9 or 8 panels a call
 ])
 def test_quad_log_batch_rows_equal_single_calls(monkeypatch, max_nodes,
                                                 first_level):
@@ -502,8 +502,9 @@ def test_quad_log_batch_rows_equal_single_calls(monkeypatch, max_nodes,
     assert (sign[4], log_val[4], log_err[4]) == (0, -math.inf, -math.inf)
     assert sign[5] == -1
     assert log_val[5] == pytest.approx(math.log(math.log(2.0)), rel=1e-14)
-    # the first level takes every row in as few calls as the cap allows,
-    # and a call past the cap holds a single row
+    # the first level takes the rows with a = 0, then the others, each in
+    # as few calls as the cap allows, and a call past the cap holds a
+    # single row
     assert [rows for _, rows in calls[:len(first_level)]] == first_level
     assert all(shape[0] == 1 or shape[0] * shape[1] <= max_nodes
                for shape, _ in calls)

@@ -251,6 +251,19 @@ def test_D_lower_series(series2):
     assert abs(fit2.slope - fit.slope) <= 0.1 * abs(fit.slope)
 
 
+@pytest.mark.parametrize("coeffs, R, at", [
+    ([1.0, 0.7], [0.1, 1.0, 4.0, 5.0], "4.0"),  # exp(2 nu_2 R^2) at R = 4
+    ([1e300, 1e300], [0.1, 0.2], "0.1"),
+])
+def test_slice_past_double_range_names_R(pairs8_rout2, coeffs, R, at):
+    # D and I carry exp(2 nu R^2) and the squared coefficients: a slice
+    # whose D or I leaves the double range is named, not overflowed
+    series = make_caloric_series(pairs8_rout2[:2], coeffs, t_min=0.25)
+    with pytest.raises(ConsistencyError, match="D or I overflows the double "
+                       f"range on the slice R = {at}:"):
+        parabolic_scan(series, R)
+
+
 def test_parabolic_IDN_rejects_bad_R(series2):
     with pytest.raises(DomainValidationError):
         parabolic_IDN(series2, -0.1)
