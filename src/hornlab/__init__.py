@@ -22,9 +22,9 @@ from .geometry import (HornParams, angular_coupling, make_horn_params,
                        measure_weight, measure_weight_log, sphere_area,
                        sphere_eigenvalue)
 from .heat import (CaloricSeries, EigenPair, analyticity_probe,
-                   caloric_decay_check, coefficients_from_initial,
-                   dirichlet_eigenvalues, make_caloric_series, tail_bound,
-                   time_derivative, weyl_check)
+                   caloric_decay_check, dirichlet_eigenvalues,
+                   make_caloric_series, tail_bound, time_derivative,
+                   weyl_check)
 from .modes import (RadialProfile, decay_exponent_fit, normalization_bound,
                     profile_from_k2, r_mu, radial_mode_zero, solve_k1,
                     solve_k2, tip_exponent, tip_rate)

@@ -182,6 +182,9 @@ def _validate_config(cfg):
         raise ConfigError("heat.t_list entries must be positive")
     if not heat["r_lo"] < heat["r_hi"]:
         raise ConfigError("heat.r_lo must be below heat.r_hi")
+    if not (cfg["output"] is None or isinstance(cfg["output"], str)):
+        raise ConfigError(f"output={cfg['output']!r} must be a path string "
+                          "or null")
     try:
         params_from_config(cfg)
     except HornError as exc:
@@ -366,8 +369,8 @@ def _run_eigs(cfg, p, out, artifacts):
 def _series(cfg, p, out, artifacts):
     """(eigs report, caloric series): the series on the eigen search's
     pairs, heat.coeffs padded with zeros to eigs.count, with the windows
-    that read it, heat.r_lo, heat.r_hi and analyticity.r0, checked as soon
-    as it exists."""
+    that read it, heat.r_lo, heat.r_hi, analyticity.r0 and freq.R_lo,
+    checked as soon as it exists."""
     h = cfg["heat"]
     count = cfg["eigs"]["count"]
     if len(h["coeffs"]) > count:
@@ -377,7 +380,8 @@ def _series(cfg, p, out, artifacts):
     series = make_caloric_series(
         pairs, h["coeffs"] + [0.0] * (count - len(h["coeffs"])),
         min(h["t_list"]))
-    for block, keys in (("heat", ("r_lo", "r_hi")), ("analyticity", ("r0",))):
+    for block, keys in (("heat", ("r_lo", "r_hi")), ("analyticity", ("r0",)),
+                        ("freq", ("R_lo",))):
         _check_window(cfg, block, keys, *series.r_support,
                       "the range every eigenfunction represents")
     return report, series

@@ -101,16 +101,12 @@ def bessel_state(p, mu, domain):
                      radial_log=radial_log)
 
 
-def profile_state(profile, domain=None):
-    """State carried by a tip RadialProfile (i >= 1), on a domain inside
-    its range; the energy below the profile's r_min is bounded once, here."""
-    if domain is None:
-        domain = (profile.r_min, profile.r_max)
-    domain = _checked_domain(domain)
-    check_in_range(domain, profile.r_min, profile.r_max, "profile_state domain")
+def profile_state(profile):
+    """State carried by a tip RadialProfile (i >= 1) on the profile's
+    range; the energy below the profile's r_min is bounded once, here."""
     state = ModeState(params=profile.params, i=profile.i, mu=profile.mu,
-                      domain=domain, radial_log=profile.eval_log,
-                      r_lo=profile.r_min)
+                      domain=_checked_domain((profile.r_min, profile.r_max)),
+                      radial_log=profile.eval_log, r_lo=profile.r_min)
     return replace(state, tail=_tip_tail_bound(state, profile))
 
 
@@ -127,28 +123,18 @@ def _checked_domain(domain):
 
 @dataclass(frozen=True)
 class FrequencyScan:
-    """Rows (scale, I, E-or-D, U-or-N) of a frequency scan."""
+    """Rows (scale, I, E-or-D, U-or-N) of a frequency scan; the ratio
+    column is derived, U = E/I (elliptic) or N = I/D (parabolic)."""
 
     kind: str
     scale: np.ndarray
     I: np.ndarray
     ED: np.ndarray
-    UN: np.ndarray
 
-    def __post_init__(self):
-        sc = np.asarray(self.scale, dtype=float)
-        if sc.size < 1 or np.any(np.diff(sc) <= 0):
-            raise DomainValidationError("scan scales must be strictly increasing")
-        # row-exact ratio invariant: U = E/I (elliptic), N = I/D (parabolic)
-        if self.kind == _KIND_ELLIPTIC:
-            num, den = self.ED, self.I
-        else:
-            num, den = self.I, self.ED
-        safe = np.where(den == 0, 1.0, den)
-        ref = np.where(den == 0, 0.0, num / safe)
-        if np.any(np.abs(self.UN - ref) >
-                  1e-12 * np.maximum(np.abs(ref), 1e-300)):
-            raise ConsistencyError("scan ratio column is not row-exact")
+    @property
+    def UN(self):
+        return self.ED / self.I if self.kind == _KIND_ELLIPTIC \
+            else self.I / self.ED
 
     @property
     def header(self):
@@ -314,8 +300,7 @@ def elliptic_scan(state, r_grid, tol=1e-10):
     seg_tol = tol / max(1, r_grid.size)
     bulk = np.cumsum(_bulk_integrals(state, segs[:-1], segs[1:], seg_tol))
     E = _checked_energy(state, r_grid, radial, bulk)[0]
-    return FrequencyScan(kind=_KIND_ELLIPTIC, scale=r_grid, I=I, ED=E,
-                         UN=E / I)
+    return FrequencyScan(kind=_KIND_ELLIPTIC, scale=r_grid, I=I, ED=E)
 
 
 # ---------------------------------------------------------------------------

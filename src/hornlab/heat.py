@@ -30,13 +30,12 @@ import numpy as np
 
 from .errors import (ConsistencyError, DomainValidationError,
                      EigenSearchError)
-from .geometry import (measure_weight, measure_weight_log,
-                       sphere_eigenvalue)
+from .geometry import measure_weight, sphere_eigenvalue
 from .logspace import NEG_INF, logsumexp_signed
 from .modes import (RadialProfile, log_norm_sq, profile_from_k2, r_mu,
                     tip_anchor, tip_rate, tip_window_top)
 from .numerics import (find_root_bracketed, fit_line, integrate_ode,
-                       lgamma_real, quad_log)
+                       lgamma_real)
 
 
 # ---------------------------------------------------------------------------
@@ -396,28 +395,6 @@ def make_caloric_series(pairs, coeffs, t_min):
     return CaloricSeries(params=p, sphere_index=pairs[0].mode_index,
                          r_support=r_support, terms=terms, coeffs=coeffs,
                          tail_certificate=cert)
-
-
-def coefficients_from_initial(pairs, fn, tol=1e-10):
-    """Expansion coefficients <fn, g_j> in L^2(w dr) over the range each
-    g_j represents, one quad_log row per pair; fn maps radii of any shape
-    to values of that shape, and tol bounds each error relative to the
-    integral of |fn g_j| w."""
-    p = pairs[0].g.params
-
-    def log_integrand(x, rows):
-        v = np.asarray(fn(x), dtype=float)
-        sgn, lm, _ = np.stack([pairs[j].g.eval_log(xj)
-                               for xj, j in zip(x, rows)], axis=1)
-        with np.errstate(divide="ignore"):
-            return (np.sign(v) * sgn,
-                    np.log(np.abs(v)) + lm + measure_weight_log(p, x))
-
-    sign, log_val, _ = quad_log(log_integrand,
-                                [pair.g.r_min for pair in pairs],
-                                [pair.r_out for pair in pairs], tol)
-    return np.array([s * math.exp(L) for s, L in zip(sign.tolist(),
-                                                     log_val.tolist())])
 
 
 def time_derivative(series, k, r, t):

@@ -191,9 +191,8 @@ class TipDecaySolution:
     they are representable.
     """
 
-    def __init__(self, span, rho, sol, q, tail_rel_uncertainty):
+    def __init__(self, span, sol, q, tail_rel_uncertainty):
         self.span = span
-        self.rho = rho
         self._q = q
         self._sol = sol
         # the solve ends at r_mu: its last recorded state fixes the scale
@@ -244,7 +243,7 @@ def solve_k2(p, i, mu, s_max, tol=1e-12):
         return [q(s) - y[0] * y[0], y[0]]
 
     sol = integrate_ode(fld, (s_far, s_lo), [-math.sqrt(q(s_far)), 0.0], tol)
-    k2 = TipDecaySolution((s_lo, s_max), rho, sol, q, rel_unc)
+    k2 = TipDecaySolution((s_lo, s_max), sol, q, rel_unc)
     _check_sandwich(rho, k2.span, lambda ss: k2.log_eval(ss)[0],
                     (-math.log(2.0 * (rho ** 2 + rho)), -rho - 2.0),
                     (math.log(rho / 2.0), -rho + 1.0), "decaying")

@@ -160,8 +160,7 @@ def parabolic_scan(u, R_grid, tol=1e-12):
     if R_grid.size < 1 or np.any(np.diff(R_grid) <= 0):
         raise DomainValidationError("R_grid must be strictly increasing")
     I, D = _slices_ID(u, R_grid, tol)
-    return FrequencyScan(kind=_KIND_PARABOLIC, scale=R_grid, I=I, ED=D,
-                         UN=I / D)
+    return FrequencyScan(kind=_KIND_PARABOLIC, scale=R_grid, I=I, ED=D)
 
 
 # ---------------------------------------------------------------------------

@@ -133,6 +133,8 @@ def test_radial_mode_without_profile_is_config_error(tmp_path, command):
      repr(tip_window_top(P_DEFAULT, 1.0))),
     ("heat", "analyticity.r0", "3.0", "2.0]"),
     ("freq-parabolic", "heat.r_lo", "0.005", "0.00721"),
+    ("freq-parabolic", "freq.R_lo", "1e-4", "0.00721"),
+    ("demo-counterexample", "freq.R_lo", "1e-3", "0.00721"),
 ])
 def test_window_and_count_keys_are_config_errors(tmp_path, command, key,
                                                  value, bound):
@@ -145,7 +147,7 @@ def test_window_and_count_keys_are_config_errors(tmp_path, command, key,
     for scan in ("heat.csv", "freq_elliptic.csv", "freq_parabolic.csv"):
         assert not (tmp_path / scan).exists()
     # the elliptic state and its windows are checked before the eigen search
-    if key.startswith(("mode.", "freq.")):
+    if key.startswith("mode.") or key in ("freq.lo", "freq.hi"):
         assert not (tmp_path / "eigs.csv").exists()
 
 
@@ -177,17 +179,35 @@ def test_unknown_file_keys_are_config_errors(tmp_path, doc, key):
         load_config(str(path))
 
 
-def test_benchmark_config_loads(tmp_path):
-    # hornbench's demo workload writes its frozen BASE_CONFIG to a file and
-    # loads it with load_config: a config rule must not refuse it
+def _load_workloads():
+    """hornbench/workloads.py, loaded from its file."""
     source = Path(__file__).resolve().parents[1] / "hornbench" / "workloads.py"
     spec = importlib.util.spec_from_file_location("workloads", source)
     workloads = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(workloads)
+    return workloads
+
+
+def test_benchmark_config_loads(tmp_path):
+    # hornbench's demo workload writes its frozen BASE_CONFIG to a file and
+    # loads it with load_config: a config rule must not refuse it
+    workloads = _load_workloads()
     path = tmp_path / "config.json"
     path.write_text(json.dumps(workloads.BASE_CONFIG))
     cfg = load_config(str(path))
     assert {k: cfg[k] for k in workloads.BASE_CONFIG} == workloads.BASE_CONFIG
+
+
+@pytest.mark.parametrize("name", ["demo", "functionals"])
+def test_benchmark_workload_checks_pass(tmp_path, name):
+    # one iteration of a hornbench workload, checked by hornbench's own
+    # checks against its recorded references: a change that breaks the
+    # benchmark's calls or values fails here
+    workloads = _load_workloads()
+    wl = workloads.WORKLOADS[name](1, str(tmp_path), workloads.load_reference())
+    assert wl.setup() == []
+    for op, fn in wl.operations():
+        assert getattr(wl, "check_" + op)(fn()) == [], op
 
 
 def test_coefficients_beyond_eigen_count_are_config_error(tmp_path):
@@ -254,12 +274,16 @@ def test_ode_tolerance_below_floor_is_config_error(tmp_path, command, value,
     ("analyticity", "analyticity.kmax=4", "analyticity.kmax=4 must be >= 8"),
     ("analyticity", "analyticity.t0=0", "analyticity.t0=0 must be > 0"),
     ("freq-parabolic", "freq.R_lo=0", "freq.R_lo=0 must be > 0"),
+    ("modes", "output=5", "output=5 must be a path string or null"),
+    ("modes", "output=true", "output=True must be a path string or null"),
+    ("modes", "output=[1]", "output=[1] must be a path string or null"),
 ])
 def test_non_numeric_values_are_config_errors(tmp_path, capsys, command,
                                               assignment, message):
     # a leaf whose default is a number (or a list of numbers) must be a
     # finite one, integral where the default is an int, and at least its
-    # floor: the config error names the key before any computation
+    # floor, and output a path string or null: the config error names the
+    # key before any computation
     with pytest.raises(ConfigError) as err:
         load_config(None, [assignment])
     assert str(err.value) == message
@@ -270,11 +294,11 @@ def test_non_numeric_values_are_config_errors(tmp_path, capsys, command,
 
 
 def test_numerical_error_writes_manifest(tmp_path):
-    # on the slice R = 1e-6 the backward weight lives in a sliver at the
-    # bottom of the series' range, which no level of the quadrature
-    # resolves: a numerical failure inside the pipeline
+    # a slice tolerance just above the quadrature floor passes the floor
+    # check, but no level of the quadrature reaches it: a numerical failure
+    # inside the pipeline
     code = main(["freq-parabolic", "--out", str(tmp_path),
-                 "--set", "freq.R_lo=1e-6"])
+                 "--set", "tolerances.quad=2.3e-16"])
     assert code == EXIT_NUMERICAL
     man = json.loads((tmp_path / "manifest.json").read_text())
     assert man["status"] == "error"

@@ -9,7 +9,6 @@ from hornlab import (ConsistencyError, DomainValidationError, TipTailError,
                      check_U_growth, constant_state, elliptic_E, elliptic_I,
                      elliptic_scan, find_root_bracketed, gamma_real,
                      profile_state, radial_mode_zero)
-from hornlab.elliptic import FrequencyScan
 from hornlab.numerics import bessel_j
 
 
@@ -94,14 +93,6 @@ def test_states_carry_bulk_floor_and_tail(profile_i1_mu1, p_default):
     for st in (constant_state(p_default, (0.01, 2.0)),
                bessel_state(p_default, 1.0, (0.01, 0.5))):
         assert st.r_lo == st.tail == 0.0
-
-
-def test_profile_state_domain_inside_profile_range(profile_i1_mu1):
-    lo, hi = profile_i1_mu1.r_min, profile_i1_mu1.r_max
-    assert profile_state(profile_i1_mu1, (lo * (1 - 5e-13), hi)).domain[0] \
-        == lo * (1 - 5e-13)
-    with pytest.raises(DomainValidationError, match="profile_state domain"):
-        profile_state(profile_i1_mu1, (lo, hi * (1 + 1e-11)))
 
 
 # ---------------------------------------------------------------------------
@@ -208,13 +199,6 @@ def test_scan_row_at_window_bottom_has_uncontrolled_tail(state_i1_mu1):
 def test_scan_requires_increasing_grid(state_i1_mu1):
     with pytest.raises(DomainValidationError):
         elliptic_scan(state_i1_mu1, np.array([0.1, 0.05]))
-
-
-def test_frequency_scan_ratio_validation(p_default):
-    with pytest.raises(ConsistencyError):
-        FrequencyScan(kind="elliptic", scale=np.array([1.0, 2.0]),
-                      I=np.array([1.0, 1.0]), ED=np.array([1.0, 1.0]),
-                      UN=np.array([0.5, 1.0]))
 
 
 # ---------------------------------------------------------------------------

@@ -7,10 +7,9 @@ import pytest
 
 from hornlab import (ConsistencyError, DomainValidationError, EigenPair,
                      EigenSearchError, analyticity_probe, caloric_decay_check,
-                     coefficients_from_initial, dirichlet_eigenvalues,
-                     fit_line, make_caloric_series, profile_from_k2,
-                     sphere_eigenvalue, tail_bound, time_derivative,
-                     tip_rate, weyl_check)
+                     dirichlet_eigenvalues, fit_line, make_caloric_series,
+                     profile_from_k2, sphere_eigenvalue, tail_bound,
+                     time_derivative, tip_rate, weyl_check)
 from hornlab import heat
 from hornlab.elliptic import bessel_state, constant_state
 from hornlab.modes import solve_k2, tip_window_top
@@ -437,28 +436,6 @@ def test_caloric_decay_rejects_radial_part(pairs8_rout2):
     bad = make_caloric_series([fake], [1.0], t_min=0.25)
     with pytest.raises(DomainValidationError):
         caloric_decay_check(bad, np.geomspace(0.02, 0.12, 10), 0.5)
-
-
-# ---------------------------------------------------------------------------
-# coefficients from an initial profile
-# ---------------------------------------------------------------------------
-
-
-def test_coefficients_recover_eigenfunction(pairs8_rout2):
-    # expanding g_1 itself returns (1, 0, ...) by orthonormality
-    pair = pairs8_rout2[0]
-
-    def g1(r):
-        sgn, lm, _ = pair.g.eval_log(r)
-        return sgn * np.exp(lm)
-
-    coeffs = coefficients_from_initial(pairs8_rout2[:3], g1)
-    assert coeffs[0] == pytest.approx(1.0, abs=1e-7)
-    assert abs(coeffs[1]) <= 1e-7
-    assert abs(coeffs[2]) <= 1e-7
-    # one quad_log row per pair: each is bitwise its own one-pair expansion
-    for j, pair_j in enumerate(pairs8_rout2[:3]):
-        assert coefficients_from_initial([pair_j], g1)[0] == coeffs[j]
 
 
 def test_series_constructor_validation(pairs8_rout2):
