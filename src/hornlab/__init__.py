@@ -10,10 +10,9 @@ identities of the frequency quantities, and spectral time analyticity.
 
 __version__ = "0.1.0"
 
-from .elliptic import (FrequencyScan, ModeState, bessel_state,
-                       check_I_lower, check_logI_identity, check_U_growth,
-                       constant_state, elliptic_E, elliptic_I, elliptic_scan,
-                       profile_state)
+from .elliptic import (FrequencyScan, bessel_state, check_I_lower,
+                       check_logI_identity, check_U_growth, constant_state,
+                       elliptic_E, elliptic_I, elliptic_scan, profile_state)
 from .errors import (ConfigError, ConsistencyError, DomainValidationError,
                      EigenSearchError, HornError, IntegrationError,
                      QuadratureError, RootBracketError, TipTailError,
@@ -32,8 +31,8 @@ from .numerics import (DenseSolution, LineFit, bessel_j, bessel_j_prime,
                        bessel_y, bessel_y_prime, check_in_range,
                        find_root_bracketed, fit_line, gamma_real,
                        integrate_ode, lgamma_real, quad_log)
-from .parabolic import (ModeCaloric, UnitCaloric, check_D_lower,
-                        check_ID_relation, check_N_bound, kernel_log,
-                        parabolic_IDN, parabolic_scan)
+from .parabolic import (UnitCaloric, check_D_lower, check_ID_relation,
+                        check_N_bound, kernel_log, parabolic_IDN,
+                        parabolic_scan)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

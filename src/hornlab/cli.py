@@ -243,7 +243,7 @@ def _elliptic_state(cfg, p):
         state = constant_state(p, (fr["lo"] * 0.5, fr["hi"] * 2.0))
     else:
         state = profile_state(_mode_profile(cfg, p))
-    _check_window(cfg, "freq", ("lo", "hi"), *state.domain,
+    _check_window(cfg, "freq", ("lo", "hi"), *state.r_support,
                   "the elliptic state's domain (from mode.r_min and mode.mu)")
     return state
 
@@ -396,7 +396,7 @@ def _run_heat(cfg, p, out, artifacts, series):
         sF, lF, _, _ = series.slice_log(r_grid, t)
         rows.extend((float(r), float(t), int(s), float(L))
                     for r, s, L in zip(r_grid, sF, lF))
-        fit = caloric_decay_check(series, r_grid, t)
+        fit = caloric_decay_check(series, r_grid, lF)
         slopes[str(t)] = {"slope": fit.slope, "residual": fit.max_residual}
     path = os.path.join(out, "heat.csv")
     write_csv(path, ["r", "t", "sign", "log_mag"], rows)

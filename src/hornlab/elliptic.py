@@ -9,11 +9,11 @@ scale-invariant quantities reduce to radial form:
          = r^(2-n) w(r) f(r) f'(r)          (boundary form)
     U(r) = E(r) / I(r)
 
-Every kind of state enters only through radial_log(r) = (sign, log|f|,
-d log|f|/dr), and a scan evaluates it once on its whole grid.  Both routes
-to E are computed at every evaluation and must agree; a mismatch signals
-quadrature or profile inaccuracy and aborts rather than silently
-propagating.  The exact logarithmic-derivative identity
+A state is the one-term heat.CaloricSeries exp(-mu t) f(r) phi_i; a scan
+evaluates its term's (sign, log|f|, d log|f|/dr) once on the whole grid.
+Both routes to E are computed at every evaluation and must agree; a
+mismatch signals quadrature or profile inaccuracy and aborts rather than
+silently propagating.  The exact logarithmic-derivative identity
 
     r (log I)'(r) - 2 U(r) = c - n + 1
 
@@ -29,6 +29,7 @@ import numpy as np
 from .artifacts import write_csv
 from .errors import ConsistencyError, DomainValidationError, TipTailError
 from .geometry import angular_coupling, measure_weight_log, sphere_eigenvalue
+from .heat import CaloricSeries
 from .modes import decay_exponent_fit, radial_mode_zero
 from .numerics import bessel_j, check_in_range, fit_line, quad_log
 
@@ -41,46 +42,30 @@ _KIND_PARABOLIC = "parabolic"
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ModeState:
-    """One separated solution u = f_i(r) phi_i(theta) on the radial window
-    domain.  Its factory sets radial_log(r) = (sign, log|f|, d log|f|/dr)
-    at radii of any shape, three arrays of r's shape; r_lo, where the bulk
-    energy integral starts; and tail, the certified energy below r_lo."""
-
-    params: object
-    i: int
-    mu: float
-    domain: tuple
-    radial_log: object
-    r_lo: float = 0.0
-    tail: float = 0.0
-
-    @property
-    def lam(self):
-        """Sign convention L u = lam u with lam = -mu."""
-        return -self.mu
-
-    @property
-    def mu_i(self):
-        return sphere_eigenvalue(self.params.n, self.i)
-
-
 def _constant_radial_log(r):
     """(sign, log|f|, d log|f|/dr) of f == 1 at radii r."""
     z = np.zeros_like(r, dtype=float)
     return np.ones_like(z), z, z
 
 
+def _mode_state(p, i, mu, radial_log, domain, r_lo=0.0):
+    """The one-term series exp(-mu t) f_i(r) phi_i of a separated solution,
+    L u = -mu u, with coefficient 1 on the radial window domain."""
+    if not (len(domain) == 2 and 0 < domain[0] < domain[1]):
+        raise DomainValidationError(f"invalid radial domain {domain}")
+    return CaloricSeries(params=p, sphere_index=i,
+                         r_support=(float(domain[0]), float(domain[1])),
+                         terms=[(radial_log, mu)], coeffs=np.array([1.0]),
+                         r_lo=r_lo)
+
+
 def constant_state(p, domain):
     """f == 1, i = 0, mu = 0 (harmonic)."""
-    return ModeState(params=p, i=0, mu=0.0, radial_log=_constant_radial_log,
-                     domain=_checked_domain(domain))
+    return _mode_state(p, 0, 0.0, _constant_radial_log, domain)
 
 
 def bessel_state(p, mu, domain):
     """Bounded radial branch, i = 0, mu > 0."""
-    domain = _checked_domain(domain)
     if not mu > 0:
         raise DomainValidationError("bessel_state needs mu > 0")
     mu = float(mu)
@@ -97,23 +82,34 @@ def bessel_state(p, mu, domain):
                            * bessel_j(nu + 1.0, x) / bessel_j(nu, x), 0.0)
         return sign, lm, der
 
-    return ModeState(params=p, i=0, mu=mu, domain=domain,
-                     radial_log=radial_log)
+    return _mode_state(p, 0, mu, radial_log, domain)
 
 
 def profile_state(profile):
     """State carried by a tip RadialProfile (i >= 1) on the profile's
-    range; the energy below the profile's r_min is bounded once, here."""
-    state = ModeState(params=profile.params, i=profile.i, mu=profile.mu,
-                      domain=_checked_domain((profile.r_min, profile.r_max)),
-                      radial_log=profile.eval_log, r_lo=profile.r_min)
-    return replace(state, tail=_tip_tail_bound(state, profile))
+    range; the energy below the profile's r_min is estimated once, here."""
+    state = _mode_state(profile.params, profile.i, profile.mu,
+                        profile.eval_log, (profile.r_min, profile.r_max),
+                        r_lo=profile.r_min)
+    return replace(state, tip_tail=_tip_tail_bound(state, profile))
 
 
-def _checked_domain(domain):
-    if not (len(domain) == 2 and 0 < domain[0] < domain[1]):
-        raise DomainValidationError(f"invalid radial domain {domain}")
-    return float(domain[0]), float(domain[1])
+def _term(state):
+    """(radial_log, lam) of a one-term state c exp(-mu t) f(r) phi_i:
+    radial_log(r) = (sign f, log|c f|, d log|f|/dr), log|c| added to
+    log|f| (exact for c = 1; the functionals are quadratic in u and read
+    the sign only where it is 0), and lam = -mu.  Refuses more terms."""
+    if len(state.terms) != 1:
+        raise DomainValidationError(
+            f"an elliptic state has one term, got {len(state.terms)} terms")
+    (radial_log, mu), c = state.terms[0], float(state.coeffs[0])
+    log_c = math.log(abs(c)) if c != 0 else -math.inf
+
+    def scaled(r):
+        sign, lm, ld = radial_log(r)
+        return sign, lm + log_c, ld
+
+    return scaled, -mu
 
 
 # ---------------------------------------------------------------------------
@@ -169,20 +165,22 @@ def _boundary_mass(state, r, radial):
 
 def elliptic_I(state, r):
     """Boundary mass I(r) = r^(1-n) w(r) f(r)^2 (log-space assembly)."""
-    check_in_range(r, *state.domain, "state radius")
-    return float(_boundary_mass(state, r, state.radial_log(r)))
+    radial_log, _ = _term(state)
+    check_in_range(r, *state.r_support, "state radius")
+    return float(_boundary_mass(state, r, radial_log(r)))
 
 
-def _energy_density_log(state, lam, r, radial=None):
+def _energy_density_log(state, lam, r, radial):
     """(sign, log) of (f'^2 + 4 mu_i r^(-2-2eps) f^2 + lam f^2) w(r) at
-    radii r; radial is state.radial_log(r) when the caller already has it.
+    radii r, from radial = (sign, log|f|, d log|f|/dr) at r.
 
-    lam = state.lam gives the energy density; lam = |state.lam| gives its
-    positive envelope, the scale of the bulk/boundary comparison.
+    The state's own lam gives the energy density; |lam| gives its positive
+    envelope, the scale of the bulk/boundary comparison.
     """
     p = state.params
-    sign, lm, ld = state.radial_log(r) if radial is None else radial
-    bracket = ld ** 2 + state.mu_i * angular_coupling(p, r) + lam
+    sign, lm, ld = radial
+    mu_i = sphere_eigenvalue(p.n, state.sphere_index)
+    bracket = ld ** 2 + mu_i * angular_coupling(p, r) + lam
     with np.errstate(divide="ignore", invalid="ignore"):
         out_log = 2.0 * lm + measure_weight_log(p, r) + np.log(np.abs(bracket))
     out_sign = np.where(bracket == 0, 0.0, np.sign(bracket))
@@ -195,8 +193,10 @@ def _bulk_integrals(state, a, b, tol):
     """int_a^b (f'^2 + V f^2 + lam f^2) w ds for each row of the arrays a
     and b, every nonempty row in one quad_log call; an empty row (b <= a)
     is 0."""
+    radial_log, lam = _term(state)
+
     def density_log(x, rows):
-        return _energy_density_log(state, state.lam, x)
+        return _energy_density_log(state, lam, x, radial_log(x))
 
     out = np.zeros(a.size)
     full = b > a
@@ -206,18 +206,20 @@ def _bulk_integrals(state, a, b, tol):
 
 
 def _tip_tail_bound(state, prof):
-    """Certified bound on the energy integral below the profile window.
+    """Estimate of the energy integral below the profile window.
 
-    Uses the fitted decay law of log|f| in r^-eps: below r_min the density
-    is dominated by f(r_min)^2 w(r_min) r_min^(1+eps) (dlog^2 + V + |lam|)
-    / (2 |slope| eps).
+    Uses the decay law of log|f| in r^-eps that decay_exponent_fit fits:
+    below r_min the density is dominated by f(r_min)^2 w(r_min)
+    r_min^(1+eps) (dlog^2 + V + |lam|) / (2 |slope| eps).  It divides by
+    that fitted slope, so it is a fitted estimate, not a proved bound.
     """
     fit = decay_exponent_fit(prof)
     if fit.slope >= 0:
         raise ConsistencyError("profile decay fit has non-negative slope")
-    r0 = prof.r_min
-    env = _energy_density_log(state, abs(state.lam), np.array([r0]))[1][0]
-    return math.exp(env) * r0 ** (1.0 + state.params.eps) \
+    radial_log, lam = _term(state)
+    r0 = np.array([prof.r_min])
+    env = _energy_density_log(state, abs(lam), r0, radial_log(r0))[1][0]
+    return math.exp(env) * prof.r_min ** (1.0 + state.params.eps) \
         / (2.0 * abs(fit.slope) * state.params.eps)
 
 
@@ -228,17 +230,19 @@ def elliptic_E(state, r, tol=1e-10):
     energy envelope, and the tip tail below a profile window must be
     negligible; otherwise ConsistencyError.
     """
-    check_in_range(r, *state.domain, "state radius")
+    radial_log, lam = _term(state)
+    check_in_range(r, *state.r_support, "state radius")
     r_arr = np.array([float(r)])
     bulk = _bulk_integrals(state, np.array([state.r_lo]), r_arr, tol)
-    return float(_checked_energy(state, r_arr, state.radial_log(r_arr),
+    return float(_checked_energy(state, lam, r_arr, radial_log(r_arr),
                                  bulk)[0][0])
 
 
-def _checked_energy(state, r, radial, bulk):
-    """(bulk E, boundary E, energy scale) at radii r (array), from
-    radial = state.radial_log(r) and the bulk integrals over
-    [state.r_lo, r], against the certified tip tail state.tail below r_lo.
+def _checked_energy(state, lam, r, radial, bulk):
+    """(bulk E, boundary E, energy scale) at radii r (array), from lam and
+    radial, the state's (sign, log|f|, d log|f|/dr) at r, and the bulk
+    integrals over [state.r_lo, r], against the fitted tip tail estimate
+    state.tip_tail below r_lo.
 
     The tail must be negligible against each bulk integral (otherwise
     TipTailError, a ConsistencyError), and the two routes to E, the bulk
@@ -248,12 +252,12 @@ def _checked_energy(state, r, radial, bulk):
     """
     p = state.params
     sign, lm, ld = radial
-    bad = state.tail > np.maximum(1e-9 * np.abs(bulk), 1e-300)
+    bad = state.tip_tail > np.maximum(1e-9 * np.abs(bulk), 1e-300)
     if np.any(bad):
         k = int(np.argmax(bad))
         raise TipTailError(
             f"uncontrolled tip tail below the profile window at r={r[k]}: "
-            f"tail bound {state.tail} against bulk integral {bulk[k]}")
+            f"tail bound {state.tip_tail} against bulk integral {bulk[k]}")
     log_pref = (2 - p.n) * np.log(r)
     pref = _exp(log_pref)
     E_bulk = pref * bulk
@@ -261,7 +265,7 @@ def _checked_energy(state, r, radial, bulk):
     with np.errstate(invalid="ignore"):
         E_bdry = np.where(sign == 0, 0.0, ld * _exp(
             log_pref + measure_weight_log(p, r) + 2.0 * lm))
-    env = _exp(_energy_density_log(state, abs(state.lam), r, radial)[1])
+    env = _exp(_energy_density_log(state, abs(lam), r, radial)[1])
     # f^2 grows like exp(-2C r^-eps) toward r, so the envelope of the
     # density over [r_lo, r] peaks at r
     scale = pref * env * (r - state.r_lo)
@@ -286,9 +290,10 @@ def elliptic_scan(state, r_grid, tol=1e-10):
     r_grid = np.asarray(r_grid, dtype=float)
     if r_grid.size < 1 or np.any(np.diff(r_grid) <= 0):
         raise DomainValidationError("r_grid must be strictly increasing")
-    check_in_range(r_grid, *state.domain, "state radius")
+    radial_log, lam = _term(state)
+    check_in_range(r_grid, *state.r_support, "state radius")
 
-    radial = state.radial_log(r_grid)
+    radial = radial_log(r_grid)
     I = _boundary_mass(state, r_grid, radial)
     # a grid point within rounding distance of a node: the logarithmic
     # derivative blows up like 1/distance and U is genuinely singular
@@ -299,7 +304,7 @@ def elliptic_scan(state, r_grid, tol=1e-10):
     segs = np.concatenate([[state.r_lo], r_grid])
     seg_tol = tol / max(1, r_grid.size)
     bulk = np.cumsum(_bulk_integrals(state, segs[:-1], segs[1:], seg_tol))
-    E = _checked_energy(state, r_grid, radial, bulk)[0]
+    E = _checked_energy(state, lam, r_grid, radial, bulk)[0]
     return FrequencyScan(kind=_KIND_ELLIPTIC, scale=r_grid, I=I, ED=E)
 
 
@@ -333,7 +338,7 @@ def check_U_growth(state, scan):
     if scan.scale.size < 3:
         raise DomainValidationError("check_U_growth needs >= 3 rows")
     eps = state.params.eps
-    lam = state.lam
+    _, lam = _term(state)
     r = scan.scale
     g = r ** (2.0 * eps) * scan.UN
     rhs = lam * np.diff(r ** (2.0 + 2.0 * eps)) / (2.0 + 2.0 * eps)

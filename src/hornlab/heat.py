@@ -328,11 +328,13 @@ def tail_bound(eigs, k, t, p, coeff_cap=1.0):
 
 @dataclass
 class CaloricSeries:
-    """The one caloric state type: u = sum_j c_j exp(-nu_j t) g_j(r) phi_i
-    with spherical index i, on the radii r_support.  Each term is a pair
-    (radial evaluator, rate nu_j), the evaluator giving (sign, log|g_j|,
-    d log|g_j|/dr) at an array of radii; tail_certificate bounds the part
-    a truncated series drops (0 for an exact state)."""
+    """The one state type: u = sum_j c_j exp(-nu_j t) g_j(r) phi_i with
+    spherical index i on the radii r_support; each term is a pair (radial
+    evaluator, rate nu_j) giving (sign, log|g_j|, d log|g_j|/dr) at an
+    array of radii.  tail_certificate bounds the eigen-terms a truncation
+    drops.  An elliptic state, L u = -mu u, is one term of rate mu whose
+    bulk energy starts at r_lo; tip_tail estimates the energy below r_lo.
+    All three are 0 for an exact state that reaches the tip."""
 
     params: object
     sphere_index: int
@@ -340,6 +342,8 @@ class CaloricSeries:
     terms: list
     coeffs: np.ndarray
     tail_certificate: float = 0.0
+    r_lo: float = 0.0
+    tip_tail: float = 0.0
 
     def slice_log(self, r, t, k=0):
         """(sign F, log|F|, sign dF/dr, log|dF/dr|), each of the broadcast
@@ -378,6 +382,11 @@ def make_caloric_series(pairs, coeffs, t_min):
         raise DomainValidationError("eigenvalues must be strictly increasing")
     if len({pair.mode_index for pair in pairs}) != 1:
         raise DomainValidationError("all pairs must share the spherical index")
+    mixed = [pair.r_out for pair in pairs if pair.r_out != pairs[0].r_out]
+    if mixed:
+        raise DomainValidationError(
+            f"all pairs must come from one truncation: r_out = "
+            f"{pairs[0].r_out} and r_out = {mixed[0]}")
     coeffs = np.asarray(coeffs, dtype=float)
     if coeffs.size != len(pairs):
         raise DomainValidationError("one coefficient per pair required")
@@ -437,14 +446,13 @@ def analyticity_probe(series, r0, t0, kmax):
     return taylor_radius(taylor_coefficients(series, r0, t0, kmax))
 
 
-def caloric_decay_check(series, r_grid, t):
-    """Fit of log|f_i(r, t)| against r^-eps over the tip region.
+def caloric_decay_check(series, r_grid, log_mag):
+    """Fit of log|f_i(r, t)| against r^-eps over the tip region, from
+    log_mag, the log|F| of series.slice_log(r_grid, t) at one time t.
 
     Only defined when the series carries no bounded radial part (i >= 1
     for every pair): that component does not vanish at the tip.
     """
-    if not t > 0:
-        raise DomainValidationError("caloric_decay_check needs t > 0")
     if series.sphere_index == 0:
         raise DomainValidationError(
             "caloric_decay_check excludes series with a bounded radial part "
@@ -452,8 +460,6 @@ def caloric_decay_check(series, r_grid, t):
     r_grid = np.asarray(r_grid, dtype=float)
     if r_grid.size < 8:
         raise DomainValidationError("caloric_decay_check needs >= 8 radii")
-    p = series.params
-    sF, lF, _, _ = series.slice_log(r_grid, t)
-    if np.any(sF == 0):
+    if not np.all(np.isfinite(log_mag)):
         raise ConsistencyError("series vanishes at a fit radius")
-    return fit_line(r_grid ** (-p.eps), lF)
+    return fit_line(r_grid ** (-series.params.eps), log_mag)

@@ -17,11 +17,11 @@ reduced to radial quadrature for separated caloric states.  Slice
 integrands are assembled in log space: an eigenmode carries exp(+nu R^2)
 on backward slices, and near the tip the state itself is log-represented.
 
-Every caloric state is a heat.CaloricSeries, read through its slice_log(r,
-t) -> (sign_F, log|F|, sign_Fr, log|Fr|) for arrays r, where F is the
-radial factor against the unit-normalized spherical harmonic: a truncated
-Dirichlet series, the one-term ModeCaloric of a mode state, or the unit
-state UnitCaloric, one constant term of rate 0.
+Every state is a heat.CaloricSeries, read through its slice_log(r, t) ->
+(sign_F, log|F|, sign_Fr, log|Fr|) for arrays r, where F is the radial
+factor against the unit-normalized spherical harmonic: a truncated
+Dirichlet series, the one-term series exp(-mu t) f_i of an elliptic mode
+state, or the unit state UnitCaloric, one constant term of rate 0.
 """
 
 import math
@@ -57,27 +57,14 @@ def kernel_log(p, r, t):
 # ---------------------------------------------------------------------------
 
 
-class UnitCaloric(CaloricSeries):
+def UnitCaloric(params):
     """The literal caloric function u == 1 on the infinite horn: one
     constant term, sqrt(area of S^{n-1}) times the unit-normalized
     constant harmonic."""
-
-    def __init__(self, params):
-        super().__init__(params=params, sphere_index=0,
+    return CaloricSeries(params=params, sphere_index=0,
                          r_support=(0.0, math.inf),
                          terms=[(_constant_radial_log, 0.0)],
                          coeffs=np.array([math.sqrt(sphere_area(params.n))]))
-
-
-class ModeCaloric(CaloricSeries):
-    """Caloric extension u = exp(-mu t) f_i(r) phi_i of a ModeState: one
-    term of rate mu and coefficient 1."""
-
-    def __init__(self, state):
-        super().__init__(params=state.params, sphere_index=state.i,
-                         r_support=state.domain,
-                         terms=[(state.radial_log, state.mu)],
-                         coeffs=np.array([1.0]))
 
 
 # ---------------------------------------------------------------------------
@@ -102,7 +89,8 @@ def _slices_ID(u, R, tol):
     or a D or I past the double range on any slice is an error.
     """
     if not np.all(R > 0):
-        raise DomainValidationError("parabolic_IDN needs R > 0")
+        raise DomainValidationError(
+            f"backward slices need R > 0, got R = {R[np.argmax(~(R > 0))]}")
     p = u.params
     m = R.size
     t = -R * R

@@ -14,7 +14,7 @@ import pytest
 from support import (J0_FIRST_ZERO, oracle_D_2d, oracle_E_2d, oracle_I_2d,
                      oracle_gamma)
 
-from hornlab import (ModeCaloric, UnitCaloric, analyticity_probe, bessel_j,
+from hornlab import (UnitCaloric, analyticity_probe, bessel_j,
                      bessel_j_prime, bessel_y, bessel_y_prime,
                      caloric_decay_check, check_D_lower, check_I_lower,
                      check_ID_relation, check_logI_identity, check_N_bound,
@@ -113,7 +113,9 @@ def test_criterion_04_eigenfunction_vanishing(profile_i1_mu1, p_default):
 def test_criterion_05_caloric_vanishing(series4):
     """Tip decay of a 4-pair i=1 caloric series, stable across times."""
     grid = np.geomspace(0.02, 0.12, 40)
-    fits = {t: caloric_decay_check(series4, grid, t) for t in (0.25, 0.5, 1.0)}
+    fits = {t: caloric_decay_check(series4, grid,
+                                   series4.slice_log(grid, t)[1])
+            for t in (0.25, 0.5, 1.0)}
     _, lF, _, _ = series4.slice_log(grid, 0.5)
     rng = lF.max() - lF.min()
     slopes = [f.slope for f in fits.values()]
@@ -183,10 +185,9 @@ def test_criterion_08_oracle_equivalence(profile_i1_mu1, p_default):
     for r in (0.06, 0.09, 0.12):
         worst = max(worst, abs(elliptic_I(st, r) / oracle_I_2d(st, r, p_default) - 1))
         worst = max(worst, abs(elliptic_E(st, r) / oracle_E_2d(st, r, p_default) - 1))
-    mc = ModeCaloric(st)
     for R in (0.02, 0.03, 0.04):
-        D = parabolic_IDN(mc, R)[1]
-        worst = max(worst, abs(D / oracle_D_2d(mc, R, p_default) - 1))
+        D = parabolic_IDN(st, R)[1]
+        worst = max(worst, abs(D / oracle_D_2d(st, R, p_default) - 1))
     ok = worst <= 1e-6
     report(8, ok, f"I, E, D vs product quadrature: worst relative "
                   f"difference {worst:.2e} <= 1e-6 at three scales each")

@@ -12,7 +12,7 @@ from hornlab.cli import (EXIT_BOUNDS, EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK,
                          load_config, main, run)
 from hornlab.errors import ConfigError
 from hornlab.geometry import make_horn_params
-from hornlab.heat import _wkb_first_trial
+from hornlab.heat import CaloricSeries, _wkb_first_trial
 from hornlab.modes import tip_window_top
 
 P_DEFAULT = make_horn_params(3, 4.0, 0.5, 0.25)
@@ -410,6 +410,24 @@ def test_heat_command_reports_decay(tmp_path):
     assert man["result"]["decay_by_t"]["0.5"]["slope"] < 0
     rows = list(csv.DictReader(open(tmp_path / "heat.csv")))
     assert set(rows[0]) == {"r", "t", "sign", "log_mag"}
+
+
+def test_heat_evaluates_the_series_once_per_time(tmp_path, monkeypatch):
+    # the heat.csv rows and the decay fit share one slice_log per time
+    times = []
+    slice_log = CaloricSeries.slice_log
+
+    def counted(self, r, t, k=0):
+        times.append(t)
+        return slice_log(self, r, t, k)
+
+    monkeypatch.setattr(CaloricSeries, "slice_log", counted)
+    t_list = [0.25, 0.5, 1.0]
+    code = main(["heat", "--out", str(tmp_path), "--set", "eigs.count=2",
+                 "--set", "heat.coeffs=[1.0,0.7]",
+                 "--set", f"heat.t_list={t_list}", "--set", "heat.points=16"])
+    assert code == EXIT_OK
+    assert times == t_list
 
 
 def test_analyticity_command(tmp_path):

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -53,7 +54,7 @@ def test_bessel_radial_log_matches_scalar_branch(p_default):
     nu = (p_default.c - 1.0) / 2.0
     limit = mu ** (nu / 2.0) / (2.0 ** nu * gamma_real(nu + 1.0))
     r = np.concatenate([[0.0, 1e-12, 5e-9], np.geomspace(1e-6, 5.0, 60)])
-    sign, lm, ld = st.radial_log(r)
+    sign, lm, ld = st.terms[0][0](r)
     assert np.any(sign < 0)
     for k, rr in enumerate(r.tolist()):
         x = rr * math.sqrt(mu)
@@ -86,13 +87,34 @@ def test_I_outside_domain(state_i1_mu1):
 
 def test_states_carry_bulk_floor_and_tail(profile_i1_mu1, p_default):
     # a profile's bulk energy starts at its r_min, below which the tail is
-    # certified once; the closed-form states integrate from r = 0
+    # estimated once; the closed-form states integrate from r = 0
     st = profile_state(profile_i1_mu1)
     assert st.r_lo == profile_i1_mu1.r_min
-    assert st.tail > 0.0
+    assert st.tip_tail > 0.0
     for st in (constant_state(p_default, (0.01, 2.0)),
                bessel_state(p_default, 1.0, (0.01, 0.5))):
-        assert st.r_lo == st.tail == 0.0
+        assert st.r_lo == st.tip_tail == 0.0
+
+
+def test_elliptic_functionals_refuse_several_terms(series2, scan_i1_mu1):
+    # an elliptic state is one term of rate mu; a two-term series has no
+    # single lam = -mu, and each functional says how many terms it got
+    calls = [lambda: elliptic_I(series2, 0.5),
+             lambda: elliptic_E(series2, 0.5),
+             lambda: elliptic_scan(series2, np.geomspace(0.1, 0.5, 8)),
+             lambda: check_U_growth(series2, scan_i1_mu1)]
+    for call in calls:
+        with pytest.raises(DomainValidationError, match="got 2 terms"):
+            call()
+
+
+def test_elliptic_functionals_read_the_coefficient(state_i1_mu1):
+    # a one-term state c f: I and E scale by c^2 whatever the sign of c
+    scaled = replace(state_i1_mu1, coeffs=np.array([-3.0]))
+    assert elliptic_I(scaled, 0.1) == pytest.approx(
+        9.0 * elliptic_I(state_i1_mu1, 0.1), rel=1e-14)
+    assert elliptic_E(scaled, 0.1) == pytest.approx(
+        9.0 * elliptic_E(state_i1_mu1, 0.1), rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -118,7 +140,7 @@ def test_E_bulk_boundary_agreement(state_i1_mu1):
     integral = _bulk_integrals(state_i1_mu1, np.array([state_i1_mu1.r_lo]),
                                r, 1e-10)
     (bulk,), (bdry,), (scale,) = _checked_energy(
-        state_i1_mu1, r, state_i1_mu1.radial_log(r), integral)
+        state_i1_mu1, -1.0, r, state_i1_mu1.terms[0][0](r), integral)
     assert bulk == pytest.approx(bdry, abs=1e-6 * max(scale, abs(bulk)))
 
 

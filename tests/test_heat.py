@@ -186,7 +186,7 @@ def test_radial_evaluators_take_radii_of_any_shape(p_default, profile_i1_mu1,
         _assert_any_shape(pair.g.eval_log, pair.g.r_min, pair.r_out)
     for state in (bessel_state(p_default, 2.0, (0.01, 1.0)),
                   constant_state(p_default, (0.01, 1.0))):
-        _assert_any_shape(state.radial_log, 0.01, 1.0)
+        _assert_any_shape(state.terms[0][0], 0.01, 1.0)
     k2 = solve_k2(p_default, 1, 1.0, 12.0)
     _assert_any_shape(k2.log_eval, *k2.span)
 
@@ -408,14 +408,15 @@ def test_analyticity_radius_past_double_range(series2):
 def test_caloric_decay_single_pair_bracket(pairs8_rout2, p_default):
     single = make_caloric_series(pairs8_rout2[:1], [1.0], t_min=0.25)
     rho = tip_rate(p_default, 1)
-    fit = caloric_decay_check(single, np.geomspace(0.02, 0.12, 40), 0.5)
+    grid = np.geomspace(0.02, 0.12, 40)
+    fit = caloric_decay_check(single, grid, single.slice_log(grid, 0.5)[1])
     assert -(rho + 2.0) <= fit.slope <= -(rho - 1.0)
 
 
 def test_caloric_decay_series(series4):
     grid = np.geomspace(0.02, 0.12, 40)
-    fit = caloric_decay_check(series4, grid, 0.5)
     sF, lF, _, _ = series4.slice_log(grid, 0.5)
+    fit = caloric_decay_check(series4, grid, lF)
     rng = lF.max() - lF.min()
     assert fit.slope < 0
     assert fit.max_residual <= 0.10 * rng
@@ -423,7 +424,8 @@ def test_caloric_decay_series(series4):
 
 def test_caloric_decay_t_independent(series4):
     grid = np.geomspace(0.02, 0.12, 40)
-    slopes = [caloric_decay_check(series4, grid, t).slope
+    slopes = [caloric_decay_check(series4, grid,
+                                  series4.slice_log(grid, t)[1]).slope
               for t in (0.25, 0.5, 1.0)]
     spread = max(slopes) - min(slopes)
     assert spread <= 0.15 * abs(slopes[1])
@@ -435,7 +437,18 @@ def test_caloric_decay_rejects_radial_part(pairs8_rout2):
                      zeros=0, norm_defect=0.0)
     bad = make_caloric_series([fake], [1.0], t_min=0.25)
     with pytest.raises(DomainValidationError):
-        caloric_decay_check(bad, np.geomspace(0.02, 0.12, 10), 0.5)
+        caloric_decay_check(bad, np.geomspace(0.02, 0.12, 10),
+                            np.zeros(10))
+
+
+def test_series_refuses_pairs_of_two_truncations(pairs8_rout2,
+                                                  pairs12_rout16):
+    # eigenpairs of r_out = 2.0 and 1.6 are not one spectrum: the second
+    # eigenfunction does not cover the first one's range
+    later = next(q for q in pairs12_rout16 if q.nu > pairs8_rout2[0].nu)
+    with pytest.raises(DomainValidationError,
+                       match=r"r_out = 2\.0 and r_out = 1\.6"):
+        make_caloric_series([pairs8_rout2[0], later], [1.0, 1.0], t_min=0.25)
 
 
 def test_series_constructor_validation(pairs8_rout2):

@@ -5,15 +5,16 @@ import pytest
 from support import oracle_D_2d, oracle_gamma
 
 from hornlab import (CaloricSeries, ConsistencyError, DomainValidationError,
-                     ModeCaloric, ModeState, UnitCaloric, check_D_lower,
-                     check_ID_relation, check_N_bound, kernel_log,
-                     make_caloric_series, parabolic_IDN, parabolic_scan,
-                     profile_state, sphere_area, time_derivative)
+                     UnitCaloric, check_D_lower, check_ID_relation,
+                     check_N_bound, kernel_log, make_caloric_series,
+                     parabolic_IDN, parabolic_scan, profile_state,
+                     sphere_area, time_derivative)
 
 
 @pytest.fixture(scope="module")
 def mode_caloric(profile_i1_mu1):
-    return ModeCaloric(profile_state(profile_i1_mu1))
+    # the mode state is its own caloric extension exp(-mu t) f phi_i
+    return profile_state(profile_i1_mu1)
 
 
 # ---------------------------------------------------------------------------
@@ -117,34 +118,46 @@ def test_unit_caloric_time_derivatives(p_default):
 # ---------------------------------------------------------------------------
 
 
-def test_every_caloric_state_is_a_series(p_default, mode_caloric):
-    # one slice_log, on CaloricSeries; neither subclass has its own
-    assert isinstance(mode_caloric, CaloricSeries)
-    assert isinstance(UnitCaloric(p_default), CaloricSeries)
-    assert "slice_log" not in vars(ModeCaloric)
-    assert "slice_log" not in vars(UnitCaloric)
+def test_every_caloric_state_is_a_series(p_default, mode_caloric,
+                                         profile_i1_mu1):
+    # a mode state and u == 1 are each one term of CaloricSeries, the one
+    # state type: (radial evaluator, rate) with the rate mu of L u = -mu u
+    unit = UnitCaloric(p_default)
+    for u, rate in ((mode_caloric, profile_i1_mu1.mu), (unit, 0.0)):
+        assert type(u) is CaloricSeries
+        assert len(u.terms) == len(u.coeffs) == 1
+        assert u.terms[0][1] == rate
+    assert mode_caloric.coeffs.tolist() == [1.0]
+    assert mode_caloric.sphere_index == profile_i1_mu1.i
+    assert mode_caloric.r_support == (profile_i1_mu1.r_min,
+                                      profile_i1_mu1.r_max)
+    assert unit.coeffs.tolist() == [math.sqrt(sphere_area(p_default.n))]
 
 
 def test_mode_caloric_on_eigenpair_matches_series(pairs8_rout2):
+    # the one-term series of an eigenpair is its mode state exp(-nu t) g
+    # phi_i: slice_log reads the term's evaluator, shifted by -nu t and,
+    # for d^k/dt^k, by k log nu with the sign (-1)^k
     pair = pairs8_rout2[1]
-    state = ModeState(params=pair.g.params, i=pair.mode_index, mu=pair.nu,
-                      domain=(pair.g.r_min, pair.r_out),
-                      radial_log=pair.g.eval_log)
-    mc = ModeCaloric(state)
     series = make_caloric_series([pair], [1.0], 0.25)
-    assert mc.r_support == series.r_support
+    assert series.r_support == (pair.g.r_min, pair.r_out)
+    (radial_log, nu), = series.terms
+    assert nu == pair.nu and series.coeffs.tolist() == [1.0]
     r = np.geomspace(0.02, 1.9, 40)
+    sign, lm, ld = radial_log(r)
     for k in range(4):
-        for got, want in zip(mc.slice_log(r, 0.5, k),
-                             series.slice_log(r, 0.5, k)):
-            np.testing.assert_array_equal(got, want)
-        assert time_derivative(mc, k, 0.7, 0.5) == \
-            time_derivative(series, k, 0.7, 0.5)
+        sF, lF, sD, lD = series.slice_log(r, 0.5, k)
+        np.testing.assert_array_equal(sF, sign * (-1.0) ** k)
+        np.testing.assert_array_equal(sD, sF * np.sign(ld))
+        np.testing.assert_allclose(lF, lm - 0.5 * nu + k * math.log(nu),
+                                   rtol=1e-14, atol=0.0)
+        np.testing.assert_allclose(lD, lF + np.log(np.abs(ld)),
+                                   rtol=1e-14, atol=0.0)
 
 
 def test_zero_rate_term_has_exact_zero_time_derivatives(profile_i1_mu0):
     # a mu = 0 state does not change in time: d^k/dt^k = 0 exactly, k >= 1
-    mc = ModeCaloric(profile_state(profile_i1_mu0))
+    mc = profile_state(profile_i1_mu0)
     sign, log = time_derivative(mc, 0, 0.05, 0.5)
     assert sign == 1 and math.isfinite(log)
     for k in (1, 2, 3):
@@ -196,6 +209,20 @@ def test_ID_relation_single_eigenmode(pairs8_rout2, p_default):
     R = 0.3
     d1 = check_ID_relation(single, R, 1e-3 * R)
     d2 = check_ID_relation(single, R, 5e-4 * R)
+    assert d1 <= 1e-4
+    assert d1 / d2 == pytest.approx(4.0, abs=0.7)
+
+
+def test_mode_state_passes_into_parabolic_functionals(mode_caloric):
+    # profile_state's series goes into parabolic_IDN and check_ID_relation
+    # as it is; at a scale whose Gaussian lies inside the profile window
+    # the identity holds to its central-difference error, O(h^2)
+    st = mode_caloric
+    R = 0.01
+    I, D, N = parabolic_IDN(st, R)
+    assert I > 0.0 and D > 0.0 and N == I / D
+    d1 = check_ID_relation(st, R, 1e-3 * R)
+    d2 = check_ID_relation(st, R, 5e-4 * R)
     assert d1 <= 1e-4
     assert d1 / d2 == pytest.approx(4.0, abs=0.7)
 
@@ -265,5 +292,10 @@ def test_slice_past_double_range_names_R(pairs8_rout2, coeffs, R, at):
 
 
 def test_parabolic_IDN_rejects_bad_R(series2):
-    with pytest.raises(DomainValidationError):
+    with pytest.raises(DomainValidationError, match="R = -0.1"):
         parabolic_IDN(series2, -0.1)
+    # an increasing grid from 0: the error names the slice at fault, not a
+    # function the scan did not call
+    with pytest.raises(DomainValidationError,
+                       match=r"need R > 0, got R = 0\.0"):
+        parabolic_scan(series2, [0.0, 0.1, 0.2])
