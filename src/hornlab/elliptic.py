@@ -172,10 +172,12 @@ def elliptic_I(state, r):
 
 def _energy_density_log(state, lam, r, radial):
     """(sign, log) of (f'^2 + 4 mu_i r^(-2-2eps) f^2 + lam f^2) w(r) at
-    radii r, from radial = (sign, log|f|, d log|f|/dr) at r.
+    radii r from radial = (sign, log|f|, d log|f|/dr): the one gradient
+    energy integrand, of E and (lam = 0, f the slice factor) of parabolic I.
 
     The state's own lam gives the energy density; |lam| gives its positive
-    envelope, the scale of the bulk/boundary comparison.
+    envelope, the scale of the bulk/boundary comparison.  At an exact zero
+    of f (sign 0) the density is 0, as the triple carries no f' there.
     """
     p = state.params
     sign, lm, ld = radial
@@ -351,9 +353,9 @@ def floor_fit(scale, mass, eps):
     """Fit of log mass against 1 - (scale/scale_top)^(-2eps) across a scan
     of at least 8 rows: the floor check of both frequency functionals.
 
-    A non-negative slope certifies that the mass decays no faster than
-    exp(-C scale^(-2eps)); the top of the scan range stands in as the
-    reference scale.
+    A non-negative slope indicates, as a fit and not a proof, that the mass
+    decays no faster than exp(-C scale^(-2eps)); the top of the scan range
+    stands in as the reference scale.
     """
     if scale.size < 8:
         raise DomainValidationError("a floor fit needs >= 8 scan rows")

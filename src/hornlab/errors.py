@@ -57,7 +57,7 @@ class ConsistencyError(HornError, RuntimeError):
 
 
 class TipTailError(ConsistencyError):
-    """The certified energy below a profile window is not negligible
+    """The estimated energy below a profile window is not negligible
     against the bulk energy integral of a scan row."""
 
 

@@ -15,12 +15,13 @@ multiple of pi upward only.  floor(theta(r_out) / pi) is therefore exactly
 the number of eigenvalues below nu, with no grid that could miss a pair of
 close zeros, and eigenvalue j is the single root of theta(r_out; nu) = j pi.
 
-Series evaluation, time derivatives and the tail certificate all run in
-signed log space; the dropped tail is majorized through the empirical
-two-sided eigenvalue growth fit nu_j ~ [C1 j^(2/N), C2 j^2] and a
-doubling-block geometric summation (termwise geometric majorants do not
-exist for sub-linear exponents j^(2/N); blocks of doubling length are
-geometric and certified).
+Series evaluation, time derivatives and the tail bound all run in signed
+log space; the dropped tail is majorized through the empirical two-sided
+eigenvalue growth fit nu_j ~ [C1 j^(2/N), C2 j^2] and a doubling-block
+geometric summation (termwise geometric majorants do not exist for
+sub-linear exponents j^(2/N); blocks of doubling length are geometric).
+C1 and C2 are fitted to the computed eigenvalues, so the tail bound is an
+estimate, not a proved bound.
 """
 
 import math
@@ -207,7 +208,7 @@ def _secant_trial(shots, target, r_out):
 def _build_pair(p, i, nu, r_out, tol):
     s_lo = r_mu(p, nu)
     r_sw = tip_window_top(p, nu)
-    # tip branch over ~40 decay e-foldings; everything below is certified off
+    # tip branch over ~40 decay e-foldings; everything below is dropped
     r_tip_lo = (s_lo + 40.0 / tip_rate(p, i) + 2.0) ** (-1.0 / p.eps)
     tip = profile_from_k2(p, i, nu, r_tip_lo, n_grid=48, tol=tol)
     _, log_at_anchor, dlog_anchor = (float(v) for v in tip.eval_log(r_sw))
@@ -224,7 +225,8 @@ def _build_pair(p, i, nu, r_out, tol):
     # L2(w dr) norm: outer part in linear space, tip part in log space
     tip_n = math.exp(log_norm_sq(tip, r_tip_lo, r_sw, 1e-12)
                      - 2.0 * log_at_anchor)
-    # below r_tip_lo the density has shed >= 2*40 e-foldings: certified off
+    # below r_tip_lo the density has shed about 2*40 e-foldings; that part
+    # of the norm is dropped, and nothing bounds it
     norm = math.sqrt(sol.step_states[2, -1] + tip_n)
     scale_log = -math.log(norm)
 
@@ -288,14 +290,17 @@ def _growth_constants(eigs, p):
 
 
 def tail_bound(eigs, k, t, p, coeff_cap=1.0):
-    """Certified bound on sum_{j>k} cap * nu_j * exp(-nu_j t).
+    """Bound on sum_{j>k} cap * nu_j * exp(-nu_j t), an estimate beyond the
+    computed eigenvalues.
 
     Terms with computed eigenvalues (k < j <= len(eigs)) enter exactly;
     beyond the computed range the sum is majorized through
     nu_j >= C1 j^(2/N) in the exponential and nu_j <= C2 j^2 in the
-    prefactor, summed over doubling blocks.  Block sums are eventually
-    geometric with ratio <= 1/2, which closes the series (a termwise
-    geometric majorant does not exist for sub-linear exponents).
+    prefactor, summed over doubling blocks.  C1 and C2 are fitted to the
+    computed eigenvalues, not proved, so that part is an estimate.  Block
+    sums are eventually geometric with ratio <= 1/2, which closes the
+    series (a termwise geometric majorant does not exist for sub-linear
+    exponents).
     """
     if not t > 0:
         raise DomainValidationError(
@@ -334,7 +339,9 @@ class CaloricSeries:
     array of radii.  tail_certificate bounds the eigen-terms a truncation
     drops.  An elliptic state, L u = -mu u, is one term of rate mu whose
     bulk energy starts at r_lo; tip_tail estimates the energy below r_lo.
-    All three are 0 for an exact state that reaches the tip."""
+    All three are 0 for an exact state that reaches the tip; a series of
+    eigenpairs starts its bulk energy at its support bottom, where every
+    pair's normalization stops."""
 
     params: object
     sphere_index: int
@@ -403,7 +410,7 @@ def make_caloric_series(pairs, coeffs, t_min):
     terms = [(lambda r, g=pair.g: g.eval_log(r), pair.nu) for pair in pairs]
     return CaloricSeries(params=p, sphere_index=pairs[0].mode_index,
                          r_support=r_support, terms=terms, coeffs=coeffs,
-                         tail_certificate=cert)
+                         tail_certificate=cert, r_lo=r_support[0])
 
 
 def time_derivative(series, k, r, t):

@@ -13,9 +13,10 @@ On backward time slices t = -R^2 the three quantities are
 
     I(R) = R^2 int |grad u|^2 G dm,   D(R) = int u^2 G dm,   N = I/D,
 
-reduced to radial quadrature for separated caloric states.  Slice
-integrands are assembled in log space: an eigenmode carries exp(+nu R^2)
-on backward slices, and near the tip the state itself is log-represented.
+reduced to radial quadrature for separated caloric states, I through
+elliptic's gradient-energy density at lam = 0 from (sign F, log|F|, F_r/F).
+Slice integrands are assembled in log space: an eigenmode carries
+exp(+nu R^2) on backward slices, and near the tip the state is log-represented.
 
 Every state is a heat.CaloricSeries, read through its slice_log(r, t) ->
 (sign_F, log|F|, sign_Fr, log|Fr|) for arrays r, where F is the radial
@@ -29,12 +30,10 @@ import math
 import numpy as np
 
 from .elliptic import (FrequencyScan, _KIND_PARABOLIC, _constant_radial_log,
-                       _exp, floor_fit)
+                       _energy_density_log, _exp, floor_fit)
 from .errors import ConsistencyError, DomainValidationError
-from .geometry import (angular_coupling, measure_weight_log, sphere_area,
-                       sphere_eigenvalue)
+from .geometry import measure_weight_log, sphere_area
 from .heat import CaloricSeries
-from .logspace import logsumexp_signed
 from .numerics import quad_log
 
 _LOG_MAX = math.log(np.finfo(float).max)  # the log of the largest double
@@ -94,7 +93,6 @@ def _slices_ID(u, R, tol):
     p = u.params
     m = R.size
     t = -R * R
-    mu_i = sphere_eigenvalue(p.n, u.sphere_index)
     lo, hi = np.array([_slice_bounds(u, s) for s in R.tolist()]).T
 
     def log_integrand(x, rows):
@@ -103,16 +101,15 @@ def _slices_ID(u, R, tol):
         _, first, back = np.unique(slices, return_index=True,
                                    return_inverse=True)
         ts = t[slices][:, None]
-        _, lF, _, lFr = (v[back] for v in u.slice_log(x[first], ts[first]))
-        # I: log of (|Fr|^2 + 4 mu_i r^(-2-2eps) |F|^2) G w
-        with np.errstate(divide="ignore"):
-            log_ang = np.log(mu_i * angular_coupling(p, x))
-        sign, log = logsumexp_signed(np.ones((2, *x.shape)),
-                                     [2.0 * lFr, log_ang + 2.0 * lF])
+        sF, lF, sD, lD = (v[back] for v in u.slice_log(x[first], ts[first]))
+        log_G = kernel_log(p, x, ts)
+        with np.errstate(invalid="ignore"):  # F_r / F is nan where F = 0
+            dlog = sF * sD * np.exp(lD - lF)
+        sign, log_I = _energy_density_log(u, 0.0, x, (sF, lF, dlog))
         is_I = (rows >= m)[:, None]
         return (np.where(is_I, sign, 1.0),
-                np.where(is_I, log, 2.0 * lF) + kernel_log(p, x, ts)
-                + measure_weight_log(p, x))
+                np.where(is_I, log_I + log_G,
+                         2.0 * lF + log_G + measure_weight_log(p, x)))
 
     _, log_val, _ = quad_log(log_integrand, np.concatenate([lo, lo]),
                              np.concatenate([hi, hi]), tol)

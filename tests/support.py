@@ -139,3 +139,28 @@ def oracle_D_2d(u, R, p, tol=1e-11):
     val, _ = quad(radial_part, max(lo, 1e-12), hi, epsabs=tol, epsrel=tol,
                   limit=300)
     return val
+
+
+def oracle_I_par_2d(u, R, p, tol=1e-11):
+    """Product quadrature of the slice gradient integral
+    R^2 int (F_r^2 int phi^2 + 4 r^(-2-2eps) F^2 int |grad phi|^2) G w
+    for a separated caloric state."""
+    from scipy.integrate import quad
+    t = -R * R
+    expo = (p.c + 1.0) / 2.0
+    ang = sphere_quad(lambda th: phi1(th) ** 2)
+    ang_grad = sphere_quad(lambda th: dphi1(th) ** 2)
+
+    def radial_part(s):
+        sF, lF, sD, lD = u.slice_log(np.array([s]), t)
+        F = 0.0 if sF[0] == 0 else sF[0] * math.exp(lF[0])
+        Fr = 0.0 if sD[0] == 0 else sD[0] * math.exp(lD[0])
+        w = 2.0 ** (1 - p.n) * s ** p.c
+        G = math.exp(-expo * math.log(R * R) + s * s / (4.0 * t))
+        return (Fr * Fr * ang
+                + 4.0 * s ** (-2.0 - 2.0 * p.eps) * F * F * ang_grad) * G * w
+
+    lo, hi = u.r_support
+    val, _ = quad(radial_part, max(lo, 1e-12), hi, epsabs=tol, epsrel=tol,
+                  limit=300)
+    return R * R * val

@@ -60,7 +60,8 @@ def test_modes_command(tmp_path):
     man = json.loads((tmp_path / "manifest.json").read_text())
     assert man["status"] == "ok"
     assert man["result"]["decay_fit"]["slope"] < 0
-    rows = list(csv.DictReader(open(tmp_path / "modes.csv")))
+    with open(tmp_path / "modes.csv") as fh:
+        rows = list(csv.DictReader(fh))
     assert len(rows) == 64
     # log magnitude decreases toward r_min
     lm = [float(r["log_mag"]) for r in rows]
@@ -90,7 +91,8 @@ def test_constant_state_scan(tmp_path):
     code = main(["freq-elliptic", "--out", str(tmp_path),
                  "--set", "mode.i=0", "--set", "mode.mu=0.0"])
     assert code == EXIT_OK
-    rows = list(csv.DictReader(open(tmp_path / "freq_elliptic.csv")))
+    with open(tmp_path / "freq_elliptic.csv") as fh:
+        rows = list(csv.DictReader(fh))
     assert all(float(r["U"]) == 0.0 for r in rows)
     assert all(float(r["E"]) == 0.0 for r in rows)
 
@@ -368,7 +370,8 @@ def test_parabolic_mode_index_must_match_eigs_index(tmp_path):
 def test_eigs_command(tmp_path):
     code = main(["eigs", "--out", str(tmp_path), "--set", "eigs.count=2"])
     assert code == EXIT_OK
-    rows = list(csv.DictReader(open(tmp_path / "eigs.csv")))
+    with open(tmp_path / "eigs.csv") as fh:
+        rows = list(csv.DictReader(fh))
     assert [int(r["j"]) for r in rows] == [1, 2]
     assert float(rows[0]["nu"]) < float(rows[1]["nu"])
     assert [int(r["zeros"]) for r in rows] == [0, 1]
@@ -408,7 +411,8 @@ def test_heat_command_reports_decay(tmp_path):
     assert code == EXIT_OK
     man = json.loads((tmp_path / "manifest.json").read_text())
     assert man["result"]["decay_by_t"]["0.5"]["slope"] < 0
-    rows = list(csv.DictReader(open(tmp_path / "heat.csv")))
+    with open(tmp_path / "heat.csv") as fh:
+        rows = list(csv.DictReader(fh))
     assert set(rows[0]) == {"r", "t", "sign", "log_mag"}
 
 

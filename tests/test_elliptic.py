@@ -9,7 +9,7 @@ from hornlab import (ConsistencyError, DomainValidationError, TipTailError,
                      bessel_state, check_I_lower, check_logI_identity,
                      check_U_growth, constant_state, elliptic_E, elliptic_I,
                      elliptic_scan, find_root_bracketed, gamma_real,
-                     profile_state, radial_mode_zero)
+                     make_caloric_series, profile_state, radial_mode_zero)
 from hornlab.numerics import bessel_j
 
 
@@ -115,6 +115,16 @@ def test_elliptic_functionals_read_the_coefficient(state_i1_mu1):
         9.0 * elliptic_I(state_i1_mu1, 0.1), rel=1e-14)
     assert elliptic_E(scaled, 0.1) == pytest.approx(
         9.0 * elliptic_E(state_i1_mu1, 0.1), rel=1e-12)
+
+
+def test_eigenpair_state_energy_starts_at_support_bottom(pairs8_rout2):
+    # an eigenfunction is represented, and normalized, only down to its
+    # support bottom, so its bulk energy starts there, not at r = 0
+    series = make_caloric_series(pairs8_rout2[:1], [1.0], t_min=0.25)
+    assert series.r_lo == series.r_support[0]
+    scan = elliptic_scan(series, np.geomspace(0.05, 0.5, 16))
+    assert scan.ED[-1] == pytest.approx(elliptic_E(series, 0.5), rel=1e-12)
+    assert check_U_growth(series, scan)[0] == 0.0
 
 
 # ---------------------------------------------------------------------------

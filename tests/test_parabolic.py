@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from support import oracle_D_2d, oracle_gamma
+from support import oracle_D_2d, oracle_gamma, oracle_I_par_2d
 
 from hornlab import (CaloricSeries, ConsistencyError, DomainValidationError,
                      UnitCaloric, check_D_lower, check_ID_relation,
@@ -176,6 +176,17 @@ def test_mode_caloric_reduction_matches_product_quadrature(mode_caloric,
         assert D == pytest.approx(oracle_D_2d(mode_caloric, R, p_default),
                                   rel=1e-6)
 
+
+
+def test_slice_gradient_integral_matches_product_quadrature(
+        mode_caloric, series2, p_default):
+    # the I rows of a slice against the same integral summed over
+    # (radius, polar angle) from the series' own F and F_r
+    for u, R in [(mode_caloric, 0.02), (mode_caloric, 0.03),
+                 (mode_caloric, 0.04), (series2, 0.3)]:
+        I, _, _ = parabolic_IDN(u, R)
+        assert I == pytest.approx(oracle_I_par_2d(u, R, p_default),
+                                  rel=1e-10)
 
 def test_mode_caloric_N_nonnegative(mode_caloric):
     for R in (0.01, 0.02, 0.05):
