@@ -2,7 +2,9 @@
 
 All floats are written with 12 significant digits in scientific notation,
 '.' decimal separator, newline-terminated rows, so repeated runs with the
-same configuration produce bit-identical files on any platform.
+same configuration produce bit-identical files on one machine and numpy
+build.  Another CPU or numpy build may move a value in its last bit (numpy's
+vector exp differs by SIMD path), which the 12 digits usually hide.
 """
 
 import json

@@ -148,18 +148,12 @@ class FrequencyScan:
 # ---------------------------------------------------------------------------
 
 
-# math.exp element by element: numpy's vector exp can differ from it in the
-# last bit depending on the CPU's SIMD path, which would move rounding-level
-# report values such as the constant state's identity defect
-_exp = np.vectorize(math.exp, otypes=[float])
-
-
 def _boundary_mass(state, r, radial):
     """I = r^(1-n) w(r) f(r)^2 at radii r of any shape, from radial_log(r);
     0 where f vanishes or underflows."""
     p = state.params
     sign, lm, _ = radial
-    I = _exp((1 - p.n) * np.log(r) + measure_weight_log(p, r) + 2.0 * lm)
+    I = np.exp((1 - p.n) * np.log(r) + measure_weight_log(p, r) + 2.0 * lm)
     return np.where((sign == 0) | ~np.isfinite(lm), 0.0, I)
 
 
@@ -203,7 +197,7 @@ def _bulk_integrals(state, a, b, tol):
     out = np.zeros(a.size)
     full = b > a
     sign, log_val, _ = quad_log(density_log, a[full], b[full], tol)
-    out[full] = sign * _exp(log_val)
+    out[full] = sign * np.exp(log_val)
     return out
 
 
@@ -261,13 +255,13 @@ def _checked_energy(state, lam, r, radial, bulk):
             f"uncontrolled tip tail below the profile window at r={r[k]}: "
             f"tail bound {state.tip_tail} against bulk integral {bulk[k]}")
     log_pref = (2 - p.n) * np.log(r)
-    pref = _exp(log_pref)
+    pref = np.exp(log_pref)
     E_bulk = pref * bulk
     # r^(2-n) w f f' = r^(2-n) w f^2 dlog
     with np.errstate(invalid="ignore"):
-        E_bdry = np.where(sign == 0, 0.0, ld * _exp(
+        E_bdry = np.where(sign == 0, 0.0, ld * np.exp(
             log_pref + measure_weight_log(p, r) + 2.0 * lm))
-    env = _exp(_energy_density_log(state, abs(lam), r, radial)[1])
+    env = np.exp(_energy_density_log(state, abs(lam), r, radial)[1])
     # f^2 grows like exp(-2C r^-eps) toward r, so the envelope of the
     # density over [r_lo, r] peaks at r
     scale = pref * env * (r - state.r_lo)

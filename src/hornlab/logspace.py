@@ -7,6 +7,8 @@ Radial modes on the horn underflow double precision long before the tip
 
 import numpy as np
 
+from .errors import DomainValidationError
+
 NEG_INF = float("-inf")
 
 
@@ -16,18 +18,30 @@ def logsumexp_signed(signs, logs):
     Cancellation between terms is handled exactly as in linear arithmetic
     relative to the dominant magnitude.  1-D input gives (int, float); 2-D
     input sums down axis 0 and gives one (sign, log) per column as two
-    float arrays.
+    float arrays.  A term with a sign of 0 (whatever its log) or a log of
+    -inf is an exact zero; a sign that is not finite, or a nonzero sign
+    with a NaN or +inf log, is not a number and raises
+    DomainValidationError naming the term's index.
     """
     signs = np.asarray(signs, dtype=float)
     logs = np.asarray(logs, dtype=float)
-    live = (signs != 0) & np.isfinite(logs)
+    # a term that is not a number makes its column's sum NaN or infinite
+    live = signs != 0
     m = np.max(np.where(live, logs, NEG_INF), axis=0, initial=NEG_INF)
     m = np.where(np.isfinite(m), m, 0.0)
-    terms = signs * np.exp(np.where(live, logs - m, NEG_INF))
-    acc = np.sum(np.where(live, terms, 0.0), axis=0)
-    sign = np.sign(acc)
-    with np.errstate(divide="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore"):
+        acc = np.sum(signs * np.exp(np.where(live, logs - m, NEG_INF)),
+                     axis=0)
         log = np.where(acc == 0.0, NEG_INF, m + np.log(np.abs(acc)))
+    if not np.all(np.isfinite(acc)):
+        bad = ~np.isfinite(signs) | (live & ~(logs < np.inf))
+        if np.any(bad):  # else finite signs of magnitude ~1e308 overflow
+            k = tuple(int(i) for i in np.argwhere(bad)[0])
+            s, L = (np.broadcast_to(v, bad.shape)[k] for v in (signs, logs))
+            raise DomainValidationError(
+                f"logsumexp_signed term {k[0] if len(k) == 1 else k} is not "
+                f"a number: sign {s}, log {L}")
+    sign = np.sign(acc)
     if acc.ndim == 0:
         return int(sign), float(log)
     return sign, log

@@ -27,6 +27,7 @@ from scipy.optimize import brentq
 
 from .errors import (DomainValidationError, IntegrationError, QuadratureError,
                      RootBracketError, ToleranceFloorError)
+from .logspace import logsumexp_signed
 
 # ---------------------------------------------------------------------------
 # Represented ranges
@@ -302,8 +303,12 @@ def _log_quad_nodes(a, b, panels, lead):
     """16-point Gauss-Legendre nodes and weights, each (rows, width), on
     `panels` geometric panels of every row's [a, b]; when the rows lead
     (a = 0), the geometric panels lie on [b/panels, b] below a leading
-    panel [0, b/panels]."""
-    edges = np.geomspace(b / panels if lead else a, b, panels + 1).T
+    panel [0, b/panels].  On a row only a few ulps wide geomspace's edges
+    can step back or past b; they are held non-decreasing and at most b,
+    so a panel of zero width carries weight 0 (a no-op on any other row)."""
+    edges = np.minimum(np.maximum.accumulate(
+        np.geomspace(b / panels if lead else a, b, panels + 1).T, axis=1),
+        b[:, None])
     if lead:
         edges = np.hstack([np.zeros((a.size, 1)), edges])
     mid = 0.5 * (edges[:, 1:] + edges[:, :-1])
@@ -352,10 +357,10 @@ def quad_log(fn_log, a, b, tol):
     the batch.  Each row is summed in units of the largest integrand
     magnitude among its nodes, so neither the integrand nor the integral
     has to be representable in linear space.  The panel count doubles
-    from level to level; the difference of two successive levels is a
-    row's error estimate, and the row closes at the finer level once that
-    difference is at most tol times the integral of |f| (for a
-    non-negative f: relative error tol).
+    from level to level; the difference of two successive levels, one
+    logsumexp_signed per level, is a row's error estimate, and the row
+    closes at the finer level once log err <= log tol + log int |f|, in
+    log space throughout (for a non-negative f: relative error tol).
 
     Returns (sign, log|integral|, log error estimate), as a scalar triple
     for scalar a and b and as three arrays otherwise; a zero integral is
@@ -386,38 +391,34 @@ def quad_log(fn_log, a, b, tol):
     rows = np.argsort(a > 0, kind="stable")
     prev = None
     panels = _LOG_QUAD_PANELS
+    log_tol = math.log(tol)
     while rows.size:
         leads = np.count_nonzero(a[rows] == 0)
         per_call = max(1, _LOG_QUAD_MAX_NODES // (16 * (panels + 1)))
         parts = [_log_quad_level(fn_log, a, b, group[k:k + per_call], panels)
                  for group in (rows[:leads], rows[leads:])
                  for k in range(0, group.size, per_call)]
-        level = [np.concatenate(v) for v in zip(*parts)]
+        s, mag, shift = (np.concatenate(v) for v in zip(*parts))
+        with np.errstate(divide="ignore"):  # a zero sum has log -inf
+            val = np.sign(s), np.log(np.abs(s)) + shift
+            log_abs = np.log(mag) + shift
         if prev is not None:
-            done = np.zeros(rows.size, dtype=bool)
-            for k, (row, s, mag, shift, s_prev, shift_prev) in enumerate(zip(
-                    rows.tolist(), *(v.tolist() for v in (*level, *prev)))):
-                top = max(shift, shift_prev)
-                if top == -math.inf:  # zero on both levels
-                    done[k] = True
-                    continue
-                val = s * math.exp(shift - top)
-                err = abs(val - s_prev * math.exp(shift_prev - top))
-                row_err = math.log(err) + top if err > 0 else -math.inf
-                row_sign = (val > 0) - (val < 0)
-                row_val = math.log(abs(val)) + top if row_sign else -math.inf
-                if err <= tol * mag * math.exp(shift - top):
-                    sign[row], log_val[row], log_err[row] = \
-                        row_sign, row_val, row_err
-                    done[k] = True
-                elif panels >= _LOG_QUAD_MAX_PANELS:
-                    raise QuadratureError(
-                        f"log-space quadrature on [{a[row]}, {b[row]}] did "
-                        f"not reach tolerance {tol} with {panels} panels",
-                        estimate=(row_sign, row_val), bound=row_err)
+            err = logsumexp_signed([val[0], -prev[0]], [val[1], prev[1]])[1]
+            # both sides are -inf when both levels are zero
+            done = err <= log_tol + log_abs
+            if panels >= _LOG_QUAD_MAX_PANELS and not np.all(done):
+                k = int(np.argmin(done))
+                raise QuadratureError(
+                    f"log-space quadrature on [{a[rows[k]]}, {b[rows[k]]}] "
+                    f"did not reach tolerance {tol} with {panels} panels",
+                    estimate=(int(val[0][k]), float(val[1][k])),
+                    bound=float(err[k]))
+            closed = rows[done]
+            sign[closed], log_val[closed], log_err[closed] = \
+                val[0][done], val[1][done], err[done]
             rows = rows[~done]
-            level = [v[~done] for v in level]
-        prev = (level[0], level[2])
+            val = tuple(v[~done] for v in val)
+        prev = val
         panels *= 2
     if scalar:
         return int(sign[0]), float(log_val[0]), float(log_err[0])

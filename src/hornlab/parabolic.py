@@ -30,7 +30,7 @@ import math
 import numpy as np
 
 from .elliptic import (FrequencyScan, _KIND_PARABOLIC, _constant_radial_log,
-                       _energy_density_log, _exp, floor_fit)
+                       _energy_density_log, floor_fit)
 from .errors import ConsistencyError, DomainValidationError
 from .geometry import measure_weight_log, sphere_area
 from .heat import CaloricSeries
@@ -121,11 +121,11 @@ def _slices_ID(u, R, tol):
         raise ConsistencyError(
             f"D or I overflows the double range on the slice R = {R[k]}: "
             f"log D = {log_D[k]}, log I = {log_I[k]}")
-    D = _exp(log_val[:m])
+    D = np.exp(log_val[:m])
     if np.any(D == 0.0):
         raise ConsistencyError(
             f"D vanishes on the slice R = {R[np.argmax(D == 0.0)]}")
-    return R * R * _exp(log_val[m:]), D
+    return R * R * np.exp(log_val[m:]), D
 
 
 def parabolic_IDN(u, R, tol=1e-12):

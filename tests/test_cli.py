@@ -200,7 +200,8 @@ def test_benchmark_config_loads(tmp_path):
     assert {k: cfg[k] for k in workloads.BASE_CONFIG} == workloads.BASE_CONFIG
 
 
-@pytest.mark.parametrize("name", ["demo", "functionals"])
+@pytest.mark.parametrize("name", ["demo", "functionals",
+                                  "spectrum"])
 def test_benchmark_workload_checks_pass(tmp_path, name):
     # one iteration of a hornbench workload, checked by hornbench's own
     # checks against its recorded references: a change that breaks the
@@ -210,6 +211,35 @@ def test_benchmark_workload_checks_pass(tmp_path, name):
     assert wl.setup() == []
     for op, fn in wl.operations():
         assert getattr(wl, "check_" + op)(fn()) == [], op
+
+
+def test_scans_close_their_rows_at_the_recorded_levels(tmp_path,
+                                                       monkeypatch):
+    # the integrand calls and nodes of every quad_log call of the default
+    # elliptic and parabolic scans (the second parabolic call is the I =
+    # (R/4) D' check): a row acceptance rule that closes a row one level
+    # early or late moves them
+    from hornlab import elliptic, numerics, parabolic
+    calls = []
+
+    def counted(fn_log, a, b, tol):
+        count = [0, 0]
+        calls.append(count)
+
+        def fn(x, rows):
+            count[0] += 1
+            count[1] += x.size
+            return fn_log(x, rows)
+
+        return numerics.quad_log(fn, a, b, tol)
+
+    for module in (elliptic, parabolic):
+        monkeypatch.setattr(module, "quad_log", counted)
+    for command, want in (("freq-elliptic", [[5, 24576]]),
+                          ("freq-parabolic", [[2, 9216], [2, 2304]])):
+        calls.clear()
+        assert main([command, "--out", str(tmp_path)]) == EXIT_OK
+        assert calls == want, command
 
 
 def test_coefficients_beyond_eigen_count_are_config_error(tmp_path):
@@ -342,9 +372,9 @@ def test_quad_tolerance_below_floor_is_config_error(tmp_path):
     ("demo-counterexample", ["freq.lo=0.0201"]),
 ])
 def test_uncontrolled_tip_tail_names_freq_lo(tmp_path, command, settings):
-    # a scan row whose energy above mode.r_min does not dwarf the certified
-    # tail below it is the window's fault: exit 2, naming freq.lo and the
-    # mode.r_min it must clear
+    # a scan row whose energy above mode.r_min does not dwarf the fitted
+    # tail estimate below it is the window's fault: exit 2, naming freq.lo
+    # and the mode.r_min it must clear
     args = [command, "--out", str(tmp_path)] + FAST_DEMO
     for assignment in settings:
         args += ["--set", assignment]

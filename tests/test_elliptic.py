@@ -221,7 +221,7 @@ def test_scan_U_grows_toward_tip(scan_i1_mu1, p_default):
 
 def test_scan_row_at_window_bottom_has_uncontrolled_tail(state_i1_mu1):
     # the energy between r_lo and a row just above it does not dwarf the
-    # certified tail below r_lo: TipTailError, which is a ConsistencyError
+    # fitted tail estimate below r_lo: TipTailError, a ConsistencyError
     grid = np.array([1.01 * state_i1_mu1.r_lo, 0.1])
     with pytest.raises(TipTailError, match="uncontrolled tip tail") as err:
         elliptic_scan(state_i1_mu1, grid)
@@ -264,7 +264,7 @@ def test_logI_identity_second_order(state_i1_mu1):
 def test_logI_identity_wide_window(p_default):
     # over the widest tip window the 64-point defect sits just above 1e-3
     # and still quarters under refinement; the deeper profile keeps the
-    # below-window energy tail certified
+    # fitted below-window energy tail negligible
     from hornlab import profile_from_k2
     prof = profile_from_k2(p_default, 1, 1.0, 0.0075, 64)
     st = profile_state(prof)

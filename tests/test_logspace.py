@@ -1,7 +1,10 @@
 import math
+import re
 
 import numpy as np
+import pytest
 
+from hornlab.errors import DomainValidationError
 from hornlab.logspace import logsumexp_signed
 
 
@@ -56,3 +59,23 @@ def test_logsumexp_one_dimensional():
     assert (type(s), type(L)) == (int, float)
     assert s == 1
     assert L == math.log(0.75)
+    # a sign of 0 with any log, and a log of -inf, are exact zeros
+    assert logsumexp_signed([1.0, 0.0, 0.0, -1.0],
+                            [0.0, math.nan, math.inf, -math.inf]) == (1, 0.0)
+
+
+@pytest.mark.parametrize("signs, logs, index", [
+    ([1.0, 1.0], [0.0, math.nan], "1"),
+    ([1.0, 1.0], [0.0, math.inf], "1"),
+    ([1.0, -1.0], [math.inf, 0.0], "0"),
+    ([1.0, math.nan], [0.0, 0.0], "1"),
+    ([1.0, math.nan], [0.0, -math.inf], "1"),
+    ([1.0, -math.inf], [0.0, 0.0], "1"),
+    ([[1.0, 1.0], [1.0, -1.0]], [[0.0, 0.0], [0.0, math.nan]], "(1, 1)"),
+])
+def test_logsumexp_refuses_a_term_that_is_not_a_number(signs, logs, index):
+    # a sign that is not finite, or a nonzero sign with a NaN or +inf log,
+    # is no number: dropping it as a zero would hide the fault that made it
+    with pytest.raises(DomainValidationError,
+                       match=re.escape(f"term {index} is not a number")):
+        logsumexp_signed(signs, logs)

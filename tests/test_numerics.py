@@ -406,6 +406,23 @@ def test_quad_log_zero_integrand():
                     0.5, 1.0, 1e-12) == (0, -math.inf, -math.inf)
 
 
+def test_quad_log_sub_ulp_interval_keeps_its_nodes_inside():
+    # [0.02 - 1 ulp, 0.02], the first segment of a scan whose computed
+    # lower end lies one ulp below freq.lo = 0.02: geomspace's edges step
+    # back below a and past b there, which gave negative weights and nodes
+    # outside [a, b]
+    from hornlab.numerics import _log_quad_nodes
+    a, b = np.array([0.019999999999999997]), np.array([0.02])
+    for panels in (8, 16, 1024):
+        x, w = _log_quad_nodes(a, b, panels, False)
+        assert np.all(w >= 0.0)
+        assert np.all((a[0] <= x) & (x <= b[0]))
+    sign, log_val, _ = quad_log(lambda x, rows: (1.0, np.zeros_like(x)),
+                                a[0], b[0], 1e-10)
+    assert sign == 1
+    assert log_val == pytest.approx(math.log(b[0] - a[0]), abs=1e-12)
+
+
 def test_quad_log_narrow_peak_not_clipped():
     # f(r) = r^20 exp(-r/1e-5) peaks at r = 2e-4 with a relative width of
     # ~20%.  An evenly spaced probe of [1e-6, 1] steps over the peak, and
@@ -508,6 +525,22 @@ def test_quad_log_batch_rows_equal_single_calls(monkeypatch, max_nodes,
     assert [rows for _, rows in calls[:len(first_level)]] == first_level
     assert all(shape[0] == 1 or shape[0] * shape[1] <= max_nodes
                for shape, _ in calls)
+
+
+def test_quad_log_batch_rows_close_at_recorded_levels():
+    # the nodes and open rows of every integrand call: at tol 1e-12 rows 1
+    # and 3 need a third level and the others close at the second, so an
+    # acceptance rule that closes a row one level early or late moves them
+    calls = []
+
+    def integrand(x, rows):
+        calls.append((x.shape, rows.tolist()))
+        return _batch_integrand(x, rows)
+
+    quad_log(integrand, _BATCH_A, _BATCH_B, 1e-12)
+    assert calls == [((2, 144), [0, 3]), ((4, 128), [1, 2, 4, 5]),
+                     ((2, 272), [0, 3]), ((4, 256), [1, 2, 4, 5]),
+                     ((1, 528), [3]), ((1, 512), [1])]
 
 
 def test_quad_log_batch_row_past_the_cap_names_its_interval():
