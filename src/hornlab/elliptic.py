@@ -30,8 +30,8 @@ from .artifacts import write_csv
 from .errors import ConsistencyError, DomainValidationError, TipTailError
 from .geometry import angular_coupling, measure_weight_log, sphere_eigenvalue
 from .heat import CaloricSeries
-from .modes import decay_exponent_fit, radial_mode_zero
-from .numerics import bessel_j, check_in_range, fit_line, quad_log
+from .modes import decay_exponent_fit, radial_mode_zero_log
+from .numerics import check_in_range, fit_line, quad_log
 
 _KIND_ELLIPTIC = "elliptic"
 _KIND_PARABOLIC = "parabolic"
@@ -69,20 +69,8 @@ def bessel_state(p, mu, domain):
     if not mu > 0:
         raise DomainValidationError("bessel_state needs mu > 0")
     mu = float(mu)
-    nu = (p.c - 1.0) / 2.0
-
-    def radial_log(r):
-        x = r * math.sqrt(mu)
-        vals = radial_mode_zero(p, mu, r)
-        sign = np.sign(vals)
-        # f'(r) = -mu^((nu+1)/2) x^-nu J_{nu+1}(x); dlog = f'/f
-        with np.errstate(divide="ignore", invalid="ignore"):
-            lm = np.log(np.abs(vals))
-            der = np.where(x > 0, -math.sqrt(mu)
-                           * bessel_j(nu + 1.0, x) / bessel_j(nu, x), 0.0)
-        return sign, lm, der
-
-    return _mode_state(p, 0, mu, radial_log, domain)
+    return _mode_state(p, 0, mu, lambda r: radial_mode_zero_log(p, mu, r),
+                       domain)
 
 
 def profile_state(profile):

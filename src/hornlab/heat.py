@@ -49,8 +49,10 @@ def _outer_field(p, i, nu):
     c = p.c
     ee = -2.0 - 2.0 * p.eps
 
-    def fld(r, y):
-        return [y[1], -(c / r) * y[1] + (4.0 * mu_i * r ** ee - nu) * y[0]]
+    def fld(r, y, out):
+        out[0] = y[1]
+        out[1] = -(c / r) * y[1] + (4.0 * mu_i * r ** ee - nu) * y[0]
+        return out
 
     return fld
 
@@ -69,10 +71,12 @@ def _shoot(p, i, nu, r_out, tol):
     c = p.c
     ee = -2.0 - 2.0 * p.eps
 
-    def fld(r, y):
-        sn, cs = math.sin(y[0]), math.cos(y[0])
-        return [k * cs * cs + (c / r) * sn * cs
-                + ((nu - mu4 * r ** ee) / k) * sn * sn]
+    def fld(r, y, out):
+        theta = y.item()
+        sn, cs = math.sin(theta), math.cos(theta)
+        out[0] = (k * cs * cs + (c / r) * sn * cs
+                  + ((nu - mu4 * r ** ee) / k) * sn * sn)
+        return out
 
     # the integrator holds errors relative to |theta|, which grows to about
     # k r_out; an eigenvalue needs theta's absolute error near tol (at tol
@@ -217,8 +221,10 @@ def _build_pair(p, i, nu, r_out, tol):
     # int_{r_sw}^r f^2 w, as its third component
     fld = _outer_field(p, i, nu)
 
-    def fld_norm(r, y):
-        return [*fld(r, y), y[0] * y[0] * measure_weight(p, r)]
+    def fld_norm(r, y, out):
+        fld(r, y, out)
+        out[2] = y[0] * y[0] * measure_weight(p, r)
+        return out
 
     sol = integrate_ode(fld_norm, (r_sw, r_out), [1.0, dlog_anchor, 0.0], tol)
 
@@ -354,28 +360,33 @@ class CaloricSeries:
 
     def slice_log(self, r, t, k=0):
         """(sign F, log|F|, sign dF/dr, log|dF/dr|), each of the broadcast
-        shape of the radii r and times t, of F = d^k/dt^k of the series:
-        term j picks up (-nu_j)^k, that is k log nu_j in magnitude and
-        (-1)^k in sign, and a term with nu_j = 0 is an exact zero for
-        k >= 1.  Each term's radial evaluator runs once, on every radius
-        of the broadcast.  The one place the series is summed.
+        shape of the radii r, times t and derivative orders k, of
+        F = d^k/dt^k of the series: term j picks up (-nu_j)^k, that is
+        k log nu_j in magnitude and (-1)^k in sign, and a term with
+        nu_j = 0 is an exact zero for k >= 1.  Each term's radial
+        evaluator runs once, on the radii broadcast against the times; the
+        orders broadcast after it, so every order at a point shares one
+        evaluation.  The one place the series is summed.
         """
         r, t = np.broadcast_arrays(r, t)
-        shape = (len(self.terms), *r.shape)
+        k = np.asarray(k)
+        shape = (len(self.terms), *np.broadcast_shapes(r.shape, k.shape))
         sF, lF, sD, lD = (np.empty(shape) for _ in range(4))
         for j, ((radial_log, nu), cj) in enumerate(zip(self.terms,
                                                        self.coeffs)):
-            if k and nu == 0:
-                sF[j], lF[j], sD[j], lD[j] = 0.0, -math.inf, 0.0, -math.inf
-                continue
             sgn, lm, ld = radial_log(r)
             amp = math.log(abs(cj)) if cj != 0 else -math.inf
             csign = 1.0 if cj >= 0 else -1.0
+            k_log_nu = np.where(k > 0, k * math.log(nu), 0.0) if nu else 0.0
             sF[j] = csign * sgn * (-1.0) ** k
-            lF[j] = amp - nu * t + lm + (k * math.log(nu) if k else 0.0)
+            lF[j] = amp - nu * t + lm + k_log_nu
             with np.errstate(divide="ignore", invalid="ignore"):
                 lD[j] = lF[j] + np.log(np.abs(ld))
             sD[j] = sF[j] * np.sign(ld)
+            if nu == 0 and np.any(k):
+                zero = np.broadcast_to(k > 0, shape[1:])
+                sF[j, zero], lF[j, zero], sD[j, zero], lD[j, zero] = \
+                    0.0, -math.inf, 0.0, -math.inf
         return (*logsumexp_signed(sF, lF), *logsumexp_signed(sD, lD))
 
 
@@ -425,12 +436,13 @@ def time_derivative(series, k, r, t):
 
 def taylor_coefficients(series, r0, t0, kmax):
     """log|a_k|, k = 0..kmax, of the Taylor coefficients a_k = d^k_t u / k!
-    of t -> u(r0, t) at t0; an exact zero is -inf."""
-    log_ak = []
-    for k in range(kmax + 1):
-        s, L = time_derivative(series, k, r0, t0)
-        log_ak.append(NEG_INF if s == 0 else L - lgamma_real(k + 1.0))
-    return log_ak
+    of t -> u(r0, t) at t0, from one series evaluation over all k; an
+    exact zero is -inf."""
+    if not t0 > 0:
+        raise DomainValidationError("taylor_coefficients needs t0 > 0")
+    sF, lF, _, _ = series.slice_log(float(r0), t0, np.arange(kmax + 1))
+    return [NEG_INF if s == 0 else float(L) - lgamma_real(k + 1.0)
+            for k, (s, L) in enumerate(zip(sF, lF))]
 
 
 def taylor_radius(log_ak):

@@ -142,8 +142,10 @@ def solve_k1(p, i, mu, s_max, tol=1e-12):
             f"s_max must exceed r_mu = {s_lo}, got {s_max}")
     q = _q_factory(p, i, mu)
 
-    def fld(s, y):
-        return [y[1], q(s) * y[0]]
+    def fld(s, y, out):
+        out[0] = y[1]
+        out[1] = q(s) * y[0]
+        return out
 
     sol = integrate_ode(fld, (s_lo, s_max), [1.0, 1.0], tol)
     rho = tip_rate(p, i)
@@ -169,8 +171,10 @@ def tip_anchor(p, i, mu, tol):
     s_far = _s_far(tip_rate(p, i), s_lo)
     q = _q_factory(p, i, mu)
 
-    def fld(s, y):
-        return [q(s) - y[0] * y[0]]
+    def fld(s, y, out):
+        kappa = y.item()
+        out[0] = q(s) - kappa * kappa
+        return out
 
     kappa = integrate_ode(fld, (s_far, s_lo), [-math.sqrt(q(s_far))], tol,
                           dense=False)[0]
@@ -239,8 +243,10 @@ def solve_k2(p, i, mu, s_max, tol=1e-12):
             "start window too short")
     q = _q_factory(p, i, mu)
 
-    def fld(s, y):
-        return [q(s) - y[0] * y[0], y[0]]
+    def fld(s, y, out):
+        out[0] = q(s) - y[0] * y[0]
+        out[1] = y[0]
+        return out
 
     sol = integrate_ode(fld, (s_far, s_lo), [-math.sqrt(q(s_far)), 0.0], tol)
     k2 = TipDecaySolution((s_lo, s_max), sol, q, rel_unc)
@@ -326,12 +332,10 @@ def profile_from_k2(p, i, mu, r_min, n_grid=64, tol=1e-12):
                          evaluator=evaluator)
 
 
-def radial_mode_zero(p, mu, r):
-    """Bounded radial branch for i = 0: r^((1-c)/2) J_((c-1)/2)(r sqrt(mu)).
-
-    Finite at the tip with limit mu^((c-1)/4) / (2^((c-1)/2) Gamma((c+1)/2)).
-    r may be an array; a scalar r returns a float.
-    """
+def _bounded_branch(p, mu, r):
+    """(x, J_nu(x), f) at radii r, with x = r sqrt(mu) and nu = (c-1)/2:
+    the bounded radial branch f = r^-nu J_nu(x) of radial_mode_zero and the
+    Bessel values it is built on, each evaluated once."""
     from .numerics import bessel_j, gamma_real
     if not mu > 0:
         raise DomainValidationError("radial_mode_zero needs mu > 0")
@@ -341,10 +345,34 @@ def radial_mode_zero(p, mu, r):
     nu = (p.c - 1.0) / 2.0
     x = r * math.sqrt(mu)
     limit = mu ** (nu / 2.0) / (2.0 ** nu * gamma_real(nu + 1.0))
+    j_nu = bessel_j(nu, x)
     with np.errstate(divide="ignore", invalid="ignore"):
-        out = np.where(x < 1e-8, limit * (1.0 - x * x / (4.0 * (nu + 1.0))),
-                       bessel_j(nu, x) * r ** (-nu))
-    return float(out) if out.ndim == 0 else out
+        f = np.where(x < 1e-8, limit * (1.0 - x * x / (4.0 * (nu + 1.0))),
+                     j_nu * r ** (-nu))
+    return x, j_nu, f
+
+
+def radial_mode_zero(p, mu, r):
+    """Bounded radial branch for i = 0: r^((1-c)/2) J_((c-1)/2)(r sqrt(mu)).
+
+    Finite at the tip with limit mu^((c-1)/4) / (2^((c-1)/2) Gamma((c+1)/2)).
+    r may be an array; a scalar r returns a float.
+    """
+    f = _bounded_branch(p, mu, r)[2]
+    return float(f) if f.ndim == 0 else f
+
+
+def radial_mode_zero_log(p, mu, r):
+    """(sign f, log|f|, d log|f|/dr) of radial_mode_zero at radii r of any
+    shape; f'(r) = -mu^((nu+1)/2) x^-nu J_(nu+1)(x), so the log-derivative
+    is -sqrt(mu) J_(nu+1)(x) / J_nu(x), 0 at the tip."""
+    from .numerics import bessel_j
+    x, j_nu, f = _bounded_branch(p, mu, r)
+    nu = (p.c - 1.0) / 2.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return (np.sign(f), np.log(np.abs(f)),
+                np.where(x > 0, -math.sqrt(mu) * bessel_j(nu + 1.0, x) / j_nu,
+                         0.0))
 
 
 def decay_exponent_fit(profile):

@@ -11,6 +11,13 @@ finding (Brent) and line fitting.
 The wrappers fix the domains and the error types, so every caller and test
 exercises the same surface, and an argument outside a function's domain
 raises DomainValidationError instead of returning nan.
+
+An ODE field has one calling convention, field(x, y, out) -> out: it
+writes the derivative of the state y at x into the float buffer out, of
+y's shape, and returns out.  A solve owns one buffer and hands it to every
+call, so no call builds a container of its own.  An exception the field
+raises stops the solve at once, and integrate_ode raises it; a field that
+returns anything but out stops it with a TypeError.
 """
 
 import math
@@ -148,20 +155,13 @@ class DenseSolution:
 
     def eval(self, x):
         y = self.states(x)
-        return y, np.asarray(self._field(x, y))
+        return y, self._field(x, y, np.empty_like(y))
 
     def states(self, xs):
         """States at abscissae xs of any shape, (n, *xs.shape); a scalar
         gives (n,)."""
         check_in_range(xs, *sorted(self.span), "ODE abscissa")
         return self._poly(xs)
-
-
-def _stage(field, x, y):
-    """The field at abscissae x and states y (n, len(x)), every component
-    broadcast to x's shape."""
-    return np.array([np.broadcast_to(v, x.shape) for v in field(x, y)],
-                    dtype=float)
 
 
 def _extension_basis(k):
@@ -182,8 +182,9 @@ def _continuous_extension(field, steps, step_states):
     solve_ivp's Dop853DenseOutput builds.
 
     The stages of every step are recomputed from its start, one array call
-    of the field per stage: the 12 of the step, f at the recorded end, and
-    the 3 extra stages of the extension.  delta_y = F_0 is the difference
+    of the field per stage, which fills that stage's (n, len(steps) - 1)
+    slice of K: the 12 of the step, f at the recorded end, and the 3 extra
+    stages of the extension.  delta_y = F_0 is the difference
     of the recorded states, so each polynomial runs from its step's start
     state to its end state.  In the step fraction t = (x - x0) / h the
     extension is
@@ -198,10 +199,10 @@ def _continuous_extension(field, steps, step_states):
     K = np.empty((_DOP.N_STAGES_EXTENDED, *y0.shape))
     for s in range(_DOP.N_STAGES_EXTENDED):
         if s == _DOP.N_STAGES:
-            K[s] = _stage(field, steps[1:], y1)
+            field(steps[1:], y1, K[s])
         else:
-            K[s] = _stage(field, x0 + _DOP.C[s] * h,
-                          y0 + h * np.tensordot(_DOP.A[s, :s], K[:s], 1))
+            field(x0 + _DOP.C[s] * h,
+                  y0 + h * np.tensordot(_DOP.A[s, :s], K[:s], 1), K[s])
     dy = y1 - y0
     F = np.stack([dy, h * K[0] - dy, 2.0 * dy - h * (K[_DOP.N_STAGES] + K[0]),
                   *(h * np.tensordot(_DOP.D, K, 1))])
@@ -217,24 +218,40 @@ _NO_STEP_BUDGET = 2**31 - 1  # the largest int32 step cap: no budget
 
 
 # The compiled runner leaks a reference to each callable it is handed, so it
-# gets module-level ones only.  The field and a dense solve's step log ride
-# as extra arguments, which the runner passes to the field and to the step
-# callback alike.
-def _call_field(x, y, field, log):
-    return field(x, y)
+# gets module-level ones only.  The field, the solve's step log and its
+# derivative buffer ride as extra arguments, which the runner passes to the
+# field and to the step callback alike, and does not leak.  The runner
+# swallows an exception raised in a callback and goes on stepping, and it
+# reads n values from whatever array the field returns, whatever its length;
+# so a field that raises or returns anything but its buffer has the
+# exception kept on the log, the buffer is zeroed, and the step callback's
+# -1 ends the solve after the step under way.
+def _call_field(x, y, field, log, out):
+    try:
+        if field(x, y, out) is out:
+            return out
+        raise TypeError("an ODE field must fill and return its out buffer")
+    except BaseException as exc:  # a KeyboardInterrupt too: re-raised below
+        if log.error is None:
+            log.error = exc
+        out.fill(0.0)
+        return out
 
 
-def _record_step(x, y, field, log):
+def _record_step(x, y, field, log, out):
     log.append((x, y.copy()))  # y is the runner's work array
-    return 1
+    return 1 if log.error is None else -1
 
 
-def _continue(x, y, field, log):
-    return 1
+def _continue(x, y, field, log, out):
+    return 1 if log.error is None else -1
 
 
 class _StepLog(list):
-    """The accepted steps of one dense solve, as (x, state) pairs."""
+    """The accepted steps of one solve, as (x, state) pairs (recorded for a
+    dense solve only), and the first exception its field raised."""
+
+    error = None
 
 
 def integrate_ode(field, span, y0, tol, dense=True):
@@ -250,10 +267,19 @@ def integrate_ode(field, span, y0, tol, dense=True):
     floor); step-size underflow raises IntegrationError carrying the
     failure location.
 
+    The field is called as field(x, y, out) -> out: it writes the
+    derivative at abscissa x and state y into out, a float buffer of y's
+    shape, and returns out.  During the solve x is a float and y and out
+    are arrays of size n, and the solve hands the same buffer to every
+    call.  An exception the field raises ends the solve and is raised from
+    here, with nothing returned; so does a TypeError when the field
+    returns anything but out.
+
     Returns a DenseSolution on `span`, rebuilt from the recorded steps
-    after the solve; its field must then accept an array of abscissae with
-    states of shape (n, len(x)).  With dense=False it returns only the
-    state at span[1], as an array, and the field sees scalars only.
+    after the solve; its field must then also accept an array of abscissae
+    with states and out of shape (n, len(x)).  With dense=False it returns
+    only the state at span[1], as an array, and the field sees scalar
+    abscissae only.
     """
     if not tol >= _TOL_FLOOR:
         raise ToleranceFloorError(
@@ -263,7 +289,8 @@ def integrate_ode(field, span, y0, tol, dense=True):
     solver = ode(_call_field).set_integrator(
         "dop853", rtol=tol, atol=tol * 1e-2, nsteps=_NO_STEP_BUDGET)
     log = _StepLog()
-    solver.set_f_params(field, log).set_initial_value(y0, span[0])
+    solver.set_f_params(field, log, np.empty(y0.size))
+    solver.set_initial_value(y0, span[0])
     dop = solver._integrator
     dop.iwork[3] = -1  # Hairer's IWORK(4) < 0: no stiffness test
     # IOUT = 1: the callback runs after every accepted step.  It also keeps
@@ -273,6 +300,8 @@ def integrate_ode(field, span, y0, tol, dense=True):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)  # raised below instead
         y = solver.integrate(span[1])
+    if log.error is not None:
+        raise log.error
     code = solver.get_return_code()
     if code < 0:
         raise IntegrationError(

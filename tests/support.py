@@ -3,7 +3,8 @@
 Brute-force reference values live here, not in the library: extended
 precision power series for Bessel/Gamma evaluated with mpmath arithmetic,
 2-D product quadrature for the sphere x radius reductions, and
-finite-difference stencils for ODE residuals.
+finite-difference stencils for ODE residuals; `filled` lets a test's ODE
+field be a one-line lambda.
 """
 
 import math
@@ -12,6 +13,36 @@ import mpmath as mp
 import numpy as np
 
 mp.mp.dps = 40
+
+
+def filled(out, value):
+    """out, an ODE field's derivative buffer, filled with value (a state-
+    shaped array or a list of its components) and returned."""
+    out[...] = value
+    return out
+
+
+def count_field_calls(monkeypatch, *modules):
+    """Field calls of every ODE solve the given hornlab modules start, one
+    count per solve in order; integrate_ode is wrapped where each module
+    looks it up."""
+    from hornlab.numerics import integrate_ode
+
+    counts = []
+
+    def counting(field, *args, **kwargs):
+        counts.append(0)
+        n = len(counts) - 1
+
+        def counted(*call):
+            counts[n] += 1
+            return field(*call)
+
+        return integrate_ode(counted, *args, **kwargs)
+
+    for module in modules:
+        monkeypatch.setattr(module, "integrate_ode", counting)
+    return counts
 
 
 def oracle_gamma(x):

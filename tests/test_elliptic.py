@@ -3,6 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy import special
 from support import oracle_E_2d, oracle_I_2d
 
 from hornlab import (ConsistencyError, DomainValidationError, TipTailError,
@@ -70,6 +71,29 @@ def test_bessel_radial_log_matches_scalar_branch(p_default):
     assert isinstance(radial_mode_zero(p_default, mu, 0.3), float)
     with pytest.raises(DomainValidationError):
         radial_mode_zero(p_default, mu, np.array([0.5, -1e-3]))
+
+
+def test_bessel_radial_log_evaluates_each_order_once(p_default, monkeypatch):
+    # one J_nu and one J_(nu+1) evaluation per call, each on all radii at
+    # once, and bitwise radial_mode_zero and -sqrt(mu) J_(nu+1) / J_nu
+    mu = 2.0
+    nu = (p_default.c - 1.0) / 2.0
+    r = np.geomspace(1e-6, 5.0, 40)
+    x = r * math.sqrt(mu)
+    want_f = radial_mode_zero(p_default, mu, r)
+    want_ld = -math.sqrt(mu) * bessel_j(nu + 1.0, x) / bessel_j(nu, x)
+    jv, orders = special.jv, []
+
+    def counted(order, xs):
+        orders.append(order)
+        return jv(order, xs)
+
+    monkeypatch.setattr(special, "jv", counted)
+    sign, lm, ld = bessel_state(p_default, mu, (0.01, 0.5)).terms[0][0](r)
+    assert sorted(orders) == [nu, nu + 1.0]
+    assert np.array_equal(sign, np.sign(want_f))
+    assert np.array_equal(lm, np.log(np.abs(want_f)))
+    assert np.array_equal(ld, want_ld)
 
 
 def test_I_matches_product_quadrature(state_i1_mu1, p_default):

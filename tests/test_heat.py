@@ -1,16 +1,18 @@
 import math
 import warnings
+from dataclasses import replace
 
 import mpmath
 import numpy as np
 import pytest
+from support import count_field_calls
 
 from hornlab import (ConsistencyError, DomainValidationError, EigenPair,
                      EigenSearchError, analyticity_probe, caloric_decay_check,
-                     dirichlet_eigenvalues, fit_line, make_caloric_series,
-                     profile_from_k2, sphere_eigenvalue, tail_bound,
-                     time_derivative, tip_rate, weyl_check)
-from hornlab import heat
+                     dirichlet_eigenvalues, fit_line, lgamma_real,
+                     make_caloric_series, profile_from_k2, sphere_eigenvalue,
+                     tail_bound, time_derivative, tip_rate, weyl_check)
+from hornlab import heat, modes
 from hornlab.elliptic import bessel_state, constant_state
 from hornlab.modes import solve_k2, tip_window_top
 
@@ -51,6 +53,19 @@ def test_prufer_angle_counts_eigenvalues_exactly(pairs8_rout2, p_default):
     thetas = [heat._shoot(p_default, 1, nu, 2.0, 1e-12) for nu in trials]
     assert [math.floor(th / math.pi) for th in thetas] == list(range(8))
     assert all(b > a for a, b in zip(thetas, thetas[1:]))
+
+
+@pytest.mark.parametrize("nu, theta, calls", [
+    (50.0, "0x1.0e4f2971f17dfp+3", [935, 2386]),
+    (300.0, "0x1.910dd09ff35acp+4", [851, 4777])], ids=["nu=50", "nu=300"])
+def test_shot_step_sequence_is_pinned(p_default, monkeypatch, nu, theta,
+                                      calls):
+    # the field calls of the two solves of a shot, tip anchor then Pruefer
+    # angle, and theta(r_out) bit for bit: a change to a field's arithmetic
+    # or to the step control shows here first
+    counts = count_field_calls(monkeypatch, heat, modes)
+    assert heat._shoot(p_default, 1, nu, 1.8, 1e-12) == float.fromhex(theta)
+    assert counts == calls
 
 
 def test_shot_tolerance_below_solve_ivp_floor(p_default):
@@ -387,6 +402,44 @@ def test_taylor_coefficients_are_time_derivatives(series4):
             math.exp(Ld) / math.factorial(k), rel=1e-13)
     assert heat.taylor_radius(log_ak) == \
         analyticity_probe(series4, r0, t0, kmax)
+
+
+def test_taylor_coefficients_evaluate_each_term_once(series4):
+    # every order at (r0, t0) comes from one series evaluation: each term's
+    # radial evaluator runs once, not once per order, and each coefficient
+    # is bitwise that of the order's own time derivative
+    r0, t0, kmax = 0.8, 0.5, 16
+    calls = []
+
+    def counted(radial_log):
+        def run(r):
+            calls.append(np.size(r))
+            return radial_log(r)
+        return run
+
+    series = replace(series4, terms=[(counted(f), nu)
+                                     for f, nu in series4.terms])
+    log_ak = heat.taylor_coefficients(series, r0, t0, kmax)
+    assert calls == [1] * len(series4.terms)
+    for k, L in enumerate(log_ak):
+        _, Ld = time_derivative(series4, k, r0, t0)
+        assert L == Ld - lgamma_real(k + 1.0)
+
+
+@pytest.mark.parametrize("state", ["series4", "constant"])
+def test_slice_log_orders_broadcast(state, series4, p_default):
+    # orders broadcast against radii and times like a third coordinate:
+    # bitwise the slices of one call per order, with the exact zeros of a
+    # rate-0 term at k >= 1
+    series = (series4 if state == "series4"
+              else constant_state(p_default, (0.01, 2.0)))
+    r, t, k = np.array([0.05, 0.4, 1.1]), 0.5, np.arange(4)[:, None]
+    got = series.slice_log(r, t, k)
+    for kk in range(4):
+        for a, b in zip(got, series.slice_log(r, t, kk)):
+            assert np.array_equal(a[kk], b)
+    if state == "constant":
+        assert np.all(got[0][1:] == 0) and np.all(got[1][1:] == -math.inf)
 
 
 def test_analyticity_zero_series(pairs8_rout2):

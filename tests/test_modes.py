@@ -2,13 +2,15 @@ import math
 
 import numpy as np
 import pytest
-from support import oracle_gamma, second_derivative_5pt
+from support import (count_field_calls, filled, oracle_gamma,
+                     second_derivative_5pt)
 
 from hornlab import (ConsistencyError, DomainValidationError, RadialProfile,
                      decay_exponent_fit, integrate_ode, make_horn_params,
                      normalization_bound, profile_from_k2, r_mu,
                      radial_mode_zero, solve_k1, solve_k2, sphere_eigenvalue,
                      tip_exponent, tip_rate)
+from hornlab import modes
 from hornlab.modes import _q_factory, tip_anchor, tip_window_top
 
 
@@ -79,8 +81,9 @@ def test_k1_constant_coefficient_limit(p_default):
     # constant-coefficient: k = cosh + sinh/rho reproduces the data (1, 1)
     rho = tip_rate(p_default, 1)
     s0 = r_mu(p_default, 1.0)
-    sol = integrate_ode(lambda s, y: [y[1], rho * rho * y[0]],
-                        (s0, s0 + 2.0), [1.0, 1.0], 1e-12)
+    sol = integrate_ode(
+        lambda s, y, out: filled(out, [y[1], rho * rho * y[0]]),
+        (s0, s0 + 2.0), [1.0, 1.0], 1e-12)
     for ds in (0.5, 1.0, 2.0):
         exact = math.cosh(rho * ds) + math.sinh(rho * ds) / rho
         assert sol.eval(s0 + ds)[0][0] == pytest.approx(exact, rel=1e-10)
@@ -220,8 +223,8 @@ def test_range_checks_share_one_rule(evaluator, end, profile_i1_mu1,
         fn = profile_i1_mu1.eval_log
         lo, hi = profile_i1_mu1.r_min, profile_i1_mu1.r_max
     elif evaluator == "states":
-        fn = integrate_ode(lambda x, y: [y[1], -y[0]], (2.0, 0.5),
-                           [0.0, 1.0], 1e-10).states
+        fn = integrate_ode(lambda x, y, out: filled(out, [y[1], -y[0]]),
+                           (2.0, 0.5), [0.0, 1.0], 1e-10).states
         lo, hi = 0.5, 2.0
     else:
         k2 = solve_k2(p_default, 1, 1.0, r_mu(p_default, 1.0) + 3.0)
@@ -370,6 +373,19 @@ def test_tip_anchor_matches_profile_slope(p_default, i, mu):
     prof = profile_from_k2(p_default, i, mu, 0.5 * top, n_grid=16, tol=1e-12)
     assert r_top == prof.r_max == top
     assert dlog == pytest.approx(prof.log_deriv[0], rel=1e-11)
+
+
+@pytest.mark.parametrize("mu, r_top, dlog, calls", [
+    (50.0, "0x1.1811811811811p-3", "0x1.812edfae6e371p+5", [935]),
+    (300.0, "0x1.3fbe701157609p-4", "0x1.cd74eb9aa82bbp+6", [851])],
+    ids=["mu=50", "mu=300"])
+def test_tip_anchor_step_sequence_is_pinned(p_default, monkeypatch, mu, r_top,
+                                            dlog, calls):
+    # the anchor's field calls and its (r_top, d log f/dr) bit for bit
+    counts = count_field_calls(monkeypatch, modes)
+    assert tip_anchor(p_default, 1, mu, 1e-12) == (float.fromhex(r_top),
+                                                   float.fromhex(dlog))
+    assert counts == calls
 
 
 def test_normalization_bound_finite(p_default):

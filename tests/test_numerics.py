@@ -1,11 +1,12 @@
 import gc
 import math
+import time
 import warnings
 import weakref
 
 import numpy as np
 import pytest
-from support import (J0_FIRST_ZERO, oracle_besselj, oracle_bessely,
+from support import (J0_FIRST_ZERO, filled, oracle_besselj, oracle_bessely,
                      oracle_gamma, oracle_j0_first_zero)
 
 from hornlab import (DomainValidationError, IntegrationError, QuadratureError,
@@ -130,15 +131,16 @@ def test_bessel_domain_errors():
 
 
 def test_ode_exponential():
-    sol = integrate_ode(lambda x, y: y, (0.0, 1.0), [1.0], 1e-10)
+    sol = integrate_ode(lambda x, y, out: filled(out, y), (0.0, 1.0), [1.0],
+                        1e-10)
     y, dy = sol.eval(1.0)
     assert y[0] == pytest.approx(math.e, abs=1e-9)
     assert dy[0] == pytest.approx(y[0], rel=1e-12)
 
 
 def test_ode_sine():
-    sol = integrate_ode(lambda x, y: [y[1], -y[0]], (0.0, math.pi),
-                        [0.0, 1.0], 1e-10)
+    sol = integrate_ode(lambda x, y, out: filled(out, [y[1], -y[0]]),
+                        (0.0, math.pi), [0.0, 1.0], 1e-10)
     assert sol.eval(math.pi)[0][0] == pytest.approx(0.0, abs=1e-8)
     assert sol.eval(math.pi / 2)[0][0] == pytest.approx(1.0, rel=1e-9)
 
@@ -146,8 +148,8 @@ def test_ode_sine():
 def test_ode_growing_branch():
     # y'' = 4y with data matching exp(2x): the stiff-side regime of the
     # tip equation when the spherical eigenvalue dominates
-    sol = integrate_ode(lambda x, y: [y[1], 4.0 * y[0]], (0.0, 3.0),
-                        [1.0, 2.0], 1e-10)
+    sol = integrate_ode(lambda x, y, out: filled(out, [y[1], 4.0 * y[0]]),
+                        (0.0, 3.0), [1.0, 2.0], 1e-10)
     assert sol.eval(3.0)[0][0] == pytest.approx(math.exp(6.0), rel=1e-8)
 
 
@@ -155,10 +157,12 @@ def test_ode_trig_exp_accuracy_scaling():
     # y'' = lam y reproduces exp/trig with relative error <= 100 * tol
     # over spans of length <= 10
     tol = 1e-10
-    sol = integrate_ode(lambda x, y: [y[1], y[0]], (0.0, 10.0), [1.0, 1.0], tol)
+    sol = integrate_ode(lambda x, y, out: filled(out, [y[1], y[0]]),
+                        (0.0, 10.0), [1.0, 1.0], tol)
     assert sol.eval(10.0)[0][0] == pytest.approx(math.exp(10.0),
                                                  rel=100 * tol)
-    sol = integrate_ode(lambda x, y: [y[1], -y[0]], (0.0, 10.0), [1.0, 0.0], tol)
+    sol = integrate_ode(lambda x, y, out: filled(out, [y[1], -y[0]]),
+                        (0.0, 10.0), [1.0, 0.0], tol)
     assert sol.eval(10.0)[0][0] == pytest.approx(math.cos(10.0),
                                                  rel=100 * tol)
 
@@ -168,7 +172,7 @@ def test_ode_endpoint_only_matches_dense():
     # steps, so the dense solution's last recorded state is the endpoint
     # bitwise, and both lie within 100 tol of the exact state
     tol = 1e-10
-    fld = lambda x, y: [y[1], -y[0]]  # noqa: E731
+    fld = lambda x, y, out: filled(out, [y[1], -y[0]])  # noqa: E731
     sol = integrate_ode(fld, (0.0, 10.0), [1.0, 0.0], tol)
     end = integrate_ode(fld, (0.0, 10.0), [1.0, 0.0], tol, dense=False)
     assert isinstance(end, np.ndarray) and end.shape == (2,)
@@ -184,8 +188,9 @@ def test_ode_dense_interior_accuracy():
     # the continuous extension holds 1e-10 relative at 4001 interior points
     # (it reads about 2e-12)
     rho = 5.66
-    sol = integrate_ode(lambda s, y: [y[1], rho * rho * y[0]], (0.0, 2.0),
-                        [1.0, 1.0], 1e-12)
+    sol = integrate_ode(
+        lambda s, y, out: filled(out, [y[1], rho * rho * y[0]]), (0.0, 2.0),
+        [1.0, 1.0], 1e-12)
     xs = np.linspace(0.0, 2.0, 4001)
     exact = np.cosh(rho * xs) + np.sinh(rho * xs) / rho
     assert np.max(np.abs(sol.states(xs)[0] / exact - 1.0)) <= 1e-10
@@ -196,8 +201,8 @@ def test_ode_dense_interior_accuracy():
 def test_ode_dense_backward_span():
     # a decreasing span, as solve_k2 integrates from s_far down to r_mu
     tol = 1e-10
-    sol = integrate_ode(lambda x, y: [y[1], -y[0]], (10.0, 0.5),
-                        [math.cos(10.0), -math.sin(10.0)], tol)
+    sol = integrate_ode(lambda x, y, out: filled(out, [y[1], -y[0]]),
+                        (10.0, 0.5), [math.cos(10.0), -math.sin(10.0)], tol)
     assert sol.span == (10.0, 0.5)
     assert np.all(np.diff(sol.steps) < 0)
     assert sol.steps[0] == 10.0 and sol.steps[-1] == pytest.approx(0.5)
@@ -212,8 +217,9 @@ def test_ode_dense_backward_span():
 def test_ode_dense_passes_through_recorded_steps():
     # the extension of each step starts at its recorded state exactly and
     # ends at the next one up to rounding
-    sol = integrate_ode(lambda x, y: [y[1], 4.0 * y[0] + math.pi],
-                        (0.0, 3.0), [1.0, 2.0], 1e-10)
+    sol = integrate_ode(
+        lambda x, y, out: filled(out, [y[1], 4.0 * y[0] + math.pi]),
+        (0.0, 3.0), [1.0, 2.0], 1e-10)
     assert sol.steps.size > 10
     assert sol.step_states.shape == (2, sol.steps.size)
     assert np.array_equal(sol.states(sol.steps[:-1]), sol.step_states[:, :-1])
@@ -229,9 +235,9 @@ def test_ode_field_calls_repeat_exactly():
     for _ in range(40):
         calls = [0]
 
-        def fld(x, y):
+        def fld(x, y, out):
             calls[0] += 1
-            return [y[1], -y[0]]
+            return filled(out, [y[1], -y[0]])
 
         with warnings.catch_warnings():
             integrate_ode(fld, (0.0, 1.0), [1.0, 0.0], 1e-10, dense=False)
@@ -239,11 +245,65 @@ def test_ode_field_calls_repeat_exactly():
     assert len(set(counts)) == 1
 
 
+@pytest.mark.parametrize("dense", [True, False])
+def test_ode_field_exception_ends_the_solve(dense):
+    # the compiled runner swallows an exception raised in a callback and
+    # steps on, with no step budget; the solve instead stops after the step
+    # under way and raises the field's own exception
+    calls = [0]
+    failure = ValueError("field failed on its 6th call")
+
+    def fld(x, y, out):
+        calls[0] += 1
+        if calls[0] == 6:
+            raise failure
+        return filled(out, [y[1], -y[0]])
+
+    start = time.perf_counter()
+    with pytest.raises(ValueError) as err:
+        integrate_ode(fld, (0.0, 1.0), [1.0, 0.0], 1e-10, dense=dense)
+    assert time.perf_counter() - start < 1.0
+    assert err.value is failure
+    assert calls[0] < 50
+
+
+@pytest.mark.parametrize("dense", [True, False])
+@pytest.mark.parametrize("fld", [
+    lambda x, y: [y[1], -y[0]],
+    lambda x, y, out: [y[1], -y[0]],
+    lambda x, y, out: np.array([y[1]])],
+    ids=["two-arguments", "fresh-list", "short-array"])
+def test_ode_field_off_the_convention_is_a_type_error(fld, dense):
+    # one calling convention, field(x, y, out) -> out: a field written
+    # without the buffer, or returning anything but it, fails at once
+    # instead of hanging the solve or being read past its end
+    with pytest.raises(TypeError):
+        integrate_ode(fld, (0.0, 1.0), [1.0, 0.0], 1e-10, dense=dense)
+
+
+def test_ode_dense_eval_derivative_is_the_field():
+    # eval's derivative is bitwise the field at the interpolated state on a
+    # fresh buffer, for a scalar and for an array of abscissae, and each
+    # call returns a buffer of its own
+    def fld(x, y, out):
+        out[0] = y[1]
+        out[1] = -(2.0 / x) * y[1] + (3.0 * x ** -1.5 - 7.0) * y[0]
+        return out
+
+    sol = integrate_ode(fld, (0.5, 2.0), [1.0, 0.3], 1e-12)
+    for x in (0.5, 1.2345, 2.0, np.linspace(0.5, 2.0, 7)):
+        y, dy = sol.eval(x)
+        assert dy.shape == y.shape
+        assert np.array_equal(dy, fld(x, y.copy(), np.zeros_like(y)))
+    assert not np.shares_memory(sol.eval(0.7)[1], sol.eval(0.7)[1])
+
+
 def test_ode_endpoint_only_backward_span():
     # a decreasing span, as tip_anchor integrates from s_far down to s_lo
     tol = 1e-10
-    end = integrate_ode(lambda x, y: [y[1], -y[0]], (10.0, 0.5),
-                        [math.cos(10.0), -math.sin(10.0)], tol, dense=False)
+    end = integrate_ode(lambda x, y, out: filled(out, [y[1], -y[0]]),
+                        (10.0, 0.5), [math.cos(10.0), -math.sin(10.0)], tol,
+                        dense=False)
     assert np.allclose(end, [math.cos(0.5), -math.sin(0.5)], rtol=0.0,
                        atol=100 * tol)
 
@@ -253,8 +313,9 @@ def test_ode_endpoint_only_has_no_stiffness_interrupt():
     # stiffness test would stop this solve after 1000, the dense backend
     # has none, and the contract has no step budget
     lam, tol = 1e5, 1e-6
-    end = integrate_ode(lambda x, y: [-lam * (y[0] - math.cos(x))],
-                        (0.0, 0.2), [1.0], tol, dense=False)
+    end = integrate_ode(
+        lambda x, y, out: filled(out, [-lam * (y[0] - math.cos(x))]),
+        (0.0, 0.2), [1.0], tol, dense=False)
     exact = ((lam * lam * math.cos(0.2) + lam * math.sin(0.2)
               + math.exp(-lam * 0.2)) / (lam * lam + 1.0))
     assert end[0] == pytest.approx(exact, abs=100 * tol)
@@ -269,8 +330,8 @@ def _assert_solves_keep_nothing_alive(dense):
     from hornlab.numerics import _StepLog
 
     class Field:
-        def __call__(self, x, y):
-            return [y[1], -y[0]]
+        def __call__(self, x, y, out):
+            return filled(out, [y[1], -y[0]])
 
     def survivors():
         gc.collect()
@@ -300,7 +361,7 @@ def test_ode_tolerance_floor_is_refused(dense, floor):
     # down to 10 eps are honoured and a smaller one is refused instead of
     # clamped, with the tol and the floor
     eps = np.finfo(float).eps
-    fld = lambda x, y: [y[1], -y[0]]  # noqa: E731
+    fld = lambda x, y, out: filled(out, [y[1], -y[0]])  # noqa: E731
     integrate_ode(fld, (0.0, 1.0), [1.0, 0.0], floor * eps, dense=dense)
     with pytest.raises(ToleranceFloorError, match="tol=") as err:
         integrate_ode(fld, (0.0, 1.0), [1.0, 0.0], 0.9 * floor * eps,
@@ -310,7 +371,8 @@ def test_ode_tolerance_floor_is_refused(dense, floor):
 
 
 def test_ode_initial_condition_and_span():
-    sol = integrate_ode(lambda x, y: y, (0.0, 1.0), [2.0], 1e-10)
+    sol = integrate_ode(lambda x, y, out: filled(out, y), (0.0, 1.0), [2.0],
+                        1e-10)
     assert sol.eval(0.0)[0][0] == pytest.approx(2.0, rel=1e-12)
     with pytest.raises(DomainValidationError):
         sol.eval(1.5)
@@ -338,7 +400,8 @@ def test_check_in_range_rule():
 def test_ode_failure_reports_location():
     # finite-time blowup: step size underflows near x = 1
     with pytest.raises(IntegrationError) as err:
-        integrate_ode(lambda x, y: y * y, (0.0, 2.0), [1.0], 1e-10)
+        integrate_ode(lambda x, y, out: filled(out, y * y), (0.0, 2.0),
+                      [1.0], 1e-10)
     assert err.value.location is not None
     assert 0.9 <= err.value.location <= 2.0
 
@@ -349,8 +412,8 @@ def test_ode_endpoint_only_failure_reports_location():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(IntegrationError) as err:
-            integrate_ode(lambda x, y: y * y, (0.0, 2.0), [1.0], 1e-10,
-                          dense=False)
+            integrate_ode(lambda x, y, out: filled(out, y * y), (0.0, 2.0),
+                          [1.0], 1e-10, dense=False)
     assert 0.9 <= err.value.location <= 2.0
 
 
