@@ -17,9 +17,9 @@ from .errors import (ConfigError, ConsistencyError, DomainValidationError,
                      EigenSearchError, HornError, IntegrationError,
                      QuadratureError, RootBracketError, TipTailError,
                      ToleranceFloorError)
-from .geometry import (HornParams, angular_coupling, make_horn_params,
-                       measure_weight, measure_weight_log, sphere_area,
-                       sphere_eigenvalue)
+from .geometry import (HornParams, angular_coupling, liouville_potential,
+                       make_horn_params, measure_weight, measure_weight_log,
+                       sphere_area, sphere_eigenvalue)
 from .heat import (CaloricSeries, EigenPair, analyticity_probe,
                    caloric_decay_check, dirichlet_eigenvalues,
                    make_caloric_series, tail_bound, time_derivative,
@@ -30,7 +30,7 @@ from .modes import (RadialProfile, decay_exponent_fit, normalization_bound,
 from .numerics import (DenseSolution, LineFit, bessel_j, bessel_j_prime,
                        bessel_y, bessel_y_prime, check_in_range,
                        find_root_bracketed, fit_line, gamma_real,
-                       integrate_ode, lgamma_real, quad_log)
+                       integrate_ode, lgamma_real, magnus_prufer, quad_log)
 from .parabolic import (UnitCaloric, check_D_lower, check_ID_relation,
                         check_N_bound, kernel_log, parabolic_IDN,
                         parabolic_scan)

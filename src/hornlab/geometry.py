@@ -106,6 +106,16 @@ def angular_coupling(p, r):
     return 4.0 * r ** (-2.0 - 2.0 * p.eps)
 
 
+def liouville_potential(p, i, r):
+    """V = 4 mu_i r^(-2-2eps) + c (c - 2) / (4 r^2) of the Liouville form
+    u = r^(c/2) f, u'' = (V - nu) u, of the radial equation
+    f'' + (c/r) f' - 4 mu_i r^(-2-2eps) f = -nu f with spherical index i;
+    r > 0, scalar or array (elementwise)."""
+    _check_positive("liouville_potential", r)
+    return (4.0 * sphere_eigenvalue(p.n, i) * r ** (-2.0 - 2.0 * p.eps)
+            + p.c * (p.c - 2.0) / (4.0 * r * r))
+
+
 def sphere_eigenvalue(n, i):
     """i-th eigenvalue mu_i = i (n + i - 2) of the round S^{n-1} Laplacian."""
     if int(n) != n or n < 2:

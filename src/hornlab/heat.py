@@ -6,14 +6,21 @@ select the decaying branch at the tip (the growing branch is not square
 integrable), so shooting anchors the solution with the decaying branch's
 logarithmic derivative at the threshold radius and integrates outward.
 
-Each shot integrates a modified Pruefer angle theta (Pryce 1993; Bailey,
-Everitt and Zettl, SLEIGN2, 2001) instead of the solution itself: with
-k = sqrt(max(nu, 1)), k f = rho sin(theta) and f' = rho cos(theta).  The
-radial solution is positive at the anchor, so theta starts in (0, pi), and
-wherever sin(theta) = 0 its derivative is k > 0, so theta crosses each
-multiple of pi upward only.  floor(theta(r_out) / pi) is therefore exactly
-the number of eigenvalues below nu, with no grid that could miss a pair of
-close zeros, and eigenvalue j is the single root of theta(r_out; nu) = j pi.
+Each shot follows a modified Pruefer angle theta (Pryce 1993; Bailey,
+Everitt and Zettl, SLEIGN2, 2001) instead of the solution itself, on the
+Liouville form u = r^(c/2) f, u'' = (V - nu) u, with V the potential of
+geometry.liouville_potential: with k = sqrt(max(nu, 1)),
+k u = rho sin(theta) and u' = rho cos(theta).  u has the zeros of f and is
+positive at the anchor, so theta starts in (0, pi), and wherever
+sin(theta) = 0 its derivative is k > 0, so theta crosses each multiple of
+pi upward only.  floor(theta(r_out) / pi) is therefore exactly the number
+of eigenvalues below nu, with no grid that could miss a pair of close
+zeros, and eigenvalue j is the single root of theta(r_out; nu) = j pi.
+The outer equation is linear and nu enters it only as a shift of V, so a
+shot propagates it with numerics.magnus_prufer: fourth-order Magnus over
+a mesh of equal intervals, all at once in numpy, with theta unwrapped
+interval by interval and a Richardson error estimate held to the shot's
+tolerance in absolute theta.  The tip anchor stays a DOP853 solve.
 
 Series evaluation, time derivatives and the tail bound all run in signed
 log space; the dropped tail is majorized through the empirical two-sided
@@ -31,12 +38,12 @@ import numpy as np
 
 from .errors import (ConsistencyError, DomainValidationError,
                      EigenSearchError)
-from .geometry import measure_weight, sphere_eigenvalue
+from .geometry import liouville_potential, measure_weight, sphere_eigenvalue
 from .logspace import NEG_INF, logsumexp_signed
 from .modes import (RadialProfile, log_norm_sq, profile_from_k2, r_mu,
                     tip_anchor, tip_rate, tip_window_top)
 from .numerics import (find_root_bracketed, fit_line, integrate_ode,
-                       lgamma_real)
+                       lgamma_real, magnus_prufer)
 
 
 # ---------------------------------------------------------------------------
@@ -65,25 +72,9 @@ def _shoot(p, i, nu, r_out, tol):
     number of eigenvalues below nu.
     """
     r_sw, dlog = tip_anchor(p, i, nu, tol)
-    # k f = rho sin(theta), f' = rho cos(theta)
-    k = math.sqrt(max(nu, 1.0))
-    mu4 = 4.0 * sphere_eigenvalue(p.n, i)
-    c = p.c
-    ee = -2.0 - 2.0 * p.eps
-
-    def fld(r, y, out):
-        theta = y.item()
-        sn, cs = math.sin(theta), math.cos(theta)
-        out[0] = (k * cs * cs + (c / r) * sn * cs
-                  + ((nu - mu4 * r ** ee) / k) * sn * sn)
-        return out
-
-    # the integrator holds errors relative to |theta|, which grows to about
-    # k r_out; an eigenvalue needs theta's absolute error near tol (at tol
-    # itself, nu_11 for r_out = 1.6 is off by 8e-12 relative)
-    theta = integrate_ode(fld, (r_sw, r_out), [math.atan2(k, dlog)],
-                          tol / max(1.0, k * r_out), dense=False)
-    return float(theta[0])
+    # u = r^(c/2) f has the zeros of f, and u'/u = f'/f + c / (2 r)
+    return magnus_prufer(lambda r: liouville_potential(p, i, r), nu,
+                         (r_sw, r_out), (1.0, dlog + 0.5 * p.c / r_sw), tol)
 
 
 @dataclass
@@ -165,15 +156,13 @@ def _wkb_first_trial(p, i, r_out):
         int sqrt(nu - V(r))_+ dr = 3 pi / 4  over (0, r_out],
 
     one turning point and the Dirichlet wall at r_out, for the Liouville
-    potential V = 4 mu_i r^(-2-2eps) + c (c-2) / (4 r^2) of the radial
-    equation (f = r^(-c/2) u removes the (c/r) f' drift).  The phase is a
+    potential V of the radial equation (geometry.liouville_potential;
+    f = r^(-c/2) u removes the (c/r) f' drift).  The phase is a
     midpoint sum on 1024 cells.  A well deep enough to hold the phase at
     nu = 0 has no positive root; the trial is then (pi / r_out)^2.
     """
     h = r_out / 1024
-    r = (np.arange(1024) + 0.5) * h
-    V = (4.0 * sphere_eigenvalue(p.n, i) * r ** (-2.0 - 2.0 * p.eps)
-         + p.c * (p.c - 2.0) / (4.0 * r * r))
+    V = liouville_potential(p, i, (np.arange(1024) + 0.5) * h)
 
     def excess_phase(nu):
         return h * np.sqrt(np.maximum(nu - V, 0.0)).sum() - 0.75 * math.pi

@@ -5,9 +5,11 @@ J_nu, Y_nu and their derivatives (scipy.special, after Amos, ACM TOMS
 Algorithm 644), the real Gamma function and its logarithm, ODE integration
 (Hairer's compiled DOP853, one backend with one tolerance floor; a dense
 solve rebuilds Hairer's continuous extension from the recorded steps, with
-scipy's coefficient table, so its field must accept arrays), composite
-Gauss-Legendre quadrature of log-represented integrands, bracketed root
-finding (Brent) and line fitting.
+scipy's coefficient table, so its field must accept arrays), the Pruefer
+angle of a linear equation u'' = (V - nu) u by fourth-order Magnus
+propagation in numpy (magnus_prufer, with its own error estimate and
+floor), composite Gauss-Legendre quadrature of log-represented integrands,
+bracketed root finding (Brent) and line fitting.
 The wrappers fix the domains and the error types, so every caller and test
 exercises the same surface, and an argument outside a function's domain
 raises DomainValidationError instead of returning nan.
@@ -311,6 +313,133 @@ def integrate_ode(field, span, y0, tol, dense=True):
         return y
     return DenseSolution(field, span, np.array([x for x, _ in log]),
                          np.array([s for _, s in log]).T)
+
+
+# ---------------------------------------------------------------------------
+# Pruefer angle of a linear second-order equation by Magnus propagation
+# ---------------------------------------------------------------------------
+
+# the two Gauss points of an interval, as fractions of it, and the weight
+# sqrt(3)/12 of the fourth-order Magnus commutator
+_MAGNUS_GAUSS = 0.5 + np.array([-1.0, 1.0])[:, None] * math.sqrt(3.0) / 6.0
+_MAGNUS_COMMUTATOR = math.sqrt(3.0) / 12.0
+_MAGNUS_MIN_INTERVALS = 64
+_MAGNUS_MAX_INTERVALS = 2**16
+
+
+def _magnus_angle(potential, nu, a, b, y0, k, m):
+    """theta(b) of magnus_prufer on m equal intervals of [a, b]."""
+    h = (b - a) / m
+    V = potential(a + h * (np.arange(m) + _MAGNUS_GAUSS))
+    # Omega = [[alpha, h], [beta, -alpha]]; Omega^2 = s2 I
+    alpha = (_MAGNUS_COMMUTATOR * h * h) * (V[0] - V[1])
+    beta = h * (0.5 * (V[0] + V[1]) - nu)
+    s2 = alpha * alpha + h * beta
+    s = np.sqrt(np.abs(s2))
+    turns = s2 < 0.0
+    worst = int(np.argmax(np.where(turns, s, 0.0)))
+    if turns[worst] and not s[worst] < math.pi:
+        r = a + h * worst
+        raise IntegrationError(
+            f"a Magnus interval at r = {r} turns the Pruefer angle by up to "
+            f"{s[worst]:.3g} >= pi for nu = {nu}", location=r)
+    with np.errstate(over="ignore", invalid="ignore"):
+        ch = np.where(turns, np.cos(s), np.cosh(s))
+        sh = np.divide(np.where(turns, np.sin(s), np.sinh(s)), s,
+                       out=np.ones_like(s), where=s > 0.0)
+        # exp(Omega) = ch I + sh Omega, one 2x2 matrix per interval
+        E = np.empty((2, 2, m))
+        E[0, 0] = ch + sh * alpha
+        E[0, 1] = sh * h
+        E[1, 0] = sh * beta
+        E[1, 1] = ch - sh * alpha
+        # Hillis-Steele prefix product: after the pass of stride d, E[..., j]
+        # holds the propagator over intervals j - 2d + 1 .. j
+        d = 1
+        while d < m:
+            A, B = E[:, :, d:], E[:, :, :-d]
+            E[:, :, d:] = (A[:, 0, None] * B[None, 0]
+                           + A[:, 1, None] * B[None, 1])
+            d *= 2
+        u, du = E[:, 0] * y0[0] + E[:, 1] * y0[1]
+    bad = ~(np.isfinite(u) & np.isfinite(du))
+    if np.any(bad):
+        r = a + h * (int(np.argmax(bad)) + 1)
+        raise IntegrationError(
+            f"the Magnus propagation for nu = {nu} is not finite at r = {r}",
+            location=r)
+    theta = np.arctan2(k * u, du)
+    # each interval turns the state by less than pi, so the principal value
+    # of each step's angle change is the true one
+    steps = np.diff(theta, prepend=math.atan2(k * y0[0], y0[1]))
+    wraps = np.rint(steps / (2.0 * math.pi)).sum()
+    return float(theta[-1] - 2.0 * math.pi * wraps)
+
+
+def magnus_prufer(potential, nu, span, y0, tol):
+    """Modified Pruefer angle theta(b) of u'' = (V(r) - nu) u on
+    span = (a, b), a < b, from the state y0 = (u(a), u'(a)).
+
+    With k = sqrt(max(nu, 1)), k u = rho sin(theta) and u' = rho cos(theta);
+    theta(a) = atan2(k u(a), u'(a)) and theta is continuous.  The potential
+    is vectorised: potential(r) maps an array of radii to V there.
+
+    Fourth-order Magnus (Iserles and Norsett 1999) on m equal intervals,
+    with V at two Gauss points r1, r2 of each: on an interval of width h,
+    Omega = [[alpha, h], [beta, -alpha]] with
+    alpha = (sqrt(3)/12) h^2 (V(r1) - V(r2)) (the commutator of the two
+    Gauss-point matrices, diagonal and free of nu) and
+    beta = h ((V(r1) + V(r2))/2 - nu), and exp(Omega) of this traceless
+    matrix is cosh(s) I + sinh(s)/s Omega with s^2 = alpha^2 + h beta
+    (cos and sin when s^2 < 0).  One call of the potential per mesh.  The
+    node states come from a log-depth prefix product of the interval
+    propagators, and theta = atan2(k u, u') at the nodes is unwrapped
+    interval by interval.  That is exact when every interval turns the
+    state by less than pi: an interval with s^2 >= 0 always does, and one
+    with s^2 < 0 (a rotation in a frame of its own, half a turn at
+    |s| = pi) does when |s| < pi, which is checked.
+
+    Error control: the scheme is symmetric, so the angle theta_m on m
+    intervals has an error expansion in even powers of 1/m.  The
+    Richardson value t_m = theta_m + (theta_m - theta_(m/2)) / 15 is then of
+    order six, and |t_2m - t_m| / 63 is the Richardson estimate of t_2m's
+    error.  m doubles from max(64, the power of two at or above k (b - a))
+    until that estimate between meshes m and 2m is at most tol (absolute,
+    in radians), and t_2m is returned.
+
+    theta's rounding error grows with |theta|, which is about k (b - a) or
+    less when V >= 0: a tol below the floor 10 eps max(1, k (b - a)) raises
+    ToleranceFloorError carrying tol / max(1, k (b - a)) and the floor
+    10 eps.  A propagation that is not finite, an interval that turns the
+    state by pi or more, or a mesh past 2^16 intervals raises
+    IntegrationError naming nu and the radius or the estimate.
+    """
+    a, b = float(span[0]), float(span[1])
+    if not a < b:
+        raise DomainValidationError(f"magnus_prufer needs a < b, got {span}")
+    k = math.sqrt(max(nu, 1.0))
+    scale = max(1.0, k * (b - a))
+    if not tol / scale >= _TOL_FLOOR:
+        raise ToleranceFloorError(
+            f"magnus_prufer needs tol >= {_TOL_FLOOR:.3g} * {scale:.6g}, "
+            f"got tol={tol}", tol=tol / scale, floor=_TOL_FLOOR, solver="ODE")
+    m = max(_MAGNUS_MIN_INTERVALS, 1 << math.ceil(math.log2(scale)))
+    theta = richardson = None
+    estimate = math.inf
+    while m <= _MAGNUS_MAX_INTERVALS:
+        finer = _magnus_angle(potential, nu, a, b, y0, k, m)
+        if theta is not None:
+            extrapolated = finer + (finer - theta) / 15.0
+            if richardson is not None:
+                estimate = abs(extrapolated - richardson) / 63.0
+                if estimate <= tol:
+                    return extrapolated
+            richardson = extrapolated
+        theta = finer
+        m *= 2
+    raise IntegrationError(
+        f"the Magnus shot for nu = {nu} reached {m // 2} intervals with "
+        f"Richardson estimate {estimate:.3g} above tol {tol}", location=b)
 
 
 # ---------------------------------------------------------------------------

@@ -85,6 +85,27 @@ def oracle_j0_first_zero():
 J0_FIRST_ZERO = 2.404825557695773
 
 
+def bessel_zero_count(order, x_lo, x_hi):
+    """Number of zeros of J_order in (x_lo, x_hi], 0 <= x_lo, from mpmath's
+    besseljzero."""
+    count, m = 0, 1
+    while (z := mp.besseljzero(mp.mpf(order), m)) <= x_hi:
+        count += z > x_lo
+        m += 1
+    return count
+
+
+def oracle_liouville_bessel(c, nu, r):
+    """(u, u') at r of u = r^(1/2) J_((c-1)/2)(r sqrt(nu)), the solution of
+    u'' = (c (c - 2) / (4 r^2) - nu) u, the Liouville form at spherical
+    index 0."""
+    with mp.workdps(30):
+        order, k, r = mp.mpf(c - 1) / 2, mp.sqrt(nu), mp.mpf(r)
+        J, dJ = mp.besselj(order, k * r), mp.besselj(order, k * r, 1)
+        return float(mp.sqrt(r) * J), float(J / (2 * mp.sqrt(r))
+                                            + mp.sqrt(r) * k * dJ)
+
+
 def second_derivative_5pt(f, x, h):
     """O(h^4) central second derivative."""
     return (-f(x + 2 * h) + 16 * f(x + h) - 30 * f(x)

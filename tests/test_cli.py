@@ -252,9 +252,12 @@ def test_coefficients_beyond_eigen_count_are_config_error(tmp_path):
     assert not (tmp_path / "eigs.csv").exists()
 
 
-# the first shot of the default eigen search runs at tol / (k r_out), with
-# k = sqrt(nu) at the WKB trial nu
-FIRST_SHOT_TOL = 1e-14 / (math.sqrt(_wkb_first_trial(P_DEFAULT, 1, 2.0)) * 2.0)
+# the first shot of the default eigen search holds its angle to tol over a
+# scale k (r_out - r_sw), with k = sqrt(nu) and the shot's anchor r_sw at
+# the WKB trial nu: its floor error carries tol / (k (r_out - r_sw))
+_NU_WKB = _wkb_first_trial(P_DEFAULT, 1, 2.0)
+FIRST_SHOT_TOL = 1e-14 / (math.sqrt(_NU_WKB)
+                          * (2.0 - tip_window_top(P_DEFAULT, _NU_WKB)))
 
 
 @pytest.mark.parametrize("command, value, derived", [
@@ -277,6 +280,12 @@ def test_ode_tolerance_below_floor_is_config_error(tmp_path, command, value,
     assert error.startswith(f"tolerances.ode={value} is too small: {command}")
     assert f"the ODE tolerance {derived:.3g}," in error
     assert f"floor {10 * np.finfo(float).eps:.3g}" in error
+
+
+def test_ode_tolerance_above_the_shot_floor_runs(tmp_path):
+    # at 1e-13 every shot of the default eigen search clears its floor
+    assert main(["eigs", "--out", str(tmp_path),
+                 "--set", "tolerances.ode=1e-13"]) == EXIT_OK
 
 
 @pytest.mark.parametrize("command, assignment, message", [

@@ -8,11 +8,12 @@ import pytest
 from support import count_field_calls
 
 from hornlab import (ConsistencyError, DomainValidationError, EigenPair,
-                     EigenSearchError, analyticity_probe, caloric_decay_check,
-                     dirichlet_eigenvalues, fit_line, lgamma_real,
-                     make_caloric_series, profile_from_k2, sphere_eigenvalue,
-                     tail_bound, time_derivative, tip_rate, weyl_check)
-from hornlab import heat, modes
+                     EigenSearchError, IntegrationError, analyticity_probe,
+                     caloric_decay_check, dirichlet_eigenvalues, fit_line,
+                     lgamma_real, liouville_potential, make_caloric_series,
+                     profile_from_k2, sphere_eigenvalue, tail_bound,
+                     time_derivative, tip_rate, weyl_check)
+from hornlab import heat, modes, numerics
 from hornlab.elliptic import bessel_state, constant_state
 from hornlab.modes import solve_k2, tip_window_top
 
@@ -55,30 +56,91 @@ def test_prufer_angle_counts_eigenvalues_exactly(pairs8_rout2, p_default):
     assert all(b > a for a, b in zip(thetas, thetas[1:]))
 
 
-@pytest.mark.parametrize("nu, theta, calls", [
-    (50.0, "0x1.0e4f2971f17dfp+3", [935, 2386]),
-    (300.0, "0x1.910dd09ff35acp+4", [851, 4777])], ids=["nu=50", "nu=300"])
+@pytest.mark.parametrize("nu, theta, meshes, calls", [
+    (50.0, 8.338885340778692, [64, 128, 256, 512], [935]),
+    (300.0, 25.06560319566165, [64, 128, 256, 512, 1024], [851])],
+    ids=["nu=50", "nu=300"])
 def test_shot_step_sequence_is_pinned(p_default, monkeypatch, nu, theta,
-                                      calls):
-    # the field calls of the two solves of a shot, tip anchor then Pruefer
-    # angle, and theta(r_out) bit for bit: a change to a field's arithmetic
-    # or to the step control shows here first
+                                      meshes, calls):
+    # a shot is one ODE solve, the tip anchor, with its field calls pinned,
+    # then Magnus meshes doubling up to the accepted one; one potential
+    # call per mesh, at its 2 M Gauss points.  A change to the step control
+    # or to the error estimate shows here first
     counts = count_field_calls(monkeypatch, heat, modes)
-    assert heat._shoot(p_default, 1, nu, 1.8, 1e-12) == float.fromhex(theta)
+    sizes = []
+
+    def potential(p, i, r):
+        sizes.append(r.size)
+        return liouville_potential(p, i, r)
+
+    monkeypatch.setattr(heat, "liouville_potential", potential)
+    got = heat._shoot(p_default, 1, nu, 1.8, 1e-12)
+    assert got == pytest.approx(theta, rel=0.0, abs=1e-13)
     assert counts == calls
+    assert [n // 2 for n in sizes] == meshes
 
 
-def test_shot_tolerance_below_solve_ivp_floor(p_default):
-    # near nu_30 the shot's ODE tolerance tol / (k r_out) is 9.3e-15, below
-    # the 100 eps that solve_ivp honours but above the compiled DOP853's
-    # 10 eps floor: the shot honours it without a warning and agrees with a
-    # looser shot
+def test_shot_near_nu_30_counts_and_converges(p_default):
+    # near nu_30 of index 2 the angle runs past 29 pi: the shot runs without
+    # a warning, counts 29 eigenvalues below nu and agrees with a looser shot
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         theta = heat._shoot(p_default, 2, 2896.0, 2.0, 1e-12)
     assert math.floor(theta / math.pi) == 29
     assert theta == pytest.approx(heat._shoot(p_default, 2, 2896.0, 2.0, 1e-11),
                                   rel=0.0, abs=1e-10)
+
+
+def test_shot_past_the_mesh_cap_names_nu(p_default, monkeypatch):
+    # the same shot with too few intervals allowed fails loudly, naming nu
+    # and the Richardson estimate it reached
+    monkeypatch.setattr(numerics, "_MAGNUS_MAX_INTERVALS", 512)
+    with pytest.raises(IntegrationError,
+                       match=r"nu = 2896\.0 reached 512 intervals with "
+                             r"Richardson estimate"):
+        heat._shoot(p_default, 2, 2896.0, 2.0, 1e-12)
+
+
+# _wkb_first_trial as recorded when it wrote its potential inline
+WKB_FIRST_TRIALS = {(1, 2.0): "0x1.35a2036a4a594p+3",
+                    (1, 1.6): "0x1.09a486c418307p+4",
+                    (1, 1.8): "0x1.8f3dab9ff4411p+3",
+                    (2, 2.0): "0x1.03af3ef490ce6p+4",
+                    (3, 1.8): "0x1.fb70494b07f91p+4",
+                    (1, 0.5): "0x1.3018910d9d2f7p+8"}
+
+
+def test_wkb_first_trial_is_bitwise_unchanged(p_default):
+    # the WKB trial reads the Liouville potential from geometry and keeps
+    # its recorded trials bit for bit
+    got = {key: heat._wkb_first_trial(p_default, *key).hex()
+           for key in WKB_FIRST_TRIALS}
+    assert got == WKB_FIRST_TRIALS
+
+
+# dirichlet_eigenvalues(p_default, 1, r_out, 8) and the zero counts, as the
+# DOP853 Pruefer shot gave them (tol and root_rel 1e-12)
+DOP853_SHOT_NU = {
+    1.6: [17.122468670741835, 43.14068087084759, 78.50108099207137,
+          122.92303050859707, 176.21842214039322, 238.2534137033523,
+          308.9273429071993, 388.16129726095954],
+    1.8: [12.886792549209687, 32.87397506292265, 60.20624029280506,
+          94.66401606138096, 136.10200012363822, 184.41728367405372,
+          239.53265745482227, 301.38768658542443],
+    2.0: [10.008605780696794, 25.807764065365912, 47.52967782391813,
+          74.99863468732698, 108.0995074043836, 146.75105312040597,
+          190.89243427789697, 240.47608771044912]}
+
+
+def test_eigenvalues_agree_with_the_dop853_shot(p_default, pairs8_rout2,
+                                                pairs12_rout16):
+    # the Magnus shot moves no eigenvalue by more than the root tolerance
+    # and no zero count at all
+    pairs = {1.6: pairs12_rout16[:8], 2.0: pairs8_rout2,
+             1.8: dirichlet_eigenvalues(p_default, 1, 1.8, 8)}
+    for r_out, want in DOP853_SHOT_NU.items():
+        assert [q.nu for q in pairs[r_out]] == pytest.approx(want, rel=1e-12)
+        assert [q.zeros for q in pairs[r_out]] == list(range(8))
 
 
 def test_eigensearch_budget_names_index(p_default, monkeypatch):

@@ -6,14 +6,15 @@ import weakref
 
 import numpy as np
 import pytest
-from support import (J0_FIRST_ZERO, filled, oracle_besselj, oracle_bessely,
-                     oracle_gamma, oracle_j0_first_zero)
+from support import (J0_FIRST_ZERO, bessel_zero_count, filled,
+                     oracle_besselj, oracle_bessely, oracle_gamma,
+                     oracle_j0_first_zero, oracle_liouville_bessel)
 
 from hornlab import (DomainValidationError, IntegrationError, QuadratureError,
                      RootBracketError, ToleranceFloorError, bessel_j,
                      bessel_j_prime, bessel_y, bessel_y_prime, check_in_range,
                      find_root_bracketed, fit_line, gamma_real, integrate_ode,
-                     quad_log)
+                     liouville_potential, magnus_prufer, quad_log)
 
 
 # ---------------------------------------------------------------------------
@@ -415,6 +416,53 @@ def test_ode_endpoint_only_failure_reports_location():
             integrate_ode(lambda x, y, out: filled(out, y * y), (0.0, 2.0),
                           [1.0], 1e-10, dense=False)
     assert 0.9 <= err.value.location <= 2.0
+
+
+# ---------------------------------------------------------------------------
+# Magnus Pruefer angle
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("nu", [2.0, 50.0, 400.0])
+def test_magnus_prufer_matches_the_bessel_angle(p_default, nu):
+    # at spherical index 0 the Liouville potential is c (c - 2) / (4 r^2),
+    # solved by u = r^(1/2) J_((c-1)/2)(r sqrt(nu)): theta(b) is pi times
+    # the zeros of u in (a, b] plus the angle of (k u(b), u'(b)) mod pi
+    a, b = 0.2, 2.0
+    k = math.sqrt(nu)
+    theta = magnus_prufer(lambda r: liouville_potential(p_default, 0, r), nu,
+                          (a, b), oracle_liouville_bessel(p_default.c, nu, a),
+                          1e-12)
+    zeros = bessel_zero_count((p_default.c - 1) / 2, k * a, k * b)
+    u, du = oracle_liouville_bessel(p_default.c, nu, b)
+    assert math.floor(theta / math.pi) == zeros
+    assert theta == pytest.approx(
+        math.pi * zeros + math.atan2(k * u, du) % math.pi, rel=0.0, abs=1e-12)
+
+
+def test_magnus_prufer_refuses_a_tolerance_below_its_floor():
+    # the floor is 10 eps per unit of theta's scale k (b - a) = 20: the
+    # floor error carries tol / 20 and the floor 10 eps, as an ODE one
+    eps = np.finfo(float).eps
+    magnus_prufer(np.zeros_like, 100.0, (0.0, 2.0), (0.0, 1.0), 200 * eps)
+    with pytest.raises(ToleranceFloorError, match="tol=") as err:
+        magnus_prufer(np.zeros_like, 100.0, (0.0, 2.0), (0.0, 1.0), 190 * eps)
+    assert isinstance(err.value, DomainValidationError)
+    assert (err.value.tol, err.value.floor, err.value.solver) == \
+        (190 * eps / 20.0, 10 * eps, "ODE")
+
+
+@pytest.mark.parametrize("level, message", [
+    (-1e6, r"at r = 0\.0 turns the Pruefer angle by up to 15\.6 >= pi "
+           r"for nu = 1\.0"),
+    (1e8, r"for nu = 1\.0 is not finite at r = 0\.")])
+def test_magnus_prufer_fails_loudly(level, message):
+    # a well too deep for the first mesh of 64 intervals, and a barrier the
+    # solution grows through past the double range, each name nu and r
+    with pytest.raises(IntegrationError, match=message) as err:
+        magnus_prufer(lambda r: np.full_like(r, level), 1.0, (0.0, 1.0),
+                      (0.0, 1.0), 1e-12)
+    assert 0.0 <= err.value.location <= 1.0
 
 
 # ---------------------------------------------------------------------------
