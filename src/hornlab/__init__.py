@@ -27,10 +27,11 @@ from .heat import (CaloricSeries, EigenPair, analyticity_probe,
 from .modes import (RadialProfile, decay_exponent_fit, normalization_bound,
                     profile_from_k2, r_mu, radial_mode_zero, solve_k1,
                     solve_k2, tip_exponent, tip_rate)
-from .numerics import (DenseSolution, LineFit, bessel_j, bessel_j_prime,
+from .numerics import (LineFit, QuinticHermite, bessel_j, bessel_j_prime,
                        bessel_y, bessel_y_prime, check_in_range,
                        find_root_bracketed, fit_line, gamma_real,
-                       integrate_ode, lgamma_real, magnus_prufer, quad_log)
+                       lgamma_real, magnus_dense, magnus_log_derivative,
+                       magnus_prufer, quad_log)
 from .parabolic import (UnitCaloric, check_D_lower, check_ID_relation,
                         check_N_bound, kernel_log, parabolic_IDN,
                         parabolic_scan)

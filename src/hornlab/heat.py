@@ -20,7 +20,8 @@ The outer equation is linear and nu enters it only as a shift of V, so a
 shot propagates it with numerics.magnus_prufer: fourth-order Magnus over
 a mesh of equal intervals, all at once in numpy, with theta unwrapped
 interval by interval and a Richardson error estimate held to the shot's
-tolerance in absolute theta.  The tip anchor stays a DOP853 solve.
+tolerance in absolute theta.  The tip anchor and an eigenfunction's outer
+part are sweeps of the same propagator.
 
 Series evaluation, time derivatives and the tail bound all run in signed
 log space; the dropped tail is majorized through the empirical two-sided
@@ -32,36 +33,23 @@ estimate, not a proved bound.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import (ConsistencyError, DomainValidationError,
                      EigenSearchError)
-from .geometry import liouville_potential, measure_weight, sphere_eigenvalue
+from .geometry import liouville_potential
 from .logspace import NEG_INF, logsumexp_signed
 from .modes import (RadialProfile, log_norm_sq, profile_from_k2, r_mu,
                     tip_anchor, tip_rate, tip_window_top)
-from .numerics import (find_root_bracketed, fit_line, integrate_ode,
-                       lgamma_real, magnus_prufer)
+from .numerics import (find_root_bracketed, fit_line, lgamma_real,
+                       magnus_dense, magnus_prufer)
 
 
 # ---------------------------------------------------------------------------
 # Shooting machinery
 # ---------------------------------------------------------------------------
-
-
-def _outer_field(p, i, nu):
-    mu_i = sphere_eigenvalue(p.n, i)
-    c = p.c
-    ee = -2.0 - 2.0 * p.eps
-
-    def fld(r, y, out):
-        out[0] = y[1]
-        out[1] = -(c / r) * y[1] + (4.0 * mu_i * r ** ee - nu) * y[0]
-        return out
-
-    return fld
 
 
 def _shoot(p, i, nu, r_out, tol):
@@ -206,60 +194,65 @@ def _build_pair(p, i, nu, r_out, tol):
     tip = profile_from_k2(p, i, nu, r_tip_lo, n_grid=48, tol=tol)
     _, log_at_anchor, dlog_anchor = (float(v) for v in tip.eval_log(r_sw))
 
-    # the outer solve carries the outer part of the L2(w dr) norm,
-    # int_{r_sw}^r f^2 w, as its third component
-    fld = _outer_field(p, i, nu)
+    # the outer part: one dense pass from the anchor of w = r^((c-1)/2) f,
+    # w'' = (r^2 (V - nu) + 1/4) w in K log r (K, the fastest turn per unit
+    # of log r), whose uniform mesh resolves the barrier above r_sw and the
+    # oscillations alike; it reads f, at most 1 in size at the nodes
+    K = r_out * math.sqrt(max(nu, 1.0))
+    a = 0.5 * (1.0 - p.c) / K
 
-    def fld_norm(r, y, out):
-        fld(r, y, out)
-        out[2] = y[0] * y[0] * measure_weight(p, r)
-        return out
+    def potential(x):
+        r = np.exp(x / K)
+        return (r * r * (liouville_potential(p, i, r) - nu) + 0.25) / (K * K)
 
-    sol = integrate_ode(fld_norm, (r_sw, r_out), [1.0, dlog_anchor, 0.0], tol)
+    def read(x, log, y):
+        w = np.exp(log - log.max() + a * x)
+        f, df = w * y[0], w * (y[1] + a * y[0])
+        d2f = w * ((potential(x) + a * a) * y[0] + 2.0 * a * y[1])
+        big = np.max(np.abs(f))
+        return f / big, df / big, d2f / big
 
-    # L2(w dr) norm: outer part in linear space, tip part in log space
-    tip_n = math.exp(log_norm_sq(tip, r_tip_lo, r_sw, 1e-12)
-                     - 2.0 * log_at_anchor)
-    # below r_tip_lo the density has shed about 2*40 e-foldings; that part
-    # of the norm is dropped, and nothing bounds it
-    norm = math.sqrt(sol.step_states[2, -1] + tip_n)
-    scale_log = -math.log(norm)
+    _, f, outer = magnus_dense(
+        potential, 0.0, (K * math.log(r_sw), K * math.log(r_out)),
+        (1.0, (r_sw * dlog_anchor + 0.5 * p.c - 0.5) / K), tol, read)
+    tip_shift = math.log(f[0]) - log_at_anchor  # onto the outer f(r_sw) > 0
+    scale_log = 0.0  # until the norm is known
 
     def evaluator(r):
-        # below r_sw the tip branch, rescaled to the outer solution's
-        # f(r_sw) = 1; from r_sw on the outer solve.  Each array is masked
-        # on its own, several times faster than out[:, mask] = (...)
+        # the tip branch below r_sw, the outer pass above; each array is
+        # masked on its own, several times faster than out[:, mask] = (...)
         inner = r < r_sw
+        outside = ~inner
         out = [np.empty(r.shape) for _ in range(3)]
-        if np.any(inner):
+        if inner.any():
             sgn, lm, ld = tip.eval_log(r[inner])
-            for o, v in zip(out, (sgn, lm - log_at_anchor + scale_log, ld)):
+            for o, v in zip(out, (sgn, lm + (tip_shift + scale_log), ld)):
                 o[inner] = v
-        fv, fpv = sol.states(r[~inner])[:2]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            outer = (np.sign(fv), np.log(np.abs(fv)) + scale_log, fpv / fv)
-        for o, v in zip(out, outer):
-            o[~inner] = v
+        if outside.any():
+            r_outside = r[outside]
+            fv, dfv = outer(K * np.log(r_outside))
+            with np.errstate(divide="ignore", invalid="ignore"):
+                vals = (np.sign(fv), np.log(np.abs(fv)) + scale_log,
+                        K * dfv / (fv * r_outside))
+            for o, v in zip(out, vals):
+                o[outside] = v
         return out
 
-    # the grid marks the cap, the seam and the bottom of the tip branch
-    g = RadialProfile(params=p, i=i, mu=nu,
-                      s_grid=np.array([r_out ** -p.eps, s_lo, tip.s_grid[-1]]),
-                      evaluator=evaluator)
+    # the grid marks the cap, the seam and the bottom of the tip branch.
+    # The L2(w dr) norm drops the part below r_tip_lo, where the density has
+    # shed about 2*40 e-foldings; nothing bounds it
+    grid = np.array([r_out ** -p.eps, s_lo, tip.s_grid[-1]])
+    g = RadialProfile(params=p, i=i, mu=nu, s_grid=grid, evaluator=evaluator)
+    scale_log = -0.5 * log_norm_sq(g, g.r_min, r_out, 1e-12)
+    g = replace(g)  # its grid values at the final scale
 
-    # the Dirichlet defect and the zero count read the outer solve on a node
-    # grid fine enough to separate neighbouring zeros
-    n_outer = max(1200, int(120.0 * math.sqrt(max(nu, 1.0)) * r_out))
-    r_nodes = np.linspace(r_sw, r_out, n_outer)
-    f_nodes = sol.states(r_nodes)[0]
-    mx = float(np.max(np.abs(f_nodes)))
-    norm_defect = abs(f_nodes[-1]) / mx
+    # each interval of the pass turns by less than pi, so a sign change
+    # between nodes is exactly one zero; the last interval holds r_out's
+    norm_defect = abs(f[-1]) / float(np.max(np.abs(f)))
     if norm_defect > 1e-8:
         raise ConsistencyError(
             f"Dirichlet defect {norm_defect} at r_out for nu = {nu}")
-    interior = f_nodes[(r_nodes > r_sw) & (r_nodes < r_out * (1 - 1e-3))]
-    live = interior[np.abs(interior) > 1e-9 * mx]
-    zeros = int(np.sum(np.sign(live[:-1]) * np.sign(live[1:]) < 0))
+    zeros = int(np.count_nonzero(np.diff(np.signbit(f[:-1]))))
     return EigenPair(nu=nu, mode_index=i, g=g, r_out=r_out, zeros=zeros,
                      norm_defect=norm_defect)
 

@@ -12,14 +12,14 @@ beta = (c-1-eps)/(2 eps) brings this to normal form on the tip side,
 with A = beta (beta + 1).  Past the threshold abscissa s = r_mu the bracket
 A s^-2 - (mu/eps^2) s^(-2/eps-2) lies in [0, 1], so q(s), the whole
 coefficient, lies in [rho^2, rho^2 + 1] with rho = 2 sqrt(mu_i)/eps, and
-solutions behave like exp(+-rho s) up to explicit two-sided bounds.  The
-growing branch k1 is integrated forward from unit Cauchy data at r_mu.
+solutions behave like exp(+-rho s) up to explicit two-sided bounds.  Both
+branches are swept as this linear equation by numerics' Magnus propagator;
+the growing branch k1 forward from unit Cauchy data at r_mu.
 
-The decaying branch k2 is carried by its logarithmic derivative
-kappa = k2'/k2, which solves the Riccati equation kappa' = q - kappa^2,
-and by Lambda' = kappa.  A comparison argument puts kappa in
-[-sqrt(rho^2+1), -rho] on [r_mu, inf), because k2 stays positive and
-tends to 0:
+The decaying branch k2 has the logarithmic derivative kappa = k2'/k2,
+which solves the Riccati equation kappa' = q - kappa^2.  A comparison
+argument puts kappa in [-sqrt(rho^2+1), -rho] on [r_mu, inf), because k2
+stays positive and tends to 0:
 
   - if kappa(s0) > -rho, then kappa' >= rho^2 - kappa^2 keeps kappa above
     -rho and, like the solution of kappa' = rho^2 - kappa^2 started there,
@@ -29,17 +29,18 @@ tends to 0:
 
 The same inequalities make the interval invariant for the flow in
 decreasing s, and the difference d of two solutions inside it obeys
-d' = -(kappa_a + kappa_b) d with -(kappa_a + kappa_b) >= 2 rho.  So the
-pair is integrated *backward*, down to r_mu from
+d' = -(kappa_a + kappa_b) d with -(kappa_a + kappa_b) >= 2 rho.  So k2 is
+swept *backward*, down to r_mu from
 
     s_far = s_top + (30 + log(rho + 1))/(2 rho) + 0.5,
-    kappa(s_far) = -sqrt(q(s_far)),
+    (k, k')(s_far) = (1, -sqrt(q(s_far))),
 
 where s_top is the top of the span wanted.  The start lies in the
 interval, so its error is at most sqrt(rho^2+1) - rho, and it shrinks like
 exp(-2 rho (s_far - s)).  The Wronskian k1 k2' - k1' k2 = -1, with
-k1 = k1' = 1 at r_mu, fixes the scale: log k2(r_mu) = -log(1 - kappa(r_mu))
-and log k2(s) = log k2(r_mu) + Lambda(s) - Lambda(r_mu).  Nothing is
+k1 = k1' = 1 at r_mu, fixes the scale: log k2(r_mu) = -log(1 - kappa(r_mu)).
+A branch is read as log k and kappa off one interpolant of log k, whose
+second derivative at a node is kappa' = q - kappa^2; nothing is
 exponentiated, so the span has no representable-range limit.
 
 Everything tip-side is represented as (sign, log-magnitude): the physical
@@ -55,7 +56,8 @@ import numpy as np
 from .artifacts import write_csv
 from .errors import ConsistencyError, DomainValidationError
 from .geometry import measure_weight_log, sphere_eigenvalue
-from .numerics import check_in_range, fit_line, integrate_ode, quad_log
+from .numerics import (check_in_range, fit_line, magnus_dense,
+                       magnus_log_derivative, quad_log)
 
 
 def tip_exponent(p):
@@ -128,11 +130,65 @@ def _check_sandwich(rho, span, log_k, lower, upper, branch):
             f"{branch} tip branch violates its two-sided exponential bounds")
 
 
+class TipBranch:
+    """A tip branch k on span = (s_lo, s_hi): log k is interpolant (of
+    sigma = rho s, from _tip_dense) plus offset, kappa = k'/k rho times its
+    slope.  tail_rel_uncertainty bounds the error that a backward start
+    leaves in kappa at s_hi (0 from exact data)."""
+
+    def __init__(self, span, q, rho, interpolant, offset=0.0,
+                 tail_rel_uncertainty=0.0):
+        self.span = span
+        self._q = q
+        self._rho = rho
+        self._log_k = interpolant
+        self._offset = offset
+        self.tail_rel_uncertainty = tail_rel_uncertainty
+
+    def log_eval(self, s):
+        """(log k, kappa = k'/k) at s (scalar or array)."""
+        check_in_range(s, *self.span, "tip abscissa s")
+        L, slope = self._log_k(self._rho * np.asarray(s, dtype=float))
+        return L + self._offset, self._rho * slope
+
+    def states(self, s):
+        """(k, k') at s, of shape (2, *shape of s)."""
+        L, kap = self.log_eval(s)
+        v = np.exp(L)
+        return np.array([v, kap * v])
+
+    def eval(self, s):
+        """((k, k'), (k', k'')) in linear space; k'' = q k."""
+        y = self.states(s)
+        return y, np.array([y[1], self._q(s) * y[0]])
+
+
+def _in_sigma(q, rho, sweep, y0):
+    """k'' = q k over sweep = (start, end) from y0 = (k, k'), as the
+    arguments (potential, nu, span, y0) of a numerics sweep in
+    sigma = rho s, where d^2k/dsigma^2 = (q / rho^2) k: the branches turn at
+    about unit rate, so k and dk/dsigma = k' / rho have one size."""
+    return ((lambda sigma: q(sigma / rho) / (rho * rho)), 0.0,
+            (rho * sweep[0], rho * sweep[1]), (y0[0], y0[1] / rho))
+
+
+def _tip_dense(q, rho, sweep, y0, tol):
+    """numerics.magnus_dense of k'' = q k over sweep from y0 in sigma, read
+    as log k (k keeps one sign past r_mu)."""
+    potential, nu, span, start = _in_sigma(q, rho, sweep, y0)
+
+    def read(sigma, log, y):
+        slope = y[1] / y[0]
+        return log + np.log(y[0]), slope, potential(sigma) - slope * slope
+
+    return magnus_dense(potential, nu, span, start, tol, read)
+
+
 def solve_k1(p, i, mu, s_max, tol=1e-12):
     """Growing branch of the normal-form tip equation on [r_mu, s_max].
 
-    Unit Cauchy data k = k' = 1 at s = r_mu; the solution is verified
-    against its two-sided exponential bounds on construction.
+    Unit Cauchy data k = k' = 1 at s = r_mu, swept forward; the solution is
+    verified against its two-sided exponential bounds on construction.
     """
     if not i >= 1:
         raise DomainValidationError("solve_k1 needs i >= 1 (mu_i > 0)")
@@ -141,91 +197,40 @@ def solve_k1(p, i, mu, s_max, tol=1e-12):
         raise DomainValidationError(
             f"s_max must exceed r_mu = {s_lo}, got {s_max}")
     q = _q_factory(p, i, mu)
-
-    def fld(s, y, out):
-        out[0] = y[1]
-        out[1] = q(s) * y[0]
-        return out
-
-    sol = integrate_ode(fld, (s_lo, s_max), [1.0, 1.0], tol)
     rho = tip_rate(p, i)
-    _check_sandwich(rho, (s_lo, s_max), lambda ss: np.log(sol.states(ss)[0]),
+    k1 = TipBranch((s_lo, s_max), q, rho,
+                   _tip_dense(q, rho, (s_lo, s_max), (1.0, 1.0), tol)[2])
+    _check_sandwich(rho, k1.span, lambda ss: k1.log_eval(ss)[0],
                     (-math.log(rho), rho), (0.0, rho + 1.0), "growing")
-    return sol
+    return k1
 
 
 def _s_far(rho, s_top):
-    """Start of the backward Riccati integration for a span ending at s_top;
-    the start's error has shrunk by (rho + 1) e^(30 + rho) at s_top."""
+    """Start of the backward sweep for a span ending at s_top; the start's
+    error has shrunk by (rho + 1) e^(30 + rho) at s_top."""
     return s_top + (30.0 + math.log(rho + 1.0)) / (2.0 * rho) + 0.5
 
 
 def tip_anchor(p, i, mu, tol):
-    """(r_mu^(-1/eps), d log f/dr there) of the decaying tip branch.
-
-    Only kappa = k2'/k2 is integrated, backward from s_far to r_mu and
-    endpoint only, so this is the cheap anchor of a shot; profile_from_k2
-    gives the same slope as its log_deriv[0].
+    """(r_mu^(-1/eps), d log f/dr there) of the decaying tip branch: only
+    kappa(r_mu) is wanted, so one backward sweep with its error estimate
+    taken at r_mu (numerics.magnus_log_derivative) is the cheap anchor of a
+    shot; profile_from_k2 gives the same slope as its log_deriv[0].
     """
     s_lo = r_mu(p, mu)
-    s_far = _s_far(tip_rate(p, i), s_lo)
+    rho = tip_rate(p, i)
+    s_far = _s_far(rho, s_lo)
     q = _q_factory(p, i, mu)
-
-    def fld(s, y, out):
-        kappa = y.item()
-        out[0] = q(s) - kappa * kappa
-        return out
-
-    kappa = integrate_ode(fld, (s_far, s_lo), [-math.sqrt(q(s_far))], tol,
-                          dense=False)[0]
+    kappa = rho * magnus_log_derivative(
+        *_in_sigma(q, rho, (s_far, s_lo), (1.0, -math.sqrt(q(s_far)))), tol)
     r_top = s_lo ** (-1.0 / p.eps)
     return r_top, float(_tip_log(p, s_lo, r_top, 0.0, kappa)[1])
 
 
-class TipDecaySolution:
-    """Decaying branch k2 on [r_mu, s_max] (DenseSolution-compatible).
-
-    Holds the backward Riccati solve, a DenseSolution of (kappa2, Lambda)
-    on [r_mu, s_far], and reads log k2 and its logarithmic derivative off
-    its continuous extension:
-    log k2(s) = Lambda(s) - Lambda(r_mu) - log(1 - kappa2(r_mu)).
-    tail_rel_uncertainty = (sqrt(rho^2+1) - rho) exp(-2 rho (s_far - s_max))
-    bounds the error that the backward start leaves in kappa at s_max, the
-    worst point of the span.  eval() reproduces linear-space values where
-    they are representable.
-    """
-
-    def __init__(self, span, sol, q, tail_rel_uncertainty):
-        self.span = span
-        self._q = q
-        self._sol = sol
-        # the solve ends at r_mu: its last recorded state fixes the scale
-        kappa_lo, lam_lo = sol.step_states[:, -1]
-        self._log_offset = -lam_lo - math.log(1.0 - kappa_lo)
-        self.tail_rel_uncertainty = tail_rel_uncertainty
-
-    def log_eval(self, s):
-        """(log k2, kappa2 = k2'/k2) at s (scalar or array)."""
-        check_in_range(s, *self.span, "tip abscissa s")
-        kappa2, lam = self._sol.states(s)
-        return lam + self._log_offset, kappa2
-
-    def eval(self, s):
-        """((k2, k2'), (k2', k2'')) in linear space."""
-        L, kap = self.log_eval(s)
-        v = np.exp(L)
-        vp = kap * v
-        return np.array([v, vp]), np.array([vp, self._q(s) * v])
-
-
 def solve_k2(p, i, mu, s_max, tol=1e-12):
-    """Decaying branch on [r_mu, s_max] from one backward Riccati solve.
-
-    kappa and Lambda are integrated from s_far down to r_mu as one dense
-    solve, which the returned TipDecaySolution evaluates directly; the
-    Wronskian scale fixes log k2(r_mu).  Raises ConsistencyError if the
-    start at s_far could leave a kappa error above 1e-12 anywhere on the
-    span.
+    """Decaying branch on [r_mu, s_max] from one backward sweep, s_far down
+    to r_mu, scaled by the Wronskian.  Raises ConsistencyError if the start
+    at s_far could leave a kappa error above 1e-12 anywhere on the span.
     """
     if not i >= 1:
         raise DomainValidationError("solve_k2 needs i >= 1 (mu_i > 0)")
@@ -242,14 +247,12 @@ def solve_k2(p, i, mu, s_max, tol=1e-12):
             f"backward start uncertainty {rel_unc:.2e} exceeds 1e-12; "
             "start window too short")
     q = _q_factory(p, i, mu)
-
-    def fld(s, y, out):
-        out[0] = q(s) - y[0] * y[0]
-        out[1] = y[0]
-        return out
-
-    sol = integrate_ode(fld, (s_far, s_lo), [-math.sqrt(q(s_far)), 0.0], tol)
-    k2 = TipDecaySolution((s_lo, s_max), sol, q, rel_unc)
+    sigma, _, log_k = _tip_dense(q, rho, (s_far, s_lo),
+                                 (1.0, -math.sqrt(q(s_far))), tol)
+    # the sweep ends at r_mu: its last node fixes the scale
+    L, slope = log_k(sigma[-1])
+    k2 = TipBranch((s_lo, s_max), q, rho, log_k,
+                   -float(L) - math.log(1.0 - rho * float(slope)), rel_unc)
     _check_sandwich(rho, k2.span, lambda ss: k2.log_eval(ss)[0],
                     (-math.log(2.0 * (rho ** 2 + rho)), -rho - 2.0),
                     (math.log(rho / 2.0), -rho + 1.0), "decaying")

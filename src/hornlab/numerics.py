@@ -1,37 +1,27 @@
 """Shared numerical kernels.
 
-Every kernel is a thin contract over scipy: real-order Bessel functions
-J_nu, Y_nu and their derivatives (scipy.special, after Amos, ACM TOMS
-Algorithm 644), the real Gamma function and its logarithm, ODE integration
-(Hairer's compiled DOP853, one backend with one tolerance floor; a dense
-solve rebuilds Hairer's continuous extension from the recorded steps, with
-scipy's coefficient table, so its field must accept arrays), the Pruefer
-angle of a linear equation u'' = (V - nu) u by fourth-order Magnus
-propagation in numpy (magnus_prufer, with its own error estimate and
-floor), composite Gauss-Legendre quadrature of log-represented integrands,
-bracketed root finding (Brent) and line fitting.
+Every kernel is a thin contract over scipy or numpy: real-order Bessel
+functions J_nu, Y_nu and their derivatives (scipy.special, after Amos, ACM
+TOMS Algorithm 644), the real Gamma function and its logarithm, the lab's
+one linear propagator, fourth-order Magnus for u'' = (V - nu) u in numpy,
+with three reductions held to their tolerance above a stated floor (the
+Pruefer angle, the end log-derivative and dense node states, read by a
+quintic Hermite interpolant), composite Gauss-Legendre quadrature of
+log-represented integrands, bracketed root finding (Brent) and line
+fitting.
 The wrappers fix the domains and the error types, so every caller and test
 exercises the same surface, and an argument outside a function's domain
 raises DomainValidationError instead of returning nan.
 
-An ODE field has one calling convention, field(x, y, out) -> out: it
-writes the derivative of the state y at x into the float buffer out, of
-y's shape, and returns out.  A solve owns one buffer and hands it to every
-call, so no call builds a container of its own.  An exception the field
-raises stops the solve at once, and integrate_ode raises it; a field that
-returns anything but out stops it with a TypeError.
+A potential is vectorised: potential(r) maps an array of abscissae to the
+potential there, in one call per mesh.
 """
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial import polynomial as P
 from scipy import special
-from scipy.integrate import ode
-from scipy.integrate._ivp import dop853_coefficients as _DOP
-from scipy.interpolate import PPoly
 from scipy.optimize import brentq
 
 from .errors import (DomainValidationError, IntegrationError, QuadratureError,
@@ -130,193 +120,7 @@ def bessel_y_prime(nu, x):
 
 
 # ---------------------------------------------------------------------------
-# ODE integration
-# ---------------------------------------------------------------------------
-
-
-class DenseSolution:
-    """Continuously evaluable ODE solution on a fixed span.
-
-    Carries the accepted steps of the solve (abscissae `steps`, states
-    `step_states` as an (n, len(steps)) array) and, as one piecewise
-    polynomial, Hairer's order-7 continuous extension of DOP853 on each
-    step; the extension passes through the recorded states.  eval(x)
-    returns (state, d/dx state); the derivative is recomputed from the
-    vector field, so it satisfies the ODE exactly at the interpolated
-    state.
-    """
-
-    def __init__(self, field, span, steps, step_states):
-        self._field = field
-        self.span = (float(span[0]), float(span[1]))
-        self.steps = steps
-        self.step_states = step_states
-        # axis=1: the state axis leads the values, as in step_states
-        self._poly = PPoly(_continuous_extension(field, steps, step_states),
-                           steps, axis=1)
-
-    def eval(self, x):
-        y = self.states(x)
-        return y, self._field(x, y, np.empty_like(y))
-
-    def states(self, xs):
-        """States at abscissae xs of any shape, (n, *xs.shape); a scalar
-        gives (n,)."""
-        check_in_range(xs, *sorted(self.span), "ODE abscissa")
-        return self._poly(xs)
-
-
-def _extension_basis(k):
-    """Ascending coefficients of t^(k//2 + 1) (1 - t)^((k + 1)//2), the
-    polynomial that multiplies F_k in the continuous extension."""
-    c = P.polymul(P.polypow([0.0, 1.0], k // 2 + 1),
-                  P.polypow([1.0, -1.0], (k + 1) // 2))
-    return np.pad(c, (0, 8 - c.size))
-
-
-# (power of t, k): the extension minus y0 is sum_k F_k basis_k(t)
-_EXTENSION_POWERS = np.stack([_extension_basis(k) for k in range(7)], axis=1)
-
-
-def _continuous_extension(field, steps, step_states):
-    """PPoly coefficients (n, 8, len(steps) - 1) of Hairer's continuous
-    extension of DOP853 on each recorded step, with the F_k that
-    solve_ivp's Dop853DenseOutput builds.
-
-    The stages of every step are recomputed from its start, one array call
-    of the field per stage, which fills that stage's (n, len(steps) - 1)
-    slice of K: the 12 of the step, f at the recorded end, and the 3 extra
-    stages of the extension.  delta_y = F_0 is the difference
-    of the recorded states, so each polynomial runs from its step's start
-    state to its end state.  In the step fraction t = (x - x0) / h the
-    extension is
-
-        y0 + F0 t + F1 t (1-t) + F2 t^2 (1-t) + F3 t^2 (1-t)^2 + ...
-           + F6 t^4 (1-t)^3,
-
-    solve_ivp's nested form expanded, here into powers of x - x0.
-    """
-    h = np.diff(steps)
-    x0, y0, y1 = steps[:-1], step_states[:, :-1], step_states[:, 1:]
-    K = np.empty((_DOP.N_STAGES_EXTENDED, *y0.shape))
-    for s in range(_DOP.N_STAGES_EXTENDED):
-        if s == _DOP.N_STAGES:
-            field(steps[1:], y1, K[s])
-        else:
-            field(x0 + _DOP.C[s] * h,
-                  y0 + h * np.tensordot(_DOP.A[s, :s], K[:s], 1), K[s])
-    dy = y1 - y0
-    F = np.stack([dy, h * K[0] - dy, 2.0 * dy - h * (K[_DOP.N_STAGES] + K[0]),
-                  *(h * np.tensordot(_DOP.D, K, 1))])
-    a = np.tensordot(_EXTENSION_POWERS, F, 1)
-    a[0] = y0
-    powers = np.arange(7, -1, -1)[:, None, None]
-    return (a[::-1] / h ** powers).transpose(1, 0, 2)
-
-
-# the smallest tolerance the compiled DOP853 honours: 10 eps
-_TOL_FLOOR = 10.0 * float(np.finfo(float).eps)
-_NO_STEP_BUDGET = 2**31 - 1  # the largest int32 step cap: no budget
-
-
-# The compiled runner leaks a reference to each callable it is handed, so it
-# gets module-level ones only.  The field, the solve's step log and its
-# derivative buffer ride as extra arguments, which the runner passes to the
-# field and to the step callback alike, and does not leak.  The runner
-# swallows an exception raised in a callback and goes on stepping, and it
-# reads n values from whatever array the field returns, whatever its length;
-# so a field that raises or returns anything but its buffer has the
-# exception kept on the log, the buffer is zeroed, and the step callback's
-# -1 ends the solve after the step under way.
-def _call_field(x, y, field, log, out):
-    try:
-        if field(x, y, out) is out:
-            return out
-        raise TypeError("an ODE field must fill and return its out buffer")
-    except BaseException as exc:  # a KeyboardInterrupt too: re-raised below
-        if log.error is None:
-            log.error = exc
-        out.fill(0.0)
-        return out
-
-
-def _record_step(x, y, field, log, out):
-    log.append((x, y.copy()))  # y is the runner's work array
-    return 1 if log.error is None else -1
-
-
-def _continue(x, y, field, log, out):
-    return 1 if log.error is None else -1
-
-
-class _StepLog(list):
-    """The accepted steps of one solve, as (x, state) pairs (recorded for a
-    dense solve only), and the first exception its field raised."""
-
-    error = None
-
-
-def integrate_ode(field, span, y0, tol, dense=True):
-    """Adaptive explicit integration: DOP853, the 8(5,3) Runge-Kutta pair
-    of Dormand and Prince with Hairer's error norm and step control, run
-    by Hairer's compiled code (scipy.integrate.ode), so no Python runs per
-    step beyond the field and a one-line step callback.
-
-    Local error per unit step is controlled at `tol`, as rtol = tol and
-    atol = tol / 100, with no step budget and no stiffness interrupt; the
-    span may run backward.  A tol below the floor 10 eps raises
-    ToleranceFloorError (a DomainValidationError carrying tol and the
-    floor); step-size underflow raises IntegrationError carrying the
-    failure location.
-
-    The field is called as field(x, y, out) -> out: it writes the
-    derivative at abscissa x and state y into out, a float buffer of y's
-    shape, and returns out.  During the solve x is a float and y and out
-    are arrays of size n, and the solve hands the same buffer to every
-    call.  An exception the field raises ends the solve and is raised from
-    here, with nothing returned; so does a TypeError when the field
-    returns anything but out.
-
-    Returns a DenseSolution on `span`, rebuilt from the recorded steps
-    after the solve; its field must then also accept an array of abscissae
-    with states and out of shape (n, len(x)).  With dense=False it returns
-    only the state at span[1], as an array, and the field sees scalar
-    abscissae only.
-    """
-    if not tol >= _TOL_FLOOR:
-        raise ToleranceFloorError(
-            f"integrate_ode needs tol >= {_TOL_FLOOR:.3g}, got tol={tol}",
-            tol=tol, floor=_TOL_FLOOR, solver="ODE")
-    y0 = np.atleast_1d(np.asarray(y0, dtype=float))
-    solver = ode(_call_field).set_integrator(
-        "dop853", rtol=tol, atol=tol * 1e-2, nsteps=_NO_STEP_BUDGET)
-    log = _StepLog()
-    solver.set_f_params(field, log, np.empty(y0.size))
-    solver.set_initial_value(y0, span[0])
-    dop = solver._integrator
-    dop.iwork[3] = -1  # Hairer's IWORK(4) < 0: no stiffness test
-    # IOUT = 1: the callback runs after every accepted step.  It also keeps
-    # the field-call count of a solve the same from run to run, which it is
-    # not at IOUT = 0.
-    dop.call_args[2:4] = (_record_step if dense else _continue), 1
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", UserWarning)  # raised below instead
-        y = solver.integrate(span[1])
-    if log.error is not None:
-        raise log.error
-    code = solver.get_return_code()
-    if code < 0:
-        raise IntegrationError(
-            f"integration failed near x = {solver.t}: "
-            f"{dop.messages.get(code, f'istate {code}')}", location=solver.t)
-    if not dense:
-        return y
-    return DenseSolution(field, span, np.array([x for x, _ in log]),
-                         np.array([s for _, s in log]).T)
-
-
-# ---------------------------------------------------------------------------
-# Pruefer angle of a linear second-order equation by Magnus propagation
+# Linear second-order equations by Magnus propagation
 # ---------------------------------------------------------------------------
 
 # the two Gauss points of an interval, as fractions of it, and the weight
@@ -325,11 +129,15 @@ _MAGNUS_GAUSS = 0.5 + np.array([-1.0, 1.0])[:, None] * math.sqrt(3.0) / 6.0
 _MAGNUS_COMMUTATOR = math.sqrt(3.0) / 12.0
 _MAGNUS_MIN_INTERVALS = 64
 _MAGNUS_MAX_INTERVALS = 2**16
+_EPS = float(np.finfo(float).eps)
+# the smallest tolerance honoured, per unit of the propagated quantity
+_TOL_FLOOR = 10.0 * _EPS
 
 
-def _magnus_angle(potential, nu, a, b, y0, k, m):
-    """theta(b) of magnus_prufer on m equal intervals of [a, b]."""
-    h = (b - a) / m
+def _magnus_propagators(potential, nu, a, h, m):
+    """exp(Omega) of each of the m intervals [a + h j, a + h (j + 1)] of
+    u'' = (V - nu) u, as a (2, 2, m) array; h < 0 sweeps backward.  An
+    interval that turns the state by pi or more raises IntegrationError."""
     V = potential(a + h * (np.arange(m) + _MAGNUS_GAUSS))
     # Omega = [[alpha, h], [beta, -alpha]]; Omega^2 = s2 I
     alpha = (_MAGNUS_COMMUTATOR * h * h) * (V[0] - V[1])
@@ -343,37 +151,130 @@ def _magnus_angle(potential, nu, a, b, y0, k, m):
         raise IntegrationError(
             f"a Magnus interval at r = {r} turns the Pruefer angle by up to "
             f"{s[worst]:.3g} >= pi for nu = {nu}", location=r)
+    E = np.empty((2, 2, m))
     with np.errstate(over="ignore", invalid="ignore"):
         ch = np.where(turns, np.cos(s), np.cosh(s))
         sh = np.divide(np.where(turns, np.sin(s), np.sinh(s)), s,
                        out=np.ones_like(s), where=s > 0.0)
         # exp(Omega) = ch I + sh Omega, one 2x2 matrix per interval
-        E = np.empty((2, 2, m))
         E[0, 0] = ch + sh * alpha
         E[0, 1] = sh * h
         E[1, 0] = sh * beta
         E[1, 1] = ch - sh * alpha
-        # Hillis-Steele prefix product: after the pass of stride d, E[..., j]
-        # holds the propagator over intervals j - 2d + 1 .. j
-        d = 1
+    return E
+
+
+def _prefix_products(E, log=None):
+    """In place, E[..., j] becomes the propagator over intervals 0 .. j, by
+    a Hillis-Steele prefix product: after the pass of stride d, E[..., j]
+    holds the product over intervals j - 2d + 1 .. j.  Given log, zeros of
+    length m, and when the products could pass the double range (the
+    max-row-sum norm is submultiplicative, so none passes the product of
+    the norms above 1), each pass divides every product it forms by its
+    largest entry and adds that entry's log to log, the product's scale."""
+    m = E.shape[2]
+    scale = log is not None and not np.sum(np.log(np.maximum(
+        np.abs(E).sum(axis=1).max(axis=0), 1.0))) < 700.0
+    d = 1
+    with np.errstate(over="ignore", invalid="ignore"):
         while d < m:
             A, B = E[:, :, d:], E[:, :, :-d]
             E[:, :, d:] = (A[:, 0, None] * B[None, 0]
                            + A[:, 1, None] * B[None, 1])
+            if scale:
+                log[d:] += log[:-d]
+                big = np.abs(E[:, :, d:]).max(axis=(0, 1))
+                E[:, :, d:] /= big
+                log[d:] += np.log(big)
             d *= 2
-        u, du = E[:, 0] * y0[0] + E[:, 1] * y0[1]
-    bad = ~(np.isfinite(u) & np.isfinite(du))
+
+
+def _node_states(potential, nu, a, b, y0, m, log=None):
+    """(u, u') at the nodes a + h j, j = 1 .. m, h = (b - a) / m, in units
+    of exp(log) when log (zeros of length m) is given (_prefix_products).
+    IntegrationError at the first node whose state is not finite."""
+    h = (b - a) / m
+    E = _magnus_propagators(potential, nu, a, h, m)
+    _prefix_products(E, log)
+    with np.errstate(over="ignore", invalid="ignore"):
+        y = E[:, 0] * y0[0] + E[:, 1] * y0[1]
+    bad = ~np.all(np.isfinite(y if log is None else np.vstack([y, log])),
+                  axis=0)
     if np.any(bad):
         r = a + h * (int(np.argmax(bad)) + 1)
         raise IntegrationError(
             f"the Magnus propagation for nu = {nu} is not finite at r = {r}",
             location=r)
+    return y
+
+
+def _magnus_angle(potential, nu, a, b, y0, k, m):
+    """theta(b) of magnus_prufer on m equal intervals of [a, b]."""
+    u, du = _node_states(potential, nu, a, b, y0, m)
     theta = np.arctan2(k * u, du)
     # each interval turns the state by less than pi, so the principal value
     # of each step's angle change is the true one
     steps = np.diff(theta, prepend=math.atan2(k * y0[0], y0[1]))
     wraps = np.rint(steps / (2.0 * math.pi)).sum()
     return float(theta[-1] - 2.0 * math.pi * wraps)
+
+
+def _magnus_nodes(potential, nu, a, b, y0, m):
+    """(log scales, states) at the m + 1 nodes a + h j, h = (b - a) / m:
+    node j's state (u, u') is exp(log[j]) states[:, j], and each column of
+    states has max-norm 1."""
+    log = np.zeros(m)
+    y = np.hstack([y0[:, None], _node_states(potential, nu, a, b, y0, m, log)])
+    big = np.abs(y).max(axis=0)
+    return np.concatenate(([0.0], log)) + np.log(big), y / big
+
+
+def _on_coarse_nodes(coarse, fine):
+    """fine's log scales and values at coarse's nodes, every other one of
+    fine's, and fine minus coarse there, in fine's units."""
+    log_f, val_f = fine[0][::2], fine[1][:, ::2]
+    return log_f, val_f, val_f - coarse[1] * np.exp(coarse[0] - log_f)
+
+
+def _richardson(sweep, m, tol, nu, end, check=None):
+    """Richardson extrapolation of sweep over the meshes m, 2m, 4m, ...
+
+    sweep(m) gives (log scales, values (c, nodes)) at nodes of the mesh
+    of m intervals, values in units of exp(log scale), every other node of
+    a mesh a node of the mesh half its size (or one end node).  The scheme
+    is symmetric, so a value's error expands in even powers of 1/m: the
+    Richardson value t_m = v_2m + (v_2m - v_m) / 15 is of order six, and
+    max |t_2m - t_m| / 63, in units of each node's scale, estimates t_2m's
+    error; check(t_2m), when given, adds an estimate of its own.  Returns
+    t_2m, on mesh 2m's nodes, once the larger estimate is at most tol; past
+    2^16 intervals raises IntegrationError naming nu and the estimate.
+    """
+    coarse = extrapolated = None
+    estimate = math.inf
+    while m <= _MAGNUS_MAX_INTERVALS:
+        fine = sweep(m)
+        if coarse is not None:
+            log, val, step = _on_coarse_nodes(coarse, fine)
+            new = log, val + step / 15.0
+            if extrapolated is not None:
+                gap = _on_coarse_nodes(extrapolated, new)[2]
+                estimate = float(np.max(np.abs(gap))) / 63.0
+                if estimate <= tol and check is not None:
+                    estimate = max(estimate, check(new))
+                if estimate <= tol:
+                    return new
+            extrapolated = new
+        coarse = fine
+        m *= 2
+    raise IntegrationError(
+        f"the Magnus propagation for nu = {nu} reached {m // 2} intervals "
+        f"with Richardson estimate {estimate:.3g} above tol {tol}",
+        location=end)
+
+
+def _first_mesh(scale):
+    """The first mesh of a sweep over `scale` radians or e-folds."""
+    return max(_MAGNUS_MIN_INTERVALS, 1 << math.ceil(math.log2(scale)))
 
 
 def magnus_prufer(potential, nu, span, y0, tol):
@@ -399,13 +300,9 @@ def magnus_prufer(potential, nu, span, y0, tol):
     with s^2 < 0 (a rotation in a frame of its own, half a turn at
     |s| = pi) does when |s| < pi, which is checked.
 
-    Error control: the scheme is symmetric, so the angle theta_m on m
-    intervals has an error expansion in even powers of 1/m.  The
-    Richardson value t_m = theta_m + (theta_m - theta_(m/2)) / 15 is then of
-    order six, and |t_2m - t_m| / 63 is the Richardson estimate of t_2m's
-    error.  m doubles from max(64, the power of two at or above k (b - a))
-    until that estimate between meshes m and 2m is at most tol (absolute,
-    in radians), and t_2m is returned.
+    Meshes double from max(64, the power of two at or above k (b - a))
+    until the Richardson estimate of theta (_richardson) is at most tol,
+    absolute in radians.
 
     theta's rounding error grows with |theta|, which is about k (b - a) or
     less when V >= 0: a tol below the floor 10 eps max(1, k (b - a)) raises
@@ -423,23 +320,125 @@ def magnus_prufer(potential, nu, span, y0, tol):
         raise ToleranceFloorError(
             f"magnus_prufer needs tol >= {_TOL_FLOOR:.3g} * {scale:.6g}, "
             f"got tol={tol}", tol=tol / scale, floor=_TOL_FLOOR, solver="ODE")
-    m = max(_MAGNUS_MIN_INTERVALS, 1 << math.ceil(math.log2(scale)))
-    theta = richardson = None
-    estimate = math.inf
-    while m <= _MAGNUS_MAX_INTERVALS:
-        finer = _magnus_angle(potential, nu, a, b, y0, k, m)
-        if theta is not None:
-            extrapolated = finer + (finer - theta) / 15.0
-            if richardson is not None:
-                estimate = abs(extrapolated - richardson) / 63.0
-                if estimate <= tol:
-                    return extrapolated
-            richardson = extrapolated
-        theta = finer
-        m *= 2
-    raise IntegrationError(
-        f"the Magnus shot for nu = {nu} reached {m // 2} intervals with "
-        f"Richardson estimate {estimate:.3g} above tol {tol}", location=b)
+
+    def sweep(m):  # an angle's unit is the radian: log scale 0
+        return np.zeros(1), np.array([[_magnus_angle(potential, nu, a, b, y0,
+                                                     k, m)]])
+
+    return float(_richardson(sweep, _first_mesh(scale), tol, nu, b)[1][0, 0])
+
+
+def _state_sweeps(name, potential, nu, span, y0, tol):
+    """(a, b, first mesh, node sweep) of a dense or end reduction, after
+    their common checks."""
+    a, b = float(span[0]), float(span[1])
+    if not a != b:
+        raise DomainValidationError(f"{name} needs a != b, got {span}")
+    if not tol >= _TOL_FLOOR:
+        raise ToleranceFloorError(
+            f"{name} needs tol >= {_TOL_FLOOR:.3g}, got tol={tol}",
+            tol=tol, floor=_TOL_FLOOR, solver="ODE")
+    y0 = np.asarray(y0, dtype=float)
+    m = _first_mesh(max(1.0, math.sqrt(max(nu, 1.0)) * abs(b - a)))
+    return a, b, m, lambda m: _magnus_nodes(potential, nu, a, b, y0, m)
+
+
+def magnus_dense(potential, nu, span, y0, tol, read):
+    """Dense solution of u'' = (V(x) - nu) u on span = (a, b) from
+    y0 = (u(a), u'(a)); b < a sweeps backward.
+
+    magnus_prufer's propagation, rescaled whenever the products could pass
+    the double range, on meshes doubling from max(64, the power of two at
+    or above k |b - a|), k = sqrt(max(nu, 1)).  read(x, log, y) maps the
+    node states (node j's is exp(log[j]) y[:, j]) to the caller's variable
+    as (v, v', v'') at the nodes x, v'' from the equation, and a
+    QuinticHermite reads them.  Two estimates are held to tol: the nodes'
+    (_richardson, in units of each node's max-norm) and the interpolant's,
+    its gap at the mesh midpoints to the interpolant on every other node,
+    over 63 in v and 31 in v' (orders six and five), in units of max|v| and
+    max|v'|, and 0 at its rounding floor 4 eps max|v| / (h max|v'|).
+
+    Returns (x, v, interpolant) on the accepted nodes x, x[0] = a and
+    x[-1] = b.  A tol below 10 eps raises ToleranceFloorError (solver
+    "ODE"); the failures are magnus_prufer's.
+    """
+    a, b, m, sweep = _state_sweeps("magnus_dense", potential, nu, span, y0,
+                                   tol)
+
+    def check(level):
+        # the last level checked is the one _richardson accepts
+        nonlocal dense
+        x = np.linspace(a, b, level[0].size)
+        data = read(x, *level)
+        dense = x, data[0], QuinticHermite(x, *data)
+        mid = 0.5 * (x[1:] + x[:-1])
+        (v, dv), (w, dw) = dense[2](mid), QuinticHermite(
+            x[::2], *(d[::2] for d in data))(mid)
+        size, slope = (np.max(np.abs(d)) for d in data[:2])
+        estimate = max(np.max(np.abs(v - w)) / (63.0 * size),
+                       np.max(np.abs(dv - dw)) / (31.0 * slope))
+        # the slope of an interpolant rounds to about 2 eps max|v| / h
+        floor = 4.0 * _EPS * size * (x.size - 1) / (abs(b - a) * slope)
+        return estimate if estimate > floor else 0.0
+
+    dense = None
+    _richardson(sweep, m, tol, nu, b, check)
+    return dense
+
+
+def magnus_log_derivative(potential, nu, span, y0, tol):
+    """u'(b) / u(b) of u'' = (V(r) - nu) u on span = (a, b) from
+    y0 = (u(a), u'(a)); b < a sweeps backward.
+
+    magnus_dense's sweeps with the node estimate taken at b alone; the
+    floor and the failures are magnus_dense's.
+    """
+    a, b, m, sweep = _state_sweeps("magnus_log_derivative", potential, nu,
+                                   span, y0, tol)
+    _, y = _richardson(lambda m: tuple(v[..., -1:] for v in sweep(m)), m, tol,
+                       nu, b)
+    return float(y[1, 0] / y[0, 0])
+
+
+class QuinticHermite:
+    """Piecewise quintic Hermite interpolant of values y, first derivatives
+    dy and second derivatives d2y on the nodes x, a uniform mesh in either
+    direction.  Called on abscissae of any shape, it gives (value,
+    derivative) there; a point's interval comes from its offset on the
+    mesh, with no search, and a point past an end takes the end interval.
+    Between nodes it errs by O(h^6) in the value and O(h^5) in the slope.
+    """
+
+    def __init__(self, x, y, dy, d2y):
+        self._x0 = float(x[0])
+        # from the whole span: a difference of neighbours would carry their
+        # rounding to the far nodes
+        self._h = h = float(x[-1] - x[0]) / (len(x) - 1)
+        d0, d1 = h * dy[:-1], h * dy[1:]
+        s0, s1 = h * h * d2y[:-1], h * h * d2y[1:]
+        # p(t) on t in [0, 1]: p0 + d0 t + s0 t^2 / 2 + c3 t^3 + c4 t^4 +
+        # c5 t^5, with c3..c5 fixed by p(1), p'(1) and p''(1); one column
+        # of coefficients per interval, the highest power first
+        A = y[1:] - y[:-1] - d0 - 0.5 * s0
+        B = d1 - d0 - s0
+        C = s1 - s0
+        c = [6.0 * A - 3.0 * B + 0.5 * C, -15.0 * A + 7.0 * B - C,
+             10.0 * A - 4.0 * B + 0.5 * C, 0.5 * s0, d0, y[:-1]]
+        # (power, value or derivative per unit of t, interval): one Horner
+        # pass for both, the derivative's leading coefficient 0
+        self._coef = np.array([[c[0], np.zeros_like(d0)]] + [
+            [c[k], (6 - k) * c[k - 1]] for k in range(1, 6)])
+
+    def __call__(self, x):
+        t = (np.asarray(x, dtype=float) - self._x0) / self._h
+        j = np.minimum(np.maximum(np.asarray(t).astype(np.intp), 0),
+                       self._coef.shape[2] - 1)
+        t = t - j
+        c = self._coef.take(j, axis=2)
+        both = c[0]
+        for k in range(1, 6):
+            both = both * t + c[k]
+        return both[0], both[1] / self._h
 
 
 # ---------------------------------------------------------------------------

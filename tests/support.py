@@ -2,9 +2,9 @@
 
 Brute-force reference values live here, not in the library: extended
 precision power series for Bessel/Gamma evaluated with mpmath arithmetic,
-2-D product quadrature for the sphere x radius reductions, and
-finite-difference stencils for ODE residuals; `filled` lets a test's ODE
-field be a one-line lambda.
+the closed-form tip branch at mu = 0, 2-D product quadrature for the
+sphere x radius reductions, and finite-difference stencils for ODE
+residuals.
 """
 
 import math
@@ -13,36 +13,6 @@ import mpmath as mp
 import numpy as np
 
 mp.mp.dps = 40
-
-
-def filled(out, value):
-    """out, an ODE field's derivative buffer, filled with value (a state-
-    shaped array or a list of its components) and returned."""
-    out[...] = value
-    return out
-
-
-def count_field_calls(monkeypatch, *modules):
-    """Field calls of every ODE solve the given hornlab modules start, one
-    count per solve in order; integrate_ode is wrapped where each module
-    looks it up."""
-    from hornlab.numerics import integrate_ode
-
-    counts = []
-
-    def counting(field, *args, **kwargs):
-        counts.append(0)
-        n = len(counts) - 1
-
-        def counted(*call):
-            counts[n] += 1
-            return field(*call)
-
-        return integrate_ode(counted, *args, **kwargs)
-
-    for module in modules:
-        monkeypatch.setattr(module, "integrate_ode", counting)
-    return counts
 
 
 def oracle_gamma(x):
@@ -104,6 +74,36 @@ def oracle_liouville_bessel(c, nu, r):
         J, dJ = mp.besselj(order, k * r), mp.besselj(order, k * r, 1)
         return float(mp.sqrt(r) * J), float(J / (2 * mp.sqrt(r))
                                             + mp.sqrt(r) * k * dJ)
+
+
+def oracle_tip_branch_mu0(p, i, s):
+    """(log k2, kappa = d log k2/ds) of the decaying tip branch at mu = 0 and
+    abscissae s >= r_mu(p, 0), in closed form.
+
+    At mu = 0 the radial equation has the decaying solution
+    f = r^((1-c)/2) K_q(rho r^-eps), q = (c-1)/(2 eps), rho = 2 sqrt(mu_i)/eps
+    (the Lommel substitution; Watson, Bessel Functions, 4.31), so
+    k2 = f s^-beta is a multiple of sqrt(s) K_q(rho s).  The multiple is the
+    lab's Wronskian scale, log k2(r_mu) = -log(1 - kappa(r_mu)).  K_q is read
+    through scipy's exponentially scaled kve, and K_q' through the
+    recurrence K_q' = -(K_(q-1) + K_(q+1))/2, so nothing underflows.
+    """
+    from scipy import special
+
+    from hornlab import r_mu, sphere_eigenvalue
+    order = (p.c - 1.0) / (2.0 * p.eps)
+    rho = 2.0 * math.sqrt(sphere_eigenvalue(p.n, i)) / p.eps
+
+    def log_kappa(s):
+        x = rho * np.asarray(s, dtype=float)
+        kve = special.kve(order, x)
+        ratio = -(special.kve(order - 1.0, x)
+                  + special.kve(order + 1.0, x)) / (2.0 * kve)
+        return 0.5 * np.log(s) + np.log(kve) - x, 0.5 / s + rho * ratio
+
+    lo_log, lo_kappa = log_kappa(r_mu(p, 0.0))
+    log_k, kappa = log_kappa(s)
+    return log_k - lo_log - math.log(1.0 - lo_kappa), kappa
 
 
 def second_derivative_5pt(f, x, h):

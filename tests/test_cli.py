@@ -3,11 +3,14 @@ import importlib.util
 import json
 import math
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import hornlab
 from hornlab.cli import (EXIT_BOUNDS, EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK,
                          load_config, main, run)
 from hornlab.errors import ConfigError
@@ -25,6 +28,20 @@ FAST_DEMO = [
     "--set", "freq.R_points=10",
     "--set", "analyticity.kmax=12",
 ]
+
+
+def test_cli_import_loads_no_scipy_integrate_or_interpolate():
+    # a CLI process imports only what it runs: the one linear propagator is
+    # numpy, so neither scipy.integrate nor scipy.interpolate is loaded
+    src = os.path.dirname(os.path.dirname(hornlab.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    loaded = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, hornlab.cli; print(sorted(m for m in sys.modules "
+         "if m.startswith(('scipy.integrate', 'scipy.interpolate'))))"],
+        env=env, capture_output=True, text=True, check=True).stdout
+    assert loaded.strip() == "[]"
 
 
 def test_load_config_defaults_and_overrides(tmp_path):

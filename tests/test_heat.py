@@ -5,7 +5,6 @@ from dataclasses import replace
 import mpmath
 import numpy as np
 import pytest
-from support import count_field_calls
 
 from hornlab import (ConsistencyError, DomainValidationError, EigenPair,
                      EigenSearchError, IntegrationError, analyticity_probe,
@@ -56,28 +55,33 @@ def test_prufer_angle_counts_eigenvalues_exactly(pairs8_rout2, p_default):
     assert all(b > a for a, b in zip(thetas, thetas[1:]))
 
 
-@pytest.mark.parametrize("nu, theta, meshes, calls", [
-    (50.0, 8.338885340778692, [64, 128, 256, 512], [935]),
-    (300.0, 25.06560319566165, [64, 128, 256, 512, 1024], [851])],
+@pytest.mark.parametrize("nu, theta, anchor_meshes, meshes", [
+    (50.0, 8.338885340778692, [64, 128, 256], [64, 128, 256, 512]),
+    (300.0, 25.06560319566165, [64, 128, 256], [64, 128, 256, 512, 1024])],
     ids=["nu=50", "nu=300"])
 def test_shot_step_sequence_is_pinned(p_default, monkeypatch, nu, theta,
-                                      meshes, calls):
-    # a shot is one ODE solve, the tip anchor, with its field calls pinned,
-    # then Magnus meshes doubling up to the accepted one; one potential
-    # call per mesh, at its 2 M Gauss points.  A change to the step control
-    # or to the error estimate shows here first
-    counts = count_field_calls(monkeypatch, heat, modes)
-    sizes = []
+                                      anchor_meshes, meshes):
+    # a shot is the tip anchor's backward Magnus sweep, then the outer
+    # Magnus meshes doubling up to the accepted one; one potential call per
+    # mesh, at its 2 M Gauss points.  A change to the mesh control or to the
+    # error estimate shows here first
+    sizes = {"anchor": [], "shot": []}
 
-    def potential(p, i, r):
-        sizes.append(r.size)
-        return liouville_potential(p, i, r)
+    def recorded(potential, key):
+        def call(*args):
+            if np.size(args[-1]) > 1:
+                sizes[key].append(np.size(args[-1]) // 2)
+            return potential(*args)
+        return call
 
-    monkeypatch.setattr(heat, "liouville_potential", potential)
+    q_factory = modes._q_factory
+    monkeypatch.setattr(modes, "_q_factory", lambda *args: recorded(
+        q_factory(*args), "anchor"))
+    monkeypatch.setattr(heat, "liouville_potential",
+                        recorded(liouville_potential, "shot"))
     got = heat._shoot(p_default, 1, nu, 1.8, 1e-12)
     assert got == pytest.approx(theta, rel=0.0, abs=1e-13)
-    assert counts == calls
-    assert [n // 2 for n in sizes] == meshes
+    assert sizes == {"anchor": anchor_meshes, "shot": meshes}
 
 
 def test_shot_near_nu_30_counts_and_converges(p_default):
@@ -141,6 +145,87 @@ def test_eigenvalues_agree_with_the_dop853_shot(p_default, pairs8_rout2,
     for r_out, want in DOP853_SHOT_NU.items():
         assert [q.nu for q in pairs[r_out]] == pytest.approx(want, rel=1e-12)
         assert [q.zeros for q in pairs[r_out]] == list(range(8))
+
+
+# The default demo's four eigenpairs (dirichlet_eigenvalues(p_default, 1,
+# 2.0, 4, tol=1e-12, root_rel=1e-10)) as the dense DOP853 outer solve and
+# tip branch gave them: (nu, g, g' = g d log g/dr) at DOP853_PAIR_RADII,
+# which lie on both sides of the seam r_sw = 0.1368.  That solve erred by
+# about 5e-12 of max|g| in g and 2e-11 of max|g'| in g', against itself at
+# tol 1e-13.
+DOP853_PAIR_RADII = [0.01, 0.03, 0.08, 0.12, 0.15, 0.2, 0.3, 0.45, 0.6, 0.8,
+                     1.0, 1.2, 1.4, 1.6, 1.8, 1.95]
+DOP853_DEMO_PAIRS = [
+    (10.008605780693419,
+     [1.9568147388285997e-20, 1.4394747979549073e-10, 1.607591677996715e-05,
+      0.0004149319711209727, 0.0018511964406936544, 0.009772798503549344,
+      0.06579078022621682, 0.2845346057156045, 0.6281656978592595,
+      1.1167079736082721, 1.4522311225818356, 1.5213028201167333,
+      1.3167512577865876, 0.9144047210463092, 0.43447624502335414,
+      0.09856618696898962],
+     [5.320774482387912e-17, 7.321614794856187e-08, 0.001800308052624056,
+      0.024680176176971595, 0.07752584377522057, 0.25933361663783283,
+      0.9061485971924419, 1.9643900821200535, 2.5051872958577763,
+      2.2003871998550566, 1.0598250991207974, -0.37295196736562425,
+      -1.606013170729948, -2.313686026130726, -2.3801244335869183,
+      -2.0520759336774]),
+    (25.807764064949875,
+     [8.2393794267437e-20, 6.06014936846312e-10, 6.756886760271928e-05,
+      0.0017387420329528361, 0.0077304869669988065, 0.040471884719720436,
+      0.26503818315720934, 1.0647818739054538, 2.0826201321581497,
+      2.8546834955537825, 2.393501885383192, 1.0502369431115122,
+      -0.27103063372168384, -0.8540497764654698, -0.6115978533131396,
+      -0.1538984760607679],
+     [2.240367276437228e-16, 3.0822993172646714e-07, 0.007563197321008989,
+      0.103250840762948, 0.32270873472920975, 1.0658444625015366,
+      3.5561310099552794, 6.6723500073517465, 6.240561393311924,
+      0.8878301727466817, -5.159390066040138, -7.450755356319066,
+      -5.125428487792305, -0.641734982630978, 2.644294362086413,
+      3.1633058511370575]),
+    (47.52967782391233,
+     [2.3022184246624936e-19, 1.6929543812027439e-09, 0.00018833647817618194,
+      0.004826327251820307, 0.021355860727458025, 0.11052694632705447,
+      0.6965684010862477, 2.520155721460925, 4.111453759029145,
+      3.5857506086263373, 0.7439219757945387, -1.256793833680839,
+      -0.9029193693961611, 0.3807537532022013, 0.698800086377966,
+      0.2045919273255729],
+     [6.259947068797731e-16, 8.610357040781838e-07, 0.021066921837343773,
+      0.28595118150258403, 0.8875603845629815, 2.880096118010016,
+      8.999963090600634, 13.468475983574852, 5.976722145234619,
+      -10.663716690228997, -14.672864978351926, -3.9593451194560556,
+      6.043079957044374, 4.981629708782143, -1.7719694004807856,
+      -4.1303350575460716]),
+    (74.99863468732521,
+     [5.245269888374041e-19, 3.856138601366454e-09, 0.00042776933293661045,
+      0.010904492383591922, 0.04796011179847695, 0.24461488554120428,
+      1.4676224158210538, 4.622133441394398, 5.801907601886823,
+      1.9204514970028197, -1.8158538723781095, -0.7484880733854249,
+      1.0458953449435302, 0.24236048226179413, -0.6983606704335821,
+      -0.25215456485424426],
+     [1.4262354892521785e-15, 1.9611410981656152e-06, 0.04780863693285985,
+      0.6442165179004921, 1.982026225051852, 6.287690011734005,
+      18.019812564311398, 18.904780470807317, -5.418485103460832,
+      -26.521264852535847, -6.220714260199884, 12.30961872873263,
+      2.3463729234323885, -7.505434330562166, -0.1228598428327551,
+      4.9727450563011795]),
+]
+
+
+def test_eigenfunctions_agree_with_the_dop853_pairs(p_default):
+    # the Magnus eigenfunction at each recorded eigenvalue: below the seam
+    # pointwise, above it against the largest recorded value (measured:
+    # 3.2e-13 in g and 7.7e-13 in g' below, 1.2e-12 and 4.8e-12 above)
+    r = np.array(DOP853_PAIR_RADII)
+    for nu, g_want, dg_want in DOP853_DEMO_PAIRS:
+        g_want, dg_want = np.array(g_want), np.array(dg_want)
+        pair = heat._build_pair(p_default, 1, nu, 2.0, 1e-12)
+        sgn, lm, ld = pair.g.eval_log(r)
+        g = sgn * np.exp(lm)
+        tip = r < tip_window_top(p_default, nu)
+        for got, want in ((g, g_want), (g * ld, dg_want)):
+            assert np.all(np.abs(got[tip] / want[tip] - 1.0) <= 2e-11)
+            assert np.max(np.abs(got - want)[~tip]) <= \
+                2e-11 * np.max(np.abs(want))
 
 
 def test_eigensearch_budget_names_index(p_default, monkeypatch):

@@ -2,16 +2,17 @@ import math
 
 import numpy as np
 import pytest
-from support import (count_field_calls, filled, oracle_gamma,
+from support import (oracle_gamma, oracle_tip_branch_mu0,
                      second_derivative_5pt)
 
 from hornlab import (ConsistencyError, DomainValidationError, RadialProfile,
-                     decay_exponent_fit, integrate_ode, make_horn_params,
+                     decay_exponent_fit, make_horn_params,
                      normalization_bound, profile_from_k2, r_mu,
                      radial_mode_zero, solve_k1, solve_k2, sphere_eigenvalue,
                      tip_exponent, tip_rate)
 from hornlab import modes
-from hornlab.modes import _q_factory, tip_anchor, tip_window_top
+from hornlab.modes import (TipBranch, _q_factory, _tip_dense, tip_anchor,
+                           tip_window_top)
 
 
 # ---------------------------------------------------------------------------
@@ -78,15 +79,20 @@ def test_k1_sandwich(p_default, i, mu):
 
 def test_k1_constant_coefficient_limit(p_default):
     # with the s^-2 and s^(-2/eps-2) terms removed the equation is
-    # constant-coefficient: k = cosh + sinh/rho reproduces the data (1, 1)
+    # constant-coefficient: the growing branch's sweep and interpolant give
+    # k = cosh + sinh/rho from the data (1, 1), and its derivative
     rho = tip_rate(p_default, 1)
     s0 = r_mu(p_default, 1.0)
-    sol = integrate_ode(
-        lambda s, y, out: filled(out, [y[1], rho * rho * y[0]]),
-        (s0, s0 + 2.0), [1.0, 1.0], 1e-12)
-    for ds in (0.5, 1.0, 2.0):
-        exact = math.cosh(rho * ds) + math.sinh(rho * ds) / rho
-        assert sol.eval(s0 + ds)[0][0] == pytest.approx(exact, rel=1e-10)
+
+    def q(s):
+        return np.full_like(s, rho * rho)
+
+    k = TipBranch((s0, s0 + 2.0), q, rho,
+                  _tip_dense(q, rho, (s0, s0 + 2.0), (1.0, 1.0), 1e-12)[2])
+    for ds in (0.0, 0.05, 0.5, 1.0, 2.0):
+        exact = [math.cosh(rho * ds) + math.sinh(rho * ds) / rho,
+                 rho * math.sinh(rho * ds) + math.cosh(rho * ds)]
+        assert k.states(s0 + ds) == pytest.approx(exact, rel=1e-10)
 
 
 # ---------------------------------------------------------------------------
@@ -192,6 +198,79 @@ def test_k2_matches_reduction_of_order(p_default, i, mu, span, offsets,
 
 
 # ---------------------------------------------------------------------------
+# the closed form at mu = 0
+# ---------------------------------------------------------------------------
+
+# Agreement with the mu = 0 closed form over these points, i = 1 and 2, and
+# _build_pair's tip span (40 decay e-folds and 2 more units of s), measured
+# as the largest difference of each quantity below: the compiled DOP853
+# that the Magnus sweeps replaced reached 3.3e-14 (anchor), 3.0e-13
+# (log k2), 6.5e-13 (kappa), 7.5e-13 (log f) and 9.7e-13 (d log f/dr); the
+# Magnus sweeps reach 1.7e-12, 1.4e-12, 1.6e-12, 8.2e-13 and 2.3e-12.  One
+# tolerance, 1e-11, holds every one with a margin above 4.
+MU0_POINTS = [(3, 4, 0.5, 0.25), (2, 3, 0.5, 0.25), (3, 4, 1.0, 0.25),
+              (4, 6, 0.3, 0.5)]
+MU0_TOL = 1e-11
+MU0_CASES = [(point, i) for point in MU0_POINTS for i in (1, 2)]
+MU0_IDS = ["{}-{}-{}-{}-i{}".format(*point, i) for point, i in MU0_CASES]
+
+
+def _mu0_span(point, i):
+    p = make_horn_params(*point)
+    s0 = r_mu(p, 0.0)
+    return p, s0, s0 + 40.0 / tip_rate(p, i) + 2.0
+
+
+def test_mu0_oracle_matches_mpmath_besselk():
+    # the closed form reads K_q through scipy's kve: spot-checked against
+    # mpmath's besselk at 40 digits, over the orders and arguments the
+    # points above reach
+    import mpmath
+    from scipy import special
+    for order, x in [(1.75, 10.0), (2.5, 60.0), (0.75, 250.0),
+                     (5.5, 3.0), (4.5, 120.0)]:
+        exact = mpmath.besselk(order, x) * mpmath.exp(x)
+        assert special.kve(order, x) == pytest.approx(float(exact),
+                                                      rel=1e-14)
+
+
+@pytest.mark.parametrize("point, i", MU0_CASES, ids=MU0_IDS)
+def test_tip_anchor_matches_the_mu0_closed_form(point, i):
+    p, s0, _ = _mu0_span(point, i)
+    r_top, dlog = tip_anchor(p, i, 0.0, 1e-12)
+    kappa = oracle_tip_branch_mu0(p, i, np.array([s0]))[1][0]
+    assert dlog == pytest.approx(modes._tip_log(p, s0, r_top, 0.0, kappa)[1],
+                                 rel=MU0_TOL)
+
+
+@pytest.mark.parametrize("point, i", MU0_CASES, ids=MU0_IDS)
+def test_k2_matches_the_mu0_closed_form(point, i):
+    # log k2 in absolute terms, with the Wronskian scale, and kappa relative
+    p, s0, s_max = _mu0_span(point, i)
+    ss = np.linspace(s0, s_max, 401)
+    log_k, kappa = solve_k2(p, i, 0.0, s_max).log_eval(ss)
+    exact_log_k, exact_kappa = oracle_tip_branch_mu0(p, i, ss)
+    assert np.max(np.abs(log_k - exact_log_k)) <= MU0_TOL
+    assert np.max(np.abs(kappa / exact_kappa - 1.0)) <= MU0_TOL
+
+
+@pytest.mark.parametrize("point, i", MU0_CASES, ids=MU0_IDS)
+def test_profile_matches_the_mu0_closed_form(point, i):
+    # log f up to the profile's free constant, and d log f/dr relative, at
+    # radii across the whole profile window
+    p, _, s_max = _mu0_span(point, i)
+    r_min = s_max ** (-1.0 / p.eps)
+    prof = profile_from_k2(p, i, 0.0, r_min, n_grid=48)
+    r = np.geomspace(r_min, prof.r_max, 301)
+    _, log_f, dlog_f = prof.eval_log(r)
+    s = r ** -p.eps
+    exact_log_f, exact_dlog_f = modes._tip_log(
+        p, s, r, *oracle_tip_branch_mu0(p, i, s))
+    assert np.ptp(log_f - exact_log_f) <= MU0_TOL
+    assert np.max(np.abs(dlog_f / exact_dlog_f - 1.0)) <= MU0_TOL
+
+
+# ---------------------------------------------------------------------------
 # profiles
 # ---------------------------------------------------------------------------
 
@@ -216,16 +295,15 @@ def test_profile_rejects_bad_window(p_default):
 @pytest.mark.parametrize("evaluator", ["eval_log", "states", "log_eval"])
 def test_range_checks_share_one_rule(evaluator, end, profile_i1_mu1,
                                      p_default):
-    # the profile, an ODE solution on a backward span and the decaying
-    # branch all accept a point 5e-13 |bound| past a nonzero end, and
-    # refuse one 1e-11 |bound| past it and NaN
+    # the profile, the growing branch's states and the decaying branch all
+    # accept a point 5e-13 |bound| past a nonzero end, and refuse one
+    # 1e-11 |bound| past it and NaN
     if evaluator == "eval_log":
         fn = profile_i1_mu1.eval_log
         lo, hi = profile_i1_mu1.r_min, profile_i1_mu1.r_max
     elif evaluator == "states":
-        fn = integrate_ode(lambda x, y, out: filled(out, [y[1], -y[0]]),
-                           (2.0, 0.5), [0.0, 1.0], 1e-10).states
-        lo, hi = 0.5, 2.0
+        k1 = solve_k1(p_default, 1, 1.0, r_mu(p_default, 1.0) + 3.0)
+        fn, (lo, hi) = k1.states, k1.span
     else:
         k2 = solve_k2(p_default, 1, 1.0, r_mu(p_default, 1.0) + 3.0)
         fn, (lo, hi) = k2.log_eval, k2.span
@@ -375,17 +453,30 @@ def test_tip_anchor_matches_profile_slope(p_default, i, mu):
     assert dlog == pytest.approx(prof.log_deriv[0], rel=1e-11)
 
 
-@pytest.mark.parametrize("mu, r_top, dlog, calls", [
-    (50.0, "0x1.1811811811811p-3", "0x1.812edfae6e371p+5", [935]),
-    (300.0, "0x1.3fbe701157609p-4", "0x1.cd74eb9aa82bbp+6", [851])],
+@pytest.mark.parametrize("mu, r_top, dlog, meshes", [
+    (50.0, "0x1.1811811811811p-3", "0x1.812edfae6cf72p+5", [64, 128, 256]),
+    (300.0, "0x1.3fbe701157609p-4", "0x1.cd74eb9aa5d49p+6", [64, 128, 256])],
     ids=["mu=50", "mu=300"])
 def test_tip_anchor_step_sequence_is_pinned(p_default, monkeypatch, mu, r_top,
-                                            dlog, calls):
-    # the anchor's field calls and its (r_top, d log f/dr) bit for bit
-    counts = count_field_calls(monkeypatch, modes)
+                                            dlog, meshes):
+    # the anchor's Magnus meshes, read from the sizes of its potential
+    # calls at 2 M Gauss points, and its (r_top, d log f/dr) bit for bit
+    sizes = []
+    q_factory = modes._q_factory
+
+    def recorded(*args):
+        q = q_factory(*args)
+
+        def call(s):
+            if np.size(s) > 1:
+                sizes.append(np.size(s) // 2)
+            return q(s)
+        return call
+
+    monkeypatch.setattr(modes, "_q_factory", recorded)
     assert tip_anchor(p_default, 1, mu, 1e-12) == (float.fromhex(r_top),
                                                    float.fromhex(dlog))
-    assert counts == calls
+    assert sizes == meshes
 
 
 def test_normalization_bound_finite(p_default):

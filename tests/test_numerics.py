@@ -1,20 +1,21 @@
 import gc
 import math
-import time
 import warnings
 import weakref
 
 import numpy as np
 import pytest
-from support import (J0_FIRST_ZERO, bessel_zero_count, filled,
-                     oracle_besselj, oracle_bessely, oracle_gamma,
-                     oracle_j0_first_zero, oracle_liouville_bessel)
+from support import (J0_FIRST_ZERO, bessel_zero_count, oracle_besselj,
+                     oracle_bessely, oracle_gamma, oracle_j0_first_zero,
+                     oracle_liouville_bessel)
 
 from hornlab import (DomainValidationError, IntegrationError, QuadratureError,
-                     RootBracketError, ToleranceFloorError, bessel_j,
-                     bessel_j_prime, bessel_y, bessel_y_prime, check_in_range,
-                     find_root_bracketed, fit_line, gamma_real, integrate_ode,
-                     liouville_potential, magnus_prufer, quad_log)
+                     QuinticHermite, RootBracketError, ToleranceFloorError,
+                     bessel_j, bessel_j_prime, bessel_y, bessel_y_prime,
+                     check_in_range, find_root_bracketed, fit_line,
+                     gamma_real, liouville_potential, magnus_dense,
+                     magnus_log_derivative, magnus_prufer, quad_log, r_mu,
+                     solve_k1)
 
 
 # ---------------------------------------------------------------------------
@@ -127,258 +128,295 @@ def test_bessel_domain_errors():
 
 
 # ---------------------------------------------------------------------------
-# ODE integration
+# Linear propagation: Magnus node states and their interpolant
 # ---------------------------------------------------------------------------
 
 
+def _constant(level):
+    """A vectorised constant potential."""
+    return lambda x: np.full_like(x, level)
+
+
+def _dense(potential, nu, span, y0, tol, log=False):
+    """magnus_dense on u'' = (V - nu) u, read as u itself or, for a
+    positive u, as log u: (x, node values, interpolant)."""
+    def read(x, logs, y):
+        if log:
+            slope = y[1] / y[0]
+            return (logs + np.log(y[0]), slope,
+                    potential(x) - nu - slope * slope)
+        u, du = np.exp(logs) * y
+        return u, du, (potential(x) - nu) * u
+
+    return magnus_dense(potential, nu, span, y0, tol, read)
+
+
 def test_ode_exponential():
-    sol = integrate_ode(lambda x, y, out: filled(out, y), (0.0, 1.0), [1.0],
-                        1e-10)
-    y, dy = sol.eval(1.0)
-    assert y[0] == pytest.approx(math.e, abs=1e-9)
-    assert dy[0] == pytest.approx(y[0], rel=1e-12)
+    # u'' = u from (1, 1) is e^x: its value at 1 and its slope, which the
+    # interpolant gives as its own derivative
+    u, du = _dense(_constant(1.0), 0.0, (0.0, 1.0), (1.0, 1.0), 1e-10)[2](1.0)
+    assert u == pytest.approx(math.e, rel=1e-12)
+    assert du == pytest.approx(u, rel=1e-12)
 
 
 def test_ode_sine():
-    sol = integrate_ode(lambda x, y, out: filled(out, [y[1], -y[0]]),
-                        (0.0, math.pi), [0.0, 1.0], 1e-10)
-    assert sol.eval(math.pi)[0][0] == pytest.approx(0.0, abs=1e-8)
-    assert sol.eval(math.pi / 2)[0][0] == pytest.approx(1.0, rel=1e-9)
+    interpolant = _dense(_constant(0.0), 1.0, (0.0, math.pi), (0.0, 1.0),
+                         1e-10)[2]
+    assert interpolant(math.pi)[0] == pytest.approx(0.0, abs=1e-10)
+    assert interpolant(math.pi / 2)[0] == pytest.approx(1.0, rel=1e-10)
 
 
 def test_ode_growing_branch():
-    # y'' = 4y with data matching exp(2x): the stiff-side regime of the
-    # tip equation when the spherical eigenvalue dominates
-    sol = integrate_ode(lambda x, y, out: filled(out, [y[1], 4.0 * y[0]]),
-                        (0.0, 3.0), [1.0, 2.0], 1e-10)
-    assert sol.eval(3.0)[0][0] == pytest.approx(math.exp(6.0), rel=1e-8)
+    # u'' = 4u with data matching exp(2x): the stiff-side regime of the
+    # tip equation when the spherical eigenvalue dominates, read in log
+    # space as the tip branches are
+    L, slope = _dense(_constant(4.0), 0.0, (0.0, 3.0), (1.0, 2.0), 1e-10,
+                      log=True)[2](3.0)
+    assert L == pytest.approx(6.0, abs=1e-10)
+    assert slope == pytest.approx(2.0, rel=1e-10)
 
 
 def test_ode_trig_exp_accuracy_scaling():
-    # y'' = lam y reproduces exp/trig with relative error <= 100 * tol
+    # u'' = lam u reproduces exp/trig with relative error <= 100 * tol
     # over spans of length <= 10
     tol = 1e-10
-    sol = integrate_ode(lambda x, y, out: filled(out, [y[1], y[0]]),
-                        (0.0, 10.0), [1.0, 1.0], tol)
-    assert sol.eval(10.0)[0][0] == pytest.approx(math.exp(10.0),
-                                                 rel=100 * tol)
-    sol = integrate_ode(lambda x, y, out: filled(out, [y[1], -y[0]]),
-                        (0.0, 10.0), [1.0, 0.0], tol)
-    assert sol.eval(10.0)[0][0] == pytest.approx(math.cos(10.0),
-                                                 rel=100 * tol)
+    L = _dense(_constant(1.0), 0.0, (0.0, 10.0), (1.0, 1.0), tol,
+               log=True)[2](10.0)[0]
+    assert math.exp(L) == pytest.approx(math.exp(10.0), rel=100 * tol)
+    u = _dense(_constant(0.0), 1.0, (0.0, 10.0), (1.0, 0.0), tol)[2](10.0)[0]
+    assert u == pytest.approx(math.cos(10.0), rel=100 * tol)
 
 
 def test_ode_endpoint_only_matches_dense():
-    # one backend: the endpoint-only solve and the dense solve take the same
-    # steps, so the dense solution's last recorded state is the endpoint
-    # bitwise, and both lie within 100 tol of the exact state
+    # the end reduction and the dense pass's last node give the same
+    # log-derivative, both within 100 tol of the exact one
     tol = 1e-10
-    fld = lambda x, y, out: filled(out, [y[1], -y[0]])  # noqa: E731
-    sol = integrate_ode(fld, (0.0, 10.0), [1.0, 0.0], tol)
-    end = integrate_ode(fld, (0.0, 10.0), [1.0, 0.0], tol, dense=False)
-    assert isinstance(end, np.ndarray) and end.shape == (2,)
-    assert np.array_equal(sol.step_states[:, -1], end)
-    exact = np.array([math.cos(10.0), -math.sin(10.0)])
-    assert np.allclose(end, exact, rtol=0.0, atol=100 * tol)
-    assert np.allclose(sol.states(np.array([10.0]))[:, 0], exact, rtol=0.0,
-                       atol=100 * tol)
+    end = magnus_log_derivative(_constant(0.0), 1.0, (0.0, 10.0), (1.0, 0.0),
+                                tol)
+    u, du = _dense(_constant(0.0), 1.0, (0.0, 10.0), (1.0, 0.0), tol)[2](10.0)
+    assert end == pytest.approx(-math.tan(10.0), rel=100 * tol)
+    assert du / u == pytest.approx(-math.tan(10.0), rel=100 * tol)
 
 
 def test_ode_dense_interior_accuracy():
-    # y'' = rho^2 y over two units, the constant-coefficient tip equation:
-    # the continuous extension holds 1e-10 relative at 4001 interior points
-    # (it reads about 2e-12)
+    # k'' = rho^2 k over two units, the constant-coefficient tip equation,
+    # read as log k: the interpolant holds 1e-10 relative in k and k' at
+    # 4001 interior points
     rho = 5.66
-    sol = integrate_ode(
-        lambda s, y, out: filled(out, [y[1], rho * rho * y[0]]), (0.0, 2.0),
-        [1.0, 1.0], 1e-12)
+    L, slope = _dense(_constant(rho * rho), 0.0, (0.0, 2.0), (1.0, 1.0),
+                      1e-12, log=True)[2](np.linspace(0.0, 2.0, 4001))
     xs = np.linspace(0.0, 2.0, 4001)
     exact = np.cosh(rho * xs) + np.sinh(rho * xs) / rho
-    assert np.max(np.abs(sol.states(xs)[0] / exact - 1.0)) <= 1e-10
+    assert np.max(np.abs(np.exp(L) / exact - 1.0)) <= 1e-10
     dexact = rho * np.sinh(rho * xs) + np.cosh(rho * xs)
-    assert np.max(np.abs(sol.states(xs)[1] / dexact - 1.0)) <= 1e-10
+    assert np.max(np.abs(slope * np.exp(L) / dexact - 1.0)) <= 1e-10
+
+
+def test_magnus_dense_log_read_past_the_double_range():
+    # u'' = u from (1, 1) over 1000 e-folds: the products are rescaled as
+    # they are formed, and log u = x holds at the far end
+    x, v, interpolant = _dense(_constant(1.0), 0.0, (0.0, 1000.0), (1.0, 1.0),
+                               1e-10, log=True)
+    assert v[-1] == pytest.approx(1000.0, rel=1e-12)
+    assert interpolant(777.7)[0] == pytest.approx(777.7, rel=1e-12)
+    assert interpolant(777.7)[1] == pytest.approx(1.0, rel=1e-10)
 
 
 def test_ode_dense_backward_span():
-    # a decreasing span, as solve_k2 integrates from s_far down to r_mu
+    # a decreasing span, as solve_k2 sweeps from s_far down to r_mu
     tol = 1e-10
-    sol = integrate_ode(lambda x, y, out: filled(out, [y[1], -y[0]]),
-                        (10.0, 0.5), [math.cos(10.0), -math.sin(10.0)], tol)
-    assert sol.span == (10.0, 0.5)
-    assert np.all(np.diff(sol.steps) < 0)
-    assert sol.steps[0] == 10.0 and sol.steps[-1] == pytest.approx(0.5)
+    x, v, interpolant = _dense(_constant(0.0), 1.0, (10.0, 0.5),
+                               (math.cos(10.0), -math.sin(10.0)), tol)
+    assert np.all(np.diff(x) < 0)
+    assert x[0] == 10.0 and x[-1] == 0.5
     xs = np.linspace(0.5, 10.0, 1001)
-    got = sol.states(xs)
-    assert np.max(np.abs(got[0] - np.cos(xs))) <= 100 * tol
-    assert np.max(np.abs(got[1] + np.sin(xs))) <= 100 * tol
-    y, dy = sol.eval(3.0)
-    assert dy == pytest.approx([y[1], -y[0]], rel=1e-15)
+    u, du = interpolant(xs)
+    assert np.max(np.abs(u - np.cos(xs))) <= 100 * tol
+    assert np.max(np.abs(du + np.sin(xs))) <= 100 * tol
 
 
 def test_ode_dense_passes_through_recorded_steps():
-    # the extension of each step starts at its recorded state exactly and
-    # ends at the next one up to rounding
-    sol = integrate_ode(
-        lambda x, y, out: filled(out, [y[1], 4.0 * y[0] + math.pi]),
-        (0.0, 3.0), [1.0, 2.0], 1e-10)
-    assert sol.steps.size > 10
-    assert sol.step_states.shape == (2, sol.steps.size)
-    assert np.array_equal(sol.states(sol.steps[:-1]), sol.step_states[:, :-1])
-    assert np.allclose(sol.states(sol.steps[-1]), sol.step_states[:, -1],
-                       rtol=1e-14, atol=0.0)
+    # the interpolant reproduces the node values, starting at the data
+    x, v, interpolant = _dense(_constant(4.0), 0.0, (0.0, 3.0), (1.0, 2.0),
+                               1e-10)
+    assert x.size > 10 and v.shape == x.shape
+    assert v[0] == 1.0
+    np.testing.assert_allclose(interpolant(x)[0], v, rtol=1e-14, atol=0.0)
+
+
+@pytest.mark.parametrize("decreasing", [False, True])
+def test_quintic_hermite_reproduces_quintics(decreasing):
+    # the interpolant of a quintic's values, slopes and second derivatives
+    # is that quintic, on an increasing or a decreasing mesh
+    p = np.polynomial.Polynomial([0.3, -1.0, 0.5, 2.0, -0.7, 0.25])
+    x = np.linspace(-1.0, 2.0, 7)[::-1 if decreasing else 1]
+    interpolant = QuinticHermite(x, p(x), p.deriv()(x), p.deriv(2)(x))
+    xs = np.linspace(-1.0, 2.0, 101)
+    value, slope = interpolant(xs)
+    np.testing.assert_allclose(value, p(xs), rtol=0.0, atol=1e-13)
+    np.testing.assert_allclose(slope, p.deriv()(xs), rtol=0.0, atol=1e-12)
 
 
 def test_ode_field_calls_repeat_exactly():
-    # the compiled runner at IOUT = 0 re-evaluates f at the start of every
-    # step from some point in a process on; the step callback keeps one
-    # solve's field-call count the same on every repeat
-    counts = []
-    for _ in range(40):
-        calls = [0]
+    # a sweep's potential calls, one per mesh, and its result are the same
+    # on every repeat
+    runs = []
+    for _ in range(10):
+        sizes = []
 
-        def fld(x, y, out):
-            calls[0] += 1
-            return filled(out, [y[1], -y[0]])
+        def potential(x):
+            sizes.append(x.size)
+            return np.sin(x)
 
-        with warnings.catch_warnings():
-            integrate_ode(fld, (0.0, 1.0), [1.0, 0.0], 1e-10, dense=False)
-        counts.append(calls[0])
-    assert len(set(counts)) == 1
+        end = magnus_log_derivative(potential, 4.0, (0.0, 3.0), (1.0, 0.0),
+                                    1e-12)
+        runs.append((end.hex(), tuple(sizes)))
+    assert len(set(runs)) == 1
 
 
 @pytest.mark.parametrize("dense", [True, False])
 def test_ode_field_exception_ends_the_solve(dense):
-    # the compiled runner swallows an exception raised in a callback and
-    # steps on, with no step budget; the solve instead stops after the step
-    # under way and raises the field's own exception
+    # an exception the potential raises ends the sweep at once and is
+    # raised as it is
     calls = [0]
-    failure = ValueError("field failed on its 6th call")
+    failure = ValueError("potential failed on its 3rd call")
 
-    def fld(x, y, out):
+    def potential(x):
         calls[0] += 1
-        if calls[0] == 6:
+        if calls[0] == 3:
             raise failure
-        return filled(out, [y[1], -y[0]])
+        return np.zeros_like(x)
 
-    start = time.perf_counter()
     with pytest.raises(ValueError) as err:
-        integrate_ode(fld, (0.0, 1.0), [1.0, 0.0], 1e-10, dense=dense)
-    assert time.perf_counter() - start < 1.0
+        if dense:
+            _dense(potential, 1.0, (0.0, 1.0), (1.0, 0.0), 1e-12)
+        else:
+            magnus_log_derivative(potential, 1.0, (0.0, 1.0), (1.0, 0.0),
+                                  1e-12)
     assert err.value is failure
-    assert calls[0] < 50
+    assert calls[0] == 3
 
 
-@pytest.mark.parametrize("dense", [True, False])
-@pytest.mark.parametrize("fld", [
-    lambda x, y: [y[1], -y[0]],
-    lambda x, y, out: [y[1], -y[0]],
-    lambda x, y, out: np.array([y[1]])],
-    ids=["two-arguments", "fresh-list", "short-array"])
-def test_ode_field_off_the_convention_is_a_type_error(fld, dense):
-    # one calling convention, field(x, y, out) -> out: a field written
-    # without the buffer, or returning anything but it, fails at once
-    # instead of hanging the solve or being read past its end
-    with pytest.raises(TypeError):
-        integrate_ode(fld, (0.0, 1.0), [1.0, 0.0], 1e-10, dense=dense)
-
-
-def test_ode_dense_eval_derivative_is_the_field():
-    # eval's derivative is bitwise the field at the interpolated state on a
-    # fresh buffer, for a scalar and for an array of abscissae, and each
-    # call returns a buffer of its own
-    def fld(x, y, out):
-        out[0] = y[1]
-        out[1] = -(2.0 / x) * y[1] + (3.0 * x ** -1.5 - 7.0) * y[0]
-        return out
-
-    sol = integrate_ode(fld, (0.5, 2.0), [1.0, 0.3], 1e-12)
-    for x in (0.5, 1.2345, 2.0, np.linspace(0.5, 2.0, 7)):
-        y, dy = sol.eval(x)
+def test_ode_dense_eval_derivative_is_the_field(p_default):
+    # a tip branch's eval gives (k', q k) at its interpolated state, bitwise,
+    # for a scalar and for an array of abscissae, and each call returns an
+    # array of its own
+    from hornlab.modes import _q_factory
+    q = _q_factory(p_default, 1, 1.0)
+    s0 = r_mu(p_default, 1.0)
+    k1 = solve_k1(p_default, 1, 1.0, s0 + 3.0)
+    for s in (s0, s0 + 1.2345, s0 + 3.0, np.linspace(s0, s0 + 3.0, 7)):
+        y, dy = k1.eval(s)
         assert dy.shape == y.shape
-        assert np.array_equal(dy, fld(x, y.copy(), np.zeros_like(y)))
-    assert not np.shares_memory(sol.eval(0.7)[1], sol.eval(0.7)[1])
+        assert np.array_equal(dy, np.array([y[1], q(s) * y[0]]))
+    assert not np.shares_memory(k1.eval(s0 + 0.7)[1], k1.eval(s0 + 0.7)[1])
 
 
 def test_ode_endpoint_only_backward_span():
-    # a decreasing span, as tip_anchor integrates from s_far down to s_lo
+    # a decreasing span, as tip_anchor sweeps from s_far down to s_lo
     tol = 1e-10
-    end = integrate_ode(lambda x, y, out: filled(out, [y[1], -y[0]]),
-                        (10.0, 0.5), [math.cos(10.0), -math.sin(10.0)], tol,
-                        dense=False)
-    assert np.allclose(end, [math.cos(0.5), -math.sin(0.5)], rtol=0.0,
-                       atol=100 * tol)
+    end = magnus_log_derivative(_constant(0.0), 1.0, (10.0, 0.5),
+                                (math.cos(10.0), -math.sin(10.0)), tol)
+    assert end == pytest.approx(-math.tan(0.5), rel=100 * tol)
 
 
 def test_ode_endpoint_only_has_no_stiffness_interrupt():
-    # about 3200 accepted steps held at the stability limit: Hairer's
-    # stiffness test would stop this solve after 1000, the dense backend
-    # has none, and the contract has no step budget
-    lam, tol = 1e5, 1e-6
-    end = integrate_ode(
-        lambda x, y, out: filled(out, [-lam * (y[0] - math.cos(x))]),
-        (0.0, 0.2), [1.0], tol, dense=False)
-    exact = ((lam * lam * math.cos(0.2) + lam * math.sin(0.2)
-              + math.exp(-lam * 0.2)) / (lam * lam + 1.0))
-    assert end[0] == pytest.approx(exact, abs=100 * tol)
+    # a rate of 1e5 over 0.2 grows the state by e^20000, far past the
+    # double range: the products are rescaled as they are formed, and the
+    # end log-derivative is the rate
+    lam = 1e5
+    end = magnus_log_derivative(_constant(lam * lam), 0.0, (0.0, 0.2),
+                                (1.0, lam), 1e-12)
+    assert end == pytest.approx(lam, rel=1e-12)
 
 
-def _assert_solves_keep_nothing_alive(dense):
-    # scipy's compiled runner leaks a reference to each callable it is
-    # handed; neither the field, nor the integrator, nor a dense solve's
-    # step log may outlive the solve and its solution
-    from scipy.integrate._ode import dop853
+def _assert_sweeps_keep_nothing_alive(sweep):
+    # neither the potential nor anything it refers to outlives the sweep;
+    # a dense pass's interpolant holds arrays only
+    class Potential:
+        def __call__(self, x):
+            return np.zeros_like(x)
 
-    from hornlab.numerics import _StepLog
-
-    class Field:
-        def __call__(self, x, y, out):
-            return filled(out, [y[1], -y[0]])
-
-    def survivors():
-        gc.collect()
-        return sum(isinstance(o, (dop853, _StepLog)) for o in gc.get_objects())
-
-    before = survivors()
-    fld = Field()
-    ref = weakref.ref(fld)
-    for _ in range(10):
-        sol = integrate_ode(fld, (0.0, 1.0), [1.0, 0.0], 1e-10, dense=dense)
-    del fld, sol
-    assert survivors() == before
+    potential = Potential()
+    ref = weakref.ref(potential)
+    result = sweep(potential)
+    del potential
+    gc.collect()
     assert ref() is None
+    return result
 
 
 def test_ode_endpoint_only_keeps_nothing_alive():
-    _assert_solves_keep_nothing_alive(dense=False)
+    _assert_sweeps_keep_nothing_alive(lambda V: magnus_log_derivative(
+        V, 1.0, (0.0, 1.0), (1.0, 0.0), 1e-10))
 
 
 def test_ode_dense_keeps_nothing_alive():
-    _assert_solves_keep_nothing_alive(dense=True)
+    # the test's read closes over the potential, so the pass reads the
+    # linear state here
+    interpolant = _assert_sweeps_keep_nothing_alive(lambda V: magnus_dense(
+        V, 1.0, (0.0, 1.0), (1.0, 0.0), 1e-10,
+        lambda x, logs, y: (np.exp(logs) * y[0], np.exp(logs) * y[1],
+                            -np.exp(logs) * y[0]))[2])
+    assert interpolant(0.5)[0] == pytest.approx(math.cos(0.5), rel=1e-10)
 
 
 @pytest.mark.parametrize("dense, floor", [(True, 10), (False, 10)])
 def test_ode_tolerance_floor_is_refused(dense, floor):
-    # one backend, one floor for dense and endpoint-only solves: tolerances
-    # down to 10 eps are honoured and a smaller one is refused instead of
-    # clamped, with the tol and the floor
+    # one floor for dense passes and end values: tolerances down to 10 eps
+    # are honoured and a smaller one is refused instead of clamped, with
+    # the tol and the floor
     eps = np.finfo(float).eps
-    fld = lambda x, y, out: filled(out, [y[1], -y[0]])  # noqa: E731
-    integrate_ode(fld, (0.0, 1.0), [1.0, 0.0], floor * eps, dense=dense)
+
+    def sweep(tol):
+        if dense:
+            return _dense(_constant(0.0), 1.0, (0.0, 1.0), (1.0, 0.0), tol)
+        return magnus_log_derivative(_constant(0.0), 1.0, (0.0, 1.0),
+                                     (1.0, 0.0), tol)
+
+    sweep(floor * eps)
     with pytest.raises(ToleranceFloorError, match="tol=") as err:
-        integrate_ode(fld, (0.0, 1.0), [1.0, 0.0], 0.9 * floor * eps,
-                      dense=dense)
+        sweep(0.9 * floor * eps)
     assert isinstance(err.value, DomainValidationError)
-    assert (err.value.tol, err.value.floor) == (0.9 * floor * eps, floor * eps)
+    assert (err.value.tol, err.value.floor, err.value.solver) == \
+        (0.9 * floor * eps, floor * eps, "ODE")
 
 
 def test_ode_initial_condition_and_span():
-    sol = integrate_ode(lambda x, y, out: filled(out, y), (0.0, 1.0), [2.0],
-                        1e-10)
-    assert sol.eval(0.0)[0][0] == pytest.approx(2.0, rel=1e-12)
-    with pytest.raises(DomainValidationError):
-        sol.eval(1.5)
-    with pytest.raises(DomainValidationError):
-        sol.eval(-0.1)
+    # the nodes run from a to b exactly, the first node is the data, and an
+    # empty span is refused
+    x, v, interpolant = _dense(_constant(1.0), 0.0, (0.0, 1.0), (2.0, 2.0),
+                               1e-10)
+    assert (x[0], x[-1], v[0]) == (0.0, 1.0, 2.0)
+    assert interpolant(0.0)[0] == 2.0
+    for sweep in (magnus_dense, magnus_log_derivative):
+        with pytest.raises(DomainValidationError, match="a != b"):
+            sweep(_constant(1.0), 0.0, (1.0, 1.0), (2.0, 2.0), 1e-10,
+                  *([None] if sweep is magnus_dense else []))
+
+
+def test_ode_failure_reports_location():
+    # a well too deep for the first mesh: the dense pass names the radius
+    # of the interval that turns the state by pi or more
+    with pytest.raises(IntegrationError, match="turns the Pruefer") as err:
+        _dense(_constant(-1e6), 1.0, (0.0, 2.0), (1.0, 0.0), 1e-10)
+    assert 0.0 <= err.value.location <= 2.0
+
+
+def test_ode_endpoint_only_failure_reports_location():
+    # an interval propagator past the double range is an IntegrationError at
+    # its node, and no RuntimeWarning escapes
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(IntegrationError, match="not finite") as err:
+            magnus_log_derivative(_constant(1e12), 0.0, (0.0, 2.0), (1.0, 0.0),
+                                  1e-10)
+    assert 0.0 < err.value.location <= 2.0
+
+
+# ---------------------------------------------------------------------------
+# Represented ranges
+# ---------------------------------------------------------------------------
 
 
 def test_check_in_range_rule():
@@ -396,26 +434,6 @@ def test_check_in_range_rule():
         check_in_range([1.5, 3.0], 1.0, 2.0, "r0")
     with pytest.raises(DomainValidationError):
         check_in_range(-1e-300, 0.0, 1.0, "x")
-
-
-def test_ode_failure_reports_location():
-    # finite-time blowup: step size underflows near x = 1
-    with pytest.raises(IntegrationError) as err:
-        integrate_ode(lambda x, y, out: filled(out, y * y), (0.0, 2.0),
-                      [1.0], 1e-10)
-    assert err.value.location is not None
-    assert 0.9 <= err.value.location <= 2.0
-
-
-def test_ode_endpoint_only_failure_reports_location():
-    # the compiled backend's failure is an IntegrationError at the failure
-    # location, and its UserWarning does not escape
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with pytest.raises(IntegrationError) as err:
-            integrate_ode(lambda x, y, out: filled(out, y * y), (0.0, 2.0),
-                          [1.0], 1e-10, dense=False)
-    assert 0.9 <= err.value.location <= 2.0
 
 
 # ---------------------------------------------------------------------------
