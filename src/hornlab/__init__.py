@@ -18,8 +18,9 @@ from .errors import (ConfigError, ConsistencyError, DomainValidationError,
                      QuadratureError, RootBracketError, TipTailError,
                      ToleranceFloorError)
 from .geometry import (HornParams, angular_coupling, liouville_potential,
-                       make_horn_params, measure_weight, measure_weight_log,
-                       sphere_area, sphere_eigenvalue)
+                       liouville_potential_slope, make_horn_params,
+                       measure_weight, measure_weight_log, sphere_area,
+                       sphere_eigenvalue)
 from .heat import (CaloricSeries, EigenPair, analyticity_probe,
                    caloric_decay_check, dirichlet_eigenvalues,
                    make_caloric_series, tail_bound, time_derivative,
@@ -27,7 +28,7 @@ from .heat import (CaloricSeries, EigenPair, analyticity_probe,
 from .modes import (RadialProfile, decay_exponent_fit, normalization_bound,
                     profile_from_k2, r_mu, radial_mode_zero, solve_k1,
                     solve_k2, tip_exponent, tip_rate)
-from .numerics import (LineFit, QuinticHermite, bessel_j, bessel_j_prime,
+from .numerics import (LineFit, SepticHermite, bessel_j, bessel_j_prime,
                        bessel_y, bessel_y_prime, check_in_range,
                        find_root_bracketed, fit_line, gamma_real,
                        lgamma_real, magnus_dense, magnus_log_derivative,

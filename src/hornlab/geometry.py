@@ -116,6 +116,14 @@ def liouville_potential(p, i, r):
             + p.c * (p.c - 2.0) / (4.0 * r * r))
 
 
+def liouville_potential_slope(p, i, r):
+    """dV/dr = -4 mu_i (2 + 2eps) r^(-3-2eps) - c (c - 2) / (2 r^3) of
+    liouville_potential; r > 0, scalar or array (elementwise)."""
+    _check_positive("liouville_potential_slope", r)
+    return (-4.0 * sphere_eigenvalue(p.n, i) * (2.0 + 2.0 * p.eps)
+            * r ** (-3.0 - 2.0 * p.eps) - p.c * (p.c - 2.0) / (2.0 * r ** 3))
+
+
 def sphere_eigenvalue(n, i):
     """i-th eigenvalue mu_i = i (n + i - 2) of the round S^{n-1} Laplacian."""
     if int(n) != n or n < 2:

@@ -39,7 +39,7 @@ import numpy as np
 
 from .errors import (ConsistencyError, DomainValidationError,
                      EigenSearchError)
-from .geometry import liouville_potential
+from .geometry import liouville_potential, liouville_potential_slope
 from .logspace import NEG_INF, logsumexp_signed
 from .modes import (RadialProfile, log_norm_sq, profile_from_k2, r_mu,
                     tip_anchor, tip_rate, tip_window_top)
@@ -206,11 +206,20 @@ def _build_pair(p, i, nu, r_out, tol):
         return (r * r * (liouville_potential(p, i, r) - nu) + 0.25) / (K * K)
 
     def read(x, log, y):
+        # f = E w with E = e^(a x) and w'' = P w: f'' = E ((P + a^2) w +
+        # 2 a w') and f''' = E ((3 a P + a^3 + P') w + (P + 3 a^2) w'), where
+        # P' = (2 r^2 (V - nu) + r^3 V') / K^3 and r^2 (V - nu) = K^2 P - 1/4
+        r = np.exp(x / K)
+        P = potential(x)
+        dP = (2.0 * (K * K * P - 0.25)
+              + r ** 3 * liouville_potential_slope(p, i, r)) / K ** 3
         w = np.exp(log - log.max() + a * x)
         f, df = w * y[0], w * (y[1] + a * y[0])
-        d2f = w * ((potential(x) + a * a) * y[0] + 2.0 * a * y[1])
+        d2f = w * ((P + a * a) * y[0] + 2.0 * a * y[1])
+        d3f = w * ((3.0 * a * P + a ** 3 + dP) * y[0]
+                   + (P + 3.0 * a * a) * y[1])
         big = np.max(np.abs(f))
-        return f / big, df / big, d2f / big
+        return f / big, df / big, d2f / big, d3f / big
 
     _, f, outer = magnus_dense(
         potential, 0.0, (K * math.log(r_sw), K * math.log(r_out)),

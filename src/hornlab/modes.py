@@ -39,9 +39,10 @@ where s_top is the top of the span wanted.  The start lies in the
 interval, so its error is at most sqrt(rho^2+1) - rho, and it shrinks like
 exp(-2 rho (s_far - s)).  The Wronskian k1 k2' - k1' k2 = -1, with
 k1 = k1' = 1 at r_mu, fixes the scale: log k2(r_mu) = -log(1 - kappa(r_mu)).
-A branch is read as log k and kappa off one interpolant of log k, whose
-second derivative at a node is kappa' = q - kappa^2; nothing is
-exponentiated, so the span has no representable-range limit.
+A branch is read as log k and kappa off one septic Hermite interpolant of
+log k, whose second derivative at a node is kappa' = q - kappa^2 and whose
+third is kappa'' = q' - 2 kappa kappa'; nothing is exponentiated, so the
+span has no representable-range limit.
 
 Everything tip-side is represented as (sign, log-magnitude): the physical
 profile f_i(r) = k2(r^-eps) r^(-(c-1-eps)/2) underflows double precision
@@ -101,6 +102,9 @@ def _tip_log(p, s, r, log_k, kappa):
 
 
 def _q_factory(p, i, mu):
+    """The normal-form coefficient q(s), vectorised, with its slope
+    q.slope(s) = -2 A s^-3 - (mu/eps^2) (-2/eps - 2) s^(-2/eps - 3) in
+    closed form."""
     beta = tip_exponent(p)
     A = beta * (beta + 1.0)
     rho2 = 4.0 * sphere_eigenvalue(p.n, i) / p.eps ** 2
@@ -110,6 +114,10 @@ def _q_factory(p, i, mu):
     def q(s):
         return A * s ** -2.0 + rho2 - inv2 * s ** expo
 
+    def slope(s):
+        return -2.0 * A * s ** -3.0 - (inv2 * expo) * s ** (expo - 1.0)
+
+    q.slope = slope
     return q
 
 
@@ -132,7 +140,9 @@ def _check_sandwich(rho, span, log_k, lower, upper, branch):
 
 class TipBranch:
     """A tip branch k on span = (s_lo, s_hi): log k is interpolant (of
-    sigma = rho s, from _tip_dense) plus offset, kappa = k'/k rho times its
+    sigma = rho s, from _tip_dense, a SepticHermite built on log k and its
+    first three derivatives at each node, the third from the Riccati
+    equation differentiated once) plus offset, kappa = k'/k rho times its
     slope.  tail_rel_uncertainty bounds the error that a backward start
     leaves in kappa at s_hi (0 from exact data)."""
 
@@ -174,12 +184,15 @@ def _in_sigma(q, rho, sweep, y0):
 
 def _tip_dense(q, rho, sweep, y0, tol):
     """numerics.magnus_dense of k'' = q k over sweep from y0 in sigma, read
-    as log k (k keeps one sign past r_mu)."""
+    as v = log k (k keeps one sign past r_mu): with P = q / rho^2,
+    v'' = P - v'^2 and v''' = P' - 2 v' v'', P' = q'(sigma / rho) / rho^3."""
     potential, nu, span, start = _in_sigma(q, rho, sweep, y0)
 
     def read(sigma, log, y):
         slope = y[1] / y[0]
-        return log + np.log(y[0]), slope, potential(sigma) - slope * slope
+        curve = potential(sigma) - slope * slope
+        return (log + np.log(y[0]), slope, curve,
+                q.slope(sigma / rho) / rho ** 3 - 2.0 * slope * curve)
 
     return magnus_dense(potential, nu, span, start, tol, read)
 

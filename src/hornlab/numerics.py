@@ -6,7 +6,7 @@ TOMS Algorithm 644), the real Gamma function and its logarithm, the lab's
 one linear propagator, fourth-order Magnus for u'' = (V - nu) u in numpy,
 with three reductions held to their tolerance above a stated floor (the
 Pruefer angle, the end log-derivative and dense node states, read by a
-quintic Hermite interpolant), composite Gauss-Legendre quadrature of
+septic Hermite interpolant), composite Gauss-Legendre quadrature of
 log-represented integrands, bracketed root finding (Brent) and line
 fitting.
 The wrappers fix the domains and the error types, so every caller and test
@@ -351,12 +351,13 @@ def magnus_dense(potential, nu, span, y0, tol, read):
     the double range, on meshes doubling from max(64, the power of two at
     or above k |b - a|), k = sqrt(max(nu, 1)).  read(x, log, y) maps the
     node states (node j's is exp(log[j]) y[:, j]) to the caller's variable
-    as (v, v', v'') at the nodes x, v'' from the equation, and a
-    QuinticHermite reads them.  Two estimates are held to tol: the nodes'
-    (_richardson, in units of each node's max-norm) and the interpolant's,
-    its gap at the mesh midpoints to the interpolant on every other node,
-    over 63 in v and 31 in v' (orders six and five), in units of max|v| and
-    max|v'|, and 0 at its rounding floor 4 eps max|v| / (h max|v'|).
+    as (v, v', v'', v''') at the nodes x, v'' from the equation and v'''
+    from the equation differentiated once, and a SepticHermite reads them.
+    Two estimates are held to tol: the nodes' (_richardson, in units of
+    each node's max-norm) and the interpolant's, its gap at the mesh
+    midpoints to the interpolant on every other node, over 255 in v and
+    127 in v' (orders eight and seven), in units of max|v| and max|v'|, and
+    0 at its rounding floor 4 eps max|v| / (h max|v'|).
 
     Returns (x, v, interpolant) on the accepted nodes x, x[0] = a and
     x[-1] = b.  A tol below 10 eps raises ToleranceFloorError (solver
@@ -370,13 +371,13 @@ def magnus_dense(potential, nu, span, y0, tol, read):
         nonlocal dense
         x = np.linspace(a, b, level[0].size)
         data = read(x, *level)
-        dense = x, data[0], QuinticHermite(x, *data)
+        dense = x, data[0], SepticHermite(x, *data)
         mid = 0.5 * (x[1:] + x[:-1])
-        (v, dv), (w, dw) = dense[2](mid), QuinticHermite(
+        (v, dv), (w, dw) = dense[2](mid), SepticHermite(
             x[::2], *(d[::2] for d in data))(mid)
         size, slope = (np.max(np.abs(d)) for d in data[:2])
-        estimate = max(np.max(np.abs(v - w)) / (63.0 * size),
-                       np.max(np.abs(dv - dw)) / (31.0 * slope))
+        estimate = max(np.max(np.abs(v - w)) / (255.0 * size),
+                       np.max(np.abs(dv - dw)) / (127.0 * slope))
         # the slope of an interpolant rounds to about 2 eps max|v| / h
         floor = 4.0 * _EPS * size * (x.size - 1) / (abs(b - a) * slope)
         return estimate if estimate > floor else 0.0
@@ -400,45 +401,57 @@ def magnus_log_derivative(potential, nu, span, y0, tol):
     return float(y[1, 0] / y[0, 0])
 
 
-class QuinticHermite:
-    """Piecewise quintic Hermite interpolant of values y, first derivatives
-    dy and second derivatives d2y on the nodes x, a uniform mesh in either
-    direction.  Called on abscissae of any shape, it gives (value,
+class SepticHermite:
+    """Piecewise septic Hermite interpolant of values y and first, second
+    and third derivatives dy, d2y and d3y on the nodes x, a uniform mesh in
+    either direction.  Called on abscissae of any shape, it gives (value,
     derivative) there; a point's interval comes from its offset on the
     mesh, with no search, and a point past an end takes the end interval.
-    Between nodes it errs by O(h^6) in the value and O(h^5) in the slope.
+    Between nodes it errs by O(h^8) in the value and O(h^7) in the slope.
     """
 
-    def __init__(self, x, y, dy, d2y):
+    def __init__(self, x, y, dy, d2y, d3y):
         self._x0 = float(x[0])
         # from the whole span: a difference of neighbours would carry their
         # rounding to the far nodes
         self._h = h = float(x[-1] - x[0]) / (len(x) - 1)
         d0, d1 = h * dy[:-1], h * dy[1:]
         s0, s1 = h * h * d2y[:-1], h * h * d2y[1:]
-        # p(t) on t in [0, 1]: p0 + d0 t + s0 t^2 / 2 + c3 t^3 + c4 t^4 +
-        # c5 t^5, with c3..c5 fixed by p(1), p'(1) and p''(1); one column
-        # of coefficients per interval, the highest power first
-        A = y[1:] - y[:-1] - d0 - 0.5 * s0
-        B = d1 - d0 - s0
-        C = s1 - s0
-        c = [6.0 * A - 3.0 * B + 0.5 * C, -15.0 * A + 7.0 * B - C,
-             10.0 * A - 4.0 * B + 0.5 * C, 0.5 * s0, d0, y[:-1]]
-        # (power, value or derivative per unit of t, interval): one Horner
-        # pass for both, the derivative's leading coefficient 0
-        self._coef = np.array([[c[0], np.zeros_like(d0)]] + [
-            [c[k], (6 - k) * c[k - 1]] for k in range(1, 6)])
+        g0, g1 = h ** 3 * d3y[:-1], h ** 3 * d3y[1:]
+        # p(t) on t in [0, 1]: the cubic Taylor part p0 + d0 t + s0 t^2 / 2
+        # + g0 t^3 / 6, plus c4 t^4 + ... + c7 t^7 fixed by A, B, C and D,
+        # what the cubic part leaves of p(1), p'(1), p''(1) and p'''(1);
+        # one column of coefficients per interval, the highest power first
+        A = y[1:] - y[:-1] - d0 - 0.5 * s0 - g0 / 6.0
+        B = d1 - d0 - s0 - 0.5 * g0
+        C = s1 - s0 - g0
+        D = g1 - g0
+        c = [-20.0 * A + 10.0 * B - 2.0 * C + D / 6.0,
+             70.0 * A - 34.0 * B + 6.5 * C - 0.5 * D,
+             -84.0 * A + 39.0 * B - 7.0 * C + 0.5 * D,
+             35.0 * A - 15.0 * B + 2.5 * C - D / 6.0,
+             g0 / 6.0, 0.5 * s0, d0, y[:-1]]
+        self._coef = np.array(c)  # (power, interval)
 
     def __call__(self, x):
         t = (np.asarray(x, dtype=float) - self._x0) / self._h
         j = np.minimum(np.maximum(np.asarray(t).astype(np.intp), 0),
-                       self._coef.shape[2] - 1)
+                       self._coef.shape[1] - 1)
         t = t - j
-        c = self._coef.take(j, axis=2)
-        both = c[0]
-        for k in range(1, 6):
-            both = both * t + c[k]
-        return both[0], both[1] / self._h
+        # one Horner pass for the value, whose partial sums are also the
+        # coefficients of the slope's pass (p_k = p_(k-1) t + c_k and
+        # p_k' = p_(k-1)' t + p_(k-1)); in place, the inner loop of every
+        # evaluator
+        c = self._coef.take(j, axis=1)
+        value = c[0] * t
+        value += c[1]
+        slope = c[0].copy()
+        for k in range(2, 8):
+            slope *= t
+            slope += value
+            value *= t
+            value += c[k]
+        return value, slope / self._h
 
 
 # ---------------------------------------------------------------------------

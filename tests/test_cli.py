@@ -16,7 +16,7 @@ from hornlab.cli import (EXIT_BOUNDS, EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK,
 from hornlab.errors import ConfigError
 from hornlab.geometry import make_horn_params
 from hornlab.heat import CaloricSeries, _wkb_first_trial
-from hornlab.modes import tip_window_top
+from hornlab.modes import RadialProfile, tip_window_top
 
 P_DEFAULT = make_horn_params(3, 4.0, 0.5, 0.25)
 
@@ -351,17 +351,24 @@ def test_non_numeric_values_are_config_errors(tmp_path, capsys, command,
     assert not (tmp_path / "manifest.json").exists()
 
 
-def test_numerical_error_writes_manifest(tmp_path):
-    # a slice tolerance just above the quadrature floor passes the floor
-    # check, but no level of the quadrature reaches it: a numerical failure
-    # inside the pipeline
-    code = main(["freq-parabolic", "--out", str(tmp_path),
-                 "--set", "tolerances.quad=2.3e-16"])
+def test_numerical_error_writes_manifest(tmp_path, monkeypatch):
+    # quad_log raises QuadratureError on an integrand that is NaN at a node:
+    # eigenfunctions whose log|g| is NaN above r = 1 make the first norm of
+    # the pipeline's series fail numerically
+    eval_log = RadialProfile.eval_log
+
+    def broken(self, r):
+        sign, log_mag, dlog = eval_log(self, r)
+        return sign, np.where(np.asarray(r) > 1.0, np.nan, log_mag), dlog
+
+    monkeypatch.setattr(RadialProfile, "eval_log", broken)
+    code = main(["freq-parabolic", "--out", str(tmp_path)])
     assert code == EXIT_NUMERICAL
     man = json.loads((tmp_path / "manifest.json").read_text())
     assert man["status"] == "error"
     assert man["stage"] == "freq-parabolic"
     assert "QuadratureError" in man["error"]
+    assert "integrand is not finite" in man["error"]
 
 
 def test_parabolic_overflow_names_the_slice(tmp_path):

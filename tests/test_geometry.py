@@ -1,10 +1,12 @@
 import json
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
 from hornlab import (DomainValidationError, HornParams, angular_coupling,
+                     liouville_potential, liouville_potential_slope,
                      make_horn_params, measure_weight, measure_weight_log,
                      sphere_area, sphere_eigenvalue)
 
@@ -131,3 +133,26 @@ def test_from_json_refuses_non_integral_n():
 def test_sphere_area():
     assert sphere_area(3) == pytest.approx(4 * math.pi, rel=1e-14)
     assert sphere_area(2) == pytest.approx(2 * math.pi, rel=1e-14)
+
+
+@pytest.mark.parametrize("args", [(3, 4, 0.5, 0.25), (2, 3, 0.5, 0.25),
+                                  (4, 6, 0.3, 0.5)])
+@pytest.mark.parametrize("i", [1, 2])
+def test_liouville_potential_slope_is_its_derivative(args, i):
+    # the closed-form dV/dr against mpmath's derivative of V in 30 digits,
+    # V written out again and checked against liouville_potential first
+    p = make_horn_params(*args)
+    rs = np.array([0.05, 0.3, 1.0, 1.8, 3.0])
+    with mp.workdps(30):
+        mu_i, eps, c = (mp.mpf(v) for v in (sphere_eigenvalue(p.n, i),
+                                            p.eps, p.c))
+
+        def V(r):
+            return 4 * mu_i * r ** (-2 - 2 * eps) + c * (c - 2) / (4 * r * r)
+
+        value = [float(V(mp.mpf(r))) for r in rs]
+        slope = [float(mp.diff(V, mp.mpf(r))) for r in rs]
+    np.testing.assert_allclose(liouville_potential(p, i, rs), value,
+                               rtol=1e-13, atol=0.0)
+    np.testing.assert_allclose(liouville_potential_slope(p, i, rs), slope,
+                               rtol=1e-12, atol=0.0)

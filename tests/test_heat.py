@@ -84,6 +84,24 @@ def test_shot_step_sequence_is_pinned(p_default, monkeypatch, nu, theta,
     assert sizes == {"anchor": anchor_meshes, "shot": meshes}
 
 
+def test_outer_pass_mesh_sequence_is_pinned(p_default, monkeypatch):
+    # an eigenfunction's outer magnus_dense pass at nu_8 of r_out = 1.8 (as
+    # dirichlet_eigenvalues finds it): the sweeps, read from the potential
+    # calls at 2 M Gauss points, double until the nodes meet tol at 2048
+    # intervals, and the one read, on the 1025 nodes of every other
+    # interval, is an interpolant that meets tol too
+    sizes = []
+
+    def recorded(*args):
+        sizes.append(np.size(args[-1]))
+        return liouville_potential(*args)
+
+    monkeypatch.setattr(heat, "liouville_potential", recorded)
+    pair = heat._build_pair(p_default, 1, 301.38768658541863, 1.8, 1e-12)
+    assert sizes == [256, 512, 1024, 2048, 4096, 1025]
+    assert pair.zeros == 7
+
+
 def test_shot_near_nu_30_counts_and_converges(p_default):
     # near nu_30 of index 2 the angle runs past 29 pi: the shot runs without
     # a warning, counts 29 eigenvalues below nu and agrees with a looser shot
@@ -214,7 +232,7 @@ DOP853_DEMO_PAIRS = [
 def test_eigenfunctions_agree_with_the_dop853_pairs(p_default):
     # the Magnus eigenfunction at each recorded eigenvalue: below the seam
     # pointwise, above it against the largest recorded value (measured:
-    # 3.2e-13 in g and 7.7e-13 in g' below, 1.2e-12 and 4.8e-12 above)
+    # 5.6e-13 in g and 1.3e-12 in g' below, 1.2e-12 and 4.9e-12 above)
     r = np.array(DOP853_PAIR_RADII)
     for nu, g_want, dg_want in DOP853_DEMO_PAIRS:
         g_want, dg_want = np.array(g_want), np.array(dg_want)

@@ -1,5 +1,6 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from support import (oracle_gamma, oracle_tip_branch_mu0,
@@ -46,6 +47,32 @@ def test_r_mu_defining_inequality(p_default, mu):
         assert -1e-12 <= val <= 1.0 + 1e-12
 
 
+@pytest.mark.parametrize("args", [(3, 4, 0.5, 0.25), (2, 3, 0.5, 0.25),
+                                  (4, 6, 0.3, 0.5)])
+@pytest.mark.parametrize("i", [1, 2])
+def test_q_slope_is_its_derivative(args, i):
+    # the closed-form q'(s) against mpmath's derivative of q in 30 digits,
+    # q written out again and checked against _q_factory's first, from
+    # r_mu up; at mu = 300 the second branch of r_mu binds (default point)
+    p = make_horn_params(*args)
+    for mu in (0.0, 1.0, 300.0):
+        q = _q_factory(p, i, mu)
+        ss = r_mu(p, mu) + np.array([0.0, 0.1, 0.5, 2.0, 10.0])
+        with mp.workdps(30):
+            eps, c, mu_i, m = (mp.mpf(v) for v in (
+                p.eps, p.c, sphere_eigenvalue(p.n, i), mu))
+            beta = (c - 1 - eps) / (2 * eps)
+
+            def oracle(s):
+                return (beta * (beta + 1) / (s * s) + 4 * mu_i / eps ** 2
+                        - m / eps ** 2 * s ** (-2 / eps - 2))
+
+            value = [float(oracle(mp.mpf(s))) for s in ss]
+            slope = [float(mp.diff(oracle, mp.mpf(s))) for s in ss]
+        np.testing.assert_allclose(q(ss), value, rtol=1e-13, atol=0.0)
+        np.testing.assert_allclose(q.slope(ss), slope, rtol=1e-12, atol=0.0)
+
+
 def test_r_mu_rejects_negative(p_default):
     with pytest.raises(DomainValidationError):
         r_mu(p_default, -1.0)
@@ -87,6 +114,7 @@ def test_k1_constant_coefficient_limit(p_default):
     def q(s):
         return np.full_like(s, rho * rho)
 
+    q.slope = np.zeros_like
     k = TipBranch((s0, s0 + 2.0), q, rho,
                   _tip_dense(q, rho, (s0, s0 + 2.0), (1.0, 1.0), 1e-12)[2])
     for ds in (0.0, 0.05, 0.5, 1.0, 2.0):
@@ -206,8 +234,9 @@ def test_k2_matches_reduction_of_order(p_default, i, mu, span, offsets,
 # as the largest difference of each quantity below: the compiled DOP853
 # that the Magnus sweeps replaced reached 3.3e-14 (anchor), 3.0e-13
 # (log k2), 6.5e-13 (kappa), 7.5e-13 (log f) and 9.7e-13 (d log f/dr); the
-# Magnus sweeps reach 1.7e-12, 1.4e-12, 1.6e-12, 8.2e-13 and 2.3e-12.  One
-# tolerance, 1e-11, holds every one with a margin above 4.
+# Magnus sweeps, read by septic Hermite interpolants, reach 1.7e-12,
+# 1.4e-12, 1.8e-12, 8.2e-13 and 2.5e-12.  One tolerance, 1e-11, holds every
+# one with a margin of 4 or more.
 MU0_POINTS = [(3, 4, 0.5, 0.25), (2, 3, 0.5, 0.25), (3, 4, 1.0, 0.25),
               (4, 6, 0.3, 0.5)]
 MU0_TOL = 1e-11
