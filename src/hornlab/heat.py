@@ -20,7 +20,9 @@ The outer equation is linear and nu enters it only as a shift of V, so a
 shot propagates it with numerics.magnus_prufer: fourth-order Magnus over
 a mesh of equal intervals, all at once in numpy, with theta unwrapped
 interval by interval and a Richardson error estimate held to the shot's
-tolerance in absolute theta.  The tip anchor and an eigenfunction's outer
+tolerance in absolute theta.  The same sweep's nodes give the angle's
+nu-derivative, on which the search runs one safeguarded Newton iteration
+in sqrt(nu) per eigenvalue.  The tip anchor and an eigenfunction's outer
 part are sweeps of the same propagator.
 
 Series evaluation, time derivatives and the tail bound all run in signed
@@ -53,11 +55,19 @@ from .numerics import (find_root_bracketed, fit_line, lgamma_real,
 
 
 def _shoot(p, i, nu, r_out, tol):
-    """Modified Pruefer angle theta(r_out) of the tip-decaying solution.
+    """(theta(r_out), d theta(r_out) / d nu): the modified Pruefer angle of
+    the tip-decaying solution and its nu-derivative.
 
     theta starts in (0, pi) at the anchor, where the solution is positive,
     and crosses every multiple of pi upward, so floor(theta / pi) is the
-    number of eigenvalues below nu.
+    number of eigenvalues below nu.  The slope is magnus_prufer's from the
+    anchor r_sw, with the anchor state held fixed: the exact slope has
+    k int_0^r_sw u^2 dr >= 0 more in its numerator.  Next to
+    int_r_sw^r_out u^2, that tip part is at most 2.0e-9 at the first 8
+    eigenvalues of r_out = 1.8 at the default point, 3.6e-7 at
+    (2, 3, 0.5, 0.25) and 7.0e-5 at (3, 4, 1.0, 0.25) (the first 6 of
+    r_out = 2), so a Newton step on this slope contracts by that factor on
+    top of its quadratic term.
     """
     r_sw, dlog = tip_anchor(p, i, nu, tol)
     # u = r^(c/2) f has the zeros of f, and u'/u = f'/f + c / (2 r)
@@ -81,9 +91,9 @@ class EigenPair:
     norm_defect: float
 
 
-# Shots the search may spend on one eigenvalue, about five times the 8 it
-# is meant to need: it averages under 6, and the first eigenvalue, which
-# starts from the WKB trial, takes 7.
+# Shots the search may spend on one eigenvalue, about ten times the 4 it
+# is meant to need: it averages 3.25 over the first 8 at r_out 1.6-2.0,
+# and the first eigenvalue, which starts from the WKB trial, takes 4.
 _SHOTS_PER_EIGENVALUE = 40
 
 
@@ -91,12 +101,14 @@ def dirichlet_eigenvalues(p, i, r_out, count, tol=1e-12, root_rel=1e-12):
     """First `count` eigenvalues of the radial operator, tip-decaying branch
     at 0 and g(r_out) = 0, as the roots of theta(r_out; nu) = j pi.
 
-    Every shot is kept, and no nu is shot twice.  The first trial solves
-    the WKB phase condition (_wkb_first_trial).  Eigenvalue j is
-    bracketed by the shots whose angles lie on either side of j pi; while
-    one side is missing, the next trial comes from a secant of theta
-    against sqrt(nu), along which theta grows about linearly (WKB).  Brent
-    then polishes the root inside the bracket.
+    One safeguarded Newton iteration in x = sqrt(nu), along which theta
+    grows about linearly (WKB), on the slope each shot returns
+    (_newton_trial).  The first trial solves the WKB phase condition
+    (_wkb_first_trial); eigenvalue j + 1 starts from eigenvalue j's last
+    shot.  Every shot is kept, and the Pruefer counts of all of them
+    bracket the root.  An eigenvalue is the first update of at most
+    max(root_rel, 4 eps) nu, which is not shot; no nu is shot twice.
+    tol and root_rel must be finite and > 0.
     """
     if not i >= 1:
         raise DomainValidationError("dirichlet_eigenvalues needs i >= 1")
@@ -105,36 +117,29 @@ def dirichlet_eigenvalues(p, i, r_out, count, tol=1e-12, root_rel=1e-12):
     if not r_out > tip_window_top(p, 0.0):
         raise DomainValidationError(
             f"r_out must exceed the tip window top {tip_window_top(p, 0.0)}")
-    shots = {}  # trial nu -> theta(r_out; nu)
+    for name, value in (("tol", tol), ("root_rel", root_rel)):
+        if not 0.0 < value < math.inf:
+            raise DomainValidationError(
+                f"dirichlet_eigenvalues needs a finite {name} > 0, "
+                f"got {name}={value}")
+    rel = max(root_rel, 4.0 * float(np.finfo(float).eps))
+    shots = {}  # trial nu -> (theta(r_out; nu), d theta / d nu)
+    nu = trial = _wkb_first_trial(p, i, r_out)
     evals = []
-    spent = 0
-
-    def theta(nu):
-        nonlocal spent
-        if nu not in shots:
-            spent += 1
-            if spent > _SHOTS_PER_EIGENVALUE:
+    for j in range(1, count + 1):
+        target = j * math.pi
+        for spent in range(_SHOTS_PER_EIGENVALUE + 1):
+            if shots:
+                trial = _newton_trial(shots, nu, target, r_out, rel)
+                if abs(trial - nu) <= rel * trial:
+                    break
+            if spent == _SHOTS_PER_EIGENVALUE:
                 raise EigenSearchError(
                     f"eigenvalue search spent its {_SHOTS_PER_EIGENVALUE} "
-                    f"shots without locating index {len(evals) + 1}")
+                    f"shots without locating index {j}")
+            nu = trial
             shots[nu] = _shoot(p, i, nu, r_out, tol)
-        return shots[nu]
-
-    nu_try = _wkb_first_trial(p, i, r_out)
-    for j in range(1, count + 1):
-        spent = 0
-        target = j * math.pi
-        while True:
-            below = [nu for nu, th in shots.items() if th <= target]
-            above = [nu for nu, th in shots.items() if th > target]
-            if below and above:
-                break
-            if shots:
-                nu_try = _secant_trial(shots, target, r_out)
-            theta(nu_try)
-        lo, hi = max(below), min(above)
-        evals.append(find_root_bracketed(lambda x: theta(x) - target,
-                                         lo, hi, root_rel * hi))
+        evals.append(trial)
     return [_build_pair(p, i, nu, r_out, tol) for nu in evals]
 
 
@@ -163,27 +168,41 @@ def _wkb_first_trial(p, i, r_out):
     return find_root_bracketed(excess_phase, 0.0, hi, 1e-6 * hi)
 
 
-def _secant_trial(shots, target, r_out):
-    """Next trial nu when every shot lies on one side of theta = target.
+def _newton_trial(shots, nu, target, r_out, rel):
+    """Next trial nu for theta(r_out; nu) = target from the shot at nu.
 
-    The secant of theta against sqrt(nu) through the outermost shot (the
-    highest nu when every angle is at most the target, else the lowest)
-    and its neighbour; with one shot, or a slope that is not positive, the
-    slope is r_out (WKB on an interval of length r_out).  The trial lies
-    strictly beyond the outermost shot, so every trial is a new shot.
+    shots maps every trial nu to (theta, d theta / d nu).  The trial is the
+    Newton step in x = sqrt(nu), x + (target - theta) / (2 x d theta/d nu),
+    when the slope is finite and positive and the step either lands
+    strictly inside the bracket (x_lo, x_hi), the shots nearest the target
+    on either side by their angles (0 and inf while a side is missing), or
+    moves nu by at most rel times the trial: the search stops there, and a
+    root within rounding of a shot may round onto the bracket's end.
+    Otherwise it is the sqrt(nu) midpoint of the bracket, or, while a side
+    is missing, a step with slope r_out (WKB on an interval of length
+    r_out) from the outermost shot, strictly beyond it.  A trial that
+    moves nu by more than rel times itself is never a shot already taken.
     """
-    up = all(th <= target for th in shots.values())
-    outer = sorted(shots, reverse=up)[:2]
-    nu_a, th_a = outer[0], shots[outer[0]]
-    slope = r_out
-    if len(outer) == 2:
-        nu_b = outer[1]
-        sec = (shots[nu_b] - th_a) / (math.sqrt(nu_b) - math.sqrt(nu_a))
-        slope = sec if sec > 0 else slope
-    x = math.sqrt(nu_a) + (target - th_a) / slope
-    if up:
-        return max(x * x, math.nextafter(nu_a, math.inf))
-    return min(max(x, 0.5 * math.sqrt(nu_a)) ** 2, math.nextafter(nu_a, 0.0))
+    below = [v for v, (th, _) in shots.items() if th <= target]
+    above = [v for v, (th, _) in shots.items() if th > target]
+    x_lo = math.sqrt(max(below)) if below else 0.0
+    x_hi = math.sqrt(min(above)) if above else math.inf
+    theta, slope = shots[nu]
+    x = math.sqrt(nu)
+    slope *= 2.0 * x
+    if 0.0 < slope < math.inf:
+        x_new = x + (target - theta) / slope
+        trial = x_new * x_new
+        if x_lo < x_new < x_hi or abs(trial - nu) <= rel * trial:
+            return trial
+    if below and above:
+        return (0.5 * (x_lo + x_hi)) ** 2
+    # one side missing: step from the outermost shot, strictly beyond it
+    outer = max(below) if below else min(above)
+    x_new = math.sqrt(outer) + (target - shots[outer][0]) / r_out
+    if below:
+        return max(x_new * x_new, math.nextafter(outer, math.inf))
+    return min(max(x_new, 0.5 * x_hi) ** 2, math.nextafter(outer, 0.0))
 
 
 def _build_pair(p, i, nu, r_out, tol):

@@ -5,8 +5,9 @@ functions J_nu, Y_nu and their derivatives (scipy.special, after Amos, ACM
 TOMS Algorithm 644), the real Gamma function and its logarithm, the lab's
 one linear propagator, fourth-order Magnus for u'' = (V - nu) u in numpy,
 with three reductions held to their tolerance above a stated floor (the
-Pruefer angle, the end log-derivative and dense node states, read by a
-septic Hermite interpolant), composite Gauss-Legendre quadrature of
+Pruefer angle, which brings its nu-derivative from the same nodes, the end
+log-derivative and dense node states, read by a septic Hermite
+interpolant), composite Gauss-Legendre quadrature of
 log-represented integrands, bracketed root finding (Brent) and line
 fitting.
 The wrappers fix the domains and the error types, so every caller and test
@@ -209,14 +210,32 @@ def _node_states(potential, nu, a, b, y0, m, log=None):
 
 
 def _magnus_angle(potential, nu, a, b, y0, k, m):
-    """theta(b) of magnus_prufer on m equal intervals of [a, b]."""
+    """(theta(b), node states (u, u') at a + h j, j = 1 .. m) of
+    magnus_prufer on m equal intervals of [a, b]."""
     u, du = _node_states(potential, nu, a, b, y0, m)
     theta = np.arctan2(k * u, du)
     # each interval turns the state by less than pi, so the principal value
     # of each step's angle change is the true one
     steps = np.diff(theta, prepend=math.atan2(k * y0[0], y0[1]))
     wraps = np.rint(steps / (2.0 * math.pi)).sum()
-    return float(theta[-1] - 2.0 * math.pi * wraps)
+    return float(theta[-1] - 2.0 * math.pi * wraps), (u, du)
+
+
+def _angle_slope(nu, k, h, y0, states):
+    """d theta(b) / d nu of magnus_prufer from the node states of one sweep
+    with step h, in units of the largest node state, so no square
+    overflows: (k int u^2 + u(b) u'(b) dk/dnu) / (k^2 u(b)^2 + u'(b)^2),
+    the integral by the corrected trapezoid
+    h sum' u_j^2 + (h^2 / 12) [2 u u'] from b to a, of order h^4."""
+    u, du = (np.concatenate(([y], v)) for y, v in zip(y0, states))
+    big = max(np.max(np.abs(u)), np.max(np.abs(du)))
+    u, du = u / big, du / big
+    sq = u * u
+    norm = h * (sq.sum() - 0.5 * (sq[0] + sq[-1])) \
+        + (h * h / 6.0) * (u[0] * du[0] - u[-1] * du[-1])
+    dk = 0.5 / k if nu > 1.0 else 0.0
+    return float((k * norm + u[-1] * du[-1] * dk)
+                 / (k * k * u[-1] ** 2 + du[-1] ** 2))
 
 
 def _magnus_nodes(potential, nu, a, b, y0, m):
@@ -278,8 +297,9 @@ def _first_mesh(scale):
 
 
 def magnus_prufer(potential, nu, span, y0, tol):
-    """Modified Pruefer angle theta(b) of u'' = (V(r) - nu) u on
-    span = (a, b), a < b, from the state y0 = (u(a), u'(a)).
+    """(theta(b), d theta(b) / d nu): the modified Pruefer angle of
+    u'' = (V(r) - nu) u on span = (a, b), a < b, from the state
+    y0 = (u(a), u'(a)), and its nu-derivative.
 
     With k = sqrt(max(nu, 1)), k u = rho sin(theta) and u' = rho cos(theta);
     theta(a) = atan2(k u(a), u'(a)) and theta is continuous.  The potential
@@ -304,6 +324,15 @@ def magnus_prufer(potential, nu, span, y0, tol):
     until the Richardson estimate of theta (_richardson) is at most tol,
     absolute in radians.
 
+    The slope holds for start data y0 that do not depend on nu.  Then
+    W = u d_nu u' - u' d_nu u starts at 0 and W' = -u^2, so
+    d theta(b) / d nu = (k int_a^b u^2 dr + u(b) u'(b) k')
+    / (k^2 u(b)^2 + u'(b)^2), with k' = 1 / (2 k) for nu > 1 and 0
+    otherwise (_angle_slope).  The integral is the corrected trapezoid on
+    the nodes of the accepted level's finest sweep, of order h^4 and not
+    held to tol.  Start data that move with nu add their own term, which
+    the caller supplies or drops.
+
     theta's rounding error grows with |theta|, which is about k (b - a) or
     less when V >= 0: a tol below the floor 10 eps max(1, k (b - a)) raises
     ToleranceFloorError carrying tol / max(1, k (b - a)) and the floor
@@ -322,10 +351,15 @@ def magnus_prufer(potential, nu, span, y0, tol):
             f"got tol={tol}", tol=tol / scale, floor=_TOL_FLOOR, solver="ODE")
 
     def sweep(m):  # an angle's unit is the radian: log scale 0
-        return np.zeros(1), np.array([[_magnus_angle(potential, nu, a, b, y0,
-                                                     k, m)]])
+        nonlocal finest
+        theta, states = _magnus_angle(potential, nu, a, b, y0, k, m)
+        finest = m, states
+        return np.zeros(1), np.array([[theta]])
 
-    return float(_richardson(sweep, _first_mesh(scale), tol, nu, b)[1][0, 0])
+    finest = None
+    theta = float(_richardson(sweep, _first_mesh(scale), tol, nu, b)[1][0, 0])
+    m, states = finest
+    return theta, _angle_slope(nu, k, (b - a) / m, y0, states)
 
 
 def _state_sweeps(name, potential, nu, span, y0, tol):

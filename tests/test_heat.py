@@ -10,8 +10,8 @@ from hornlab import (ConsistencyError, DomainValidationError, EigenPair,
                      EigenSearchError, IntegrationError, analyticity_probe,
                      caloric_decay_check, dirichlet_eigenvalues, fit_line,
                      lgamma_real, liouville_potential, make_caloric_series,
-                     profile_from_k2, sphere_eigenvalue, tail_bound,
-                     time_derivative, tip_rate, weyl_check)
+                     make_horn_params, profile_from_k2, sphere_eigenvalue,
+                     tail_bound, time_derivative, tip_rate, weyl_check)
 from hornlab import heat, modes, numerics
 from hornlab.elliptic import bessel_state, constant_state
 from hornlab.modes import solve_k2, tip_window_top
@@ -50,7 +50,7 @@ def test_prufer_angle_counts_eigenvalues_exactly(pairs8_rout2, p_default):
     # it below nu_1 and midway between neighbours
     nus = [q.nu for q in pairs8_rout2]
     trials = [0.5 * nus[0]] + [0.5 * (a + b) for a, b in zip(nus, nus[1:])]
-    thetas = [heat._shoot(p_default, 1, nu, 2.0, 1e-12) for nu in trials]
+    thetas = [heat._shoot(p_default, 1, nu, 2.0, 1e-12)[0] for nu in trials]
     assert [math.floor(th / math.pi) for th in thetas] == list(range(8))
     assert all(b > a for a, b in zip(thetas, thetas[1:]))
 
@@ -79,7 +79,7 @@ def test_shot_step_sequence_is_pinned(p_default, monkeypatch, nu, theta,
         q_factory(*args), "anchor"))
     monkeypatch.setattr(heat, "liouville_potential",
                         recorded(liouville_potential, "shot"))
-    got = heat._shoot(p_default, 1, nu, 1.8, 1e-12)
+    got, _ = heat._shoot(p_default, 1, nu, 1.8, 1e-12)
     assert got == pytest.approx(theta, rel=0.0, abs=1e-13)
     assert sizes == {"anchor": anchor_meshes, "shot": meshes}
 
@@ -107,10 +107,10 @@ def test_shot_near_nu_30_counts_and_converges(p_default):
     # a warning, counts 29 eigenvalues below nu and agrees with a looser shot
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        theta = heat._shoot(p_default, 2, 2896.0, 2.0, 1e-12)
+        theta, _ = heat._shoot(p_default, 2, 2896.0, 2.0, 1e-12)
     assert math.floor(theta / math.pi) == 29
-    assert theta == pytest.approx(heat._shoot(p_default, 2, 2896.0, 2.0, 1e-11),
-                                  rel=0.0, abs=1e-10)
+    assert theta == pytest.approx(
+        heat._shoot(p_default, 2, 2896.0, 2.0, 1e-11)[0], rel=0.0, abs=1e-10)
 
 
 def test_shot_past_the_mesh_cap_names_nu(p_default, monkeypatch):
@@ -252,20 +252,110 @@ def test_eigensearch_budget_names_index(p_default, monkeypatch):
         dirichlet_eigenvalues(p_default, 1, 2.0, 2)
 
 
-def test_secant_trial_steps_past_the_outermost_shot():
-    # secant of theta against sqrt(nu); every trial is a new nu beyond the
-    # shots on the known side, so the bracket search cannot stall
-    up = heat._secant_trial({4.0: 1.0, 9.0: 2.0}, math.pi, 2.0)
-    assert up == pytest.approx((3.0 + math.pi - 2.0) ** 2, rel=1e-14)
-    down = heat._secant_trial({16.0: 5.0, 25.0: 6.0}, math.pi, 2.0)
-    assert down == pytest.approx((4.0 + math.pi - 5.0) ** 2, rel=1e-14)
-    # a slope that is not positive falls back to r_out
-    flat = heat._secant_trial({4.0: 2.0, 9.0: 2.0}, math.pi, 2.0)
-    assert flat == pytest.approx((3.0 + (math.pi - 2.0) / 2.0) ** 2,
-                                 rel=1e-14)
-    # a shot exactly on the target still yields a new trial
-    assert heat._secant_trial({9.0: math.pi}, math.pi, 2.0) > 9.0
-    assert heat._secant_trial({9.0: 4.0}, math.pi, 2.0) < 9.0
+def test_newton_trial_safeguard():
+    # shots map nu to (theta, d theta / d nu); target pi, r_out 2.  A Newton
+    # step in sqrt(nu) that lands inside the bracket (2, 3) is the trial
+    rel = 1e-12
+    both = {9.0: (3.5, 0.5)}
+    inside = heat._newton_trial({**both, 4.0: (3.0, 0.25)}, 4.0, math.pi,
+                                2.0, rel)
+    assert inside == pytest.approx((2.0 + math.pi - 3.0) ** 2, rel=1e-14)
+    # one that leaves the bracket, or a slope that is not finite and
+    # positive, gives the sqrt(nu) midpoint
+    for slope in (0.01, 0.0, -1.0, math.nan, math.inf):
+        assert heat._newton_trial({**both, 4.0: (3.0, slope)}, 4.0, math.pi,
+                                  2.0, rel) == 6.25
+    # with one side missing, a step with slope r_out from the outermost
+    # shot, strictly beyond it: upward from 9 when the Newton step from 4
+    # falls short of it, downward from 16, at least half way down in
+    # sqrt(nu)
+    below = {4.0: (1.0, 1.0), 9.0: (2.0, math.nan)}
+    assert heat._newton_trial(below, 4.0, math.pi, 2.0, rel) == \
+        pytest.approx((3.0 + (math.pi - 2.0) / 2.0) ** 2, rel=1e-14)
+    above = {16.0: (5.0, math.nan), 25.0: (6.0, 1.0)}
+    assert heat._newton_trial(above, 16.0, math.pi, 2.0, rel) == \
+        pytest.approx((4.0 + (math.pi - 5.0) / 2.0) ** 2, rel=1e-14)
+    assert heat._newton_trial({16.0: (20.0, math.nan)}, 16.0, math.pi, 2.0,
+                              rel) == 4.0
+    # a shot exactly on the target still yields a new trial on either side
+    assert heat._newton_trial({9.0: (math.pi, math.nan)}, 9.0, math.pi, 2.0,
+                              rel) > 9.0
+    assert heat._newton_trial({9.0: (4.0, math.nan)}, 9.0, math.pi, 2.0,
+                              rel) < 9.0
+    # a Newton update within rel of the shot is the search's stop, even
+    # where it rounds onto the bracket's end
+    assert heat._newton_trial({9.0: (math.pi, 0.1), 16.0: (4.0, 0.1)}, 9.0,
+                              math.pi, 2.0, rel) == 9.0
+
+
+def test_shot_slope_matches_a_central_difference(p_default):
+    # the slope drops the anchor's own nu-dependence, a tip part far below
+    # the 1e-7 asked here (measured: 3.5e-9 at most); nu = 0.5 has k = 1
+    for nu in (0.5, 13.0, 60.0, 300.0):
+        _, slope = heat._shoot(p_default, 1, nu, 1.8, 1e-12)
+        d = 1e-4 * nu
+        up, down = (heat._shoot(p_default, 1, x, 1.8, 1e-12)[0]
+                    for x in (nu + d, nu - d))
+        assert slope == pytest.approx((up - down) / (2 * d), rel=1e-7)
+
+
+def test_tip_share_newton_drops_is_small(p_default):
+    # the shot's slope leaves out int_0^r_sw u^2; at the eigenpairs of
+    # r_out = 1.8 that tip part of the norm, next to the rest, is at most
+    # 2.0e-9 (measured), so Newton's steps barely feel it
+    for q in dirichlet_eigenvalues(p_default, 1, 1.8, 8):
+        r_sw = tip_window_top(p_default, q.nu)
+        share = math.exp(modes.log_norm_sq(q.g, q.g.r_min, r_sw, 1e-12)
+                         - modes.log_norm_sq(q.g, r_sw, 1.8, 1e-12))
+        assert share <= 1e-8
+
+
+def test_eigensearch_shot_count_is_pinned(p_default, monkeypatch):
+    # Newton takes 26 shots for the first 8 eigenvalues at r_out = 1.8, 4
+    # for each of the first two and 3 for each of the rest, all distinct; a
+    # change to the search shows here
+    trials = []
+    shoot = heat._shoot
+
+    def counted(p, i, nu, r_out, tol):
+        trials.append(nu)
+        return shoot(p, i, nu, r_out, tol)
+
+    monkeypatch.setattr(heat, "_shoot", counted)
+    dirichlet_eigenvalues(p_default, 1, 1.8, 8)
+    assert len(trials) == len(set(trials)) == 26
+
+
+# Eigenvalues and zero counts as the secant-bracket and Brent search gave
+# them (tol and root_rel 1e-12): (params, i, r_out) -> eigenvalues
+BRENT_SEARCH_NU = {
+    ((3, 4.0, 0.5, 0.25), 2, 2.0): [
+        16.576823547299302, 37.689841485499024, 64.97193582384631,
+        98.260596056729, 137.42433861919855, 182.36380033127537,
+        233.00193932693796, 289.2772235700462],
+    ((3, 4.0, 0.5, 0.25), 3, 1.8): [
+        32.186958124055174, 65.98231209800899, 107.48263142992397,
+        156.60431709059432, 213.2037334188978, 277.15605338416316,
+        348.3583806829695, 426.72561568058126],
+    ((2, 3.0, 0.5, 0.25), 1, 2.0): [
+        6.834487343411128, 19.9932881399414, 38.98331116201572,
+        63.61346543848795, 93.77191151909987, 129.38339553277217],
+    ((3, 4.0, 1.0, 0.25), 1, 2.0): [
+        10.396053692128225, 27.852053824895943, 52.17391181670816,
+        83.05519016263908, 120.2985155080884, 163.7640511475289],
+    ((3, 4.0, 0.1, 0.5), 1, 2.0): [
+        9.844037229872866, 23.815299265984187, 42.88997355469197,
+        67.04971975179332]}
+
+
+@pytest.mark.parametrize("key", BRENT_SEARCH_NU, ids=str)
+def test_eigenvalues_agree_with_the_brent_search(key):
+    params, i, r_out = key
+    want = BRENT_SEARCH_NU[key]
+    pairs = dirichlet_eigenvalues(make_horn_params(*params), i, r_out,
+                                  len(want))
+    assert [q.nu for q in pairs] == pytest.approx(want, rel=1e-12)
+    assert [q.zeros for q in pairs] == list(range(len(want)))
 
 
 def test_oscillation_counts(pairs8_rout2):
@@ -397,6 +487,14 @@ def test_eigensearch_validates_input(p_default):
         dirichlet_eigenvalues(p_default, 0, 2.0, 2)
     with pytest.raises(DomainValidationError):
         dirichlet_eigenvalues(p_default, 1, 0.05, 2)
+
+
+@pytest.mark.parametrize("key", ["tol", "root_rel"])
+@pytest.mark.parametrize("value", [0.0, -1e-12, math.nan, math.inf])
+def test_eigensearch_refuses_a_tolerance_that_is_not_positive(p_default, key,
+                                                              value):
+    with pytest.raises(DomainValidationError, match=f"{key}={value}"):
+        dirichlet_eigenvalues(p_default, 1, 2.0, 2, **{key: value})
 
 
 # ---------------------------------------------------------------------------

@@ -468,14 +468,28 @@ def test_magnus_prufer_matches_the_bessel_angle(p_default, nu):
     # the zeros of u in (a, b] plus the angle of (k u(b), u'(b)) mod pi
     a, b = 0.2, 2.0
     k = math.sqrt(nu)
-    theta = magnus_prufer(lambda r: liouville_potential(p_default, 0, r), nu,
-                          (a, b), oracle_liouville_bessel(p_default.c, nu, a),
-                          1e-12)
+    theta, _ = magnus_prufer(
+        lambda r: liouville_potential(p_default, 0, r), nu, (a, b),
+        oracle_liouville_bessel(p_default.c, nu, a), 1e-12)
     zeros = bessel_zero_count((p_default.c - 1) / 2, k * a, k * b)
     u, du = oracle_liouville_bessel(p_default.c, nu, b)
     assert math.floor(theta / math.pi) == zeros
     assert theta == pytest.approx(
         math.pi * zeros + math.atan2(k * u, du) % math.pi, rel=0.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("nu", [4.0, 100.0, 900.0])
+def test_magnus_prufer_slope_in_closed_form(nu):
+    # V = 0 from (u, u') = (0, 1) at 0, start data free of nu: u =
+    # sin(k r) / k with k = sqrt(nu), so theta(b) = k b and its slope is
+    # b / (2 k).  Magnus is exact on a constant V, so the first mesh, 64
+    # intervals, is accepted, and the slope carries the corrected
+    # trapezoid's error of order (k h)^4 there, not tol (measured: 1.5e-8
+    # at nu = 100, 3.3e-7 at nu = 900, where k h = 0.94)
+    theta, slope = magnus_prufer(np.zeros_like, nu, (0.0, 2.0), (0.0, 1.0),
+                                 1e-12)
+    assert theta == pytest.approx(2.0 * math.sqrt(nu), rel=1e-13)
+    assert slope == pytest.approx(1.0 / math.sqrt(nu), rel=1e-6)
 
 
 def test_magnus_prufer_refuses_a_tolerance_below_its_floor():
