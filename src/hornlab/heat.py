@@ -25,6 +25,14 @@ nu-derivative, on which the search runs one safeguarded Newton iteration
 in sqrt(nu) per eigenvalue.  The tip anchor and an eigenfunction's outer
 part are sweeps of the same propagator.
 
+The eigenpairs of a search are built together, one row a pair: one
+batched tip pass (modes.profile_from_k2 on the array of eigenvalues), one
+batched outer numerics.magnus_dense pass and one quad_log call for all
+the norms.  The rows keep numerics' row contract (each row its own
+meshes, rescaling and acceptance), so a pair is bit for bit the pair
+built alone, and every pair's Dirichlet defect is checked before any
+norm is taken.
+
 Series evaluation, time derivatives and the tail bound all run in signed
 log space; the dropped tail is majorized through the empirical two-sided
 eigenvalue growth fit nu_j ~ [C1 j^(2/N), C2 j^2] and a doubling-block
@@ -71,7 +79,7 @@ def _shoot(p, i, nu, r_out, tol):
     """
     r_sw, dlog = tip_anchor(p, i, nu, tol)
     # u = r^(c/2) f has the zeros of f, and u'/u = f'/f + c / (2 r)
-    return magnus_prufer(lambda r: liouville_potential(p, i, r), nu,
+    return magnus_prufer(lambda r, rows: liouville_potential(p, i, r), nu,
                          (r_sw, r_out), (1.0, dlog + 0.5 * p.c / r_sw), tol)
 
 
@@ -140,7 +148,7 @@ def dirichlet_eigenvalues(p, i, r_out, count, tol=1e-12, root_rel=1e-12):
             nu = trial
             shots[nu] = _shoot(p, i, nu, r_out, tol)
         evals.append(trial)
-    return [_build_pair(p, i, nu, r_out, tol) for nu in evals]
+    return _build_pairs(p, i, evals, r_out, tol)
 
 
 def _wkb_first_trial(p, i, r_out):
@@ -205,50 +213,99 @@ def _newton_trial(shots, nu, target, r_out, rel):
     return min(max(x_new, 0.5 * x_hi) ** 2, math.nextafter(outer, 0.0))
 
 
-def _build_pair(p, i, nu, r_out, tol):
-    s_lo = r_mu(p, nu)
-    r_sw = tip_window_top(p, nu)
+def _build_pairs(p, i, nus, r_out, tol):
+    """The eigenpairs at the eigenvalues nus, built together: one batched
+    tip pass (profile_from_k2), one batched outer magnus_dense pass and one
+    quad_log call for the norms, each row bit for bit its pair's own call.
+
+    A pair is its tip branch below the anchor r_sw = r_mu^(-1/eps) and the
+    outer pass above, of w = r^((c-1)/2) f, w'' = (r^2 (V - nu) + 1/4) w in
+    K log r (K = r_out sqrt(max(nu, 1)), the fastest turn per unit of
+    log r), whose uniform mesh resolves the barrier above r_sw and the
+    oscillations alike.  Every pair's Dirichlet defect is checked before
+    any norm is taken: one above 1e-8 raises ConsistencyError naming its nu.
+    """
+    rho = tip_rate(p, i)
+    s_lo = [r_mu(p, nu) for nu in nus]
+    r_sw = [tip_window_top(p, nu) for nu in nus]
     # tip branch over ~40 decay e-foldings; everything below is dropped
-    r_tip_lo = (s_lo + 40.0 / tip_rate(p, i) + 2.0) ** (-1.0 / p.eps)
-    tip = profile_from_k2(p, i, nu, r_tip_lo, n_grid=48, tol=tol)
-    _, log_at_anchor, dlog_anchor = (float(v) for v in tip.eval_log(r_sw))
+    r_tip_lo = [(s + 40.0 / rho + 2.0) ** (-1.0 / p.eps) for s in s_lo]
+    tips = profile_from_k2(p, i, np.array(nus), np.array(r_tip_lo),
+                           n_grid=48, tol=tol)
+    anchors = [[float(v) for v in tip.eval_log(r)]
+               for tip, r in zip(tips, r_sw)]
+    K = [r_out * math.sqrt(max(nu, 1.0)) for nu in nus]
+    a = [0.5 * (1.0 - p.c) / k for k in K]
+    # the powers one row at a time, as a float's power rounds them
+    K3, a3 = (np.array([v ** 3 for v in vs])[:, None] for vs in (K, a))
+    Kc, ac, nuc = (np.array(v)[:, None] for v in (K, a, nus))
 
-    # the outer part: one dense pass from the anchor of w = r^((c-1)/2) f,
-    # w'' = (r^2 (V - nu) + 1/4) w in K log r (K, the fastest turn per unit
-    # of log r), whose uniform mesh resolves the barrier above r_sw and the
-    # oscillations alike; it reads f, at most 1 in size at the nodes
-    K = r_out * math.sqrt(max(nu, 1.0))
-    a = 0.5 * (1.0 - p.c) / K
+    def potential(x, rows):
+        k = Kc[rows]
+        r = np.exp(x / k)
+        return (r * r * (liouville_potential(p, i, r) - nuc[rows]) + 0.25) \
+            / (k * k)
 
-    def potential(x):
-        r = np.exp(x / K)
-        return (r * r * (liouville_potential(p, i, r) - nu) + 0.25) / (K * K)
-
-    def read(x, log, y):
+    def read(x, log, y, rows):
         # f = E w with E = e^(a x) and w'' = P w: f'' = E ((P + a^2) w +
         # 2 a w') and f''' = E ((3 a P + a^3 + P') w + (P + 3 a^2) w'), where
         # P' = (2 r^2 (V - nu) + r^3 V') / K^3 and r^2 (V - nu) = K^2 P - 1/4
-        r = np.exp(x / K)
-        P = potential(x)
-        dP = (2.0 * (K * K * P - 0.25)
-              + r ** 3 * liouville_potential_slope(p, i, r)) / K ** 3
-        w = np.exp(log - log.max() + a * x)
-        f, df = w * y[0], w * (y[1] + a * y[0])
-        d2f = w * ((P + a * a) * y[0] + 2.0 * a * y[1])
-        d3f = w * ((3.0 * a * P + a ** 3 + dP) * y[0]
-                   + (P + 3.0 * a * a) * y[1])
-        big = np.max(np.abs(f))
+        k, e = Kc[rows], ac[rows]
+        r = np.exp(x / k)
+        P = potential(x, rows)
+        dP = (2.0 * (k * k * P - 0.25)
+              + r ** 3 * liouville_potential_slope(p, i, r)) / K3[rows]
+        w = np.exp(log - log.max(axis=1, keepdims=True) + e * x)
+        f, df = w * y[0], w * (y[1] + e * y[0])
+        d2f = w * ((P + e * e) * y[0] + 2.0 * e * y[1])
+        d3f = w * ((3.0 * e * P + a3[rows] + dP) * y[0]
+                   + (P + 3.0 * e * e) * y[1])
+        big = np.max(np.abs(f), axis=1, keepdims=True)
         return f / big, df / big, d2f / big, d3f / big
 
-    _, f, outer = magnus_dense(
-        potential, 0.0, (K * math.log(r_sw), K * math.log(r_out)),
-        (1.0, (r_sw * dlog_anchor + 0.5 * p.c - 0.5) / K), tol, read)
-    tip_shift = math.log(f[0]) - log_at_anchor  # onto the outer f(r_sw) > 0
-    scale_log = 0.0  # until the norm is known
+    outer = magnus_dense(
+        potential, 0.0,
+        (np.array([k * math.log(r) for k, r in zip(K, r_sw)]),
+         np.array([k * math.log(r_out) for k in K])),
+        (1.0, np.array([(r * dlog + 0.5 * p.c - 0.5) / k
+                        for r, (_, _, dlog), k in zip(r_sw, anchors, K)])),
+        tol, read)
+    # each interval of a pass turns by less than pi, so a sign change
+    # between nodes is exactly one zero; the last interval holds r_out's
+    defects = [abs(f[-1]) / float(np.max(np.abs(f))) for _, f, _ in outer]
+    for nu, defect in zip(nus, defects):
+        if defect > 1e-8:
+            raise ConsistencyError(
+                f"Dirichlet defect {defect} at r_out for nu = {nu}")
 
+    def profile(k, scale_log):
+        # the grid marks the cap, the seam and the bottom of the tip branch
+        grid = np.array([r_out ** -p.eps, s_lo[k], tips[k].s_grid[-1]])
+        tip_shift = math.log(outer[k][1][0]) - anchors[k][1]
+        return RadialProfile(params=p, i=i, mu=nus[k], s_grid=grid,
+                             evaluator=_glued(tips[k], outer[k][2], K[k],
+                                              r_sw[k], tip_shift, scale_log))
+
+    # the L2(w dr) norm drops the part below r_tip_lo, where the density has
+    # shed about 2*40 e-foldings; nothing bounds it
+    unit = [profile(k, 0.0) for k in range(len(nus))]
+    log_norms = log_norm_sq(unit, np.array([g.r_min for g in unit]), r_out,
+                            1e-12)
+    return [EigenPair(nu=nu, mode_index=i,
+                      g=profile(k, -0.5 * float(log_norms[k])), r_out=r_out,
+                      zeros=int(np.count_nonzero(
+                          np.diff(np.signbit(outer[k][1][:-1])))),
+                      norm_defect=defects[k])
+            for k, nu in enumerate(nus)]
+
+
+def _glued(tip, outer, K, r_sw, tip_shift, scale_log):
+    """An eigenfunction's evaluator: the tip profile below r_sw, shifted
+    onto the outer pass's f(r_sw) > 0, and the outer interpolant in K log r
+    above, both times exp(scale_log)."""
     def evaluator(r):
-        # the tip branch below r_sw, the outer pass above; each array is
-        # masked on its own, several times faster than out[:, mask] = (...)
+        # each array is masked on its own, several times faster than
+        # out[:, mask] = (...)
         inner = r < r_sw
         outside = ~inner
         out = [np.empty(r.shape) for _ in range(3)]
@@ -266,23 +323,7 @@ def _build_pair(p, i, nu, r_out, tol):
                 o[outside] = v
         return out
 
-    # the grid marks the cap, the seam and the bottom of the tip branch.
-    # The L2(w dr) norm drops the part below r_tip_lo, where the density has
-    # shed about 2*40 e-foldings; nothing bounds it
-    grid = np.array([r_out ** -p.eps, s_lo, tip.s_grid[-1]])
-    g = RadialProfile(params=p, i=i, mu=nu, s_grid=grid, evaluator=evaluator)
-    scale_log = -0.5 * log_norm_sq(g, g.r_min, r_out, 1e-12)
-    g = replace(g)  # its grid values at the final scale
-
-    # each interval of the pass turns by less than pi, so a sign change
-    # between nodes is exactly one zero; the last interval holds r_out's
-    norm_defect = abs(f[-1]) / float(np.max(np.abs(f)))
-    if norm_defect > 1e-8:
-        raise ConsistencyError(
-            f"Dirichlet defect {norm_defect} at r_out for nu = {nu}")
-    zeros = int(np.count_nonzero(np.diff(np.signbit(f[:-1]))))
-    return EigenPair(nu=nu, mode_index=i, g=g, r_out=r_out, zeros=zeros,
-                     norm_defect=norm_defect)
+    return evaluator
 
 
 # ---------------------------------------------------------------------------

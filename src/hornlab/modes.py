@@ -104,7 +104,8 @@ def _tip_log(p, s, r, log_k, kappa):
 def _q_factory(p, i, mu):
     """The normal-form coefficient q(s), vectorised, with its slope
     q.slope(s) = -2 A s^-3 - (mu/eps^2) (-2/eps - 2) s^(-2/eps - 3) in
-    closed form."""
+    closed form.  mu broadcasts against s: a column of mu, one a row, gives
+    each row of s its own."""
     beta = tip_exponent(p)
     A = beta * (beta + 1.0)
     rho2 = 4.0 * sphere_eigenvalue(p.n, i) / p.eps ** 2
@@ -173,26 +174,30 @@ class TipBranch:
         return y, np.array([y[1], self._q(s) * y[0]])
 
 
-def _in_sigma(q, rho, sweep, y0):
+def _in_sigma(q_of, rho, sweep, y0):
     """k'' = q k over sweep = (start, end) from y0 = (k, k'), as the
     arguments (potential, nu, span, y0) of a numerics sweep in
     sigma = rho s, where d^2k/dsigma^2 = (q / rho^2) k: the branches turn at
-    about unit rate, so k and dk/dsigma = k' / rho have one size."""
-    return ((lambda sigma: q(sigma / rho) / (rho * rho)), 0.0,
+    about unit rate, so k and dk/dsigma = k' / rho have one size.
+    q_of(rows) is the coefficient q of those rows; the ends and y0 hold a
+    value a row, or one value for a single row."""
+    return ((lambda sigma, rows: q_of(rows)(sigma / rho) / (rho * rho)), 0.0,
             (rho * sweep[0], rho * sweep[1]), (y0[0], y0[1] / rho))
 
 
-def _tip_dense(q, rho, sweep, y0, tol):
-    """numerics.magnus_dense of k'' = q k over sweep from y0 in sigma, read
-    as v = log k (k keeps one sign past r_mu): with P = q / rho^2,
-    v'' = P - v'^2 and v''' = P' - 2 v' v'', P' = q'(sigma / rho) / rho^3."""
-    potential, nu, span, start = _in_sigma(q, rho, sweep, y0)
+def _tip_dense(q_of, rho, sweep, y0, tol):
+    """numerics.magnus_dense of k'' = q k over sweep from y0 in sigma
+    (_in_sigma), read as v = log k (k keeps one sign past r_mu): with
+    P = q / rho^2, v'' = P - v'^2 and v''' = P' - 2 v' v'',
+    P' = q'(sigma / rho) / rho^3."""
+    potential, nu, span, start = _in_sigma(q_of, rho, sweep, y0)
 
-    def read(sigma, log, y):
+    def read(sigma, log, y, rows):
         slope = y[1] / y[0]
-        curve = potential(sigma) - slope * slope
+        curve = potential(sigma, rows) - slope * slope
         return (log + np.log(y[0]), slope, curve,
-                q.slope(sigma / rho) / rho ** 3 - 2.0 * slope * curve)
+                q_of(rows).slope(sigma / rho) / rho ** 3
+                - 2.0 * slope * curve)
 
     return magnus_dense(potential, nu, span, start, tol, read)
 
@@ -211,8 +216,8 @@ def solve_k1(p, i, mu, s_max, tol=1e-12):
             f"s_max must exceed r_mu = {s_lo}, got {s_max}")
     q = _q_factory(p, i, mu)
     rho = tip_rate(p, i)
-    k1 = TipBranch((s_lo, s_max), q, rho,
-                   _tip_dense(q, rho, (s_lo, s_max), (1.0, 1.0), tol)[2])
+    k1 = TipBranch((s_lo, s_max), q, rho, _tip_dense(
+        lambda rows: q, rho, (s_lo, s_max), (1.0, 1.0), tol)[2])
     _check_sandwich(rho, k1.span, lambda ss: k1.log_eval(ss)[0],
                     (-math.log(rho), rho), (0.0, rho + 1.0), "growing")
     return k1
@@ -234,8 +239,8 @@ def tip_anchor(p, i, mu, tol):
     rho = tip_rate(p, i)
     s_far = _s_far(rho, s_lo)
     q = _q_factory(p, i, mu)
-    kappa = rho * magnus_log_derivative(
-        *_in_sigma(q, rho, (s_far, s_lo), (1.0, -math.sqrt(q(s_far)))), tol)
+    kappa = rho * magnus_log_derivative(*_in_sigma(
+        lambda rows: q, rho, (s_far, s_lo), (1.0, -math.sqrt(q(s_far)))), tol)
     r_top = s_lo ** (-1.0 / p.eps)
     return r_top, float(_tip_log(p, s_lo, r_top, 0.0, kappa)[1])
 
@@ -244,32 +249,50 @@ def solve_k2(p, i, mu, s_max, tol=1e-12):
     """Decaying branch on [r_mu, s_max] from one backward sweep, s_far down
     to r_mu, scaled by the Wronskian.  Raises ConsistencyError if the start
     at s_far could leave a kappa error above 1e-12 anywhere on the span.
+
+    mu and s_max may be 1-D arrays of one length: every row's branch then
+    comes from one batched magnus_dense pass, each bit for bit the branch
+    of its own call, and the branches come as a list.
     """
     if not i >= 1:
         raise DomainValidationError("solve_k2 needs i >= 1 (mu_i > 0)")
-    s_lo = r_mu(p, mu)
-    if not s_max > s_lo:
-        raise DomainValidationError(
-            f"s_max must exceed r_mu = {s_lo}, got {s_max}")
     rho = tip_rate(p, i)
-    s_far = _s_far(rho, s_max)
-    rel_unc = ((math.sqrt(rho * rho + 1.0) - rho)
-               * math.exp(-2.0 * rho * (s_far - s_max)))
-    if rel_unc > 1e-12:
-        raise ConsistencyError(
-            f"backward start uncertainty {rel_unc:.2e} exceeds 1e-12; "
-            "start window too short")
-    q = _q_factory(p, i, mu)
-    sigma, _, log_k = _tip_dense(q, rho, (s_far, s_lo),
-                                 (1.0, -math.sqrt(q(s_far))), tol)
-    # the sweep ends at r_mu: its last node fixes the scale
-    L, slope = log_k(sigma[-1])
-    k2 = TipBranch((s_lo, s_max), q, rho, log_k,
-                   -float(L) - math.log(1.0 - rho * float(slope)), rel_unc)
-    _check_sandwich(rho, k2.span, lambda ss: k2.log_eval(ss)[0],
-                    (-math.log(2.0 * (rho ** 2 + rho)), -rho - 2.0),
-                    (math.log(rho / 2.0), -rho + 1.0), "decaying")
-    return k2
+    rows = []
+    for m, top in zip(np.ravel(mu).tolist(), np.ravel(s_max).tolist()):
+        s_lo = r_mu(p, m)
+        if not top > s_lo:
+            raise DomainValidationError(
+                f"s_max must exceed r_mu = {s_lo}, got {top}")
+        s_far = _s_far(rho, top)
+        rel_unc = ((math.sqrt(rho * rho + 1.0) - rho)
+                   * math.exp(-2.0 * rho * (s_far - top)))
+        if rel_unc > 1e-12:
+            raise ConsistencyError(
+                f"backward start uncertainty {rel_unc:.2e} exceeds 1e-12; "
+                "start window too short")
+        q = _q_factory(p, i, m)
+        rows.append((s_lo, top, s_far, -math.sqrt(q(s_far)), rel_unc, q))
+    mus = np.ravel(mu).astype(float)[:, None]
+    lows, fars, starts = (np.array([row[k] for row in rows])
+                          for k in (0, 2, 3))
+    # the coefficient of every row, while all rows are open (the rows a
+    # sweep passes are increasing, so all of them when as many)
+    q_all = _q_factory(p, i, mus)
+    dense = _tip_dense(
+        lambda k: q_all if k.size == len(rows) else _q_factory(p, i, mus[k]),
+        rho, (fars, lows), (np.ones(len(rows)), starts), tol)
+    branches = []
+    for (lo, top, _, _, rel_unc, q), (sigma, _, log_k) in zip(rows, dense):
+        # the sweep ends at r_mu: its last node fixes the scale
+        L, slope = log_k(sigma[-1])
+        k2 = TipBranch((lo, top), q, rho, log_k,
+                       -float(L) - math.log(1.0 - rho * float(slope)),
+                       rel_unc)
+        _check_sandwich(rho, k2.span, lambda ss: k2.log_eval(ss)[0],
+                        (-math.log(2.0 * (rho ** 2 + rho)), -rho - 2.0),
+                        (math.log(rho / 2.0), -rho + 1.0), "decaying")
+        branches.append(k2)
+    return branches if np.ndim(mu) else branches[0]
 
 
 # ---------------------------------------------------------------------------
@@ -323,6 +346,9 @@ def profile_from_k2(p, i, mu, r_min, n_grid=64, tol=1e-12):
 
         log f = log k2(s) + beta log s,          s = r^-eps,
         d log f / dr = -(eps s / r) kappa2(s) - (c-1-eps)/(2 r).
+
+    mu and r_min may be 1-D arrays of one length: the profiles then come as
+    a list, one a row, from one batched solve_k2.
     """
     if not i >= 1:
         raise DomainValidationError(
@@ -330,22 +356,33 @@ def profile_from_k2(p, i, mu, r_min, n_grid=64, tol=1e-12):
             "radial branch radial_mode_zero for i = 0")
     if n_grid < 16:
         raise DomainValidationError("profile_from_k2 needs n_grid >= 16")
-    r_top = tip_window_top(p, mu)
-    if not 0 < r_min < r_top:
-        raise DomainValidationError(
-            f"r_min must lie in (0, r_mu^(-1/eps)) = (0, {r_top}), got {r_min}")
-    s_lo = r_mu(p, mu)
-    s_max = r_min ** (-p.eps)
-    k2 = solve_k2(p, i, mu, s_max, tol=tol)
+    mus = np.ravel(mu).tolist()
+    s_max = []
+    for m, lo in zip(mus, np.ravel(r_min).tolist()):
+        r_top = tip_window_top(p, m)
+        if not 0 < lo < r_top:
+            raise DomainValidationError(
+                f"r_min must lie in (0, r_mu^(-1/eps)) = (0, {r_top}), "
+                f"got {lo}")
+        s_max.append(lo ** (-p.eps))
+    profiles = [
+        RadialProfile(params=p, i=i, mu=m,
+                      s_grid=np.linspace(r_mu(p, m), top, n_grid),
+                      evaluator=_tip_evaluator(p, k2))
+        for m, top, k2 in zip(mus, s_max,
+                              solve_k2(p, i, np.array(mus), np.array(s_max),
+                                       tol=tol))]
+    return profiles if np.ndim(mu) else profiles[0]
 
+
+def _tip_evaluator(p, k2):
+    """The (sign, log f, d log f / dr) evaluator of the tip branch k2."""
     def evaluator(r):
         s = r ** (-p.eps)
         lm, ld = _tip_log(p, s, r, *k2.log_eval(s))
         return np.ones_like(lm), lm, ld
 
-    return RadialProfile(params=p, i=i, mu=mu,
-                         s_grid=np.linspace(s_lo, s_max, n_grid),
-                         evaluator=evaluator)
+    return evaluator
 
 
 def _bounded_branch(p, mu, r):
@@ -421,10 +458,17 @@ def normalization_bound(p, i, mu, tol=1e-10):
 
 
 def log_norm_sq(profile, r_lo, r_hi, tol):
-    """log int_{r_lo}^{r_hi} f^2 w dr of a profile, by quad_log."""
-    p = profile.params
+    """log int_{r_lo}^{r_hi} f^2 w dr of a profile, by quad_log.  Given a
+    list of profiles and arrays r_lo and r_hi (or r_hi a scalar), one
+    quad_log call takes every profile as a row, over its own interval, and
+    gives an array, each entry bit for bit the profile's own call."""
+    profiles = [profile] if isinstance(profile, RadialProfile) else profile
+    p = profiles[0].params
 
     def log_integrand(r, rows):
-        return 1.0, 2.0 * profile.eval_log(r)[1] + measure_weight_log(p, r)
+        logs = np.empty_like(r)
+        for row, k in enumerate(rows):
+            logs[row] = profiles[k].eval_log(r[row])[1]
+        return 1.0, 2.0 * logs + measure_weight_log(p, r)
 
     return quad_log(log_integrand, r_lo, r_hi, tol)[1]

@@ -14,8 +14,10 @@ The wrappers fix the domains and the error types, so every caller and test
 exercises the same surface, and an argument outside a function's domain
 raises DomainValidationError instead of returning nan.
 
-A potential is vectorised: potential(r) maps an array of abscissae to the
-potential there, in one call per mesh.
+A potential is vectorised over rows, as a quad_log integrand is:
+potential(x, rows) maps the abscissae x, shape (open rows, points), of the
+rows whose indices are `rows` to the potential there, in one call per mesh
+for every row that needs that mesh.
 """
 
 import math
@@ -130,104 +132,137 @@ _MAGNUS_GAUSS = 0.5 + np.array([-1.0, 1.0])[:, None] * math.sqrt(3.0) / 6.0
 _MAGNUS_COMMUTATOR = math.sqrt(3.0) / 12.0
 _MAGNUS_MIN_INTERVALS = 64
 _MAGNUS_MAX_INTERVALS = 2**16
+# an interval of exponent s past this carries e^(-s) exp(Omega) and s apart
+_MAGNUS_FAR = 700.0
 _EPS = float(np.finfo(float).eps)
 # the smallest tolerance honoured, per unit of the propagated quantity
 _TOL_FLOOR = 10.0 * _EPS
 
 
-def _magnus_propagators(potential, nu, a, h, m):
-    """exp(Omega) of each of the m intervals [a + h j, a + h (j + 1)] of
-    u'' = (V - nu) u, as a (2, 2, m) array; h < 0 sweeps backward.  An
-    interval that turns the state by pi or more raises IntegrationError."""
-    V = potential(a + h * (np.arange(m) + _MAGNUS_GAUSS))
-    # Omega = [[alpha, h], [beta, -alpha]]; Omega^2 = s2 I
-    alpha = (_MAGNUS_COMMUTATOR * h * h) * (V[0] - V[1])
-    beta = h * (0.5 * (V[0] + V[1]) - nu)
-    s2 = alpha * alpha + h * beta
-    s = np.sqrt(np.abs(s2))
-    turns = s2 < 0.0
-    worst = int(np.argmax(np.where(turns, s, 0.0)))
-    if turns[worst] and not s[worst] < math.pi:
-        r = a + h * worst
-        raise IntegrationError(
-            f"a Magnus interval at r = {r} turns the Pruefer angle by up to "
-            f"{s[worst]:.3g} >= pi for nu = {nu}", location=r)
-    E = np.empty((2, 2, m))
+def _magnus_propagators(potential, nu, a, h, m, rows):
+    """(E, log): exp(Omega) of each of the m intervals
+    [a + h j, a + h (j + 1)] of u'' = (V - nu) u on every row, as a
+    (2, 2, rows, m) array, in units of exp(log), a (rows, m) array; nu, a
+    and h hold one value a row, and h < 0 sweeps backward.  An interval
+    with s^2 > 0 and s > 700, whose cosh passes the double range, is
+    e^(-s) exp(Omega) = (I + Omega / s) / 2 with log s; any other has log 0.
+    An interval that turns the state by pi or more raises IntegrationError
+    naming its row's nu."""
+    h, nu = h[:, None], nu[:, None]
+    # each row's first Gauss points, then its second ones
+    V = potential(a[:, None] + h * (np.arange(m) + _MAGNUS_GAUSS).ravel(),
+                  rows)
+    V0, V1 = V[:, :m], V[:, m:]
+    E = np.empty((2, 2, rows.size, m))
     with np.errstate(over="ignore", invalid="ignore"):
+        # Omega = [[alpha, h], [beta, -alpha]]; Omega^2 = s2 I
+        alpha = (_MAGNUS_COMMUTATOR * h * h) * (V0 - V1)
+        beta = h * (0.5 * (V0 + V1) - nu)
+        s2 = alpha * alpha + h * beta
+        s = np.sqrt(np.abs(s2))
+        turns = s2 < 0.0
         ch = np.where(turns, np.cos(s), np.cosh(s))
         sh = np.divide(np.where(turns, np.sin(s), np.sinh(s)), s,
-                       out=np.ones_like(s), where=s > 0.0)
+                       out=np.ones(s.shape), where=s > 0.0)
+        log = np.zeros(s.shape)
+        if not s.max() < math.pi:
+            turned = np.where(turns, s, 0.0)
+            top = turned.max(axis=1)
+            if not (top < math.pi).all():
+                g = int((top < math.pi).argmin())
+                r = float(a[g] + h[g, 0] * turned[g].argmax())
+                raise IntegrationError(
+                    f"a Magnus interval at r = {r} turns the Pruefer angle by "
+                    f"up to {top[g]:.3g} >= pi for nu = {float(nu[g, 0])}",
+                    location=r)
+            # no turning interval has s >= pi, so these have s^2 > 0
+            far = s > _MAGNUS_FAR
+            ch[far], sh[far], log[far] = 0.5, 0.5 / s[far], s[far]
         # exp(Omega) = ch I + sh Omega, one 2x2 matrix per interval
         E[0, 0] = ch + sh * alpha
         E[0, 1] = sh * h
         E[1, 0] = sh * beta
         E[1, 1] = ch - sh * alpha
-    return E
+    return E, log
 
 
-def _prefix_products(E, log=None):
-    """In place, E[..., j] becomes the propagator over intervals 0 .. j, by
-    a Hillis-Steele prefix product: after the pass of stride d, E[..., j]
-    holds the product over intervals j - 2d + 1 .. j.  Given log, zeros of
-    length m, and when the products could pass the double range (the
-    max-row-sum norm is submultiplicative, so none passes the product of
-    the norms above 1), each pass divides every product it forms by its
-    largest entry and adds that entry's log to log, the product's scale."""
-    m = E.shape[2]
-    scale = log is not None and not np.sum(np.log(np.maximum(
-        np.abs(E).sum(axis=1).max(axis=0), 1.0))) < 700.0
+def _prefix_products(E, log):
+    """In place, E[..., j] becomes each row's propagator over intervals
+    0 .. j in units of exp(log[:, j]), by a Hillis-Steele prefix product:
+    after the pass of stride d, E[..., j] holds the product over intervals
+    j - 2d + 1 .. j.  A row is rescaled when its products could pass the
+    double range (the max-row-sum norm is submultiplicative, so none passes
+    the product of the norms above 1, times each interval's e^log): each
+    pass divides every product of that row by its largest entry and adds
+    that entry's log, and the logs of the factors, to log.  Any other row
+    is left as an unscaled product, bit for bit, whatever else is in E."""
+    m = E.shape[-1]
+    bound = np.log(np.maximum(np.abs(E).sum(axis=1).max(axis=0), 1.0))
+    scale = ~((bound + log).sum(axis=-1) < 700.0)
+    rescale = scale.any()
     d = 1
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         while d < m:
-            A, B = E[:, :, d:], E[:, :, :-d]
-            E[:, :, d:] = (A[:, 0, None] * B[None, 0]
-                           + A[:, 1, None] * B[None, 1])
-            if scale:
-                log[d:] += log[:-d]
-                big = np.abs(E[:, :, d:]).max(axis=(0, 1))
-                E[:, :, d:] /= big
-                log[d:] += np.log(big)
+            A, B = E[..., d:], E[..., :-d]
+            # one product and one sum held at a time: a smaller peak
+            AB = A[:, 0, None] * B[None, 0]
+            AB += A[:, 1, None] * B[None, 1]
+            E[..., d:] = AB
+            if rescale:
+                # a row left unscaled has log 0 and divides by 1: exact
+                log[:, d:] += log[:, :-d]
+                big = np.where(scale[:, None],
+                               np.abs(E[..., d:]).max(axis=(0, 1)), 1.0)
+                E[..., d:] /= big
+                log[:, d:] += np.log(big)
             d *= 2
 
 
-def _node_states(potential, nu, a, b, y0, m, log=None):
-    """(u, u') at the nodes a + h j, j = 1 .. m, h = (b - a) / m, in units
-    of exp(log) when log (zeros of length m) is given (_prefix_products).
-    IntegrationError at the first node whose state is not finite."""
+def _node_states(potential, nu, a, b, y0, m, rows):
+    """(log, y): each row's states (u, u') at the nodes a + h j,
+    j = 1 .. m, h = (b - a) / m, node j's exp(log[:, j]) y[:, :, j]
+    (_prefix_products), from its y0[:, row].  IntegrationError at the first
+    node of the first row whose state is not finite."""
     h = (b - a) / m
-    E = _magnus_propagators(potential, nu, a, h, m)
+    E, log = _magnus_propagators(potential, nu, a, h, m, rows)
     _prefix_products(E, log)
     with np.errstate(over="ignore", invalid="ignore"):
-        y = E[:, 0] * y0[0] + E[:, 1] * y0[1]
-    bad = ~np.all(np.isfinite(y if log is None else np.vstack([y, log])),
-                  axis=0)
-    if np.any(bad):
-        r = a + h * (int(np.argmax(bad)) + 1)
+        y = E[:, 0] * y0[0][:, None] + E[:, 1] * y0[1][:, None]
+    # a product that is not finite leaves every later one not finite
+    if not (np.isfinite(y[:, :, -1]).all() and np.isfinite(log[:, -1]).all()):
+        bad = ~(np.isfinite(y).all(axis=0) & np.isfinite(log))
+        g, j = np.argwhere(bad)[0]
+        r = float(a[g] + h[g] * (j + 1))
         raise IntegrationError(
-            f"the Magnus propagation for nu = {nu} is not finite at r = {r}",
-            location=r)
-    return y
+            f"the Magnus propagation for nu = {float(nu[g])} is not finite "
+            f"at r = {r}", location=r)
+    return log, y
 
 
-def _magnus_angle(potential, nu, a, b, y0, k, m):
-    """(theta(b), node states (u, u') at a + h j, j = 1 .. m) of
-    magnus_prufer on m equal intervals of [a, b]."""
-    u, du = _node_states(potential, nu, a, b, y0, m)
+def _magnus_angle(potential, row, y0, k, m):
+    """(theta(b), node logs, node states (u, u') at a + h j, j = 1 .. m) of
+    magnus_prufer on m equal intervals of [a, b]: row is (nu, a, b, y0,
+    rows) of the one row, as _node_states takes them."""
+    log, (u, du) = _node_states(potential, *row[:4], m, row[4])
+    log, u, du = log[0], u[0], du[0]
+    # a state's angle is blind to its positive scale exp(log)
     theta = np.arctan2(k * u, du)
     # each interval turns the state by less than pi, so the principal value
     # of each step's angle change is the true one
     steps = np.diff(theta, prepend=math.atan2(k * y0[0], y0[1]))
     wraps = np.rint(steps / (2.0 * math.pi)).sum()
-    return float(theta[-1] - 2.0 * math.pi * wraps), (u, du)
+    return float(theta[-1] - 2.0 * math.pi * wraps), log, (u, du)
 
 
-def _angle_slope(nu, k, h, y0, states):
+def _angle_slope(nu, k, h, y0, log, states):
     """d theta(b) / d nu of magnus_prufer from the node states of one sweep
-    with step h, in units of the largest node state, so no square
-    overflows: (k int u^2 + u(b) u'(b) dk/dnu) / (k^2 u(b)^2 + u'(b)^2),
-    the integral by the corrected trapezoid
-    h sum' u_j^2 + (h^2 / 12) [2 u u'] from b to a, of order h^4."""
-    u, du = (np.concatenate(([y], v)) for y, v in zip(y0, states))
+    with step h, node j's exp(log[j]) states[:, j], in units of the largest
+    node state, so no square overflows:
+    (k int u^2 + u(b) u'(b) dk/dnu) / (k^2 u(b)^2 + u'(b)^2), the integral
+    by the corrected trapezoid h sum' u_j^2 + (h^2 / 12) [2 u u'] from b to
+    a, of order h^4."""
+    weight = np.exp(np.concatenate(([0.0], log)) - max(0.0, log.max()))
+    u, du = (np.concatenate(([y], v)) * weight for y, v in zip(y0, states))
     big = max(np.max(np.abs(u)), np.max(np.abs(du)))
     u, du = u / big, du / big
     sq = u * u
@@ -238,57 +273,101 @@ def _angle_slope(nu, k, h, y0, states):
                  / (k * k * u[-1] ** 2 + du[-1] ** 2))
 
 
-def _magnus_nodes(potential, nu, a, b, y0, m):
-    """(log scales, states) at the m + 1 nodes a + h j, h = (b - a) / m:
-    node j's state (u, u') is exp(log[j]) states[:, j], and each column of
-    states has max-norm 1."""
-    log = np.zeros(m)
-    y = np.hstack([y0[:, None], _node_states(potential, nu, a, b, y0, m, log)])
+def _normalized(log, y):
+    """Node states exp(log) y, shapes (rows, nodes) and (2, rows, nodes),
+    as (log scales, states) with each (row, node) column of states at
+    max-norm 1."""
     big = np.abs(y).max(axis=0)
-    return np.concatenate(([0.0], log)) + np.log(big), y / big
+    return log + np.log(big), y / big
 
 
 def _on_coarse_nodes(coarse, fine):
     """fine's log scales and values at coarse's nodes, every other one of
-    fine's, and fine minus coarse there, in fine's units."""
-    log_f, val_f = fine[0][::2], fine[1][:, ::2]
+    fine's, and fine minus coarse there, in fine's units; rows stacked on
+    the axis before the nodes'."""
+    log_f, val_f = fine[0][:, ::2], fine[1][:, :, ::2]
     return log_f, val_f, val_f - coarse[1] * np.exp(coarse[0] - log_f)
 
 
-def _richardson(sweep, m, tol, nu, end, check=None):
-    """Richardson extrapolation of sweep over the meshes m, 2m, 4m, ...
+def _gathered(entries):
+    """The levels of entries (level, j), row j of a level each, stacked as
+    a sweep's (log, values): the level itself when the entries are its rows
+    in order."""
+    level = entries[0][0]
+    if len(entries) == len(level[0]):
+        for j, (other, at) in enumerate(entries):
+            if other is not level or at != j:
+                break
+        else:
+            return level
+    return (np.stack([log[j] for (log, _), j in entries]),
+            np.stack([values[:, j] for (_, values), j in entries], axis=1))
 
-    sweep(m) gives (log scales, values (c, nodes)) at nodes of the mesh
-    of m intervals, values in units of exp(log scale), every other node of
-    a mesh a node of the mesh half its size (or one end node).  The scheme
-    is symmetric, so a value's error expands in even powers of 1/m: the
-    Richardson value t_m = v_2m + (v_2m - v_m) / 15 is of order six, and
-    max |t_2m - t_m| / 63, in units of each node's scale, estimates t_2m's
-    error; check(t_2m), when given, adds an estimate of its own.  Returns
-    t_2m, on mesh 2m's nodes, once the larger estimate is at most tol; past
-    2^16 intervals raises IntegrationError naming nu and the estimate.
+
+def _richardson(sweep, m, tol, nu, end, check=None):
+    """Richardson extrapolation of sweep over the meshes m, 2m, 4m, ...,
+    for every row on its own ladder from its own first mesh m[row].
+
+    sweep(m, rows) gives (log scales, values) at the nodes of the mesh of
+    m intervals on each of rows, shapes (rows, nodes) and
+    (c, rows, nodes), values in units of exp(log scale), every other node
+    of a mesh a node of the mesh half its size (or one end node).  The
+    scheme is symmetric, so a value's error expands in even powers of 1/m:
+    the Richardson value t_m = v_2m + (v_2m - v_m) / 15 is of order six,
+    and max |t_2m - t_m| / 63, in units of each node's scale, estimates
+    t_2m's error; check(t_2m, rows), when given, adds an estimate of its own
+    for each of rows.  Each row is accepted with t_2m, on mesh 2m's nodes,
+    once its larger estimate is at most tol, and leaves the batch; the open
+    rows whose next mesh is the smallest are swept together, so a row's
+    ladder, estimates and result are those of its call alone.  Returns the
+    accepted (log scales, values) of each row; a row past 2^16 intervals
+    raises IntegrationError naming its nu and estimate.
     """
-    coarse = extrapolated = None
-    estimate = math.inf
-    while m <= _MAGNUS_MAX_INTERVALS:
-        fine = sweep(m)
-        if coarse is not None:
-            log, val, step = _on_coarse_nodes(coarse, fine)
+    m = list(m)
+    # each row's last sweep, last extrapolation and accepted level, as
+    # (level, j): row j of a level
+    coarse, extrapolated, accepted = ([None] * len(m) for _ in range(3))
+    estimate = [math.inf] * len(m)
+    open_rows = list(range(len(m)))
+    while open_rows:
+        size = min(m[k] for k in open_rows)
+        rows = [k for k in open_rows if m[k] == size]
+        if size > _MAGNUS_MAX_INTERVALS:
+            k = rows[0]
+            raise IntegrationError(
+                f"the Magnus propagation for nu = {float(nu[k])} reached "
+                f"{size // 2} intervals with Richardson estimate "
+                f"{estimate[k]:.3g} above tol {tol}", location=float(end[k]))
+        fine = sweep(size, np.array(rows))
+        later = [k for k in rows if coarse[k] is not None]
+        before = [coarse[k] for k in later]
+        for j, k in enumerate(rows):
+            coarse[k] = fine, j
+            m[k] *= 2
+        if later:
+            log, val, step = _on_coarse_nodes(
+                _gathered(before), _gathered([coarse[k] for k in later]))
             new = log, val + step / 15.0
-            if extrapolated is not None:
-                gap = _on_coarse_nodes(extrapolated, new)[2]
-                estimate = float(np.max(np.abs(gap))) / 63.0
-                if estimate <= tol and check is not None:
-                    estimate = max(estimate, check(new))
-                if estimate <= tol:
-                    return new
-            extrapolated = new
-        coarse = fine
-        m *= 2
-    raise IntegrationError(
-        f"the Magnus propagation for nu = {nu} reached {m // 2} intervals "
-        f"with Richardson estimate {estimate:.3g} above tol {tol}",
-        location=end)
+            third = [k for k in later if extrapolated[k] is not None]
+            previous = [extrapolated[k] for k in third]
+            for j, k in enumerate(later):
+                extrapolated[k] = new, j
+            if third:
+                level = _gathered([extrapolated[k] for k in third])
+                gap = _on_coarse_nodes(_gathered(previous), level)[2]
+                est = np.abs(gap).max(axis=(0, 2)) / 63.0
+                if check is not None:
+                    near = [j for j, e in enumerate(est.tolist()) if e <= tol]
+                    if near:
+                        est[near] = np.maximum(est[near], check(
+                            _gathered([(level, j) for j in near]),
+                            np.array([third[j] for j in near])))
+                for j, (k, e) in enumerate(zip(third, est.tolist())):
+                    estimate[k] = e
+                    if e <= tol:
+                        accepted[k] = level, j
+                open_rows = [k for k in open_rows if accepted[k] is None]
+    return [(level[0][j], level[1][:, j]) for level, j in accepted]
 
 
 def _first_mesh(scale):
@@ -303,7 +382,8 @@ def magnus_prufer(potential, nu, span, y0, tol):
 
     With k = sqrt(max(nu, 1)), k u = rho sin(theta) and u' = rho cos(theta);
     theta(a) = atan2(k u(a), u'(a)) and theta is continuous.  The potential
-    is vectorised: potential(r) maps an array of radii to V there.
+    takes rows, as magnus_dense's: potential(r, rows) maps an array of radii,
+    here of one row, to V there.
 
     Fourth-order Magnus (Iserles and Norsett 1999) on m equal intervals,
     with V at two Gauss points r1, r2 of each: on an interval of width h,
@@ -314,11 +394,13 @@ def magnus_prufer(potential, nu, span, y0, tol):
     matrix is cosh(s) I + sinh(s)/s Omega with s^2 = alpha^2 + h beta
     (cos and sin when s^2 < 0).  One call of the potential per mesh.  The
     node states come from a log-depth prefix product of the interval
-    propagators, and theta = atan2(k u, u') at the nodes is unwrapped
-    interval by interval.  That is exact when every interval turns the
-    state by less than pi: an interval with s^2 >= 0 always does, and one
-    with s^2 < 0 (a rotation in a frame of its own, half a turn at
-    |s| = pi) does when |s| < pi, which is checked.
+    propagators, rescaled whenever the products could pass the double
+    range (an interval of s > 700 carries e^-s apart), and
+    theta = atan2(k u, u') at the nodes, blind to each node's positive
+    scale, is unwrapped interval by interval.  That is exact when every
+    interval turns the state by less than pi: an interval with s^2 >= 0
+    always does, and one with s^2 < 0 (a rotation in a frame of its own,
+    half a turn at |s| = pi) does when |s| < pi, which is checked.
 
     Meshes double from max(64, the power of two at or above k (b - a))
     until the Richardson estimate of theta (_richardson) is at most tol,
@@ -350,89 +432,140 @@ def magnus_prufer(potential, nu, span, y0, tol):
             f"magnus_prufer needs tol >= {_TOL_FLOOR:.3g} * {scale:.6g}, "
             f"got tol={tol}", tol=tol / scale, floor=_TOL_FLOOR, solver="ODE")
 
-    def sweep(m):  # an angle's unit is the radian: log scale 0
+    row = (np.array([nu]), np.array([a]), np.array([b]),
+           np.array(y0, dtype=float).reshape(2, 1), np.zeros(1, dtype=np.intp))
+
+    def sweep(m, rows):  # an angle's unit is the radian: log scale 0
         nonlocal finest
-        theta, states = _magnus_angle(potential, nu, a, b, y0, k, m)
-        finest = m, states
-        return np.zeros(1), np.array([[theta]])
+        theta, log, states = _magnus_angle(potential, row, y0, k, m)
+        finest = m, log, states
+        return np.zeros((1, 1)), np.array([[[theta]]])
 
     finest = None
-    theta = float(_richardson(sweep, _first_mesh(scale), tol, nu, b)[1][0, 0])
-    m, states = finest
-    return theta, _angle_slope(nu, k, (b - a) / m, y0, states)
+    theta = float(_richardson(sweep, [_first_mesh(scale)], tol, [nu],
+                              [b])[0][1][0, 0])
+    m, log, states = finest
+    return theta, _angle_slope(nu, k, (b - a) / m, y0, log, states)
 
 
-def _state_sweeps(name, potential, nu, span, y0, tol):
-    """(a, b, first mesh, node sweep) of a dense or end reduction, after
-    their common checks."""
-    a, b = float(span[0]), float(span[1])
-    if not a != b:
-        raise DomainValidationError(f"{name} needs a != b, got {span}")
+def _state_rows(name, potential, nu, span, y0, tol):
+    """(scalar call, nu, a, b, first meshes, node states) of a dense or
+    end reduction, one entry a row, after their common checks."""
+    given = (nu, *span, *y0)
+    scalar = all(np.ndim(v) == 0 for v in given)
+    nu, a, b, u0, du0 = rows = np.empty((5, max(np.size(v) for v in given)))
+    for row, v in zip(rows, given):
+        row[:] = v
+    bad = ~(a != b)
+    if bad.any():
+        k = int(np.argmax(bad))
+        raise DomainValidationError(
+            f"{name} needs a != b, got ({a[k]}, {b[k]})")
     if not tol >= _TOL_FLOOR:
         raise ToleranceFloorError(
             f"{name} needs tol >= {_TOL_FLOOR:.3g}, got tol={tol}",
             tol=tol, floor=_TOL_FLOOR, solver="ODE")
-    y0 = np.asarray(y0, dtype=float)
-    m = _first_mesh(max(1.0, math.sqrt(max(nu, 1.0)) * abs(b - a)))
-    return a, b, m, lambda m: _magnus_nodes(potential, nu, a, b, y0, m)
+    y0 = rows[3:]
+    m = [_first_mesh(max(1.0, math.sqrt(max(v, 1.0)) * abs(hi - lo)))
+         for v, lo, hi in zip(nu.tolist(), a.tolist(), b.tolist())]
+
+    def states(m, rows):
+        # the start and _node_states at the nodes past it
+        return (y0[:, rows], *_node_states(potential, nu[rows], a[rows],
+                                           b[rows], y0[:, rows], m, rows))
+
+    return scalar, nu, a, b, m, states
 
 
 def magnus_dense(potential, nu, span, y0, tol, read):
     """Dense solution of u'' = (V(x) - nu) u on span = (a, b) from
-    y0 = (u(a), u'(a)); b < a sweeps backward.
+    y0 = (u(a), u'(a)); b < a sweeps backward.  One equation, or a batch:
+    nu, a, b, u(a) and u'(a) are scalars or 1-D arrays, broadcast against
+    each other, one entry a row.
+
+    The rows follow quad_log's contract.  potential(x, rows) maps the
+    abscissae x, shape (open rows, points), of the rows whose indices are
+    `rows` to V there, and read(x, log, y, rows) takes the node states of
+    rows, shapes (open rows, nodes) and (2, open rows, nodes).  Each row
+    keeps its own meshes, rescaling, estimates and acceptance, and gets the
+    same result, bit for bit, whatever else is in the batch: the open rows
+    that need the same mesh are swept in one call of the potential, and a
+    row leaves the batch once accepted.
 
     magnus_prufer's propagation, rescaled whenever the products could pass
     the double range, on meshes doubling from max(64, the power of two at
-    or above k |b - a|), k = sqrt(max(nu, 1)).  read(x, log, y) maps the
-    node states (node j's is exp(log[j]) y[:, j]) to the caller's variable
-    as (v, v', v'', v''') at the nodes x, v'' from the equation and v'''
-    from the equation differentiated once, and a SepticHermite reads them.
-    Two estimates are held to tol: the nodes' (_richardson, in units of
-    each node's max-norm) and the interpolant's, its gap at the mesh
-    midpoints to the interpolant on every other node, over 255 in v and
-    127 in v' (orders eight and seven), in units of max|v| and max|v'|, and
-    0 at its rounding floor 4 eps max|v| / (h max|v'|).
+    or above k |b - a|), k = sqrt(max(nu, 1)).  read(x, log, y, rows) maps
+    the node states (node j's is exp(log[:, j]) y[:, :, j]) to the caller's
+    variable as (v, v', v'', v''') at the nodes x, v'' from the equation
+    and v''' from the equation differentiated once, and a SepticHermite
+    reads them.  Two estimates are held to tol: the nodes' (_richardson, in
+    units of each node's max-norm) and the interpolant's, its gap at the
+    mesh midpoints to the interpolant on every other node, over 255 in v
+    and 127 in v' (orders eight and seven), in units of max|v| and max|v'|,
+    and 0 at its rounding floor 4 eps max|v| / (h max|v'|).
 
-    Returns (x, v, interpolant) on the accepted nodes x, x[0] = a and
-    x[-1] = b.  A tol below 10 eps raises ToleranceFloorError (solver
-    "ODE"); the failures are magnus_prufer's.
+    Returns (x, v, interpolant) on a row's accepted nodes x, x[0] = a and
+    x[-1] = b: that triple for a scalar call and a list of them, one a row,
+    for a batch.  A tol below 10 eps raises ToleranceFloorError (solver
+    "ODE"); the failures are magnus_prufer's, naming the row's nu.
     """
-    a, b, m, sweep = _state_sweeps("magnus_dense", potential, nu, span, y0,
-                                   tol)
+    scalar, nu, a, b, m, states = _state_rows("magnus_dense", potential, nu,
+                                              span, y0, tol)
 
-    def check(level):
-        # the last level checked is the one _richardson accepts
-        nonlocal dense
-        x = np.linspace(a, b, level[0].size)
-        data = read(x, *level)
-        dense = x, data[0], SepticHermite(x, *data)
-        mid = 0.5 * (x[1:] + x[:-1])
-        (v, dv), (w, dw) = dense[2](mid), SepticHermite(
-            x[::2], *(d[::2] for d in data))(mid)
-        size, slope = (np.max(np.abs(d)) for d in data[:2])
-        estimate = max(np.max(np.abs(v - w)) / (255.0 * size),
-                       np.max(np.abs(dv - dw)) / (127.0 * slope))
+    def sweep(m, rows):
+        y0, log, y = states(m, rows)
+        return _normalized(np.hstack([np.zeros((rows.size, 1)), log]),
+                           np.concatenate([y0[:, :, None], y], axis=2))
+
+    def check(level, rows):
+        # the last level checked for a row is the one _richardson accepts
+        log, y = level
+        n = log.shape[1]
+        lo, hi = a[rows], b[rows]
+        # np.linspace(lo, hi, n) on each row, bit for bit
+        x = np.arange(n) * ((hi - lo) / (n - 1))[:, None]
+        x += lo[:, None]
+        x[:, -1] = hi
+        data = read(x, log, y, rows)
+        mid = 0.5 * (x[:, 1:] + x[:, :-1])
+        # the fine interpolant is built once the coarse one is gone: a
+        # smaller peak
+        w, dw = SepticHermite(x[:, ::2], *(d[:, ::2] for d in data))(mid)
+        fine = SepticHermite(x, *data)
+        v, dv = fine(mid)
+        size, slope = (np.max(np.abs(d), axis=1) for d in data[:2])
+        estimate = np.maximum(
+            np.max(np.abs(v - w), axis=1) / (255.0 * size),
+            np.max(np.abs(dv - dw), axis=1) / (127.0 * slope))
         # the slope of an interpolant rounds to about 2 eps max|v| / h
-        floor = 4.0 * _EPS * size * (x.size - 1) / (abs(b - a) * slope)
-        return estimate if estimate > floor else 0.0
+        floor = 4.0 * _EPS * size * (n - 1) / (np.abs(hi - lo) * slope)
+        for j, k in enumerate(rows):
+            dense[k] = x[j], data[0][j], fine.row(j)
+        return np.where(estimate > floor, estimate, 0.0)
 
-    dense = None
+    dense = [None] * nu.size
     _richardson(sweep, m, tol, nu, b, check)
-    return dense
+    return dense[0] if scalar else dense
 
 
 def magnus_log_derivative(potential, nu, span, y0, tol):
     """u'(b) / u(b) of u'' = (V(r) - nu) u on span = (a, b) from
     y0 = (u(a), u'(a)); b < a sweeps backward.
 
-    magnus_dense's sweeps with the node estimate taken at b alone; the
-    floor and the failures are magnus_dense's.
+    magnus_dense's sweeps, rows and contract with the node estimate taken
+    at b alone: a float for a scalar call, an array for a batch.  The floor
+    and the failures are magnus_dense's.
     """
-    a, b, m, sweep = _state_sweeps("magnus_log_derivative", potential, nu,
-                                   span, y0, tol)
-    _, y = _richardson(lambda m: tuple(v[..., -1:] for v in sweep(m)), m, tol,
-                       nu, b)
-    return float(y[1, 0] / y[0, 0])
+    scalar, nu, a, b, m, states = _state_rows(
+        "magnus_log_derivative", potential, nu, span, y0, tol)
+
+    def sweep(m, rows):
+        _, log, y = states(m, rows)
+        return _normalized(log[:, -1:], y[..., -1:])
+
+    ends = _richardson(sweep, m, tol, nu, b)
+    out = np.array([y[1, 0] / y[0, 0] for _, y in ends])
+    return float(out[0]) if scalar else out
 
 
 class SepticHermite:
@@ -442,21 +575,29 @@ class SepticHermite:
     derivative) there; a point's interval comes from its offset on the
     mesh, with no search, and a point past an end takes the end interval.
     Between nodes it errs by O(h^8) in the value and O(h^7) in the slope.
+
+    Rows: x and the data may be (rows, nodes) arrays, one mesh a row.  The
+    interpolant then reads row k of the abscissae, shape (rows, points), on
+    row k's mesh, and row(k) is row k's interpolant alone, each bit for bit
+    that of row k's data on its own.
     """
 
     def __init__(self, x, y, dy, d2y, d3y):
-        self._x0 = float(x[0])
+        x = np.asarray(x, dtype=float)
         # from the whole span: a difference of neighbours would carry their
         # rounding to the far nodes
-        self._h = h = float(x[-1] - x[0]) / (len(x) - 1)
-        d0, d1 = h * dy[:-1], h * dy[1:]
-        s0, s1 = h * h * d2y[:-1], h * h * d2y[1:]
-        g0, g1 = h ** 3 * d3y[:-1], h ** 3 * d3y[1:]
+        h = (x[..., -1:] - x[..., :1]) / (x.shape[-1] - 1)
+        h2 = h * h
+        # h^3 one row at a time, as a float's power rounds it
+        h3 = np.array([v ** 3 for v in h.ravel().tolist()]).reshape(h.shape)
+        d0, d1 = h * dy[..., :-1], h * dy[..., 1:]
+        s0, s1 = h2 * d2y[..., :-1], h2 * d2y[..., 1:]
+        g0, g1 = h3 * d3y[..., :-1], h3 * d3y[..., 1:]
         # p(t) on t in [0, 1]: the cubic Taylor part p0 + d0 t + s0 t^2 / 2
         # + g0 t^3 / 6, plus c4 t^4 + ... + c7 t^7 fixed by A, B, C and D,
         # what the cubic part leaves of p(1), p'(1), p''(1) and p'''(1);
         # one column of coefficients per interval, the highest power first
-        A = y[1:] - y[:-1] - d0 - 0.5 * s0 - g0 / 6.0
+        A = y[..., 1:] - y[..., :-1] - d0 - 0.5 * s0 - g0 / 6.0
         B = d1 - d0 - s0 - 0.5 * g0
         C = s1 - s0 - g0
         D = g1 - g0
@@ -464,19 +605,37 @@ class SepticHermite:
              70.0 * A - 34.0 * B + 6.5 * C - 0.5 * D,
              -84.0 * A + 39.0 * B - 7.0 * C + 0.5 * D,
              35.0 * A - 15.0 * B + 2.5 * C - D / 6.0,
-             g0 / 6.0, 0.5 * s0, d0, y[:-1]]
-        self._coef = np.array(c)  # (power, interval)
+             g0 / 6.0, 0.5 * s0, d0, y[..., :-1]]
+        self._set(np.array(c), x[..., :1], h)  # (power, [row,] interval)
+
+    def _set(self, coef, x0, h):
+        self._coef = coef
+        if coef.ndim == 2:
+            self._x0, self._h, self._offset = float(x0[0]), float(h[0]), None
+        else:
+            # row k's intervals, in the coefficients flattened row by row
+            self._x0, self._h = x0, h
+            self._offset = coef.shape[2] * np.arange(coef.shape[1])[:, None]
+
+    def row(self, k):
+        """Row k's interpolant alone, on contiguous coefficients of its own
+        (a gather from a strided view is slower)."""
+        one = object.__new__(SepticHermite)
+        one._set(np.ascontiguousarray(self._coef[:, k]), self._x0[k],
+                 self._h[k])
+        return one
 
     def __call__(self, x):
         t = (np.asarray(x, dtype=float) - self._x0) / self._h
         j = np.minimum(np.maximum(np.asarray(t).astype(np.intp), 0),
-                       self._coef.shape[1] - 1)
+                       self._coef.shape[-1] - 1)
         t = t - j
         # one Horner pass for the value, whose partial sums are also the
         # coefficients of the slope's pass (p_k = p_(k-1) t + c_k and
         # p_k' = p_(k-1)' t + p_(k-1)); in place, the inner loop of every
         # evaluator
-        c = self._coef.take(j, axis=1)
+        c = (self._coef.take(j, axis=1) if self._offset is None else
+             self._coef.reshape(8, -1).take(j + self._offset, axis=1))
         value = c[0] * t
         value += c[1]
         slope = c[0].copy()

@@ -97,9 +97,98 @@ def test_outer_pass_mesh_sequence_is_pinned(p_default, monkeypatch):
         return liouville_potential(*args)
 
     monkeypatch.setattr(heat, "liouville_potential", recorded)
-    pair = heat._build_pair(p_default, 1, 301.38768658541863, 1.8, 1e-12)
+    pair, = heat._build_pairs(p_default, 1, [301.38768658541863], 1.8, 1e-12)
     assert sizes == [256, 512, 1024, 2048, 4096, 1025]
     assert pair.zeros == 7
+
+
+# the first 8 eigenvalues at r_out = 1.8 (i = 1, the default point), as
+# dirichlet_eigenvalues finds them
+NUS_ROUT18 = [float.fromhex(h) for h in (
+    "0x1.9c609ac4a59cfp+3", "0x1.06fde6a3461bcp+5", "0x1.e1a6614f85865p+5",
+    "0x1.7aa7f3d38e8fbp+6", "0x1.1034395c36715p+7", "0x1.70d5a634aa62ap+7",
+    "0x1.df10b87a58cf5p+7", "0x1.2d633f6d95787p+8")]
+
+
+def test_pair_build_work_is_pinned(p_default, monkeypatch):
+    # the 8 pairs of r_out = 1.8 are built by one outer pass and one tip
+    # pass, each calling its potential once per mesh for the rows still
+    # open, as (rows, 2 M Gauss points), and once per read, as (rows,
+    # nodes): 9 outer and 5 tip calls.  Built one by one, the same pairs
+    # took 16 passes of 72 node sweeps and 16 reads, 88 calls
+    outer, tip = [], []
+
+    def recorded(*args):
+        outer.append(np.shape(args[-1]))
+        return liouville_potential(*args)
+
+    q_factory = modes._q_factory
+
+    def recorded_q(*args):
+        q = q_factory(*args)
+
+        def call(s):
+            if np.ndim(s) == 2:
+                tip.append(np.shape(s))
+            return q(s)
+
+        call.slope = q.slope
+        return call
+
+    monkeypatch.setattr(heat, "liouville_potential", recorded)
+    monkeypatch.setattr(modes, "_q_factory", recorded_q)
+    pairs = heat._build_pairs(p_default, 1, NUS_ROUT18, 1.8, 1e-12)
+    assert outer == [(5, 128), (8, 256), (8, 512), (8, 1024), (1, 257),
+                     (7, 2048), (3, 513), (4, 4096), (4, 1025)]
+    assert tip == [(8, 256), (8, 512), (8, 1024), (8, 2048), (8, 513)]
+    assert [q.zeros for q in pairs] == list(range(8))
+
+
+def test_build_pairs_rows_equal_single_builds(pairs8_rout2, p_default):
+    # each pair of a batch, in either order, is its own one-nu build bit
+    # for bit: its evaluator at fixed radii, its zero count and its defect
+    nus = [q.nu for q in pairs8_rout2]
+    backward = heat._build_pairs(p_default, 1, nus[::-1], 2.0, 1e-12)[::-1]
+    for pair, back in zip(pairs8_rout2, backward):
+        one, = heat._build_pairs(p_default, 1, [pair.nu], 2.0, 1e-12)
+        r = np.geomspace(one.g.r_min, 2.0, 57)
+        want = np.concatenate(one.g.eval_log(r)).tobytes()
+        for got in (pair, back):
+            assert np.concatenate(got.g.eval_log(r)).tobytes() == want
+            assert (got.zeros, got.norm_defect) == (one.zeros,
+                                                   one.norm_defect)
+
+
+def test_build_pairs_checks_defects_before_norms(p_default, monkeypatch):
+    # a nu that is not an eigenvalue leaves a Dirichlet defect far above
+    # 1e-8: the build names it before any norm is taken
+    nu = NUS_ROUT18[1] * 1.001
+
+    def no_norm(*args):
+        raise AssertionError("a norm was taken before the defect check")
+
+    monkeypatch.setattr(heat, "log_norm_sq", no_norm)
+    with pytest.raises(ConsistencyError,
+                       match=rf"at r_out for nu = {nu}$"):
+        heat._build_pairs(p_default, 1, [NUS_ROUT18[0], nu], 1.8, 1e-12)
+
+
+@pytest.mark.parametrize("i", [1, 2, 4])
+def test_barrier_point_eigenpairs(i):
+    # at (5, 9, 0.3, 0.1) the anchor sits at r_sw = 1.9e-4, deep in the tip
+    # barrier, and the first intervals of a shot have s ~ 6e3, whose cosh
+    # passes the double range: they are carried as e^-s exp(Omega) with s
+    # in the log scale.  The first 3 pairs have zero counts 0, 1, 2, and
+    # each eigenvalue sits between the Pruefer counts of shots at
+    # nu (1 -+ 1e-9)
+    p = make_horn_params(5, 9.0, 0.3, 0.1)
+    pairs = dirichlet_eigenvalues(p, i, 1.5, 3)
+    assert [q.zeros for q in pairs] == [0, 1, 2]
+    assert max(q.norm_defect for q in pairs) <= 1e-12
+    for j, q in enumerate(pairs):
+        below, above = (math.floor(heat._shoot(p, i, q.nu * f, 1.5, 1e-12)[0]
+                                   / math.pi) for f in (1 - 1e-9, 1 + 1e-9))
+        assert (below, above) == (j, j + 1)
 
 
 def test_shot_near_nu_30_counts_and_converges(p_default):
@@ -234,9 +323,10 @@ def test_eigenfunctions_agree_with_the_dop853_pairs(p_default):
     # pointwise, above it against the largest recorded value (measured:
     # 5.6e-13 in g and 1.3e-12 in g' below, 1.2e-12 and 4.9e-12 above)
     r = np.array(DOP853_PAIR_RADII)
-    for nu, g_want, dg_want in DOP853_DEMO_PAIRS:
+    pairs = heat._build_pairs(p_default, 1, [nu for nu, _, _ in
+                                             DOP853_DEMO_PAIRS], 2.0, 1e-12)
+    for pair, (nu, g_want, dg_want) in zip(pairs, DOP853_DEMO_PAIRS):
         g_want, dg_want = np.array(g_want), np.array(dg_want)
-        pair = heat._build_pair(p_default, 1, nu, 2.0, 1e-12)
         sgn, lm, ld = pair.g.eval_log(r)
         g = sgn * np.exp(lm)
         tip = r < tip_window_top(p_default, nu)

@@ -116,7 +116,8 @@ def test_k1_constant_coefficient_limit(p_default):
 
     q.slope = np.zeros_like
     k = TipBranch((s0, s0 + 2.0), q, rho,
-                  _tip_dense(q, rho, (s0, s0 + 2.0), (1.0, 1.0), 1e-12)[2])
+                  _tip_dense(lambda rows: q, rho, (s0, s0 + 2.0), (1.0, 1.0),
+                             1e-12)[2])
     for ds in (0.0, 0.05, 0.5, 1.0, 2.0):
         exact = [math.cosh(rho * ds) + math.sinh(rho * ds) / rho,
                  rho * math.sinh(rho * ds) + math.cosh(rho * ds)]
@@ -191,6 +192,29 @@ def test_k2_long_span(p_default):
     ss = np.linspace(s0, s0 + 10.0, 41)
     assert np.max(np.abs(long.log_eval(ss)[0] - short.log_eval(ss)[0])) <= 1e-10
     assert long.log_eval(s0 + 60.0)[0] < -330.0
+
+
+def test_k2_rows_equal_single_calls(p_default):
+    # solve_k2 and profile_from_k2 on arrays of mu build every row in one
+    # batched pass; each branch and profile is its scalar call's bit for
+    # bit, on spans that start and end at different s
+    mus = [100.0, 1.0, 600.0, 10.0]
+    tops = [r_mu(p_default, mu) + span for mu, span in
+            zip(mus, (3.0, 10.0, 5.0, 2.0))]
+    for k2, mu, top in zip(solve_k2(p_default, 2, mus, tops), mus, tops):
+        one = solve_k2(p_default, 2, mu, top)
+        assert k2.span == one.span
+        assert k2.tail_rel_uncertainty == one.tail_rel_uncertainty
+        ss = np.linspace(*one.span, 33)
+        assert np.concatenate(k2.log_eval(ss)).tobytes() == \
+            np.concatenate(one.log_eval(ss)).tobytes()
+    r_min = [0.5 * tip_window_top(p_default, mu) for mu in mus]
+    for prof, mu, r in zip(profile_from_k2(p_default, 1, mus, r_min, 24),
+                           mus, r_min):
+        one = profile_from_k2(p_default, 1, mu, r, 24)
+        assert prof.mu == mu and prof.s_grid.tobytes() == one.s_grid.tobytes()
+        assert np.concatenate([prof.log_mag, prof.log_deriv]).tobytes() == \
+            np.concatenate([one.log_mag, one.log_deriv]).tobytes()
 
 
 @pytest.mark.parametrize("i", [1, 2])

@@ -134,15 +134,15 @@ def test_bessel_domain_errors():
 
 def _constant(level):
     """A vectorised constant potential."""
-    return lambda x: np.full_like(x, level)
+    return lambda x, rows: np.full_like(x, level)
 
 
 def _dense(potential, nu, span, y0, tol, log=False):
     """magnus_dense on u'' = (V - nu) u for a constant V, read as u itself
     or, for a positive u, as log u: (x, node values, interpolant).  With
     V' = 0, u''' = (V - nu) u' and (log u)''' = -2 (log u)' (log u)''."""
-    def read(x, logs, y):
-        level = potential(x) - nu
+    def read(x, logs, y, rows):
+        level = potential(x, rows) - nu
         if log:
             slope = y[1] / y[0]
             curve = level - slope * slope
@@ -284,7 +284,7 @@ def test_ode_field_calls_repeat_exactly():
     for _ in range(10):
         sizes = []
 
-        def potential(x):
+        def potential(x, rows):
             sizes.append(x.size)
             return np.sin(x)
 
@@ -301,7 +301,7 @@ def test_ode_field_exception_ends_the_solve(dense):
     calls = [0]
     failure = ValueError("potential failed on its 3rd call")
 
-    def potential(x):
+    def potential(x, rows):
         calls[0] += 1
         if calls[0] == 3:
             raise failure
@@ -354,7 +354,7 @@ def _assert_sweeps_keep_nothing_alive(sweep):
     # neither the potential nor anything it refers to outlives the sweep;
     # a dense pass's interpolant holds arrays only
     class Potential:
-        def __call__(self, x):
+        def __call__(self, x, rows):
             return np.zeros_like(x)
 
     potential = Potential()
@@ -376,7 +376,7 @@ def test_ode_dense_keeps_nothing_alive():
     # linear state here
     interpolant = _assert_sweeps_keep_nothing_alive(lambda V: magnus_dense(
         V, 1.0, (0.0, 1.0), (1.0, 0.0), 1e-10,
-        lambda x, logs, y: (np.exp(logs) * y[0], np.exp(logs) * y[1],
+        lambda x, logs, y, rows: (np.exp(logs) * y[0], np.exp(logs) * y[1],
                             -np.exp(logs) * y[0], -np.exp(logs) * y[1]))[2])
     assert interpolant(0.5)[0] == pytest.approx(math.cos(0.5), rel=1e-10)
 
@@ -415,6 +415,109 @@ def test_ode_initial_condition_and_span():
                   *([None] if sweep is magnus_dense else []))
 
 
+# rows of magnus_dense batches: (nu, a, b, u(a), u'(a), read as log u),
+# each with its potential and the potential's slope.  Rows 0 to 3 start on
+# 64 intervals and row 4 on 256; row 2 sweeps backward; row 3 grows by
+# e^800, past the double range, so its products are rescaled
+_DENSE_ROWS = [(20.0, 0.0, 3.0, 0.0, 1.0, False),
+               (200.0, 0.5, 4.0, 1.0, 0.0, False),
+               (1.0, 10.0, 0.5, math.cos(10.0), -math.sin(10.0), False),
+               (0.0, 0.0, 40.0, 1.0, 20.0, True),
+               (5000.0, 0.0, 2.0, 1.0, 0.0, False)]
+_DENSE_V = [(lambda x: 1.0 + 0.5 * np.sin(x), lambda x: 0.5 * np.cos(x)),
+            (lambda x: x * x, lambda x: 2.0 * x),
+            (np.zeros_like, np.zeros_like),
+            (lambda x: 400.0 + np.sin(x), np.cos),
+            (lambda x: np.cos(x) ** 2, lambda x: -np.sin(2.0 * x))]
+
+
+def _dense_row_read(j, x, logs, y):
+    nu, *_, log_read = _DENSE_ROWS[j]
+    V, dV = (f(x) for f in _DENSE_V[j])
+    if log_read:
+        slope = y[1] / y[0]
+        curve = V - nu - slope * slope
+        return logs + np.log(y[0]), slope, curve, dV - 2.0 * slope * curve
+    u, du = np.exp(logs) * y
+    return u, du, (V - nu) * u, dV * u + (V - nu) * du
+
+
+def _dense_batch(rows, sizes=None):
+    """magnus_dense on the rows of _DENSE_ROWS listed in `rows`, as one
+    batch, recording each potential call's (open rows, points)."""
+    def potential(x, open_rows):
+        if sizes is not None:
+            sizes.append((open_rows.tolist(), x.shape[1]))
+        return np.array([_DENSE_V[rows[k]][0](x[i])
+                         for i, k in enumerate(open_rows)])
+
+    def read(x, logs, y, open_rows):
+        return tuple(np.array(v) for v in zip(*(
+            _dense_row_read(rows[k], x[i], logs[i], y[:, i])
+            for i, k in enumerate(open_rows))))
+
+    nu, a, b, u0, du0, _ = (np.array(v) for v in zip(*(_DENSE_ROWS[j]
+                                                       for j in rows)))
+    return magnus_dense(potential, nu, (a, b), (u0, du0), 1e-10, read)
+
+
+def _dense_single(j):
+    nu, a, b, u0, du0, _ = _DENSE_ROWS[j]
+    return magnus_dense(
+        lambda x, rows: _DENSE_V[j][0](x),
+        nu, (a, b), (u0, du0), 1e-10,
+        lambda x, logs, y, rows: tuple(
+            v[None] for v in _dense_row_read(j, x[0], logs[0], y[:, 0])))
+
+
+def test_magnus_dense_batch_rows_equal_single_calls():
+    # every row of a batch, in any order and with any other rows, gets the
+    # nodes, node values and interpolant of its own scalar call bit for
+    # bit, though the rows differ in span, direction, first mesh, accepted
+    # level and rescaling; the open rows on one mesh share one potential
+    # call, and an accepted row leaves the batch
+    single = [_dense_single(j) for j in range(len(_DENSE_ROWS))]
+    sizes = []
+    batches = [(list(range(5)), _dense_batch(range(5), sizes)),
+               ([3, 0, 4, 2, 1], _dense_batch([3, 0, 4, 2, 1])),
+               ([1, 3], _dense_batch([1, 3])),
+               ([4, 0, 2], _dense_batch([4, 0, 2]))]
+    for rows, batch in batches:
+        for j, (x, v, interpolant) in zip(rows, batch):
+            x1, v1, interpolant1 = single[j]
+            assert x.tobytes() == x1.tobytes()
+            assert v.tobytes() == v1.tobytes()
+            xs = np.linspace(x1[0], x1[-1], 101)
+            for got, want in zip(interpolant(xs), interpolant1(xs)):
+                assert got.tobytes() == want.tobytes()
+    # accepted on four different meshes, and row 3's u passes the double
+    # range (log u ends past log(max double) = 709.78)
+    assert [x.size for x, _, _ in single] == [129, 257, 129, 2049, 513]
+    assert single[3][1][-1] > 710.0
+    # rows 0 to 3 start together on 64 intervals (two Gauss points each),
+    # row 4 joins them on 256, and each call holds the rows still open
+    assert sizes == [([0, 1, 2, 3], 128), ([0, 1, 2, 3], 256),
+                     ([0, 1, 2, 3, 4], 512), ([1, 3, 4], 1024),
+                     ([3, 4], 2048), ([3], 4096), ([3], 8192)]
+
+
+def test_magnus_log_derivative_batch_rows_equal_single_calls():
+    # the end reduction keeps the same contract: a batch's entries are the
+    # scalar calls' values bit for bit
+    rows = [2, 0, 4, 1]
+    nu, a, b, u0, du0, _ = (np.array(v) for v in zip(*(_DENSE_ROWS[j]
+                                                       for j in rows)))
+    got = magnus_log_derivative(
+        lambda x, open_rows: np.array([_DENSE_V[rows[k]][0](x[i])
+                                       for i, k in enumerate(open_rows)]),
+        nu, (a, b), (u0, du0), 1e-10)
+    for j, end in zip(rows, got):
+        nu, a, b, u0, du0, _ = _DENSE_ROWS[j]
+        want = magnus_log_derivative(lambda x, r: _DENSE_V[j][0](x), nu,
+                                     (a, b), (u0, du0), 1e-10)
+        assert end.hex() == want.hex()
+
+
 def test_ode_failure_reports_location():
     # a well too deep for the first mesh: the dense pass names the radius
     # of the interval that turns the state by pi or more
@@ -424,14 +527,32 @@ def test_ode_failure_reports_location():
 
 
 def test_ode_endpoint_only_failure_reports_location():
-    # an interval propagator past the double range is an IntegrationError at
-    # its node, and no RuntimeWarning escapes
+    # a potential that is infinite past r = 1 leaves a propagator that is
+    # not finite: an IntegrationError at the first node past it, and no
+    # RuntimeWarning escapes
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(IntegrationError, match="not finite") as err:
-            magnus_log_derivative(_constant(1e12), 0.0, (0.0, 2.0), (1.0, 0.0),
-                                  1e-10)
-    assert 0.0 < err.value.location <= 2.0
+            magnus_log_derivative(
+                lambda x, rows: np.where(x > 1.0, np.inf, 0.0), 0.0,
+                (0.0, 2.0), (1.0, 0.0), 1e-10)
+    assert 1.0 < err.value.location <= 1.0 + 2.0 / 64
+
+
+def test_magnus_interval_past_the_double_range_carries_its_scale():
+    # an interval whose cosh(s) passes the double range (s = 31250 and 156
+    # on the first meshes below) is propagated as e^-s exp(Omega) with s in
+    # its row's log: the end log-derivative of u'' = 10^12 u is the rate
+    # 10^6, and the angle through a barrier of 10^8 from (0, 1) is
+    # atan(tanh(10^4) / 10^4), with no RuntimeWarning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        end = magnus_log_derivative(_constant(1e12), 0.0, (0.0, 2.0),
+                                    (1.0, 0.0), 1e-10)
+        theta, _ = magnus_prufer(_constant(1e8), 1.0, (0.0, 1.0), (0.0, 1.0),
+                                 1e-12)
+    assert end == pytest.approx(1e6, rel=1e-12)
+    assert theta == pytest.approx(math.atan(1e-4), rel=0.0, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -469,7 +590,7 @@ def test_magnus_prufer_matches_the_bessel_angle(p_default, nu):
     a, b = 0.2, 2.0
     k = math.sqrt(nu)
     theta, _ = magnus_prufer(
-        lambda r: liouville_potential(p_default, 0, r), nu, (a, b),
+        lambda r, rows: liouville_potential(p_default, 0, r), nu, (a, b),
         oracle_liouville_bessel(p_default.c, nu, a), 1e-12)
     zeros = bessel_zero_count((p_default.c - 1) / 2, k * a, k * b)
     u, du = oracle_liouville_bessel(p_default.c, nu, b)
@@ -486,7 +607,7 @@ def test_magnus_prufer_slope_in_closed_form(nu):
     # intervals, is accepted, and the slope carries the corrected
     # trapezoid's error of order (k h)^4 there, not tol (measured: 1.5e-8
     # at nu = 100, 3.3e-7 at nu = 900, where k h = 0.94)
-    theta, slope = magnus_prufer(np.zeros_like, nu, (0.0, 2.0), (0.0, 1.0),
+    theta, slope = magnus_prufer(_constant(0.0), nu, (0.0, 2.0), (0.0, 1.0),
                                  1e-12)
     assert theta == pytest.approx(2.0 * math.sqrt(nu), rel=1e-13)
     assert slope == pytest.approx(1.0 / math.sqrt(nu), rel=1e-6)
@@ -496,9 +617,10 @@ def test_magnus_prufer_refuses_a_tolerance_below_its_floor():
     # the floor is 10 eps per unit of theta's scale k (b - a) = 20: the
     # floor error carries tol / 20 and the floor 10 eps, as an ODE one
     eps = np.finfo(float).eps
-    magnus_prufer(np.zeros_like, 100.0, (0.0, 2.0), (0.0, 1.0), 200 * eps)
+    magnus_prufer(_constant(0.0), 100.0, (0.0, 2.0), (0.0, 1.0), 200 * eps)
     with pytest.raises(ToleranceFloorError, match="tol=") as err:
-        magnus_prufer(np.zeros_like, 100.0, (0.0, 2.0), (0.0, 1.0), 190 * eps)
+        magnus_prufer(_constant(0.0), 100.0, (0.0, 2.0), (0.0, 1.0),
+                      190 * eps)
     assert isinstance(err.value, DomainValidationError)
     assert (err.value.tol, err.value.floor, err.value.solver) == \
         (190 * eps / 20.0, 10 * eps, "ODE")
@@ -507,12 +629,12 @@ def test_magnus_prufer_refuses_a_tolerance_below_its_floor():
 @pytest.mark.parametrize("level, message", [
     (-1e6, r"at r = 0\.0 turns the Pruefer angle by up to 15\.6 >= pi "
            r"for nu = 1\.0"),
-    (1e8, r"for nu = 1\.0 is not finite at r = 0\.")])
+    (math.inf, r"for nu = 1\.0 is not finite at r = 0\.")])
 def test_magnus_prufer_fails_loudly(level, message):
-    # a well too deep for the first mesh of 64 intervals, and a barrier the
-    # solution grows through past the double range, each name nu and r
+    # a well too deep for the first mesh of 64 intervals, and an infinite
+    # potential, each name nu and r
     with pytest.raises(IntegrationError, match=message) as err:
-        magnus_prufer(lambda r: np.full_like(r, level), 1.0, (0.0, 1.0),
+        magnus_prufer(_constant(level), 1.0, (0.0, 1.0),
                       (0.0, 1.0), 1e-12)
     assert 0.0 <= err.value.location <= 1.0
 
