@@ -116,15 +116,18 @@ def dirichlet_eigenvalues(p, i, r_out, count, tol=1e-12, root_rel=1e-12):
     shot.  Every shot is kept, and the Pruefer counts of all of them
     bracket the root.  An eigenvalue is the first update of at most
     max(root_rel, 4 eps) nu, which is not shot; no nu is shot twice.
-    tol and root_rel must be finite and > 0.
+    count must be an integer of at least 1, r_out finite, and tol and
+    root_rel finite and > 0.
     """
     if not i >= 1:
         raise DomainValidationError("dirichlet_eigenvalues needs i >= 1")
-    if not count >= 1:
-        raise DomainValidationError("dirichlet_eigenvalues needs count >= 1")
-    if not r_out > tip_window_top(p, 0.0):
+    if not (count >= 1 and float(count).is_integer()):
         raise DomainValidationError(
-            f"r_out must exceed the tip window top {tip_window_top(p, 0.0)}")
+            f"dirichlet_eigenvalues needs an integral count >= 1, got {count}")
+    if not tip_window_top(p, 0.0) < r_out < math.inf:
+        raise DomainValidationError(
+            f"r_out must be finite and exceed the tip window top "
+            f"{tip_window_top(p, 0.0)}, got r_out={r_out}")
     for name, value in (("tol", tol), ("root_rel", root_rel)):
         if not 0.0 < value < math.inf:
             raise DomainValidationError(
@@ -134,7 +137,7 @@ def dirichlet_eigenvalues(p, i, r_out, count, tol=1e-12, root_rel=1e-12):
     shots = {}  # trial nu -> (theta(r_out; nu), d theta / d nu)
     nu = trial = _wkb_first_trial(p, i, r_out)
     evals = []
-    for j in range(1, count + 1):
+    for j in range(1, int(count) + 1):
         target = j * math.pi
         for spent in range(_SHOTS_PER_EIGENVALUE + 1):
             if shots:

@@ -58,7 +58,7 @@ from .artifacts import write_csv
 from .errors import ConsistencyError, DomainValidationError
 from .geometry import measure_weight_log, sphere_eigenvalue
 from .numerics import (check_in_range, fit_line, magnus_dense,
-                       magnus_log_derivative, quad_log)
+                       magnus_log_derivative, quad_log, row_count)
 
 
 def tip_exponent(p):
@@ -250,15 +250,18 @@ def solve_k2(p, i, mu, s_max, tol=1e-12):
     to r_mu, scaled by the Wronskian.  Raises ConsistencyError if the start
     at s_far could leave a kappa error above 1e-12 anywhere on the span.
 
-    mu and s_max may be 1-D arrays of one length: every row's branch then
-    comes from one batched magnus_dense pass, each bit for bit the branch
-    of its own call, and the branches come as a list.
+    mu and s_max may be 1-D arrays of one length (numerics.row_count):
+    every row's branch then comes from one batched magnus_dense pass, each
+    bit for bit the branch of its own call, and the branches come as a
+    list.
     """
     if not i >= 1:
         raise DomainValidationError("solve_k2 needs i >= 1 (mu_i > 0)")
+    n = row_count("solve_k2", {"mu": mu, "s_max": s_max})
+    mus, tops = (np.full(n or 1, v) for v in (mu, s_max))
     rho = tip_rate(p, i)
     rows = []
-    for m, top in zip(np.ravel(mu).tolist(), np.ravel(s_max).tolist()):
+    for m, top in zip(mus.tolist(), tops.tolist()):
         s_lo = r_mu(p, m)
         if not top > s_lo:
             raise DomainValidationError(
@@ -272,15 +275,11 @@ def solve_k2(p, i, mu, s_max, tol=1e-12):
                 "start window too short")
         q = _q_factory(p, i, m)
         rows.append((s_lo, top, s_far, -math.sqrt(q(s_far)), rel_unc, q))
-    mus = np.ravel(mu).astype(float)[:, None]
+    mus = mus.astype(float)[:, None]
     lows, fars, starts = (np.array([row[k] for row in rows])
                           for k in (0, 2, 3))
-    # the coefficient of every row, while all rows are open (the rows a
-    # sweep passes are increasing, so all of them when as many)
-    q_all = _q_factory(p, i, mus)
-    dense = _tip_dense(
-        lambda k: q_all if k.size == len(rows) else _q_factory(p, i, mus[k]),
-        rho, (fars, lows), (np.ones(len(rows)), starts), tol)
+    dense = _tip_dense(lambda k: _q_factory(p, i, mus[k]), rho, (fars, lows),
+                       (np.ones(len(rows)), starts), tol)
     branches = []
     for (lo, top, _, _, rel_unc, q), (sigma, _, log_k) in zip(rows, dense):
         # the sweep ends at r_mu: its last node fixes the scale
@@ -292,7 +291,7 @@ def solve_k2(p, i, mu, s_max, tol=1e-12):
                         (-math.log(2.0 * (rho ** 2 + rho)), -rho - 2.0),
                         (math.log(rho / 2.0), -rho + 1.0), "decaying")
         branches.append(k2)
-    return branches if np.ndim(mu) else branches[0]
+    return branches if n else branches[0]
 
 
 # ---------------------------------------------------------------------------
@@ -347,18 +346,21 @@ def profile_from_k2(p, i, mu, r_min, n_grid=64, tol=1e-12):
         log f = log k2(s) + beta log s,          s = r^-eps,
         d log f / dr = -(eps s / r) kappa2(s) - (c-1-eps)/(2 r).
 
-    mu and r_min may be 1-D arrays of one length: the profiles then come as
-    a list, one a row, from one batched solve_k2.
+    mu and r_min may be 1-D arrays of one length (numerics.row_count): the
+    profiles then come as a list, one a row, from one batched solve_k2.
+    n_grid is an integer of at least 16.
     """
     if not i >= 1:
         raise DomainValidationError(
             "the decaying-branch construction needs i >= 1; use the bounded "
             "radial branch radial_mode_zero for i = 0")
-    if n_grid < 16:
-        raise DomainValidationError("profile_from_k2 needs n_grid >= 16")
-    mus = np.ravel(mu).tolist()
+    if not (n_grid >= 16 and float(n_grid).is_integer()):
+        raise DomainValidationError(
+            f"profile_from_k2 needs an integral n_grid >= 16, got {n_grid}")
+    n = row_count("profile_from_k2", {"mu": mu, "r_min": r_min})
+    mus, lows = (np.full(n or 1, v).tolist() for v in (mu, r_min))
     s_max = []
-    for m, lo in zip(mus, np.ravel(r_min).tolist()):
+    for m, lo in zip(mus, lows):
         r_top = tip_window_top(p, m)
         if not 0 < lo < r_top:
             raise DomainValidationError(
@@ -367,12 +369,12 @@ def profile_from_k2(p, i, mu, r_min, n_grid=64, tol=1e-12):
         s_max.append(lo ** (-p.eps))
     profiles = [
         RadialProfile(params=p, i=i, mu=m,
-                      s_grid=np.linspace(r_mu(p, m), top, n_grid),
+                      s_grid=np.linspace(r_mu(p, m), top, int(n_grid)),
                       evaluator=_tip_evaluator(p, k2))
         for m, top, k2 in zip(mus, s_max,
                               solve_k2(p, i, np.array(mus), np.array(s_max),
                                        tol=tol))]
-    return profiles if np.ndim(mu) else profiles[0]
+    return profiles if n else profiles[0]
 
 
 def _tip_evaluator(p, k2):

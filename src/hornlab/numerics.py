@@ -17,7 +17,12 @@ raises DomainValidationError instead of returning nan.
 A potential is vectorised over rows, as a quad_log integrand is:
 potential(x, rows) maps the abscissae x, shape (open rows, points), of the
 rows whose indices are `rows` to the potential there, in one call per mesh
-for every row that needs that mesh.
+for every row that needs that mesh.  A batch's arguments follow one rule
+(row_count), each reduction forms its rows in one place (_state_rows), and
+one Richardson ladder (_richardson) returns every row's result, keeping
+only its last sweep and its last extrapolation; the dense reduction's
+check reads its interpolants at fixed fractions of their intervals
+(SepticHermite.at).
 """
 
 import math
@@ -45,6 +50,24 @@ def check_in_range(x, lo, hi, name):
     if x.size and not (x.min() >= a and x.max() <= b):
         bad = x[~((x >= a) & (x <= b))].flat[0]
         raise DomainValidationError(f"{name}={bad} must lie in [{lo}, {hi}]")
+
+
+def row_count(name, given):
+    """The one batch rule: the arguments in given, a dict by name, are
+    scalars or 1-D arrays of one length of at least 1, against which the
+    scalars broadcast.  Returns that length, or None when all are scalars;
+    otherwise DomainValidationError naming `name` and every shape."""
+    shapes = {key: np.asarray(v).shape for key, v in given.items()}
+    found = set(shapes.values()) - {()}
+    if not found:
+        return None
+    shape = found.pop()
+    if found or len(shape) != 1 or not shape[0]:
+        raise DomainValidationError(
+            f"{name} takes {', '.join(given)} as scalars or 1-D arrays of "
+            "one length >= 1, got shapes " + ", ".join(
+                f"{key} {s}" for key, s in shapes.items()))
+    return shape[0]
 
 
 # ---------------------------------------------------------------------------
@@ -239,19 +262,17 @@ def _node_states(potential, nu, a, b, y0, m, rows):
     return log, y
 
 
-def _magnus_angle(potential, row, y0, k, m):
-    """(theta(b), node logs, node states (u, u') at a + h j, j = 1 .. m) of
-    magnus_prufer on m equal intervals of [a, b]: row is (nu, a, b, y0,
-    rows) of the one row, as _node_states takes them."""
-    log, (u, du) = _node_states(potential, *row[:4], m, row[4])
-    log, u, du = log[0], u[0], du[0]
-    # a state's angle is blind to its positive scale exp(log)
+def _magnus_angle(k, y0, states):
+    """theta(b) of magnus_prufer from the start y0 = (u(a), u'(a)) and the
+    node states (u, u') at a + h j, j = 1 .. m, each in a positive scale of
+    its own, to which the angle is blind."""
+    u, du = states
     theta = np.arctan2(k * u, du)
     # each interval turns the state by less than pi, so the principal value
     # of each step's angle change is the true one
     steps = np.diff(theta, prepend=math.atan2(k * y0[0], y0[1]))
     wraps = np.rint(steps / (2.0 * math.pi)).sum()
-    return float(theta[-1] - 2.0 * math.pi * wraps), log, (u, du)
+    return float(theta[-1] - 2.0 * math.pi * wraps)
 
 
 def _angle_slope(nu, k, h, y0, log, states):
@@ -289,24 +310,27 @@ def _on_coarse_nodes(coarse, fine):
     return log_f, val_f, val_f - coarse[1] * np.exp(coarse[0] - log_f)
 
 
-def _gathered(entries):
-    """The levels of entries (level, j), row j of a level each, stacked as
-    a sweep's (log, values): the level itself when the entries are its rows
-    in order."""
-    level = entries[0][0]
-    if len(entries) == len(level[0]):
-        for j, (other, at) in enumerate(entries):
-            if other is not level or at != j:
-                break
-        else:
-            return level
-    return (np.stack([log[j] for (log, _), j in entries]),
-            np.stack([values[:, j] for (_, values), j in entries], axis=1))
+def _take(level, rows):
+    """The (log scales, values) of rows of level (rows, log scales, values):
+    rows are some of level's, in its order."""
+    have, log, values = level
+    if len(have) == len(rows):  # all of them
+        return log, values
+    j = np.searchsorted(have, rows)
+    return log[j], values[:, j]
 
 
-def _richardson(sweep, m, tol, nu, end, check=None):
+def _rows_of(level, rows):
+    """The check of a reduction with no estimate of its own: each row's
+    result is its (log scales, values)."""
+    log, values = level
+    return 0.0, [(log[j], values[:, j]) for j in range(len(rows))]
+
+
+def _richardson(sweep, m, tol, nu, end, check=_rows_of):
     """Richardson extrapolation of sweep over the meshes m, 2m, 4m, ...,
-    for every row on its own ladder from its own first mesh m[row].
+    for every row on its own ladder from its own first mesh m[row], a power
+    of two.
 
     sweep(m, rows) gives (log scales, values) at the nodes of the mesh of
     m intervals on each of rows, shapes (rows, nodes) and
@@ -315,20 +339,29 @@ def _richardson(sweep, m, tol, nu, end, check=None):
     scheme is symmetric, so a value's error expands in even powers of 1/m:
     the Richardson value t_m = v_2m + (v_2m - v_m) / 15 is of order six,
     and max |t_2m - t_m| / 63, in units of each node's scale, estimates
-    t_2m's error; check(t_2m, rows), when given, adds an estimate of its own
-    for each of rows.  Each row is accepted with t_2m, on mesh 2m's nodes,
+    t_2m's error.  Each row is accepted with t_2m, on mesh 2m's nodes,
     once its larger estimate is at most tol, and leaves the batch; the open
     rows whose next mesh is the smallest are swept together, so a row's
-    ladder, estimates and result are those of its call alone.  Returns the
-    accepted (log scales, values) of each row; a row past 2^16 intervals
-    raises IntegrationError naming its nu and estimate.
+    ladder, estimates and result are those of its call alone.
+
+    check(t_2m, rows) takes the rows whose own estimate is at most tol and
+    returns (an estimate of its own for each, one result per row); a row's
+    result is what check gave it at the level it is accepted on, by
+    default its (log scales, values).  The first meshes are powers of two,
+    so an open row is in every sweep until it is accepted (the smallest
+    open mesh is twice the last one while any of the last sweep's rows is
+    open): a row swept (or extrapolated) before was swept (or
+    extrapolated) in the previous sweep, on half its mesh, and only that
+    sweep and that extrapolation are kept.  Returns each row's result; a
+    row past 2^16 intervals raises IntegrationError naming its nu and
+    estimate.
     """
     m = list(m)
-    # each row's last sweep, last extrapolation and accepted level, as
-    # (level, j): row j of a level
-    coarse, extrapolated, accepted = ([None] * len(m) for _ in range(3))
     estimate = [math.inf] * len(m)
+    result = [None] * len(m)
     open_rows = list(range(len(m)))
+    # the last sweep and the last extrapolation, as (rows, log, values)
+    coarse = extrapolated = ([], None, None)
     while open_rows:
         size = min(m[k] for k in open_rows)
         rows = [k for k in open_rows if m[k] == size]
@@ -338,36 +371,33 @@ def _richardson(sweep, m, tol, nu, end, check=None):
                 f"the Magnus propagation for nu = {float(nu[k])} reached "
                 f"{size // 2} intervals with Richardson estimate "
                 f"{estimate[k]:.3g} above tol {tol}", location=float(end[k]))
-        fine = sweep(size, np.array(rows))
-        later = [k for k in rows if coarse[k] is not None]
-        before = [coarse[k] for k in later]
-        for j, k in enumerate(rows):
-            coarse[k] = fine, j
+        before, coarse = coarse, (rows, *sweep(size, np.array(rows)))
+        for k in rows:
             m[k] *= 2
-        if later:
-            log, val, step = _on_coarse_nodes(
-                _gathered(before), _gathered([coarse[k] for k in later]))
-            new = log, val + step / 15.0
-            third = [k for k in later if extrapolated[k] is not None]
-            previous = [extrapolated[k] for k in third]
-            for j, k in enumerate(later):
-                extrapolated[k] = new, j
-            if third:
-                level = _gathered([extrapolated[k] for k in third])
-                gap = _on_coarse_nodes(_gathered(previous), level)[2]
-                est = np.abs(gap).max(axis=(0, 2)) / 63.0
-                if check is not None:
-                    near = [j for j, e in enumerate(est.tolist()) if e <= tol]
-                    if near:
-                        est[near] = np.maximum(est[near], check(
-                            _gathered([(level, j) for j in near]),
-                            np.array([third[j] for j in near])))
-                for j, (k, e) in enumerate(zip(third, est.tolist())):
-                    estimate[k] = e
-                    if e <= tol:
-                        accepted[k] = level, j
-                open_rows = [k for k in open_rows if accepted[k] is None]
-    return [(level[0][j], level[1][:, j]) for level, j in accepted]
+        later = [k for k in rows if k in before[0]]
+        if not later:
+            continue
+        log, val, step = _on_coarse_nodes(_take(before, later),
+                                          _take(coarse, later))
+        previous, extrapolated = extrapolated, (later, log, val + step / 15.0)
+        third = [k for k in later if k in previous[0]]
+        if not third:
+            continue
+        level = third, *_take(extrapolated, third)
+        gap = _on_coarse_nodes(_take(previous, third), level[1:])[2]
+        est = np.abs(gap).max(axis=(0, 2)) / 63.0
+        for k, e in zip(third, est.tolist()):
+            estimate[k] = e
+        near = [k for k in third if estimate[k] <= tol]
+        if near:
+            extra, got = check(_take(level, near), np.array(near))
+            larger = np.maximum([estimate[k] for k in near], extra).tolist()
+            for k, e, row in zip(near, larger, got):
+                estimate[k] = e
+                if e <= tol:
+                    result[k] = row
+            open_rows = [k for k in open_rows if result[k] is None]
+    return result
 
 
 def _first_mesh(scale):
@@ -432,29 +462,30 @@ def magnus_prufer(potential, nu, span, y0, tol):
             f"magnus_prufer needs tol >= {_TOL_FLOOR:.3g} * {scale:.6g}, "
             f"got tol={tol}", tol=tol / scale, floor=_TOL_FLOOR, solver="ODE")
 
-    row = (np.array([nu]), np.array([a]), np.array([b]),
-           np.array(y0, dtype=float).reshape(2, 1), np.zeros(1, dtype=np.intp))
+    *_, m, states = _state_rows("magnus_prufer", potential, nu, span, y0,
+                                tol)
 
     def sweep(m, rows):  # an angle's unit is the radian: log scale 0
         nonlocal finest
-        theta, log, states = _magnus_angle(potential, row, y0, k, m)
-        finest = m, log, states
-        return np.zeros((1, 1)), np.array([[[theta]]])
+        _, log, y = states(m, rows)
+        finest = m, log[0], y[:, 0]
+        return np.zeros((1, 1)), np.full((1, 1, 1),
+                                         _magnus_angle(k, y0, y[:, 0]))
 
     finest = None
-    theta = float(_richardson(sweep, [_first_mesh(scale)], tol, [nu],
-                              [b])[0][1][0, 0])
+    theta = float(_richardson(sweep, m, tol, [nu], [b])[0][1][0, 0])
     m, log, states = finest
     return theta, _angle_slope(nu, k, (b - a) / m, y0, log, states)
 
 
 def _state_rows(name, potential, nu, span, y0, tol):
-    """(scalar call, nu, a, b, first meshes, node states) of a dense or
-    end reduction, one entry a row, after their common checks."""
-    given = (nu, *span, *y0)
-    scalar = all(np.ndim(v) == 0 for v in given)
-    nu, a, b, u0, du0 = rows = np.empty((5, max(np.size(v) for v in given)))
-    for row, v in zip(rows, given):
+    """(scalar call, nu, a, b, first meshes, node states) of a Magnus
+    reduction, one entry a row under row_count's rule, after their common
+    checks."""
+    given = dict(zip(("nu", "a", "b", "u(a)", "u'(a)"), (nu, *span, *y0)))
+    n = row_count(name, given)
+    nu, a, b, u0, du0 = rows = np.empty((5, n or 1))
+    for row, v in zip(rows, given.values()):
         row[:] = v
     bad = ~(a != b)
     if bad.any():
@@ -474,14 +505,14 @@ def _state_rows(name, potential, nu, span, y0, tol):
         return (y0[:, rows], *_node_states(potential, nu[rows], a[rows],
                                            b[rows], y0[:, rows], m, rows))
 
-    return scalar, nu, a, b, m, states
+    return n is None, nu, a, b, m, states
 
 
 def magnus_dense(potential, nu, span, y0, tol, read):
     """Dense solution of u'' = (V(x) - nu) u on span = (a, b) from
     y0 = (u(a), u'(a)); b < a sweeps backward.  One equation, or a batch:
-    nu, a, b, u(a) and u'(a) are scalars or 1-D arrays, broadcast against
-    each other, one entry a row.
+    nu, a, b, u(a) and u'(a) are scalars or 1-D arrays of one length, one
+    entry a row (row_count).
 
     The rows follow quad_log's contract.  potential(x, rows) maps the
     abscissae x, shape (open rows, points), of the rows whose indices are
@@ -500,9 +531,10 @@ def magnus_dense(potential, nu, span, y0, tol, read):
     and v''' from the equation differentiated once, and a SepticHermite
     reads them.  Two estimates are held to tol: the nodes' (_richardson, in
     units of each node's max-norm) and the interpolant's, its gap at the
-    mesh midpoints to the interpolant on every other node, over 255 in v
-    and 127 in v' (orders eight and seven), in units of max|v| and max|v'|,
-    and 0 at its rounding floor 4 eps max|v| / (h max|v'|).
+    mesh midpoints to the interpolant on every other node (SepticHermite.at
+    on both), over 255 in v and 127 in v' (orders eight and seven), in
+    units of max|v| and max|v'|, and 0 at its rounding floor
+    4 eps max|v| / (h max|v'|).
 
     Returns (x, v, interpolant) on a row's accepted nodes x, x[0] = a and
     x[-1] = b: that triple for a scalar call and a list of them, one a row,
@@ -518,7 +550,6 @@ def magnus_dense(potential, nu, span, y0, tol, read):
                            np.concatenate([y0[:, :, None], y], axis=2))
 
     def check(level, rows):
-        # the last level checked for a row is the one _richardson accepts
         log, y = level
         n = log.shape[1]
         lo, hi = a[rows], b[rows]
@@ -527,24 +558,25 @@ def magnus_dense(potential, nu, span, y0, tol, read):
         x += lo[:, None]
         x[:, -1] = hi
         data = read(x, log, y, rows)
-        mid = 0.5 * (x[:, 1:] + x[:, :-1])
-        # the fine interpolant is built once the coarse one is gone: a
-        # smaller peak
-        w, dw = SepticHermite(x[:, ::2], *(d[:, ::2] for d in data))(mid)
+        # the fine midpoints lie at 1/4 and 3/4 of the coarse intervals; the
+        # coarse interpolant is gone before the fine one is built: a smaller
+        # peak
+        coarse = SepticHermite(x[:, ::2], *(d[:, ::2] for d in data)).at(
+            (0.25, 0.75))
         fine = SepticHermite(x, *data)
-        v, dv = fine(mid)
+        # fine interval 2i + f is coarse interval i read at (2f + 1) / 4
+        gap, slope_gap = (
+            np.abs(f.reshape(rows.size, -1, 2) - c.transpose(1, 2, 0)).max(
+                axis=(1, 2)) for f, c in zip(fine.at((0.5,)), coarse))
         size, slope = (np.max(np.abs(d), axis=1) for d in data[:2])
-        estimate = np.maximum(
-            np.max(np.abs(v - w), axis=1) / (255.0 * size),
-            np.max(np.abs(dv - dw), axis=1) / (127.0 * slope))
+        estimate = np.maximum(gap / (255.0 * size),
+                              slope_gap / (127.0 * slope))
         # the slope of an interpolant rounds to about 2 eps max|v| / h
         floor = 4.0 * _EPS * size * (n - 1) / (np.abs(hi - lo) * slope)
-        for j, k in enumerate(rows):
-            dense[k] = x[j], data[0][j], fine.row(j)
-        return np.where(estimate > floor, estimate, 0.0)
+        return (np.where(estimate > floor, estimate, 0.0),
+                [(x[j], data[0][j], fine.row(j)) for j in range(rows.size)])
 
-    dense = [None] * nu.size
-    _richardson(sweep, m, tol, nu, b, check)
+    dense = _richardson(sweep, m, tol, nu, b, check)
     return dense[0] if scalar else dense
 
 
@@ -568,6 +600,25 @@ def magnus_log_derivative(potential, nu, span, y0, tol):
     return float(out[0]) if scalar else out
 
 
+def _horner(c, t):
+    """(p(t), dp/dt) of the septics whose coefficients c[0], ..., c[7] run
+    from the highest power, t broadcast against them: one Horner pass for
+    the value, whose partial sums are also the coefficients of the slope's
+    pass (p_k = p_(k-1) t + c_k and p_k' = p_(k-1)' t + p_(k-1)); in place,
+    the inner loop of every evaluator."""
+    slope = c[0] * t
+    value = slope + c[1]
+    slope += value
+    for k in range(2, 7):
+        value *= t
+        value += c[k]
+        slope *= t
+        slope += value
+    value *= t
+    value += c[7]
+    return value, slope
+
+
 class SepticHermite:
     """Piecewise septic Hermite interpolant of values y and first, second
     and third derivatives dy, d2y and d3y on the nodes x, a uniform mesh in
@@ -576,10 +627,10 @@ class SepticHermite:
     mesh, with no search, and a point past an end takes the end interval.
     Between nodes it errs by O(h^8) in the value and O(h^7) in the slope.
 
-    Rows: x and the data may be (rows, nodes) arrays, one mesh a row.  The
-    interpolant then reads row k of the abscissae, shape (rows, points), on
-    row k's mesh, and row(k) is row k's interpolant alone, each bit for bit
-    that of row k's data on its own.
+    Rows: x and the data may be (rows, nodes) arrays, one mesh a row.  Such
+    an interpolant is not called on abscissae (TypeError): row(k) is row
+    k's interpolant alone, bit for bit that of row k's data on its own, and
+    at(fractions) reads every row at fixed fractions of its intervals.
     """
 
     def __init__(self, x, y, dy, d2y, d3y):
@@ -601,49 +652,37 @@ class SepticHermite:
         B = d1 - d0 - s0 - 0.5 * g0
         C = s1 - s0 - g0
         D = g1 - g0
-        c = [-20.0 * A + 10.0 * B - 2.0 * C + D / 6.0,
-             70.0 * A - 34.0 * B + 6.5 * C - 0.5 * D,
-             -84.0 * A + 39.0 * B - 7.0 * C + 0.5 * D,
-             35.0 * A - 15.0 * B + 2.5 * C - D / 6.0,
-             g0 / 6.0, 0.5 * s0, d0, y[..., :-1]]
-        self._set(np.array(c), x[..., :1], h)  # (power, [row,] interval)
-
-    def _set(self, coef, x0, h):
-        self._coef = coef
-        if coef.ndim == 2:
-            self._x0, self._h, self._offset = float(x0[0]), float(h[0]), None
-        else:
-            # row k's intervals, in the coefficients flattened row by row
-            self._x0, self._h = x0, h
-            self._offset = coef.shape[2] * np.arange(coef.shape[1])[:, None]
+        self._coef = np.array([  # (power, [row,] interval)
+            -20.0 * A + 10.0 * B - 2.0 * C + D / 6.0,
+            70.0 * A - 34.0 * B + 6.5 * C - 0.5 * D,
+            -84.0 * A + 39.0 * B - 7.0 * C + 0.5 * D,
+            35.0 * A - 15.0 * B + 2.5 * C - D / 6.0,
+            g0 / 6.0, 0.5 * s0, d0, y[..., :-1]])
+        self._x0, self._h = x[..., 0], h[..., 0]
 
     def row(self, k):
         """Row k's interpolant alone, on contiguous coefficients of its own
         (a gather from a strided view is slower)."""
         one = object.__new__(SepticHermite)
-        one._set(np.ascontiguousarray(self._coef[:, k]), self._x0[k],
-                 self._h[k])
+        one._coef = np.ascontiguousarray(self._coef[:, k])
+        one._x0, one._h = self._x0[k], self._h[k]
         return one
 
+    def at(self, fractions):
+        """(value, derivative) at the given fractions of every interval, in
+        one Horner pass over the coefficients as they lie: arrays of shape
+        (len(fractions), [rows,] intervals)."""
+        t = np.asarray(fractions).reshape((-1,) + (1,) * (self._coef.ndim - 1))
+        value, slope = _horner(self._coef, t)
+        return value, slope / self._h[..., None]
+
     def __call__(self, x):
+        if self._coef.ndim > 2:
+            raise TypeError("an interpolant of rows is read by row(k) or at()")
         t = (np.asarray(x, dtype=float) - self._x0) / self._h
         j = np.minimum(np.maximum(np.asarray(t).astype(np.intp), 0),
                        self._coef.shape[-1] - 1)
-        t = t - j
-        # one Horner pass for the value, whose partial sums are also the
-        # coefficients of the slope's pass (p_k = p_(k-1) t + c_k and
-        # p_k' = p_(k-1)' t + p_(k-1)); in place, the inner loop of every
-        # evaluator
-        c = (self._coef.take(j, axis=1) if self._offset is None else
-             self._coef.reshape(8, -1).take(j + self._offset, axis=1))
-        value = c[0] * t
-        value += c[1]
-        slope = c[0].copy()
-        for k in range(2, 8):
-            slope *= t
-            slope += value
-            value *= t
-            value += c[k]
+        value, slope = _horner(self._coef.take(j, axis=1), t - j)
         return value, slope / self._h
 
 

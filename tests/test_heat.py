@@ -84,6 +84,17 @@ def test_shot_step_sequence_is_pinned(p_default, monkeypatch, nu, theta,
     assert sizes == {"anchor": anchor_meshes, "shot": meshes}
 
 
+@pytest.mark.parametrize("nu, theta, slope", [
+    (50.0, "0x1.0ad82611f7a02p+3", "0x1.bef9bca34689dp-4"),
+    (300.0, "0x1.910cb5efbe140p+4", "0x1.8cc4a2024d33fp-5")],
+    ids=["nu=50", "nu=300"])
+def test_shot_bits_are_pinned(p_default, nu, theta, slope):
+    # a shot's angle and its nu-slope at r_out = 1.8, bit for bit: the
+    # slope reads the nodes of the sweep that accepts the angle
+    assert heat._shoot(p_default, 1, nu, 1.8, 1e-12) == (
+        float.fromhex(theta), float.fromhex(slope))
+
+
 def test_outer_pass_mesh_sequence_is_pinned(p_default, monkeypatch):
     # an eigenfunction's outer magnus_dense pass at nu_8 of r_out = 1.8 (as
     # dirichlet_eigenvalues finds it): the sweeps, read from the potential
@@ -577,6 +588,26 @@ def test_eigensearch_validates_input(p_default):
         dirichlet_eigenvalues(p_default, 0, 2.0, 2)
     with pytest.raises(DomainValidationError):
         dirichlet_eigenvalues(p_default, 1, 0.05, 2)
+
+
+@pytest.mark.parametrize("call, name", [
+    (lambda p: dirichlet_eigenvalues(p, 1, 2.0, 2.5), "count"),
+    (lambda p: dirichlet_eigenvalues(p, 1, math.inf, 2), "r_out"),
+    (lambda p: profile_from_k2(p, 1, 1.0, 0.02, n_grid=20.5), "n_grid")],
+    ids=["count", "r_out", "n_grid"])
+def test_eigensearch_refuses_arguments_it_cannot_use(p_default, monkeypatch,
+                                                     call, name):
+    # a count or n_grid that is not integral and an r_out that is not
+    # finite are refused by name before any work, so no warning escapes
+    def no_work(*args, **kwargs):
+        raise AssertionError("work before the arguments were checked")
+
+    monkeypatch.setattr(heat, "_wkb_first_trial", no_work)
+    monkeypatch.setattr(modes, "solve_k2", no_work)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainValidationError, match=name):
+            call(p_default)
 
 
 @pytest.mark.parametrize("key", ["tol", "root_rel"])

@@ -14,8 +14,8 @@ from hornlab import (DomainValidationError, IntegrationError, QuadratureError,
                      bessel_j, bessel_j_prime, bessel_y, bessel_y_prime,
                      check_in_range, find_root_bracketed, fit_line,
                      gamma_real, liouville_potential, magnus_dense,
-                     magnus_log_derivative, magnus_prufer, quad_log, r_mu,
-                     solve_k1)
+                     magnus_log_derivative, magnus_prufer, profile_from_k2,
+                     quad_log, r_mu, solve_k1, solve_k2)
 
 
 # ---------------------------------------------------------------------------
@@ -277,6 +277,35 @@ def test_septic_hermite_orders_eight_and_seven():
         assert 2.0 ** 6.5 <= s0 / s1 <= 2.0 ** 7.5
 
 
+@pytest.mark.parametrize("decreasing", [False, True])
+def test_septic_hermite_rows_read_at_fixed_fractions(decreasing):
+    # an interpolant of rows, read at fixed fractions of its intervals in
+    # one Horner pass, agrees with each row's own interpolant called at the
+    # same points to a few ulps (the abscissae round to an ulp of x; up to
+    # 3.3 eps seen), on an increasing or a decreasing mesh; it is not
+    # called on abscissae
+    x = np.array([np.linspace(0.1, 2.3, 17), np.linspace(-1.3, 2.9, 17)])
+    x = x[:, ::-1] if decreasing else x
+    data = [np.array([np.sin(3.0 * x[0]), np.exp(0.5 * x[1])])]
+    for k in range(1, 4):
+        data.append(np.array([3.0 ** k * np.sin(3.0 * x[0] + k * math.pi / 2),
+                              0.5 ** k * np.exp(0.5 * x[1])]))
+    rows = SepticHermite(x, *data)
+    eps = np.finfo(float).eps
+    for fractions in ((0.5,), (0.25, 0.75)):
+        value, slope = rows.at(fractions)
+        t = np.array(fractions)[:, None] + np.arange(16)
+        for k in range(2):
+            h = (x[k, -1] - x[k, 0]) / 16
+            want, want_slope = rows.row(k)(x[k, 0] + h * t)
+            assert np.max(np.abs(value[:, k] - want)) <= \
+                8 * eps * np.max(np.abs(data[0][k]))
+            assert np.max(np.abs(slope[:, k] - want_slope)) <= \
+                8 * eps * np.max(np.abs(data[1][k]))
+    with pytest.raises(TypeError, match="row"):
+        rows(x[0])
+
+
 def test_ode_field_calls_repeat_exactly():
     # a sweep's potential calls, one per mesh, and its result are the same
     # on every repeat
@@ -516,6 +545,37 @@ def test_magnus_log_derivative_batch_rows_equal_single_calls():
         want = magnus_log_derivative(lambda x, r: _DENSE_V[j][0](x), nu,
                                      (a, b), (u0, du0), 1e-10)
         assert end.hex() == want.hex()
+
+
+@pytest.mark.parametrize("call, shapes", [
+    (lambda p: solve_k2(p, 1, np.array([1.0]), np.array([5.0, 6.0])),
+     ["mu (1,)", "s_max (2,)"]),
+    (lambda p: profile_from_k2(p, 1, np.array([1.0, 2.0]), np.full(3, 0.02),
+                               20), ["mu (2,)", "r_min (3,)"]),
+    (lambda p: profile_from_k2(p, 1, np.array([1.0, 2.0]), np.array([0.02]),
+                               20), ["mu (2,)", "r_min (1,)"]),
+    (lambda p: magnus_dense(_constant(0.0), np.array([1.0, 2.0]),
+                            (np.zeros(3), np.ones(3)), (1.0, 0.0), 1e-10,
+                            None), ["nu (2,)", "a (3,)", "b (3,)"]),
+    (lambda p: magnus_log_derivative(_constant(0.0), np.array([1.0, 2.0]),
+                                     (0.0, np.ones(3)), (1.0, 0.0), 1e-10),
+     ["nu (2,)", "b (3,)"]),
+    (lambda p: magnus_dense(_constant(0.0), np.ones((2, 2)), (0.0, 1.0),
+                            (1.0, 0.0), 1e-10, None), ["nu (2, 2)"]),
+    (lambda p: magnus_log_derivative(_constant(0.0), np.array([]),
+                                     (0.0, 1.0), (1.0, 0.0), 1e-10),
+     ["nu (0,)"])],
+    ids=["k2-1-2", "profile-2-3", "profile-2-1", "dense-2-3",
+         "end-2-3", "dense-2d", "end-empty"])
+def test_rows_of_unequal_length_are_refused(p_default, call, shapes):
+    # the 1-D arguments of a batch share one length of at least 1: a row
+    # that one argument lacks is refused, naming every argument's shape,
+    # instead of being dropped or failing inside numpy, and so are a 2-D
+    # argument and an empty batch
+    with pytest.raises(DomainValidationError) as err:
+        call(p_default)
+    for shape in shapes:
+        assert shape in str(err.value)
 
 
 def test_ode_failure_reports_location():
