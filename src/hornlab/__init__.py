@@ -12,15 +12,13 @@ __version__ = "0.1.0"
 
 from .elliptic import (FrequencyScan, bessel_state, check_I_lower,
                        check_logI_identity, check_U_growth, constant_state,
-                       elliptic_E, elliptic_I, elliptic_scan, profile_state)
+                       elliptic_scan, profile_state)
 from .errors import (ConfigError, ConsistencyError, DomainValidationError,
                      EigenSearchError, HornError, IntegrationError,
-                     QuadratureError, RootBracketError, TipTailError,
-                     ToleranceFloorError)
+                     QuadratureError, TipTailError, ToleranceFloorError)
 from .geometry import (HornParams, angular_coupling, liouville_potential,
                        liouville_potential_slope, make_horn_params,
-                       measure_weight, measure_weight_log, sphere_area,
-                       sphere_eigenvalue)
+                       measure_weight_log, sphere_area, sphere_eigenvalue)
 from .heat import (CaloricSeries, EigenPair, analyticity_probe,
                    caloric_decay_check, dirichlet_eigenvalues,
                    make_caloric_series, tail_bound, time_derivative,
@@ -28,11 +26,9 @@ from .heat import (CaloricSeries, EigenPair, analyticity_probe,
 from .modes import (RadialProfile, decay_exponent_fit, normalization_bound,
                     profile_from_k2, r_mu, radial_mode_zero, solve_k1,
                     solve_k2, tip_exponent, tip_rate)
-from .numerics import (LineFit, SepticHermite, bessel_j, bessel_j_prime,
-                       bessel_y, bessel_y_prime, check_in_range,
-                       find_root_bracketed, fit_line, gamma_real,
-                       lgamma_real, magnus_dense, magnus_log_derivative,
-                       magnus_prufer, quad_log)
+from .numerics import (LineFit, SepticHermite, bessel_j, check_in_range,
+                       fit_line, gamma_real, lgamma_real, magnus_dense,
+                       magnus_log_derivative, magnus_prufer, quad_log)
 from .parabolic import (UnitCaloric, check_D_lower, check_ID_relation,
                         check_N_bound, kernel_log, parabolic_IDN,
                         parabolic_scan)

@@ -145,13 +145,6 @@ def _boundary_mass(state, r, radial):
     return np.where((sign == 0) | ~np.isfinite(lm), 0.0, I)
 
 
-def elliptic_I(state, r):
-    """Boundary mass I(r) = r^(1-n) w(r) f(r)^2 (log-space assembly)."""
-    radial_log, _ = _term(state)
-    check_in_range(r, *state.r_support, "state radius")
-    return float(_boundary_mass(state, r, radial_log(r)))
-
-
 def _energy_density_log(state, lam, r, radial):
     """(sign, log) of (f'^2 + 4 mu_i r^(-2-2eps) f^2 + lam f^2) w(r) at
     radii r from radial = (sign, log|f|, d log|f|/dr): the one gradient
@@ -175,8 +168,8 @@ def _energy_density_log(state, lam, r, radial):
 
 def _bulk_integrals(state, a, b, tol):
     """int_a^b (f'^2 + V f^2 + lam f^2) w ds for each row of the arrays a
-    and b, every nonempty row in one quad_log call; an empty row (b <= a)
-    is 0."""
+    and b, every nonempty row in one quad_log call, and none when every
+    row is empty; an empty row (b <= a) is 0."""
     radial_log, lam = _term(state)
 
     def density_log(x, rows):
@@ -184,8 +177,9 @@ def _bulk_integrals(state, a, b, tol):
 
     out = np.zeros(a.size)
     full = b > a
-    sign, log_val, _ = quad_log(density_log, a[full], b[full], tol)
-    out[full] = sign * np.exp(log_val)
+    if full.any():
+        sign, log_val, _ = quad_log(density_log, a[full], b[full], tol)
+        out[full] = sign * np.exp(log_val)
     return out
 
 
@@ -205,21 +199,6 @@ def _tip_tail_bound(state, prof):
     env = _energy_density_log(state, abs(lam), r0, radial_log(r0))[1][0]
     return math.exp(env) * prof.r_min ** (1.0 + state.params.eps) \
         / (2.0 * abs(fit.slope) * state.params.eps)
-
-
-def elliptic_E(state, r, tol=1e-10):
-    """Energy E(r), bulk form, cross-validated against the boundary form.
-
-    The two representations must agree to 1e-6 relative to the positive
-    energy envelope, and the tip tail below a profile window must be
-    negligible; otherwise ConsistencyError.
-    """
-    radial_log, lam = _term(state)
-    check_in_range(r, *state.r_support, "state radius")
-    r_arr = np.array([float(r)])
-    bulk = _bulk_integrals(state, np.array([state.r_lo]), r_arr, tol)
-    return float(_checked_energy(state, lam, r_arr, radial_log(r_arr),
-                                 bulk)[0][0])
 
 
 def _checked_energy(state, lam, r, radial, bulk):

@@ -48,10 +48,6 @@ class QuadratureError(HornError, RuntimeError):
         self.bound = bound
 
 
-class RootBracketError(HornError, ValueError):
-    """No sign change over the supplied bracket."""
-
-
 class ConsistencyError(HornError, RuntimeError):
     """An internal cross-check failed (two routes to one quantity disagree)."""
 

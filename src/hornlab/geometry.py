@@ -82,18 +82,13 @@ def _check_positive(name, r):
         raise DomainValidationError(f"{name} needs r > 0, got {r}")
 
 
-def measure_weight(p, r):
-    """Radial density w(r) = 2^(1-n) r^c of the weighted volume measure.
+def measure_weight_log(p, r):
+    """log w(r) for r > 0, scalar or array (elementwise), of the radial
+    density w(r) = 2^(1-n) r^c of the weighted volume measure.
 
     The measure is dm = w(r) dr dS(theta), dS the round unit-sphere measure;
     the same density also carries the area measure on the level set {r}.
     """
-    _check_positive("measure_weight", r)
-    return 2.0 ** (1 - p.n) * r ** p.c
-
-
-def measure_weight_log(p, r):
-    """log w(r) for r > 0, scalar or array (elementwise)."""
     _check_positive("measure_weight_log", r)
     log_r = np.log(r) if isinstance(r, np.ndarray) else math.log(r)
     return (1 - p.n) * math.log(2.0) + p.c * log_r

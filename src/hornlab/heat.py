@@ -53,8 +53,7 @@ from .geometry import liouville_potential, liouville_potential_slope
 from .logspace import NEG_INF, logsumexp_signed
 from .modes import (RadialProfile, log_norm_sq, profile_from_k2, r_mu,
                     tip_anchor, tip_rate, tip_window_top)
-from .numerics import (find_root_bracketed, fit_line, lgamma_real,
-                       magnus_dense, magnus_prufer)
+from .numerics import fit_line, lgamma_real, magnus_dense, magnus_prufer
 
 
 # ---------------------------------------------------------------------------
@@ -162,21 +161,28 @@ def _wkb_first_trial(p, i, r_out):
     one turning point and the Dirichlet wall at r_out, for the Liouville
     potential V of the radial equation (geometry.liouville_potential;
     f = r^(-c/2) u removes the (c/r) f' drift).  The phase is a
-    midpoint sum on 1024 cells.  A well deep enough to hold the phase at
-    nu = 0 has no positive root; the trial is then (pi / r_out)^2.
+    midpoint sum on 1024 cells; it does not decrease in nu.  Doubling from
+    nu = 1 finds the first power of two hi at which the phase reaches
+    3 pi / 4; the trial inverts the phase, by linear interpolation, on a
+    table of 33 equally spaced nu over [hi / 2, hi] ([0, 1] when hi is 1),
+    which puts it within about 4e-5 of the root, relative.  A well deep
+    enough to hold the phase at nu = 0 has no positive root; the trial is
+    then (pi / r_out)^2.
     """
     h = r_out / 1024
     V = liouville_potential(p, i, (np.arange(1024) + 0.5) * h)
+    target = 0.75 * math.pi
 
-    def excess_phase(nu):
-        return h * np.sqrt(np.maximum(nu - V, 0.0)).sum() - 0.75 * math.pi
+    def phase(nu):
+        return h * np.sqrt(np.maximum(nu - V, 0.0)).sum(axis=-1)
 
-    if excess_phase(0.0) >= 0.0:
+    if phase(0.0) >= target:
         return (math.pi / r_out) ** 2
     hi = 1.0
-    while excess_phase(hi) < 0.0:
+    while phase(hi) < target:
         hi *= 2.0
-    return find_root_bracketed(excess_phase, 0.0, hi, 1e-6 * hi)
+    nus = np.linspace(0.0 if hi == 1.0 else 0.5 * hi, hi, 33)
+    return float(np.interp(target, phase(nus[:, None]), nus))
 
 
 def _newton_trial(shots, nu, target, r_out, rel):

@@ -144,13 +144,13 @@ class TipBranch:
     sigma = rho s, from _tip_dense, a SepticHermite built on log k and its
     first three derivatives at each node, the third from the Riccati
     equation differentiated once) plus offset, kappa = k'/k rho times its
-    slope.  tail_rel_uncertainty bounds the error that a backward start
+    slope, both read by log_eval, which exponentiates nothing.
+    tail_rel_uncertainty bounds the error that a backward start
     leaves in kappa at s_hi (0 from exact data)."""
 
-    def __init__(self, span, q, rho, interpolant, offset=0.0,
+    def __init__(self, span, rho, interpolant, offset=0.0,
                  tail_rel_uncertainty=0.0):
         self.span = span
-        self._q = q
         self._rho = rho
         self._log_k = interpolant
         self._offset = offset
@@ -161,17 +161,6 @@ class TipBranch:
         check_in_range(s, *self.span, "tip abscissa s")
         L, slope = self._log_k(self._rho * np.asarray(s, dtype=float))
         return L + self._offset, self._rho * slope
-
-    def states(self, s):
-        """(k, k') at s, of shape (2, *shape of s)."""
-        L, kap = self.log_eval(s)
-        v = np.exp(L)
-        return np.array([v, kap * v])
-
-    def eval(self, s):
-        """((k, k'), (k', k'')) in linear space; k'' = q k."""
-        y = self.states(s)
-        return y, np.array([y[1], self._q(s) * y[0]])
 
 
 def _in_sigma(q_of, rho, sweep, y0):
@@ -216,7 +205,7 @@ def solve_k1(p, i, mu, s_max, tol=1e-12):
             f"s_max must exceed r_mu = {s_lo}, got {s_max}")
     q = _q_factory(p, i, mu)
     rho = tip_rate(p, i)
-    k1 = TipBranch((s_lo, s_max), q, rho, _tip_dense(
+    k1 = TipBranch((s_lo, s_max), rho, _tip_dense(
         lambda rows: q, rho, (s_lo, s_max), (1.0, 1.0), tol)[2])
     _check_sandwich(rho, k1.span, lambda ss: k1.log_eval(ss)[0],
                     (-math.log(rho), rho), (0.0, rho + 1.0), "growing")
@@ -274,17 +263,17 @@ def solve_k2(p, i, mu, s_max, tol=1e-12):
                 f"backward start uncertainty {rel_unc:.2e} exceeds 1e-12; "
                 "start window too short")
         q = _q_factory(p, i, m)
-        rows.append((s_lo, top, s_far, -math.sqrt(q(s_far)), rel_unc, q))
+        rows.append((s_lo, top, s_far, -math.sqrt(q(s_far)), rel_unc))
     mus = mus.astype(float)[:, None]
     lows, fars, starts = (np.array([row[k] for row in rows])
                           for k in (0, 2, 3))
     dense = _tip_dense(lambda k: _q_factory(p, i, mus[k]), rho, (fars, lows),
                        (np.ones(len(rows)), starts), tol)
     branches = []
-    for (lo, top, _, _, rel_unc, q), (sigma, _, log_k) in zip(rows, dense):
+    for (lo, top, _, _, rel_unc), (sigma, _, log_k) in zip(rows, dense):
         # the sweep ends at r_mu: its last node fixes the scale
         L, slope = log_k(sigma[-1])
-        k2 = TipBranch((lo, top), q, rho, log_k,
+        k2 = TipBranch((lo, top), rho, log_k,
                        -float(L) - math.log(1.0 - rho * float(slope)),
                        rel_unc)
         _check_sandwich(rho, k2.span, lambda ss: k2.log_eval(ss)[0],

@@ -1,15 +1,13 @@
 """Shared numerical kernels.
 
-Every kernel is a thin contract over scipy or numpy: real-order Bessel
-functions J_nu, Y_nu and their derivatives (scipy.special, after Amos, ACM
-TOMS Algorithm 644), the real Gamma function and its logarithm, the lab's
-one linear propagator, fourth-order Magnus for u'' = (V - nu) u in numpy,
-with three reductions held to their tolerance above a stated floor (the
-Pruefer angle, which brings its nu-derivative from the same nodes, the end
-log-derivative and dense node states, read by a septic Hermite
-interpolant), composite Gauss-Legendre quadrature of
-log-represented integrands, bracketed root finding (Brent) and line
-fitting.
+Every kernel is a thin contract over scipy or numpy: the real-order Bessel
+function J_nu (scipy.special, after Amos, ACM TOMS Algorithm 644), the
+real Gamma function and its logarithm, the lab's one linear propagator,
+fourth-order Magnus for u'' = (V - nu) u in numpy, with three reductions
+held to their tolerance above a stated floor (the Pruefer angle, which
+brings its nu-derivative from the same nodes, the end log-derivative and
+dense node states, read by a septic Hermite interpolant), composite
+Gauss-Legendre quadrature of log-represented integrands and line fitting.
 The wrappers fix the domains and the error types, so every caller and test
 exercises the same surface, and an argument outside a function's domain
 raises DomainValidationError instead of returning nan.
@@ -30,10 +28,9 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import special
-from scipy.optimize import brentq
 
 from .errors import (DomainValidationError, IntegrationError, QuadratureError,
-                     RootBracketError, ToleranceFloorError)
+                     ToleranceFloorError)
 from .logspace import logsumexp_signed
 
 # ---------------------------------------------------------------------------
@@ -108,41 +105,6 @@ def bessel_j(nu, x):
         raise DomainValidationError(f"bessel_j needs x >= 0, got {bad[0]}")
     out = special.jv(float(nu), x)
     return float(out) if x.ndim == 0 else out
-
-
-def bessel_y(nu, x):
-    """Bessel function of the second kind, real order nu >= 0, x > 0.
-
-    Diverges like x^-nu as x -> 0+ (log for nu = 0); x = 0 is a pole.
-    """
-    if not nu >= 0:
-        raise DomainValidationError(f"bessel_y needs nu >= 0, got {nu}")
-    if not x > 0:
-        raise DomainValidationError(f"bessel_y has a pole at x = 0 (got x={x})")
-    return float(special.yv(float(nu), float(x)))
-
-
-def _bessel_j_any(nu, x):
-    """J_nu(x) for real order of either sign; a negative order needs x > 0."""
-    if nu >= 0:
-        return bessel_j(nu, x)
-    if not x > 0:
-        raise DomainValidationError(f"J_nu(x) at order {nu} < 0 needs x > 0, got {x}")
-    return float(special.jv(float(nu), float(x)))
-
-
-def bessel_j_prime(nu, x):
-    """d/dx J_nu(x), real order nu; x > 0."""
-    if not x > 0:
-        raise DomainValidationError("bessel_j_prime needs x > 0")
-    return float(special.jvp(float(nu), float(x)))
-
-
-def bessel_y_prime(nu, x):
-    """d/dx Y_nu(x), real order nu; x > 0."""
-    if not x > 0:
-        raise DomainValidationError("bessel_y_prime needs x > 0")
-    return float(special.yvp(float(nu), float(x)))
 
 
 # ---------------------------------------------------------------------------
@@ -746,23 +708,25 @@ def quad_log(fn_log, a, b, tol):
     """Integrals over [a, b], 0 <= a < b, of f = sign * exp(log), for one
     interval or a batch of them.
 
-    a and b are scalars or 1-D arrays of m intervals (broadcast against
-    each other); the rows are the intervals.  fn_log(x, rows) maps the
-    nodes x, shape (open rows, nodes), of the rows whose indices are
-    `rows` to (signs, logs) of x's shape; a sign of 0 or a log of -inf is
-    an exact zero, and signs may be any value that broadcasts against x.
-    Each level of composite 16-point Gauss-Legendre on geometric panels
-    calls fn_log once on the nodes of every row still open, the rows with
-    a = 0, which carry one more panel, in calls of their own (and either
-    kind in several calls of whole rows past 8192 nodes); a row has the
-    same nodes, the same panels and the same result whatever else is in
-    the batch.  Each row is summed in units of the largest integrand
-    magnitude among its nodes, so neither the integrand nor the integral
-    has to be representable in linear space.  The panel count doubles
-    from level to level; the difference of two successive levels, one
-    logsumexp_signed per level, is a row's error estimate, and the row
-    closes at the finer level once log err <= log tol + log int |f|, in
-    log space throughout (for a non-negative f: relative error tol).
+    a and b are scalars or 1-D arrays of one length m >= 1, against which
+    a scalar broadcasts (row_count; any other shapes raise
+    DomainValidationError naming them); the rows are the intervals.
+    fn_log(x, rows) maps the nodes x, shape (open rows, nodes), of the rows
+    whose indices are `rows` to (signs, logs) of x's shape; a sign of 0 or
+    a log of -inf is an exact zero, and signs may be any value that
+    broadcasts against x.  Each level of composite 16-point Gauss-Legendre
+    on geometric panels calls fn_log once on the nodes of every row still
+    open, the rows with a = 0, which carry one more panel, in calls of
+    their own (and either kind in several calls of whole rows past 8192
+    nodes); a row has the same nodes, the same panels and the same result
+    whatever else is in the batch.  Each row is summed in units of the
+    largest integrand magnitude among its nodes, so neither the integrand
+    nor the integral has to be representable in linear space.  The panel
+    count doubles from level to level; the difference of two successive
+    levels, one logsumexp_signed per level, is a row's error estimate, and
+    the row closes at the finer level once log err <= log tol + log int
+    |f|, in log space throughout (for a non-negative f: relative error
+    tol).
 
     Returns (sign, log|integral|, log error estimate), as a scalar triple
     for scalar a and b and as three arrays otherwise; a zero integral is
@@ -774,9 +738,8 @@ def quad_log(fn_log, a, b, tol):
     machine epsilon, which asks two levels to agree bit for bit, raises
     ToleranceFloorError (carrying tol and that floor) up front.
     """
-    scalar = np.ndim(a) == 0 and np.ndim(b) == 0
-    a, b = (np.array(v, dtype=float).ravel()
-            for v in np.broadcast_arrays(a, b))
+    n = row_count("quad_log", {"a": a, "b": b})
+    a, b = (np.full(n or 1, v, dtype=float) for v in (a, b))
     bad = ~((0 <= a) & (a < b))
     if np.any(bad):
         k = int(np.argmax(bad))
@@ -822,28 +785,9 @@ def quad_log(fn_log, a, b, tol):
             val = tuple(v[~done] for v in val)
         prev = val
         panels *= 2
-    if scalar:
+    if n is None:
         return int(sign[0]), float(log_val[0]), float(log_err[0])
     return sign, log_val, log_err
-
-
-# ---------------------------------------------------------------------------
-# Bracketed root finding
-# ---------------------------------------------------------------------------
-
-
-def find_root_bracketed(f, a, b, tol):
-    """Root in [a, b] given a sign change; guaranteed convergence."""
-    fa, fb = f(a), f(b)
-    if fa == 0.0:
-        return float(a)
-    if fb == 0.0:
-        return float(b)
-    if fa * fb > 0:
-        raise RootBracketError(
-            f"no sign change on [{a}, {b}]: f(a)={fa}, f(b)={fb}")
-    return float(brentq(f, a, b, xtol=tol, rtol=4.0 * np.finfo(float).eps,
-                        maxiter=200))
 
 
 # ---------------------------------------------------------------------------

@@ -106,6 +106,22 @@ def oracle_tip_branch_mu0(p, i, s):
     return log_k - lo_log - math.log(1.0 - lo_kappa), kappa
 
 
+def tip_states(branch, s):
+    """(k, k') of a tip branch at s, of shape (2, *shape of s), rebuilt in
+    linear space from its (log k, kappa)."""
+    log_k, kappa = branch.log_eval(s)
+    k = np.exp(log_k)
+    return np.array([k, kappa * k])
+
+
+def scan_at(state, r):
+    """(I, E) of a one-term state at the one radius r: the row of a
+    one-radius elliptic_scan."""
+    from hornlab import elliptic_scan
+    scan = elliptic_scan(state, [float(r)])
+    return float(scan.I[0]), float(scan.ED[0])
+
+
 def second_derivative_5pt(f, x, h):
     """O(h^4) central second derivative."""
     return (-f(x + 2 * h) + 16 * f(x + h) - 30 * f(x)

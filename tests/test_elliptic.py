@@ -4,13 +4,14 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from scipy import special
-from support import oracle_E_2d, oracle_I_2d
+from scipy.optimize import brentq
+from support import oracle_E_2d, oracle_I_2d, scan_at
 
 from hornlab import (ConsistencyError, DomainValidationError, TipTailError,
                      bessel_state, check_I_lower, check_logI_identity,
-                     check_U_growth, constant_state, elliptic_E, elliptic_I,
-                     elliptic_scan, find_root_bracketed, gamma_real,
-                     make_caloric_series, profile_state, radial_mode_zero)
+                     check_U_growth, constant_state, elliptic_scan,
+                     gamma_real, make_caloric_series, profile_state,
+                     radial_mode_zero)
 from hornlab.numerics import bessel_j
 
 
@@ -32,19 +33,10 @@ def scan_i1_mu1(state_i1_mu1):
 def test_I_constant_closed_form(p_default):
     st = constant_state(p_default, (0.01, 2.0))
     # I(r) = 2^(1-n) r^(c+1-n)
-    assert elliptic_I(st, 1.0) == pytest.approx(0.25, rel=1e-14)
+    assert scan_at(st, 1.0)[0] == pytest.approx(0.25, rel=1e-14)
     for r in (0.05, 0.5, 1.7):
-        assert elliptic_I(st, r) == pytest.approx(
+        assert scan_at(st, r)[0] == pytest.approx(
             0.25 * r ** (p_default.c + 1 - p_default.n), rel=1e-13)
-
-
-def test_I_vanishes_on_nodal_sphere(p_default):
-    # place a nodal radius of the bounded branch inside the domain
-    mu = 900.0
-    st = bessel_state(p_default, mu, (0.01, 0.5))
-    root = find_root_bracketed(
-        lambda r: radial_mode_zero(p_default, mu, r), 0.1, 0.2, 1e-14)
-    assert elliptic_I(st, root) <= 1e-28
 
 
 def test_bessel_radial_log_matches_scalar_branch(p_default):
@@ -98,15 +90,15 @@ def test_bessel_radial_log_evaluates_each_order_once(p_default, monkeypatch):
 
 def test_I_matches_product_quadrature(state_i1_mu1, p_default):
     for r in (0.06, 0.09, 0.12):
-        assert elliptic_I(state_i1_mu1, r) == pytest.approx(
+        assert scan_at(state_i1_mu1, r)[0] == pytest.approx(
             oracle_I_2d(state_i1_mu1, r, p_default), rel=1e-6)
 
 
 def test_I_outside_domain(state_i1_mu1):
     with pytest.raises(DomainValidationError):
-        elliptic_I(state_i1_mu1, 0.2)
+        scan_at(state_i1_mu1, 0.2)
     with pytest.raises(DomainValidationError):
-        elliptic_I(state_i1_mu1, math.nan)
+        scan_at(state_i1_mu1, math.nan)
 
 
 def test_states_carry_bulk_floor_and_tail(profile_i1_mu1, p_default):
@@ -123,9 +115,7 @@ def test_states_carry_bulk_floor_and_tail(profile_i1_mu1, p_default):
 def test_elliptic_functionals_refuse_several_terms(series2, scan_i1_mu1):
     # an elliptic state is one term of rate mu; a two-term series has no
     # single lam = -mu, and each functional says how many terms it got
-    calls = [lambda: elliptic_I(series2, 0.5),
-             lambda: elliptic_E(series2, 0.5),
-             lambda: elliptic_scan(series2, np.geomspace(0.1, 0.5, 8)),
+    calls = [lambda: elliptic_scan(series2, np.geomspace(0.1, 0.5, 8)),
              lambda: check_U_growth(series2, scan_i1_mu1)]
     for call in calls:
         with pytest.raises(DomainValidationError, match="got 2 terms"):
@@ -135,10 +125,9 @@ def test_elliptic_functionals_refuse_several_terms(series2, scan_i1_mu1):
 def test_elliptic_functionals_read_the_coefficient(state_i1_mu1):
     # a one-term state c f: I and E scale by c^2 whatever the sign of c
     scaled = replace(state_i1_mu1, coeffs=np.array([-3.0]))
-    assert elliptic_I(scaled, 0.1) == pytest.approx(
-        9.0 * elliptic_I(state_i1_mu1, 0.1), rel=1e-14)
-    assert elliptic_E(scaled, 0.1) == pytest.approx(
-        9.0 * elliptic_E(state_i1_mu1, 0.1), rel=1e-12)
+    (I3, E3), (I1, E1) = scan_at(scaled, 0.1), scan_at(state_i1_mu1, 0.1)
+    assert I3 == pytest.approx(9.0 * I1, rel=1e-14)
+    assert E3 == pytest.approx(9.0 * E1, rel=1e-12)
 
 
 def test_eigenpair_state_energy_starts_at_support_bottom(pairs8_rout2):
@@ -147,7 +136,7 @@ def test_eigenpair_state_energy_starts_at_support_bottom(pairs8_rout2):
     series = make_caloric_series(pairs8_rout2[:1], [1.0], t_min=0.25)
     assert series.r_lo == series.r_support[0]
     scan = elliptic_scan(series, np.geomspace(0.05, 0.5, 16))
-    assert scan.ED[-1] == pytest.approx(elliptic_E(series, 0.5), rel=1e-12)
+    assert scan.ED[-1] == pytest.approx(scan_at(series, 0.5)[1], rel=1e-12)
     assert check_U_growth(series, scan)[0] == 0.0
 
 
@@ -158,16 +147,16 @@ def test_eigenpair_state_energy_starts_at_support_bottom(pairs8_rout2):
 
 def test_E_constant_state_zero(p_default):
     st = constant_state(p_default, (0.01, 2.0))
-    assert elliptic_E(st, 0.7) == 0.0
+    assert scan_at(st, 0.7)[1] == 0.0
 
 
 def test_E_positive_on_tip_region(state_i1_mu1):
     # f and f' share sign toward the tip: the energy is positive there
-    assert elliptic_E(state_i1_mu1, 0.1) > 0.0
+    assert scan_at(state_i1_mu1, 0.1)[1] > 0.0
 
 
 def test_E_bulk_boundary_agreement(state_i1_mu1):
-    # elliptic_E enforces the agreement internally; a successful call at
+    # elliptic_scan enforces the agreement internally; a successful call at
     # r = 0.1 certifies the two routes match to 1e-6 of the energy scale
     from hornlab.elliptic import _bulk_integrals, _checked_energy
     r = np.array([0.1])
@@ -178,9 +167,22 @@ def test_E_bulk_boundary_agreement(state_i1_mu1):
     assert bulk == pytest.approx(bdry, abs=1e-6 * max(scale, abs(bulk)))
 
 
+def test_bulk_integrals_skip_empty_rows(state_i1_mu1):
+    # an empty segment (b <= a) is 0; when every segment is empty, as for a
+    # one-radius scan at r_lo, no quad_log call is made (it refuses an
+    # empty batch)
+    from hornlab.elliptic import _bulk_integrals
+    lo = state_i1_mu1.r_lo
+    none = _bulk_integrals(state_i1_mu1, np.array([lo]), np.array([lo]), 1e-10)
+    assert none.tolist() == [0.0]
+    some = _bulk_integrals(state_i1_mu1, np.array([lo, lo]),
+                           np.array([lo, 0.1]), 1e-10)
+    assert some[0] == 0.0 and some[1] > 0.0
+
+
 def test_E_matches_product_quadrature(state_i1_mu1, p_default):
     for r in (0.06, 0.09, 0.12):
-        assert elliptic_E(state_i1_mu1, r) == pytest.approx(
+        assert scan_at(state_i1_mu1, r)[1] == pytest.approx(
             oracle_E_2d(state_i1_mu1, r, p_default), rel=1e-6)
 
 
@@ -188,7 +190,7 @@ def test_E_bessel_negative_near_tip(p_default):
     # lam = -mu < 0 makes E negative where the gradient term is small;
     # reported, with no growth claim in that regime
     st = bessel_state(p_default, 1.0, (0.001, 1.0))
-    assert elliptic_E(st, 0.05) < 0.0
+    assert scan_at(st, 0.05)[1] < 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -206,8 +208,8 @@ def test_scan_rows_invariants(scan_i1_mu1):
 @pytest.mark.parametrize("kind", ["profile", "bessel"])
 def test_scan_rows_match_scalar_functionals(kind, state_i1_mu1, p_default):
     # one evaluation of the state on the grid, and one quad_log call for
-    # all its segments, give the rows that the per-radius elliptic_I and
-    # elliptic_E give one at a time
+    # all its segments, give the rows that one-radius scans give one at a
+    # time
     if kind == "profile":
         st, grid = state_i1_mu1, np.geomspace(0.04, 0.13, 12)
     else:
@@ -215,8 +217,9 @@ def test_scan_rows_match_scalar_functionals(kind, state_i1_mu1, p_default):
             np.geomspace(0.02, 0.45, 12)
     scan = elliptic_scan(st, grid)
     for k, r in enumerate(grid):
-        assert scan.I[k] == pytest.approx(elliptic_I(st, r), rel=1e-12)
-        assert scan.ED[k] == pytest.approx(elliptic_E(st, r), rel=1e-14)
+        I, E = scan_at(st, r)
+        assert scan.I[k] == pytest.approx(I, rel=1e-12)
+        assert scan.ED[k] == pytest.approx(E, rel=1e-14)
 
 
 def test_scan_constant_U_zero(p_default):
@@ -229,8 +232,8 @@ def test_scan_constant_U_zero(p_default):
 def test_scan_aborts_on_nodal_sphere(p_default):
     mu = 900.0
     st = bessel_state(p_default, mu, (0.01, 0.5))
-    root = find_root_bracketed(
-        lambda r: radial_mode_zero(p_default, mu, r), 0.1, 0.2, 1e-14)
+    root = brentq(lambda r: radial_mode_zero(p_default, mu, r), 0.1, 0.2,
+                  xtol=1e-14)
     grid = np.sort(np.concatenate([np.geomspace(0.05, 0.4, 16), [root]]))
     with pytest.raises(ConsistencyError, match="nodal"):
         elliptic_scan(st, grid)

@@ -7,8 +7,8 @@ import pytest
 
 from hornlab import (DomainValidationError, HornParams, angular_coupling,
                      liouville_potential, liouville_potential_slope,
-                     make_horn_params, measure_weight, measure_weight_log,
-                     sphere_area, sphere_eigenvalue)
+                     make_horn_params, measure_weight_log, sphere_area,
+                     sphere_eigenvalue)
 
 
 def test_drift_exponent_values():
@@ -36,11 +36,11 @@ def test_invalid_ranges(args):
 
 
 def test_measure_weight_values(p_default):
-    assert measure_weight(p_default, 1.0) == pytest.approx(0.25, abs=0)
-    assert measure_weight(p_default, 2.0) == pytest.approx(0.25 * 2 ** 3.75,
-                                                           rel=1e-15)
+    w = lambda r: math.exp(measure_weight_log(p_default, r))
+    assert w(1.0) == pytest.approx(0.25, abs=0)
+    assert w(2.0) == pytest.approx(0.25 * 2 ** 3.75, rel=1e-15)
     with pytest.raises(DomainValidationError):
-        measure_weight(p_default, 0.0)
+        measure_weight_log(p_default, 0.0)
 
 
 def test_measure_weight_unfolds_warp_and_weight(p_default):
@@ -49,7 +49,8 @@ def test_measure_weight_unfolds_warp_and_weight(p_default):
     for r in (0.05, 0.7, 2.0):
         warp = (r ** (1 + p.eps) / 2.0) ** (p.n - 1)
         weight = r ** ((p.bigN - p.n) * (1 - p.eta))
-        assert measure_weight(p, r) == pytest.approx(warp * weight, rel=1e-13)
+        assert math.exp(measure_weight_log(p, r)) == pytest.approx(
+            warp * weight, rel=1e-13)
         assert measure_weight_log(p, r) == pytest.approx(
             math.log(warp * weight), rel=1e-13)
 

@@ -223,21 +223,37 @@ def test_shot_past_the_mesh_cap_names_nu(p_default, monkeypatch):
         heat._shoot(p_default, 2, 2896.0, 2.0, 1e-12)
 
 
-# _wkb_first_trial as recorded when it wrote its potential inline
-WKB_FIRST_TRIALS = {(1, 2.0): "0x1.35a2036a4a594p+3",
-                    (1, 1.6): "0x1.09a486c418307p+4",
-                    (1, 1.8): "0x1.8f3dab9ff4411p+3",
-                    (2, 2.0): "0x1.03af3ef490ce6p+4",
-                    (3, 1.8): "0x1.fb70494b07f91p+4",
-                    (1, 0.5): "0x1.3018910d9d2f7p+8"}
+# _wkb_first_trial as recorded from its 33-point phase table, and as
+# Brent's method gave it, the root of the midpoint phase to 1e-6 hi
+WKB_FIRST_TRIALS = {(1, 2.0): "0x1.35a4f2c92d0fep+3",
+                    (1, 1.6): "0x1.09a4c6b922bafp+4",
+                    (1, 1.8): "0x1.8f3c661680df2p+3",
+                    (2, 2.0): "0x1.03b0818607761p+4",
+                    (3, 1.8): "0x1.fb6eb747801c2p+4",
+                    (1, 0.5): "0x1.3019d6878f1d1p+8"}
+BRENT_FIRST_TRIALS = {(1, 2.0): "0x1.35a2036a4a594p+3",
+                      (1, 1.6): "0x1.09a486c418307p+4",
+                      (1, 1.8): "0x1.8f3dab9ff4411p+3",
+                      (2, 2.0): "0x1.03af3ef490ce6p+4",
+                      (3, 1.8): "0x1.fb70494b07f91p+4",
+                      (1, 0.5): "0x1.3018910d9d2f7p+8"}
 
 
 def test_wkb_first_trial_is_bitwise_unchanged(p_default):
     # the WKB trial reads the Liouville potential from geometry and keeps
-    # its recorded trials bit for bit
-    got = {key: heat._wkb_first_trial(p_default, *key).hex()
+    # its recorded trials bit for bit; the table's linear inversion stays
+    # within 1e-4 of Brent's root (3.7e-5 seen), and the midpoint phase at
+    # each trial is 3 pi / 4 to 1e-4 (8.9e-5 seen)
+    got = {key: heat._wkb_first_trial(p_default, *key)
            for key in WKB_FIRST_TRIALS}
-    assert got == WKB_FIRST_TRIALS
+    assert {key: nu.hex() for key, nu in got.items()} == WKB_FIRST_TRIALS
+    for (i, r_out), nu in got.items():
+        assert nu == pytest.approx(
+            float.fromhex(BRENT_FIRST_TRIALS[i, r_out]), rel=1e-4)
+        h = r_out / 1024
+        V = liouville_potential(p_default, i, (np.arange(1024) + 0.5) * h)
+        phase = h * np.sqrt(np.maximum(nu - V, 0.0)).sum()
+        assert phase == pytest.approx(0.75 * math.pi, abs=1e-4)
 
 
 # dirichlet_eigenvalues(p_default, 1, r_out, 8) and the zero counts, as the

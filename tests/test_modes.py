@@ -4,7 +4,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 from support import (oracle_gamma, oracle_tip_branch_mu0,
-                     second_derivative_5pt)
+                     second_derivative_5pt, tip_states)
 
 from hornlab import (ConsistencyError, DomainValidationError, RadialProfile,
                      decay_exponent_fit, make_horn_params,
@@ -86,7 +86,7 @@ def test_r_mu_rejects_negative(p_default):
 def test_k1_initial_data(p_default):
     s0 = r_mu(p_default, 1.0)
     sol = solve_k1(p_default, 1, 1.0, s0 + 3.0)
-    y, dy = sol.eval(s0)
+    y = tip_states(sol, s0)
     assert y[0] == pytest.approx(1.0, rel=1e-12)
     assert y[1] == pytest.approx(1.0, rel=1e-12)
 
@@ -99,7 +99,7 @@ def test_k1_sandwich(p_default, i, mu):
     rho = tip_rate(p_default, i)
     sol = solve_k1(p_default, i, mu, s0 + 3.0)
     ss = np.linspace(s0, s0 + 3.0, 101)
-    k = sol.states(ss)[0]
+    k = tip_states(sol, ss)[0]
     assert np.all(k <= np.exp((rho + 1.0) * (ss - s0)) * (1 + 1e-10))
     assert np.all(k >= np.exp(rho * (ss - s0)) / rho * (1 - 1e-10))
 
@@ -115,13 +115,13 @@ def test_k1_constant_coefficient_limit(p_default):
         return np.full_like(s, rho * rho)
 
     q.slope = np.zeros_like
-    k = TipBranch((s0, s0 + 2.0), q, rho,
+    k = TipBranch((s0, s0 + 2.0), rho,
                   _tip_dense(lambda rows: q, rho, (s0, s0 + 2.0), (1.0, 1.0),
                              1e-12)[2])
     for ds in (0.0, 0.05, 0.5, 1.0, 2.0):
         exact = [math.cosh(rho * ds) + math.sinh(rho * ds) / rho,
                  rho * math.sinh(rho * ds) + math.cosh(rho * ds)]
-        assert k.states(s0 + ds) == pytest.approx(exact, rel=1e-10)
+        assert tip_states(k, s0 + ds) == pytest.approx(exact, rel=1e-10)
 
 
 # ---------------------------------------------------------------------------
@@ -136,7 +136,7 @@ def test_k2_is_solution(p_default):
     s0 = r_mu(p_default, 1.0)
     k2 = solve_k2(p_default, 1, 1.0, s0 + 3.0)
     for s in np.linspace(s0 + 0.3, s0 + 2.7, 7):
-        f = lambda t: k2.eval(t)[0][0]
+        f = lambda t: tip_states(k2, t)[0]
         res = second_derivative_5pt(f, s, 1e-3) - q(s) * f(s)
         assert abs(res) <= 1e-6 * abs(q(s) * f(s))
 
@@ -147,8 +147,8 @@ def test_k1_k2_wronskian_constant(p_default):
     k2 = solve_k2(p_default, 1, 1.0, s0 + 3.0)
     vals = []
     for s in np.linspace(s0, s0 + 3.0, 23):
-        a, ap = k1.eval(s)[0]
-        b, bp = k2.eval(s)[0]
+        a, ap = tip_states(k1, s)
+        b, bp = tip_states(k2, s)
         vals.append(a * bp - ap * b)
     vals = np.array(vals)
     # variation-of-parameters construction fixes the constant at -1
@@ -160,7 +160,7 @@ def test_k2_two_sided_bounds(p_default):
     rho = tip_rate(p_default, 1)
     s0 = r_mu(p_default, 1.0)
     k2 = solve_k2(p_default, 1, 1.0, s0 + 3.0)
-    v = k2.eval(s0 + 2.0)[0][0]
+    v = tip_states(k2, s0 + 2.0)[0]
     lo = math.exp((-rho - 2.0) * 2.0) / (2.0 * (rho ** 2 + rho))
     hi = (rho / 2.0) * math.exp((-rho + 1.0) * 2.0)
     assert lo <= v <= hi
@@ -356,7 +356,7 @@ def test_range_checks_share_one_rule(evaluator, end, profile_i1_mu1,
         lo, hi = profile_i1_mu1.r_min, profile_i1_mu1.r_max
     elif evaluator == "states":
         k1 = solve_k1(p_default, 1, 1.0, r_mu(p_default, 1.0) + 3.0)
-        fn, (lo, hi) = k1.states, k1.span
+        fn, (lo, hi) = (lambda s: tip_states(k1, s)), k1.span
     else:
         k2 = solve_k2(p_default, 1, 1.0, r_mu(p_default, 1.0) + 3.0)
         fn, (lo, hi) = k2.log_eval, k2.span
