@@ -25,6 +25,12 @@ nu-derivative, on which the search runs one safeguarded Newton iteration
 in sqrt(nu) per eigenvalue.  The tip anchor and an eigenfunction's outer
 part are sweeps of the same propagator.
 
+The search runs every eigenvalue index in lockstep, one row an index,
+each seeded from one WKB phase table: a round shoots the open rows' new
+trials in one batched tip anchor and one batched angle (_shoot_rows, each
+row bit for bit its own _shoot), and every row then takes its Newton step
+from its own last shot over one table of every shot of the search.
+
 The eigenpairs of a search are built together, one row a pair: one
 batched tip pass (modes.profile_from_k2 on the array of eigenvalues), one
 batched outer numerics.magnus_dense pass and one quad_log call for all
@@ -63,7 +69,8 @@ from .numerics import fit_line, lgamma_real, magnus_dense, magnus_prufer
 
 def _shoot(p, i, nu, r_out, tol):
     """(theta(r_out), d theta(r_out) / d nu): the modified Pruefer angle of
-    the tip-decaying solution and its nu-derivative.
+    the tip-decaying solution and its nu-derivative, the one-row case of
+    _shoot_rows.
 
     theta starts in (0, pi) at the anchor, where the solution is positive,
     and crosses every multiple of pi upward, so floor(theta / pi) is the
@@ -76,6 +83,14 @@ def _shoot(p, i, nu, r_out, tol):
     r_out = 2), so a Newton step on this slope contracts by that factor on
     top of its quadratic term.
     """
+    return _shoot_rows(p, i, nu, r_out, tol)
+
+
+def _shoot_rows(p, i, nu, r_out, tol):
+    """_shoot at every nu of an array, one row a trial: one batched
+    tip_anchor call, then one batched magnus_prufer call, each row bit for
+    bit its own shot.  Returns two arrays, the angles and their slopes (two
+    floats for a scalar nu)."""
     r_sw, dlog = tip_anchor(p, i, nu, tol)
     # u = r^(c/2) f has the zeros of f, and u'/u = f'/f + c / (2 r)
     return magnus_prufer(lambda r, rows: liouville_potential(p, i, r), nu,
@@ -99,8 +114,8 @@ class EigenPair:
 
 
 # Shots the search may spend on one eigenvalue, about ten times the 4 it
-# is meant to need: it averages 3.25 over the first 8 at r_out 1.6-2.0,
-# and the first eigenvalue, which starts from the WKB trial, takes 4.
+# is meant to need: every index shoots its WKB trial in the first round
+# and takes 3 or 4 shots in all over the first 8 at r_out 1.6-2.0.
 _SHOTS_PER_EIGENVALUE = 40
 
 
@@ -110,11 +125,15 @@ def dirichlet_eigenvalues(p, i, r_out, count, tol=1e-12, root_rel=1e-12):
 
     One safeguarded Newton iteration in x = sqrt(nu), along which theta
     grows about linearly (WKB), on the slope each shot returns
-    (_newton_trial).  The first trial solves the WKB phase condition
-    (_wkb_first_trial); eigenvalue j + 1 starts from eigenvalue j's last
-    shot.  Every shot is kept, and the Pruefer counts of all of them
-    bracket the root.  An eigenvalue is the first update of at most
-    max(root_rel, 4 eps) nu, which is not shot; no nu is shot twice.
+    (_newton_trial), run in lockstep: every index j is a row, seeded at the
+    root of the WKB phase condition for j (_wkb_trials).  Each round shoots
+    the open rows' new trials together (_shoot_rows: one batched anchor
+    call, then one batched angle call), and every row then takes its next
+    trial from its own last shot over one shared table of every shot, whose
+    Pruefer counts bracket every index.  An eigenvalue is its row's first
+    update of at most max(root_rel, 4 eps) nu, which is not shot, and the
+    row leaves; no nu is shot twice.  Each index may spend
+    _SHOTS_PER_EIGENVALUE shots; past that EigenSearchError names it.
     count must be an integer of at least 1, r_out finite, and tol and
     root_rel finite and > 0.
     """
@@ -134,55 +153,75 @@ def dirichlet_eigenvalues(p, i, r_out, count, tol=1e-12, root_rel=1e-12):
                 f"got {name}={value}")
     rel = max(root_rel, 4.0 * float(np.finfo(float).eps))
     shots = {}  # trial nu -> (theta(r_out; nu), d theta / d nu)
-    nu = trial = _wkb_first_trial(p, i, r_out)
-    evals = []
-    for j in range(1, int(count) + 1):
-        target = j * math.pi
-        for spent in range(_SHOTS_PER_EIGENVALUE + 1):
-            if shots:
-                trial = _newton_trial(shots, nu, target, r_out, rel)
-                if abs(trial - nu) <= rel * trial:
-                    break
-            if spent == _SHOTS_PER_EIGENVALUE:
+    trial = _wkb_trials(p, i, r_out, int(count))
+    evals = [None] * len(trial)
+    spent = [0] * len(trial)
+    open_rows = range(len(trial))
+    while open_rows:
+        # an open row's trial moved by more than rel: it is no shot taken,
+        # though two rows may share one
+        fresh = sorted({trial[j] for j in open_rows} - shots.keys())
+        theta, slope = _shoot_rows(p, i, np.array(fresh), r_out, tol)
+        shots.update(zip(fresh, zip(theta.tolist(), slope.tolist())))
+        still = []
+        for j in open_rows:
+            spent[j] += 1
+            nu = trial[j]
+            trial[j] = _newton_trial(shots, nu, (j + 1) * math.pi, r_out, rel)
+            if abs(trial[j] - nu) <= rel * trial[j]:
+                evals[j] = trial[j]
+            elif spent[j] == _SHOTS_PER_EIGENVALUE:
                 raise EigenSearchError(
                     f"eigenvalue search spent its {_SHOTS_PER_EIGENVALUE} "
-                    f"shots without locating index {j}")
-            nu = trial
-            shots[nu] = _shoot(p, i, nu, r_out, tol)
-        evals.append(trial)
+                    f"shots without locating index {j + 1}")
+            else:
+                still.append(j)
+        open_rows = still
     return _build_pairs(p, i, evals, r_out, tol)
 
 
-def _wkb_first_trial(p, i, r_out):
-    """First trial nu: the root of the WKB phase condition
+def _wkb_trials(p, i, r_out, count):
+    """The first trial nu of every index j = 1 .. count: the root of the
+    WKB phase condition
 
-        int sqrt(nu - V(r))_+ dr = 3 pi / 4  over (0, r_out],
+        Phi(nu) = int sqrt(nu - V(r))_+ dr = (j - 1/4) pi  over (0, r_out],
 
     one turning point and the Dirichlet wall at r_out, for the Liouville
     potential V of the radial equation (geometry.liouville_potential;
-    f = r^(-c/2) u removes the (c/r) f' drift).  The phase is a
-    midpoint sum on 1024 cells; it does not decrease in nu.  Doubling from
-    nu = 1 finds the first power of two hi at which the phase reaches
-    3 pi / 4; the trial inverts the phase, by linear interpolation, on a
-    table of 33 equally spaced nu over [hi / 2, hi] ([0, 1] when hi is 1),
-    which puts it within about 4e-5 of the root, relative.  A well deep
-    enough to hold the phase at nu = 0 has no positive root; the trial is
-    then (pi / r_out)^2.
+    f = r^(-c/2) u removes the (c/r) f' drift).  The phase is a midpoint
+    sum on 1024 cells; it does not decrease in nu.  Doubling from nu = 1
+    finds, for each j, the first power of two hi at which the phase
+    reaches its target; the trial inverts the phase, by linear
+    interpolation, on a table of 33 equally spaced nu over that octave
+    [hi / 2, hi] ([0, 1] when hi is 1), built once for every octave that
+    holds a target, one (33 x 1024) pass each.  That puts every trial
+    within about 1e-4 of its root, relative.  A well deep enough to hold
+    index j's phase at nu = 0 has no positive root for it; its trial is
+    then (j pi / r_out)^2.
     """
     h = r_out / 1024
     V = liouville_potential(p, i, (np.arange(1024) + 0.5) * h)
-    target = 0.75 * math.pi
 
     def phase(nu):
         return h * np.sqrt(np.maximum(nu - V, 0.0)).sum(axis=-1)
 
-    if phase(0.0) >= target:
-        return (math.pi / r_out) ** 2
-    hi = 1.0
-    while phase(hi) < target:
-        hi *= 2.0
-    nus = np.linspace(0.0 if hi == 1.0 else 0.5 * hi, hi, 33)
-    return float(np.interp(target, phase(nus[:, None]), nus))
+    well = phase(0.0)
+    hi, top = 1.0, phase(1.0)
+    table = None  # (hi, the octave's nu, the phase there)
+    trials = []
+    for j in range(1, count + 1):
+        target = (j - 0.25) * math.pi
+        if well >= target:
+            trials.append((j * math.pi / r_out) ** 2)
+            continue
+        while top < target:
+            hi *= 2.0
+            top = phase(hi)
+        if table is None or table[0] != hi:
+            nus = np.linspace(0.0 if hi == 1.0 else 0.5 * hi, hi, 33)
+            table = hi, nus, phase(nus[:, None])
+        trials.append(float(np.interp(target, table[2], table[1])))
+    return trials
 
 
 def _newton_trial(shots, nu, target, r_out, rel):

@@ -223,15 +223,27 @@ def tip_anchor(p, i, mu, tol):
     kappa(r_mu) is wanted, so one backward sweep with its error estimate
     taken at r_mu (numerics.magnus_log_derivative) is the cheap anchor of a
     shot; profile_from_k2 gives the same slope as its log_deriv[0].
+
+    mu may be a 1-D array (numerics.row_count): every row's anchor then
+    comes from one batched sweep, a column of mu through _q_factory as in
+    solve_k2, each bit for bit the anchor of its own call, and the radii
+    and slopes come as two arrays.
     """
-    s_lo = r_mu(p, mu)
+    n = row_count("tip_anchor", {"mu": mu})
+    mus = np.full(n or 1, mu, dtype=float)
     rho = tip_rate(p, i)
-    s_far = _s_far(rho, s_lo)
-    q = _q_factory(p, i, mu)
+    s_lo = [r_mu(p, m) for m in mus.tolist()]
+    s_far = [_s_far(rho, s) for s in s_lo]
+    start = [-math.sqrt(_q_factory(p, i, m)(s))
+             for m, s in zip(mus.tolist(), s_far)]
+    column = mus[:, None]
     kappa = rho * magnus_log_derivative(*_in_sigma(
-        lambda rows: q, rho, (s_far, s_lo), (1.0, -math.sqrt(q(s_far)))), tol)
-    r_top = s_lo ** (-1.0 / p.eps)
-    return r_top, float(_tip_log(p, s_lo, r_top, 0.0, kappa)[1])
+        lambda rows: _q_factory(p, i, column[rows]), rho,
+        (np.array(s_far), np.array(s_lo)), (1.0, np.array(start))), tol)
+    # the powers one row at a time, as a float's power rounds them
+    r_top = np.array([s ** (-1.0 / p.eps) for s in s_lo])
+    dlog = _tip_log(p, np.array(s_lo), r_top, 0.0, kappa)[1]
+    return (r_top, dlog) if n else (float(r_top[0]), float(dlog[0]))
 
 
 def solve_k2(p, i, mu, s_max, tol=1e-12):

@@ -1,8 +1,9 @@
 """Shared numerical kernels.
 
-Every kernel is a thin contract over scipy or numpy: the real-order Bessel
-function J_nu (scipy.special, after Amos, ACM TOMS Algorithm 644), the
-real Gamma function and its logarithm, the lab's one linear propagator,
+Every kernel is a thin contract over scipy, numpy or the math module: the
+real-order Bessel function J_nu (scipy.special, after Amos, ACM TOMS
+Algorithm 644, imported on its first call), the real Gamma function and its
+logarithm (math.gamma and math.lgamma), the lab's one linear propagator,
 fourth-order Magnus for u'' = (V - nu) u in numpy, with three reductions
 held to their tolerance above a stated floor (the Pruefer angle, which
 brings its nu-derivative from the same nodes, the end log-derivative and
@@ -16,18 +17,18 @@ A potential is vectorised over rows, as a quad_log integrand is:
 potential(x, rows) maps the abscissae x, shape (open rows, points), of the
 rows whose indices are `rows` to the potential there, in one call per mesh
 for every row that needs that mesh.  A batch's arguments follow one rule
-(row_count), each reduction forms its rows in one place (_state_rows), and
-one Richardson ladder (_richardson) returns every row's result, keeping
-only its last sweep and its last extrapolation; the dense reduction's
-check reads its interpolants at fixed fractions of their intervals
-(SepticHermite.at).
+(row_count), each of the three reductions takes rows and forms them in
+one place (_state_rows), and one Richardson ladder (_richardson) returns
+every row's result, keeping only its last sweep and its last
+extrapolation; the angle's check reads each accepted row's slope off that
+last sweep, and the dense reduction's check reads its interpolants at
+fixed fractions of their intervals (SepticHermite.at).
 """
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from .errors import (DomainValidationError, IntegrationError, QuadratureError,
                      ToleranceFloorError)
@@ -75,20 +76,26 @@ def row_count(name, given):
 def gamma_real(x):
     """Gamma(x) for real x away from the poles 0, -1, -2, ...
 
-    Overflows to inf past x ~ 171.6.
+    Overflows to inf past x ~ 171.6 (and to -inf just below 0).
     """
     x = float(x)
     if x <= 0.0 and x == math.floor(x):
         raise DomainValidationError(f"gamma_real pole at non-positive integer x={x}")
-    return float(special.gamma(x))
+    try:
+        return math.gamma(x)
+    except OverflowError:
+        return math.copysign(math.inf, x)
 
 
 def lgamma_real(x):
-    """log Gamma(x) for x > 0."""
+    """log Gamma(x) for x > 0; overflows to inf past x ~ 2.6e305."""
     x = float(x)
     if not x > 0.0:
         raise DomainValidationError(f"lgamma_real needs x > 0, got {x}")
-    return float(special.gammaln(x))
+    try:
+        return math.lgamma(x)
+    except OverflowError:
+        return math.inf
 
 
 def bessel_j(nu, x):
@@ -103,6 +110,9 @@ def bessel_j(nu, x):
     bad = x[~(x >= 0)]
     if bad.size:
         raise DomainValidationError(f"bessel_j needs x >= 0, got {bad[0]}")
+    # a demo never reaches a Bessel function: its process does not load
+    # scipy.special
+    from scipy import special
     out = special.jv(float(nu), x)
     return float(out) if x.ndim == 0 else out
 
@@ -225,16 +235,18 @@ def _node_states(potential, nu, a, b, y0, m, rows):
 
 
 def _magnus_angle(k, y0, states):
-    """theta(b) of magnus_prufer from the start y0 = (u(a), u'(a)) and the
-    node states (u, u') at a + h j, j = 1 .. m, each in a positive scale of
+    """theta(b) of magnus_prufer on each row, an array, from k, the starts
+    y0 = (u(a), u'(a)), one value a row each, and the node states (u, u')
+    at a + h j, j = 1 .. m, shape (2, rows, m), each in a positive scale of
     its own, to which the angle is blind."""
     u, du = states
-    theta = np.arctan2(k * u, du)
+    theta = np.arctan2(k[:, None] * u, du)
     # each interval turns the state by less than pi, so the principal value
     # of each step's angle change is the true one
-    steps = np.diff(theta, prepend=math.atan2(k * y0[0], y0[1]))
-    wraps = np.rint(steps / (2.0 * math.pi)).sum()
-    return float(theta[-1] - 2.0 * math.pi * wraps)
+    steps = np.diff(theta, prepend=np.arctan2(k * y0[0], y0[1])[:, None],
+                    axis=1)
+    wraps = np.rint(steps / (2.0 * math.pi)).sum(axis=1)
+    return theta[:, -1] - 2.0 * math.pi * wraps
 
 
 def _angle_slope(nu, k, h, y0, log, states):
@@ -370,12 +382,17 @@ def _first_mesh(scale):
 def magnus_prufer(potential, nu, span, y0, tol):
     """(theta(b), d theta(b) / d nu): the modified Pruefer angle of
     u'' = (V(r) - nu) u on span = (a, b), a < b, from the state
-    y0 = (u(a), u'(a)), and its nu-derivative.
+    y0 = (u(a), u'(a)), and its nu-derivative.  One equation, or a batch:
+    nu, a, b, u(a) and u'(a) are scalars or 1-D arrays of one length, one
+    entry a row (row_count), and a batch returns two arrays, one entry a
+    row.
 
     With k = sqrt(max(nu, 1)), k u = rho sin(theta) and u' = rho cos(theta);
-    theta(a) = atan2(k u(a), u'(a)) and theta is continuous.  The potential
-    takes rows, as magnus_dense's: potential(r, rows) maps an array of radii,
-    here of one row, to V there.
+    theta(a) = atan2(k u(a), u'(a)) and theta is continuous.  The rows
+    follow magnus_dense's contract: potential(r, rows) maps the radii r,
+    shape (open rows, points), of the rows whose indices are `rows` to V
+    there, and each row keeps its own ladder, floor check and acceptance,
+    so its angle and slope are its scalar call's, bit for bit.
 
     Fourth-order Magnus (Iserles and Norsett 1999) on m equal intervals,
     with V at two Gauss points r1, r2 of each: on an interval of width h,
@@ -389,10 +406,11 @@ def magnus_prufer(potential, nu, span, y0, tol):
     propagators, rescaled whenever the products could pass the double
     range (an interval of s > 700 carries e^-s apart), and
     theta = atan2(k u, u') at the nodes, blind to each node's positive
-    scale, is unwrapped interval by interval.  That is exact when every
-    interval turns the state by less than pi: an interval with s^2 >= 0
-    always does, and one with s^2 < 0 (a rotation in a frame of its own,
-    half a turn at |s| = pi) does when |s| < pi, which is checked.
+    scale, is unwrapped interval by interval (_magnus_angle).  That is
+    exact when every interval turns the state by less than pi: an interval
+    with s^2 >= 0 always does, and one with s^2 < 0 (a rotation in a frame
+    of its own, half a turn at |s| = pi) does when |s| < pi, which is
+    checked.
 
     Meshes double from max(64, the power of two at or above k (b - a))
     until the Richardson estimate of theta (_richardson) is at most tol,
@@ -403,64 +421,72 @@ def magnus_prufer(potential, nu, span, y0, tol):
     d theta(b) / d nu = (k int_a^b u^2 dr + u(b) u'(b) k')
     / (k^2 u(b)^2 + u'(b)^2), with k' = 1 / (2 k) for nu > 1 and 0
     otherwise (_angle_slope).  The integral is the corrected trapezoid on
-    the nodes of the accepted level's finest sweep, of order h^4 and not
-    held to tol.  Start data that move with nu add their own term, which
-    the caller supplies or drops.
+    the nodes of the row's own accepting sweep, its finest, of order h^4
+    and not held to tol.  Start data that move with nu add their own term,
+    which the caller supplies or drops.
 
     theta's rounding error grows with |theta|, which is about k (b - a) or
     less when V >= 0: a tol below the floor 10 eps max(1, k (b - a)) raises
-    ToleranceFloorError carrying tol / max(1, k (b - a)) and the floor
-    10 eps.  A propagation that is not finite, an interval that turns the
-    state by pi or more, or a mesh past 2^16 intervals raises
-    IntegrationError naming nu and the radius or the estimate.
+    ToleranceFloorError naming the row of the largest k (b - a) and
+    carrying tol / max(1, k (b - a)) of that row and the floor 10 eps.  A
+    propagation that is not finite, an interval that turns the state by pi
+    or more, or a mesh past 2^16 intervals raises IntegrationError naming
+    the row's nu and the radius or the estimate.
     """
-    a, b = float(span[0]), float(span[1])
-    if not a < b:
-        raise DomainValidationError(f"magnus_prufer needs a < b, got {span}")
-    k = math.sqrt(max(nu, 1.0))
-    scale = max(1.0, k * (b - a))
-    if not tol / scale >= _TOL_FLOOR:
-        raise ToleranceFloorError(
-            f"magnus_prufer needs tol >= {_TOL_FLOOR:.3g} * {scale:.6g}, "
-            f"got tol={tol}", tol=tol / scale, floor=_TOL_FLOOR, solver="ODE")
-
-    *_, m, states = _state_rows("magnus_prufer", potential, nu, span, y0,
-                                tol)
+    scalar, nu, a, b, m, states = _state_rows("magnus_prufer", potential, nu,
+                                              span, y0, tol, angle=True)
+    k = np.sqrt(np.maximum(nu, 1.0))
+    finest = None  # the last sweep: (rows, h, starts, log scales, states)
 
     def sweep(m, rows):  # an angle's unit is the radian: log scale 0
         nonlocal finest
-        _, log, y = states(m, rows)
-        finest = m, log[0], y[:, 0]
-        return np.zeros((1, 1)), np.full((1, 1, 1),
-                                         _magnus_angle(k, y0, y[:, 0]))
+        y0, log, y = states(m, rows)
+        finest = rows, (b[rows] - a[rows]) / m, y0, log, y
+        return (np.zeros((rows.size, 1)),
+                _magnus_angle(k[rows], y0, y)[None, :, None])
 
-    finest = None
-    theta = float(_richardson(sweep, m, tol, [nu], [b])[0][1][0, 0])
-    m, log, states = finest
-    return theta, _angle_slope(nu, k, (b - a) / m, y0, log, states)
+    def check(level, near):
+        # an accepted row was in the last sweep, which is its finest
+        rows, h, y0, log, y = finest
+        j = np.searchsorted(rows, near)
+        return 0.0, [
+            (theta, _angle_slope(nu[row], k[row], h[i], y0[:, i], log[i],
+                                 y[:, i]))
+            for row, i, theta in zip(near.tolist(), j.tolist(),
+                                     level[1][0, :, 0].tolist())]
+
+    theta, slope = zip(*_richardson(sweep, m, tol, nu, b, check))
+    return (theta[0], slope[0]) if scalar else (np.array(theta),
+                                                np.array(slope))
 
 
-def _state_rows(name, potential, nu, span, y0, tol):
+def _state_rows(name, potential, nu, span, y0, tol, angle=False):
     """(scalar call, nu, a, b, first meshes, node states) of a Magnus
     reduction, one entry a row under row_count's rule, after their common
-    checks."""
+    checks.  An angle (magnus_prufer) needs a < b on every row, and holds
+    its floor per unit of its scale max(1, k (b - a)): its floor error
+    names the row of the largest scale."""
     given = dict(zip(("nu", "a", "b", "u(a)", "u'(a)"), (nu, *span, *y0)))
     n = row_count(name, given)
     nu, a, b, u0, du0 = rows = np.empty((5, n or 1))
     for row, v in zip(rows, given.values()):
         row[:] = v
-    bad = ~(a != b)
+    bad = ~(a < b) if angle else ~(a != b)
     if bad.any():
         k = int(np.argmax(bad))
         raise DomainValidationError(
-            f"{name} needs a != b, got ({a[k]}, {b[k]})")
-    if not tol >= _TOL_FLOOR:
+            f"{name} needs a {'<' if angle else '!='} b, got ({a[k]}, {b[k]})")
+    scale = [max(1.0, math.sqrt(max(v, 1.0)) * abs(hi - lo))
+             for v, lo, hi in zip(nu.tolist(), a.tolist(), b.tolist())]
+    top = int(np.argmax(scale)) if angle else None
+    unit = scale[top] if angle else 1.0
+    if not tol / unit >= _TOL_FLOOR:
+        per = f" * {unit:.6g} for nu = {nu[top]}" if angle else ""
         raise ToleranceFloorError(
-            f"{name} needs tol >= {_TOL_FLOOR:.3g}, got tol={tol}",
-            tol=tol, floor=_TOL_FLOOR, solver="ODE")
+            f"{name} needs tol >= {_TOL_FLOOR:.3g}{per}, got tol={tol}",
+            tol=tol / unit, floor=_TOL_FLOOR, solver="ODE")
     y0 = rows[3:]
-    m = [_first_mesh(max(1.0, math.sqrt(max(v, 1.0)) * abs(hi - lo)))
-         for v, lo, hi in zip(nu.tolist(), a.tolist(), b.tolist())]
+    m = [_first_mesh(v) for v in scale]
 
     def states(m, rows):
         # the start and _node_states at the nodes past it

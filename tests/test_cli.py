@@ -15,7 +15,7 @@ from hornlab.cli import (EXIT_BOUNDS, EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK,
                          load_config, main, run)
 from hornlab.errors import ConfigError
 from hornlab.geometry import make_horn_params
-from hornlab.heat import CaloricSeries, _wkb_first_trial
+from hornlab.heat import CaloricSeries, _wkb_trials
 from hornlab.modes import RadialProfile, tip_window_top
 
 P_DEFAULT = make_horn_params(3, 4.0, 0.5, 0.25)
@@ -32,8 +32,9 @@ FAST_DEMO = [
 
 def test_cli_import_loads_no_scipy_integrate_or_interpolate():
     # a CLI process imports only what it runs: the one linear propagator is
-    # numpy, so neither scipy.integrate nor scipy.interpolate is loaded, and
-    # the WKB trial inverts a phase table, so scipy.optimize is not either
+    # numpy, so neither scipy.integrate nor scipy.interpolate is loaded, the
+    # WKB trial inverts a phase table, so scipy.optimize is not either, and
+    # Gamma comes from math, so scipy.special waits for a Bessel function
     src = os.path.dirname(os.path.dirname(hornlab.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
@@ -41,7 +42,7 @@ def test_cli_import_loads_no_scipy_integrate_or_interpolate():
         [sys.executable, "-c",
          "import sys, hornlab.cli; print(sorted(m for m in sys.modules "
          "if m.startswith(('scipy.integrate', 'scipy.interpolate', "
-         "'scipy.optimize'))))"],
+         "'scipy.optimize', 'scipy.special'))))"],
         env=env, capture_output=True, text=True, check=True).stdout
     assert loaded.strip() == "[]"
 
@@ -271,10 +272,12 @@ def test_coefficients_beyond_eigen_count_are_config_error(tmp_path):
     assert not (tmp_path / "eigs.csv").exists()
 
 
-# the first shot of the default eigen search holds its angle to tol over a
-# scale k (r_out - r_sw), with k = sqrt(nu) and the shot's anchor r_sw at
-# the WKB trial nu: its floor error carries tol / (k (r_out - r_sw))
-_NU_WKB = _wkb_first_trial(P_DEFAULT, 1, 2.0)
+# the first round of the default eigen search shoots the WKB trials of its
+# 4 indices together, each holding its angle to tol over a scale
+# k (r_out - r_sw), with k = sqrt(nu) and the shot's anchor r_sw at the
+# trial nu: the floor error names the row of the largest scale, index 4's,
+# and carries tol / (k (r_out - r_sw)) of that row
+_NU_WKB = _wkb_trials(P_DEFAULT, 1, 2.0, 4)[-1]
 FIRST_SHOT_TOL = 1e-14 / (math.sqrt(_NU_WKB)
                           * (2.0 - tip_window_top(P_DEFAULT, _NU_WKB)))
 

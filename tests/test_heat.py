@@ -114,7 +114,8 @@ def test_outer_pass_mesh_sequence_is_pinned(p_default, monkeypatch):
 
 
 # the first 8 eigenvalues at r_out = 1.8 (i = 1, the default point), as
-# dirichlet_eigenvalues finds them
+# the serial search found them; the lockstep search finds them within
+# 4.5e-16, relative
 NUS_ROUT18 = [float.fromhex(h) for h in (
     "0x1.9c609ac4a59cfp+3", "0x1.06fde6a3461bcp+5", "0x1.e1a6614f85865p+5",
     "0x1.7aa7f3d38e8fbp+6", "0x1.1034395c36715p+7", "0x1.70d5a634aa62ap+7",
@@ -223,14 +224,22 @@ def test_shot_past_the_mesh_cap_names_nu(p_default, monkeypatch):
         heat._shoot(p_default, 2, 2896.0, 2.0, 1e-12)
 
 
-# _wkb_first_trial as recorded from its 33-point phase table, and as
-# Brent's method gave it, the root of the midpoint phase to 1e-6 hi
-WKB_FIRST_TRIALS = {(1, 2.0): "0x1.35a4f2c92d0fep+3",
-                    (1, 1.6): "0x1.09a4c6b922bafp+4",
-                    (1, 1.8): "0x1.8f3c661680df2p+3",
-                    (2, 2.0): "0x1.03b0818607761p+4",
-                    (3, 1.8): "0x1.fb6eb747801c2p+4",
-                    (1, 0.5): "0x1.3019d6878f1d1p+8"}
+# _wkb_trials as recorded from its 33-point octave tables, the first trials
+# of indices 1 to 4, and index 1's as Brent's method gave it, the root of
+# the midpoint phase to 1e-6 hi
+WKB_FIRST_TRIALS = {
+    (1, 2.0): ["0x1.35a4f2c92d0fep+3", "0x1.969bc31abb494p+4",
+               "0x1.7888d10534764p+5", "0x1.29e2a062a80eep+6"],
+    (1, 1.6): ["0x1.09a4c6b922bafp+4", "0x1.5454c8a24c05ap+5",
+               "0x1.373445452efbap+6", "0x1.e8825afefef61p+6"],
+    (1, 1.8): ["0x1.8f3c661680df2p+3", "0x1.0327185a3b264p+5",
+               "0x1.dd28937380cefp+5", "0x1.78182ad73e5cdp+6"],
+    (2, 2.0): ["0x1.03b0818607761p+4", "0x1.2aaec51c79c04p+5",
+               "0x1.0251c58ba52bfp+6", "0x1.874da9728c793p+6"],
+    (3, 1.8): ["0x1.fb6eb747801c2p+4", "0x1.063ba2c3d38d3p+6",
+               "0x1.ac276b165a9e7p+6", "0x1.383fe81ce7dc9p+7"],
+    (1, 0.5): ["0x1.3019d6878f1d1p+8", "0x1.50b34d20adc83p+9",
+               "0x1.1d62e65e741f9p+10", "0x1.aaaa649c9714ap+10"]}
 BRENT_FIRST_TRIALS = {(1, 2.0): "0x1.35a2036a4a594p+3",
                       (1, 1.6): "0x1.09a486c418307p+4",
                       (1, 1.8): "0x1.8f3dab9ff4411p+3",
@@ -240,20 +249,26 @@ BRENT_FIRST_TRIALS = {(1, 2.0): "0x1.35a2036a4a594p+3",
 
 
 def test_wkb_first_trial_is_bitwise_unchanged(p_default):
-    # the WKB trial reads the Liouville potential from geometry and keeps
-    # its recorded trials bit for bit; the table's linear inversion stays
-    # within 1e-4 of Brent's root (3.7e-5 seen), and the midpoint phase at
-    # each trial is 3 pi / 4 to 1e-4 (8.9e-5 seen)
-    got = {key: heat._wkb_first_trial(p_default, *key)
+    # the WKB trials read the Liouville potential from geometry and keep
+    # their recorded trials bit for bit (index 1's as the one-octave table
+    # gave it); the table's linear inversion stays within 1e-4 of Brent's
+    # root (3.7e-5 seen), and the midpoint phase at index 1's trial is
+    # 3 pi / 4 to 1e-4 (8.9e-5 seen) and at index j's, for j up to 8,
+    # (j - 1/4) pi to 1e-4 relative (5.5e-5 seen; 1.2e-3 absolute)
+    got = {key: heat._wkb_trials(p_default, *key, 8)
            for key in WKB_FIRST_TRIALS}
-    assert {key: nu.hex() for key, nu in got.items()} == WKB_FIRST_TRIALS
-    for (i, r_out), nu in got.items():
-        assert nu == pytest.approx(
+    assert {key: [nu.hex() for nu in nus[:4]] for key, nus in got.items()} \
+        == WKB_FIRST_TRIALS
+    for (i, r_out), nus in got.items():
+        assert nus[0] == pytest.approx(
             float.fromhex(BRENT_FIRST_TRIALS[i, r_out]), rel=1e-4)
         h = r_out / 1024
         V = liouville_potential(p_default, i, (np.arange(1024) + 0.5) * h)
-        phase = h * np.sqrt(np.maximum(nu - V, 0.0)).sum()
-        assert phase == pytest.approx(0.75 * math.pi, abs=1e-4)
+        phase = h * np.sqrt(np.maximum(np.array(nus)[:, None] - V,
+                                       0.0)).sum(axis=1)
+        assert phase[0] == pytest.approx(0.75 * math.pi, abs=1e-4)
+        assert phase.tolist() == pytest.approx(
+            (np.arange(1, 9) - 0.25) * math.pi, rel=1e-4)
 
 
 # dirichlet_eigenvalues(p_default, 1, r_out, 8) and the zero counts, as the
@@ -369,6 +384,27 @@ def test_eigensearch_budget_names_index(p_default, monkeypatch):
         dirichlet_eigenvalues(p_default, 1, 2.0, 2)
 
 
+def test_eigensearch_budget_is_per_index(p_default, monkeypatch):
+    # index 1 takes 4 shots at r_out = 2; seeded at 4 times its WKB trial,
+    # index 2 takes 5 (index 3 takes 3): a budget of 4 names index 2, while
+    # index 1 and 3, in the same rounds, locate their eigenvalues
+    wkb = heat._wkb_trials
+
+    def moved(*args):
+        trials = wkb(*args)
+        trials[1] *= 4.0
+        return trials
+
+    monkeypatch.setattr(heat, "_wkb_trials", moved)
+    monkeypatch.setattr(heat, "_SHOTS_PER_EIGENVALUE", 4)
+    with pytest.raises(EigenSearchError, match="locating index 2$"):
+        dirichlet_eigenvalues(p_default, 1, 2.0, 3)
+    monkeypatch.setattr(heat, "_SHOTS_PER_EIGENVALUE", 5)
+    pairs = dirichlet_eigenvalues(p_default, 1, 2.0, 3)
+    assert [q.nu for q in pairs] == pytest.approx(PAIRS8_ROUT2_NU[:3],
+                                                  rel=1e-12)
+
+
 def test_newton_trial_safeguard():
     # shots map nu to (theta, d theta / d nu); target pi, r_out 2.  A Newton
     # step in sqrt(nu) that lands inside the bracket (2, 3) is the trial
@@ -427,20 +463,25 @@ def test_tip_share_newton_drops_is_small(p_default):
         assert share <= 1e-8
 
 
-def test_eigensearch_shot_count_is_pinned(p_default, monkeypatch):
-    # Newton takes 26 shots for the first 8 eigenvalues at r_out = 1.8, 4
-    # for each of the first two and 3 for each of the rest, all distinct; a
-    # change to the search shows here
-    trials = []
-    shoot = heat._shoot
+def test_eigensearch_rounds_and_row_shots_are_pinned(p_default, monkeypatch):
+    # the search for the first 8 eigenvalues at r_out = 1.8 runs in 4
+    # rounds, each one batched shot of the open rows' new trials: 8, 8, 8
+    # and 2 rows, 26 row-shots, all distinct (index 1 and 2 take 4 shots,
+    # the rest 3), the same 26 the serial search took one by one; a change
+    # to the search shows here
+    rounds = []
+    shoot = heat._shoot_rows
 
     def counted(p, i, nu, r_out, tol):
-        trials.append(nu)
+        rounds.append(nu.tolist())
         return shoot(p, i, nu, r_out, tol)
 
-    monkeypatch.setattr(heat, "_shoot", counted)
-    dirichlet_eigenvalues(p_default, 1, 1.8, 8)
-    assert len(trials) == len(set(trials)) == 26
+    monkeypatch.setattr(heat, "_shoot_rows", counted)
+    pairs = dirichlet_eigenvalues(p_default, 1, 1.8, 8)
+    assert [len(nus) for nus in rounds] == [8, 8, 8, 2]
+    trials = [nu for nus in rounds for nu in nus]
+    assert len(set(trials)) == len(trials) == 26
+    assert [q.nu for q in pairs] == pytest.approx(NUS_ROUT18, rel=1e-15)
 
 
 # Eigenvalues and zero counts as the secant-bracket and Brent search gave
@@ -618,7 +659,7 @@ def test_eigensearch_refuses_arguments_it_cannot_use(p_default, monkeypatch,
     def no_work(*args, **kwargs):
         raise AssertionError("work before the arguments were checked")
 
-    monkeypatch.setattr(heat, "_wkb_first_trial", no_work)
+    monkeypatch.setattr(heat, "_wkb_trials", no_work)
     monkeypatch.setattr(modes, "solve_k2", no_work)
     with warnings.catch_warnings():
         warnings.simplefilter("error")

@@ -532,6 +532,35 @@ def test_tip_anchor_step_sequence_is_pinned(p_default, monkeypatch, mu, r_top,
     assert sizes == meshes
 
 
+@pytest.mark.parametrize("i", [1, 2])
+def test_tip_anchor_batch_rows_equal_single_calls(p_default, monkeypatch, i):
+    # the anchors of an array of mu, in any order, come from one batched
+    # sweep, a column of mu through _q_factory, each row's (r_top, d log
+    # f/dr) bit for bit its scalar call's; mu = 0 and 0.5 sit on the
+    # r_mu = sqrt(A) branch, the rest above it
+    mus = [50.0, 0.0, 300.0, 0.5, 12.9, 1000.0]
+    single = [tip_anchor(p_default, i, mu, 1e-12) for mu in mus]
+    calls = []
+    q_factory = modes._q_factory
+
+    def recorded(p, i, mu):
+        calls.append(np.shape(mu))
+        return q_factory(p, i, mu)
+
+    monkeypatch.setattr(modes, "_q_factory", recorded)
+    for order in ([0, 1, 2, 3, 4, 5], [5, 3, 1, 4, 0, 2], [2, 4]):
+        calls.clear()
+        r_top, dlog = tip_anchor(p_default, i, np.array([mus[k]
+                                                        for k in order]),
+                                 1e-12)
+        assert r_top.shape == dlog.shape == (len(order),)
+        for k, got in zip(order, zip(r_top.tolist(), dlog.tolist())):
+            assert [v.hex() for v in got] == [v.hex() for v in single[k]]
+        # one scalar q a row for its start, then one column a sweep
+        assert calls[:len(order)] == [()] * len(order)
+        assert all(len(shape) == 2 for shape in calls[len(order):])
+
+
 def test_normalization_bound_finite(p_default):
     computed, bound = normalization_bound(p_default, 1, 1.0)
     assert computed > 0 and math.isfinite(computed)

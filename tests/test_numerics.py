@@ -17,6 +17,7 @@ from hornlab import (DomainValidationError, IntegrationError, QuadratureError,
                      liouville_potential, magnus_dense,
                      magnus_log_derivative, magnus_prufer, profile_from_k2,
                      quad_log, solve_k2)
+from hornlab.modes import tip_anchor
 
 
 # ---------------------------------------------------------------------------
@@ -528,6 +529,71 @@ def test_magnus_log_derivative_batch_rows_equal_single_calls():
         assert end.hex() == want.hex()
 
 
+# rows of magnus_prufer batches: _DENSE_ROWS, all forward, row 2 on
+# (0.5, 10) with u = cos(r); _DENSE_V's potentials
+_PRUFER_ROWS = [row[:5] for row in _DENSE_ROWS]
+_PRUFER_ROWS[2] = (1.0, 0.5, 10.0, math.cos(0.5), -math.sin(0.5))
+
+
+def _prufer_batch(rows, sizes=None):
+    """magnus_prufer on the rows of _PRUFER_ROWS listed in `rows`, as one
+    batch, recording each potential call's (open rows, intervals)."""
+    def potential(x, open_rows):
+        if sizes is not None:
+            sizes.append((open_rows.tolist(), x.shape[1] // 2))
+        return np.array([_DENSE_V[rows[k]][0](x[i])
+                         for i, k in enumerate(open_rows)])
+
+    nu, a, b, u0, du0 = (np.array(v) for v in zip(*(_PRUFER_ROWS[j]
+                                                    for j in rows)))
+    return magnus_prufer(potential, nu, (a, b), (u0, du0), 1e-10)
+
+
+def test_magnus_prufer_batch_rows_equal_single_calls():
+    # every row of a batch, in any order and with any other rows, gets the
+    # angle and the slope of its own scalar call bit for bit, though the
+    # rows differ in nu, span, first mesh, accepted mesh and rescaling: the
+    # slope reads the row's own accepting sweep
+    single = []
+    for j, (nu, a, b, u0, du0) in enumerate(_PRUFER_ROWS):
+        meshes = []
+
+        def potential(x, rows, j=j):
+            meshes.append(x.shape[1] // 2)
+            return _DENSE_V[j][0](x)
+
+        single.append((magnus_prufer(potential, nu, (a, b), (u0, du0),
+                                     1e-10), meshes[-1]))
+    # accepted on four different meshes; row 3's u grows by e^800
+    assert [mesh for _, mesh in single] == [256, 512, 256, 2048, 1024]
+    sizes = []
+    for rows in (list(range(5)), [3, 0, 4, 2, 1], [1, 3], [4, 0, 2]):
+        theta, slope = _prufer_batch(rows, sizes if rows[0] == 3 else None)
+        assert theta.shape == slope.shape == (len(rows),)
+        for j, got in zip(rows, zip(theta.tolist(), slope.tolist())):
+            assert [v.hex() for v in got] == \
+                [v.hex() for v in single[j][0]]
+    # rows 3, 0, 2 and 1 start together on 64 intervals, row 4 joins them
+    # on 256, and each call holds the rows still open
+    assert sizes == [([0, 1, 3, 4], 64), ([0, 1, 3, 4], 128),
+                     ([0, 1, 2, 3, 4], 256), ([0, 2, 4], 512),
+                     ([0, 2], 1024), ([0], 2048)]
+
+
+def test_magnus_prufer_batch_floor_names_the_largest_scale():
+    # a batch below its floor names the row of the largest k (b - a), here
+    # 30 at nu = 900, and carries tol over that row's scale
+    eps = np.finfo(float).eps
+    with pytest.raises(ToleranceFloorError, match="for nu = 900.0") as err:
+        magnus_prufer(_constant(0.0), np.array([100.0, 900.0, 4.0]),
+                      (0.0, np.array([2.0, 1.0, 3.0])), (0.0, 1.0), 250 * eps)
+    assert (err.value.tol, err.value.floor) == (250 * eps / 30.0, 10 * eps)
+    # and every row of an angle runs forward
+    with pytest.raises(DomainValidationError, match=r"a < b, got \(2\.0, 1"):
+        magnus_prufer(_constant(0.0), 1.0, (np.array([0.0, 2.0]), 1.0),
+                      (0.0, 1.0), 1e-10)
+
+
 @pytest.mark.parametrize("call, shapes", [
     (lambda p: solve_k2(p, 1, np.array([1.0]), np.array([5.0, 6.0])),
      ["mu (1,)", "s_max (2,)"]),
@@ -545,9 +611,13 @@ def test_magnus_log_derivative_batch_rows_equal_single_calls():
                             (1.0, 0.0), 1e-10, None), ["nu (2, 2)"]),
     (lambda p: magnus_log_derivative(_constant(0.0), np.array([]),
                                      (0.0, 1.0), (1.0, 0.0), 1e-10),
-     ["nu (0,)"])],
+     ["nu (0,)"]),
+    (lambda p: magnus_prufer(_constant(0.0), np.array([1.0, 2.0]),
+                             (0.0, np.ones(3)), (1.0, 0.0), 1e-10),
+     ["nu (2,)", "b (3,)"]),
+    (lambda p: tip_anchor(p, 1, np.ones((2, 2)), 1e-12), ["mu (2, 2)"])],
     ids=["k2-1-2", "profile-2-3", "profile-2-1", "dense-2-3",
-         "end-2-3", "dense-2d", "end-empty"])
+         "end-2-3", "dense-2d", "end-empty", "angle-2-3", "anchor-2d"])
 def test_rows_of_unequal_length_are_refused(p_default, call, shapes):
     # the 1-D arguments of a batch share one length of at least 1: a row
     # that one argument lacks is refused, naming every argument's shape,
