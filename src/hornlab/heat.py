@@ -28,11 +28,11 @@ part are sweeps of the same propagator.
 The search runs every eigenvalue index in lockstep, one row an index,
 each seeded from one WKB phase table: a round shoots the open rows' new
 trials in one batched tip anchor and one batched angle (_shoot_rows, each
-row bit for bit its own _shoot), and every row then takes its Newton step
-from its own last shot over one table of every shot of the search.
+row bit for bit its one-row shot), and every row then takes its Newton
+step from its own last shot over one table of every shot of the search.
 
 The eigenpairs of a search are built together, one row a pair: one
-batched tip pass (modes.profile_from_k2 on the array of eigenvalues), one
+batched tip pass (modes.solve_k2 on the array of eigenvalues), one
 batched outer numerics.magnus_dense pass and one quad_log call for all
 the norms.  The rows keep numerics' row contract (each row its own
 meshes, rescaling and acceptance), so a pair is bit for bit the pair
@@ -57,8 +57,8 @@ from .errors import (ConsistencyError, DomainValidationError,
                      EigenSearchError)
 from .geometry import liouville_potential, liouville_potential_slope
 from .logspace import NEG_INF, logsumexp_signed
-from .modes import (RadialProfile, log_norm_sq, profile_from_k2, r_mu,
-                    tip_anchor, tip_rate, tip_window_top)
+from .modes import (RadialProfile, _tip_evaluator, log_norm_sq, r_mu,
+                    solve_k2, tip_anchor, tip_rate, tip_window_top)
 from .numerics import fit_line, lgamma_real, magnus_dense, magnus_prufer
 
 
@@ -67,10 +67,12 @@ from .numerics import fit_line, lgamma_real, magnus_dense, magnus_prufer
 # ---------------------------------------------------------------------------
 
 
-def _shoot(p, i, nu, r_out, tol):
+def _shoot_rows(p, i, nu, r_out, tol):
     """(theta(r_out), d theta(r_out) / d nu): the modified Pruefer angle of
-    the tip-decaying solution and its nu-derivative, the one-row case of
-    _shoot_rows.
+    the tip-decaying solution and its nu-derivative, as two arrays, one
+    entry a trial of nu, a scalar or a 1-D array: one batched tip_anchor
+    call, then one batched magnus_prufer call, each row bit for bit its
+    one-row shot.
 
     theta starts in (0, pi) at the anchor, where the solution is positive,
     and crosses every multiple of pi upward, so floor(theta / pi) is the
@@ -83,14 +85,6 @@ def _shoot(p, i, nu, r_out, tol):
     r_out = 2), so a Newton step on this slope contracts by that factor on
     top of its quadratic term.
     """
-    return _shoot_rows(p, i, nu, r_out, tol)
-
-
-def _shoot_rows(p, i, nu, r_out, tol):
-    """_shoot at every nu of an array, one row a trial: one batched
-    tip_anchor call, then one batched magnus_prufer call, each row bit for
-    bit its own shot.  Returns two arrays, the angles and their slopes (two
-    floats for a scalar nu)."""
     r_sw, dlog = tip_anchor(p, i, nu, tol)
     # u = r^(c/2) f has the zeros of f, and u'/u = f'/f + c / (2 r)
     return magnus_prufer(lambda r, rows: liouville_potential(p, i, r), nu,
@@ -263,8 +257,9 @@ def _newton_trial(shots, nu, target, r_out, rel):
 
 def _build_pairs(p, i, nus, r_out, tol):
     """The eigenpairs at the eigenvalues nus, built together: one batched
-    tip pass (profile_from_k2), one batched outer magnus_dense pass and one
-    quad_log call for the norms, each row bit for bit its pair's own call.
+    tip pass (solve_k2, each branch read by modes._tip_evaluator), one
+    batched outer magnus_dense pass and one quad_log call for the norms,
+    each row bit for bit its pair's own call.
 
     A pair is its tip branch below the anchor r_sw = r_mu^(-1/eps) and the
     outer pass above, of w = r^((c-1)/2) f, w'' = (r^2 (V - nu) + 1/4) w in
@@ -278,9 +273,11 @@ def _build_pairs(p, i, nus, r_out, tol):
     r_sw = [tip_window_top(p, nu) for nu in nus]
     # tip branch over ~40 decay e-foldings; everything below is dropped
     r_tip_lo = [(s + 40.0 / rho + 2.0) ** (-1.0 / p.eps) for s in s_lo]
-    tips = profile_from_k2(p, i, np.array(nus), np.array(r_tip_lo),
-                           n_grid=48, tol=tol)
-    anchors = [[float(v) for v in tip.eval_log(r)]
+    # the tip span's top in the bits of r_tip_lo, a float's power
+    s_max = [r ** (-p.eps) for r in r_tip_lo]
+    tips = [_tip_evaluator(p, k2)
+            for k2 in solve_k2(p, i, np.array(nus), np.array(s_max), tol=tol)]
+    anchors = [[float(v) for v in tip(np.asarray(r))]
                for tip, r in zip(tips, r_sw)]
     K = [r_out * math.sqrt(max(nu, 1.0)) for nu in nus]
     a = [0.5 * (1.0 - p.c) / k for k in K]
@@ -328,7 +325,7 @@ def _build_pairs(p, i, nus, r_out, tol):
 
     def profile(k, scale_log):
         # the grid marks the cap, the seam and the bottom of the tip branch
-        grid = np.array([r_out ** -p.eps, s_lo[k], tips[k].s_grid[-1]])
+        grid = np.array([r_out ** -p.eps, s_lo[k], s_max[k]])
         tip_shift = math.log(outer[k][1][0]) - anchors[k][1]
         return RadialProfile(params=p, i=i, mu=nus[k], s_grid=grid,
                              evaluator=_glued(tips[k], outer[k][2], K[k],
@@ -348,9 +345,9 @@ def _build_pairs(p, i, nus, r_out, tol):
 
 
 def _glued(tip, outer, K, r_sw, tip_shift, scale_log):
-    """An eigenfunction's evaluator: the tip profile below r_sw, shifted
-    onto the outer pass's f(r_sw) > 0, and the outer interpolant in K log r
-    above, both times exp(scale_log)."""
+    """An eigenfunction's evaluator: the tip branch's evaluator below r_sw,
+    shifted onto the outer pass's f(r_sw) > 0, and the outer interpolant in
+    K log r above, both times exp(scale_log)."""
     def evaluator(r):
         # each array is masked on its own, several times faster than
         # out[:, mask] = (...)
@@ -358,7 +355,7 @@ def _glued(tip, outer, K, r_sw, tip_shift, scale_log):
         outside = ~inner
         out = [np.empty(r.shape) for _ in range(3)]
         if inner.any():
-            sgn, lm, ld = tip.eval_log(r[inner])
+            sgn, lm, ld = tip(r[inner])
             for o, v in zip(out, (sgn, lm + (tip_shift + scale_log), ld)):
                 o[inner] = v
         if outside.any():
@@ -551,7 +548,8 @@ def taylor_radius(log_ak):
     double range."""
     kmax = len(log_ak) - 1
     if not kmax >= 8:
-        raise DomainValidationError("analyticity_probe needs kmax >= 8")
+        raise DomainValidationError(
+            f"taylor_radius needs kmax >= 8, got kmax = {kmax}")
     window = [L / k for k, L in enumerate(log_ak)
               if k >= max(1, kmax // 2) and L != NEG_INF]
     root = math.exp(max(window)) if window else 0.0

@@ -42,7 +42,10 @@ k1 = k1' = 1 at r_mu, fixes the scale: log k2(r_mu) = -log(1 - kappa(r_mu)).
 A branch is read as log k and kappa off one septic Hermite interpolant of
 log k, whose second derivative at a node is kappa' = q - kappa^2 and whose
 third is kappa'' = q' - 2 kappa kappa'; nothing is exponentiated, so the
-span has no representable-range limit.
+span has no representable-range limit.  The decaying branch's builders
+take rows, one a mu: tip_anchor and solve_k2 sweep every row in one
+batched pass and return one entry a row, and profile_from_k2 builds the
+one profile of a single mu.
 
 Everything tip-side is represented as (sign, log-magnitude): the physical
 profile f_i(r) = k2(r^-eps) r^(-(c-1-eps)/2) underflows double precision
@@ -205,11 +208,29 @@ def solve_k1(p, i, mu, s_max, tol=1e-12):
             f"s_max must exceed r_mu = {s_lo}, got {s_max}")
     q = _q_factory(p, i, mu)
     rho = tip_rate(p, i)
-    k1 = TipBranch((s_lo, s_max), rho, _tip_dense(
-        lambda rows: q, rho, (s_lo, s_max), (1.0, 1.0), tol)[2])
+    (_, _, log_k), = _tip_dense(lambda rows: q, rho, (s_lo, s_max),
+                                (1.0, 1.0), tol)
+    k1 = TipBranch((s_lo, s_max), rho, log_k)
     _check_sandwich(rho, k1.span, lambda ss: k1.log_eval(ss)[0],
                     (-math.log(rho), rho), (0.0, rho + 1.0), "growing")
     return k1
+
+
+def _backward_rows(p, i, rho, mus, tops=None):
+    """(s_lo, s_far, start): the backward sweeps of the decaying branch,
+    one row an entry of the list mus, as three arrays, each for the span
+    from s_lo = r_mu up to tops[row] (r_mu itself when tops is None):
+    s_far = _s_far(rho, top) and, for k(s_far) = 1, the start
+    k'(s_far) = -sqrt(q(s_far)), each row's q read in floats of its own,
+    as a float's power rounds it.  A top at or below its r_mu is refused."""
+    s_lo = [r_mu(p, m) for m in mus]
+    for lo, top in zip(s_lo, tops or ()):
+        if not top > lo:
+            raise DomainValidationError(
+                f"s_max must exceed r_mu = {lo}, got {top}")
+    s_far = [_s_far(rho, top) for top in tops or s_lo]
+    start = [-math.sqrt(_q_factory(p, i, m)(s)) for m, s in zip(mus, s_far)]
+    return (np.array(v) for v in (s_lo, s_far, start))
 
 
 def _s_far(rho, s_top):
@@ -219,80 +240,63 @@ def _s_far(rho, s_top):
 
 
 def tip_anchor(p, i, mu, tol):
-    """(r_mu^(-1/eps), d log f/dr there) of the decaying tip branch: only
-    kappa(r_mu) is wanted, so one backward sweep with its error estimate
-    taken at r_mu (numerics.magnus_log_derivative) is the cheap anchor of a
-    shot; profile_from_k2 gives the same slope as its log_deriv[0].
-
-    mu may be a 1-D array (numerics.row_count): every row's anchor then
-    comes from one batched sweep, a column of mu through _q_factory as in
-    solve_k2, each bit for bit the anchor of its own call, and the radii
-    and slopes come as two arrays.
+    """(r_mu^(-1/eps), d log f/dr there) of the decaying tip branch, as two
+    arrays, one entry a row of mu, a scalar or a 1-D array
+    (numerics.row_count): only kappa(r_mu) is wanted, so one backward
+    sweep, a column of mu through _q_factory as in solve_k2, with each
+    row's error estimate taken at r_mu (numerics.magnus_log_derivative), is
+    the cheap anchor of a shot, each row bit for bit its one-row call;
+    profile_from_k2 gives the same slope as its log_deriv[0].
     """
-    n = row_count("tip_anchor", {"mu": mu})
-    mus = np.full(n or 1, mu, dtype=float)
+    mus = np.full(row_count("tip_anchor", {"mu": mu}), mu, dtype=float)
     rho = tip_rate(p, i)
-    s_lo = [r_mu(p, m) for m in mus.tolist()]
-    s_far = [_s_far(rho, s) for s in s_lo]
-    start = [-math.sqrt(_q_factory(p, i, m)(s))
-             for m, s in zip(mus.tolist(), s_far)]
+    s_lo, s_far, start = _backward_rows(p, i, rho, mus.tolist())
     column = mus[:, None]
     kappa = rho * magnus_log_derivative(*_in_sigma(
-        lambda rows: _q_factory(p, i, column[rows]), rho,
-        (np.array(s_far), np.array(s_lo)), (1.0, np.array(start))), tol)
+        lambda rows: _q_factory(p, i, column[rows]), rho, (s_far, s_lo),
+        (1.0, start)), tol)
     # the powers one row at a time, as a float's power rounds them
-    r_top = np.array([s ** (-1.0 / p.eps) for s in s_lo])
-    dlog = _tip_log(p, np.array(s_lo), r_top, 0.0, kappa)[1]
-    return (r_top, dlog) if n else (float(r_top[0]), float(dlog[0]))
+    r_top = np.array([s ** (-1.0 / p.eps) for s in s_lo.tolist()])
+    return r_top, _tip_log(p, s_lo, r_top, 0.0, kappa)[1]
 
 
 def solve_k2(p, i, mu, s_max, tol=1e-12):
-    """Decaying branch on [r_mu, s_max] from one backward sweep, s_far down
-    to r_mu, scaled by the Wronskian.  Raises ConsistencyError if the start
-    at s_far could leave a kappa error above 1e-12 anywhere on the span.
-
-    mu and s_max may be 1-D arrays of one length (numerics.row_count):
-    every row's branch then comes from one batched magnus_dense pass, each
-    bit for bit the branch of its own call, and the branches come as a
-    list.
+    """Decaying branches on [r_mu, s_max] as a list, one a row of mu and
+    s_max, scalars or 1-D arrays of one length (numerics.row_count): one
+    batched backward magnus_dense pass, s_far down to r_mu, scaled by the
+    Wronskian, each row bit for bit its one-row call.  Raises
+    ConsistencyError if the start at s_far could leave a kappa error above
+    1e-12 anywhere on a row's span.
     """
     if not i >= 1:
         raise DomainValidationError("solve_k2 needs i >= 1 (mu_i > 0)")
     n = row_count("solve_k2", {"mu": mu, "s_max": s_max})
-    mus, tops = (np.full(n or 1, v) for v in (mu, s_max))
+    mus, tops = (np.full(n, v, dtype=float) for v in (mu, s_max))
     rho = tip_rate(p, i)
-    rows = []
-    for m, top in zip(mus.tolist(), tops.tolist()):
-        s_lo = r_mu(p, m)
-        if not top > s_lo:
-            raise DomainValidationError(
-                f"s_max must exceed r_mu = {s_lo}, got {top}")
-        s_far = _s_far(rho, top)
-        rel_unc = ((math.sqrt(rho * rho + 1.0) - rho)
-                   * math.exp(-2.0 * rho * (s_far - top)))
-        if rel_unc > 1e-12:
-            raise ConsistencyError(
-                f"backward start uncertainty {rel_unc:.2e} exceeds 1e-12; "
-                "start window too short")
-        q = _q_factory(p, i, m)
-        rows.append((s_lo, top, s_far, -math.sqrt(q(s_far)), rel_unc))
-    mus = mus.astype(float)[:, None]
-    lows, fars, starts = (np.array([row[k] for row in rows])
-                          for k in (0, 2, 3))
-    dense = _tip_dense(lambda k: _q_factory(p, i, mus[k]), rho, (fars, lows),
-                       (np.ones(len(rows)), starts), tol)
+    s_lo, s_far, start = _backward_rows(p, i, rho, mus.tolist(),
+                                        tops.tolist())
+    rel_unc = [(math.sqrt(rho * rho + 1.0) - rho)
+               * math.exp(-2.0 * rho * (far - top))
+               for far, top in zip(s_far.tolist(), tops.tolist())]
+    if max(rel_unc) > 1e-12:
+        raise ConsistencyError(
+            f"backward start uncertainty {max(rel_unc):.2e} exceeds 1e-12; "
+            "start window too short")
+    column = mus[:, None]
+    dense = _tip_dense(lambda k: _q_factory(p, i, column[k]), rho,
+                       (s_far, s_lo), (np.ones(n), start), tol)
     branches = []
-    for (lo, top, _, _, rel_unc), (sigma, _, log_k) in zip(rows, dense):
+    for lo, top, unc, (sigma, _, log_k) in zip(s_lo.tolist(), tops.tolist(),
+                                               rel_unc, dense):
         # the sweep ends at r_mu: its last node fixes the scale
         L, slope = log_k(sigma[-1])
         k2 = TipBranch((lo, top), rho, log_k,
-                       -float(L) - math.log(1.0 - rho * float(slope)),
-                       rel_unc)
+                       -float(L) - math.log(1.0 - rho * float(slope)), unc)
         _check_sandwich(rho, k2.span, lambda ss: k2.log_eval(ss)[0],
                         (-math.log(2.0 * (rho ** 2 + rho)), -rho - 2.0),
                         (math.log(rho / 2.0), -rho + 1.0), "decaying")
         branches.append(k2)
-    return branches if n else branches[0]
+    return branches
 
 
 # ---------------------------------------------------------------------------
@@ -347,9 +351,7 @@ def profile_from_k2(p, i, mu, r_min, n_grid=64, tol=1e-12):
         log f = log k2(s) + beta log s,          s = r^-eps,
         d log f / dr = -(eps s / r) kappa2(s) - (c-1-eps)/(2 r).
 
-    mu and r_min may be 1-D arrays of one length (numerics.row_count): the
-    profiles then come as a list, one a row, from one batched solve_k2.
-    n_grid is an integer of at least 16.
+    mu and r_min are numbers, and n_grid is an integer of at least 16.
     """
     if not i >= 1:
         raise DomainValidationError(
@@ -358,24 +360,20 @@ def profile_from_k2(p, i, mu, r_min, n_grid=64, tol=1e-12):
     if not (n_grid >= 16 and float(n_grid).is_integer()):
         raise DomainValidationError(
             f"profile_from_k2 needs an integral n_grid >= 16, got {n_grid}")
-    n = row_count("profile_from_k2", {"mu": mu, "r_min": r_min})
-    mus, lows = (np.full(n or 1, v).tolist() for v in (mu, r_min))
-    s_max = []
-    for m, lo in zip(mus, lows):
-        r_top = tip_window_top(p, m)
-        if not 0 < lo < r_top:
-            raise DomainValidationError(
-                f"r_min must lie in (0, r_mu^(-1/eps)) = (0, {r_top}), "
-                f"got {lo}")
-        s_max.append(lo ** (-p.eps))
-    profiles = [
-        RadialProfile(params=p, i=i, mu=m,
-                      s_grid=np.linspace(r_mu(p, m), top, int(n_grid)),
-                      evaluator=_tip_evaluator(p, k2))
-        for m, top, k2 in zip(mus, s_max,
-                              solve_k2(p, i, np.array(mus), np.array(s_max),
-                                       tol=tol))]
-    return profiles if n else profiles[0]
+    if np.ndim(mu) or np.ndim(r_min):
+        raise DomainValidationError(
+            f"profile_from_k2 takes one mu and one r_min, got shapes "
+            f"mu {np.shape(mu)}, r_min {np.shape(r_min)}")
+    r_top = tip_window_top(p, mu)
+    if not 0 < r_min < r_top:
+        raise DomainValidationError(
+            f"r_min must lie in (0, r_mu^(-1/eps)) = (0, {r_top}), "
+            f"got {r_min}")
+    s_max = r_min ** (-p.eps)
+    k2, = solve_k2(p, i, mu, s_max, tol=tol)
+    return RadialProfile(params=p, i=i, mu=mu,
+                         s_grid=np.linspace(r_mu(p, mu), s_max, int(n_grid)),
+                         evaluator=_tip_evaluator(p, k2))
 
 
 def _tip_evaluator(p, k2):
@@ -452,7 +450,7 @@ def normalization_bound(p, i, mu, tol=1e-10):
     s_hi = s_lo + 10.0 / rho + 5.0
     r_min = s_hi ** (-1.0 / p.eps)
     prof = profile_from_k2(p, i, mu, r_min, n_grid=32, tol=1e-12)
-    norm2 = math.exp(log_norm_sq(prof, r_min, prof.r_max, tol))
+    norm2 = math.exp(log_norm_sq([prof], r_min, prof.r_max, tol)[0])
     if norm2 <= 0:
         raise ConsistencyError("vanishing norm in normalization_bound")
     computed = 1.0 / math.sqrt(norm2)
@@ -460,12 +458,11 @@ def normalization_bound(p, i, mu, tol=1e-10):
     return computed, bound
 
 
-def log_norm_sq(profile, r_lo, r_hi, tol):
-    """log int_{r_lo}^{r_hi} f^2 w dr of a profile, by quad_log.  Given a
-    list of profiles and arrays r_lo and r_hi (or r_hi a scalar), one
-    quad_log call takes every profile as a row, over its own interval, and
-    gives an array, each entry bit for bit the profile's own call."""
-    profiles = [profile] if isinstance(profile, RadialProfile) else profile
+def log_norm_sq(profiles, r_lo, r_hi, tol):
+    """log int_{r_lo}^{r_hi} f^2 w dr of each of a list of profiles, as an
+    array, one entry a profile: one quad_log call takes every profile as a
+    row, over its own interval (r_lo and r_hi scalars or arrays of the
+    list's length), each entry bit for bit the profile's one-row call."""
     p = profiles[0].params
 
     def log_integrand(r, rows):
@@ -474,4 +471,5 @@ def log_norm_sq(profile, r_lo, r_hi, tol):
             logs[row] = profiles[k].eval_log(r[row])[1]
         return 1.0, 2.0 * logs + measure_weight_log(p, r)
 
-    return quad_log(log_integrand, r_lo, r_hi, tol)[1]
+    return quad_log(log_integrand, *(np.full(len(profiles), v, dtype=float)
+                                     for v in (r_lo, r_hi)), tol)[1]

@@ -16,9 +16,10 @@ raises DomainValidationError instead of returning nan.
 A potential is vectorised over rows, as a quad_log integrand is:
 potential(x, rows) maps the abscissae x, shape (open rows, points), of the
 rows whose indices are `rows` to the potential there, in one call per mesh
-for every row that needs that mesh.  A batch's arguments follow one rule
-(row_count), each of the three reductions takes rows and forms them in
-one place (_state_rows), and one Richardson ladder (_richardson) returns
+for every row that needs that mesh.  The three reductions and quad_log
+take rows under one rule (row_count: an all-scalar call is one row) and
+return one entry a row; the reductions form and check their rows in one
+place (_state_rows), and one Richardson ladder (_richardson) returns
 every row's result, keeping only its last sweep and its last
 extrapolation; the angle's check reads each accepted row's slope off that
 last sweep, and the dense reduction's check reads its interpolants at
@@ -53,12 +54,13 @@ def check_in_range(x, lo, hi, name):
 def row_count(name, given):
     """The one batch rule: the arguments in given, a dict by name, are
     scalars or 1-D arrays of one length of at least 1, against which the
-    scalars broadcast.  Returns that length, or None when all are scalars;
-    otherwise DomainValidationError naming `name` and every shape."""
+    scalars broadcast.  Returns that length, the number of rows, which is 1
+    when all are scalars; otherwise DomainValidationError naming `name` and
+    every shape."""
     shapes = {key: np.asarray(v).shape for key, v in given.items()}
     found = set(shapes.values()) - {()}
     if not found:
-        return None
+        return 1
     shape = found.pop()
     if found or len(shape) != 1 or not shape[0]:
         raise DomainValidationError(
@@ -382,17 +384,16 @@ def _first_mesh(scale):
 def magnus_prufer(potential, nu, span, y0, tol):
     """(theta(b), d theta(b) / d nu): the modified Pruefer angle of
     u'' = (V(r) - nu) u on span = (a, b), a < b, from the state
-    y0 = (u(a), u'(a)), and its nu-derivative.  One equation, or a batch:
-    nu, a, b, u(a) and u'(a) are scalars or 1-D arrays of one length, one
-    entry a row (row_count), and a batch returns two arrays, one entry a
-    row.
+    y0 = (u(a), u'(a)), and its nu-derivative, as two arrays, one entry a
+    row: nu, a, b, u(a) and u'(a) are scalars or 1-D arrays of one length
+    (row_count).
 
     With k = sqrt(max(nu, 1)), k u = rho sin(theta) and u' = rho cos(theta);
     theta(a) = atan2(k u(a), u'(a)) and theta is continuous.  The rows
     follow magnus_dense's contract: potential(r, rows) maps the radii r,
     shape (open rows, points), of the rows whose indices are `rows` to V
     there, and each row keeps its own ladder, floor check and acceptance,
-    so its angle and slope are its scalar call's, bit for bit.
+    so its angle and slope are those of its one-row call, bit for bit.
 
     Fourth-order Magnus (Iserles and Norsett 1999) on m equal intervals,
     with V at two Gauss points r1, r2 of each: on an interval of width h,
@@ -431,10 +432,11 @@ def magnus_prufer(potential, nu, span, y0, tol):
     carrying tol / max(1, k (b - a)) of that row and the floor 10 eps.  A
     propagation that is not finite, an interval that turns the state by pi
     or more, or a mesh past 2^16 intervals raises IntegrationError naming
-    the row's nu and the radius or the estimate.
+    the row's nu and the radius or the estimate; an argument that is not
+    finite raises DomainValidationError naming the row.
     """
-    scalar, nu, a, b, m, states = _state_rows("magnus_prufer", potential, nu,
-                                              span, y0, tol, angle=True)
+    nu, a, b, m, states = _state_rows("magnus_prufer", potential, nu, span,
+                                      y0, tol, angle=True)
     k = np.sqrt(np.maximum(nu, 1.0))
     finest = None  # the last sweep: (rows, h, starts, log scales, states)
 
@@ -456,21 +458,26 @@ def magnus_prufer(potential, nu, span, y0, tol):
                                      level[1][0, :, 0].tolist())]
 
     theta, slope = zip(*_richardson(sweep, m, tol, nu, b, check))
-    return (theta[0], slope[0]) if scalar else (np.array(theta),
-                                                np.array(slope))
+    return np.array(theta), np.array(slope)
 
 
 def _state_rows(name, potential, nu, span, y0, tol, angle=False):
-    """(scalar call, nu, a, b, first meshes, node states) of a Magnus
-    reduction, one entry a row under row_count's rule, after their common
-    checks.  An angle (magnus_prufer) needs a < b on every row, and holds
-    its floor per unit of its scale max(1, k (b - a)): its floor error
-    names the row of the largest scale."""
+    """(nu, a, b, first meshes, node states) of a Magnus reduction, one
+    entry a row under row_count's rule, after their common checks: every
+    row's nu, a, b, u(a) and u'(a) finite, then the span, then the floor.
+    An angle (magnus_prufer) needs a < b on every row, and holds its floor
+    per unit of its scale max(1, k (b - a)): its floor error names the row
+    of the largest scale."""
     given = dict(zip(("nu", "a", "b", "u(a)", "u'(a)"), (nu, *span, *y0)))
-    n = row_count(name, given)
-    nu, a, b, u0, du0 = rows = np.empty((5, n or 1))
+    nu, a, b, u0, du0 = rows = np.empty((5, row_count(name, given)))
     for row, v in zip(rows, given.values()):
         row[:] = v
+    finite = np.isfinite(rows).all(axis=0)
+    if not finite.all():
+        k = int(np.argmin(finite))
+        raise DomainValidationError(
+            f"{name} needs finite {', '.join(given)}, got "
+            f"({', '.join(str(v) for v in rows[:, k].tolist())})")
     bad = ~(a < b) if angle else ~(a != b)
     if bad.any():
         k = int(np.argmax(bad))
@@ -493,14 +500,13 @@ def _state_rows(name, potential, nu, span, y0, tol, angle=False):
         return (y0[:, rows], *_node_states(potential, nu[rows], a[rows],
                                            b[rows], y0[:, rows], m, rows))
 
-    return n is None, nu, a, b, m, states
+    return nu, a, b, m, states
 
 
 def magnus_dense(potential, nu, span, y0, tol, read):
     """Dense solution of u'' = (V(x) - nu) u on span = (a, b) from
-    y0 = (u(a), u'(a)); b < a sweeps backward.  One equation, or a batch:
-    nu, a, b, u(a) and u'(a) are scalars or 1-D arrays of one length, one
-    entry a row (row_count).
+    y0 = (u(a), u'(a)); b < a sweeps backward.  nu, a, b, u(a) and u'(a)
+    are scalars or 1-D arrays of one length, one entry a row (row_count).
 
     The rows follow quad_log's contract.  potential(x, rows) maps the
     abscissae x, shape (open rows, points), of the rows whose indices are
@@ -524,13 +530,13 @@ def magnus_dense(potential, nu, span, y0, tol, read):
     units of max|v| and max|v'|, and 0 at its rounding floor
     4 eps max|v| / (h max|v'|).
 
-    Returns (x, v, interpolant) on a row's accepted nodes x, x[0] = a and
-    x[-1] = b: that triple for a scalar call and a list of them, one a row,
-    for a batch.  A tol below 10 eps raises ToleranceFloorError (solver
-    "ODE"); the failures are magnus_prufer's, naming the row's nu.
+    Returns a list of (x, v, interpolant), one a row, on the row's accepted
+    nodes x, x[0] = a and x[-1] = b.  A tol below 10 eps raises
+    ToleranceFloorError (solver "ODE"); the failures are magnus_prufer's,
+    naming the row's nu.
     """
-    scalar, nu, a, b, m, states = _state_rows("magnus_dense", potential, nu,
-                                              span, y0, tol)
+    nu, a, b, m, states = _state_rows("magnus_dense", potential, nu, span,
+                                      y0, tol)
 
     def sweep(m, rows):
         y0, log, y = states(m, rows)
@@ -564,8 +570,7 @@ def magnus_dense(potential, nu, span, y0, tol, read):
         return (np.where(estimate > floor, estimate, 0.0),
                 [(x[j], data[0][j], fine.row(j)) for j in range(rows.size)])
 
-    dense = _richardson(sweep, m, tol, nu, b, check)
-    return dense[0] if scalar else dense
+    return _richardson(sweep, m, tol, nu, b, check)
 
 
 def magnus_log_derivative(potential, nu, span, y0, tol):
@@ -573,19 +578,18 @@ def magnus_log_derivative(potential, nu, span, y0, tol):
     y0 = (u(a), u'(a)); b < a sweeps backward.
 
     magnus_dense's sweeps, rows and contract with the node estimate taken
-    at b alone: a float for a scalar call, an array for a batch.  The floor
-    and the failures are magnus_dense's.
+    at b alone, an array, one entry a row.  The floor and the failures are
+    magnus_dense's.
     """
-    scalar, nu, a, b, m, states = _state_rows(
-        "magnus_log_derivative", potential, nu, span, y0, tol)
+    nu, a, b, m, states = _state_rows("magnus_log_derivative", potential, nu,
+                                      span, y0, tol)
 
     def sweep(m, rows):
         _, log, y = states(m, rows)
         return _normalized(log[:, -1:], y[..., -1:])
 
-    ends = _richardson(sweep, m, tol, nu, b)
-    out = np.array([y[1, 0] / y[0, 0] for _, y in ends])
-    return float(out[0]) if scalar else out
+    return np.array([y[1, 0] / y[0, 0]
+                     for _, y in _richardson(sweep, m, tol, nu, b)])
 
 
 def _horner(c, t):
@@ -731,12 +735,13 @@ def _log_quad_level(fn_log, a, b, rows, panels):
 
 
 def quad_log(fn_log, a, b, tol):
-    """Integrals over [a, b], 0 <= a < b, of f = sign * exp(log), for one
-    interval or a batch of them.
+    """Integrals over [a, b], 0 <= a < b < inf, of f = sign * exp(log), one
+    a row.
 
     a and b are scalars or 1-D arrays of one length m >= 1, against which
     a scalar broadcasts (row_count; any other shapes raise
-    DomainValidationError naming them); the rows are the intervals.
+    DomainValidationError naming them); the rows are the intervals, and an
+    all-scalar call is one row.
     fn_log(x, rows) maps the nodes x, shape (open rows, nodes), of the rows
     whose indices are `rows` to (signs, logs) of x's shape; a sign of 0 or
     a log of -inf is an exact zero, and signs may be any value that
@@ -754,23 +759,23 @@ def quad_log(fn_log, a, b, tol):
     |f|, in log space throughout (for a non-negative f: relative error
     tol).
 
-    Returns (sign, log|integral|, log error estimate), as a scalar triple
-    for scalar a and b and as three arrays otherwise; a zero integral is
-    (0, -inf, log error estimate).  A row past the last level raises
-    QuadratureError naming its interval, whose estimate is the (sign,
-    log|integral|) pair of the finest level and whose bound is the log of
-    its error estimate; an integrand that is NaN or +inf at a node raises
-    QuadratureError naming the node and its row's interval.  A tol below
+    Returns (sign, log|integral|, log error estimate) as three arrays, one
+    entry a row; a zero integral is (0, -inf, log error estimate).  A row
+    past the last level raises QuadratureError naming its interval, whose
+    estimate is the (sign, log|integral|) pair of the finest level and
+    whose bound is the log of its error estimate; an integrand that is NaN
+    or +inf at a node raises QuadratureError naming the node and its row's
+    interval.  A tol below
     machine epsilon, which asks two levels to agree bit for bit, raises
     ToleranceFloorError (carrying tol and that floor) up front.
     """
     n = row_count("quad_log", {"a": a, "b": b})
-    a, b = (np.full(n or 1, v, dtype=float) for v in (a, b))
-    bad = ~((0 <= a) & (a < b))
+    a, b = (np.full(n, v, dtype=float) for v in (a, b))
+    bad = ~((0 <= a) & (a < b) & (b < math.inf))
     if np.any(bad):
         k = int(np.argmax(bad))
         raise DomainValidationError(
-            f"quad_log needs 0 <= a < b, got [{a[k]}, {b[k]}]")
+            f"quad_log needs 0 <= a < b < inf, got [{a[k]}, {b[k]}]")
     if not tol >= _QUAD_TOL_FLOOR:
         raise ToleranceFloorError(
             f"quad_log needs tol >= {_QUAD_TOL_FLOOR:.3g}, got tol={tol}",
@@ -811,8 +816,6 @@ def quad_log(fn_log, a, b, tol):
             val = tuple(v[~done] for v in val)
         prev = val
         panels *= 2
-    if n is None:
-        return int(sign[0]), float(log_val[0]), float(log_err[0])
     return sign, log_val, log_err
 
 

@@ -75,7 +75,7 @@ def test_criterion_03_sandwich_bounds(p_default):
         for mu in (0.5, 1.0, 2.0):
             s0 = r_mu(p_default, mu)
             k1 = solve_k1(p_default, i, mu, s0 + 3.0)
-            k2 = solve_k2(p_default, i, mu, s0 + 3.0)
+            k2, = solve_k2(p_default, i, mu, s0 + 3.0)
             ss = np.linspace(s0, s0 + 3.0, 151)
             kv = tip_states(k1, ss)[0]
             assert np.all(kv <= np.exp((rho + 1) * (ss - s0)) * (1 + 1e-10))

@@ -30,21 +30,30 @@ FAST_DEMO = [
 ]
 
 
-def test_cli_import_loads_no_scipy_integrate_or_interpolate():
+def test_cli_import_loads_no_scipy_integrate_or_interpolate(tmp_path):
     # a CLI process imports only what it runs: the one linear propagator is
     # numpy, so neither scipy.integrate nor scipy.interpolate is loaded, the
     # WKB trial inverts a phase table, so scipy.optimize is not either, and
-    # Gamma comes from math, so scipy.special waits for a Bessel function
+    # Gamma comes from math, so scipy.special waits for a Bessel function;
+    # the same process then runs the default demo, which exits 0 and loads
+    # none of the four either
     src = os.path.dirname(os.path.dirname(hornlab.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    loaded = subprocess.run(
+    out = subprocess.run(
         [sys.executable, "-c",
-         "import sys, hornlab.cli; print(sorted(m for m in sys.modules "
-         "if m.startswith(('scipy.integrate', 'scipy.interpolate', "
-         "'scipy.optimize', 'scipy.special'))))"],
+         "import sys, hornlab.cli\n"
+         "def loaded():\n"
+         "    return sorted(m for m in sys.modules if m.startswith(("
+         "'scipy.integrate', 'scipy.interpolate', 'scipy.optimize', "
+         "'scipy.special')))\n"
+         "print(loaded())\n"
+         "code = hornlab.cli.main(['demo-counterexample', '--out', "
+         "sys.argv[1]])\n"
+         "print(code, loaded())", str(tmp_path)],
         env=env, capture_output=True, text=True, check=True).stdout
-    assert loaded.strip() == "[]"
+    first, *_, last = out.splitlines()
+    assert (first, last) == ("[]", "0 []")
 
 
 def test_load_config_defaults_and_overrides(tmp_path):

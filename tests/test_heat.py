@@ -50,7 +50,8 @@ def test_prufer_angle_counts_eigenvalues_exactly(pairs8_rout2, p_default):
     # it below nu_1 and midway between neighbours
     nus = [q.nu for q in pairs8_rout2]
     trials = [0.5 * nus[0]] + [0.5 * (a + b) for a, b in zip(nus, nus[1:])]
-    thetas = [heat._shoot(p_default, 1, nu, 2.0, 1e-12)[0] for nu in trials]
+    thetas = [heat._shoot_rows(p_default, 1, nu, 2.0, 1e-12)[0][0]
+              for nu in trials]
     assert [math.floor(th / math.pi) for th in thetas] == list(range(8))
     assert all(b > a for a, b in zip(thetas, thetas[1:]))
 
@@ -79,7 +80,7 @@ def test_shot_step_sequence_is_pinned(p_default, monkeypatch, nu, theta,
         q_factory(*args), "anchor"))
     monkeypatch.setattr(heat, "liouville_potential",
                         recorded(liouville_potential, "shot"))
-    got, _ = heat._shoot(p_default, 1, nu, 1.8, 1e-12)
+    (got,), _ = heat._shoot_rows(p_default, 1, nu, 1.8, 1e-12)
     assert got == pytest.approx(theta, rel=0.0, abs=1e-13)
     assert sizes == {"anchor": anchor_meshes, "shot": meshes}
 
@@ -91,8 +92,10 @@ def test_shot_step_sequence_is_pinned(p_default, monkeypatch, nu, theta,
 def test_shot_bits_are_pinned(p_default, nu, theta, slope):
     # a shot's angle and its nu-slope at r_out = 1.8, bit for bit: the
     # slope reads the nodes of the sweep that accepts the angle
-    assert heat._shoot(p_default, 1, nu, 1.8, 1e-12) == (
-        float.fromhex(theta), float.fromhex(slope))
+    (got_theta,), (got_slope,) = heat._shoot_rows(p_default, 1, nu, 1.8,
+                                                  1e-12)
+    assert (got_theta, got_slope) == (float.fromhex(theta),
+                                      float.fromhex(slope))
 
 
 def test_outer_pass_mesh_sequence_is_pinned(p_default, monkeypatch):
@@ -198,8 +201,9 @@ def test_barrier_point_eigenpairs(i):
     assert [q.zeros for q in pairs] == [0, 1, 2]
     assert max(q.norm_defect for q in pairs) <= 1e-12
     for j, q in enumerate(pairs):
-        below, above = (math.floor(heat._shoot(p, i, q.nu * f, 1.5, 1e-12)[0]
-                                   / math.pi) for f in (1 - 1e-9, 1 + 1e-9))
+        below, above = (
+            math.floor(heat._shoot_rows(p, i, q.nu * f, 1.5, 1e-12)[0][0]
+                       / math.pi) for f in (1 - 1e-9, 1 + 1e-9))
         assert (below, above) == (j, j + 1)
 
 
@@ -208,10 +212,10 @@ def test_shot_near_nu_30_counts_and_converges(p_default):
     # a warning, counts 29 eigenvalues below nu and agrees with a looser shot
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        theta, _ = heat._shoot(p_default, 2, 2896.0, 2.0, 1e-12)
+        (theta,), _ = heat._shoot_rows(p_default, 2, 2896.0, 2.0, 1e-12)
     assert math.floor(theta / math.pi) == 29
-    assert theta == pytest.approx(
-        heat._shoot(p_default, 2, 2896.0, 2.0, 1e-11)[0], rel=0.0, abs=1e-10)
+    (loose,), _ = heat._shoot_rows(p_default, 2, 2896.0, 2.0, 1e-11)
+    assert theta == pytest.approx(loose, rel=0.0, abs=1e-10)
 
 
 def test_shot_past_the_mesh_cap_names_nu(p_default, monkeypatch):
@@ -221,7 +225,7 @@ def test_shot_past_the_mesh_cap_names_nu(p_default, monkeypatch):
     with pytest.raises(IntegrationError,
                        match=r"nu = 2896\.0 reached 512 intervals with "
                              r"Richardson estimate"):
-        heat._shoot(p_default, 2, 2896.0, 2.0, 1e-12)
+        heat._shoot_rows(p_default, 2, 2896.0, 2.0, 1e-12)
 
 
 # _wkb_trials as recorded from its 33-point octave tables, the first trials
@@ -445,10 +449,10 @@ def test_shot_slope_matches_a_central_difference(p_default):
     # the slope drops the anchor's own nu-dependence, a tip part far below
     # the 1e-7 asked here (measured: 3.5e-9 at most); nu = 0.5 has k = 1
     for nu in (0.5, 13.0, 60.0, 300.0):
-        _, slope = heat._shoot(p_default, 1, nu, 1.8, 1e-12)
+        _, (slope,) = heat._shoot_rows(p_default, 1, nu, 1.8, 1e-12)
         d = 1e-4 * nu
-        up, down = (heat._shoot(p_default, 1, x, 1.8, 1e-12)[0]
-                    for x in (nu + d, nu - d))
+        (up,), _ = heat._shoot_rows(p_default, 1, nu + d, 1.8, 1e-12)
+        (down,), _ = heat._shoot_rows(p_default, 1, nu - d, 1.8, 1e-12)
         assert slope == pytest.approx((up - down) / (2 * d), rel=1e-7)
 
 
@@ -456,11 +460,19 @@ def test_tip_share_newton_drops_is_small(p_default):
     # the shot's slope leaves out int_0^r_sw u^2; at the eigenpairs of
     # r_out = 1.8 that tip part of the norm, next to the rest, is at most
     # 2.0e-9 (measured), so Newton's steps barely feel it
-    for q in dirichlet_eigenvalues(p_default, 1, 1.8, 8):
+    pairs = dirichlet_eigenvalues(p_default, 1, 1.8, 8)
+    for q in pairs:
         r_sw = tip_window_top(p_default, q.nu)
-        share = math.exp(modes.log_norm_sq(q.g, q.g.r_min, r_sw, 1e-12)
-                         - modes.log_norm_sq(q.g, r_sw, 1.8, 1e-12))
+        (tip,) = modes.log_norm_sq([q.g], q.g.r_min, r_sw, 1e-12)
+        (rest,) = modes.log_norm_sq([q.g], r_sw, 1.8, 1e-12)
+        share = math.exp(tip - rest)
         assert share <= 1e-8
+    # a list of profiles is one row a profile under scalar bounds too: each
+    # normalized pair keeps its whole norm above the largest r_min
+    norms = modes.log_norm_sq([q.g for q in pairs],
+                              max(q.g.r_min for q in pairs), 1.8, 1e-12)
+    assert norms.shape == (8,)
+    assert np.max(np.abs(norms)) <= 1e-10
 
 
 def test_eigensearch_rounds_and_row_shots_are_pinned(p_default, monkeypatch):
@@ -615,7 +627,7 @@ def test_radial_evaluators_take_radii_of_any_shape(p_default, profile_i1_mu1,
     for state in (bessel_state(p_default, 2.0, (0.01, 1.0)),
                   constant_state(p_default, (0.01, 1.0))):
         _assert_any_shape(state.terms[0][0], 0.01, 1.0)
-    k2 = solve_k2(p_default, 1, 1.0, 12.0)
+    k2, = solve_k2(p_default, 1, 1.0, 12.0)
     _assert_any_shape(k2.log_eval, *k2.span)
 
 
@@ -650,12 +662,15 @@ def test_eigensearch_validates_input(p_default):
 @pytest.mark.parametrize("call, name", [
     (lambda p: dirichlet_eigenvalues(p, 1, 2.0, 2.5), "count"),
     (lambda p: dirichlet_eigenvalues(p, 1, math.inf, 2), "r_out"),
-    (lambda p: profile_from_k2(p, 1, 1.0, 0.02, n_grid=20.5), "n_grid")],
-    ids=["count", "r_out", "n_grid"])
+    (lambda p: profile_from_k2(p, 1, 1.0, 0.02, n_grid=20.5), "n_grid"),
+    (lambda p: heat.taylor_radius([0.0] * 8), r"^taylor_radius .* kmax = 7$")],
+    ids=["count", "r_out", "n_grid", "kmax"])
 def test_eigensearch_refuses_arguments_it_cannot_use(p_default, monkeypatch,
                                                      call, name):
     # a count or n_grid that is not integral and an r_out that is not
-    # finite are refused by name before any work, so no warning escapes
+    # finite are refused by name before any work, so no warning escapes;
+    # so are fewer than 9 Taylor coefficients, by taylor_radius, which the
+    # CLI calls on its own
     def no_work(*args, **kwargs):
         raise AssertionError("work before the arguments were checked")
 

@@ -117,7 +117,7 @@ def test_k1_constant_coefficient_limit(p_default):
     q.slope = np.zeros_like
     k = TipBranch((s0, s0 + 2.0), rho,
                   _tip_dense(lambda rows: q, rho, (s0, s0 + 2.0), (1.0, 1.0),
-                             1e-12)[2])
+                             1e-12)[0][2])
     for ds in (0.0, 0.05, 0.5, 1.0, 2.0):
         exact = [math.cosh(rho * ds) + math.sinh(rho * ds) / rho,
                  rho * math.sinh(rho * ds) + math.cosh(rho * ds)]
@@ -134,7 +134,7 @@ def test_k2_is_solution(p_default):
     from hornlab.modes import _q_factory
     q = _q_factory(p_default, 1, 1.0)
     s0 = r_mu(p_default, 1.0)
-    k2 = solve_k2(p_default, 1, 1.0, s0 + 3.0)
+    k2, = solve_k2(p_default, 1, 1.0, s0 + 3.0)
     for s in np.linspace(s0 + 0.3, s0 + 2.7, 7):
         f = lambda t: tip_states(k2, t)[0]
         res = second_derivative_5pt(f, s, 1e-3) - q(s) * f(s)
@@ -144,7 +144,7 @@ def test_k2_is_solution(p_default):
 def test_k1_k2_wronskian_constant(p_default):
     s0 = r_mu(p_default, 1.0)
     k1 = solve_k1(p_default, 1, 1.0, s0 + 3.0)
-    k2 = solve_k2(p_default, 1, 1.0, s0 + 3.0)
+    k2, = solve_k2(p_default, 1, 1.0, s0 + 3.0)
     vals = []
     for s in np.linspace(s0, s0 + 3.0, 23):
         a, ap = tip_states(k1, s)
@@ -159,7 +159,7 @@ def test_k2_two_sided_bounds(p_default):
     # rates (-rho-2) and (-rho+1) bracket log k2 at r_mu + 2
     rho = tip_rate(p_default, 1)
     s0 = r_mu(p_default, 1.0)
-    k2 = solve_k2(p_default, 1, 1.0, s0 + 3.0)
+    k2, = solve_k2(p_default, 1, 1.0, s0 + 3.0)
     v = tip_states(k2, s0 + 2.0)[0]
     lo = math.exp((-rho - 2.0) * 2.0) / (2.0 * (rho ** 2 + rho))
     hi = (rho / 2.0) * math.exp((-rho + 1.0) * 2.0)
@@ -170,7 +170,7 @@ def test_k2_anchor_box(p_default):
     # k2(r_mu)^2 + k2'(r_mu)^2 is pinned inside an explicit positive box
     rho = tip_rate(p_default, 1)
     s0 = r_mu(p_default, 1.0)
-    k2 = solve_k2(p_default, 1, 1.0, s0 + 3.0)
+    k2, = solve_k2(p_default, 1, 1.0, s0 + 3.0)
     L, kappa = k2.log_eval(s0)
     v = math.exp(L)
     vp = kappa * v
@@ -185,36 +185,31 @@ def test_k2_long_span(p_default):
     # rho * span = 340: k1 would overflow there, the log-space Riccati
     # branch does not, and it agrees with a short solve where they overlap
     s0 = r_mu(p_default, 1.0)
-    long = solve_k2(p_default, 1, 1.0, s0 + 60.0)
+    long, = solve_k2(p_default, 1, 1.0, s0 + 60.0)
     assert tip_rate(p_default, 1) * 60.0 > 280.0
     assert long.tail_rel_uncertainty <= 1e-12
-    short = solve_k2(p_default, 1, 1.0, s0 + 10.0)
+    short, = solve_k2(p_default, 1, 1.0, s0 + 10.0)
     ss = np.linspace(s0, s0 + 10.0, 41)
     assert np.max(np.abs(long.log_eval(ss)[0] - short.log_eval(ss)[0])) <= 1e-10
     assert long.log_eval(s0 + 60.0)[0] < -330.0
 
 
 def test_k2_rows_equal_single_calls(p_default):
-    # solve_k2 and profile_from_k2 on arrays of mu build every row in one
-    # batched pass; each branch and profile is its scalar call's bit for
-    # bit, on spans that start and end at different s
+    # solve_k2 on arrays of mu builds every row in one batched pass; each
+    # branch is its all-scalar call's one row bit for bit, on spans that
+    # start and end at different s
     mus = [100.0, 1.0, 600.0, 10.0]
     tops = [r_mu(p_default, mu) + span for mu, span in
             zip(mus, (3.0, 10.0, 5.0, 2.0))]
     for k2, mu, top in zip(solve_k2(p_default, 2, mus, tops), mus, tops):
-        one = solve_k2(p_default, 2, mu, top)
+        single = solve_k2(p_default, 2, mu, top)
+        assert len(single) == 1
+        one = single[0]
         assert k2.span == one.span
         assert k2.tail_rel_uncertainty == one.tail_rel_uncertainty
         ss = np.linspace(*one.span, 33)
         assert np.concatenate(k2.log_eval(ss)).tobytes() == \
             np.concatenate(one.log_eval(ss)).tobytes()
-    r_min = [0.5 * tip_window_top(p_default, mu) for mu in mus]
-    for prof, mu, r in zip(profile_from_k2(p_default, 1, mus, r_min, 24),
-                           mus, r_min):
-        one = profile_from_k2(p_default, 1, mu, r, 24)
-        assert prof.mu == mu and prof.s_grid.tobytes() == one.s_grid.tobytes()
-        assert np.concatenate([prof.log_mag, prof.log_deriv]).tobytes() == \
-            np.concatenate([one.log_mag, one.log_deriv]).tobytes()
 
 
 @pytest.mark.parametrize("i", [1, 2])
@@ -224,7 +219,7 @@ def test_k2_kappa_comparison_interval(p_default, i, mu):
     # log-derivative in [-sqrt(rho^2 + 1), -rho]
     rho = tip_rate(p_default, i)
     s0 = r_mu(p_default, mu)
-    k2 = solve_k2(p_default, i, mu, s0 + 10.0)
+    k2, = solve_k2(p_default, i, mu, s0 + 10.0)
     kappa = k2.log_eval(np.linspace(*k2.span, 1601))[1]
     slack = 1e-12 * rho
     assert np.all(kappa <= -rho + slack)
@@ -244,7 +239,7 @@ def test_k2_kappa_comparison_interval(p_default, i, mu):
 def test_k2_matches_reduction_of_order(p_default, i, mu, span, offsets,
                                        log_k2):
     s0 = r_mu(p_default, mu)
-    k2 = solve_k2(p_default, i, mu, s0 + span)
+    k2, = solve_k2(p_default, i, mu, s0 + span)
     got = k2.log_eval(s0 + np.array(offsets))[0]
     assert np.max(np.abs(got - np.array(log_k2))) <= 1e-10
 
@@ -290,7 +285,7 @@ def test_mu0_oracle_matches_mpmath_besselk():
 @pytest.mark.parametrize("point, i", MU0_CASES, ids=MU0_IDS)
 def test_tip_anchor_matches_the_mu0_closed_form(point, i):
     p, s0, _ = _mu0_span(point, i)
-    r_top, dlog = tip_anchor(p, i, 0.0, 1e-12)
+    (r_top,), (dlog,) = tip_anchor(p, i, 0.0, 1e-12)
     kappa = oracle_tip_branch_mu0(p, i, np.array([s0]))[1][0]
     assert dlog == pytest.approx(modes._tip_log(p, s0, r_top, 0.0, kappa)[1],
                                  rel=MU0_TOL)
@@ -301,7 +296,8 @@ def test_k2_matches_the_mu0_closed_form(point, i):
     # log k2 in absolute terms, with the Wronskian scale, and kappa relative
     p, s0, s_max = _mu0_span(point, i)
     ss = np.linspace(s0, s_max, 401)
-    log_k, kappa = solve_k2(p, i, 0.0, s_max).log_eval(ss)
+    k2, = solve_k2(p, i, 0.0, s_max)
+    log_k, kappa = k2.log_eval(ss)
     exact_log_k, exact_kappa = oracle_tip_branch_mu0(p, i, ss)
     assert np.max(np.abs(log_k - exact_log_k)) <= MU0_TOL
     assert np.max(np.abs(kappa / exact_kappa - 1.0)) <= MU0_TOL
@@ -358,7 +354,7 @@ def test_range_checks_share_one_rule(evaluator, end, profile_i1_mu1,
         k1 = solve_k1(p_default, 1, 1.0, r_mu(p_default, 1.0) + 3.0)
         fn, (lo, hi) = (lambda s: tip_states(k1, s)), k1.span
     else:
-        k2 = solve_k2(p_default, 1, 1.0, r_mu(p_default, 1.0) + 3.0)
+        k2, = solve_k2(p_default, 1, 1.0, r_mu(p_default, 1.0) + 3.0)
         fn, (lo, hi) = k2.log_eval, k2.span
     bound, out = (lo, -1.0) if end == "lo" else (hi, 1.0)
     mid = 0.5 * (lo + hi)
@@ -500,7 +496,7 @@ def test_tip_anchor_matches_profile_slope(p_default, i, mu):
     # the shots' endpoint-only anchor and the dense decaying branch are two
     # routes to the same d log f/dr at the tip window top
     top = tip_window_top(p_default, mu)
-    r_top, dlog = tip_anchor(p_default, i, mu, 1e-12)
+    (r_top,), (dlog,) = tip_anchor(p_default, i, mu, 1e-12)
     prof = profile_from_k2(p_default, i, mu, 0.5 * top, n_grid=16, tol=1e-12)
     assert r_top == prof.r_max == top
     assert dlog == pytest.approx(prof.log_deriv[0], rel=1e-11)
@@ -527,8 +523,8 @@ def test_tip_anchor_step_sequence_is_pinned(p_default, monkeypatch, mu, r_top,
         return call
 
     monkeypatch.setattr(modes, "_q_factory", recorded)
-    assert tip_anchor(p_default, 1, mu, 1e-12) == (float.fromhex(r_top),
-                                                   float.fromhex(dlog))
+    (got_r,), (got_dlog,) = tip_anchor(p_default, 1, mu, 1e-12)
+    assert (got_r, got_dlog) == (float.fromhex(r_top), float.fromhex(dlog))
     assert sizes == meshes
 
 
@@ -536,10 +532,14 @@ def test_tip_anchor_step_sequence_is_pinned(p_default, monkeypatch, mu, r_top,
 def test_tip_anchor_batch_rows_equal_single_calls(p_default, monkeypatch, i):
     # the anchors of an array of mu, in any order, come from one batched
     # sweep, a column of mu through _q_factory, each row's (r_top, d log
-    # f/dr) bit for bit its scalar call's; mu = 0 and 0.5 sit on the
-    # r_mu = sqrt(A) branch, the rest above it
+    # f/dr) bit for bit its all-scalar call's one row; mu = 0 and 0.5 sit
+    # on the r_mu = sqrt(A) branch, the rest above it
     mus = [50.0, 0.0, 300.0, 0.5, 12.9, 1000.0]
-    single = [tip_anchor(p_default, i, mu, 1e-12) for mu in mus]
+    single = []
+    for mu in mus:
+        r_top, dlog = tip_anchor(p_default, i, mu, 1e-12)
+        assert r_top.shape == dlog.shape == (1,)
+        single.append((r_top[0], dlog[0]))
     calls = []
     q_factory = modes._q_factory
 

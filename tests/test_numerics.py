@@ -1,5 +1,6 @@
 import gc
 import math
+import re
 import warnings
 import weakref
 
@@ -147,7 +148,8 @@ def _dense(potential, nu, span, y0, tol, log=False):
         u, du = np.exp(logs) * y
         return u, du, level * u, level * du
 
-    return magnus_dense(potential, nu, span, y0, tol, read)
+    row, = magnus_dense(potential, nu, span, y0, tol, read)
+    return row
 
 
 def test_ode_exponential():
@@ -190,8 +192,8 @@ def test_ode_endpoint_only_matches_dense():
     # the end reduction and the dense pass's last node give the same
     # log-derivative, both within 100 tol of the exact one
     tol = 1e-10
-    end = magnus_log_derivative(_constant(0.0), 1.0, (0.0, 10.0), (1.0, 0.0),
-                                tol)
+    end, = magnus_log_derivative(_constant(0.0), 1.0, (0.0, 10.0),
+                                 (1.0, 0.0), tol)
     u, du = _dense(_constant(0.0), 1.0, (0.0, 10.0), (1.0, 0.0), tol)[2](10.0)
     assert end == pytest.approx(-math.tan(10.0), rel=100 * tol)
     assert du / u == pytest.approx(-math.tan(10.0), rel=100 * tol)
@@ -314,8 +316,8 @@ def test_ode_field_calls_repeat_exactly():
             sizes.append(x.size)
             return np.sin(x)
 
-        end = magnus_log_derivative(potential, 4.0, (0.0, 3.0), (1.0, 0.0),
-                                    1e-12)
+        end, = magnus_log_derivative(potential, 4.0, (0.0, 3.0), (1.0, 0.0),
+                                     1e-12)
         runs.append((end.hex(), tuple(sizes)))
     assert len(set(runs)) == 1
 
@@ -346,8 +348,8 @@ def test_ode_field_exception_ends_the_solve(dense):
 def test_ode_endpoint_only_backward_span():
     # a decreasing span, as tip_anchor sweeps from s_far down to s_lo
     tol = 1e-10
-    end = magnus_log_derivative(_constant(0.0), 1.0, (10.0, 0.5),
-                                (math.cos(10.0), -math.sin(10.0)), tol)
+    end, = magnus_log_derivative(_constant(0.0), 1.0, (10.0, 0.5),
+                                 (math.cos(10.0), -math.sin(10.0)), tol)
     assert end == pytest.approx(-math.tan(0.5), rel=100 * tol)
 
 
@@ -356,8 +358,8 @@ def test_ode_endpoint_only_has_no_stiffness_interrupt():
     # double range: the products are rescaled as they are formed, and the
     # end log-derivative is the rate
     lam = 1e5
-    end = magnus_log_derivative(_constant(lam * lam), 0.0, (0.0, 0.2),
-                                (1.0, lam), 1e-12)
+    end, = magnus_log_derivative(_constant(lam * lam), 0.0, (0.0, 0.2),
+                                 (1.0, lam), 1e-12)
     assert end == pytest.approx(lam, rel=1e-12)
 
 
@@ -388,7 +390,7 @@ def test_ode_dense_keeps_nothing_alive():
     interpolant = _assert_sweeps_keep_nothing_alive(lambda V: magnus_dense(
         V, 1.0, (0.0, 1.0), (1.0, 0.0), 1e-10,
         lambda x, logs, y, rows: (np.exp(logs) * y[0], np.exp(logs) * y[1],
-                            -np.exp(logs) * y[0], -np.exp(logs) * y[1]))[2])
+                            -np.exp(logs) * y[0], -np.exp(logs) * y[1]))[0][2])
     assert interpolant(0.5)[0] == pytest.approx(math.cos(0.5), rel=1e-10)
 
 
@@ -424,6 +426,22 @@ def test_ode_initial_condition_and_span():
         with pytest.raises(DomainValidationError, match="a != b"):
             sweep(_constant(1.0), 0.0, (1.0, 1.0), (2.0, 2.0), 1e-10,
                   *([None] if sweep is magnus_dense else []))
+    # a span or a start that is not finite is refused by name, with the
+    # row's values, before the floor check and before any sweep: it raised
+    # OverflowError, ToleranceFloorError or IntegrationError before
+    for sweep in (magnus_dense, magnus_log_derivative, magnus_prufer):
+        for nu, span, y0, got in (
+                (0.0, (0.0, math.inf), (2.0, 2.0), "0.0, 0.0, inf, 2.0, 2.0"),
+                (0.0, (0.0, math.nan), (2.0, 2.0), "0.0, 0.0, nan, 2.0, 2.0"),
+                (0.0, (0.0, 1.0), (math.nan, 2.0), "0.0, 0.0, 1.0, nan, 2.0"),
+                (np.array([0.0, 1.0]), (0.0, np.array([1.0, -math.inf])),
+                 (2.0, 2.0), "1.0, 0.0, -inf, 2.0, 2.0")):
+            message = (f"{sweep.__name__} needs finite nu, a, b, u(a), "
+                       f"u'(a), got ({got})")
+            with pytest.raises(DomainValidationError,
+                               match=f"^{re.escape(message)}$"):
+                sweep(_constant(1.0), nu, span, y0, 1e-10,
+                      *([None] if sweep is magnus_dense else []))
 
 
 # rows of magnus_dense batches: (nu, a, b, u(a), u'(a), read as log u),
@@ -473,20 +491,24 @@ def _dense_batch(rows, sizes=None):
 
 
 def _dense_single(j):
+    """magnus_dense on row j of _DENSE_ROWS as an all-scalar call, which
+    returns one row."""
     nu, a, b, u0, du0, _ = _DENSE_ROWS[j]
-    return magnus_dense(
+    dense = magnus_dense(
         lambda x, rows: _DENSE_V[j][0](x),
         nu, (a, b), (u0, du0), 1e-10,
         lambda x, logs, y, rows: tuple(
             v[None] for v in _dense_row_read(j, x[0], logs[0], y[:, 0])))
+    assert len(dense) == 1
+    return dense[0]
 
 
 def test_magnus_dense_batch_rows_equal_single_calls():
     # every row of a batch, in any order and with any other rows, gets the
-    # nodes, node values and interpolant of its own scalar call bit for
-    # bit, though the rows differ in span, direction, first mesh, accepted
-    # level and rescaling; the open rows on one mesh share one potential
-    # call, and an accepted row leaves the batch
+    # nodes, node values and interpolant of its own all-scalar call's one
+    # row bit for bit, though the rows differ in span, direction, first
+    # mesh, accepted level and rescaling; the open rows on one mesh share
+    # one potential call, and an accepted row leaves the batch
     single = [_dense_single(j) for j in range(len(_DENSE_ROWS))]
     sizes = []
     batches = [(list(range(5)), _dense_batch(range(5), sizes)),
@@ -514,7 +536,7 @@ def test_magnus_dense_batch_rows_equal_single_calls():
 
 def test_magnus_log_derivative_batch_rows_equal_single_calls():
     # the end reduction keeps the same contract: a batch's entries are the
-    # scalar calls' values bit for bit
+    # all-scalar calls' one rows bit for bit
     rows = [2, 0, 4, 1]
     nu, a, b, u0, du0, _ = (np.array(v) for v in zip(*(_DENSE_ROWS[j]
                                                        for j in rows)))
@@ -526,7 +548,8 @@ def test_magnus_log_derivative_batch_rows_equal_single_calls():
         nu, a, b, u0, du0, _ = _DENSE_ROWS[j]
         want = magnus_log_derivative(lambda x, r: _DENSE_V[j][0](x), nu,
                                      (a, b), (u0, du0), 1e-10)
-        assert end.hex() == want.hex()
+        assert want.shape == (1,)
+        assert end.hex() == want[0].hex()
 
 
 # rows of magnus_prufer batches: _DENSE_ROWS, all forward, row 2 on
@@ -551,9 +574,9 @@ def _prufer_batch(rows, sizes=None):
 
 def test_magnus_prufer_batch_rows_equal_single_calls():
     # every row of a batch, in any order and with any other rows, gets the
-    # angle and the slope of its own scalar call bit for bit, though the
-    # rows differ in nu, span, first mesh, accepted mesh and rescaling: the
-    # slope reads the row's own accepting sweep
+    # angle and the slope of its own all-scalar call's one row bit for
+    # bit, though the rows differ in nu, span, first mesh, accepted mesh
+    # and rescaling: the slope reads the row's own accepting sweep
     single = []
     for j, (nu, a, b, u0, du0) in enumerate(_PRUFER_ROWS):
         meshes = []
@@ -562,8 +585,9 @@ def test_magnus_prufer_batch_rows_equal_single_calls():
             meshes.append(x.shape[1] // 2)
             return _DENSE_V[j][0](x)
 
-        single.append((magnus_prufer(potential, nu, (a, b), (u0, du0),
-                                     1e-10), meshes[-1]))
+        theta, slope = magnus_prufer(potential, nu, (a, b), (u0, du0), 1e-10)
+        assert theta.shape == slope.shape == (1,)
+        single.append(((theta[0], slope[0]), meshes[-1]))
     # accepted on four different meshes; row 3's u grows by e^800
     assert [mesh for _, mesh in single] == [256, 512, 256, 2048, 1024]
     sizes = []
@@ -597,10 +621,8 @@ def test_magnus_prufer_batch_floor_names_the_largest_scale():
 @pytest.mark.parametrize("call, shapes", [
     (lambda p: solve_k2(p, 1, np.array([1.0]), np.array([5.0, 6.0])),
      ["mu (1,)", "s_max (2,)"]),
-    (lambda p: profile_from_k2(p, 1, np.array([1.0, 2.0]), np.full(3, 0.02),
-                               20), ["mu (2,)", "r_min (3,)"]),
-    (lambda p: profile_from_k2(p, 1, np.array([1.0, 2.0]), np.array([0.02]),
-                               20), ["mu (2,)", "r_min (1,)"]),
+    (lambda p: profile_from_k2(p, 1, np.array([1.0, 2.0]), 0.02, 20),
+     ["profile_from_k2 takes one mu and one r_min", "mu (2,)", "r_min ()"]),
     (lambda p: magnus_dense(_constant(0.0), np.array([1.0, 2.0]),
                             (np.zeros(3), np.ones(3)), (1.0, 0.0), 1e-10,
                             None), ["nu (2,)", "a (3,)", "b (3,)"]),
@@ -616,13 +638,14 @@ def test_magnus_prufer_batch_floor_names_the_largest_scale():
                              (0.0, np.ones(3)), (1.0, 0.0), 1e-10),
      ["nu (2,)", "b (3,)"]),
     (lambda p: tip_anchor(p, 1, np.ones((2, 2)), 1e-12), ["mu (2, 2)"])],
-    ids=["k2-1-2", "profile-2-3", "profile-2-1", "dense-2-3",
+    ids=["k2-1-2", "profile-array", "dense-2-3",
          "end-2-3", "dense-2d", "end-empty", "angle-2-3", "anchor-2d"])
 def test_rows_of_unequal_length_are_refused(p_default, call, shapes):
     # the 1-D arguments of a batch share one length of at least 1: a row
     # that one argument lacks is refused, naming every argument's shape,
     # instead of being dropped or failing inside numpy, and so are a 2-D
-    # argument and an empty batch
+    # argument and an empty batch; profile_from_k2 takes one mu and one
+    # r_min only
     with pytest.raises(DomainValidationError) as err:
         call(p_default)
     for shape in shapes:
@@ -658,10 +681,10 @@ def test_magnus_interval_past_the_double_range_carries_its_scale():
     # atan(tanh(10^4) / 10^4), with no RuntimeWarning
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        end = magnus_log_derivative(_constant(1e12), 0.0, (0.0, 2.0),
-                                    (1.0, 0.0), 1e-10)
-        theta, _ = magnus_prufer(_constant(1e8), 1.0, (0.0, 1.0), (0.0, 1.0),
-                                 1e-12)
+        end, = magnus_log_derivative(_constant(1e12), 0.0, (0.0, 2.0),
+                                     (1.0, 0.0), 1e-10)
+        (theta,), _ = magnus_prufer(_constant(1e8), 1.0, (0.0, 1.0),
+                                    (0.0, 1.0), 1e-12)
     assert end == pytest.approx(1e6, rel=1e-12)
     assert theta == pytest.approx(math.atan(1e-4), rel=0.0, abs=1e-12)
 
@@ -700,7 +723,7 @@ def test_magnus_prufer_matches_the_bessel_angle(p_default, nu):
     # the zeros of u in (a, b] plus the angle of (k u(b), u'(b)) mod pi
     a, b = 0.2, 2.0
     k = math.sqrt(nu)
-    theta, _ = magnus_prufer(
+    (theta,), _ = magnus_prufer(
         lambda r, rows: liouville_potential(p_default, 0, r), nu, (a, b),
         oracle_liouville_bessel(p_default.c, nu, a), 1e-12)
     zeros = bessel_zero_count((p_default.c - 1) / 2, k * a, k * b)
@@ -718,8 +741,8 @@ def test_magnus_prufer_slope_in_closed_form(nu):
     # intervals, is accepted, and the slope carries the corrected
     # trapezoid's error of order (k h)^4 there, not tol (measured: 1.5e-8
     # at nu = 100, 3.3e-7 at nu = 900, where k h = 0.94)
-    theta, slope = magnus_prufer(_constant(0.0), nu, (0.0, 2.0), (0.0, 1.0),
-                                 1e-12)
+    (theta,), (slope,) = magnus_prufer(_constant(0.0), nu, (0.0, 2.0),
+                                       (0.0, 1.0), 1e-12)
     assert theta == pytest.approx(2.0 * math.sqrt(nu), rel=1e-13)
     assert slope == pytest.approx(1.0 / math.sqrt(nu), rel=1e-6)
 
@@ -757,8 +780,8 @@ def test_magnus_prufer_fails_loudly(level, message):
 
 def test_quad_log_polynomial_from_zero():
     # a = 0 takes the leading panel [0, first edge]
-    sign, log_val, log_err = quad_log(lambda x, rows: (1.0, 2.0 * np.log(x)),
-                                      0.0, 1.0, 1e-12)
+    (sign,), (log_val,), (log_err,) = quad_log(
+        lambda x, rows: (1.0, 2.0 * np.log(x)), 0.0, 1.0, 1e-12)
     assert sign == 1
     assert log_val == pytest.approx(math.log(1.0 / 3.0), rel=1e-12)
     assert log_err < math.log(1e-12 / 3.0)
@@ -769,7 +792,7 @@ def test_quad_log_gaussian_moment():
     # below exp(-140), and the integrand carries an offset of exp(-900),
     # far below the double range
     c = 3.75
-    sign, log_val, _ = quad_log(
+    (sign,), (log_val,), _ = quad_log(
         lambda s, rows: (1.0, -s * s + c * np.log(s) - 900.0),
         0.0, 12.0, 1e-12)
     assert sign == 1
@@ -780,7 +803,7 @@ def test_quad_log_gaussian_moment():
 def test_quad_log_signed_cancellation():
     # int_0^(10 pi + 1) cos x dx = sin 1, against int |cos x| dx ~ 20.8
     b = 10.0 * math.pi + 1.0
-    sign, log_val, log_err = quad_log(
+    (sign,), (log_val,), (log_err,) = quad_log(
         lambda x, rows: (np.sign(np.cos(x)),
                          np.log(np.abs(np.cos(x))) + 800.0),
         0.0, b, 1e-12)
@@ -788,7 +811,7 @@ def test_quad_log_signed_cancellation():
     assert log_val - 800.0 == pytest.approx(math.log(math.sin(1.0)),
                                             abs=1e-11)
     assert log_err - 800.0 < math.log(1e-12 * 21.0)
-    sign, log_val, _ = quad_log(
+    (sign,), (log_val,), _ = quad_log(
         lambda x, rows: (-np.sign(np.cos(x)), np.log(np.abs(np.cos(x)))),
         0.0, b, 1e-12)
     assert sign == -1
@@ -796,10 +819,11 @@ def test_quad_log_signed_cancellation():
 
 
 def test_quad_log_zero_integrand():
-    assert quad_log(lambda x, rows: (1.0, np.full_like(x, -np.inf)),
-                    0.0, 1.0, 1e-12) == (0, -math.inf, -math.inf)
-    assert quad_log(lambda x, rows: (np.zeros_like(x), np.zeros_like(x)),
-                    0.5, 1.0, 1e-12) == (0, -math.inf, -math.inf)
+    for got in (quad_log(lambda x, rows: (1.0, np.full_like(x, -np.inf)),
+                         0.0, 1.0, 1e-12),
+                quad_log(lambda x, rows: (np.zeros_like(x), np.zeros_like(x)),
+                         0.5, 1.0, 1e-12)):
+        assert [v.tolist() for v in got] == [[0], [-math.inf], [-math.inf]]
 
 
 def test_quad_log_sub_ulp_interval_keeps_its_nodes_inside():
@@ -813,8 +837,8 @@ def test_quad_log_sub_ulp_interval_keeps_its_nodes_inside():
         x, w = _log_quad_nodes(a, b, panels, False)
         assert np.all(w >= 0.0)
         assert np.all((a[0] <= x) & (x <= b[0]))
-    sign, log_val, _ = quad_log(lambda x, rows: (1.0, np.zeros_like(x)),
-                                a[0], b[0], 1e-10)
+    (sign,), (log_val,), _ = quad_log(lambda x, rows: (1.0, np.zeros_like(x)),
+                                      a[0], b[0], 1e-10)
     assert sign == 1
     assert log_val == pytest.approx(math.log(b[0] - a[0]), abs=1e-12)
 
@@ -824,7 +848,7 @@ def test_quad_log_narrow_peak_not_clipped():
     # ~20%.  An evenly spaced probe of [1e-6, 1] steps over the peak, and
     # a shift taken from that probe with the exponent clipped at 50 loses
     # a factor ~exp(34); the node maximum of each level cannot miss it.
-    sign, log_val, _ = quad_log(
+    (sign,), (log_val,), _ = quad_log(
         lambda r, rows: (1.0, 20.0 * np.log(r) - r / 1e-5), 1e-6, 1.0, 1e-12)
     exact = math.lgamma(21.0) + 21.0 * math.log(1e-5)
     assert exact == pytest.approx(-199.43582, abs=1e-5)
@@ -836,6 +860,15 @@ def test_quad_log_rejects_bad_arguments():
     f = lambda x, rows: (1.0, np.zeros_like(x))
     for a, b in ((1.0, 0.5), (1.0, 1.0), (-1.0, 1.0)):
         with pytest.raises(DomainValidationError):
+            quad_log(f, a, b, 1e-8)
+    # an interval that is not finite is refused by name with its row's
+    # values, not left to fail inside the integrand
+    for a, b in ((0.0, math.inf), (0.5, math.nan), (math.nan, 1.0),
+                 (np.array([0.0, 1.0]), np.array([1.0, math.inf]))):
+        with pytest.raises(DomainValidationError,
+                           match=r"^quad_log needs 0 <= a < b < inf, got "
+                                 r"\[(0\.0, inf|0\.5, nan|nan, 1\.0|1\.0, "
+                                 r"inf)\]$"):
             quad_log(f, a, b, 1e-8)
     for tol in (0.0, -1e-8):
         with pytest.raises(DomainValidationError):
@@ -918,7 +951,8 @@ def test_quad_log_batch_rows_equal_single_calls(monkeypatch, max_nodes,
     for j in range(_BATCH_A.size):
         one = quad_log(lambda x, rows: _batch_row(j, x), _BATCH_A[j],
                        _BATCH_B[j], 1e-12)
-        assert (sign[j], log_val[j], log_err[j]) == one
+        assert [v.shape for v in one] == [(1,)] * 3
+        assert (sign[j], log_val[j], log_err[j]) == tuple(v[0] for v in one)
     assert (sign[4], log_val[4], log_err[4]) == (0, -math.inf, -math.inf)
     assert sign[5] == -1
     assert log_val[5] == pytest.approx(math.log(math.log(2.0)), rel=1e-14)
