@@ -623,6 +623,12 @@ def test_magnus_prufer_batch_floor_names_the_largest_scale():
      ["mu (1,)", "s_max (2,)"]),
     (lambda p: profile_from_k2(p, 1, np.array([1.0, 2.0]), 0.02, 20),
      ["profile_from_k2 takes one mu and one r_min", "mu (2,)", "r_min ()"]),
+    (lambda p: profile_from_k2(p, 1, np.array([1.0, 2.0]), np.full(3, 0.02),
+                               20),
+     ["profile_from_k2 takes one mu and one r_min", "mu (2,)", "r_min (3,)"]),
+    (lambda p: profile_from_k2(p, 1, np.array([1.0, 2.0]), np.array([0.02]),
+                               20),
+     ["profile_from_k2 takes one mu and one r_min", "mu (2,)", "r_min (1,)"]),
     (lambda p: magnus_dense(_constant(0.0), np.array([1.0, 2.0]),
                             (np.zeros(3), np.ones(3)), (1.0, 0.0), 1e-10,
                             None), ["nu (2,)", "a (3,)", "b (3,)"]),
@@ -638,8 +644,9 @@ def test_magnus_prufer_batch_floor_names_the_largest_scale():
                              (0.0, np.ones(3)), (1.0, 0.0), 1e-10),
      ["nu (2,)", "b (3,)"]),
     (lambda p: tip_anchor(p, 1, np.ones((2, 2)), 1e-12), ["mu (2, 2)"])],
-    ids=["k2-1-2", "profile-array", "dense-2-3",
-         "end-2-3", "dense-2d", "end-empty", "angle-2-3", "anchor-2d"])
+    ids=["k2-1-2", "profile-array", "profile-2-3", "profile-2-1",
+         "dense-2-3", "end-2-3", "dense-2d", "end-empty", "angle-2-3",
+         "anchor-2d"])
 def test_rows_of_unequal_length_are_refused(p_default, call, shapes):
     # the 1-D arguments of a batch share one length of at least 1: a row
     # that one argument lacks is refused, naming every argument's shape,
