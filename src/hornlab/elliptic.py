@@ -247,6 +247,11 @@ def elliptic_scan(state, r_grid, tol=1e-10):
     row of one quad_log call, with the boundary form cross-checked at
     every row.
 
+    Every segment is held to tol against its own int |f|, so the running
+    sum up to r is within tol int_{r_lo}^r |f| however many rows the grid
+    has; dividing tol among the rows would only push a fine grid's
+    tolerance into rounding.
+
     A nodal sphere (I = 0) on the grid aborts with the offending radius:
     U is genuinely singular there.
     """
@@ -265,8 +270,7 @@ def elliptic_scan(state, r_grid, tol=1e-10):
         raise ConsistencyError(
             f"nodal sphere: I vanishes at r = {r_grid[np.argmax(nodal)]}")
     segs = np.concatenate([[state.r_lo], r_grid])
-    seg_tol = tol / max(1, r_grid.size)
-    bulk = np.cumsum(_bulk_integrals(state, segs[:-1], segs[1:], seg_tol))
+    bulk = np.cumsum(_bulk_integrals(state, segs[:-1], segs[1:], tol))
     E = _checked_energy(state, lam, r_grid, radial, bulk)[0]
     return FrequencyScan(kind=_KIND_ELLIPTIC, scale=r_grid, I=I, ED=E)
 

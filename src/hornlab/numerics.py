@@ -683,7 +683,7 @@ class SepticHermite:
 # ---------------------------------------------------------------------------
 
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(16)
-_LOG_QUAD_PANELS = 8          # panels of the first level
+_LOG_QUAD_PANELS = 8          # the cap on a first level's panels
 _LOG_QUAD_MAX_PANELS = 1024   # last level: 16384 nodes a row
 # nodes in one integrand call: a level whose open rows hold more is split
 # into calls of whole rows (at least one row a call, 16400 nodes at most),
@@ -747,17 +747,20 @@ def quad_log(fn_log, a, b, tol):
     a log of -inf is an exact zero, and signs may be any value that
     broadcasts against x.  Each level of composite 16-point Gauss-Legendre
     on geometric panels calls fn_log once on the nodes of every row still
-    open, the rows with a = 0, which carry one more panel, in calls of
-    their own (and either kind in several calls of whole rows past 8192
-    nodes); a row has the same nodes, the same panels and the same result
-    whatever else is in the batch.  Each row is summed in units of the
-    largest integrand magnitude among its nodes, so neither the integrand
-    nor the integral has to be representable in linear space.  The panel
-    count doubles from level to level; the difference of two successive
-    levels, one logsumexp_signed per level, is a row's error estimate, and
-    the row closes at the finer level once log err <= log tol + log int
-    |f|, in log space throughout (for a non-negative f: relative error
-    tol).
+    open, in groups of one panel count, the rows with a = 0, which carry
+    one more panel, in calls of their own (and any group in several calls
+    of whole rows past 8192 nodes); a row has the same nodes, the same
+    panels and the same result whatever else is in the batch.  Each row is
+    summed in units of the largest integrand magnitude among its nodes, so
+    neither the integrand nor the integral has to be representable in
+    linear space.  A row's first level has the smallest power of two of
+    panels at or above its span in e-folds, log(b/a), within [1, 8] (8
+    when a = 0), so no first panel is wider than max(1, log(b/a) / 8)
+    e-folds; the panel count doubles from level to level up to 1024.  The
+    difference of two successive levels, one logsumexp_signed per level,
+    is a row's error estimate, and the row closes at the finer level once
+    log err <= log tol + log int |f|, in log space throughout (for a
+    non-negative f: relative error tol).
 
     Returns (sign, log|integral|, log error estimate) as three arrays, one
     entry a row; a zero integral is (0, -inf, log error estimate).  A row
@@ -783,17 +786,29 @@ def quad_log(fn_log, a, b, tol):
     sign = np.zeros(a.size, dtype=int)
     log_val = np.full(a.size, -math.inf)
     log_err = np.full(a.size, -math.inf)
-    # the open rows, those with a = 0 first: every level keeps this order
-    rows = np.argsort(a > 0, kind="stable")
+    # each row's first panel count: the smallest power of two at or above
+    # its span in e-folds, log(b/a), within [1, _LOG_QUAD_PANELS]; a row
+    # with a = 0 (or a b/a past the double range) has an infinite span and
+    # so takes the cap
+    with np.errstate(divide="ignore", over="ignore"):
+        first = np.clip(np.exp2(np.ceil(np.log2(np.log(b / a)))),
+                        1, _LOG_QUAD_PANELS).astype(int)
+    # the open rows, grouped by (a > 0, first panel count), those with
+    # a = 0 first: every level keeps this order and these groups
+    group_key = np.where(a > 0, first, 0)
+    rows = np.argsort(group_key, kind="stable")
     prev = None
-    panels = _LOG_QUAD_PANELS
+    level = 0
     log_tol = math.log(tol)
     while rows.size:
-        leads = np.count_nonzero(a[rows] == 0)
-        per_call = max(1, _LOG_QUAD_MAX_NODES // (16 * (panels + 1)))
-        parts = [_log_quad_level(fn_log, a, b, group[k:k + per_call], panels)
-                 for group in (rows[:leads], rows[leads:])
-                 for k in range(0, group.size, per_call)]
+        parts = []
+        for key in np.unique(group_key[rows]):
+            group = rows[group_key[rows] == key]
+            panels = int(first[group[0]]) << level
+            per_call = max(1, _LOG_QUAD_MAX_NODES // (16 * (panels + 1)))
+            parts += [_log_quad_level(fn_log, a, b, group[k:k + per_call],
+                                      panels)
+                      for k in range(0, group.size, per_call)]
         s, mag, shift = (np.concatenate(v) for v in zip(*parts))
         with np.errstate(divide="ignore"):  # a zero sum has log -inf
             val = np.sign(s), np.log(np.abs(s)) + shift
@@ -802,11 +817,13 @@ def quad_log(fn_log, a, b, tol):
             err = logsumexp_signed([val[0], -prev[0]], [val[1], prev[1]])[1]
             # both sides are -inf when both levels are zero
             done = err <= log_tol + log_abs
-            if panels >= _LOG_QUAD_MAX_PANELS and not np.all(done):
-                k = int(np.argmin(done))
+            failed = ~done & (first[rows] << level >= _LOG_QUAD_MAX_PANELS)
+            if np.any(failed):
+                k = int(np.argmax(failed))
                 raise QuadratureError(
                     f"log-space quadrature on [{a[rows[k]]}, {b[rows[k]]}] "
-                    f"did not reach tolerance {tol} with {panels} panels",
+                    f"did not reach tolerance {tol} with "
+                    f"{first[rows[k]] << level} panels",
                     estimate=(int(val[0][k]), float(val[1][k])),
                     bound=float(err[k]))
             closed = rows[done]
@@ -815,7 +832,7 @@ def quad_log(fn_log, a, b, tol):
             rows = rows[~done]
             val = tuple(v[~done] for v in val)
         prev = val
-        panels *= 2
+        level += 1
     return sign, log_val, log_err
 
 

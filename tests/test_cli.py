@@ -264,7 +264,7 @@ def test_scans_close_their_rows_at_the_recorded_levels(tmp_path,
 
     for module in (elliptic, parabolic):
         monkeypatch.setattr(module, "quad_log", counted)
-    for command, want in (("freq-elliptic", [[5, 24576]]),
+    for command, want in (("freq-elliptic", [[2, 3072]]),
                           ("freq-parabolic", [[2, 9216], [2, 2304]])):
         calls.clear()
         assert main([command, "--out", str(tmp_path)]) == EXIT_OK
@@ -400,15 +400,16 @@ def test_parabolic_overflow_names_the_slice(tmp_path):
 
 def test_quad_tolerance_below_floor_is_config_error(tmp_path):
     # no two levels of the quadrature can agree closer than machine epsilon:
-    # a derived tolerance below it is refused before any level runs, naming
-    # tolerances.quad, the derived tolerance and the floor
+    # a tolerance below it is refused before any level runs, naming
+    # tolerances.quad, the tolerance the scan passes on (tolerances.quad
+    # itself, whatever freq.points) and the floor
     code = main(["freq-elliptic", "--out", str(tmp_path),
                  "--set", "tolerances.quad=1e-300", "--set", "freq.points=8"])
     assert code == EXIT_CONFIG
     error = json.loads((tmp_path / "manifest.json").read_text())["error"]
     assert error == (
         "tolerances.quad=1e-300 is too small: freq-elliptic derived the "
-        f"quadrature tolerance {1e-300 / 8:.3g}, below the quadrature floor "
+        f"quadrature tolerance {1e-300:.3g}, below the quadrature floor "
         f"{np.finfo(float).eps:.3g}")
 
 

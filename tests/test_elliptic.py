@@ -328,6 +328,18 @@ def test_U_growth_mu1_constant_stable(state_i1_mu1, scan_i1_mu1):
     assert d1 <= 1e-9 * C1 and d2 <= 1e-9 * C2
 
 
+def test_fine_scan_holds_each_segment_to_tol(state_i1_mu1):
+    # each segment is held to tol against its own int |f|, so a 2000-row
+    # scan at tol 1e-12 closes (tol divided among its rows sank below the
+    # quadrature's rounding), and at the top radius it shares with the
+    # 64-row scan both give U to ten times tol (measured: 3e-16 apart)
+    fine, coarse = (elliptic_scan(state_i1_mu1,
+                                  np.geomspace(0.04, 0.13, n), tol=1e-12)
+                    for n in (2000, 64))
+    assert fine.scale[-1] == coarse.scale[-1]
+    assert fine.UN[-1] == pytest.approx(coarse.UN[-1], rel=1e-11)
+
+
 def test_I_lower_profile(state_i1_mu1, scan_i1_mu1):
     fit = check_I_lower(state_i1_mu1, scan_i1_mu1)
     rng = np.log(scan_i1_mu1.I).max() - np.log(scan_i1_mu1.I).min()

@@ -319,6 +319,21 @@ def test_profile_matches_the_mu0_closed_form(point, i):
     assert np.max(np.abs(dlog_f / exact_dlog_f - 1.0)) <= MU0_TOL
 
 
+def test_k2_start_uncertainty_is_below_e_minus_30():
+    # the backward start at _s_far leaves a relative kappa error of
+    # (sqrt(rho^2 + 1) - rho) e^(-30 - rho) / (rho + 1) <= e^-30 at the
+    # span's top: at the mu = 0 points and over rho from 1 to 196 (n, eps
+    # and i swept), every branch's tail_rel_uncertainty is at most e^-30
+    points = MU0_POINTS + [(n, N, eps, 0.25) for n, N in ((2, 3.0), (4, 6.0))
+                           for eps in (0.05, 0.25, 1.0, 2.0)]
+    for point in points:
+        p = make_horn_params(*point)
+        for i in (1, 2, 4):
+            mus = [0.0, 1.0, 10.0]
+            for k2 in solve_k2(p, i, mus, [r_mu(p, mu) + 1.0 for mu in mus]):
+                assert 0.0 < k2.tail_rel_uncertainty <= math.exp(-30.0)
+
+
 # ---------------------------------------------------------------------------
 # profiles
 # ---------------------------------------------------------------------------

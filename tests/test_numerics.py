@@ -4,21 +4,23 @@ import re
 import warnings
 import weakref
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy import special
 from scipy.optimize import brentq
 from support import (J0_FIRST_ZERO, bessel_zero_count, oracle_besselj,
                      oracle_bessely, oracle_gamma, oracle_j0_first_zero,
-                     oracle_liouville_bessel)
+                     oracle_liouville_bessel, oracle_tip_branch_mu0)
 
 from hornlab import (DomainValidationError, IntegrationError, QuadratureError,
                      SepticHermite, ToleranceFloorError, bessel_j,
                      check_in_range, fit_line, gamma_real,
                      liouville_potential, magnus_dense,
-                     magnus_log_derivative, magnus_prufer, profile_from_k2,
-                     quad_log, solve_k2)
-from hornlab.modes import tip_anchor
+                     magnus_log_derivative, magnus_prufer,
+                     measure_weight_log, profile_from_k2, quad_log, r_mu,
+                     solve_k2, tip_exponent, tip_rate)
+from hornlab.modes import _tip_log, tip_anchor, tip_window_top
 
 
 # ---------------------------------------------------------------------------
@@ -794,6 +796,15 @@ def test_quad_log_polynomial_from_zero():
     assert log_err < math.log(1e-12 / 3.0)
 
 
+def test_quad_log_span_past_the_double_range():
+    # b/a = 1e310 overflows: the span is read as infinite, the row takes 8
+    # first panels as a = 0 does, and no overflow warning is raised
+    (sign,), (log_val,), _ = quad_log(
+        lambda x, rows: (1.0, 2.0 * np.log(x)), 1e-300, 1e10, 1e-12)
+    assert sign == 1
+    assert log_val == pytest.approx(math.log(1e30 / 3.0), rel=1e-12)
+
+
 def test_quad_log_gaussian_moment():
     # int_0^inf exp(-s^2) s^c ds = Gamma((c+1)/2) / 2; the tail past 12 is
     # below exp(-140), and the integrand carries an offset of exp(-900),
@@ -861,6 +872,48 @@ def test_quad_log_narrow_peak_not_clipped():
     assert exact == pytest.approx(-199.43582, abs=1e-5)
     assert sign == 1
     assert log_val == pytest.approx(exact, abs=1e-10)
+
+
+def test_quad_log_narrow_rows_match_the_mu0_tip_density(p_default):
+    # rows under 8 e-folds wide start below 8 panels: the steep density
+    # f^2 w of the mu = 0 decaying tip branch, f = k2 s^beta at s = r^-eps,
+    # with k2 from the closed form (oracle_tip_branch_mu0), on one row of
+    # 0.6 e-folds below the tip-window top (a first level of 1 panel) and
+    # summed over the 64 segments of the demo's elliptic scan (0.7 e-folds,
+    # then 63 of 0.019), against mpmath's Gauss-Legendre on the same closed
+    # form at 20 digits.  Measured: 1.4e-15 and 6.6e-16 apart; the bound
+    # 1e-13 holds both with a margin of 70 or more.
+    p = p_default
+    q = (p.c - 1.0) / (2.0 * p.eps)
+    rho, beta = tip_rate(p, 1), tip_exponent(p)
+
+    def log_density(x, rows):
+        s = x ** -p.eps
+        log_f = _tip_log(p, s, x, *oracle_tip_branch_mu0(p, 1, s))[0]
+        return 1.0, 2.0 * log_f + measure_weight_log(p, x)
+
+    top = tip_window_top(p, 0.0)
+    grid = np.concatenate([[0.02], np.geomspace(0.04, 0.13, 64)])
+    got = [quad_log(log_density, top * math.exp(-0.6), top, 1e-12)[1][0],
+           np.log(np.sum(np.exp(quad_log(log_density, grid[:-1], grid[1:],
+                                         1e-12)[1])))]
+    with mp.workdps(20):
+        # k2 = sqrt(s / s0) K_q(rho s) / (K_q(rho s0) (1 - kappa(s0))), the
+        # oracle's Wronskian scale at s0 = r_mu
+        s0 = mp.mpf(r_mu(p, 0.0))
+        K0 = mp.besselk(q, rho * s0)
+        kappa0 = 0.5 / s0 - rho * (mp.besselk(q - 1, rho * s0)
+                                   + mp.besselk(q + 1, rho * s0)) / (2 * K0)
+
+        def density(r):
+            s = r ** -mp.mpf(p.eps)
+            k2 = mp.sqrt(s / s0) * mp.besselk(q, rho * s) / (K0 * (1 - kappa0))
+            return (k2 * s ** beta) ** 2 * 2 ** (1 - p.n) * r ** p.c
+
+        exact = [mp.quad(density, ends, method="gauss-legendre")
+                 for ends in ([top * math.exp(-0.6), top], [0.02, 0.04, 0.13])]
+        for log_val, value in zip(got, exact):
+            assert abs(float(mp.exp(log_val) / value) - 1.0) <= 1e-13
 
 
 def test_quad_log_rejects_bad_arguments():
@@ -938,8 +991,9 @@ def _batch_integrand(x, rows):
 
 
 @pytest.mark.parametrize("max_nodes, first_level", [
-    (8192, [[0, 3], [1, 2, 4, 5]]),
-    (300, [[0, 3], [1, 2], [4, 5]]),  # two rows of 9 or 8 panels a call
+    (8192, [[0, 3], [5], [2, 4], [1]]),
+    # two rows of 9 panels or fewer a call, one of 17
+    (300, [[0, 3], [5], [2, 4], [1], [0], [3]]),
 ])
 def test_quad_log_batch_rows_equal_single_calls(monkeypatch, max_nodes,
                                                 first_level):
@@ -963,9 +1017,10 @@ def test_quad_log_batch_rows_equal_single_calls(monkeypatch, max_nodes,
     assert (sign[4], log_val[4], log_err[4]) == (0, -math.inf, -math.inf)
     assert sign[5] == -1
     assert log_val[5] == pytest.approx(math.log(math.log(2.0)), rel=1e-14)
-    # the first level takes the rows with a = 0, then the others, each in
-    # as few calls as the cap allows, and a call past the cap holds a
-    # single row
+    # the first level takes the rows with a = 0, then the others by their
+    # first panel count (rows 5, 2 and 4, 1: spans of 0.7, 2.8 and 2.7,
+    # 13.8 e-folds), each group in as few calls as the cap allows, and a
+    # call past the cap holds a single row
     assert [rows for _, rows in calls[:len(first_level)]] == first_level
     assert all(shape[0] == 1 or shape[0] * shape[1] <= max_nodes
                for shape, _ in calls)
@@ -982,14 +1037,16 @@ def test_quad_log_batch_rows_close_at_recorded_levels():
         return _batch_integrand(x, rows)
 
     quad_log(integrand, _BATCH_A, _BATCH_B, 1e-12)
-    assert calls == [((2, 144), [0, 3]), ((4, 128), [1, 2, 4, 5]),
-                     ((2, 272), [0, 3]), ((4, 256), [1, 2, 4, 5]),
+    assert calls == [((2, 144), [0, 3]), ((1, 16), [5]), ((2, 64), [2, 4]),
+                     ((1, 128), [1]), ((2, 272), [0, 3]), ((1, 32), [5]),
+                     ((2, 128), [2, 4]), ((1, 256), [1]),
                      ((1, 528), [3]), ((1, 512), [1])]
 
 
 def test_quad_log_batch_row_past_the_cap_names_its_interval():
     # sin(1/x)/x on row 1 cannot be resolved; rows 0 and 2 close early, and
-    # the error names row 1's interval
+    # the error names row 1's interval; row 2, the narrowest, opens the
+    # first level
     open_rows = []
 
     def f(x, rows):
@@ -1000,7 +1057,7 @@ def test_quad_log_batch_row_past_the_cap_names_its_interval():
     with pytest.raises(QuadratureError,
                        match=r"on \[1e-08, 1.0\] did not reach") as err:
         quad_log(f, [0.25, 1e-8, 2.0], [1.0, 1.0, 3.0], 1e-10)
-    assert open_rows[0] == [0, 1, 2] and open_rows[-1] == [1]
+    assert open_rows[0] == [2] and open_rows[-1] == [1]
     assert math.isfinite(err.value.estimate[1])
 
 
