@@ -21,11 +21,10 @@ from .geometry import (HornParams, angular_coupling, liouville_potential,
                        measure_weight_log, sphere_area, sphere_eigenvalue)
 from .heat import (CaloricSeries, EigenPair, analyticity_probe,
                    caloric_decay_check, dirichlet_eigenvalues,
-                   make_caloric_series, tail_bound, time_derivative,
-                   weyl_check)
+                   make_caloric_series, tail_bound, weyl_check)
 from .modes import (RadialProfile, decay_exponent_fit, normalization_bound,
-                    profile_from_k2, r_mu, radial_mode_zero, solve_k1,
-                    solve_k2, tip_exponent, tip_rate)
+                    profile_from_k2, r_mu, solve_k1, solve_k2,
+                    tip_exponent, tip_rate)
 from .numerics import (LineFit, SepticHermite, bessel_j, check_in_range,
                        fit_line, gamma_real, lgamma_real, magnus_dense,
                        magnus_log_derivative, magnus_prufer, quad_log)

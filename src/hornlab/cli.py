@@ -261,7 +261,7 @@ def _run_modes(cfg, p, out, artifacts):
                       "residual_fraction": fit.max_residual / rng if rng else 0.0},
         "grid_points": int(prof.s_grid.size),
         "r_range": [prof.r_min, prof.r_max],
-    }, prof
+    }
 
 
 def _run_freq_elliptic(cfg, p, out, artifacts, state):
@@ -293,7 +293,7 @@ def _run_freq_elliptic(cfg, p, out, artifacts, state):
     rpath = os.path.join(out, "freq_elliptic_report.json")
     write_json(rpath, report)
     artifacts.append(rpath)
-    return report, scan
+    return report
 
 
 def _parabolic_state(cfg, p, out, artifacts):
@@ -337,7 +337,7 @@ def _run_freq_parabolic(cfg, p, out, artifacts, state):
     rpath = os.path.join(out, "freq_parabolic_report.json")
     write_json(rpath, report)
     artifacts.append(rpath)
-    return report, scan
+    return report
 
 
 def _run_eigs(cfg, p, out, artifacts):
@@ -370,12 +370,16 @@ def _series(cfg, p, out, artifacts):
     """(eigs report, caloric series): the series on the eigen search's
     pairs, heat.coeffs padded with zeros to eigs.count, with the windows
     that read it, heat.r_lo, heat.r_hi, analyticity.r0 and freq.R_lo,
-    checked as soon as it exists."""
+    checked as soon as it exists.  heat.coeffs is refused before the
+    search when it has more entries than eigs.count or no nonzero one."""
     h = cfg["heat"]
     count = cfg["eigs"]["count"]
     if len(h["coeffs"]) > count:
         raise ConfigError(f"heat.coeffs has {len(h['coeffs'])} entries, "
                           f"more than eigs.count={count}")
+    if not any(h["coeffs"]):
+        raise ConfigError(f"heat.coeffs={h['coeffs']!r} has no nonzero "
+                          "entry: the caloric series would vanish")
     report, pairs = _run_eigs(cfg, p, out, artifacts)
     series = make_caloric_series(
         pairs, h["coeffs"] + [0.0] * (count - len(h["coeffs"])),
@@ -403,7 +407,7 @@ def _run_heat(cfg, p, out, artifacts, series):
     artifacts.append(path)
     return {"decay_by_t": slopes,
             "tail_certificate": series.tail_certificate,
-            "truncation": len(series.terms)}, series
+            "truncation": len(series.terms)}
 
 
 def _run_analyticity(cfg, p, out, artifacts, series):
@@ -416,7 +420,7 @@ def _run_analyticity(cfg, p, out, artifacts, series):
     rpath = os.path.join(out, "analyticity.json")
     write_json(rpath, report)
     artifacts.append(rpath)
-    return report, log_ak
+    return report
 
 
 def _run_demo(cfg, p, out, artifacts):
@@ -428,10 +432,10 @@ def _run_demo(cfg, p, out, artifacts):
     """
     state = _elliptic_state(cfg, p)
     eig_report, series = _series(cfg, p, out, artifacts)
-    heat_report, _ = _run_heat(cfg, p, out, artifacts, series)
-    ell_report, _ = _run_freq_elliptic(cfg, p, out, artifacts, state)
-    par_report, _ = _run_freq_parabolic(cfg, p, out, artifacts, series)
-    ana_report, _ = _run_analyticity(cfg, p, out, artifacts, series)
+    heat_report = _run_heat(cfg, p, out, artifacts, series)
+    ell_report = _run_freq_elliptic(cfg, p, out, artifacts, state)
+    par_report = _run_freq_parabolic(cfg, p, out, artifacts, series)
+    ana_report = _run_analyticity(cfg, p, out, artifacts, series)
 
     th = DEMO_THRESHOLDS
     slopes = [v["slope"] for v in heat_report["decay_by_t"].values()]
@@ -459,15 +463,15 @@ def _run_demo(cfg, p, out, artifacts):
     spath = os.path.join(out, "summary.json")
     write_json(spath, summary)
     artifacts.append(spath)
-    return summary, series
+    return summary
 
 
-# Each pipeline returns (report for the manifest, what it built: profile,
-# eigenpairs, scan, series or Taylor coefficients).  A stage that reads a
-# state or a series takes it as an argument; its command builds it first.
+# Each pipeline returns its report for the manifest; _run_eigs also returns
+# the eigenpairs, on which _series builds.  A stage that reads a state or a
+# series takes it as an argument; its command builds it first.
 COMMANDS = {
     "modes": _run_modes,
-    "eigs": _run_eigs,
+    "eigs": lambda cfg, p, out, arts: _run_eigs(cfg, p, out, arts)[0],
     "freq-elliptic": lambda cfg, p, out, arts: _run_freq_elliptic(
         cfg, p, out, arts, _elliptic_state(cfg, p)),
     "freq-parabolic": lambda cfg, p, out, arts: _run_freq_parabolic(
@@ -508,7 +512,7 @@ def run(config, command, out_dir=None):
             raise ConfigError(f"unknown command '{command}'")
         p = params_from_config(config)
         manifest["stage"] = command
-        result, _ = COMMANDS[command](config, p, out, manifest["artifacts"])
+        result = COMMANDS[command](config, p, out, manifest["artifacts"])
         manifest["result"] = result
         manifest["status"] = "ok"
         manifest["stage"] = "done"

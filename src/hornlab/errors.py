@@ -29,11 +29,12 @@ class ConfigError(HornError, ValueError):
 
 
 class IntegrationError(HornError, RuntimeError):
-    """ODE integration failed; carries the location of the failure."""
+    """ODE integration failed; carries its location and its batch row."""
 
-    def __init__(self, message, location=None):
+    def __init__(self, message, location=None, row=None):
         super().__init__(message)
         self.location = location
+        self.row = row
 
 
 class QuadratureError(HornError, RuntimeError):

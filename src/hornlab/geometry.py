@@ -78,7 +78,7 @@ def make_horn_params(n, bigN, eps, eta):
 
 
 def _check_positive(name, r):
-    if not (np.all(r > 0) if isinstance(r, np.ndarray) else r > 0):
+    if not np.all(r > 0):
         raise DomainValidationError(f"{name} needs r > 0, got {r}")
 
 
@@ -90,8 +90,7 @@ def measure_weight_log(p, r):
     the same density also carries the area measure on the level set {r}.
     """
     _check_positive("measure_weight_log", r)
-    log_r = np.log(r) if isinstance(r, np.ndarray) else math.log(r)
-    return (1 - p.n) * math.log(2.0) + p.c * log_r
+    return (1 - p.n) * math.log(2.0) + p.c * np.log(r)
 
 
 def angular_coupling(p, r):

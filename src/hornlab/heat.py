@@ -49,7 +49,7 @@ estimate, not a proved bound.
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -57,8 +57,8 @@ from .errors import (ConsistencyError, DomainValidationError,
                      EigenSearchError)
 from .geometry import liouville_potential, liouville_potential_slope
 from .logspace import NEG_INF, logsumexp_signed
-from .modes import (RadialProfile, _tip_evaluator, log_norm_sq, r_mu,
-                    solve_k2, tip_anchor, tip_rate, tip_window_top)
+from .modes import (RadialProfile, _naming, _tip_evaluator, log_norm_sq,
+                    r_mu, solve_k2, tip_anchor, tip_rate, tip_window_top)
 from .numerics import fit_line, lgamma_real, magnus_dense, magnus_prufer
 
 
@@ -149,9 +149,11 @@ def dirichlet_eigenvalues(p, i, r_out, count, tol=1e-12, root_rel=1e-12):
     shots = {}  # trial nu -> (theta(r_out; nu), d theta / d nu)
     trial = _wkb_trials(p, i, r_out, int(count))
     evals = [None] * len(trial)
-    spent = [0] * len(trial)
+    # each open row is shot once a round: `rounds` shots spent a row
+    rounds = 0
     open_rows = range(len(trial))
     while open_rows:
+        rounds += 1
         # an open row's trial moved by more than rel: it is no shot taken,
         # though two rows may share one
         fresh = sorted({trial[j] for j in open_rows} - shots.keys())
@@ -159,12 +161,11 @@ def dirichlet_eigenvalues(p, i, r_out, count, tol=1e-12, root_rel=1e-12):
         shots.update(zip(fresh, zip(theta.tolist(), slope.tolist())))
         still = []
         for j in open_rows:
-            spent[j] += 1
             nu = trial[j]
             trial[j] = _newton_trial(shots, nu, (j + 1) * math.pi, r_out, rel)
             if abs(trial[j] - nu) <= rel * trial[j]:
                 evals[j] = trial[j]
-            elif spent[j] == _SHOTS_PER_EIGENVALUE:
+            elif rounds == _SHOTS_PER_EIGENVALUE:
                 raise EigenSearchError(
                     f"eigenvalue search spent its {_SHOTS_PER_EIGENVALUE} "
                     f"shots without locating index {j + 1}")
@@ -266,7 +267,8 @@ def _build_pairs(p, i, nus, r_out, tol):
     K log r (K = r_out sqrt(max(nu, 1)), the fastest turn per unit of
     log r), whose uniform mesh resolves the barrier above r_sw and the
     oscillations alike.  Every pair's Dirichlet defect is checked before
-    any norm is taken: one above 1e-8 raises ConsistencyError naming its nu.
+    any norm is taken: one above 1e-8 raises ConsistencyError naming its nu,
+    as an IntegrationError names its pass and its row's nu.
     """
     rho = tip_rate(p, i)
     s_lo = [r_mu(p, nu) for nu in nus]
@@ -308,13 +310,12 @@ def _build_pairs(p, i, nus, r_out, tol):
         big = np.max(np.abs(f), axis=1, keepdims=True)
         return f / big, df / big, d2f / big, d3f / big
 
-    outer = magnus_dense(
-        potential, 0.0,
-        (np.array([k * math.log(r) for k, r in zip(K, r_sw)]),
-         np.array([k * math.log(r_out) for k in K])),
-        (1.0, np.array([(r * dlog + 0.5 * p.c - 0.5) / k
-                        for r, (_, _, dlog), k in zip(r_sw, anchors, K)])),
-        tol, read)
+    span = (np.array([k * math.log(r) for k, r in zip(K, r_sw)]),
+            np.array([k * math.log(r_out) for k in K]))
+    start = np.array([(r * dlog + 0.5 * p.c - 0.5) / k
+                      for r, (_, _, dlog), k in zip(r_sw, anchors, K)])
+    with _naming("the eigenfunction's outer pass at nu", nus):
+        outer = magnus_dense(potential, 0.0, span, (1.0, start), tol, read)
     # each interval of a pass turns by less than pi, so a sign change
     # between nodes is exactly one zero; the last interval holds r_out's
     defects = [abs(f[-1]) / float(np.max(np.abs(f))) for _, f, _ in outer]
@@ -518,16 +519,6 @@ def make_caloric_series(pairs, coeffs, t_min):
     return CaloricSeries(params=p, sphere_index=pairs[0].mode_index,
                          r_support=r_support, terms=terms, coeffs=coeffs,
                          tail_certificate=cert, r_lo=r_support[0])
-
-
-def time_derivative(series, k, r, t):
-    """(sign, log-magnitude) of d^k/dt^k of the series at (r, t)."""
-    if not t > 0:
-        raise DomainValidationError("time_derivative needs t > 0")
-    if not (int(k) == k and k >= 0):
-        raise DomainValidationError("time_derivative needs integer k >= 0")
-    sF, lF, _, _ = series.slice_log(float(r), t, int(k))
-    return int(sF), float(lF)
 
 
 def taylor_coefficients(series, r0, t0, kmax):

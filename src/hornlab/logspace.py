@@ -16,11 +16,11 @@ def logsumexp_signed(signs, logs):
     """Sum of sign_i * exp(log_i) as a (sign, log|sum|) pair.
 
     Cancellation between terms is handled exactly as in linear arithmetic
-    relative to the dominant magnitude.  1-D input gives (int, float); 2-D
-    input sums down axis 0 and gives one (sign, log) per column as two
-    float arrays.  A term with a sign of 0 (whatever its log) or a log of
-    -inf is an exact zero; a sign that is not finite, or a nonzero sign
-    with a NaN or +inf log, is not a number and raises
+    relative to the dominant magnitude.  The terms run down axis 0; the
+    result is a (sign, log) per entry of the other axes, two float arrays
+    (two numpy floats for 1-D terms).  A term with a sign of 0 (whatever
+    its log) or a log of -inf is an exact zero; a sign that is not finite,
+    or a nonzero sign with a NaN or +inf log, is not a number and raises
     DomainValidationError naming the term's index.
     """
     signs = np.asarray(signs, dtype=float)
@@ -32,7 +32,7 @@ def logsumexp_signed(signs, logs):
     with np.errstate(divide="ignore", invalid="ignore"):
         acc = np.sum(signs * np.exp(np.where(live, logs - m, NEG_INF)),
                      axis=0)
-        log = np.where(acc == 0.0, NEG_INF, m + np.log(np.abs(acc)))
+        log = m + np.log(np.abs(acc))  # m is finite: a zero sum logs -inf
     if not np.all(np.isfinite(acc)):
         bad = ~np.isfinite(signs) | (live & ~(logs < np.inf))
         if np.any(bad):  # else finite signs of magnitude ~1e308 overflow
@@ -41,7 +41,4 @@ def logsumexp_signed(signs, logs):
             raise DomainValidationError(
                 f"logsumexp_signed term {k[0] if len(k) == 1 else k} is not "
                 f"a number: sign {s}, log {L}")
-    sign = np.sign(acc)
-    if acc.ndim == 0:
-        return int(sign), float(log)
-    return sign, log
+    return np.sign(acc), log

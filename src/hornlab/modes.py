@@ -53,12 +53,13 @@ long before r = 0.
 """
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .artifacts import write_csv
-from .errors import ConsistencyError, DomainValidationError
+from .errors import ConsistencyError, DomainValidationError, IntegrationError
 from .geometry import measure_weight_log, sphere_eigenvalue
 from .numerics import (check_in_range, fit_line, magnus_dense,
                        magnus_log_derivative, quad_log, row_count)
@@ -177,6 +178,19 @@ def _in_sigma(q_of, rho, sweep, y0):
             (rho * sweep[0], rho * sweep[1]), (y0[0], y0[1] / rho))
 
 
+@contextmanager
+def _naming(what, values):
+    """Around a Magnus pass that folds its rows' mu or nu into its potential
+    and shifts by nu = 0.0: its IntegrationError names `what`, the pass and
+    the quantity, and the failing row's entry of values in that nu's place."""
+    try:
+        yield
+    except IntegrationError as exc:
+        named = f"for {what} = {values[exc.row]}"
+        raise IntegrationError(str(exc).replace("for nu = 0.0", named),
+                               location=exc.location, row=exc.row) from exc
+
+
 def _tip_dense(q_of, rho, sweep, y0, tol):
     """numerics.magnus_dense of k'' = q k over sweep from y0 in sigma
     (_in_sigma), read as v = log k (k keeps one sign past r_mu): with
@@ -208,8 +222,9 @@ def solve_k1(p, i, mu, s_max, tol=1e-12):
             f"s_max must exceed r_mu = {s_lo}, got {s_max}")
     q = _q_factory(p, i, mu)
     rho = tip_rate(p, i)
-    (_, _, log_k), = _tip_dense(lambda rows: q, rho, (s_lo, s_max),
-                                (1.0, 1.0), tol)
+    with _naming("the growing tip branch at mu", [mu]):
+        (_, _, log_k), = _tip_dense(lambda rows: q, rho, (s_lo, s_max),
+                                    (1.0, 1.0), tol)
     k1 = TipBranch((s_lo, s_max), rho, log_k)
     _check_sandwich(rho, k1.span, lambda ss: k1.log_eval(ss)[0],
                     (-math.log(rho), rho), (0.0, rho + 1.0), "growing")
@@ -246,15 +261,17 @@ def tip_anchor(p, i, mu, tol):
     sweep, a column of mu through _q_factory as in solve_k2, with each
     row's error estimate taken at r_mu (numerics.magnus_log_derivative), is
     the cheap anchor of a shot, each row bit for bit its one-row call;
-    profile_from_k2 gives the same slope as its log_deriv[0].
+    profile_from_k2 gives the same slope as its log_deriv[0].  An
+    IntegrationError names the tip anchor and its row's mu.
     """
     mus = np.full(row_count("tip_anchor", {"mu": mu}), mu, dtype=float)
     rho = tip_rate(p, i)
     s_lo, s_far, start = _backward_rows(p, i, rho, mus.tolist())
     column = mus[:, None]
-    kappa = rho * magnus_log_derivative(*_in_sigma(
-        lambda rows: _q_factory(p, i, column[rows]), rho, (s_far, s_lo),
-        (1.0, start)), tol)
+    with _naming("the tip anchor at mu", mus):
+        kappa = rho * magnus_log_derivative(*_in_sigma(
+            lambda rows: _q_factory(p, i, column[rows]), rho, (s_far, s_lo),
+            (1.0, start)), tol)
     # the powers one row at a time, as a float's power rounds them
     r_top = np.array([s ** (-1.0 / p.eps) for s in s_lo.tolist()])
     return r_top, _tip_log(p, s_lo, r_top, 0.0, kappa)[1]
@@ -269,7 +286,8 @@ def solve_k2(p, i, mu, s_max, tol=1e-12):
     (sqrt(rho^2 + 1) - rho) e^(-2 rho (s_far - s_max))
     = (sqrt(rho^2 + 1) - rho) e^(-30 - rho) / (rho + 1) <= e^-30, about
     9.4e-14, whatever rho (_s_far), and less below s_max; each branch
-    carries its row's value as tail_rel_uncertainty.
+    carries its row's value as tail_rel_uncertainty.  An IntegrationError
+    names the decaying tip branch and its row's mu.
     """
     if not i >= 1:
         raise DomainValidationError("solve_k2 needs i >= 1 (mu_i > 0)")
@@ -282,8 +300,9 @@ def solve_k2(p, i, mu, s_max, tol=1e-12):
                * math.exp(-2.0 * rho * (far - top))
                for far, top in zip(s_far.tolist(), tops.tolist())]
     column = mus[:, None]
-    dense = _tip_dense(lambda k: _q_factory(p, i, column[k]), rho,
-                       (s_far, s_lo), (np.ones(n), start), tol)
+    with _naming("the decaying tip branch at mu", mus):
+        dense = _tip_dense(lambda k: _q_factory(p, i, column[k]), rho,
+                           (s_far, s_lo), (np.ones(n), start), tol)
     branches = []
     for lo, top, unc, (sigma, _, log_k) in zip(s_lo.tolist(), tops.tolist(),
                                                rel_unc, dense):
@@ -355,7 +374,7 @@ def profile_from_k2(p, i, mu, r_min, n_grid=64, tol=1e-12):
     if not i >= 1:
         raise DomainValidationError(
             "the decaying-branch construction needs i >= 1; use the bounded "
-            "radial branch radial_mode_zero for i = 0")
+            "radial branch radial_mode_zero_log for i = 0")
     if not (n_grid >= 16 and float(n_grid).is_integer()):
         raise DomainValidationError(
             f"profile_from_k2 needs an integral n_grid >= 16, got {n_grid}")
@@ -387,14 +406,15 @@ def _tip_evaluator(p, k2):
 
 def _bounded_branch(p, mu, r):
     """(x, J_nu(x), f) at radii r, with x = r sqrt(mu) and nu = (c-1)/2:
-    the bounded radial branch f = r^-nu J_nu(x) of radial_mode_zero and the
-    Bessel values it is built on, each evaluated once."""
+    the bounded radial branch f = r^-nu J_nu(x) for i = 0, finite at the
+    tip with limit mu^(nu/2) / (2^nu Gamma(nu + 1)), and the Bessel values
+    it is built on, each evaluated once."""
     from .numerics import bessel_j, gamma_real
     if not mu > 0:
-        raise DomainValidationError("radial_mode_zero needs mu > 0")
+        raise DomainValidationError("radial_mode_zero_log needs mu > 0")
     r = np.asarray(r, dtype=float)
     if not np.all(r >= 0):
-        raise DomainValidationError("radial_mode_zero needs r >= 0")
+        raise DomainValidationError("radial_mode_zero_log needs r >= 0")
     nu = (p.c - 1.0) / 2.0
     x = r * math.sqrt(mu)
     limit = mu ** (nu / 2.0) / (2.0 ** nu * gamma_real(nu + 1.0))
@@ -405,20 +425,11 @@ def _bounded_branch(p, mu, r):
     return x, j_nu, f
 
 
-def radial_mode_zero(p, mu, r):
-    """Bounded radial branch for i = 0: r^((1-c)/2) J_((c-1)/2)(r sqrt(mu)).
-
-    Finite at the tip with limit mu^((c-1)/4) / (2^((c-1)/2) Gamma((c+1)/2)).
-    r may be an array; a scalar r returns a float.
-    """
-    f = _bounded_branch(p, mu, r)[2]
-    return float(f) if f.ndim == 0 else f
-
-
 def radial_mode_zero_log(p, mu, r):
-    """(sign f, log|f|, d log|f|/dr) of radial_mode_zero at radii r of any
-    shape; f'(r) = -mu^((nu+1)/2) x^-nu J_(nu+1)(x), so the log-derivative
-    is -sqrt(mu) J_(nu+1)(x) / J_nu(x), 0 at the tip."""
+    """(sign f, log|f|, d log|f|/dr) at radii r of any shape of the bounded
+    radial branch for i = 0, f = r^((1-c)/2) J_((c-1)/2)(r sqrt(mu))
+    (_bounded_branch); f'(r) = -mu^((nu+1)/2) x^-nu J_(nu+1)(x), so the
+    log-derivative is -sqrt(mu) J_(nu+1)(x) / J_nu(x), 0 at the tip."""
     from .numerics import bessel_j
     x, j_nu, f = _bounded_branch(p, mu, r)
     nu = (p.c - 1.0) / 2.0

@@ -101,11 +101,8 @@ def lgamma_real(x):
 
 
 def bessel_j(nu, x):
-    """Bessel function of the first kind, real order nu >= 0, x >= 0.
-
-    x may be an array (the result is an array of the same shape); a scalar
-    x returns a float.
-    """
+    """Bessel function of the first kind, real order nu >= 0, x >= 0,
+    elementwise over an array x of any shape."""
     if not nu >= 0:
         raise DomainValidationError(f"bessel_j needs nu >= 0, got {nu}")
     x = np.asarray(x, dtype=float)
@@ -115,8 +112,7 @@ def bessel_j(nu, x):
     # a demo never reaches a Bessel function: its process does not load
     # scipy.special
     from scipy import special
-    out = special.jv(float(nu), x)
-    return float(out) if x.ndim == 0 else out
+    return special.jv(float(nu), x)
 
 
 # ---------------------------------------------------------------------------
@@ -144,7 +140,7 @@ def _magnus_propagators(potential, nu, a, h, m, rows):
     with s^2 > 0 and s > 700, whose cosh passes the double range, is
     e^(-s) exp(Omega) = (I + Omega / s) / 2 with log s; any other has log 0.
     An interval that turns the state by pi or more raises IntegrationError
-    naming its row's nu."""
+    naming its row's nu and carrying its row."""
     h, nu = h[:, None], nu[:, None]
     # each row's first Gauss points, then its second ones
     V = potential(a[:, None] + h * (np.arange(m) + _MAGNUS_GAUSS).ravel(),
@@ -171,7 +167,7 @@ def _magnus_propagators(potential, nu, a, h, m, rows):
                 raise IntegrationError(
                     f"a Magnus interval at r = {r} turns the Pruefer angle by "
                     f"up to {top[g]:.3g} >= pi for nu = {float(nu[g, 0])}",
-                    location=r)
+                    location=r, row=int(rows[g]))
             # no turning interval has s >= pi, so these have s^2 > 0
             far = s > _MAGNUS_FAR
             ch[far], sh[far], log[far] = 0.5, 0.5 / s[far], s[far]
@@ -219,7 +215,7 @@ def _node_states(potential, nu, a, b, y0, m, rows):
     """(log, y): each row's states (u, u') at the nodes a + h j,
     j = 1 .. m, h = (b - a) / m, node j's exp(log[:, j]) y[:, :, j]
     (_prefix_products), from its y0[:, row].  IntegrationError at the first
-    node of the first row whose state is not finite."""
+    node of the first row whose state is not finite, carrying that row."""
     h = (b - a) / m
     E, log = _magnus_propagators(potential, nu, a, h, m, rows)
     _prefix_products(E, log)
@@ -232,7 +228,7 @@ def _node_states(potential, nu, a, b, y0, m, rows):
         r = float(a[g] + h[g] * (j + 1))
         raise IntegrationError(
             f"the Magnus propagation for nu = {float(nu[g])} is not finite "
-            f"at r = {r}", location=r)
+            f"at r = {r}", location=r, row=int(rows[g]))
     return log, y
 
 
@@ -330,7 +326,7 @@ def _richardson(sweep, m, tol, nu, end, check=_rows_of):
     extrapolated) in the previous sweep, on half its mesh, and only that
     sweep and that extrapolation are kept.  Returns each row's result; a
     row past 2^16 intervals raises IntegrationError naming its nu and
-    estimate.
+    estimate and carrying the row.
     """
     m = list(m)
     estimate = [math.inf] * len(m)
@@ -346,7 +342,8 @@ def _richardson(sweep, m, tol, nu, end, check=_rows_of):
             raise IntegrationError(
                 f"the Magnus propagation for nu = {float(nu[k])} reached "
                 f"{size // 2} intervals with Richardson estimate "
-                f"{estimate[k]:.3g} above tol {tol}", location=float(end[k]))
+                f"{estimate[k]:.3g} above tol {tol}", location=float(end[k]),
+                row=k)
         before, coarse = coarse, (rows, *sweep(size, np.array(rows)))
         for k in rows:
             m[k] *= 2
@@ -432,8 +429,8 @@ def magnus_prufer(potential, nu, span, y0, tol):
     carrying tol / max(1, k (b - a)) of that row and the floor 10 eps.  A
     propagation that is not finite, an interval that turns the state by pi
     or more, or a mesh past 2^16 intervals raises IntegrationError naming
-    the row's nu and the radius or the estimate; an argument that is not
-    finite raises DomainValidationError naming the row.
+    the row's nu and the radius or the estimate, its row in .row; an
+    argument that is not finite raises DomainValidationError naming it.
     """
     nu, a, b, m, states = _state_rows("magnus_prufer", potential, nu, span,
                                       y0, tol, angle=True)

@@ -281,6 +281,36 @@ def test_coefficients_beyond_eigen_count_are_config_error(tmp_path):
     assert not (tmp_path / "eigs.csv").exists()
 
 
+@pytest.mark.parametrize("command, coeffs", [
+    ("heat", "[]"), ("freq-parabolic", "[0]"),
+    ("demo-counterexample", "[0,0,0,0]")])
+def test_zero_coefficients_are_config_error(tmp_path, command, coeffs):
+    # a series with no nonzero coefficient vanishes everywhere: refused
+    # before the eigen search, naming heat.coeffs
+    code = main([command, "--out", str(tmp_path),
+                 "--set", f"heat.coeffs={coeffs}"])
+    assert code == EXIT_CONFIG
+    error = json.loads((tmp_path / "manifest.json").read_text())["error"]
+    assert error == (f"heat.coeffs={json.loads(coeffs)!r} has no nonzero "
+                     "entry: the caloric series would vanish")
+    assert not (tmp_path / "eigs.csv").exists()
+
+
+def test_tip_branch_failure_names_its_mu(tmp_path):
+    # the mode's tip branch at eps = 3 does not converge: a numerical
+    # failure naming the decaying tip branch and mode.mu, not the shift
+    # nu = 0.0 of its Magnus pass
+    code = main(["demo-counterexample", "--out", str(tmp_path),
+                 "--set", "params.eps=3", "--set", "params.n=2",
+                 "--set", "params.N=3"])
+    assert code == EXIT_NUMERICAL
+    error = json.loads((tmp_path / "manifest.json").read_text())["error"]
+    assert error.startswith("IntegrationError: the Magnus propagation for "
+                            "the decaying tip branch at mu = 1.0 reached "
+                            "65536 intervals")
+    assert "nu = 0.0" not in error
+
+
 # the first round of the default eigen search shoots the WKB trials of its
 # 4 indices together, each holding its angle to tol over a scale
 # k (r_out - r_sw), with k = sqrt(nu) and the shot's anchor r_sw at the

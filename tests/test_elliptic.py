@@ -10,8 +10,8 @@ from support import oracle_E_2d, oracle_I_2d, scan_at
 from hornlab import (ConsistencyError, DomainValidationError, TipTailError,
                      bessel_state, check_I_lower, check_logI_identity,
                      check_U_growth, constant_state, elliptic_scan,
-                     gamma_real, make_caloric_series, profile_state,
-                     radial_mode_zero)
+                     gamma_real, make_caloric_series, profile_state)
+from hornlab.modes import _bounded_branch, radial_mode_zero_log
 from hornlab.numerics import bessel_j
 
 
@@ -55,24 +55,23 @@ def test_bessel_radial_log_matches_scalar_branch(p_default):
             else bessel_j(nu, x) * rr ** (-nu)
         der = -math.sqrt(mu) * bessel_j(nu + 1.0, x) / bessel_j(nu, x) \
             if x > 0 else 0.0
-        assert radial_mode_zero(p_default, mu, rr) == pytest.approx(
+        assert _bounded_branch(p_default, mu, rr)[2] == pytest.approx(
             f, rel=1e-15)
         assert sign[k] == math.copysign(1.0, f)
         assert sign[k] * math.exp(lm[k]) == pytest.approx(f, rel=1e-15)
         assert ld[k] == pytest.approx(der, rel=1e-15, abs=0.0)
-    assert isinstance(radial_mode_zero(p_default, mu, 0.3), float)
     with pytest.raises(DomainValidationError):
-        radial_mode_zero(p_default, mu, np.array([0.5, -1e-3]))
+        radial_mode_zero_log(p_default, mu, np.array([0.5, -1e-3]))
 
 
 def test_bessel_radial_log_evaluates_each_order_once(p_default, monkeypatch):
     # one J_nu and one J_(nu+1) evaluation per call, each on all radii at
-    # once, and bitwise radial_mode_zero and -sqrt(mu) J_(nu+1) / J_nu
+    # once, and bitwise the bounded branch and -sqrt(mu) J_(nu+1) / J_nu
     mu = 2.0
     nu = (p_default.c - 1.0) / 2.0
     r = np.geomspace(1e-6, 5.0, 40)
     x = r * math.sqrt(mu)
-    want_f = radial_mode_zero(p_default, mu, r)
+    want_f = _bounded_branch(p_default, mu, r)[2]
     want_ld = -math.sqrt(mu) * bessel_j(nu + 1.0, x) / bessel_j(nu, x)
     jv, orders = special.jv, []
 
@@ -232,7 +231,7 @@ def test_scan_constant_U_zero(p_default):
 def test_scan_aborts_on_nodal_sphere(p_default):
     mu = 900.0
     st = bessel_state(p_default, mu, (0.01, 0.5))
-    root = brentq(lambda r: radial_mode_zero(p_default, mu, r), 0.1, 0.2,
+    root = brentq(lambda r: _bounded_branch(p_default, mu, r)[2], 0.1, 0.2,
                   xtol=1e-14)
     grid = np.sort(np.concatenate([np.geomspace(0.05, 0.4, 16), [root]]))
     with pytest.raises(ConsistencyError, match="nodal"):

@@ -11,7 +11,7 @@ from hornlab import (ConsistencyError, DomainValidationError, EigenPair,
                      caloric_decay_check, dirichlet_eigenvalues, fit_line,
                      lgamma_real, liouville_potential, make_caloric_series,
                      make_horn_params, profile_from_k2, sphere_eigenvalue,
-                     tail_bound, time_derivative, tip_rate, weyl_check)
+                     tail_bound, tip_rate, weyl_check)
 from hornlab import heat, modes, numerics
 from hornlab.elliptic import bessel_state, constant_state
 from hornlab.modes import solve_k2, tip_window_top
@@ -216,6 +216,19 @@ def test_shot_near_nu_30_counts_and_converges(p_default):
     assert math.floor(theta / math.pi) == 29
     (loose,), _ = heat._shoot_rows(p_default, 2, 2896.0, 2.0, 1e-11)
     assert theta == pytest.approx(loose, rel=0.0, abs=1e-10)
+
+
+def test_outer_pass_failure_names_the_row_nu(p_default, monkeypatch):
+    # the outer pass folds nu into its potential: a failure names the pass
+    # and its row's nu, not the shift nu = 0.0
+    liouville = heat.liouville_potential
+    monkeypatch.setattr(heat, "liouville_potential", lambda p, i, r: np.where(
+        r > 1.5, np.inf, liouville(p, i, r)))
+    with pytest.raises(IntegrationError,
+                       match=r"for the eigenfunction's outer pass at "
+                             r"nu = 10\.00860578069562 is not finite") as err:
+        heat._build_pairs(p_default, 1, PAIRS8_ROUT2_NU[:2], 2.0, 1e-12)
+    assert err.value.row == 0
 
 
 def test_shot_past_the_mesh_cap_names_nu(p_default, monkeypatch):
@@ -728,7 +741,7 @@ def test_single_pair_evaluation(pairs8_rout2):
     single = make_caloric_series(pairs8_rout2[:1], [1.0], t_min=0.1)
     pair = pairs8_rout2[0]
     r, t = 0.8, 0.4
-    s, L = time_derivative(single, 0, r, t)
+    s, L, _, _ = single.slice_log(r, t)
     sgn, lm, _ = pair.g.eval_log(np.array([r]))
     assert s == sgn[0]
     assert L == pytest.approx(lm[0] - pair.nu * t, rel=1e-12)
@@ -753,8 +766,8 @@ def test_slice_log_array_t_equals_scalar_loop(series4):
 def test_coefficient_linearity(series4, pairs8_rout2):
     doubled = make_caloric_series(pairs8_rout2[:4],
                                   2.0 * series4.coeffs, t_min=0.25)
-    s1, L1 = time_derivative(series4, 0, 0.5, 0.5)
-    s2, L2 = time_derivative(doubled, 0, 0.5, 0.5)
+    s1, L1, _, _ = series4.slice_log(0.5, 0.5)
+    s2, L2, _, _ = doubled.slice_log(0.5, 0.5)
     assert s1 == s2
     assert L2 - L1 == pytest.approx(math.log(2.0), rel=1e-12)
 
@@ -766,15 +779,16 @@ def test_truncation_error_below_certificate(pairs8_rout2, p_default):
     short = make_caloric_series(pairs8_rout2[:2], [1.0, 0.7], t_min)
     cert = tail_bound(pairs8_rout2, 2, t_min, p_default, coeff_cap=1.0)
     for r in (0.3, 0.8, 1.5):
-        sf, Lf = time_derivative(full, 0, r, t_min)
-        ss, Ls = time_derivative(short, 0, r, t_min)
+        sf, Lf, _, _ = full.slice_log(r, t_min)
+        ss, Ls, _, _ = short.slice_log(r, t_min)
         diff = abs(sf * math.exp(Lf) - ss * math.exp(Ls))
         assert diff <= cert
 
 
 def test_time_derivative_order_zero(series4):
+    # a scalar radius gives the bits of the one-entry array of radii
     sF, lF, _, _ = series4.slice_log(np.array([0.7]), 0.6)
-    assert time_derivative(series4, 0, 0.7, 0.6) == (sF[0], lF[0])
+    assert series4.slice_log(0.7, 0.6)[:2] == (sF[0], lF[0])
 
 
 def test_series_looks_up_eval_log_when_summed(series4, monkeypatch):
@@ -808,7 +822,7 @@ def test_time_derivative_single_pair_closed_form(pairs8_rout2):
     r, t = 0.9, 0.7
     sgn, lm, _ = pair.g.eval_log(np.array([r]))
     for k in (0, 1, 2, 5):
-        s, L = time_derivative(single, k, r, t)
+        s, L, _, _ = single.slice_log(r, t, k)
         assert L == pytest.approx(
             math.log(0.9) + k * math.log(pair.nu) - pair.nu * t + lm[0],
             rel=1e-12)
@@ -818,10 +832,10 @@ def test_time_derivative_single_pair_closed_form(pairs8_rout2):
 
 def test_time_derivative_matches_finite_difference(series4):
     r, t = 0.6, 0.5
-    s, L = time_derivative(series4, 1, r, t)
+    s, L, _, _ = series4.slice_log(r, t, 1)
     h = 1e-5
-    sa, La = time_derivative(series4, 0, r, t + h)
-    sb, Lb = time_derivative(series4, 0, r, t - h)
+    sa, La, _, _ = series4.slice_log(r, t + h)
+    sb, Lb, _, _ = series4.slice_log(r, t - h)
     fd = (sa * math.exp(La) - sb * math.exp(Lb)) / (2 * h)
     assert s * math.exp(L) == pytest.approx(fd, rel=1e-6)
 
@@ -852,7 +866,7 @@ def test_taylor_coefficients_are_time_derivatives(series4):
     log_ak = heat.taylor_coefficients(series4, r0, t0, kmax)
     assert len(log_ak) == kmax + 1
     for k, L in enumerate(log_ak):
-        s, Ld = time_derivative(series4, k, r0, t0)
+        s, Ld, _, _ = series4.slice_log(r0, t0, k)
         assert s != 0
         assert math.exp(L) == pytest.approx(
             math.exp(Ld) / math.factorial(k), rel=1e-13)
@@ -878,7 +892,7 @@ def test_taylor_coefficients_evaluate_each_term_once(series4):
     log_ak = heat.taylor_coefficients(series, r0, t0, kmax)
     assert calls == [1] * len(series4.terms)
     for k, L in enumerate(log_ak):
-        _, Ld = time_derivative(series4, k, r0, t0)
+        _, Ld, _, _ = series4.slice_log(r0, t0, k)
         assert L == Ld - lgamma_real(k + 1.0)
 
 

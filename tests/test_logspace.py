@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 
 from hornlab.errors import DomainValidationError
+from hornlab.geometry import measure_weight_log
 from hornlab.logspace import logsumexp_signed
+from hornlab.numerics import bessel_j
 
 
 def _column_reference(signs, logs):
@@ -56,12 +58,35 @@ def test_logsumexp_one_dimensional():
     assert logsumexp_signed([], []) == (0, -math.inf)
     assert logsumexp_signed([1.0, -1.0], [2.0, 2.0]) == (0, -math.inf)
     s, L = logsumexp_signed([1.0, -1.0, 0.0], [0.0, math.log(0.25), 50.0])
-    assert (type(s), type(L)) == (int, float)
     assert s == 1
     assert L == math.log(0.75)
     # a sign of 0 with any log, and a log of -inf, are exact zeros
     assert logsumexp_signed([1.0, 0.0, 0.0, -1.0],
                             [0.0, math.nan, math.inf, -math.inf]) == (1, 0.0)
+
+
+def _bits(x):
+    return np.asarray(x, dtype=float).tobytes()
+
+
+def test_scalar_input_gives_the_bits_of_one_entry(p_default):
+    # one form per result: a scalar radius or argument gives the bits of
+    # the one-entry array call, and 1-D terms those of one column of terms
+    rng = np.random.default_rng(11)
+    for r in np.exp(rng.uniform(-12.0, 3.0, 2000)).tolist():
+        assert _bits(measure_weight_log(p_default, r)) == \
+            _bits(measure_weight_log(p_default, np.array([r])))
+    for nu in (0.0, 1.25, 2.5):
+        for x in rng.uniform(0.0, 40.0, 50).tolist():
+            assert _bits(bessel_j(nu, x)) == \
+                _bits(bessel_j(nu, np.array([x])))
+    for K in range(1, 41):
+        signs = rng.choice([-1.0, 0.0, 1.0], size=K, p=[0.4, 0.1, 0.5])
+        logs = rng.uniform(-800.0, 800.0, size=K)
+        logs[rng.random(K) < 0.1] = -np.inf
+        for got, want in zip(logsumexp_signed(signs, logs),
+                             logsumexp_signed(signs[:, None], logs[:, None])):
+            assert _bits(got) == _bits(want)
 
 
 @pytest.mark.parametrize("signs, logs, index", [

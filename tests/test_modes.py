@@ -6,14 +6,14 @@ import pytest
 from support import (oracle_gamma, oracle_tip_branch_mu0,
                      second_derivative_5pt, tip_states)
 
-from hornlab import (ConsistencyError, DomainValidationError, RadialProfile,
+from hornlab import (ConsistencyError, DomainValidationError,
+                     IntegrationError, RadialProfile,
                      decay_exponent_fit, make_horn_params,
-                     normalization_bound, profile_from_k2, r_mu,
-                     radial_mode_zero, solve_k1, solve_k2, sphere_eigenvalue,
-                     tip_exponent, tip_rate)
-from hornlab import modes
-from hornlab.modes import (TipBranch, _q_factory, _tip_dense, tip_anchor,
-                           tip_window_top)
+                     normalization_bound, profile_from_k2, r_mu, solve_k1,
+                     solve_k2, sphere_eigenvalue, tip_exponent, tip_rate)
+from hornlab import modes, numerics
+from hornlab.modes import (TipBranch, _bounded_branch, _q_factory, _tip_dense,
+                           tip_anchor, tip_window_top)
 
 
 # ---------------------------------------------------------------------------
@@ -457,7 +457,7 @@ def test_profile_csv_roundtrip(tmp_path, profile_i1_mu1):
 def test_radial_mode_zero_ode_residual(p_default):
     p = p_default
     mu = 1.0
-    f = lambda r: radial_mode_zero(p, mu, r)
+    f = lambda r: _bounded_branch(p, mu, r)[2]
     for r in (0.1, 1.0, 5.0):
         h = 1e-3 * r
         d2 = second_derivative_5pt(f, r, h)
@@ -472,8 +472,8 @@ def test_radial_mode_zero_tip_limit(p_default):
     mu = 1.0
     nu = (p.c - 1.0) / 2.0
     limit = mu ** (nu / 2.0) / (2.0 ** nu * oracle_gamma(nu + 1.0))
-    assert radial_mode_zero(p, mu, 0.0) == pytest.approx(limit, rel=1e-12)
-    assert radial_mode_zero(p, mu, 1e-6) == pytest.approx(limit, rel=1e-9)
+    assert _bounded_branch(p, mu, 0.0)[2] == pytest.approx(limit, rel=1e-12)
+    assert _bounded_branch(p, mu, 1e-6)[2] == pytest.approx(limit, rel=1e-9)
     assert limit > 0
 
 
@@ -486,7 +486,8 @@ def test_radial_mode_zero_scaling_identity(p_default):
         for r in (0.3, 1.1):
             x = r * math.sqrt(mu)
             rhs = mu ** (nu / 2.0) * x ** (-nu) * bessel_j(nu, x)
-            assert radial_mode_zero(p, mu, r) == pytest.approx(rhs, rel=1e-12)
+            f = _bounded_branch(p, mu, r)[2]
+            assert f == pytest.approx(rhs, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -574,6 +575,25 @@ def test_tip_anchor_batch_rows_equal_single_calls(p_default, monkeypatch, i):
         # one scalar q a row for its start, then one column a sweep
         assert calls[:len(order)] == [()] * len(order)
         assert all(len(shape) == 2 for shape in calls[len(order):])
+
+
+def test_tip_pass_failures_name_the_pass_and_the_row_mu(p_default,
+                                                         monkeypatch):
+    # the tip passes fold mu into their potential and shift it by nu = 0:
+    # a failure names the pass and the failing row's mu, not nu = 0.0; with
+    # 64 intervals allowed, the second row of the branches' batch fails
+    # first
+    monkeypatch.setattr(numerics, "_MAGNUS_MAX_INTERVALS", 64)
+    with pytest.raises(IntegrationError,
+                       match=r"for the decaying tip branch at "
+                             r"mu = 1000000\.0 reached 64 intervals") as err:
+        solve_k2(p_default, 1, [1.0, 1e6], 30.0)
+    assert err.value.row == 1
+    with pytest.raises(IntegrationError,
+                       match=r"for the tip anchor at mu = 1\.0 reached 64 "
+                             r"intervals") as err:
+        tip_anchor(p_default, 1, [1.0, 1e6], 1e-12)
+    assert "nu = 0.0" not in str(err.value)
 
 
 def test_normalization_bound_finite(p_default):

@@ -8,7 +8,7 @@ from hornlab import (CaloricSeries, ConsistencyError, DomainValidationError,
                      UnitCaloric, check_D_lower, check_ID_relation,
                      check_N_bound, kernel_log, make_caloric_series,
                      parabolic_IDN, parabolic_scan, profile_state,
-                     sphere_area, time_derivative)
+                     sphere_area)
 
 
 @pytest.fixture(scope="module")
@@ -107,10 +107,10 @@ def test_batched_slices_equal_single_slices(kind, series2, p_default):
 def test_unit_caloric_time_derivatives(p_default):
     # u == 1: sqrt(area) at k = 0, an exact zero for every k >= 1
     u = UnitCaloric(p_default)
-    assert time_derivative(u, 0, 0.3, 0.5) == \
+    assert u.slice_log(0.3, 0.5)[:2] == \
         (1, 0.5 * math.log(sphere_area(p_default.n)))
     for k in (1, 2, 3):
-        assert time_derivative(u, k, 0.3, 0.5) == (0, -math.inf)
+        assert u.slice_log(0.3, 0.5, k)[:2] == (0, -math.inf)
 
 
 # ---------------------------------------------------------------------------
@@ -158,10 +158,10 @@ def test_mode_caloric_on_eigenpair_matches_series(pairs8_rout2):
 def test_zero_rate_term_has_exact_zero_time_derivatives(profile_i1_mu0):
     # a mu = 0 state does not change in time: d^k/dt^k = 0 exactly, k >= 1
     mc = profile_state(profile_i1_mu0)
-    sign, log = time_derivative(mc, 0, 0.05, 0.5)
+    sign, log, _, _ = mc.slice_log(0.05, 0.5)
     assert sign == 1 and math.isfinite(log)
     for k in (1, 2, 3):
-        assert time_derivative(mc, k, 0.05, 0.5) == (0, -math.inf)
+        assert mc.slice_log(0.05, 0.5, k)[:2] == (0, -math.inf)
 
 
 # ---------------------------------------------------------------------------
