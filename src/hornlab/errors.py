@@ -29,7 +29,9 @@ class ConfigError(HornError, ValueError):
 
 
 class IntegrationError(HornError, RuntimeError):
-    """ODE integration failed; carries its location and its batch row."""
+    """ODE integration failed; carries its location and its batch row.  In
+    a numerics kernel, location is in the sweep's own variable; once a pass
+    names the failure, it is a radius."""
 
     def __init__(self, message, location=None, row=None):
         super().__init__(message)

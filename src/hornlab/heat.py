@@ -25,19 +25,10 @@ nu-derivative, on which the search runs one safeguarded Newton iteration
 in sqrt(nu) per eigenvalue.  The tip anchor and an eigenfunction's outer
 part are sweeps of the same propagator.
 
-The search runs every eigenvalue index in lockstep, one row an index,
-each seeded from one WKB phase table: a round shoots the open rows' new
-trials in one batched tip anchor and one batched angle (_shoot_rows, each
-row bit for bit its one-row shot), and every row then takes its Newton
-step from its own last shot over one table of every shot of the search.
-
-The eigenpairs of a search are built together, one row a pair: one
-batched tip pass (modes.solve_k2 on the array of eigenvalues), one
-batched outer numerics.magnus_dense pass and one quad_log call for all
-the norms.  The rows keep numerics' row contract (each row its own
-meshes, rescaling and acceptance), so a pair is bit for bit the pair
-built alone, and every pair's Dirichlet defect is checked before any
-norm is taken.
+The search runs every eigenvalue index in lockstep, one row an index
+(dirichlet_eigenvalues), and the eigenpairs of a search are built
+together, one row a pair (_build_pairs); each row is bit for bit its
+one-row call.  A failing pass names itself, its row's nu and the radius.
 
 Series evaluation, time derivatives and the tail bound all run in signed
 log space; the dropped tail is majorized through the empirical two-sided
@@ -83,12 +74,15 @@ def _shoot_rows(p, i, nu, r_out, tol):
     eigenvalues of r_out = 1.8 at the default point, 3.6e-7 at
     (2, 3, 0.5, 0.25) and 7.0e-5 at (3, 4, 1.0, 0.25) (the first 6 of
     r_out = 2), so a Newton step on this slope contracts by that factor on
-    top of its quadratic term.
+    top of its quadratic term.  An IntegrationError names the shot or the
+    tip anchor, its row's nu and the radius.
     """
     r_sw, dlog = tip_anchor(p, i, nu, tol)
     # u = r^(c/2) f has the zeros of f, and u'/u = f'/f + c / (2 r)
-    return magnus_prufer(lambda r, rows: liouville_potential(p, i, r), nu,
-                         (r_sw, r_out), (1.0, dlog + 0.5 * p.c / r_sw), tol)
+    with _naming("the shot at nu", nu, lambda r, row: r):
+        return magnus_prufer(lambda r, rows: liouville_potential(p, i, r),
+                             nu, (r_sw, r_out),
+                             (1.0, dlog + 0.5 * p.c / r_sw), tol)
 
 
 @dataclass
@@ -268,7 +262,7 @@ def _build_pairs(p, i, nus, r_out, tol):
     log r), whose uniform mesh resolves the barrier above r_sw and the
     oscillations alike.  Every pair's Dirichlet defect is checked before
     any norm is taken: one above 1e-8 raises ConsistencyError naming its nu,
-    as an IntegrationError names its pass and its row's nu.
+    as an IntegrationError names its pass, its row's nu and the radius.
     """
     rho = tip_rate(p, i)
     s_lo = [r_mu(p, nu) for nu in nus]
@@ -314,8 +308,9 @@ def _build_pairs(p, i, nus, r_out, tol):
             np.array([k * math.log(r_out) for k in K]))
     start = np.array([(r * dlog + 0.5 * p.c - 0.5) / k
                       for r, (_, _, dlog), k in zip(r_sw, anchors, K)])
-    with _naming("the eigenfunction's outer pass at nu", nus):
-        outer = magnus_dense(potential, 0.0, span, (1.0, start), tol, read)
+    with _naming("the eigenfunction's outer pass at nu", nus,
+                 lambda x, row: math.exp(x / K[row])):
+        outer = magnus_dense(potential, span, (1.0, start), tol, read)
     # each interval of a pass turns by less than pi, so a sign change
     # between nodes is exactly one zero; the last interval holds r_out's
     defects = [abs(f[-1]) / float(np.max(np.abs(f))) for _, f, _ in outer]

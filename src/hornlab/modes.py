@@ -42,10 +42,11 @@ k1 = k1' = 1 at r_mu, fixes the scale: log k2(r_mu) = -log(1 - kappa(r_mu)).
 A branch is read as log k and kappa off one septic Hermite interpolant of
 log k, whose second derivative at a node is kappa' = q - kappa^2 and whose
 third is kappa'' = q' - 2 kappa kappa'; nothing is exponentiated, so the
-span has no representable-range limit.  The decaying branch's builders
-take rows, one a mu: tip_anchor and solve_k2 sweep every row in one
-batched pass and return one entry a row, and profile_from_k2 builds the
-one profile of a single mu.
+span has no representable-range limit.  tip_anchor and solve_k2 take
+rows, one a mu, and sweep them in one batched pass.
+
+A tip pass runs in sigma = rho s.  A failing pass names itself, its row's
+mu and the radius r = (sigma / rho)^(-1/eps) (_naming).
 
 Everything tip-side is represented as (sign, log-magnitude): the physical
 profile f_i(r) = k2(r^-eps) r^(-(c-1-eps)/2) underflows double precision
@@ -61,8 +62,9 @@ import numpy as np
 from .artifacts import write_csv
 from .errors import ConsistencyError, DomainValidationError, IntegrationError
 from .geometry import measure_weight_log, sphere_eigenvalue
-from .numerics import (check_in_range, fit_line, magnus_dense,
-                       magnus_log_derivative, quad_log, row_count)
+from .numerics import (bessel_j, check_in_range, fit_line, gamma_real,
+                       magnus_dense, magnus_log_derivative, quad_log,
+                       row_count)
 
 
 def tip_exponent(p):
@@ -169,43 +171,48 @@ class TipBranch:
 
 def _in_sigma(q_of, rho, sweep, y0):
     """k'' = q k over sweep = (start, end) from y0 = (k, k'), as the
-    arguments (potential, nu, span, y0) of a numerics sweep in
-    sigma = rho s, where d^2k/dsigma^2 = (q / rho^2) k: the branches turn at
+    arguments (potential, span, y0) of a numerics sweep in sigma = rho s,
+    where d^2k/dsigma^2 = P k with P = q / rho^2: the branches turn at
     about unit rate, so k and dk/dsigma = k' / rho have one size.
     q_of(rows) is the coefficient q of those rows; the ends and y0 hold a
-    value a row, or one value for a single row."""
-    return ((lambda sigma, rows: q_of(rows)(sigma / rho) / (rho * rho)), 0.0,
-            (rho * sweep[0], rho * sweep[1]), (y0[0], y0[1] / rho))
+    value a row, or one value for a single row.  potential.slope is
+    P' = q'(sigma / rho) / rho^3."""
+    def potential(sigma, rows):
+        return q_of(rows)(sigma / rho) / (rho * rho)
+
+    potential.slope = lambda sigma, rows: (q_of(rows).slope(sigma / rho)
+                                           / rho ** 3)
+    return potential, (rho * sweep[0], rho * sweep[1]), (y0[0], y0[1] / rho)
 
 
 @contextmanager
-def _naming(what, values):
-    """Around a Magnus pass that folds its rows' mu or nu into its potential
-    and shifts by nu = 0.0: its IntegrationError names `what`, the pass and
-    the quantity, and the failing row's entry of values in that nu's place."""
+def _naming(what, values, radius):
+    """Around a Magnus pass, one row a value of values (a mu or a nu): the
+    kernel's IntegrationError, at the row and position x of the pass's own
+    variable, is raised again naming `what`, the row's value and the radius
+    radius(x, row), its new location, with the kernel's error as cause."""
     try:
         yield
     except IntegrationError as exc:
-        named = f"for {what} = {values[exc.row]}"
-        raise IntegrationError(str(exc).replace("for nu = 0.0", named),
-                               location=exc.location, row=exc.row) from exc
+        r = radius(exc.location, exc.row)
+        raise IntegrationError(
+            f"{what} = {np.atleast_1d(values)[exc.row]} fails at r = {r}: "
+            f"{exc}", location=r, row=exc.row) from exc
 
 
-def _tip_dense(q_of, rho, sweep, y0, tol):
-    """numerics.magnus_dense of k'' = q k over sweep from y0 in sigma
-    (_in_sigma), read as v = log k (k keeps one sign past r_mu): with
-    P = q / rho^2, v'' = P - v'^2 and v''' = P' - 2 v' v'',
-    P' = q'(sigma / rho) / rho^3."""
-    potential, nu, span, start = _in_sigma(q_of, rho, sweep, y0)
+def _tip_dense(sweep, tol):
+    """numerics.magnus_dense of a tip pass in sigma (_in_sigma's sweep),
+    read as v = log k (k keeps one sign past r_mu): v'' = P - v'^2 and
+    v''' = P' - 2 v' v''."""
+    potential = sweep[0]
 
     def read(sigma, log, y, rows):
         slope = y[1] / y[0]
         curve = potential(sigma, rows) - slope * slope
         return (log + np.log(y[0]), slope, curve,
-                q_of(rows).slope(sigma / rho) / rho ** 3
-                - 2.0 * slope * curve)
+                potential.slope(sigma, rows) - 2.0 * slope * curve)
 
-    return magnus_dense(potential, nu, span, start, tol, read)
+    return magnus_dense(*sweep, tol, read)
 
 
 def solve_k1(p, i, mu, s_max, tol=1e-12):
@@ -217,14 +224,15 @@ def solve_k1(p, i, mu, s_max, tol=1e-12):
     if not i >= 1:
         raise DomainValidationError("solve_k1 needs i >= 1 (mu_i > 0)")
     s_lo = r_mu(p, mu)
-    if not s_max > s_lo:
+    if not s_lo < s_max < math.inf:
         raise DomainValidationError(
-            f"s_max must exceed r_mu = {s_lo}, got {s_max}")
+            f"s_max must be finite and exceed r_mu = {s_lo}, got {s_max}")
     q = _q_factory(p, i, mu)
     rho = tip_rate(p, i)
-    with _naming("the growing tip branch at mu", [mu]):
-        (_, _, log_k), = _tip_dense(lambda rows: q, rho, (s_lo, s_max),
-                                    (1.0, 1.0), tol)
+    with _naming("the growing tip branch at mu", mu,
+                 lambda sigma, row: (sigma / rho) ** (-1.0 / p.eps)):
+        (_, _, log_k), = _tip_dense(_in_sigma(lambda rows: q, rho,
+                                              (s_lo, s_max), (1.0, 1.0)), tol)
     k1 = TipBranch((s_lo, s_max), rho, log_k)
     _check_sandwich(rho, k1.span, lambda ss: k1.log_eval(ss)[0],
                     (-math.log(rho), rho), (0.0, rho + 1.0), "growing")
@@ -232,20 +240,29 @@ def solve_k1(p, i, mu, s_max, tol=1e-12):
 
 
 def _backward_rows(p, i, rho, mus, tops=None):
-    """(s_lo, s_far, start): the backward sweeps of the decaying branch,
-    one row an entry of the list mus, as three arrays, each for the span
-    from s_lo = r_mu up to tops[row] (r_mu itself when tops is None):
-    s_far = _s_far(rho, top) and, for k(s_far) = 1, the start
-    k'(s_far) = -sqrt(q(s_far)), each row's q read in floats of its own,
-    as a float's power rounds it.  A top at or below its r_mu is refused."""
-    s_lo = [r_mu(p, m) for m in mus]
+    """(s_lo, s_far, sweep): the backward sweeps of the decaying branch,
+    one row an entry of the 1-D array mus, each for the span from
+    s_lo = r_mu up to tops[row] (r_mu itself when tops is None).  s_lo and
+    s_far = _s_far(rho, top) are arrays.  sweep is the pass from s_far down
+    to s_lo in sigma (_in_sigma), from k(s_far) = 1 and
+    k'(s_far) = -sqrt(q(s_far)), each row's q read in floats of its own, as
+    a float's power rounds it.  i < 1 is refused, and so is a top that is
+    not finite or lies at or below its r_mu."""
+    if not i >= 1:
+        raise DomainValidationError(
+            "the decaying tip branch needs i >= 1 (mu_i > 0)")
+    s_lo = [r_mu(p, m) for m in mus.tolist()]
     for lo, top in zip(s_lo, tops or ()):
-        if not top > lo:
+        if not lo < top < math.inf:
             raise DomainValidationError(
-                f"s_max must exceed r_mu = {lo}, got {top}")
+                f"s_max must be finite and exceed r_mu = {lo}, got {top}")
     s_far = [_s_far(rho, top) for top in tops or s_lo]
-    start = [-math.sqrt(_q_factory(p, i, m)(s)) for m, s in zip(mus, s_far)]
-    return (np.array(v) for v in (s_lo, s_far, start))
+    start = [-math.sqrt(_q_factory(p, i, m)(s))
+             for m, s in zip(mus.tolist(), s_far)]
+    s_lo, s_far = np.array(s_lo), np.array(s_far)
+    return s_lo, s_far, _in_sigma(
+        lambda rows: _q_factory(p, i, mus[rows, None]), rho, (s_far, s_lo),
+        (np.ones(mus.size), np.array(start)))
 
 
 def _s_far(rho, s_top):
@@ -262,16 +279,14 @@ def tip_anchor(p, i, mu, tol):
     row's error estimate taken at r_mu (numerics.magnus_log_derivative), is
     the cheap anchor of a shot, each row bit for bit its one-row call;
     profile_from_k2 gives the same slope as its log_deriv[0].  An
-    IntegrationError names the tip anchor and its row's mu.
+    IntegrationError names the tip anchor, its row's mu and the radius.
     """
     mus = np.full(row_count("tip_anchor", {"mu": mu}), mu, dtype=float)
     rho = tip_rate(p, i)
-    s_lo, s_far, start = _backward_rows(p, i, rho, mus.tolist())
-    column = mus[:, None]
-    with _naming("the tip anchor at mu", mus):
-        kappa = rho * magnus_log_derivative(*_in_sigma(
-            lambda rows: _q_factory(p, i, column[rows]), rho, (s_far, s_lo),
-            (1.0, start)), tol)
+    s_lo, _, sweep = _backward_rows(p, i, rho, mus)
+    with _naming("the tip anchor at mu", mus,
+                 lambda sigma, row: (sigma / rho) ** (-1.0 / p.eps)):
+        kappa = rho * magnus_log_derivative(*sweep, tol)
     # the powers one row at a time, as a float's power rounds them
     r_top = np.array([s ** (-1.0 / p.eps) for s in s_lo.tolist()])
     return r_top, _tip_log(p, s_lo, r_top, 0.0, kappa)[1]
@@ -287,22 +302,18 @@ def solve_k2(p, i, mu, s_max, tol=1e-12):
     = (sqrt(rho^2 + 1) - rho) e^(-30 - rho) / (rho + 1) <= e^-30, about
     9.4e-14, whatever rho (_s_far), and less below s_max; each branch
     carries its row's value as tail_rel_uncertainty.  An IntegrationError
-    names the decaying tip branch and its row's mu.
+    names the decaying tip branch, its row's mu and the radius.
     """
-    if not i >= 1:
-        raise DomainValidationError("solve_k2 needs i >= 1 (mu_i > 0)")
     n = row_count("solve_k2", {"mu": mu, "s_max": s_max})
     mus, tops = (np.full(n, v, dtype=float) for v in (mu, s_max))
     rho = tip_rate(p, i)
-    s_lo, s_far, start = _backward_rows(p, i, rho, mus.tolist(),
-                                        tops.tolist())
+    s_lo, s_far, sweep = _backward_rows(p, i, rho, mus, tops.tolist())
     rel_unc = [(math.sqrt(rho * rho + 1.0) - rho)
                * math.exp(-2.0 * rho * (far - top))
                for far, top in zip(s_far.tolist(), tops.tolist())]
-    column = mus[:, None]
-    with _naming("the decaying tip branch at mu", mus):
-        dense = _tip_dense(lambda k: _q_factory(p, i, column[k]), rho,
-                           (s_far, s_lo), (np.ones(n), start), tol)
+    with _naming("the decaying tip branch at mu", mus,
+                 lambda sigma, row: (sigma / rho) ** (-1.0 / p.eps)):
+        dense = _tip_dense(sweep, tol)
     branches = []
     for lo, top, unc, (sigma, _, log_k) in zip(s_lo.tolist(), tops.tolist(),
                                                rel_unc, dense):
@@ -409,7 +420,6 @@ def _bounded_branch(p, mu, r):
     the bounded radial branch f = r^-nu J_nu(x) for i = 0, finite at the
     tip with limit mu^(nu/2) / (2^nu Gamma(nu + 1)), and the Bessel values
     it is built on, each evaluated once."""
-    from .numerics import bessel_j, gamma_real
     if not mu > 0:
         raise DomainValidationError("radial_mode_zero_log needs mu > 0")
     r = np.asarray(r, dtype=float)
@@ -430,7 +440,6 @@ def radial_mode_zero_log(p, mu, r):
     radial branch for i = 0, f = r^((1-c)/2) J_((c-1)/2)(r sqrt(mu))
     (_bounded_branch); f'(r) = -mu^((nu+1)/2) x^-nu J_(nu+1)(x), so the
     log-derivative is -sqrt(mu) J_(nu+1)(x) / J_nu(x), 0 at the tip."""
-    from .numerics import bessel_j
     x, j_nu, f = _bounded_branch(p, mu, r)
     nu = (p.c - 1.0) / 2.0
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -455,6 +464,8 @@ def normalization_bound(p, i, mu, tol=1e-10):
     envelope with its undetermined prefactor set to 1; the ratio of the two
     is reported by callers rather than asserted against a specific constant.
     """
+    if not i >= 1:
+        raise DomainValidationError("normalization_bound needs i >= 1")
     rho = tip_rate(p, i)
     s_lo = r_mu(p, mu)
     s_hi = s_lo + 10.0 / rho + 5.0

@@ -9,6 +9,8 @@ held to their tolerance above a stated floor (the Pruefer angle, which
 brings its nu-derivative from the same nodes, the end log-derivative and
 dense node states, read by a septic Hermite interpolant), composite
 Gauss-Legendre quadrature of log-represented integrands and line fitting.
+Only the angle takes nu.  The two dense reductions take the whole
+coefficient V of u'' = V u.
 The wrappers fix the domains and the error types, so every caller and test
 exercises the same surface, and an argument outside a function's domain
 raises DomainValidationError instead of returning nan.
@@ -23,7 +25,10 @@ place (_state_rows), and one Richardson ladder (_richardson) returns
 every row's result, keeping only its last sweep and its last
 extrapolation; the angle's check reads each accepted row's slope off that
 last sweep, and the dense reduction's check reads its interpolants at
-fixed fractions of their intervals (SepticHermite.at).
+fixed fractions of their intervals (SepticHermite.at).  A reduction's
+IntegrationError names the failing row and the position x in the sweep's
+own variable, its location; the caller, which knows what x measures,
+names the pass and the radius.
 """
 
 import math
@@ -140,7 +145,7 @@ def _magnus_propagators(potential, nu, a, h, m, rows):
     with s^2 > 0 and s > 700, whose cosh passes the double range, is
     e^(-s) exp(Omega) = (I + Omega / s) / 2 with log s; any other has log 0.
     An interval that turns the state by pi or more raises IntegrationError
-    naming its row's nu and carrying its row."""
+    naming its row and its start x, its location."""
     h, nu = h[:, None], nu[:, None]
     # each row's first Gauss points, then its second ones
     V = potential(a[:, None] + h * (np.arange(m) + _MAGNUS_GAUSS).ravel(),
@@ -163,11 +168,11 @@ def _magnus_propagators(potential, nu, a, h, m, rows):
             top = turned.max(axis=1)
             if not (top < math.pi).all():
                 g = int((top < math.pi).argmin())
-                r = float(a[g] + h[g, 0] * turned[g].argmax())
+                x = float(a[g] + h[g, 0] * turned[g].argmax())
                 raise IntegrationError(
-                    f"a Magnus interval at r = {r} turns the Pruefer angle by "
-                    f"up to {top[g]:.3g} >= pi for nu = {float(nu[g, 0])}",
-                    location=r, row=int(rows[g]))
+                    f"a Magnus interval of row {int(rows[g])} at x = {x} "
+                    f"turns the state by up to {top[g]:.3g} >= pi",
+                    location=x, row=int(rows[g]))
             # no turning interval has s >= pi, so these have s^2 > 0
             far = s > _MAGNUS_FAR
             ch[far], sh[far], log[far] = 0.5, 0.5 / s[far], s[far]
@@ -209,27 +214,6 @@ def _prefix_products(E, log):
                 E[..., d:] /= big
                 log[:, d:] += np.log(big)
             d *= 2
-
-
-def _node_states(potential, nu, a, b, y0, m, rows):
-    """(log, y): each row's states (u, u') at the nodes a + h j,
-    j = 1 .. m, h = (b - a) / m, node j's exp(log[:, j]) y[:, :, j]
-    (_prefix_products), from its y0[:, row].  IntegrationError at the first
-    node of the first row whose state is not finite, carrying that row."""
-    h = (b - a) / m
-    E, log = _magnus_propagators(potential, nu, a, h, m, rows)
-    _prefix_products(E, log)
-    with np.errstate(over="ignore", invalid="ignore"):
-        y = E[:, 0] * y0[0][:, None] + E[:, 1] * y0[1][:, None]
-    # a product that is not finite leaves every later one not finite
-    if not (np.isfinite(y[:, :, -1]).all() and np.isfinite(log[:, -1]).all()):
-        bad = ~(np.isfinite(y).all(axis=0) & np.isfinite(log))
-        g, j = np.argwhere(bad)[0]
-        r = float(a[g] + h[g] * (j + 1))
-        raise IntegrationError(
-            f"the Magnus propagation for nu = {float(nu[g])} is not finite "
-            f"at r = {r}", location=r, row=int(rows[g]))
-    return log, y
 
 
 def _magnus_angle(k, y0, states):
@@ -292,14 +276,7 @@ def _take(level, rows):
     return log[j], values[:, j]
 
 
-def _rows_of(level, rows):
-    """The check of a reduction with no estimate of its own: each row's
-    result is its (log scales, values)."""
-    log, values = level
-    return 0.0, [(log[j], values[:, j]) for j in range(len(rows))]
-
-
-def _richardson(sweep, m, tol, nu, end, check=_rows_of):
+def _richardson(sweep, m, tol, end, check):
     """Richardson extrapolation of sweep over the meshes m, 2m, 4m, ...,
     for every row on its own ladder from its own first mesh m[row], a power
     of two.
@@ -318,15 +295,14 @@ def _richardson(sweep, m, tol, nu, end, check=_rows_of):
 
     check(t_2m, rows) takes the rows whose own estimate is at most tol and
     returns (an estimate of its own for each, one result per row); a row's
-    result is what check gave it at the level it is accepted on, by
-    default its (log scales, values).  The first meshes are powers of two,
-    so an open row is in every sweep until it is accepted (the smallest
-    open mesh is twice the last one while any of the last sweep's rows is
-    open): a row swept (or extrapolated) before was swept (or
-    extrapolated) in the previous sweep, on half its mesh, and only that
-    sweep and that extrapolation are kept.  Returns each row's result; a
-    row past 2^16 intervals raises IntegrationError naming its nu and
-    estimate and carrying the row.
+    result is what check gave it at the level it is accepted on.  The
+    first meshes are powers of two, so an open row is in every sweep until
+    it is accepted (the smallest open mesh is twice the last one while any
+    of the last sweep's rows is open): a row swept (or extrapolated) before
+    was swept (or extrapolated) in the previous sweep, on half its mesh,
+    and only that sweep and that extrapolation are kept.  Returns each
+    row's result; a row past 2^16 intervals raises IntegrationError naming
+    the row and its estimate, with the row's end end[row] as its location.
     """
     m = list(m)
     estimate = [math.inf] * len(m)
@@ -340,9 +316,9 @@ def _richardson(sweep, m, tol, nu, end, check=_rows_of):
         if size > _MAGNUS_MAX_INTERVALS:
             k = rows[0]
             raise IntegrationError(
-                f"the Magnus propagation for nu = {float(nu[k])} reached "
-                f"{size // 2} intervals with Richardson estimate "
-                f"{estimate[k]:.3g} above tol {tol}", location=float(end[k]),
+                f"the Magnus propagation of row {k} reached {size // 2} "
+                f"intervals with Richardson estimate {estimate[k]:.3g} above "
+                f"tol {tol} at x = {float(end[k])}", location=float(end[k]),
                 row=k)
         before, coarse = coarse, (rows, *sweep(size, np.array(rows)))
         for k in rows:
@@ -373,11 +349,6 @@ def _richardson(sweep, m, tol, nu, end, check=_rows_of):
     return result
 
 
-def _first_mesh(scale):
-    """The first mesh of a sweep over `scale` radians or e-folds."""
-    return max(_MAGNUS_MIN_INTERVALS, 1 << math.ceil(math.log2(scale)))
-
-
 def magnus_prufer(potential, nu, span, y0, tol):
     """(theta(b), d theta(b) / d nu): the modified Pruefer angle of
     u'' = (V(r) - nu) u on span = (a, b), a < b, from the state
@@ -386,11 +357,9 @@ def magnus_prufer(potential, nu, span, y0, tol):
     (row_count).
 
     With k = sqrt(max(nu, 1)), k u = rho sin(theta) and u' = rho cos(theta);
-    theta(a) = atan2(k u(a), u'(a)) and theta is continuous.  The rows
-    follow magnus_dense's contract: potential(r, rows) maps the radii r,
-    shape (open rows, points), of the rows whose indices are `rows` to V
-    there, and each row keeps its own ladder, floor check and acceptance,
-    so its angle and slope are those of its one-row call, bit for bit.
+    theta(a) = atan2(k u(a), u'(a)) and theta is continuous.  potential
+    keeps the module's row contract, and each row's angle and slope are
+    those of its one-row call, bit for bit.
 
     Fourth-order Magnus (Iserles and Norsett 1999) on m equal intervals,
     with V at two Gauss points r1, r2 of each: on an interval of width h,
@@ -429,11 +398,11 @@ def magnus_prufer(potential, nu, span, y0, tol):
     carrying tol / max(1, k (b - a)) of that row and the floor 10 eps.  A
     propagation that is not finite, an interval that turns the state by pi
     or more, or a mesh past 2^16 intervals raises IntegrationError naming
-    the row's nu and the radius or the estimate, its row in .row; an
-    argument that is not finite raises DomainValidationError naming it.
+    the row and the radius, with the estimate at the cap; an argument that
+    is not finite raises DomainValidationError naming it.
     """
-    nu, a, b, m, states = _state_rows("magnus_prufer", potential, nu, span,
-                                      y0, tol, angle=True)
+    nu, a, b, m, states = _state_rows("magnus_prufer", potential, span, y0,
+                                      tol, nu)
     k = np.sqrt(np.maximum(nu, 1.0))
     finest = None  # the last sweep: (rows, h, starts, log scales, states)
 
@@ -454,27 +423,33 @@ def magnus_prufer(potential, nu, span, y0, tol):
             for row, i, theta in zip(near.tolist(), j.tolist(),
                                      level[1][0, :, 0].tolist())]
 
-    theta, slope = zip(*_richardson(sweep, m, tol, nu, b, check))
+    theta, slope = zip(*_richardson(sweep, m, tol, b, check))
     return np.array(theta), np.array(slope)
 
 
-def _state_rows(name, potential, nu, span, y0, tol, angle=False):
+def _state_rows(name, potential, span, y0, tol, nu=None):
     """(nu, a, b, first meshes, node states) of a Magnus reduction, one
     entry a row under row_count's rule, after their common checks: every
-    row's nu, a, b, u(a) and u'(a) finite, then the span, then the floor.
-    An angle (magnus_prufer) needs a < b on every row, and holds its floor
-    per unit of its scale max(1, k (b - a)): its floor error names the row
-    of the largest scale."""
+    row's nu (when given), a, b, u(a) and u'(a) finite, then the span, then
+    the floor.  Only an angle (magnus_prufer) gives nu: it needs a < b on
+    every row, and holds its floor per unit of its scale max(1, k (b - a)),
+    so its floor error names the row of the largest scale.  The dense
+    reductions' rows carry nu = 0."""
+    angle = nu is not None
     given = dict(zip(("nu", "a", "b", "u(a)", "u'(a)"), (nu, *span, *y0)))
-    nu, a, b, u0, du0 = rows = np.empty((5, row_count(name, given)))
-    for row, v in zip(rows, given.values()):
+    if not angle:
+        del given["nu"]
+    rows = np.zeros((5, row_count(name, given)))
+    held = rows[5 - len(given):]
+    for row, v in zip(held, given.values()):
         row[:] = v
+    nu, a, b, y0 = rows[0], rows[1], rows[2], rows[3:]
     finite = np.isfinite(rows).all(axis=0)
     if not finite.all():
         k = int(np.argmin(finite))
         raise DomainValidationError(
             f"{name} needs finite {', '.join(given)}, got "
-            f"({', '.join(str(v) for v in rows[:, k].tolist())})")
+            f"({', '.join(str(v) for v in held[:, k].tolist())})")
     bad = ~(a < b) if angle else ~(a != b)
     if bad.any():
         k = int(np.argmax(bad))
@@ -489,51 +464,62 @@ def _state_rows(name, potential, nu, span, y0, tol, angle=False):
         raise ToleranceFloorError(
             f"{name} needs tol >= {_TOL_FLOOR:.3g}{per}, got tol={tol}",
             tol=tol / unit, floor=_TOL_FLOOR, solver="ODE")
-    y0 = rows[3:]
-    m = [_first_mesh(v) for v in scale]
+    # the first meshes, for sweeps over `scale` radians or e-folds
+    m = [max(_MAGNUS_MIN_INTERVALS, 1 << math.ceil(math.log2(v)))
+         for v in scale]
 
     def states(m, rows):
-        # the start and _node_states at the nodes past it
-        return (y0[:, rows], *_node_states(potential, nu[rows], a[rows],
-                                           b[rows], y0[:, rows], m, rows))
+        # (starts, log, y) of rows: the states (u, u') at the nodes a + h j,
+        # j = 1 .. m, are node j's exp(log[:, j]) y[:, :, j]
+        lo, h, start = a[rows], (b[rows] - a[rows]) / m, y0[:, rows]
+        E, log = _magnus_propagators(potential, nu[rows], lo, h, m, rows)
+        _prefix_products(E, log)
+        with np.errstate(over="ignore", invalid="ignore"):
+            y = E[:, 0] * start[0][:, None] + E[:, 1] * start[1][:, None]
+        # a product that is not finite leaves every later one not finite
+        if not (np.isfinite(y[..., -1]).all()
+                and np.isfinite(log[:, -1]).all()):
+            bad = ~(np.isfinite(y).all(axis=0) & np.isfinite(log))
+            g, j = np.argwhere(bad)[0]
+            x = float(lo[g] + h[g] * (j + 1))
+            raise IntegrationError(
+                f"the Magnus propagation of row {int(rows[g])} is not finite "
+                f"at x = {x}", location=x, row=int(rows[g]))
+        return start, log, y
 
     return nu, a, b, m, states
 
 
-def magnus_dense(potential, nu, span, y0, tol, read):
-    """Dense solution of u'' = (V(x) - nu) u on span = (a, b) from
-    y0 = (u(a), u'(a)); b < a sweeps backward.  nu, a, b, u(a) and u'(a)
-    are scalars or 1-D arrays of one length, one entry a row (row_count).
+def magnus_dense(potential, span, y0, tol, read):
+    """Dense solution of u'' = V(x) u on span = (a, b) from
+    y0 = (u(a), u'(a)); b < a sweeps backward.  V is the whole coefficient.
+    a, b, u(a) and u'(a) are scalars or 1-D arrays of one length, one entry
+    a row (row_count).
 
-    The rows follow quad_log's contract.  potential(x, rows) maps the
-    abscissae x, shape (open rows, points), of the rows whose indices are
-    `rows` to V there, and read(x, log, y, rows) takes the node states of
-    rows, shapes (open rows, nodes) and (2, open rows, nodes).  Each row
-    keeps its own meshes, rescaling, estimates and acceptance, and gets the
-    same result, bit for bit, whatever else is in the batch: the open rows
-    that need the same mesh are swept in one call of the potential, and a
-    row leaves the batch once accepted.
+    potential keeps the module's row contract, and read(x, log, y, rows)
+    takes the node states of rows, shapes (open rows, nodes) and
+    (2, open rows, nodes).  Each row's result is that of its one-row call,
+    bit for bit.
 
-    magnus_prufer's propagation, rescaled whenever the products could pass
-    the double range, on meshes doubling from max(64, the power of two at
-    or above k |b - a|), k = sqrt(max(nu, 1)).  read(x, log, y, rows) maps
-    the node states (node j's is exp(log[:, j]) y[:, :, j]) to the caller's
-    variable as (v, v', v'', v''') at the nodes x, v'' from the equation
-    and v''' from the equation differentiated once, and a SepticHermite
-    reads them.  Two estimates are held to tol: the nodes' (_richardson, in
-    units of each node's max-norm) and the interpolant's, its gap at the
-    mesh midpoints to the interpolant on every other node (SepticHermite.at
-    on both), over 255 in v and 127 in v' (orders eight and seven), in
-    units of max|v| and max|v'|, and 0 at its rounding floor
-    4 eps max|v| / (h max|v'|).
+    magnus_prufer's propagation at nu = 0, rescaled whenever the products
+    could pass the double range, on meshes doubling from max(64, the power
+    of two at or above |b - a|).  read maps the node states (node j's is
+    exp(log[:, j]) y[:, :, j]) to the caller's variable as
+    (v, v', v'', v''') at the nodes x, v'' from the equation and v''' from
+    the equation differentiated once, and a SepticHermite reads them.  Two
+    estimates are held to tol: the nodes' (_richardson, in units of each
+    node's max-norm) and the interpolant's, its gap at the mesh midpoints
+    to the interpolant on every other node (SepticHermite.at on both), over
+    255 in v and 127 in v' (orders eight and seven), in units of max|v| and
+    max|v'|, and 0 at its rounding floor 4 eps max|v| / (h max|v'|).
 
     Returns a list of (x, v, interpolant), one a row, on the row's accepted
     nodes x, x[0] = a and x[-1] = b.  A tol below 10 eps raises
-    ToleranceFloorError (solver "ODE"); the failures are magnus_prufer's,
-    naming the row's nu.
+    ToleranceFloorError (solver "ODE").  The failures are magnus_prufer's.
+    They name the row and the position x, and x is the error's location.
     """
-    nu, a, b, m, states = _state_rows("magnus_dense", potential, nu, span,
-                                      y0, tol)
+    _, a, b, m, states = _state_rows("magnus_dense", potential, span, y0,
+                                     tol)
 
     def sweep(m, rows):
         y0, log, y = states(m, rows)
@@ -567,26 +553,29 @@ def magnus_dense(potential, nu, span, y0, tol, read):
         return (np.where(estimate > floor, estimate, 0.0),
                 [(x[j], data[0][j], fine.row(j)) for j in range(rows.size)])
 
-    return _richardson(sweep, m, tol, nu, b, check)
+    return _richardson(sweep, m, tol, b, check)
 
 
-def magnus_log_derivative(potential, nu, span, y0, tol):
-    """u'(b) / u(b) of u'' = (V(r) - nu) u on span = (a, b) from
-    y0 = (u(a), u'(a)); b < a sweeps backward.
+def magnus_log_derivative(potential, span, y0, tol):
+    """u'(b) / u(b) of u'' = V(x) u on span = (a, b) from
+    y0 = (u(a), u'(a)); b < a sweeps backward.  V is the whole coefficient.
 
     magnus_dense's sweeps, rows and contract with the node estimate taken
     at b alone, an array, one entry a row.  The floor and the failures are
     magnus_dense's.
     """
-    nu, a, b, m, states = _state_rows("magnus_log_derivative", potential, nu,
-                                      span, y0, tol)
+    _, a, b, m, states = _state_rows("magnus_log_derivative", potential,
+                                     span, y0, tol)
 
     def sweep(m, rows):
         _, log, y = states(m, rows)
         return _normalized(log[:, -1:], y[..., -1:])
 
-    return np.array([y[1, 0] / y[0, 0]
-                     for _, y in _richardson(sweep, m, tol, nu, b)])
+    def check(level, rows):  # no estimate of its own
+        y = level[1][..., 0]
+        return 0.0, y[1] / y[0]
+
+    return np.array(_richardson(sweep, m, tol, b, check))
 
 
 def _horner(c, t):

@@ -298,16 +298,17 @@ def test_zero_coefficients_are_config_error(tmp_path, command, coeffs):
 
 def test_tip_branch_failure_names_its_mu(tmp_path):
     # the mode's tip branch at eps = 3 does not converge: a numerical
-    # failure naming the decaying tip branch and mode.mu, not the shift
-    # nu = 0.0 of its Magnus pass
+    # failure naming the decaying tip branch, mode.mu and the radius, the
+    # tip window's top, then the kernel's cap
     code = main(["demo-counterexample", "--out", str(tmp_path),
                  "--set", "params.eps=3", "--set", "params.n=2",
                  "--set", "params.N=3"])
     assert code == EXIT_NUMERICAL
     error = json.loads((tmp_path / "manifest.json").read_text())["error"]
-    assert error.startswith("IntegrationError: the Magnus propagation for "
-                            "the decaying tip branch at mu = 1.0 reached "
-                            "65536 intervals")
+    top = tip_window_top(make_horn_params(2, 3.0, 3.0, 0.25), 1.0)
+    assert error.startswith("IntegrationError: the decaying tip branch at "
+                            f"mu = 1.0 fails at r = {top}: the Magnus "
+                            "propagation of row 0 reached 65536 intervals")
     assert "nu = 0.0" not in error
 
 

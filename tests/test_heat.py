@@ -219,26 +219,34 @@ def test_shot_near_nu_30_counts_and_converges(p_default):
 
 
 def test_outer_pass_failure_names_the_row_nu(p_default, monkeypatch):
-    # the outer pass folds nu into its potential: a failure names the pass
-    # and its row's nu, not the shift nu = 0.0
+    # the outer pass runs in K log r: a failure names the pass, its row's
+    # nu and the radius, then the kernel's row and failure.  With the
+    # potential infinite above r = 1.5 the radius is that of the first node
+    # past it, inside (1.5, r_out], and it is the location
     liouville = heat.liouville_potential
     monkeypatch.setattr(heat, "liouville_potential", lambda p, i, r: np.where(
         r > 1.5, np.inf, liouville(p, i, r)))
-    with pytest.raises(IntegrationError,
-                       match=r"for the eigenfunction's outer pass at "
-                             r"nu = 10\.00860578069562 is not finite") as err:
+    with pytest.raises(IntegrationError) as err:
         heat._build_pairs(p_default, 1, PAIRS8_ROUT2_NU[:2], 2.0, 1e-12)
+    r = err.value.location
+    assert 1.5 < r <= 2.0
+    assert str(err.value).startswith(
+        f"the eigenfunction's outer pass at nu = 10.00860578069562 fails at "
+        f"r = {r}: the Magnus propagation of row 0 is not finite")
     assert err.value.row == 0
 
 
 def test_shot_past_the_mesh_cap_names_nu(p_default, monkeypatch):
-    # the same shot with too few intervals allowed fails loudly, naming nu
-    # and the Richardson estimate it reached
+    # the same shot with too few intervals allowed fails loudly, naming the
+    # shot, nu, the radius and the Richardson estimate it reached; a shot
+    # stopped at the cap ends at r_out, its location
     monkeypatch.setattr(numerics, "_MAGNUS_MAX_INTERVALS", 512)
     with pytest.raises(IntegrationError,
-                       match=r"nu = 2896\.0 reached 512 intervals with "
-                             r"Richardson estimate"):
+                       match=r"^the shot at nu = 2896\.0 fails at r = 2\.0: "
+                             r"the Magnus propagation of row 0 reached 512 "
+                             r"intervals with Richardson estimate") as err:
         heat._shoot_rows(p_default, 2, 2896.0, 2.0, 1e-12)
+    assert err.value.location == 2.0
 
 
 # _wkb_trials as recorded from its 33-point octave tables, the first trials

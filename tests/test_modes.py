@@ -12,8 +12,8 @@ from hornlab import (ConsistencyError, DomainValidationError,
                      normalization_bound, profile_from_k2, r_mu, solve_k1,
                      solve_k2, sphere_eigenvalue, tip_exponent, tip_rate)
 from hornlab import modes, numerics
-from hornlab.modes import (TipBranch, _bounded_branch, _q_factory, _tip_dense,
-                           tip_anchor, tip_window_top)
+from hornlab.modes import (TipBranch, _bounded_branch, _in_sigma, _q_factory,
+                           _tip_dense, tip_anchor, tip_window_top)
 
 
 # ---------------------------------------------------------------------------
@@ -116,8 +116,8 @@ def test_k1_constant_coefficient_limit(p_default):
 
     q.slope = np.zeros_like
     k = TipBranch((s0, s0 + 2.0), rho,
-                  _tip_dense(lambda rows: q, rho, (s0, s0 + 2.0), (1.0, 1.0),
-                             1e-12)[0][2])
+                  _tip_dense(_in_sigma(lambda rows: q, rho, (s0, s0 + 2.0),
+                                       (1.0, 1.0)), 1e-12)[0][2])
     for ds in (0.0, 0.05, 0.5, 1.0, 2.0):
         exact = [math.cosh(rho * ds) + math.sinh(rho * ds) / rho,
                  rho * math.sinh(rho * ds) + math.cosh(rho * ds)]
@@ -579,21 +579,52 @@ def test_tip_anchor_batch_rows_equal_single_calls(p_default, monkeypatch, i):
 
 def test_tip_pass_failures_name_the_pass_and_the_row_mu(p_default,
                                                          monkeypatch):
-    # the tip passes fold mu into their potential and shift it by nu = 0:
-    # a failure names the pass and the failing row's mu, not nu = 0.0; with
-    # 64 intervals allowed, the second row of the branches' batch fails
-    # first
+    # a tip pass runs in sigma = rho s: a failure names the pass, the
+    # failing row's mu and the radius, then the kernel's row and cap, with
+    # the kernel's error, in sigma, as its cause.  With 64 intervals
+    # allowed, the second row of the branches' batch fails first; a pass
+    # stopped at the cap ends at r_mu, so its radius and location are the
+    # failing row's tip window top
     monkeypatch.setattr(numerics, "_MAGNUS_MAX_INTERVALS", 64)
-    with pytest.raises(IntegrationError,
-                       match=r"for the decaying tip branch at "
-                             r"mu = 1000000\.0 reached 64 intervals") as err:
-        solve_k2(p_default, 1, [1.0, 1e6], 30.0)
-    assert err.value.row == 1
-    with pytest.raises(IntegrationError,
-                       match=r"for the tip anchor at mu = 1\.0 reached 64 "
-                             r"intervals") as err:
-        tip_anchor(p_default, 1, [1.0, 1e6], 1e-12)
-    assert "nu = 0.0" not in str(err.value)
+    for build, what, row, mu in (
+            (lambda: solve_k2(p_default, 1, [1.0, 1e6], 30.0),
+             "the decaying tip branch", 1, 1e6),
+            (lambda: tip_anchor(p_default, 1, [1.0, 1e6], 1e-12),
+             "the tip anchor", 0, 1.0)):
+        with pytest.raises(IntegrationError) as err:
+            build()
+        r = err.value.location
+        assert r == pytest.approx(tip_window_top(p_default, mu), rel=1e-12)
+        assert str(err.value).startswith(
+            f"{what} at mu = {mu} fails at r = {r}: the Magnus propagation "
+            f"of row {row} reached 64 intervals")
+        assert err.value.row == row
+        assert err.value.__cause__.location == pytest.approx(
+            tip_rate(p_default, 1) * r_mu(p_default, mu), rel=1e-15)
+
+
+def test_tip_builders_refuse_i_zero(p_default):
+    # at i = 0 the tip rate rho is 0 and there is no decaying branch: the
+    # builders refuse by name, before anything divides by rho
+    for build in (lambda: tip_anchor(p_default, 0, 1.0, 1e-12),
+                  lambda: solve_k2(p_default, 0, 1.0, 5.0)):
+        with pytest.raises(DomainValidationError,
+                           match=r"^the decaying tip branch needs i >= 1"):
+            build()
+    with pytest.raises(DomainValidationError,
+                       match=r"^normalization_bound needs i >= 1$"):
+        normalization_bound(p_default, 0, 1.0)
+
+
+@pytest.mark.parametrize("s_max", [math.inf, math.nan])
+def test_tip_branches_refuse_a_non_finite_s_max(p_default, s_max):
+    # a top of the span that is not finite is refused as s_max, next to
+    # the r_mu check, not by the kernel's finite-input check in sigma
+    for build in (solve_k1, solve_k2):
+        with pytest.raises(DomainValidationError,
+                           match=r"^s_max must be finite and exceed "
+                                 rf"r_mu = 2\.70\d*, got {s_max}$"):
+            build(p_default, 1, 1.0, s_max)
 
 
 def test_normalization_bound_finite(p_default):

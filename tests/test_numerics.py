@@ -137,12 +137,12 @@ def _constant(level):
     return lambda x, rows: np.full_like(x, level)
 
 
-def _dense(potential, nu, span, y0, tol, log=False):
-    """magnus_dense on u'' = (V - nu) u for a constant V, read as u itself
-    or, for a positive u, as log u: (x, node values, interpolant).  With
-    V' = 0, u''' = (V - nu) u' and (log u)''' = -2 (log u)' (log u)''."""
+def _dense(potential, span, y0, tol, log=False):
+    """magnus_dense on u'' = V u for a constant V, read as u itself or, for
+    a positive u, as log u: (x, node values, interpolant).  With V' = 0,
+    u''' = V u' and (log u)''' = -2 (log u)' (log u)''."""
     def read(x, logs, y, rows):
-        level = potential(x, rows) - nu
+        level = potential(x, rows)
         if log:
             slope = y[1] / y[0]
             curve = level - slope * slope
@@ -150,20 +150,20 @@ def _dense(potential, nu, span, y0, tol, log=False):
         u, du = np.exp(logs) * y
         return u, du, level * u, level * du
 
-    row, = magnus_dense(potential, nu, span, y0, tol, read)
+    row, = magnus_dense(potential, span, y0, tol, read)
     return row
 
 
 def test_ode_exponential():
     # u'' = u from (1, 1) is e^x: its value at 1 and its slope, which the
     # interpolant gives as its own derivative
-    u, du = _dense(_constant(1.0), 0.0, (0.0, 1.0), (1.0, 1.0), 1e-10)[2](1.0)
+    u, du = _dense(_constant(1.0), (0.0, 1.0), (1.0, 1.0), 1e-10)[2](1.0)
     assert u == pytest.approx(math.e, rel=1e-12)
     assert du == pytest.approx(u, rel=1e-12)
 
 
 def test_ode_sine():
-    interpolant = _dense(_constant(0.0), 1.0, (0.0, math.pi), (0.0, 1.0),
+    interpolant = _dense(_constant(-1.0), (0.0, math.pi), (0.0, 1.0),
                          1e-10)[2]
     assert interpolant(math.pi)[0] == pytest.approx(0.0, abs=1e-10)
     assert interpolant(math.pi / 2)[0] == pytest.approx(1.0, rel=1e-10)
@@ -173,7 +173,7 @@ def test_ode_growing_branch():
     # u'' = 4u with data matching exp(2x): the stiff-side regime of the
     # tip equation when the spherical eigenvalue dominates, read in log
     # space as the tip branches are
-    L, slope = _dense(_constant(4.0), 0.0, (0.0, 3.0), (1.0, 2.0), 1e-10,
+    L, slope = _dense(_constant(4.0), (0.0, 3.0), (1.0, 2.0), 1e-10,
                       log=True)[2](3.0)
     assert L == pytest.approx(6.0, abs=1e-10)
     assert slope == pytest.approx(2.0, rel=1e-10)
@@ -183,10 +183,10 @@ def test_ode_trig_exp_accuracy_scaling():
     # u'' = lam u reproduces exp/trig with relative error <= 100 * tol
     # over spans of length <= 10
     tol = 1e-10
-    L = _dense(_constant(1.0), 0.0, (0.0, 10.0), (1.0, 1.0), tol,
+    L = _dense(_constant(1.0), (0.0, 10.0), (1.0, 1.0), tol,
                log=True)[2](10.0)[0]
     assert math.exp(L) == pytest.approx(math.exp(10.0), rel=100 * tol)
-    u = _dense(_constant(0.0), 1.0, (0.0, 10.0), (1.0, 0.0), tol)[2](10.0)[0]
+    u = _dense(_constant(-1.0), (0.0, 10.0), (1.0, 0.0), tol)[2](10.0)[0]
     assert u == pytest.approx(math.cos(10.0), rel=100 * tol)
 
 
@@ -194,9 +194,9 @@ def test_ode_endpoint_only_matches_dense():
     # the end reduction and the dense pass's last node give the same
     # log-derivative, both within 100 tol of the exact one
     tol = 1e-10
-    end, = magnus_log_derivative(_constant(0.0), 1.0, (0.0, 10.0),
-                                 (1.0, 0.0), tol)
-    u, du = _dense(_constant(0.0), 1.0, (0.0, 10.0), (1.0, 0.0), tol)[2](10.0)
+    end, = magnus_log_derivative(_constant(-1.0), (0.0, 10.0), (1.0, 0.0),
+                                 tol)
+    u, du = _dense(_constant(-1.0), (0.0, 10.0), (1.0, 0.0), tol)[2](10.0)
     assert end == pytest.approx(-math.tan(10.0), rel=100 * tol)
     assert du / u == pytest.approx(-math.tan(10.0), rel=100 * tol)
 
@@ -206,8 +206,8 @@ def test_ode_dense_interior_accuracy():
     # read as log k: the interpolant holds 1e-10 relative in k and k' at
     # 4001 interior points
     rho = 5.66
-    L, slope = _dense(_constant(rho * rho), 0.0, (0.0, 2.0), (1.0, 1.0),
-                      1e-12, log=True)[2](np.linspace(0.0, 2.0, 4001))
+    L, slope = _dense(_constant(rho * rho), (0.0, 2.0), (1.0, 1.0), 1e-12,
+                      log=True)[2](np.linspace(0.0, 2.0, 4001))
     xs = np.linspace(0.0, 2.0, 4001)
     exact = np.cosh(rho * xs) + np.sinh(rho * xs) / rho
     assert np.max(np.abs(np.exp(L) / exact - 1.0)) <= 1e-10
@@ -218,7 +218,7 @@ def test_ode_dense_interior_accuracy():
 def test_magnus_dense_log_read_past_the_double_range():
     # u'' = u from (1, 1) over 1000 e-folds: the products are rescaled as
     # they are formed, and log u = x holds at the far end
-    x, v, interpolant = _dense(_constant(1.0), 0.0, (0.0, 1000.0), (1.0, 1.0),
+    x, v, interpolant = _dense(_constant(1.0), (0.0, 1000.0), (1.0, 1.0),
                                1e-10, log=True)
     assert v[-1] == pytest.approx(1000.0, rel=1e-12)
     assert interpolant(777.7)[0] == pytest.approx(777.7, rel=1e-12)
@@ -228,7 +228,7 @@ def test_magnus_dense_log_read_past_the_double_range():
 def test_ode_dense_backward_span():
     # a decreasing span, as solve_k2 sweeps from s_far down to r_mu
     tol = 1e-10
-    x, v, interpolant = _dense(_constant(0.0), 1.0, (10.0, 0.5),
+    x, v, interpolant = _dense(_constant(-1.0), (10.0, 0.5),
                                (math.cos(10.0), -math.sin(10.0)), tol)
     assert np.all(np.diff(x) < 0)
     assert x[0] == 10.0 and x[-1] == 0.5
@@ -240,7 +240,7 @@ def test_ode_dense_backward_span():
 
 def test_ode_dense_passes_through_recorded_steps():
     # the interpolant reproduces the node values, starting at the data
-    x, v, interpolant = _dense(_constant(4.0), 0.0, (0.0, 3.0), (1.0, 2.0),
+    x, v, interpolant = _dense(_constant(4.0), (0.0, 3.0), (1.0, 2.0),
                                1e-10)
     assert x.size > 10 and v.shape == x.shape
     assert v[0] == 1.0
@@ -316,9 +316,9 @@ def test_ode_field_calls_repeat_exactly():
 
         def potential(x, rows):
             sizes.append(x.size)
-            return np.sin(x)
+            return np.sin(x) - 4.0
 
-        end, = magnus_log_derivative(potential, 4.0, (0.0, 3.0), (1.0, 0.0),
+        end, = magnus_log_derivative(potential, (0.0, 3.0), (1.0, 0.0),
                                      1e-12)
         runs.append((end.hex(), tuple(sizes)))
     assert len(set(runs)) == 1
@@ -335,14 +335,13 @@ def test_ode_field_exception_ends_the_solve(dense):
         calls[0] += 1
         if calls[0] == 3:
             raise failure
-        return np.zeros_like(x)
+        return np.full_like(x, -1.0)
 
     with pytest.raises(ValueError) as err:
         if dense:
-            _dense(potential, 1.0, (0.0, 1.0), (1.0, 0.0), 1e-12)
+            _dense(potential, (0.0, 1.0), (1.0, 0.0), 1e-12)
         else:
-            magnus_log_derivative(potential, 1.0, (0.0, 1.0), (1.0, 0.0),
-                                  1e-12)
+            magnus_log_derivative(potential, (0.0, 1.0), (1.0, 0.0), 1e-12)
     assert err.value is failure
     assert calls[0] == 3
 
@@ -350,7 +349,7 @@ def test_ode_field_exception_ends_the_solve(dense):
 def test_ode_endpoint_only_backward_span():
     # a decreasing span, as tip_anchor sweeps from s_far down to s_lo
     tol = 1e-10
-    end, = magnus_log_derivative(_constant(0.0), 1.0, (10.0, 0.5),
+    end, = magnus_log_derivative(_constant(-1.0), (10.0, 0.5),
                                  (math.cos(10.0), -math.sin(10.0)), tol)
     assert end == pytest.approx(-math.tan(0.5), rel=100 * tol)
 
@@ -360,17 +359,17 @@ def test_ode_endpoint_only_has_no_stiffness_interrupt():
     # double range: the products are rescaled as they are formed, and the
     # end log-derivative is the rate
     lam = 1e5
-    end, = magnus_log_derivative(_constant(lam * lam), 0.0, (0.0, 0.2),
+    end, = magnus_log_derivative(_constant(lam * lam), (0.0, 0.2),
                                  (1.0, lam), 1e-12)
     assert end == pytest.approx(lam, rel=1e-12)
 
 
 def _assert_sweeps_keep_nothing_alive(sweep):
-    # neither the potential nor anything it refers to outlives the sweep;
-    # a dense pass's interpolant holds arrays only
+    # neither the potential, here V = -1, nor anything it refers to
+    # outlives the sweep; a dense pass's interpolant holds arrays only
     class Potential:
         def __call__(self, x, rows):
-            return np.zeros_like(x)
+            return np.full_like(x, -1.0)
 
     potential = Potential()
     ref = weakref.ref(potential)
@@ -383,14 +382,14 @@ def _assert_sweeps_keep_nothing_alive(sweep):
 
 def test_ode_endpoint_only_keeps_nothing_alive():
     _assert_sweeps_keep_nothing_alive(lambda V: magnus_log_derivative(
-        V, 1.0, (0.0, 1.0), (1.0, 0.0), 1e-10))
+        V, (0.0, 1.0), (1.0, 0.0), 1e-10))
 
 
 def test_ode_dense_keeps_nothing_alive():
     # the test's read closes over the potential, so the pass reads the
     # linear state here
     interpolant = _assert_sweeps_keep_nothing_alive(lambda V: magnus_dense(
-        V, 1.0, (0.0, 1.0), (1.0, 0.0), 1e-10,
+        V, (0.0, 1.0), (1.0, 0.0), 1e-10,
         lambda x, logs, y, rows: (np.exp(logs) * y[0], np.exp(logs) * y[1],
                             -np.exp(logs) * y[0], -np.exp(logs) * y[1]))[0][2])
     assert interpolant(0.5)[0] == pytest.approx(math.cos(0.5), rel=1e-10)
@@ -405,9 +404,9 @@ def test_ode_tolerance_floor_is_refused(dense, floor):
 
     def sweep(tol):
         if dense:
-            return _dense(_constant(0.0), 1.0, (0.0, 1.0), (1.0, 0.0), tol)
-        return magnus_log_derivative(_constant(0.0), 1.0, (0.0, 1.0),
-                                     (1.0, 0.0), tol)
+            return _dense(_constant(-1.0), (0.0, 1.0), (1.0, 0.0), tol)
+        return magnus_log_derivative(_constant(-1.0), (0.0, 1.0), (1.0, 0.0),
+                                     tol)
 
     sweep(floor * eps)
     with pytest.raises(ToleranceFloorError, match="tol=") as err:
@@ -420,36 +419,41 @@ def test_ode_tolerance_floor_is_refused(dense, floor):
 def test_ode_initial_condition_and_span():
     # the nodes run from a to b exactly, the first node is the data, and an
     # empty span is refused
-    x, v, interpolant = _dense(_constant(1.0), 0.0, (0.0, 1.0), (2.0, 2.0),
+    x, v, interpolant = _dense(_constant(1.0), (0.0, 1.0), (2.0, 2.0),
                                1e-10)
     assert (x[0], x[-1], v[0]) == (0.0, 1.0, 2.0)
     assert interpolant(0.0)[0] == 2.0
     for sweep in (magnus_dense, magnus_log_derivative):
         with pytest.raises(DomainValidationError, match="a != b"):
-            sweep(_constant(1.0), 0.0, (1.0, 1.0), (2.0, 2.0), 1e-10,
+            sweep(_constant(1.0), (1.0, 1.0), (2.0, 2.0), 1e-10,
                   *([None] if sweep is magnus_dense else []))
     # a span or a start that is not finite is refused by name, with the
     # row's values, before the floor check and before any sweep: it raised
-    # OverflowError, ToleranceFloorError or IntegrationError before
+    # OverflowError, ToleranceFloorError or IntegrationError before.  Only
+    # the angle takes nu
     for sweep in (magnus_dense, magnus_log_derivative, magnus_prufer):
+        angle = sweep is magnus_prufer
         for nu, span, y0, got in (
-                (0.0, (0.0, math.inf), (2.0, 2.0), "0.0, 0.0, inf, 2.0, 2.0"),
-                (0.0, (0.0, math.nan), (2.0, 2.0), "0.0, 0.0, nan, 2.0, 2.0"),
-                (0.0, (0.0, 1.0), (math.nan, 2.0), "0.0, 0.0, 1.0, nan, 2.0"),
+                (0.0, (0.0, math.inf), (2.0, 2.0), "0.0, inf, 2.0, 2.0"),
+                (0.0, (0.0, math.nan), (2.0, 2.0), "0.0, nan, 2.0, 2.0"),
+                (0.0, (0.0, 1.0), (math.nan, 2.0), "0.0, 1.0, nan, 2.0"),
                 (np.array([0.0, 1.0]), (0.0, np.array([1.0, -math.inf])),
-                 (2.0, 2.0), "1.0, 0.0, -inf, 2.0, 2.0")):
-            message = (f"{sweep.__name__} needs finite nu, a, b, u(a), "
+                 (2.0, 2.0), "0.0, -inf, 2.0, 2.0")):
+            names, got = (("nu, a", f"{nu if np.ndim(nu) == 0 else nu[1]}, "
+                           + got) if angle else ("a", got))
+            message = (f"{sweep.__name__} needs finite {names}, b, u(a), "
                        f"u'(a), got ({got})")
             with pytest.raises(DomainValidationError,
                                match=f"^{re.escape(message)}$"):
-                sweep(_constant(1.0), nu, span, y0, 1e-10,
-                      *([None] if sweep is magnus_dense else []))
+                sweep(_constant(1.0), *([nu] if angle else []), span, y0,
+                      1e-10, *([None] if sweep is magnus_dense else []))
 
 
 # rows of magnus_dense batches: (nu, a, b, u(a), u'(a), read as log u),
-# each with its potential and the potential's slope.  Rows 0 to 3 start on
-# 64 intervals and row 4 on 256; row 2 sweeps backward; row 3 grows by
-# e^800, past the double range, so its products are rescaled
+# each with its potential V and V's slope; a dense pass takes the whole
+# coefficient V - nu.  Every row starts on 64 intervals; row 2 sweeps
+# backward; row 3 grows by e^800, past the double range, so its products
+# are rescaled
 _DENSE_ROWS = [(20.0, 0.0, 3.0, 0.0, 1.0, False),
                (200.0, 0.5, 4.0, 1.0, 0.0, False),
                (1.0, 10.0, 0.5, math.cos(10.0), -math.sin(10.0), False),
@@ -479,7 +483,7 @@ def _dense_batch(rows, sizes=None):
     def potential(x, open_rows):
         if sizes is not None:
             sizes.append((open_rows.tolist(), x.shape[1]))
-        return np.array([_DENSE_V[rows[k]][0](x[i])
+        return np.array([_DENSE_V[rows[k]][0](x[i]) - _DENSE_ROWS[rows[k]][0]
                          for i, k in enumerate(open_rows)])
 
     def read(x, logs, y, open_rows):
@@ -487,9 +491,9 @@ def _dense_batch(rows, sizes=None):
             _dense_row_read(rows[k], x[i], logs[i], y[:, i])
             for i, k in enumerate(open_rows))))
 
-    nu, a, b, u0, du0, _ = (np.array(v) for v in zip(*(_DENSE_ROWS[j]
-                                                       for j in rows)))
-    return magnus_dense(potential, nu, (a, b), (u0, du0), 1e-10, read)
+    _, a, b, u0, du0, _ = (np.array(v) for v in zip(*(_DENSE_ROWS[j]
+                                                      for j in rows)))
+    return magnus_dense(potential, (a, b), (u0, du0), 1e-10, read)
 
 
 def _dense_single(j):
@@ -497,8 +501,7 @@ def _dense_single(j):
     returns one row."""
     nu, a, b, u0, du0, _ = _DENSE_ROWS[j]
     dense = magnus_dense(
-        lambda x, rows: _DENSE_V[j][0](x),
-        nu, (a, b), (u0, du0), 1e-10,
+        lambda x, rows: _DENSE_V[j][0](x) - nu, (a, b), (u0, du0), 1e-10,
         lambda x, logs, y, rows: tuple(
             v[None] for v in _dense_row_read(j, x[0], logs[0], y[:, 0])))
     assert len(dense) == 1
@@ -529,9 +532,9 @@ def test_magnus_dense_batch_rows_equal_single_calls():
     # range (log u ends past log(max double) = 709.78)
     assert [x.size for x, _, _ in single] == [129, 257, 129, 2049, 513]
     assert single[3][1][-1] > 710.0
-    # rows 0 to 3 start together on 64 intervals (two Gauss points each),
-    # row 4 joins them on 256, and each call holds the rows still open
-    assert sizes == [([0, 1, 2, 3], 128), ([0, 1, 2, 3], 256),
+    # every row starts on 64 intervals (two Gauss points each), and each
+    # call holds the rows still open
+    assert sizes == [([0, 1, 2, 3, 4], 128), ([0, 1, 2, 3, 4], 256),
                      ([0, 1, 2, 3, 4], 512), ([1, 3, 4], 1024),
                      ([3, 4], 2048), ([3], 4096), ([3], 8192)]
 
@@ -543,12 +546,12 @@ def test_magnus_log_derivative_batch_rows_equal_single_calls():
     nu, a, b, u0, du0, _ = (np.array(v) for v in zip(*(_DENSE_ROWS[j]
                                                        for j in rows)))
     got = magnus_log_derivative(
-        lambda x, open_rows: np.array([_DENSE_V[rows[k]][0](x[i])
+        lambda x, open_rows: np.array([_DENSE_V[rows[k]][0](x[i]) - nu[k]
                                        for i, k in enumerate(open_rows)]),
-        nu, (a, b), (u0, du0), 1e-10)
+        (a, b), (u0, du0), 1e-10)
     for j, end in zip(rows, got):
         nu, a, b, u0, du0, _ = _DENSE_ROWS[j]
-        want = magnus_log_derivative(lambda x, r: _DENSE_V[j][0](x), nu,
+        want = magnus_log_derivative(lambda x, r: _DENSE_V[j][0](x) - nu,
                                      (a, b), (u0, du0), 1e-10)
         assert want.shape == (1,)
         assert end.hex() == want[0].hex()
@@ -631,17 +634,17 @@ def test_magnus_prufer_batch_floor_names_the_largest_scale():
     (lambda p: profile_from_k2(p, 1, np.array([1.0, 2.0]), np.array([0.02]),
                                20),
      ["profile_from_k2 takes one mu and one r_min", "mu (2,)", "r_min (1,)"]),
-    (lambda p: magnus_dense(_constant(0.0), np.array([1.0, 2.0]),
-                            (np.zeros(3), np.ones(3)), (1.0, 0.0), 1e-10,
-                            None), ["nu (2,)", "a (3,)", "b (3,)"]),
-    (lambda p: magnus_log_derivative(_constant(0.0), np.array([1.0, 2.0]),
-                                     (0.0, np.ones(3)), (1.0, 0.0), 1e-10),
-     ["nu (2,)", "b (3,)"]),
-    (lambda p: magnus_dense(_constant(0.0), np.ones((2, 2)), (0.0, 1.0),
-                            (1.0, 0.0), 1e-10, None), ["nu (2, 2)"]),
-    (lambda p: magnus_log_derivative(_constant(0.0), np.array([]),
-                                     (0.0, 1.0), (1.0, 0.0), 1e-10),
-     ["nu (0,)"]),
+    (lambda p: magnus_dense(_constant(0.0), (np.zeros(3), np.ones(3)),
+                            (np.array([1.0, 2.0]), 0.0), 1e-10, None),
+     ["a (3,)", "b (3,)", "u(a) (2,)"]),
+    (lambda p: magnus_log_derivative(_constant(0.0), (0.0, np.ones(3)),
+                                     (np.array([1.0, 2.0]), 0.0), 1e-10),
+     ["b (3,)", "u(a) (2,)"]),
+    (lambda p: magnus_dense(_constant(0.0), (np.zeros((2, 2)), 1.0),
+                            (1.0, 0.0), 1e-10, None), ["a (2, 2)"]),
+    (lambda p: magnus_log_derivative(_constant(0.0), (np.array([]), 1.0),
+                                     (1.0, 0.0), 1e-10),
+     ["a (0,)"]),
     (lambda p: magnus_prufer(_constant(0.0), np.array([1.0, 2.0]),
                              (0.0, np.ones(3)), (1.0, 0.0), 1e-10),
      ["nu (2,)", "b (3,)"]),
@@ -662,10 +665,12 @@ def test_rows_of_unequal_length_are_refused(p_default, call, shapes):
 
 
 def test_ode_failure_reports_location():
-    # a well too deep for the first mesh: the dense pass names the radius
-    # of the interval that turns the state by pi or more
-    with pytest.raises(IntegrationError, match="turns the Pruefer") as err:
-        _dense(_constant(-1e6), 1.0, (0.0, 2.0), (1.0, 0.0), 1e-10)
+    # a well too deep for the first mesh: the dense pass names the row and
+    # the start x of the interval that turns the state by pi or more
+    with pytest.raises(IntegrationError,
+                       match=r"^a Magnus interval of row 0 at x = 0\.0 turns "
+                             r"the state by up to 31\.3 >= pi$") as err:
+        _dense(_constant(-1e6 - 1.0), (0.0, 2.0), (1.0, 0.0), 1e-10)
     assert 0.0 <= err.value.location <= 2.0
 
 
@@ -675,10 +680,12 @@ def test_ode_endpoint_only_failure_reports_location():
     # RuntimeWarning escapes
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(IntegrationError, match="not finite") as err:
+        with pytest.raises(IntegrationError,
+                           match=r"^the Magnus propagation of row 0 is not "
+                                 r"finite at x = 1\.03125$") as err:
             magnus_log_derivative(
-                lambda x, rows: np.where(x > 1.0, np.inf, 0.0), 0.0,
-                (0.0, 2.0), (1.0, 0.0), 1e-10)
+                lambda x, rows: np.where(x > 1.0, np.inf, 0.0), (0.0, 2.0),
+                (1.0, 0.0), 1e-10)
     assert 1.0 < err.value.location <= 1.0 + 2.0 / 64
 
 
@@ -690,7 +697,7 @@ def test_magnus_interval_past_the_double_range_carries_its_scale():
     # atan(tanh(10^4) / 10^4), with no RuntimeWarning
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        end, = magnus_log_derivative(_constant(1e12), 0.0, (0.0, 2.0),
+        end, = magnus_log_derivative(_constant(1e12), (0.0, 2.0),
                                      (1.0, 0.0), 1e-10)
         (theta,), _ = magnus_prufer(_constant(1e8), 1.0, (0.0, 1.0),
                                     (0.0, 1.0), 1e-12)
@@ -770,15 +777,20 @@ def test_magnus_prufer_refuses_a_tolerance_below_its_floor():
 
 
 @pytest.mark.parametrize("level, message", [
-    (-1e6, r"at r = 0\.0 turns the Pruefer angle by up to 15\.6 >= pi "
-           r"for nu = 1\.0"),
-    (math.inf, r"for nu = 1\.0 is not finite at r = 0\.")])
+    (-1e6, r"^a Magnus interval of row 1 at x = 0\.0 turns the state by up "
+           r"to 15\.6 >= pi$"),
+    (math.inf, r"^the Magnus propagation of row 1 is not finite at "
+               r"x = 0\.015625$")], ids=["deep-well", "infinite-potential"])
 def test_magnus_prufer_fails_loudly(level, message):
     # a well too deep for the first mesh of 64 intervals, and an infinite
-    # potential, each name nu and r
+    # potential, each on the second row of a batch (nu = 1 and 4): the
+    # kernel names the failing row and the position x, its location, which
+    # for an angle is the radius; the pass that calls it names nu
     with pytest.raises(IntegrationError, match=message) as err:
-        magnus_prufer(_constant(level), 1.0, (0.0, 1.0),
-                      (0.0, 1.0), 1e-12)
+        magnus_prufer(lambda x, rows: np.where(rows[:, None] == 1, level,
+                                               np.zeros_like(x)),
+                      np.array([4.0, 1.0]), (0.0, 1.0), (0.0, 1.0), 1e-12)
+    assert err.value.row == 1
     assert 0.0 <= err.value.location <= 1.0
 
 
