@@ -56,6 +56,7 @@ long before r = 0.
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -341,7 +342,8 @@ class RadialProfile:
     shape of the radii r, and is the one route to the mode's values.  The
     grid is carried in the transformed abscissa s = r^-eps (increasing s
     means approaching the tip); it fixes the represented range [r_min,
-    r_max], and sign / log_mag / log_deriv are the evaluator's values on it.
+    r_max], and sign / log_mag / log_deriv are the evaluator's values on it,
+    from one eval_log of the grid on the first read of any of them.
     """
 
     params: object
@@ -354,7 +356,14 @@ class RadialProfile:
         self.r_grid = self.s_grid ** (-1.0 / self.params.eps)
         self.r_min = float(self.r_grid.min())
         self.r_max = float(self.r_grid.max())
-        self.sign, self.log_mag, self.log_deriv = self.eval_log(self.r_grid)
+
+    @cached_property
+    def _grid_values(self):
+        return self.eval_log(self.r_grid)
+
+    sign = property(lambda self: self._grid_values[0])
+    log_mag = property(lambda self: self._grid_values[1])
+    log_deriv = property(lambda self: self._grid_values[2])
 
     def eval_log(self, r):
         """(sign, log|f|, d log|f|/dr) at r, each of the shape of r."""

@@ -4,10 +4,12 @@ Every kernel is a thin contract over scipy, numpy or the math module: the
 real-order Bessel function J_nu (scipy.special, after Amos, ACM TOMS
 Algorithm 644, imported on its first call), the real Gamma function and its
 logarithm (math.gamma and math.lgamma), the lab's one linear propagator,
-fourth-order Magnus for u'' = (V - nu) u in numpy, with three reductions
-held to their tolerance above a stated floor (the Pruefer angle, which
-brings its nu-derivative from the same nodes, the end log-derivative and
-dense node states, read by a septic Hermite interpolant), composite
+fourth-order Magnus for u'' = (V - nu) u in numpy, its node states from a
+work-efficient tree scan of the m interval propagators (m - 1 2x2 products
+up, m matrix-vector products down), with three reductions held to their
+tolerance above a stated floor (the Pruefer angle, which brings its
+nu-derivative from the same nodes, the end log-derivative and dense node
+states, read by a septic Hermite interpolant), composite
 Gauss-Legendre quadrature of log-represented integrands and line fitting.
 Only the angle takes nu.  The two dense reductions take the whole
 coefficient V of u'' = V u.
@@ -184,62 +186,86 @@ def _magnus_propagators(potential, nu, a, h, m, rows):
     return E, log
 
 
-def _prefix_products(E, log):
-    """In place, E[..., j] becomes each row's propagator over intervals
-    0 .. j in units of exp(log[:, j]), by a Hillis-Steele prefix product:
-    after the pass of stride d, E[..., j] holds the product over intervals
-    j - 2d + 1 .. j.  A row is rescaled when its products could pass the
-    double range (the max-row-sum norm is submultiplicative, so none passes
-    the product of the norms above 1, times each interval's e^log): each
-    pass divides every product of that row by its largest entry and adds
-    that entry's log, and the logs of the factors, to log.  Any other row
-    is left as an unscaled product, bit for bit, whatever else is in E."""
-    m = E.shape[-1]
+def _unit_columns(v):
+    """v, shape (..., rows, columns), divided by each (row, column)'s
+    largest |entry|, and the log of that entry."""
+    big = np.abs(v).max(axis=tuple(range(v.ndim - 2)))
+    return v / big, np.log(big)
+
+
+def _tree_scan(E, log, start, dense):
+    """(log scales, states): each row's states (u, u') at the nodes
+    a + h j, j = 0 .. m, of its m intervals, m a power of two, node j's
+    exp(log scales[:, j]) states[:, :, j], shapes (rows, m + 1) and
+    (2, rows, m + 1), node 0 the start y0 = start, shape (2, rows); with
+    dense False, node 0 and node m alone.  E and log are
+    _magnus_propagators' and are overwritten.
+
+    A work-efficient scan (Blelloch 1990): the up-sweep stores each
+    block's propagator at the block's last interval, the product of its
+    halves', in m - 1 2x2 products; the down-sweep gives node m from node
+    0 and the whole propagator, then carries each block's start state
+    across its left half, in m matrix-vector products in all (one when
+    not dense).  A row is rescaled when its products could pass the
+    double range (the max-row-sum norm is submultiplicative, so none
+    passes the product of the norms above 1, times each interval's
+    e^log): each product and state of that row is divided by its largest
+    entry, whose log it carries.  Any other row is left unscaled, with
+    log 0, bit for bit, whatever else is in E.  Column j of E ends as the
+    propagator of a block of intervals ending at j, so a row's first
+    column that is not finite is its first interval that is not."""
+    rows, m = log.shape
     bound = np.log(np.maximum(np.abs(E).sum(axis=1).max(axis=0), 1.0))
-    scale = ~((bound + log).sum(axis=-1) < 700.0)
-    rescale = scale.any()
-    d = 1
+    scaled = np.flatnonzero(~((bound + log).sum(axis=-1) < 700.0))
+    states = np.empty((2, rows, m + 1))
+    states[:, :, 0] = start
+    scales = np.zeros((rows, m + 1))
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        d = 1
         while d < m:
-            A, B = E[..., d:], E[..., :-d]
-            # one product and one sum held at a time: a smaller peak
-            AB = A[:, 0, None] * B[None, 0]
-            AB += A[:, 1, None] * B[None, 1]
-            E[..., d:] = AB
-            if rescale:
-                # a row left unscaled has log 0 and divides by 1: exact
-                log[:, d:] += log[:, :-d]
-                big = np.where(scale[:, None],
-                               np.abs(E[..., d:]).max(axis=(0, 1)), 1.0)
-                E[..., d:] /= big
-                log[:, d:] += np.log(big)
+            left, right = np.s_[d - 1::2 * d], np.s_[2 * d - 1::2 * d]
+            E[..., right] = np.einsum("ikrn,kjrn->ijrn", E[..., right],
+                                      E[..., left])
+            if scaled.size:
+                at = np.s_[:, :, scaled, right]
+                E[at], grown = _unit_columns(E[at])
+                log[scaled, right] += log[scaled, left] + grown
             d *= 2
+        while d:  # m, then m / 2 .. 1 when dense
+            left, to = np.s_[d - 1::2 * d], np.s_[d::2 * d]
+            frm = np.s_[:-1:2 * d]
+            np.einsum("ijrn,jrn->irn", E[..., left], states[..., frm],
+                      out=states[..., to])
+            if scaled.size:
+                at = np.s_[:, scaled, to]
+                states[at], grown = _unit_columns(states[at])
+                scales[scaled, to] = (scales[scaled, frm]
+                                      + log[scaled, left] + grown)
+            d = d // 2 if dense else 0
+    return (scales, states) if dense else (scales[:, ::m], states[..., ::m])
 
 
-def _magnus_angle(k, y0, states):
-    """theta(b) of magnus_prufer on each row, an array, from k, the starts
-    y0 = (u(a), u'(a)), one value a row each, and the node states (u, u')
-    at a + h j, j = 1 .. m, shape (2, rows, m), each in a positive scale of
-    its own, to which the angle is blind."""
+def _magnus_angle(k, states):
+    """theta(b) of magnus_prufer on each row, an array, from k, one value a
+    row, and the node states (u, u') at a + h j, j = 0 .. m, shape
+    (2, rows, m + 1), each in a positive scale of its own, to which the
+    angle is blind."""
     u, du = states
     theta = np.arctan2(k[:, None] * u, du)
     # each interval turns the state by less than pi, so the principal value
     # of each step's angle change is the true one
-    steps = np.diff(theta, prepend=np.arctan2(k * y0[0], y0[1])[:, None],
-                    axis=1)
-    wraps = np.rint(steps / (2.0 * math.pi)).sum(axis=1)
+    wraps = np.rint(np.diff(theta, axis=1) / (2.0 * math.pi)).sum(axis=1)
     return theta[:, -1] - 2.0 * math.pi * wraps
 
 
-def _angle_slope(nu, k, h, y0, log, states):
+def _angle_slope(nu, k, h, log, states):
     """d theta(b) / d nu of magnus_prufer from the node states of one sweep
-    with step h, node j's exp(log[j]) states[:, j], in units of the largest
-    node state, so no square overflows:
+    with step h, node j's exp(log[j]) states[:, j] (node 0 the start, of
+    log 0), in units of the largest node state, so no square overflows:
     (k int u^2 + u(b) u'(b) dk/dnu) / (k^2 u(b)^2 + u'(b)^2), the integral
     by the corrected trapezoid h sum' u_j^2 + (h^2 / 12) [2 u u'] from b to
     a, of order h^4."""
-    weight = np.exp(np.concatenate(([0.0], log)) - max(0.0, log.max()))
-    u, du = (np.concatenate(([y], v)) * weight for y, v in zip(y0, states))
+    u, du = states * np.exp(log - log.max())
     big = max(np.max(np.abs(u)), np.max(np.abs(du)))
     u, du = u / big, du / big
     sq = u * u
@@ -276,7 +302,7 @@ def _take(level, rows):
     return log[j], values[:, j]
 
 
-def _richardson(sweep, m, tol, end, check):
+def _richardson(sweep, m, tol, span, check):
     """Richardson extrapolation of sweep over the meshes m, 2m, 4m, ...,
     for every row on its own ladder from its own first mesh m[row], a power
     of two.
@@ -301,10 +327,12 @@ def _richardson(sweep, m, tol, end, check):
     of the last sweep's rows is open): a row swept (or extrapolated) before
     was swept (or extrapolated) in the previous sweep, on half its mesh,
     and only that sweep and that extrapolation are kept.  Returns each
-    row's result; a row past 2^16 intervals raises IntegrationError naming
-    the row and its estimate, with the row's end end[row] as its location.
+    row's result.  A row whose next mesh passes 2^16 intervals raises
+    IntegrationError naming the row and its estimate, or, before any sweep
+    of its own, its first mesh and its span (span[0][row], span[1][row]),
+    with the span's end as its location.
     """
-    m = list(m)
+    first, m = m, list(m)
     estimate = [math.inf] * len(m)
     result = [None] * len(m)
     open_rows = list(range(len(m)))
@@ -315,10 +343,16 @@ def _richardson(sweep, m, tol, end, check):
         rows = [k for k in open_rows if m[k] == size]
         if size > _MAGNUS_MAX_INTERVALS:
             k = rows[0]
+            lo, end = float(span[0][k]), float(span[1][k])
+            failure = (
+                f"needs a first mesh of {size} intervals for its span "
+                f"({lo}, {end}), past the cap of {_MAGNUS_MAX_INTERVALS} "
+                "intervals"
+                if size == first[k] else
+                f"reached {size // 2} intervals with Richardson estimate "
+                f"{estimate[k]:.3g} above tol {tol} at x = {end}")
             raise IntegrationError(
-                f"the Magnus propagation of row {k} reached {size // 2} "
-                f"intervals with Richardson estimate {estimate[k]:.3g} above "
-                f"tol {tol} at x = {float(end[k])}", location=float(end[k]),
+                f"the Magnus propagation of row {k} {failure}", location=end,
                 row=k)
         before, coarse = coarse, (rows, *sweep(size, np.array(rows)))
         for k in rows:
@@ -369,8 +403,10 @@ def magnus_prufer(potential, nu, span, y0, tol):
     beta = h ((V(r1) + V(r2))/2 - nu), and exp(Omega) of this traceless
     matrix is cosh(s) I + sinh(s)/s Omega with s^2 = alpha^2 + h beta
     (cos and sin when s^2 < 0).  One call of the potential per mesh.  The
-    node states come from a log-depth prefix product of the interval
-    propagators, rescaled whenever the products could pass the double
+    node states come from a work-efficient tree scan of the interval
+    propagators (_tree_scan): an up-sweep of m - 1 2x2 products, then a
+    down-sweep of m matrix-vector products, the first of which gives the
+    end state, rescaled whenever the products could pass the double
     range (an interval of s > 700 carries e^-s apart), and
     theta = atan2(k u, u') at the nodes, blind to each node's positive
     scale, is unwrapped interval by interval (_magnus_angle).  That is
@@ -398,32 +434,33 @@ def magnus_prufer(potential, nu, span, y0, tol):
     carrying tol / max(1, k (b - a)) of that row and the floor 10 eps.  A
     propagation that is not finite, an interval that turns the state by pi
     or more, or a mesh past 2^16 intervals raises IntegrationError naming
-    the row and the radius, with the estimate at the cap; an argument that
-    is not finite raises DomainValidationError naming it.
+    the row and the radius, with the estimate at the cap, or the first
+    mesh and the span when that mesh passes the cap (before any sweep of
+    the row); an argument that is not finite raises DomainValidationError
+    naming it.
     """
     nu, a, b, m, states = _state_rows("magnus_prufer", potential, span, y0,
                                       tol, nu)
     k = np.sqrt(np.maximum(nu, 1.0))
-    finest = None  # the last sweep: (rows, h, starts, log scales, states)
+    finest = None  # the last sweep: (rows, h, log scales, states)
 
     def sweep(m, rows):  # an angle's unit is the radian: log scale 0
         nonlocal finest
-        y0, log, y = states(m, rows)
-        finest = rows, (b[rows] - a[rows]) / m, y0, log, y
+        log, y = states(m, rows)
+        finest = rows, (b[rows] - a[rows]) / m, log, y
         return (np.zeros((rows.size, 1)),
-                _magnus_angle(k[rows], y0, y)[None, :, None])
+                _magnus_angle(k[rows], y)[None, :, None])
 
     def check(level, near):
         # an accepted row was in the last sweep, which is its finest
-        rows, h, y0, log, y = finest
+        rows, h, log, y = finest
         j = np.searchsorted(rows, near)
         return 0.0, [
-            (theta, _angle_slope(nu[row], k[row], h[i], y0[:, i], log[i],
-                                 y[:, i]))
+            (theta, _angle_slope(nu[row], k[row], h[i], log[i], y[:, i]))
             for row, i, theta in zip(near.tolist(), j.tolist(),
                                      level[1][0, :, 0].tolist())]
 
-    theta, slope = zip(*_richardson(sweep, m, tol, b, check))
+    theta, slope = zip(*_richardson(sweep, m, tol, (a, b), check))
     return np.array(theta), np.array(slope)
 
 
@@ -468,24 +505,27 @@ def _state_rows(name, potential, span, y0, tol, nu=None):
     m = [max(_MAGNUS_MIN_INTERVALS, 1 << math.ceil(math.log2(v)))
          for v in scale]
 
-    def states(m, rows):
-        # (starts, log, y) of rows: the states (u, u') at the nodes a + h j,
-        # j = 1 .. m, are node j's exp(log[:, j]) y[:, :, j]
-        lo, h, start = a[rows], (b[rows] - a[rows]) / m, y0[:, rows]
+    def states(m, rows, dense=True):
+        # _tree_scan's (log, y) of rows on m intervals: node j's state
+        # (u, u') at a + h j is exp(log[:, j]) y[:, :, j]
+        lo, h = a[rows], (b[rows] - a[rows]) / m
         E, log = _magnus_propagators(potential, nu[rows], lo, h, m, rows)
-        _prefix_products(E, log)
-        with np.errstate(over="ignore", invalid="ignore"):
-            y = E[:, 0] * start[0][:, None] + E[:, 1] * start[1][:, None]
-        # a product that is not finite leaves every later one not finite
-        if not (np.isfinite(y[..., -1]).all()
-                and np.isfinite(log[:, -1]).all()):
-            bad = ~(np.isfinite(y).all(axis=0) & np.isfinite(log))
-            g, j = np.argwhere(bad)[0]
-            x = float(lo[g] + h[g] * (j + 1))
+        scales, y = _tree_scan(E, log, y0[:, rows], dense)
+        # a state that is not finite leaves every later one not finite
+        end = np.isfinite(y[..., -1]).all(axis=0) & np.isfinite(scales[:, -1])
+        if not end.all():
+            g = int(np.argmin(end))
+            bad = ~(np.isfinite(E[:, :, g]).all(axis=(0, 1))
+                    & np.isfinite(log[g]))
+            if dense:  # a state can overflow from finite propagators
+                bad |= ~(np.isfinite(y[:, g, 1:]).all(axis=0)
+                         & np.isfinite(scales[g, 1:]))
+            bad[-1] = True
+            x = float(lo[g] + h[g] * (np.argmax(bad) + 1))
             raise IntegrationError(
                 f"the Magnus propagation of row {int(rows[g])} is not finite "
                 f"at x = {x}", location=x, row=int(rows[g]))
-        return start, log, y
+        return scales, y
 
     return nu, a, b, m, states
 
@@ -522,9 +562,7 @@ def magnus_dense(potential, span, y0, tol, read):
                                      tol)
 
     def sweep(m, rows):
-        y0, log, y = states(m, rows)
-        return _normalized(np.hstack([np.zeros((rows.size, 1)), log]),
-                           np.concatenate([y0[:, :, None], y], axis=2))
+        return _normalized(*states(m, rows))
 
     def check(level, rows):
         log, y = level
@@ -553,7 +591,7 @@ def magnus_dense(potential, span, y0, tol, read):
         return (np.where(estimate > floor, estimate, 0.0),
                 [(x[j], data[0][j], fine.row(j)) for j in range(rows.size)])
 
-    return _richardson(sweep, m, tol, b, check)
+    return _richardson(sweep, m, tol, (a, b), check)
 
 
 def magnus_log_derivative(potential, span, y0, tol):
@@ -561,21 +599,22 @@ def magnus_log_derivative(potential, span, y0, tol):
     y0 = (u(a), u'(a)); b < a sweeps backward.  V is the whole coefficient.
 
     magnus_dense's sweeps, rows and contract with the node estimate taken
-    at b alone, an array, one entry a row.  The floor and the failures are
-    magnus_dense's.
+    at b alone, an array, one entry a row: the tree scan stops after its
+    up-sweep and one matrix-vector product.  The floor and the failures
+    are magnus_dense's.
     """
     _, a, b, m, states = _state_rows("magnus_log_derivative", potential,
                                      span, y0, tol)
 
     def sweep(m, rows):
-        _, log, y = states(m, rows)
+        log, y = states(m, rows, dense=False)
         return _normalized(log[:, -1:], y[..., -1:])
 
     def check(level, rows):  # no estimate of its own
         y = level[1][..., 0]
         return 0.0, y[1] / y[0]
 
-    return np.array(_richardson(sweep, m, tol, b, check))
+    return np.array(_richardson(sweep, m, tol, (a, b), check))
 
 
 def _horner(c, t):

@@ -297,9 +297,9 @@ def test_zero_coefficients_are_config_error(tmp_path, command, coeffs):
 
 
 def test_tip_branch_failure_names_its_mu(tmp_path):
-    # the mode's tip branch at eps = 3 does not converge: a numerical
+    # the mode's tip branch at eps = 3 spans too many e-folds: a numerical
     # failure naming the decaying tip branch, mode.mu and the radius, the
-    # tip window's top, then the kernel's cap
+    # tip window's top, then the first mesh past the kernel's cap
     code = main(["demo-counterexample", "--out", str(tmp_path),
                  "--set", "params.eps=3", "--set", "params.n=2",
                  "--set", "params.N=3"])
@@ -308,7 +308,8 @@ def test_tip_branch_failure_names_its_mu(tmp_path):
     top = tip_window_top(make_horn_params(2, 3.0, 3.0, 0.25), 1.0)
     assert error.startswith("IntegrationError: the decaying tip branch at "
                             f"mu = 1.0 fails at r = {top}: the Magnus "
-                            "propagation of row 0 reached 65536 intervals")
+                            "propagation of row 0 needs a first mesh of "
+                            "131072 intervals")
     assert "nu = 0.0" not in error
 
 

@@ -1,4 +1,5 @@
 import math
+import re
 
 import mpmath as mp
 import numpy as np
@@ -429,6 +430,26 @@ def test_profile_mode_ode_residual(profile_i1_mu1, p_default):
         assert abs(resid) <= 1e-5 * scale
 
 
+def test_profile_grid_is_tabulated_on_first_read(p_default):
+    # a profile evaluates nothing when it is built; the first read of sign,
+    # log_mag or log_deriv tabulates the grid in one evaluator call, bit
+    # for bit the eager eval_log of the grid
+    base = profile_from_k2(p_default, 1, 1.0, 0.05, 20)
+    calls = []
+
+    def evaluator(r):
+        calls.append(r.size)
+        return base.evaluator(r)
+
+    prof = RadialProfile(params=p_default, i=1, mu=1.0, s_grid=base.s_grid,
+                         evaluator=evaluator)
+    assert calls == []
+    eager = base.eval_log(base.r_grid)
+    for got, want in zip((prof.sign, prof.log_mag, prof.log_deriv), eager):
+        assert got.tobytes() == want.tobytes()
+    assert calls == [20]
+
+
 def test_profile_harmonic_admitted(p_default):
     prof = profile_from_k2(p_default, 1, 0.0, 0.02, 32)
     fit = decay_exponent_fit(prof)
@@ -625,6 +646,33 @@ def test_tip_branches_refuse_a_non_finite_s_max(p_default, s_max):
                            match=r"^s_max must be finite and exceed "
                                  rf"r_mu = 2\.70\d*, got {s_max}$"):
             build(p_default, 1, 1.0, s_max)
+
+
+def test_oversized_first_mesh_is_refused_before_any_sweep(monkeypatch):
+    # at eps = 3 the decaying branch down from r_min = 0.02 spans 83349
+    # e-folds in sigma: its first mesh, 2^17 intervals, passes the cap of
+    # 2^16, and the pass is refused naming the row, the mesh, the span and
+    # the cap, at the tip window's top, before its potential is called
+    p = make_horn_params(2, 3.0, 3.0, 0.25)
+    calls = []
+    q_factory = modes._q_factory
+
+    def recorded(p, i, mu):
+        calls.append(np.shape(mu))
+        return q_factory(p, i, mu)
+
+    monkeypatch.setattr(modes, "_q_factory", recorded)
+    top = tip_window_top(p, 1.0)
+    with pytest.raises(IntegrationError) as err:
+        solve_k2(p, 1, 1.0, 0.02 ** -3.0)
+    assert re.fullmatch(
+        rf"the decaying tip branch at mu = 1\.0 fails at r = {top}: the "
+        r"Magnus propagation of row 0 needs a first mesh of 131072 "
+        r"intervals for its span \(83348\.9\d*, 0\.46822\d*\), past the cap "
+        r"of 65536 intervals", str(err.value))
+    assert (err.value.location, err.value.row) == (top, 0)
+    # one scalar q for the start; the potential, a column of mu, never
+    assert calls == [()]
 
 
 def test_normalization_bound_finite(p_default):
