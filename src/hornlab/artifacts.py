@@ -12,30 +12,18 @@ import math
 
 
 def format_sig12(x):
-    x = float(x)
-    if math.isnan(x):
-        return "nan"
-    if math.isinf(x):
-        return "inf" if x > 0 else "-inf"
-    return "%.11e" % x
+    """x to 12 significant digits; nan, inf and -inf as those words."""
+    return "%.11e" % float(x)
 
 
 def write_csv(path, header, rows):
-    """rows: iterable of tuples; floats formatted, ints/str passed through."""
+    """rows: iterable of tuples of Python ints, written as they are, and
+    floats (numpy floats too), written by format_sig12."""
     with open(path, "w", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
-            cells = []
-            for cell in row:
-                if isinstance(cell, bool):
-                    cells.append(str(int(cell)))
-                elif isinstance(cell, int):
-                    cells.append(str(cell))
-                elif isinstance(cell, float):
-                    cells.append(format_sig12(cell))
-                else:
-                    cells.append(str(cell))
-            fh.write(",".join(cells) + "\n")
+            fh.write(",".join(str(c) if isinstance(c, int) else format_sig12(c)
+                              for c in row) + "\n")
 
 
 def _round_floats(obj):

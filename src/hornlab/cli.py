@@ -6,7 +6,8 @@ Commands: modes, eigs, freq-elliptic, freq-parabolic, heat, analyticity,
 demo-counterexample.  The configuration is a single JSON document; --set
 overrides individual leaves (values parsed as JSON, falling back to
 strings).  Outputs are deterministic: repeated runs with the same
-configuration produce bit-identical files.
+configuration produce bit-identical files.  Every stage hands each of its
+artifacts to one emitter, the package's one writer of files.
 
 A run manifest (config echo, versions, wall time, status and the failure
 stage if any) is always written, even when the run fails.  Exit codes:
@@ -248,11 +249,32 @@ def _elliptic_state(cfg, p):
     return state
 
 
-def _run_modes(cfg, p, out, artifacts):
+def _emitter(out, artifacts):
+    """emit(name, *content) writes the artifact name in out, a CSV from
+    (header, rows) or a .json from a payload, and lists its path in
+    artifacts; it reads write_csv and write_json from this module's
+    namespace at each call."""
+
+    def emit(name, *content):
+        path = os.path.join(out, name)
+        (write_json if name.endswith(".json") else write_csv)(path, *content)
+        artifacts.append(path)
+
+    return emit
+
+
+def _rows(*columns):
+    """CSV rows of Python numbers from equal-length array columns."""
+    return zip(*(column.tolist() for column in columns))
+
+
+def _run_modes(cfg, p, emit):
     prof = _mode_profile(cfg, p)
-    path = os.path.join(out, "modes.csv")
-    prof.to_csv(path)
-    artifacts.append(path)
+    order = np.argsort(prof.r_grid)
+    emit("modes.csv", ["r", "s", "sign", "log_mag", "log_deriv"],
+         _rows(prof.r_grid[order], prof.s_grid[order],
+               prof.sign[order].astype(int), prof.log_mag[order],
+               prof.log_deriv[order]))
     fit = decay_exponent_fit(prof)
     rng = float(prof.log_mag.max() - prof.log_mag.min())
     return {
@@ -264,7 +286,7 @@ def _run_modes(cfg, p, out, artifacts):
     }
 
 
-def _run_freq_elliptic(cfg, p, out, artifacts, state):
+def _run_freq_elliptic(cfg, p, emit, state):
     fr = cfg["freq"]
     grid = _grid(fr["lo"], fr["hi"], fr["points"], fr["spacing"])
     quad_tol = min(cfg["tolerances"]["quad"], 1e-9)
@@ -277,9 +299,8 @@ def _run_freq_elliptic(cfg, p, out, artifacts, state):
             f"freq.lo={fr['lo']} lies too close to "
             f"mode.r_min={cfg['mode']['r_min']}: {exc}; raise freq.lo or "
             "lower mode.r_min") from exc
-    path = os.path.join(out, "freq_elliptic.csv")
-    scan.to_csv(path)
-    artifacts.append(path)
+    emit("freq_elliptic.csv", ["r", "I", "E", "U"],
+         _rows(scan.scale, scan.I, scan.ED, scan.UN))
     defect = check_logI_identity(state, scan)
     growth_defect, U_C = check_U_growth(state, scan)
     fit = check_I_lower(state, scan)
@@ -290,13 +311,11 @@ def _run_freq_elliptic(cfg, p, out, artifacts, state):
         "I_fit": {"slope": fit.slope, "intercept": fit.intercept,
                   "residual": fit.max_residual},
     }
-    rpath = os.path.join(out, "freq_elliptic_report.json")
-    write_json(rpath, report)
-    artifacts.append(rpath)
+    emit("freq_elliptic_report.json", report)
     return report
 
 
-def _parabolic_state(cfg, p, out, artifacts):
+def _parabolic_state(cfg, p, emit):
     # the backward-slice identities need either the unit caloric function
     # or states with a genuine cap condition, so i >= 1 runs go through the
     # Dirichlet series rather than a bare profile window
@@ -311,16 +330,15 @@ def _parabolic_state(cfg, p, out, artifacts):
         raise ConfigError(
             f"mode.i={m['i']} differs from eigs.i={cfg['eigs']['i']}: "
             "freq-parabolic runs the Dirichlet series of index eigs.i")
-    return _series(cfg, p, out, artifacts)[1]
+    return _series(cfg, p, emit)[1]
 
 
-def _run_freq_parabolic(cfg, p, out, artifacts, state):
+def _run_freq_parabolic(cfg, p, emit, state):
     fr = cfg["freq"]
     grid = _grid(fr["R_lo"], fr["R_hi"], fr["R_points"], fr["spacing"])
     scan = parabolic_scan(state, grid, tol=min(cfg["tolerances"]["quad"], 1e-11))
-    path = os.path.join(out, "freq_parabolic.csv")
-    scan.to_csv(path)
-    artifacts.append(path)
+    emit("freq_parabolic.csv", ["R", "I", "D", "N"],
+         _rows(scan.scale, scan.I, scan.ED, scan.UN))
     R_ref = float(np.sqrt(grid[0] * grid[-1]))
     defect = check_ID_relation(state, R_ref, 1e-3 * R_ref,
                                tol=min(cfg["tolerances"]["quad"], 1e-12))
@@ -334,13 +352,11 @@ def _run_freq_parabolic(cfg, p, out, artifacts, state):
         "D_fit": {"slope": fit.slope, "intercept": fit.intercept,
                   "residual": fit.max_residual},
     }
-    rpath = os.path.join(out, "freq_parabolic_report.json")
-    write_json(rpath, report)
-    artifacts.append(rpath)
+    emit("freq_parabolic_report.json", report)
     return report
 
 
-def _run_eigs(cfg, p, out, artifacts):
+def _run_eigs(cfg, p, emit):
     e = cfg["eigs"]
     if e["i"] < 1:
         raise ConfigError(f"eigs.i={e['i']} must be >= 1")
@@ -353,11 +369,8 @@ def _run_eigs(cfg, p, out, artifacts):
     pairs = dirichlet_eigenvalues(p, e["i"], e["r_out"], e["count"],
                                   tol=min(cfg["tolerances"]["ode"], 1e-12),
                                   root_rel=min(cfg["tolerances"]["root"], 1e-10))
-    path = os.path.join(out, "eigs.csv")
-    write_csv(path, ["j", "nu", "zeros", "norm_defect"],
-              [(j + 1, q.nu, q.zeros, q.norm_defect)
-               for j, q in enumerate(pairs)])
-    artifacts.append(path)
+    emit("eigs.csv", ["j", "nu", "zeros", "norm_defect"],
+         [(j + 1, q.nu, q.zeros, q.norm_defect) for j, q in enumerate(pairs)])
     report = {"eigenvalues": [q.nu for q in pairs],
               "zeros": [q.zeros for q in pairs]}
     if len(pairs) >= 8:
@@ -366,7 +379,7 @@ def _run_eigs(cfg, p, out, artifacts):
     return report, pairs
 
 
-def _series(cfg, p, out, artifacts):
+def _series(cfg, p, emit):
     """(eigs report, caloric series): the series on the eigen search's
     pairs, heat.coeffs padded with zeros to eigs.count, with the windows
     that read it, heat.r_lo, heat.r_hi, analyticity.r0 and freq.R_lo,
@@ -380,7 +393,7 @@ def _series(cfg, p, out, artifacts):
     if not any(h["coeffs"]):
         raise ConfigError(f"heat.coeffs={h['coeffs']!r} has no nonzero "
                           "entry: the caloric series would vanish")
-    report, pairs = _run_eigs(cfg, p, out, artifacts)
+    report, pairs = _run_eigs(cfg, p, emit)
     series = make_caloric_series(
         pairs, h["coeffs"] + [0.0] * (count - len(h["coeffs"])),
         min(h["t_list"]))
@@ -391,39 +404,34 @@ def _series(cfg, p, out, artifacts):
     return report, series
 
 
-def _run_heat(cfg, p, out, artifacts, series):
+def _run_heat(cfg, p, emit, series):
     h = cfg["heat"]
     r_grid = np.geomspace(h["r_lo"], h["r_hi"], h["points"])
     rows = []
     slopes = {}
     for t in h["t_list"]:
         sF, lF, _, _ = series.slice_log(r_grid, t)
-        rows.extend((float(r), float(t), int(s), float(L))
-                    for r, s, L in zip(r_grid, sF, lF))
+        rows.extend(_rows(r_grid, np.full_like(r_grid, t), sF.astype(int), lF))
         fit = caloric_decay_check(series, r_grid, lF)
         slopes[str(t)] = {"slope": fit.slope, "residual": fit.max_residual}
-    path = os.path.join(out, "heat.csv")
-    write_csv(path, ["r", "t", "sign", "log_mag"], rows)
-    artifacts.append(path)
+    emit("heat.csv", ["r", "t", "sign", "log_mag"], rows)
     return {"decay_by_t": slopes,
             "tail_certificate": series.tail_certificate,
             "truncation": len(series.terms)}
 
 
-def _run_analyticity(cfg, p, out, artifacts, series):
+def _run_analyticity(cfg, p, emit, series):
     a = cfg["analyticity"]
     r0, t0, kmax = a["r0"], a["t0"], a["kmax"]
     log_ak = taylor_coefficients(series, r0, t0, kmax)
     report = {"t0": t0, "r0": r0, "kmax": kmax,
               "fitted_radius": taylor_radius(log_ak),
               "coefficients": [None if L == NEG_INF else L for L in log_ak]}
-    rpath = os.path.join(out, "analyticity.json")
-    write_json(rpath, report)
-    artifacts.append(rpath)
+    emit("analyticity.json", report)
     return report
 
 
-def _run_demo(cfg, p, out, artifacts):
+def _run_demo(cfg, p, emit):
     """elliptic state -> eigs -> caloric series -> tip-decay check -> both
     frequency scans -> analyticity probe.
 
@@ -431,11 +439,11 @@ def _run_demo(cfg, p, out, artifacts):
     runs.  One summary report; a threshold miss flips the exit code to 4.
     """
     state = _elliptic_state(cfg, p)
-    eig_report, series = _series(cfg, p, out, artifacts)
-    heat_report = _run_heat(cfg, p, out, artifacts, series)
-    ell_report = _run_freq_elliptic(cfg, p, out, artifacts, state)
-    par_report = _run_freq_parabolic(cfg, p, out, artifacts, series)
-    ana_report = _run_analyticity(cfg, p, out, artifacts, series)
+    eig_report, series = _series(cfg, p, emit)
+    heat_report = _run_heat(cfg, p, emit, series)
+    ell_report = _run_freq_elliptic(cfg, p, emit, state)
+    par_report = _run_freq_parabolic(cfg, p, emit, series)
+    ana_report = _run_analyticity(cfg, p, emit, series)
 
     th = DEMO_THRESHOLDS
     slopes = [v["slope"] for v in heat_report["decay_by_t"].values()]
@@ -460,26 +468,25 @@ def _run_demo(cfg, p, out, artifacts):
         "checks": checks,
         "all_bounds_hold": all(checks.values()),
     }
-    spath = os.path.join(out, "summary.json")
-    write_json(spath, summary)
-    artifacts.append(spath)
+    emit("summary.json", summary)
     return summary
 
 
-# Each pipeline returns its report for the manifest; _run_eigs also returns
-# the eigenpairs, on which _series builds.  A stage that reads a state or a
-# series takes it as an argument; its command builds it first.
+# Each pipeline writes its artifacts through emit and returns its report
+# for the manifest; _run_eigs also returns the eigenpairs, on which _series
+# builds.  A stage that reads a state or a series takes it as an argument;
+# its command builds it first.
 COMMANDS = {
     "modes": _run_modes,
-    "eigs": lambda cfg, p, out, arts: _run_eigs(cfg, p, out, arts)[0],
-    "freq-elliptic": lambda cfg, p, out, arts: _run_freq_elliptic(
-        cfg, p, out, arts, _elliptic_state(cfg, p)),
-    "freq-parabolic": lambda cfg, p, out, arts: _run_freq_parabolic(
-        cfg, p, out, arts, _parabolic_state(cfg, p, out, arts)),
-    "heat": lambda cfg, p, out, arts: _run_heat(
-        cfg, p, out, arts, _series(cfg, p, out, arts)[1]),
-    "analyticity": lambda cfg, p, out, arts: _run_analyticity(
-        cfg, p, out, arts, _series(cfg, p, out, arts)[1]),
+    "eigs": lambda cfg, p, emit: _run_eigs(cfg, p, emit)[0],
+    "freq-elliptic": lambda cfg, p, emit: _run_freq_elliptic(
+        cfg, p, emit, _elliptic_state(cfg, p)),
+    "freq-parabolic": lambda cfg, p, emit: _run_freq_parabolic(
+        cfg, p, emit, _parabolic_state(cfg, p, emit)),
+    "heat": lambda cfg, p, emit: _run_heat(
+        cfg, p, emit, _series(cfg, p, emit)[1]),
+    "analyticity": lambda cfg, p, emit: _run_analyticity(
+        cfg, p, emit, _series(cfg, p, emit)[1]),
     "demo-counterexample": _run_demo,
 }
 
@@ -512,7 +519,8 @@ def run(config, command, out_dir=None):
             raise ConfigError(f"unknown command '{command}'")
         p = params_from_config(config)
         manifest["stage"] = command
-        result = COMMANDS[command](config, p, out, manifest["artifacts"])
+        result = COMMANDS[command](config, p,
+                                   _emitter(out, manifest["artifacts"]))
         manifest["result"] = result
         manifest["status"] = "ok"
         manifest["stage"] = "done"

@@ -26,7 +26,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .artifacts import write_csv
 from .errors import ConsistencyError, DomainValidationError, TipTailError
 from .geometry import angular_coupling, measure_weight_log, sphere_eigenvalue
 from .heat import CaloricSeries
@@ -119,16 +118,6 @@ class FrequencyScan:
     def UN(self):
         return self.ED / self.I if self.kind == _KIND_ELLIPTIC \
             else self.I / self.ED
-
-    @property
-    def header(self):
-        return ["r", "I", "E", "U"] if self.kind == _KIND_ELLIPTIC \
-            else ["R", "I", "D", "N"]
-
-    def to_csv(self, path):
-        rows = zip(self.scale.tolist(), self.I.tolist(),
-                   self.ED.tolist(), self.UN.tolist())
-        write_csv(path, self.header, rows)
 
 
 # ---------------------------------------------------------------------------

@@ -60,7 +60,6 @@ from functools import cached_property
 
 import numpy as np
 
-from .artifacts import write_csv
 from .errors import ConsistencyError, DomainValidationError, IntegrationError
 from .geometry import measure_weight_log, sphere_eigenvalue
 from .numerics import (bessel_j, check_in_range, fit_line, gamma_real,
@@ -370,13 +369,6 @@ class RadialProfile:
         r = np.asarray(r, dtype=float)
         check_in_range(r, self.r_min, self.r_max, "represented radius")
         return self.evaluator(r)
-
-    def to_csv(self, path):
-        order = np.argsort(self.r_grid)
-        rows = [(float(self.r_grid[j]), float(self.s_grid[j]),
-                 int(self.sign[j]), float(self.log_mag[j]),
-                 float(self.log_deriv[j])) for j in order]
-        write_csv(path, ["r", "s", "sign", "log_mag", "log_deriv"], rows)
 
 
 def profile_from_k2(p, i, mu, r_min, n_grid=64, tol=1e-12):

@@ -259,29 +259,30 @@ def _magnus_angle(k, states):
 
 
 def _angle_slope(nu, k, h, log, states):
-    """d theta(b) / d nu of magnus_prufer from the node states of one sweep
-    with step h, node j's exp(log[j]) states[:, j] (node 0 the start, of
-    log 0), in units of the largest node state, so no square overflows:
+    """d theta(b) / d nu of magnus_prufer on each row, an array, from nu, k
+    and the step h, one value a row, and the node states of one sweep, node
+    j's exp(log[:, j]) states[:, :, j] (node 0 the start, of log 0), in
+    units of each row's largest node state, so no square overflows:
     (k int u^2 + u(b) u'(b) dk/dnu) / (k^2 u(b)^2 + u'(b)^2), the integral
     by the corrected trapezoid h sum' u_j^2 + (h^2 / 12) [2 u u'] from b to
     a, of order h^4."""
-    u, du = states * np.exp(log - log.max())
-    big = max(np.max(np.abs(u)), np.max(np.abs(du)))
+    u, du = states * np.exp(log - log.max(axis=1, keepdims=True))
+    big = np.maximum(np.abs(u).max(axis=1), np.abs(du).max(axis=1))[:, None]
     u, du = u / big, du / big
     sq = u * u
-    norm = h * (sq.sum() - 0.5 * (sq[0] + sq[-1])) \
-        + (h * h / 6.0) * (u[0] * du[0] - u[-1] * du[-1])
-    dk = 0.5 / k if nu > 1.0 else 0.0
-    return float((k * norm + u[-1] * du[-1] * dk)
-                 / (k * k * u[-1] ** 2 + du[-1] ** 2))
+    norm = h * (sq.sum(axis=1) - 0.5 * (sq[:, 0] + sq[:, -1])) \
+        + (h * h / 6.0) * (u[:, 0] * du[:, 0] - u[:, -1] * du[:, -1])
+    dk = np.where(nu > 1.0, 0.5 / k, 0.0)
+    return ((k * norm + u[:, -1] * du[:, -1] * dk)
+            / (k * k * u[:, -1] ** 2 + du[:, -1] ** 2))
 
 
 def _normalized(log, y):
     """Node states exp(log) y, shapes (rows, nodes) and (2, rows, nodes),
     as (log scales, states) with each (row, node) column of states at
-    max-norm 1."""
-    big = np.abs(y).max(axis=0)
-    return log + np.log(big), y / big
+    max-norm 1 (_unit_columns)."""
+    y, grown = _unit_columns(y)
+    return log + grown, y
 
 
 def _on_coarse_nodes(coarse, fine):
@@ -328,11 +329,12 @@ def _richardson(sweep, m, tol, span, check):
     was swept (or extrapolated) in the previous sweep, on half its mesh,
     and only that sweep and that extrapolation are kept.  Returns each
     row's result.  A row whose next mesh passes 2^16 intervals raises
-    IntegrationError naming the row and its estimate, or, before any sweep
-    of its own, its first mesh and its span (span[0][row], span[1][row]),
-    with the span's end as its location.
+    IntegrationError naming the row and its estimate, or, when its first
+    estimate, on meshes m, 2m and 4m, would pass 2^16, on reaching m and
+    before any sweep of its own, its first mesh and its span (span[0][row],
+    span[1][row]), with the span's end as its location.
     """
-    first, m = m, list(m)
+    first, m, cap = m, list(m), _MAGNUS_MAX_INTERVALS
     estimate = [math.inf] * len(m)
     result = [None] * len(m)
     open_rows = list(range(len(m)))
@@ -341,14 +343,15 @@ def _richardson(sweep, m, tol, span, check):
     while open_rows:
         size = min(m[k] for k in open_rows)
         rows = [k for k in open_rows if m[k] == size]
-        if size > _MAGNUS_MAX_INTERVALS:
-            k = rows[0]
+        unfit = [k for k in rows if size == first[k] and 4 * size > cap]
+        if unfit or size > cap:
+            k = (unfit or rows)[0]
             lo, end = float(span[0][k]), float(span[1][k])
             failure = (
                 f"needs a first mesh of {size} intervals for its span "
-                f"({lo}, {end}), past the cap of {_MAGNUS_MAX_INTERVALS} "
-                "intervals"
-                if size == first[k] else
+                f"({lo}, {end}), so its first Richardson estimate needs "
+                f"{4 * size}, past the cap of {cap} intervals"
+                if unfit else
                 f"reached {size // 2} intervals with Richardson estimate "
                 f"{estimate[k]:.3g} above tol {tol} at x = {end}")
             raise IntegrationError(
@@ -435,9 +438,9 @@ def magnus_prufer(potential, nu, span, y0, tol):
     propagation that is not finite, an interval that turns the state by pi
     or more, or a mesh past 2^16 intervals raises IntegrationError naming
     the row and the radius, with the estimate at the cap, or the first
-    mesh and the span when that mesh passes the cap (before any sweep of
-    the row); an argument that is not finite raises DomainValidationError
-    naming it.
+    mesh and the span when a first estimate, on 4 times that mesh, would
+    pass the cap (before any sweep of the row); an argument that is not
+    finite raises DomainValidationError naming it.
     """
     nu, a, b, m, states = _state_rows("magnus_prufer", potential, span, y0,
                                       tol, nu)
@@ -455,10 +458,8 @@ def magnus_prufer(potential, nu, span, y0, tol):
         # an accepted row was in the last sweep, which is its finest
         rows, h, log, y = finest
         j = np.searchsorted(rows, near)
-        return 0.0, [
-            (theta, _angle_slope(nu[row], k[row], h[i], log[i], y[:, i]))
-            for row, i, theta in zip(near.tolist(), j.tolist(),
-                                     level[1][0, :, 0].tolist())]
+        slope = _angle_slope(nu[near], k[near], h[j], log[j], y[:, j])
+        return 0.0, list(zip(level[1][0, :, 0].tolist(), slope.tolist()))
 
     theta, slope = zip(*_richardson(sweep, m, tol, (a, b), check))
     return np.array(theta), np.array(slope)

@@ -128,16 +128,6 @@ def _slices_ID(u, R, tol):
     return R * R * np.exp(log_val[m:]), D
 
 
-def parabolic_IDN(u, R, tol=1e-12):
-    """(I, D, N) on the backward slice t = -R^2.
-
-    Radial quadrature against w(r) exp(log G); N = I/D exactly as computed.
-    D = 0 is an error.
-    """
-    I, D = _slices_ID(u, np.array([float(R)]), tol)
-    return float(I[0]), float(D[0]), float(I[0] / D[0])
-
-
 def parabolic_scan(u, R_grid, tol=1e-12):
     """Scan rows (R, I, D, N) over increasing scales, every slice's D and I
     in one quad_log call."""
@@ -146,6 +136,13 @@ def parabolic_scan(u, R_grid, tol=1e-12):
         raise DomainValidationError("R_grid must be strictly increasing")
     I, D = _slices_ID(u, R_grid, tol)
     return FrequencyScan(kind=_KIND_PARABOLIC, scale=R_grid, I=I, ED=D)
+
+
+def parabolic_IDN(u, R, tol=1e-12):
+    """(I, D, N) on the backward slice t = -R^2: the one row of
+    parabolic_scan(u, [R])."""
+    scan = parabolic_scan(u, [R], tol)
+    return float(scan.I[0]), float(scan.ED[0]), float(scan.UN[0])
 
 
 # ---------------------------------------------------------------------------

@@ -11,8 +11,8 @@ import numpy as np
 import pytest
 
 import hornlab
-from hornlab.cli import (EXIT_BOUNDS, EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK,
-                         load_config, main, run)
+from hornlab.cli import (COMMANDS, DEFAULT_CONFIG, EXIT_BOUNDS, EXIT_CONFIG,
+                         EXIT_NUMERICAL, EXIT_OK, load_config, main, run)
 from hornlab.errors import ConfigError
 from hornlab.geometry import make_horn_params
 from hornlab.heat import CaloricSeries, _wkb_trials
@@ -54,6 +54,93 @@ def test_cli_import_loads_no_scipy_integrate_or_interpolate(tmp_path):
         env=env, capture_output=True, text=True, check=True).stdout
     first, *_, last = out.splitlines()
     assert (first, last) == ("[]", "0 []")
+
+
+def test_library_import_leaves_the_artifact_writers_unloaded():
+    # the CLI is the one writer of files: importing the library loads none
+    # of the writers
+    src = os.path.dirname(os.path.dirname(hornlab.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, hornlab\n"
+         "print('hornlab.artifacts' in sys.modules, "
+         "'hornlab.cli' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True).stdout
+    assert out == "False False\n"
+
+
+@pytest.fixture(scope="module")
+def default_runs(tmp_path_factory):
+    """{command: (output directory, manifest)} of every command at the
+    default config, each in a directory of its own."""
+    runs = {}
+    for command in COMMANDS:
+        out = tmp_path_factory.mktemp(command)
+        assert main([command, "--out", str(out)]) == EXIT_OK, command
+        runs[command] = out, json.loads((out / "manifest.json").read_text())
+    return runs
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+def test_output_directory_holds_exactly_the_listed_artifacts(default_runs,
+                                                             command):
+    # every file a command writes is listed in its manifest, once, and the
+    # manifest is the one file more
+    out, manifest = default_runs[command]
+    listed = manifest["artifacts"]
+    assert all(os.path.dirname(path) == str(out) for path in listed)
+    names = [os.path.basename(path) for path in listed]
+    assert len(set(names)) == len(names)
+    assert sorted(os.listdir(out)) == sorted(names + ["manifest.json"])
+
+
+def test_csv_cells_keep_their_frozen_form(tmp_path):
+    # an int as it is; a float, numpy's too, to 12 significant digits in
+    # scientific notation; nan, inf and -inf (the log of an exact zero in
+    # heat.csv) as those words
+    from hornlab.artifacts import write_csv
+    path = tmp_path / "cells.csv"
+    write_csv(path, ["a", "b"], [(3, 0.1), (-0.0, np.float64(2.5)),
+                                 (math.nan, math.inf), (-math.inf, 1e-300)])
+    assert path.read_text() == (
+        "a,b\n3,1.00000000000e-01\n-0.00000000000e+00,2.50000000000e+00\n"
+        "nan,inf\n-inf,1.00000000000e-300\n")
+
+
+def _csv_lines(path):
+    return path.read_text().strip().split("\n")
+
+
+def test_modes_csv_roundtrip(default_runs):
+    out, _ = default_runs["modes"]
+    lines = _csv_lines(out / "modes.csv")
+    assert lines[0] == "r,s,sign,log_mag,log_deriv"
+    assert len(lines) == 1 + DEFAULT_CONFIG["mode"]["n_grid"]
+    # r ascending from mode.r_min, 12 significant digits, scientific notation
+    r = [float(line.split(",")[0]) for line in lines[1:]]
+    assert r == sorted(r)
+    first = lines[1].split(",")
+    assert float(first[0]) == pytest.approx(DEFAULT_CONFIG["mode"]["r_min"],
+                                            rel=1e-11)
+    assert "e" in first[0]
+    mantissa = first[0].split("e")[0].replace("-", "").replace(".", "")
+    assert len(mantissa) == 12
+
+
+def test_freq_elliptic_csv_export(default_runs):
+    out, _ = default_runs["freq-elliptic"]
+    lines = _csv_lines(out / "freq_elliptic.csv")
+    assert lines[0] == "r,I,E,U"
+    assert len(lines) == 1 + DEFAULT_CONFIG["freq"]["points"]
+
+
+def test_freq_parabolic_csv(default_runs):
+    out, _ = default_runs["freq-parabolic"]
+    lines = _csv_lines(out / "freq_parabolic.csv")
+    assert lines[0] == "R,I,D,N"
+    assert len(lines) == 1 + DEFAULT_CONFIG["freq"]["R_points"]
 
 
 def test_load_config_defaults_and_overrides(tmp_path):

@@ -359,11 +359,3 @@ def test_I_lower_constant_narrow_window(p_default):
     fit = check_I_lower(st, scan)
     expected = (p_default.c + 1 - p_default.n) / (2 * p_default.eps)
     assert fit.slope == pytest.approx(expected, rel=0.05)
-
-
-def test_csv_export(tmp_path, scan_i1_mu1):
-    path = tmp_path / "scan.csv"
-    scan_i1_mu1.to_csv(path)
-    lines = path.read_text().strip().split("\n")
-    assert lines[0] == "r,I,E,U"
-    assert len(lines) == 1 + scan_i1_mu1.scale.size

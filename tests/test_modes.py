@@ -456,20 +456,6 @@ def test_profile_harmonic_admitted(p_default):
     assert fit.slope < 0
 
 
-def test_profile_csv_roundtrip(tmp_path, profile_i1_mu1):
-    path = tmp_path / "profile.csv"
-    profile_i1_mu1.to_csv(path)
-    lines = path.read_text().strip().split("\n")
-    assert lines[0] == "r,s,sign,log_mag,log_deriv"
-    assert len(lines) == 1 + profile_i1_mu1.s_grid.size
-    first = lines[1].split(",")
-    # r ascending, 12 significant digits, scientific notation
-    assert float(first[0]) == pytest.approx(profile_i1_mu1.r_min, rel=1e-11)
-    assert "e" in first[0]
-    mantissa = first[0].split("e")[0].replace("-", "").replace(".", "")
-    assert len(mantissa) == 12
-
-
 # ---------------------------------------------------------------------------
 # bounded radial branch (i = 0)
 # ---------------------------------------------------------------------------
@@ -603,9 +589,10 @@ def test_tip_pass_failures_name_the_pass_and_the_row_mu(p_default,
     # a tip pass runs in sigma = rho s: a failure names the pass, the
     # failing row's mu and the radius, then the kernel's row and cap, with
     # the kernel's error, in sigma, as its cause.  With 64 intervals
-    # allowed, the second row of the branches' batch fails first; a pass
-    # stopped at the cap ends at r_mu, so its radius and location are the
-    # failing row's tip window top
+    # allowed, no first mesh leaves room for a first Richardson estimate,
+    # on 4 times that mesh, and the second row of the branches' batch is
+    # refused first, before any sweep; a refused pass ends at r_mu, so its
+    # radius and location are the failing row's tip window top
     monkeypatch.setattr(numerics, "_MAGNUS_MAX_INTERVALS", 64)
     for build, what, row, mu in (
             (lambda: solve_k2(p_default, 1, [1.0, 1e6], 30.0),
@@ -616,9 +603,11 @@ def test_tip_pass_failures_name_the_pass_and_the_row_mu(p_default,
             build()
         r = err.value.location
         assert r == pytest.approx(tip_window_top(p_default, mu), rel=1e-12)
-        assert str(err.value).startswith(
-            f"{what} at mu = {mu} fails at r = {r}: the Magnus propagation "
-            f"of row {row} reached 64 intervals")
+        assert re.fullmatch(
+            rf"{what} at mu = {mu} fails at r = {r}: the Magnus propagation "
+            rf"of row {row} needs a first mesh of 64 intervals for its span "
+            r"\([\d.]+, [\d.]+\), so its first Richardson estimate needs "
+            r"256, past the cap of 64 intervals", str(err.value))
         assert err.value.row == row
         assert err.value.__cause__.location == pytest.approx(
             tip_rate(p_default, 1) * r_mu(p_default, mu), rel=1e-15)
@@ -651,8 +640,9 @@ def test_tip_branches_refuse_a_non_finite_s_max(p_default, s_max):
 def test_oversized_first_mesh_is_refused_before_any_sweep(monkeypatch):
     # at eps = 3 the decaying branch down from r_min = 0.02 spans 83349
     # e-folds in sigma: its first mesh, 2^17 intervals, passes the cap of
-    # 2^16, and the pass is refused naming the row, the mesh, the span and
-    # the cap, at the tip window's top, before its potential is called
+    # 2^16, and the pass is refused naming the row, the mesh, the span, the
+    # 2^19 intervals of a first Richardson estimate and the cap, at the tip
+    # window's top, before its potential is called
     p = make_horn_params(2, 3.0, 3.0, 0.25)
     calls = []
     q_factory = modes._q_factory
@@ -668,8 +658,9 @@ def test_oversized_first_mesh_is_refused_before_any_sweep(monkeypatch):
     assert re.fullmatch(
         rf"the decaying tip branch at mu = 1\.0 fails at r = {top}: the "
         r"Magnus propagation of row 0 needs a first mesh of 131072 "
-        r"intervals for its span \(83348\.9\d*, 0\.46822\d*\), past the cap "
-        r"of 65536 intervals", str(err.value))
+        r"intervals for its span \(83348\.9\d*, 0\.46822\d*\), so its first "
+        r"Richardson estimate needs 524288, past the cap of 65536 intervals",
+        str(err.value))
     assert (err.value.location, err.value.row) == (top, 0)
     # one scalar q for the start; the potential, a column of mu, never
     assert calls == [()]

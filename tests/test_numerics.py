@@ -239,6 +239,32 @@ def test_ode_dense_backward_span():
     assert np.max(np.abs(du + np.sin(xs))) <= 100 * tol
 
 
+def test_first_mesh_without_room_for_an_estimate_sweeps_nothing(
+        monkeypatch):
+    # 20000 radians need a first mesh of 2^15 intervals, and a first
+    # Richardson estimate its meshes 2^15, 2^16 and 2^17, past the cap of
+    # 2^16: the row is refused, naming its first mesh, its span, the mesh a
+    # first estimate needs and the cap, before any propagator is built
+    from hornlab import numerics
+    calls = []
+    magnus_propagators = numerics._magnus_propagators
+
+    def propagators(*args):
+        calls.append(args)
+        return magnus_propagators(*args)
+
+    monkeypatch.setattr(numerics, "_magnus_propagators", propagators)
+    with pytest.raises(IntegrationError) as err:
+        magnus_log_derivative(lambda x, rows: -np.ones_like(x), (0, 20000),
+                              (1, 0), 1e-10)
+    assert str(err.value) == (
+        "the Magnus propagation of row 0 needs a first mesh of 32768 "
+        "intervals for its span (0.0, 20000.0), so its first Richardson "
+        "estimate needs 131072, past the cap of 65536 intervals")
+    assert (err.value.location, err.value.row) == (20000.0, 0)
+    assert calls == []
+
+
 def test_ode_dense_passes_through_recorded_steps():
     # the interpolant reproduces the node values, starting at the data
     x, v, interpolant = _dense(_constant(4.0), (0.0, 3.0), (1.0, 2.0),

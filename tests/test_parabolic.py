@@ -202,13 +202,6 @@ def test_parabolic_scan_rows(mode_caloric):
     assert np.max(np.abs(scan.UN - ratio)) <= 1e-12 * np.max(np.abs(ratio))
 
 
-def test_parabolic_csv(tmp_path, mode_caloric):
-    scan = parabolic_scan(mode_caloric, np.geomspace(0.01, 0.05, 8))
-    path = tmp_path / "scan.csv"
-    scan.to_csv(path)
-    assert path.read_text().splitlines()[0] == "R,I,D,N"
-
-
 # ---------------------------------------------------------------------------
 # identity: I = (R/4) D'
 # ---------------------------------------------------------------------------
