@@ -17,7 +17,7 @@ pi upward only.  floor(theta(r_out) / pi) is therefore exactly the number
 of eigenvalues below nu, with no grid that could miss a pair of close
 zeros, and eigenvalue j is the single root of theta(r_out; nu) = j pi.
 The outer equation is linear and nu enters it only as a shift of V, so a
-shot propagates it with numerics.magnus_prufer: fourth-order Magnus over
+shot propagates it with numerics.magnus_prufer: sixth-order Magnus over
 a mesh of equal intervals, all at once in numpy, with theta unwrapped
 interval by interval and a Richardson error estimate held to the shot's
 tolerance in absolute theta.  The same sweep's nodes give the angle's

@@ -4,7 +4,7 @@ Every kernel is a thin contract over scipy, numpy or the math module: the
 real-order Bessel function J_nu (scipy.special, after Amos, ACM TOMS
 Algorithm 644, imported on its first call), the real Gamma function and its
 logarithm (math.gamma and math.lgamma), the lab's one linear propagator,
-fourth-order Magnus for u'' = (V - nu) u in numpy, its node states from a
+sixth-order Magnus for u'' = (V - nu) u in numpy, its node states from a
 work-efficient tree scan of the m interval propagators (m - 1 2x2 products
 up, m matrix-vector products down), with three reductions held to their
 tolerance above a stated floor (the Pruefer angle, which brings its
@@ -126,10 +126,9 @@ def bessel_j(nu, x):
 # Linear second-order equations by Magnus propagation
 # ---------------------------------------------------------------------------
 
-# the two Gauss points of an interval, as fractions of it, and the weight
-# sqrt(3)/12 of the fourth-order Magnus commutator
-_MAGNUS_GAUSS = 0.5 + np.array([-1.0, 1.0])[:, None] * math.sqrt(3.0) / 6.0
-_MAGNUS_COMMUTATOR = math.sqrt(3.0) / 12.0
+# the three Gauss points of an interval, as fractions of it
+_MAGNUS_GAUSS = 0.5 + (np.array([-1.0, 0.0, 1.0])[:, None] * math.sqrt(15.0)
+                       / 10.0)
 _MAGNUS_MIN_INTERVALS = 64
 _MAGNUS_MAX_INTERVALS = 2**16
 # an interval of exponent s past this carries e^(-s) exp(Omega) and s apart
@@ -143,22 +142,36 @@ def _magnus_propagators(potential, nu, a, h, m, rows):
     """(E, log): exp(Omega) of each of the m intervals
     [a + h j, a + h (j + 1)] of u'' = (V - nu) u on every row, as a
     (2, 2, rows, m) array, in units of exp(log), a (rows, m) array; nu, a
-    and h hold one value a row, and h < 0 sweeps backward.  An interval
-    with s^2 > 0 and s > 700, whose cosh passes the double range, is
-    e^(-s) exp(Omega) = (I + Omega / s) / 2 with log s; any other has log 0.
-    An interval that turns the state by pi or more raises IntegrationError
-    naming its row and its start x, its location."""
+    and h hold one value a row, and h < 0 sweeps backward.  Omega is the
+    sixth-order Magnus exponent on the interval's three Gauss points
+    (magnus_prufer).  An interval with s^2 > 0 and s > 700, whose cosh
+    passes the double range, is e^(-s) exp(Omega) = (I + Omega / s) / 2
+    with log s; any other has log 0.  An interval that turns the state by
+    pi or more raises IntegrationError naming its row and its start x, its
+    location."""
     h, nu = h[:, None], nu[:, None]
-    # each row's first Gauss points, then its second ones
+    # each row's first Gauss points, then its middle ones, then its last
     V = potential(a[:, None] + h * (np.arange(m) + _MAGNUS_GAUSS).ravel(),
                   rows)
-    V0, V1 = V[:, :m], V[:, m:]
+    V1, V2, V3 = V[:, :m], V[:, m:2 * m], V[:, 2 * m:]
     E = np.empty((2, 2, rows.size, m))
     with np.errstate(over="ignore", invalid="ignore"):
-        # Omega = [[alpha, h], [beta, -alpha]]; Omega^2 = s2 I
-        alpha = (_MAGNUS_COMMUTATOR * h * h) * (V0 - V1)
-        beta = h * (0.5 * (V0 + V1) - nu)
-        s2 = alpha * alpha + h * beta
+        # magnus_prufer's Omega, with sl(2) elements [[A, B], [C, -A]] as
+        # triples (A, B, C) and w = h W2: X = (h d2, -20 h, -20 w - d3) =
+        # (aX, bX, cX) and Y = (-h d3 / 30, h^2 d2 / 30, d2 - h w d2 / 30)
+        # = (aY, bY, cY), and the B and C entries of [X, Y] carry a factor 2
+        w = h * (V2 - nu)
+        d2 = (math.sqrt(15.0) / 3.0 * h) * (V3 - V1)
+        d3 = (10.0 / 3.0 * h) * (V3 - 2.0 * V2 + V1)
+        aX, bX, cX = h * d2, -20.0 * h, -20.0 * w - d3
+        aY = (-h / 30.0) * d3
+        bY = (h * h / 30.0) * d2
+        cY = d2 - (h / 30.0) * w * d2
+        # Omega = [[alpha, b], [c, -alpha]]; Omega^2 = s2 I
+        alpha = (bX * cY - cX * bY) / 240.0
+        b = h + (aX * bY - bX * aY) / 120.0
+        c = w + d3 / 12.0 + (cX * aY - aX * cY) / 120.0
+        s2 = alpha * alpha + b * c
         s = np.sqrt(np.abs(s2))
         turns = s2 < 0.0
         ch = np.where(turns, np.cos(s), np.cosh(s))
@@ -180,8 +193,8 @@ def _magnus_propagators(potential, nu, a, h, m, rows):
             ch[far], sh[far], log[far] = 0.5, 0.5 / s[far], s[far]
         # exp(Omega) = ch I + sh Omega, one 2x2 matrix per interval
         E[0, 0] = ch + sh * alpha
-        E[0, 1] = sh * h
-        E[1, 0] = sh * beta
+        E[0, 1] = sh * b
+        E[1, 0] = sh * c
         E[1, 1] = ch - sh * alpha
     return E, log
 
@@ -312,9 +325,10 @@ def _richardson(sweep, m, tol, span, check):
     m intervals on each of rows, shapes (rows, nodes) and
     (c, rows, nodes), values in units of exp(log scale), every other node
     of a mesh a node of the mesh half its size (or one end node).  The
-    scheme is symmetric, so a value's error expands in even powers of 1/m:
-    the Richardson value t_m = v_2m + (v_2m - v_m) / 15 is of order six,
-    and max |t_2m - t_m| / 63, in units of each node's scale, estimates
+    scheme is symmetric and of order six, so a value's error expands in
+    even powers of 1/m from the sixth: the Richardson value
+    t_m = v_2m + (v_2m - v_m) / 63 is of order eight, and
+    max |t_2m - t_m| / 255, in units of each node's scale, estimates
     t_2m's error.  Each row is accepted with t_2m, on mesh 2m's nodes,
     once its larger estimate is at most tol, and leaves the batch; the open
     rows whose next mesh is the smallest are swept together, so a row's
@@ -365,13 +379,13 @@ def _richardson(sweep, m, tol, span, check):
             continue
         log, val, step = _on_coarse_nodes(_take(before, later),
                                           _take(coarse, later))
-        previous, extrapolated = extrapolated, (later, log, val + step / 15.0)
+        previous, extrapolated = extrapolated, (later, log, val + step / 63.0)
         third = [k for k in later if k in previous[0]]
         if not third:
             continue
         level = third, *_take(extrapolated, third)
         gap = _on_coarse_nodes(_take(previous, third), level[1:])[2]
-        est = np.abs(gap).max(axis=(0, 2)) / 63.0
+        est = np.abs(gap).max(axis=(0, 2)) / 255.0
         for k, e in zip(third, est.tolist()):
             estimate[k] = e
         near = [k for k in third if estimate[k] <= tol]
@@ -398,13 +412,19 @@ def magnus_prufer(potential, nu, span, y0, tol):
     keeps the module's row contract, and each row's angle and slope are
     those of its one-row call, bit for bit.
 
-    Fourth-order Magnus (Iserles and Norsett 1999) on m equal intervals,
-    with V at two Gauss points r1, r2 of each: on an interval of width h,
-    Omega = [[alpha, h], [beta, -alpha]] with
-    alpha = (sqrt(3)/12) h^2 (V(r1) - V(r2)) (the commutator of the two
-    Gauss-point matrices, diagonal and free of nu) and
-    beta = h ((V(r1) + V(r2))/2 - nu), and exp(Omega) of this traceless
-    matrix is cosh(s) I + sinh(s)/s Omega with s^2 = alpha^2 + h beta
+    Sixth-order Magnus on m equal intervals (Blanes, Casas and Ros, BIT 40,
+    2000), with V at the three Gauss points x + h (1/2 + {-1, 0, 1}
+    sqrt(15)/10) of each interval [x, x + h], W_j = V - nu there.  Write a
+    traceless [[A, B], [C, -A]] as (A, B, C) and let
+    alpha1 = (0, h, h W2), alpha2 = (0, 0, d2) and alpha3 = (0, 0, d3) with
+    d2 = (sqrt(15)/3) h (W3 - W1) and d3 = (10/3) h (W3 - 2 W2 + W1), both
+    free of nu.  Then Omega = alpha1 + alpha3 / 12 + [X, Y] / 240, with
+    X = -20 alpha1 - alpha3 + [alpha1, alpha2] and
+    Y = alpha2 - [alpha1, 2 alpha3 + [alpha1, alpha2]] / 60, where
+    [X, Y] = (B_X C_Y - C_X B_Y, 2 (A_X B_Y - B_X A_Y),
+    2 (C_X A_Y - A_X C_Y)); a constant V gives Omega = alpha1, which is
+    exact.  exp(Omega) of this traceless matrix is
+    cosh(s) I + sinh(s)/s Omega with s^2 = A^2 + B C
     (cos and sin when s^2 < 0).  One call of the potential per mesh.  The
     node states come from a work-efficient tree scan of the interval
     propagators (_tree_scan): an up-sweep of m - 1 2x2 products, then a
@@ -418,9 +438,10 @@ def magnus_prufer(potential, nu, span, y0, tol):
     of its own, half a turn at |s| = pi) does when |s| < pi, which is
     checked.
 
-    Meshes double from max(64, the power of two at or above k (b - a))
-    until the Richardson estimate of theta (_richardson) is at most tol,
-    absolute in radians.
+    The step is symmetric, so theta's error expands in even powers of h
+    (Iserles, Norsett and Rasmussen 2001).  Meshes double from max(64, the
+    power of two at or above k (b - a)) until the order-eight Richardson
+    estimate of theta (_richardson) is at most tol, absolute in radians.
 
     The slope holds for start data y0 that do not depend on nu.  Then
     W = u d_nu u' - u' d_nu u starts at 0 and W' = -u^2, so
@@ -548,8 +569,9 @@ def magnus_dense(potential, span, y0, tol, read):
     exp(log[:, j]) y[:, :, j]) to the caller's variable as
     (v, v', v'', v''') at the nodes x, v'' from the equation and v''' from
     the equation differentiated once, and a SepticHermite reads them.  Two
-    estimates are held to tol: the nodes' (_richardson, in units of each
-    node's max-norm) and the interpolant's, its gap at the mesh midpoints
+    estimates are held to tol: the nodes' (_richardson's order-eight value,
+    its gap over 255, in units of each node's max-norm) and the
+    interpolant's, of order eight in v too, its gap at the mesh midpoints
     to the interpolant on every other node (SepticHermite.at on both), over
     255 in v and 127 in v' (orders eight and seven), in units of max|v| and
     max|v'|, and 0 at its rounding floor 4 eps max|v| / (h max|v'|).

@@ -4,7 +4,8 @@ Brute-force reference values live here, not in the library: extended
 precision power series for Bessel/Gamma evaluated with mpmath arithmetic,
 the closed-form tip branch at mu = 0, 2-D product quadrature for the
 sphere x radius reductions, and finite-difference stencils for ODE
-residuals.
+residuals.  magnus_sweeps records the work of the Magnus propagator for
+the tests that pin it.
 """
 
 import math
@@ -49,6 +50,24 @@ def oracle_j0_first_zero():
     """First positive zero of J_0 located on the series oracle."""
     f = lambda t: mp.besselj(0, t)
     return float(mp.findroot(f, mp.mpf("2.4")))
+
+
+def magnus_sweeps(monkeypatch):
+    """A list that records every Magnus sweep from here on, in order, as
+    (rows, m): the indices of the rows swept, a list, and the number of
+    intervals of their mesh.  Every reduction builds a sweep's interval
+    propagators in one numerics._magnus_propagators call, which this
+    wraps, so the record reads no potential and counts no Gauss point."""
+    from hornlab import numerics
+    sweeps = []
+    propagators = numerics._magnus_propagators
+
+    def recorded(potential, nu, a, h, m, rows):
+        sweeps.append((rows.tolist(), m))
+        return propagators(potential, nu, a, h, m, rows)
+
+    monkeypatch.setattr(numerics, "_magnus_propagators", recorded)
+    return sweeps
 
 
 # frozen from oracle_j0_first_zero(); see test_numerics

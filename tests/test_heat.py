@@ -5,6 +5,7 @@ from dataclasses import replace
 import mpmath
 import numpy as np
 import pytest
+from support import magnus_sweeps
 
 from hornlab import (ConsistencyError, DomainValidationError, EigenPair,
                      EigenSearchError, IntegrationError, analyticity_probe,
@@ -57,46 +58,32 @@ def test_prufer_angle_counts_eigenvalues_exactly(pairs8_rout2, p_default):
 
 
 @pytest.mark.parametrize("nu, theta, anchor_meshes, meshes", [
-    (50.0, 8.338885340778692, [64, 128, 256], [64, 128, 256, 512]),
-    (300.0, 25.06560319566165, [64, 128, 256], [64, 128, 256, 512, 1024])],
+    (50.0, 8.33888534077845, [64, 128, 256], [64, 128, 256]),
+    (300.0, 25.065603195661286, [64, 128, 256], [64, 128, 256, 512])],
     ids=["nu=50", "nu=300"])
 def test_shot_step_sequence_is_pinned(p_default, monkeypatch, nu, theta,
                                       anchor_meshes, meshes):
-    # a shot is the tip anchor's backward Magnus sweep, then the outer
-    # Magnus meshes doubling up to the accepted one; one potential call per
-    # mesh, at its 2 M Gauss points.  A change to the mesh control or to the
-    # error estimate shows here first
-    sizes = {"anchor": [], "shot": []}
-
-    def recorded(potential, key):
-        def call(*args):
-            if np.size(args[-1]) > 1:
-                sizes[key].append(np.size(args[-1]) // 2)
-            return potential(*args)
-        return call
-
-    q_factory = modes._q_factory
-    monkeypatch.setattr(modes, "_q_factory", lambda *args: recorded(
-        q_factory(*args), "anchor"))
-    monkeypatch.setattr(heat, "liouville_potential",
-                        recorded(liouville_potential, "shot"))
+    # a shot is the tip anchor's backward Magnus sweeps, then the outer
+    # Magnus meshes doubling up to the accepted one, one row each.  A
+    # change to the mesh control or to the error estimate shows here first
+    sweeps = magnus_sweeps(monkeypatch)
     (got,), _ = heat._shoot_rows(p_default, 1, nu, 1.8, 1e-12)
     assert got == pytest.approx(theta, rel=0.0, abs=1e-13)
-    assert sizes == {"anchor": anchor_meshes, "shot": meshes}
+    assert sweeps == [([0], m) for m in anchor_meshes + meshes]
 
 
 @pytest.mark.parametrize("nu, theta, slope, slope_before", [
-    (50.0, "0x1.0ad82611f7a02p+3", "0x1.bef9bca34689dp-4",
-     "0x1.bef9bca34689dp-4"),
-    (300.0, "0x1.910cb5efbe140p+4", "0x1.8cc4a2024d341p-5",
-     "0x1.8cc4a2024d33fp-5")],
+    (50.0, "0x1.0ad82611f797ap+3", "0x1.bef9bc87f913ap-4",
+     "0x1.bef9bc87f9138p-4"),
+    (300.0, "0x1.910cb5efbe0d9p+4", "0x1.8cc4a1fda6e40p-5",
+     "0x1.8cc4a1fda6e42p-5")],
     ids=["nu=50", "nu=300"])
 def test_shot_bits_are_pinned(p_default, nu, theta, slope, slope_before):
     # a shot's angle and its nu-slope at r_out = 1.8, bit for bit: the
     # slope reads the nodes of the sweep that accepts the angle.  The tree
-    # scan's order of products moved the slope at nu = 300 by 2 ulp from
-    # its value under the Hillis-Steele prefix product, slope_before; it
-    # stays within 4 ulp of it
+    # scan's order of products moves the slope by 2 ulp from its value
+    # under a Hillis-Steele prefix product of the same propagators,
+    # slope_before; it stays within 4 ulp of it
     (got_theta,), (got_slope,) = heat._shoot_rows(p_default, 1, nu, 1.8,
                                                   1e-12)
     assert (got_theta, got_slope) == (float.fromhex(theta),
@@ -107,41 +94,47 @@ def test_shot_bits_are_pinned(p_default, nu, theta, slope, slope_before):
 
 def test_outer_pass_mesh_sequence_is_pinned(p_default, monkeypatch):
     # an eigenfunction's outer magnus_dense pass at nu_8 of r_out = 1.8 (as
-    # dirichlet_eigenvalues finds it): the sweeps, read from the potential
-    # calls at 2 M Gauss points, double until the nodes meet tol at 2048
-    # intervals, and the one read, on the 1025 nodes of every other
-    # interval, is an interpolant that meets tol too
-    sizes = []
+    # dirichlet_eigenvalues finds it): after the tip pass's sweeps, the
+    # outer sweeps double until the nodes meet tol at 1024 intervals, and
+    # the one read, on the 513 nodes of every other interval, is an
+    # interpolant that meets tol too
+    reads = []
 
     def recorded(*args):
-        sizes.append(np.size(args[-1]))
+        if np.size(args[-1]) % 2:  # a read, on the m + 1 nodes of a mesh
+            reads.append(np.size(args[-1]))
         return liouville_potential(*args)
 
     monkeypatch.setattr(heat, "liouville_potential", recorded)
+    sweeps = magnus_sweeps(monkeypatch)
     pair, = heat._build_pairs(p_default, 1, [301.38768658541863], 1.8, 1e-12)
-    assert sizes == [256, 512, 1024, 2048, 4096, 1025]
+    assert [m for _, m in sweeps] == [128, 256, 512, 128, 256, 512, 1024]
+    assert reads == [513]
     assert pair.zeros == 7
 
 
 # the first 8 eigenvalues at r_out = 1.8 (i = 1, the default point), as
-# the serial search found them; the lockstep search finds them within
-# 4.5e-16, relative
+# the lockstep search finds them; those of the fourth-order Magnus step
+# lie within 2.7e-13 of them, relative
 NUS_ROUT18 = [float.fromhex(h) for h in (
-    "0x1.9c609ac4a59cfp+3", "0x1.06fde6a3461bcp+5", "0x1.e1a6614f85865p+5",
-    "0x1.7aa7f3d38e8fbp+6", "0x1.1034395c36715p+7", "0x1.70d5a634aa62ap+7",
-    "0x1.df10b87a58cf5p+7", "0x1.2d633f6d95787p+8")]
+    "0x1.9c609ac4a615bp+3", "0x1.06fde6a34621cp+5", "0x1.e1a6614f85a75p+5",
+    "0x1.7aa7f3d38e8e3p+6", "0x1.1034395c366e2p+7", "0x1.70d5a634aa576p+7",
+    "0x1.df10b87a58d7dp+7", "0x1.2d633f6d9580ep+8")]
 
 
 def test_pair_build_work_is_pinned(p_default, monkeypatch):
-    # the 8 pairs of r_out = 1.8 are built by one outer pass and one tip
-    # pass, each calling its potential once per mesh for the rows still
-    # open, as (rows, 2 M Gauss points), and once per read, as (rows,
-    # nodes): 9 outer and 5 tip calls.  Built one by one, the same pairs
-    # took 16 passes of 72 node sweeps and 16 reads, 88 calls
+    # the 8 pairs of r_out = 1.8 are built by one tip pass and then one
+    # outer pass, each sweeping the rows still open once per mesh, and
+    # reading the nodes of its rows within tol once per level, as (rows,
+    # nodes): 3 tip sweeps and 1 read, and 5 outer sweeps and 3 reads, of
+    # 11 rows, as the interpolant's estimate holds 3 of them to the next
+    # level.  Built one by one under the fourth-order Magnus step, the same
+    # pairs took 16 passes of 72 node sweeps and 16 reads
     outer, tip = [], []
 
     def recorded(*args):
-        outer.append(np.shape(args[-1]))
+        if np.shape(args[-1])[-1] % 2:  # a read, on the m + 1 nodes of a mesh
+            outer.append(np.shape(args[-1]))
         return liouville_potential(*args)
 
     q_factory = modes._q_factory
@@ -150,7 +143,7 @@ def test_pair_build_work_is_pinned(p_default, monkeypatch):
         q = q_factory(*args)
 
         def call(s):
-            if np.ndim(s) == 2:
+            if np.ndim(s) == 2 and np.shape(s)[1] % 2:
                 tip.append(np.shape(s))
             return q(s)
 
@@ -159,10 +152,13 @@ def test_pair_build_work_is_pinned(p_default, monkeypatch):
 
     monkeypatch.setattr(heat, "liouville_potential", recorded)
     monkeypatch.setattr(modes, "_q_factory", recorded_q)
+    sweeps = magnus_sweeps(monkeypatch)
     pairs = heat._build_pairs(p_default, 1, NUS_ROUT18, 1.8, 1e-12)
-    assert outer == [(5, 128), (8, 256), (8, 512), (8, 1024), (1, 257),
-                     (7, 2048), (3, 513), (4, 4096), (4, 1025)]
-    assert tip == [(8, 256), (8, 512), (8, 1024), (8, 2048), (8, 513)]
+    assert [(len(rows), m) for rows, m in sweeps] == [
+        (8, 128), (8, 256), (8, 512),
+        (5, 64), (8, 128), (8, 256), (7, 512), (4, 1024)]
+    assert outer == [(2, 129), (5, 257), (4, 513)]
+    assert tip == [(8, 257)]
     assert [q.zeros for q in pairs] == list(range(8))
 
 
@@ -482,6 +478,33 @@ def test_shot_slope_matches_a_central_difference(p_default):
         (up,), _ = heat._shoot_rows(p_default, 1, nu + d, 1.8, 1e-12)
         (down,), _ = heat._shoot_rows(p_default, 1, nu - d, 1.8, 1e-12)
         assert slope == pytest.approx((up - down) / (2 * d), rel=1e-7)
+
+
+def test_shot_slope_holds_on_coarse_sweeps(p_default):
+    # the Newton slope at the 8 eigenvalues of r_out = 1.8 and the 7
+    # midpoints between them, with the anchor state held fixed as the shot
+    # holds it: magnus_prufer's slope, the corrected trapezoid of order h^4
+    # on the nodes of the sweep that accepts theta (256 to 512 intervals),
+    # agrees with a central difference of theta at delta = 1e-6 nu, theta
+    # at tol 1e-13, to 1e-8 relative.  Measured: at most 2.4e-10 at the
+    # eigenvalues, the difference's noise floor, where u(r_out) = 0 drops
+    # the trapezoid's end terms, and up to 4.0e-9 at the midpoints, growing
+    # with nu (the fourth-order step, on up to 1024 intervals: 1.0e-9 and
+    # 3.9e-10)
+    eigs = np.array(NUS_ROUT18)
+    nus = np.sort(np.concatenate([eigs, 0.5 * (eigs[1:] + eigs[:-1])]))
+    r_sw, dlog = modes.tip_anchor(p_default, 1, nus, 1e-12)
+
+    def shot(nu, tol):
+        return numerics.magnus_prufer(
+            lambda r, rows: liouville_potential(p_default, 1, r), nu,
+            (r_sw, 1.8), (1.0, dlog + 0.5 * p_default.c / r_sw), tol)
+
+    _, slope = shot(nus, 1e-12)
+    delta = 1e-6 * nus
+    central = (shot(nus + delta, 1e-13)[0]
+               - shot(nus - delta, 1e-13)[0]) / (2.0 * delta)
+    assert np.max(np.abs(slope / central - 1.0)) <= 1e-8
 
 
 def test_tip_share_newton_drops_is_small(p_default):

@@ -4,7 +4,7 @@ import re
 import mpmath as mp
 import numpy as np
 import pytest
-from support import (oracle_gamma, oracle_tip_branch_mu0,
+from support import (magnus_sweeps, oracle_gamma, oracle_tip_branch_mu0,
                      second_derivative_5pt, tip_states)
 
 from hornlab import (ConsistencyError, DomainValidationError,
@@ -526,29 +526,17 @@ def test_tip_anchor_matches_profile_slope(p_default, i, mu):
 
 
 @pytest.mark.parametrize("mu, r_top, dlog, meshes", [
-    (50.0, "0x1.1811811811811p-3", "0x1.812edfae6cf72p+5", [64, 128, 256]),
-    (300.0, "0x1.3fbe701157609p-4", "0x1.cd74eb9aa5d49p+6", [64, 128, 256])],
+    (50.0, "0x1.1811811811811p-3", "0x1.812edfae6e3e0p+5", [64, 128, 256]),
+    (300.0, "0x1.3fbe701157609p-4", "0x1.cd74eb9aa82e9p+6", [64, 128, 256])],
     ids=["mu=50", "mu=300"])
 def test_tip_anchor_step_sequence_is_pinned(p_default, monkeypatch, mu, r_top,
                                             dlog, meshes):
-    # the anchor's Magnus meshes, read from the sizes of its potential
-    # calls at 2 M Gauss points, and its (r_top, d log f/dr) bit for bit
-    sizes = []
-    q_factory = modes._q_factory
-
-    def recorded(*args):
-        q = q_factory(*args)
-
-        def call(s):
-            if np.size(s) > 1:
-                sizes.append(np.size(s) // 2)
-            return q(s)
-        return call
-
-    monkeypatch.setattr(modes, "_q_factory", recorded)
+    # the anchor's Magnus meshes, one row each, and its (r_top,
+    # d log f/dr) bit for bit
+    sweeps = magnus_sweeps(monkeypatch)
     (got_r,), (got_dlog,) = tip_anchor(p_default, 1, mu, 1e-12)
     assert (got_r, got_dlog) == (float.fromhex(r_top), float.fromhex(dlog))
-    assert sizes == meshes
+    assert sweeps == [([0], m) for m in meshes]
 
 
 @pytest.mark.parametrize("i", [1, 2])

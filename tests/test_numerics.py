@@ -9,9 +9,10 @@ import numpy as np
 import pytest
 from scipy import special
 from scipy.optimize import brentq
-from support import (J0_FIRST_ZERO, bessel_zero_count, oracle_besselj,
-                     oracle_bessely, oracle_gamma, oracle_j0_first_zero,
-                     oracle_liouville_bessel, oracle_tip_branch_mu0)
+from support import (J0_FIRST_ZERO, bessel_zero_count, magnus_sweeps,
+                     oracle_besselj, oracle_bessely, oracle_gamma,
+                     oracle_j0_first_zero, oracle_liouville_bessel,
+                     oracle_tip_branch_mu0)
 
 from hornlab import (DomainValidationError, IntegrationError, QuadratureError,
                      SepticHermite, ToleranceFloorError, bessel_j,
@@ -21,7 +22,7 @@ from hornlab import (DomainValidationError, IntegrationError, QuadratureError,
                      measure_weight_log, profile_from_k2, quad_log, r_mu,
                      solve_k2, tip_exponent, tip_rate)
 from hornlab.modes import _tip_log, tip_anchor, tip_window_top
-from hornlab.numerics import _tree_scan
+from hornlab.numerics import _magnus_propagators, _tree_scan
 
 
 # ---------------------------------------------------------------------------
@@ -245,15 +246,7 @@ def test_first_mesh_without_room_for_an_estimate_sweeps_nothing(
     # Richardson estimate its meshes 2^15, 2^16 and 2^17, past the cap of
     # 2^16: the row is refused, naming its first mesh, its span, the mesh a
     # first estimate needs and the cap, before any propagator is built
-    from hornlab import numerics
-    calls = []
-    magnus_propagators = numerics._magnus_propagators
-
-    def propagators(*args):
-        calls.append(args)
-        return magnus_propagators(*args)
-
-    monkeypatch.setattr(numerics, "_magnus_propagators", propagators)
+    sweeps = magnus_sweeps(monkeypatch)
     with pytest.raises(IntegrationError) as err:
         magnus_log_derivative(lambda x, rows: -np.ones_like(x), (0, 20000),
                               (1, 0), 1e-10)
@@ -262,7 +255,7 @@ def test_first_mesh_without_room_for_an_estimate_sweeps_nothing(
         "intervals for its span (0.0, 20000.0), so its first Richardson "
         "estimate needs 131072, past the cap of 65536 intervals")
     assert (err.value.location, err.value.row) == (20000.0, 0)
-    assert calls == []
+    assert sweeps == []
 
 
 def test_ode_dense_passes_through_recorded_steps():
@@ -504,12 +497,10 @@ def _dense_row_read(j, x, logs, y):
     return u, du, (V - nu) * u, dV * u + (V - nu) * du
 
 
-def _dense_batch(rows, sizes=None):
+def _dense_batch(rows):
     """magnus_dense on the rows of _DENSE_ROWS listed in `rows`, as one
-    batch, recording each potential call's (open rows, points)."""
+    batch."""
     def potential(x, open_rows):
-        if sizes is not None:
-            sizes.append((open_rows.tolist(), x.shape[1]))
         return np.array([_DENSE_V[rows[k]][0](x[i]) - _DENSE_ROWS[rows[k]][0]
                          for i, k in enumerate(open_rows)])
 
@@ -535,18 +526,19 @@ def _dense_single(j):
     return dense[0]
 
 
-def test_magnus_dense_batch_rows_equal_single_calls():
+def test_magnus_dense_batch_rows_equal_single_calls(monkeypatch):
     # every row of a batch, in any order and with any other rows, gets the
     # nodes, node values and interpolant of its own all-scalar call's one
     # row bit for bit, though the rows differ in span, direction, first
     # mesh, accepted level and rescaling; the open rows on one mesh share
     # one potential call, and an accepted row leaves the batch
     single = [_dense_single(j) for j in range(len(_DENSE_ROWS))]
-    sizes = []
-    batches = [(list(range(5)), _dense_batch(range(5), sizes)),
-               ([3, 0, 4, 2, 1], _dense_batch([3, 0, 4, 2, 1])),
-               ([1, 3], _dense_batch([1, 3])),
-               ([4, 0, 2], _dense_batch([4, 0, 2]))]
+    sweeps = magnus_sweeps(monkeypatch)
+    batches = [(list(range(5)), _dense_batch(range(5)))]
+    first_sweeps = sweeps.copy()
+    batches += [([3, 0, 4, 2, 1], _dense_batch([3, 0, 4, 2, 1])),
+                ([1, 3], _dense_batch([1, 3])),
+                ([4, 0, 2], _dense_batch([4, 0, 2]))]
     for rows, batch in batches:
         for j, (x, v, interpolant) in zip(rows, batch):
             x1, v1, interpolant1 = single[j]
@@ -557,13 +549,13 @@ def test_magnus_dense_batch_rows_equal_single_calls():
                 assert got.tobytes() == want.tobytes()
     # accepted on four different meshes, and row 3's u passes the double
     # range (log u ends past log(max double) = 709.78)
-    assert [x.size for x, _, _ in single] == [129, 257, 129, 2049, 513]
+    assert [x.size for x, _, _ in single] == [129, 257, 129, 1025, 513]
     assert single[3][1][-1] > 710.0
-    # every row starts on 64 intervals (two Gauss points each), and each
-    # call holds the rows still open
-    assert sizes == [([0, 1, 2, 3, 4], 128), ([0, 1, 2, 3, 4], 256),
-                     ([0, 1, 2, 3, 4], 512), ([1, 3, 4], 1024),
-                     ([3, 4], 2048), ([3], 4096), ([3], 8192)]
+    # every row starts on 64 intervals, and each sweep holds the rows
+    # still open
+    assert first_sweeps == [([0, 1, 2, 3, 4], 64), ([0, 1, 2, 3, 4], 128),
+                            ([0, 1, 2, 3, 4], 256), ([1, 3, 4], 512),
+                            ([3, 4], 1024), ([3], 2048)]
 
 
 def test_magnus_log_derivative_batch_rows_equal_single_calls():
@@ -590,12 +582,10 @@ _PRUFER_ROWS = [row[:5] for row in _DENSE_ROWS]
 _PRUFER_ROWS[2] = (1.0, 0.5, 10.0, math.cos(0.5), -math.sin(0.5))
 
 
-def _prufer_batch(rows, sizes=None):
+def _prufer_batch(rows):
     """magnus_prufer on the rows of _PRUFER_ROWS listed in `rows`, as one
-    batch, recording each potential call's (open rows, intervals)."""
+    batch."""
     def potential(x, open_rows):
-        if sizes is not None:
-            sizes.append((open_rows.tolist(), x.shape[1] // 2))
         return np.array([_DENSE_V[rows[k]][0](x[i])
                          for i, k in enumerate(open_rows)])
 
@@ -604,36 +594,35 @@ def _prufer_batch(rows, sizes=None):
     return magnus_prufer(potential, nu, (a, b), (u0, du0), 1e-10)
 
 
-def test_magnus_prufer_batch_rows_equal_single_calls():
+def test_magnus_prufer_batch_rows_equal_single_calls(monkeypatch):
     # every row of a batch, in any order and with any other rows, gets the
     # angle and the slope of its own all-scalar call's one row bit for
     # bit, though the rows differ in nu, span, first mesh, accepted mesh
     # and rescaling: the slope reads the row's own accepting sweep
+    sweeps = magnus_sweeps(monkeypatch)
     single = []
     for j, (nu, a, b, u0, du0) in enumerate(_PRUFER_ROWS):
-        meshes = []
-
-        def potential(x, rows, j=j):
-            meshes.append(x.shape[1] // 2)
-            return _DENSE_V[j][0](x)
-
-        theta, slope = magnus_prufer(potential, nu, (a, b), (u0, du0), 1e-10)
+        sweeps.clear()
+        theta, slope = magnus_prufer(lambda x, rows, j=j: _DENSE_V[j][0](x),
+                                     nu, (a, b), (u0, du0), 1e-10)
         assert theta.shape == slope.shape == (1,)
-        single.append(((theta[0], slope[0]), meshes[-1]))
-    # accepted on four different meshes; row 3's u grows by e^800
-    assert [mesh for _, mesh in single] == [256, 512, 256, 2048, 1024]
-    sizes = []
+        single.append(((theta[0], slope[0]), sweeps[-1][1]))
+    # accepted on two different meshes; row 3's u grows by e^800
+    assert [mesh for _, mesh in single] == [256, 256, 256, 1024, 1024]
     for rows in (list(range(5)), [3, 0, 4, 2, 1], [1, 3], [4, 0, 2]):
-        theta, slope = _prufer_batch(rows, sizes if rows[0] == 3 else None)
+        sweeps.clear()
+        theta, slope = _prufer_batch(rows)
+        if rows[0] == 3:
+            batch_sweeps = sweeps.copy()
         assert theta.shape == slope.shape == (len(rows),)
         for j, got in zip(rows, zip(theta.tolist(), slope.tolist())):
             assert [v.hex() for v in got] == \
                 [v.hex() for v in single[j][0]]
     # rows 3, 0, 2 and 1 start together on 64 intervals, row 4 joins them
-    # on 256, and each call holds the rows still open
-    assert sizes == [([0, 1, 3, 4], 64), ([0, 1, 3, 4], 128),
-                     ([0, 1, 2, 3, 4], 256), ([0, 2, 4], 512),
-                     ([0, 2], 1024), ([0], 2048)]
+    # on 256, and each sweep holds the rows still open
+    assert batch_sweeps == [([0, 1, 3, 4], 64), ([0, 1, 3, 4], 128),
+                            ([0, 1, 2, 3, 4], 256), ([0, 2], 512),
+                            ([0, 2], 1024)]
 
 
 def test_magnus_prufer_batch_floor_names_the_largest_scale():
@@ -785,6 +774,40 @@ def test_tree_scan_matches_a_sequential_product_loop(m):
                          start[:, r:r + 1], True)
         assert one[0].tobytes() == got_log[r:r + 1].tobytes()
         assert one[1].tobytes() == got[:, r:r + 1].tobytes()
+
+
+def _magnus_end(potential, b, m):
+    """(u(b), u'(b)) of u'' = V u from (1, 0) at 0, on m equal intervals,
+    through the interval propagators and the tree scan alone."""
+    E, log = _magnus_propagators(potential, np.zeros(1), np.zeros(1),
+                                 np.array([b / m]), m, np.arange(1))
+    scales, states = _tree_scan(E, log, np.array([[1.0], [0.0]]), False)
+    return np.exp(scales[0, -1]) * states[:, 0, -1]
+
+
+def test_magnus_step_is_of_order_six_and_its_ladder_of_order_eight():
+    # u = e^(x^2/2) solves u'' = (x^2 + 1) u on [0, 2] from (1, 0): from
+    # mesh 8 to 128 the step's end-value error falls by 2^6 a doubling
+    # (59.6 to 63.7 measured) and the gap between successive Richardson
+    # values t_m = v_2m + (v_2m - v_m) / 63 by 2^8 (238 and 257 measured),
+    # as _richardson's divisors 63 and 255 take them to.  A fourth-order
+    # step gives about 16 and 64, so the kernel and the ladder cannot drift
+    # apart unseen
+    meshes = [8, 16, 32, 64, 128]
+    v = [_magnus_end(lambda x, rows: x * x + 1.0, 2.0, m)[0] for m in meshes]
+    err = [abs(u - math.exp(2.0)) for u in v]
+    assert all(e / f >= 48.0 for e, f in zip(err, err[1:]))
+    t = [fine + (fine - coarse) / 63.0 for coarse, fine in zip(v, v[1:])]
+    gap = [abs(fine - coarse) for coarse, fine in zip(t, t[1:])]
+    assert all(e / f >= 192.0 for e, f in zip(gap, gap[1:]))
+    # a constant V is propagated exactly: what is left is the products'
+    # rounding, at most m eps of the state (118 eps of cosh 4 measured)
+    eps = np.finfo(float).eps
+    for m in meshes:
+        for V, exact in ((-1.0, [math.cos(2.0), -math.sin(2.0)]),
+                         (4.0, [math.cosh(4.0), 2.0 * math.sinh(4.0)])):
+            got = _magnus_end(lambda x, rows: np.full(x.shape, V), 2.0, m)
+            assert np.abs(got - exact).max() <= m * eps * max(map(abs, exact))
 
 
 # ---------------------------------------------------------------------------
