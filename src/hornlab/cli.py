@@ -409,15 +409,16 @@ def _run_heat(cfg, p, emit, series):
     r_grid = np.geomspace(h["r_lo"], h["r_hi"], h["points"])
     rows = []
     slopes = {}
-    for t in h["t_list"]:
-        sF, lF, _, _ = series.slice_log(r_grid, t)
-        rows.extend(_rows(r_grid, np.full_like(r_grid, t), sF.astype(int), lF))
-        fit = caloric_decay_check(series, r_grid, lF)
+    # one series evaluation, one row a time
+    sF, lF, _, _ = series.slice_log(r_grid, np.array(h["t_list"])[:, None])
+    for t, s, L in zip(h["t_list"], sF, lF):
+        rows.extend(_rows(r_grid, np.full_like(r_grid, t), s.astype(int), L))
+        fit = caloric_decay_check(series, r_grid, L)
         slopes[str(t)] = {"slope": fit.slope, "residual": fit.max_residual}
     emit("heat.csv", ["r", "t", "sign", "log_mag"], rows)
     return {"decay_by_t": slopes,
             "tail_certificate": series.tail_certificate,
-            "truncation": len(series.terms)}
+            "truncation": series.rates.size}
 
 
 def _run_analyticity(cfg, p, emit, series):

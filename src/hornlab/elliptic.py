@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import ConsistencyError, DomainValidationError, TipTailError
 from .geometry import angular_coupling, measure_weight_log, sphere_eigenvalue
-from .heat import CaloricSeries
+from .heat import CaloricSeries, one_row
 from .modes import decay_exponent_fit, radial_mode_zero_log
 from .numerics import check_in_range, fit_line, quad_log
 
@@ -54,8 +54,8 @@ def _mode_state(p, i, mu, radial_log, domain, r_lo=0.0):
         raise DomainValidationError(f"invalid radial domain {domain}")
     return CaloricSeries(params=p, sphere_index=i,
                          r_support=(float(domain[0]), float(domain[1])),
-                         terms=[(radial_log, mu)], coeffs=np.array([1.0]),
-                         r_lo=r_lo)
+                         radial=one_row(radial_log), rates=np.array([mu]),
+                         coeffs=np.array([1.0]), r_lo=r_lo)
 
 
 def constant_state(p, domain):
@@ -86,17 +86,17 @@ def _term(state):
     radial_log(r) = (sign f, log|c f|, d log|f|/dr), log|c| added to
     log|f| (exact for c = 1; the functionals are quadratic in u and read
     the sign only where it is 0), and lam = -mu.  Refuses more terms."""
-    if len(state.terms) != 1:
+    if state.rates.size != 1:
         raise DomainValidationError(
-            f"an elliptic state has one term, got {len(state.terms)} terms")
-    (radial_log, mu), c = state.terms[0], float(state.coeffs[0])
+            f"an elliptic state has one term, got {state.rates.size} terms")
+    c = float(state.coeffs[0])
     log_c = math.log(abs(c)) if c != 0 else -math.inf
 
     def scaled(r):
-        sign, lm, ld = radial_log(r)
+        sign, lm, ld = state.radial(r, 0)
         return sign, lm + log_c, ld
 
-    return scaled, -mu
+    return scaled, -float(state.rates[0])
 
 
 # ---------------------------------------------------------------------------

@@ -29,6 +29,10 @@ The search runs every eigenvalue index in lockstep, one row an index
 (dirichlet_eigenvalues), and the eigenpairs of a search are built
 together, one row a pair (_build_pairs); each row is bit for bit its
 one-row call.  A failing pass names itself, its row's nu and the radius.
+The pairs are read by one evaluator of rows (Eigenfunctions: their septic
+tables stacked, one gather and one Horner pass for every pair at its
+radii); a pair's profile is its own row, and a series stacks its pairs'
+rows and sums over the term axis (CaloricSeries.slice_log).
 
 Series evaluation, time derivatives and the tail bound all run in signed
 log space; the dropped tail is majorized through the empirical two-sided
@@ -48,9 +52,11 @@ from .errors import (ConsistencyError, DomainValidationError,
                      EigenSearchError)
 from .geometry import liouville_potential, liouville_potential_slope
 from .logspace import NEG_INF, logsumexp_signed
-from .modes import (RadialProfile, _naming, _tip_evaluator, log_norm_sq,
-                    r_mu, solve_k2, tip_anchor, tip_rate, tip_window_top)
-from .numerics import fit_line, lgamma_real, magnus_dense, magnus_prufer
+from .modes import (RadialProfile, _naming, _tip_evaluator, _tip_log,
+                    log_norm_sq, r_mu, solve_k2, tip_anchor, tip_rate,
+                    tip_window_top)
+from .numerics import (SepticHermite, check_in_range, fit_line, lgamma_real,
+                       magnus_dense, magnus_prufer)
 
 
 # ---------------------------------------------------------------------------
@@ -252,9 +258,9 @@ def _newton_trial(shots, nu, target, r_out, rel):
 
 def _build_pairs(p, i, nus, r_out, tol):
     """The eigenpairs at the eigenvalues nus, built together: one batched
-    tip pass (solve_k2, each branch read by modes._tip_evaluator), one
-    batched outer magnus_dense pass and one quad_log call for the norms,
-    each row bit for bit its pair's own call.
+    tip pass (solve_k2), one batched outer magnus_dense pass and one
+    quad_log call for the norms on the pairs' Eigenfunctions, each row bit
+    for bit its pair's own call.
 
     A pair is its tip branch below the anchor r_sw = r_mu^(-1/eps) and the
     outer pass above, of w = r^((c-1)/2) f, w'' = (r^2 (V - nu) + 1/4) w in
@@ -271,9 +277,8 @@ def _build_pairs(p, i, nus, r_out, tol):
     r_tip_lo = [(s + 40.0 / rho + 2.0) ** (-1.0 / p.eps) for s in s_lo]
     # the tip span's top in the bits of r_tip_lo, a float's power
     s_max = [r ** (-p.eps) for r in r_tip_lo]
-    tips = [_tip_evaluator(p, k2)
-            for k2 in solve_k2(p, i, np.array(nus), np.array(s_max), tol=tol)]
-    anchors = [[float(v) for v in tip(np.asarray(r))]
+    tips = solve_k2(p, i, np.array(nus), np.array(s_max), tol=tol)
+    anchors = [[float(v) for v in _tip_evaluator(p, tip)(np.asarray(r))]
                for tip, r in zip(tips, r_sw)]
     K = [r_out * math.sqrt(max(nu, 1.0)) for nu in nus]
     a = [0.5 * (1.0 - p.c) / k for k in K]
@@ -319,52 +324,63 @@ def _build_pairs(p, i, nus, r_out, tol):
             raise ConsistencyError(
                 f"Dirichlet defect {defect} at r_out for nu = {nu}")
 
-    def profile(k, scale_log):
-        # the grid marks the cap, the seam and the bottom of the tip branch
-        grid = np.array([r_out ** -p.eps, s_lo[k], s_max[k]])
-        tip_shift = math.log(outer[k][1][0]) - anchors[k][1]
-        return RadialProfile(params=p, i=i, mu=nus[k], s_grid=grid,
-                             evaluator=_glued(tips[k], outer[k][2], K[k],
-                                              r_sw[k], tip_shift, scale_log))
-
+    # the grid marks the cap, the seam and the bottom of the tip branch
+    grids = [np.array([r_out ** -p.eps, lo, top])
+             for lo, top in zip(s_lo, s_max)]
+    r_grids = [grid ** (-1.0 / p.eps) for grid in grids]
+    table = np.array([[tip.rho for tip in tips], [tip.offset for tip in tips],
+                      K, r_sw, [math.log(f[0]) - anchor[1]
+                                for (_, f, _), anchor in zip(outer, anchors)],
+                      np.zeros(len(nus)), [r.min() for r in r_grids],
+                      [r.max() for r in r_grids]])
+    parts = [SepticHermite.stack([tip.interpolant, f])
+             for tip, (_, _, f) in zip(tips, outer)]
+    unit = Eigenfunctions(p, SepticHermite.stack(parts), table)
     # the L2(w dr) norm drops the part below r_tip_lo, where the density has
-    # shed about 2*40 e-foldings; nothing bounds it
-    unit = [profile(k, 0.0) for k in range(len(nus))]
-    log_norms = log_norm_sq(unit, np.array([g.r_min for g in unit]), r_out,
-                            1e-12)
-    return [EigenPair(nu=nu, mode_index=i,
-                      g=profile(k, -0.5 * float(log_norms[k])), r_out=r_out,
-                      zeros=int(np.count_nonzero(
-                          np.diff(np.signbit(outer[k][1][:-1])))),
-                      norm_defect=defects[k])
-            for k, nu in enumerate(nus)]
+    # shed about 2*40 e-foldings; nothing bounds it.  The log shifts take
+    # the norms in place: unit is not read again
+    table[4:6] -= 0.5 * log_norm_sq(p, unit, table[6], r_out, 1e-12)
+    return [EigenPair(
+        nu=nu, mode_index=i, r_out=r_out, norm_defect=defects[k],
+        g=RadialProfile(params=p, i=i, mu=nu, s_grid=grids[k],
+                        evaluator=Eigenfunctions(p, parts[k],
+                                                 table[:, k:k + 1])),
+        zeros=int(np.count_nonzero(np.diff(np.signbit(outer[k][1][:-1])))))
+        for k, nu in enumerate(nus)]
 
 
-def _glued(tip, outer, K, r_sw, tip_shift, scale_log):
-    """An eigenfunction's evaluator: the tip branch's evaluator below r_sw,
-    shifted onto the outer pass's f(r_sw) > 0, and the outer interpolant in
-    K log r above, both times exp(scale_log)."""
-    def evaluator(r):
-        # each array is masked on its own, several times faster than
-        # out[:, mask] = (...)
+class Eigenfunctions:
+    """Eigenfunctions as one evaluator of rows, one row a pair: the pairs'
+    septic tables stacked in one SepticHermite, two rows a pair, the tip
+    branch's in sigma = rho s (modes.TipBranch) and the outer pass's in
+    K log r.  Column k of table holds pair k's rho, tip offset, K, seam
+    r_sw, the log shifts of its tip branch and of its outer pass, and its
+    represented range [r_min, r_max].  Called on radii r and rows, row
+    indices that broadcast against r, it checks every point against its
+    own row's range (DomainValidationError naming the radius) and gives
+    (sign, log|g|, d log|g|/dr) there: the tip branch below r_sw, shifted
+    onto the outer pass's f(r_sw) > 0, and the outer pass above, each
+    point read on its own row by one gather and one Horner pass."""
+
+    def __init__(self, params, interpolant, table):
+        self.params, self.interpolant, self.table = params, interpolant, table
+
+    def __call__(self, r, rows=0):
+        p = self.params
+        r = np.asarray(r, dtype=float)
+        rho, offset, K, r_sw, tip_shift, shift, lo, hi = self.table[:, rows]
+        check_in_range(r, lo, hi, "represented radius")
         inner = r < r_sw
-        outside = ~inner
-        out = [np.empty(r.shape) for _ in range(3)]
-        if inner.any():
-            sgn, lm, ld = tip(r[inner])
-            for o, v in zip(out, (sgn, lm + (tip_shift + scale_log), ld)):
-                o[inner] = v
-        if outside.any():
-            r_outside = r[outside]
-            fv, dfv = outer(K * np.log(r_outside))
-            with np.errstate(divide="ignore", invalid="ignore"):
-                vals = (np.sign(fv), np.log(np.abs(fv)) + scale_log,
-                        K * dfv / (fv * r_outside))
-            for o, v in zip(out, vals):
-                o[outside] = v
-        return out
-
-    return evaluator
+        s = r ** (-p.eps)
+        # either branch's formula runs on every point; np.where keeps the
+        # point's own
+        with np.errstate(divide="ignore", invalid="ignore"):
+            v, dv = self.interpolant(np.where(inner, rho * s, K * np.log(r)),
+                                     2 * rows + ~inner)
+            lm, ld = _tip_log(p, s, r, v + offset, rho * dv)
+            return (np.where(inner, 1.0, np.sign(v)),
+                    np.where(inner, lm + tip_shift, np.log(np.abs(v)) + shift),
+                    np.where(inner, ld, K * dv / (v * r)))
 
 
 # ---------------------------------------------------------------------------
@@ -432,19 +448,23 @@ def tail_bound(eigs, k, t, p, coeff_cap=1.0):
 @dataclass
 class CaloricSeries:
     """The one state type: u = sum_j c_j exp(-nu_j t) g_j(r) phi_i with
-    spherical index i on the radii r_support; each term is a pair (radial
-    evaluator, rate nu_j) giving (sign, log|g_j|, d log|g_j|/dr) at an
-    array of radii.  tail_certificate bounds the eigen-terms a truncation
-    drops.  An elliptic state, L u = -mu u, is one term of rate mu whose
-    bulk energy starts at r_lo; tip_tail estimates the energy below r_lo.
-    All three are 0 for an exact state that reaches the tip; a series of
-    eigenpairs starts its bulk energy at its support bottom, where every
-    pair's normalization stops."""
+    spherical index i on the radii r_support, its terms read by one
+    evaluator of rows: radial(r, rows) gives (sign, log|g_j|,
+    d log|g_j|/dr) of the terms j = rows, indices that broadcast against
+    the radii r, and rates holds the nu_j.  A series of eigenpairs stacks
+    the pairs' Eigenfunctions rows; a one-term state passes its radial
+    evaluator as one row (one_row).  tail_certificate bounds the
+    eigen-terms a truncation drops.  An elliptic state, L u = -mu u, is
+    one term of rate mu whose bulk energy starts at r_lo; tip_tail
+    estimates the energy below r_lo.  All three are 0 for an exact state
+    that reaches the tip; a series of eigenpairs starts its bulk energy at
+    its support bottom, where every pair's normalization stops."""
 
     params: object
     sphere_index: int
     r_support: tuple
-    terms: list
+    radial: object
+    rates: np.ndarray
     coeffs: np.ndarray
     tail_certificate: float = 0.0
     r_lo: float = 0.0
@@ -455,36 +475,46 @@ class CaloricSeries:
         shape of the radii r, times t and derivative orders k, of
         F = d^k/dt^k of the series: term j picks up (-nu_j)^k, that is
         k log nu_j in magnitude and (-1)^k in sign, and a term with
-        nu_j = 0 is an exact zero for k >= 1.  Each term's radial
-        evaluator runs once, on the radii broadcast against the times; the
-        orders broadcast after it, so every order at a point shares one
-        evaluation.  The one place the series is summed.
+        nu_j = 0 is an exact zero for k >= 1.  One call of radial reads
+        every term on the radii r alone; the terms' rates, coefficients,
+        times and orders broadcast after it, so every time and order at a
+        point shares one evaluation.  The one place the series is summed,
+        over the term axis.
         """
-        r, t = np.broadcast_arrays(r, t)
-        k = np.asarray(k)
-        shape = (len(self.terms), *np.broadcast_shapes(r.shape, k.shape))
-        sF, lF, sD, lD = (np.empty(shape) for _ in range(4))
-        for j, ((radial_log, nu), cj) in enumerate(zip(self.terms,
-                                                       self.coeffs)):
-            sgn, lm, ld = radial_log(r)
-            amp = math.log(abs(cj)) if cj != 0 else -math.inf
-            csign = 1.0 if cj >= 0 else -1.0
-            k_log_nu = np.where(k > 0, k * math.log(nu), 0.0) if nu else 0.0
-            sF[j] = csign * sgn * (-1.0) ** k
-            lF[j] = amp - nu * t + lm + k_log_nu
-            with np.errstate(divide="ignore", invalid="ignore"):
-                lD[j] = lF[j] + np.log(np.abs(ld))
-            sD[j] = sF[j] * np.sign(ld)
-            if nu == 0 and np.any(k):
-                zero = np.broadcast_to(k > 0, shape[1:])
-                sF[j, zero], lF[j, zero], sD[j, zero], lD[j, zero] = \
-                    0.0, -math.inf, 0.0, -math.inf
+        r, t, k = np.asarray(r, dtype=float), np.asarray(t), np.asarray(k)
+        n = max(r.ndim, t.ndim, k.ndim)
+        col = (-1,) + (1,) * n
+        sgn, lm, ld = self.radial(r[(None,) * (n - r.ndim)],
+                                  np.arange(self.rates.size).reshape(col))
+        nu = self.rates.reshape(col)
+        # each term's log nu_j and log|c_j| as math rounds them
+        log_nu = np.array([math.log(v) if v else 0.0
+                           for v in self.rates.tolist()]).reshape(col)
+        amp = np.array([math.log(abs(c)) if c else -math.inf
+                        for c in self.coeffs.tolist()]).reshape(col)
+        csign = np.where(self.coeffs >= 0, 1.0, -1.0).reshape(col)
+        sF = csign * sgn * (-1.0) ** k
+        lF = amp - nu * t + lm + np.where(k > 0, k * log_nu, 0.0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            lD = lF + np.log(np.abs(ld))
+        sD = sF * np.sign(ld)
+        zero = (nu == 0) & (k > 0)
+        if zero.any():
+            sF, sD = (np.where(zero, 0.0, v) for v in (sF, sD))
+            lF, lD = (np.where(zero, -math.inf, v) for v in (lF, lD))
         return (*logsumexp_signed(sF, lF), *logsumexp_signed(sD, lD))
 
 
+def one_row(radial_log):
+    """The evaluator of rows of a one-term series from its radial evaluator
+    radial_log(r): its values, broadcast against the rows (all 0)."""
+    return lambda r, rows: np.broadcast_arrays(*radial_log(r), rows)[:3]
+
+
 def make_caloric_series(pairs, coeffs, t_min):
-    """Assemble a series; the tail certificate is computed at the shortest
-    evaluation time t_min via tail_bound, never assumed."""
+    """Assemble a series, its pairs' Eigenfunctions rows stacked into one
+    evaluator; the tail certificate is computed at the shortest evaluation
+    time t_min via tail_bound, never assumed."""
     if not pairs:
         raise DomainValidationError("caloric series needs >= 1 pair")
     nus = [pair.nu for pair in pairs]
@@ -492,6 +522,8 @@ def make_caloric_series(pairs, coeffs, t_min):
         raise DomainValidationError("eigenvalues must be strictly increasing")
     if len({pair.mode_index for pair in pairs}) != 1:
         raise DomainValidationError("all pairs must share the spherical index")
+    if any(pair.g.params != pairs[0].g.params for pair in pairs):
+        raise DomainValidationError("all pairs must share the horn's params")
     mixed = [pair.r_out for pair in pairs if pair.r_out != pairs[0].r_out]
     if mixed:
         raise DomainValidationError(
@@ -507,13 +539,13 @@ def make_caloric_series(pairs, coeffs, t_min):
     p = pairs[0].g.params
     cert = tail_bound(pairs, len(pairs), t_min, p, coeff_cap=cap)
     r_support = (max(pair.g.r_min for pair in pairs), pairs[0].r_out)
-    # each term looks eval_log up on its profile when it is called, not
-    # here, so that a series built before RadialProfile.eval_log is wrapped
-    # (hornbench's layer tracer) runs the wrapped evaluator
-    terms = [(lambda r, g=pair.g: g.eval_log(r), pair.nu) for pair in pairs]
-    return CaloricSeries(params=p, sphere_index=pairs[0].mode_index,
-                         r_support=r_support, terms=terms, coeffs=coeffs,
-                         tail_certificate=cert, r_lo=r_support[0])
+    return CaloricSeries(
+        params=p, sphere_index=pairs[0].mode_index, r_support=r_support,
+        radial=Eigenfunctions(p, SepticHermite.stack(
+            [q.g.evaluator.interpolant for q in pairs]),
+            np.hstack([q.g.evaluator.table for q in pairs])),
+        rates=np.array(nus), coeffs=coeffs, tail_certificate=cert,
+        r_lo=r_support[0])
 
 
 def taylor_coefficients(series, r0, t0, kmax):

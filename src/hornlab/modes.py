@@ -157,16 +157,16 @@ class TipBranch:
     def __init__(self, span, rho, interpolant, offset=0.0,
                  tail_rel_uncertainty=0.0):
         self.span = span
-        self._rho = rho
-        self._log_k = interpolant
-        self._offset = offset
+        self.rho = rho
+        self.interpolant = interpolant
+        self.offset = offset
         self.tail_rel_uncertainty = tail_rel_uncertainty
 
     def log_eval(self, s):
         """(log k, kappa = k'/k) at s (scalar or array)."""
         check_in_range(s, *self.span, "tip abscissa s")
-        L, slope = self._log_k(self._rho * np.asarray(s, dtype=float))
-        return L + self._offset, self._rho * slope
+        L, slope = self.interpolant(self.rho * np.asarray(s, dtype=float))
+        return L + self.offset, self.rho * slope
 
 
 def _in_sigma(q_of, rho, sweep, y0):
@@ -472,7 +472,8 @@ def normalization_bound(p, i, mu, tol=1e-10):
     s_hi = s_lo + 10.0 / rho + 5.0
     r_min = s_hi ** (-1.0 / p.eps)
     prof = profile_from_k2(p, i, mu, r_min, n_grid=32, tol=1e-12)
-    norm2 = math.exp(log_norm_sq([prof], r_min, prof.r_max, tol)[0])
+    norm2 = math.exp(log_norm_sq(p, lambda r, rows: prof.eval_log(r),
+                                 r_min, prof.r_max, tol)[0])
     if norm2 <= 0:
         raise ConsistencyError("vanishing norm in normalization_bound")
     computed = 1.0 / math.sqrt(norm2)
@@ -480,18 +481,13 @@ def normalization_bound(p, i, mu, tol=1e-10):
     return computed, bound
 
 
-def log_norm_sq(profiles, r_lo, r_hi, tol):
-    """log int_{r_lo}^{r_hi} f^2 w dr of each of a list of profiles, as an
-    array, one entry a profile: one quad_log call takes every profile as a
-    row, over its own interval (r_lo and r_hi scalars or arrays of the
-    list's length), each entry bit for bit the profile's one-row call."""
-    p = profiles[0].params
-
-    def log_integrand(r, rows):
-        logs = np.empty_like(r)
-        for row, k in enumerate(rows):
-            logs[row] = profiles[k].eval_log(r[row])[1]
-        return 1.0, 2.0 * logs + measure_weight_log(p, r)
-
-    return quad_log(log_integrand, *(np.full(len(profiles), v, dtype=float)
-                                     for v in (r_lo, r_hi)), tol)[1]
+def log_norm_sq(p, radial, r_lo, r_hi, tol):
+    """log int_{r_lo}^{r_hi} f^2 w dr of rows of radial, an evaluator of
+    rows: radial(r, rows) gives (sign, log|f|, d log|f|/dr) at radii r of
+    the rows `rows`, indices that broadcast against r.  An array, one entry
+    a row of r_lo and r_hi (numerics.row_count): one quad_log call, row k
+    on radial's row k over its own interval, each level reading every open
+    row in one call of radial, each entry bit for bit its one-row call."""
+    return quad_log(lambda r, rows: (1.0, 2.0 * radial(r, rows[:, None])[1]
+                                     + measure_weight_log(p, r)),
+                    r_lo, r_hi, tol)[1]

@@ -50,11 +50,13 @@ from .logspace import logsumexp_signed
 def check_in_range(x, lo, hi, name):
     """The one range rule: DomainValidationError naming `name` and the value
     unless every x lies in [lo, hi], with a slack of 1e-12 |bound| at each
-    end.  NaN lies in no range; an empty array passes."""
+    end; lo and hi may be arrays that broadcast against x, each point's
+    own bounds.  NaN lies in no range; an empty array passes."""
     x = np.asarray(x, dtype=float)
-    a, b = lo - 1e-12 * abs(lo), hi + 1e-12 * abs(hi)
-    if x.size and not (x.min() >= a and x.max() <= b):
-        bad = x[~((x >= a) & (x <= b))].flat[0]
+    ok = (x >= lo - 1e-12 * np.abs(lo)) & (x <= hi + 1e-12 * np.abs(hi))
+    if not ok.all():
+        k = np.unravel_index(np.argmin(ok), ok.shape)
+        bad, lo, hi = (np.broadcast_to(v, ok.shape)[k] for v in (x, lo, hi))
         raise DomainValidationError(f"{name}={bad} must lie in [{lo}, {hi}]")
 
 
@@ -667,10 +669,13 @@ class SepticHermite:
     mesh, with no search, and a point past an end takes the end interval.
     Between nodes it errs by O(h^8) in the value and O(h^7) in the slope.
 
-    Rows: x and the data may be (rows, nodes) arrays, one mesh a row.  Such
-    an interpolant is not called on abscissae (TypeError): row(k) is row
-    k's interpolant alone, bit for bit that of row k's data on its own, and
-    at(fractions) reads every row at fixed fractions of its intervals.
+    Rows: x and the data may be (rows, nodes) arrays, one mesh a row, and
+    stack() joins interpolants on meshes of any sizes into one table of
+    rows.  An interpolant of rows is called with rows, row indices that
+    broadcast against the abscissae (without them, TypeError): one gather
+    and one Horner pass read every point on its own row, bit for bit as
+    row(k), row k's interpolant alone, reads it.  at(fractions) reads rows
+    of one mesh size at fixed fractions of their intervals.
     """
 
     def __init__(self, x, y, dy, d2y, d3y):
@@ -692,38 +697,58 @@ class SepticHermite:
         B = d1 - d0 - s0 - 0.5 * g0
         C = s1 - s0 - g0
         D = g1 - g0
-        self._coef = np.array([  # (power, [row,] interval)
+        coef = np.array([  # (power, [row,] interval)
             -20.0 * A + 10.0 * B - 2.0 * C + D / 6.0,
             70.0 * A - 34.0 * B + 6.5 * C - 0.5 * D,
             -84.0 * A + 39.0 * B - 7.0 * C + 0.5 * D,
             35.0 * A - 15.0 * B + 2.5 * C - D / 6.0,
             g0 / 6.0, 0.5 * s0, d0, y[..., :-1]])
-        self._x0, self._h = x[..., 0], h[..., 0]
+        x0 = np.atleast_1d(x[..., 0])
+        self._table(coef.reshape(8, -1), x0, np.atleast_1d(h[..., 0]),
+                    np.full(x0.size, coef.shape[-1]))
+
+    def _table(self, coef, x0, h, count):
+        # the rows' intervals lie in turn along the table's second axis
+        self._coef, self._x0, self._h, self._count = coef, x0, h, count
+        self._first = np.cumsum(count) - count
+        return self
+
+    @classmethod
+    def stack(cls, parts):
+        """One interpolant of the rows of the interpolants parts, in turn."""
+        return object.__new__(cls)._table(*(
+            np.concatenate([getattr(q, key) for q in parts], axis=-1)
+            for key in ("_coef", "_x0", "_h", "_count")))
 
     def row(self, k):
         """Row k's interpolant alone, on contiguous coefficients of its own
         (a gather from a strided view is slower)."""
-        one = object.__new__(SepticHermite)
-        one._coef = np.ascontiguousarray(self._coef[:, k])
-        one._x0, one._h = self._x0[k], self._h[k]
-        return one
+        lo, n = self._first[k], self._count[k]
+        return object.__new__(SepticHermite)._table(
+            np.ascontiguousarray(self._coef[:, lo:lo + n]),
+            self._x0[k:k + 1], self._h[k:k + 1], self._count[k:k + 1])
 
     def at(self, fractions):
-        """(value, derivative) at the given fractions of every interval, in
-        one Horner pass over the coefficients as they lie: arrays of shape
-        (len(fractions), [rows,] intervals)."""
-        t = np.asarray(fractions).reshape((-1,) + (1,) * (self._coef.ndim - 1))
+        """(value, derivative) at the given fractions of every interval of
+        rows of one mesh size, in one Horner pass over the coefficients as
+        they lie: arrays of shape (len(fractions), rows, intervals)."""
+        t = np.asarray(fractions).reshape(-1, 1)
         value, slope = _horner(self._coef, t)
-        return value, slope / self._h[..., None]
+        shape = (t.size, self._x0.size, -1)
+        return value.reshape(shape), slope.reshape(shape) / self._h[:, None]
 
-    def __call__(self, x):
-        if self._coef.ndim > 2:
-            raise TypeError("an interpolant of rows is read by row(k) or at()")
-        t = (np.asarray(x, dtype=float) - self._x0) / self._h
+    def __call__(self, x, rows=None):
+        if rows is None:
+            if self._x0.size > 1:
+                raise TypeError("an interpolant of rows is read with rows")
+            rows = 0
+        h = self._h[rows]
+        t = (np.asarray(x, dtype=float) - self._x0[rows]) / h
         j = np.minimum(np.maximum(np.asarray(t).astype(np.intp), 0),
-                       self._coef.shape[-1] - 1)
-        value, slope = _horner(self._coef.take(j, axis=1), t - j)
-        return value, slope / self._h
+                       self._count[rows] - 1)
+        value, slope = _horner(self._coef.take(j + self._first[rows], axis=1),
+                               t - j)
+        return value, slope / h
 
 
 # ---------------------------------------------------------------------------
@@ -797,8 +822,9 @@ def quad_log(fn_log, a, b, tol):
     on geometric panels calls fn_log once on the nodes of every row still
     open, in groups of one panel count, the rows with a = 0, which carry
     one more panel, in calls of their own (and any group in several calls
-    of whole rows past 8192 nodes); a row has the same nodes, the same
-    panels and the same result whatever else is in the batch.  Each row is
+    of whole rows past 8192 nodes); a row's nodes depend only on its
+    interval and panel count, and its result on nothing else in the batch
+    (rows of one interval share their nodes level by level).  Each row is
     summed in units of the largest integrand magnitude among its nodes, so
     neither the integrand nor the integral has to be representable in
     linear space.  A row's first level has the smallest power of two of

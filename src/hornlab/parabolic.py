@@ -33,7 +33,7 @@ from .elliptic import (FrequencyScan, _KIND_PARABOLIC, _constant_radial_log,
                        _energy_density_log, floor_fit)
 from .errors import ConsistencyError, DomainValidationError
 from .geometry import measure_weight_log, sphere_area
-from .heat import CaloricSeries
+from .heat import CaloricSeries, one_row
 from .numerics import quad_log
 
 _LOG_MAX = math.log(np.finfo(float).max)  # the log of the largest double
@@ -62,7 +62,8 @@ def UnitCaloric(params):
     constant harmonic."""
     return CaloricSeries(params=params, sphere_index=0,
                          r_support=(0.0, math.inf),
-                         terms=[(_constant_radial_log, 0.0)],
+                         radial=one_row(_constant_radial_log),
+                         rates=np.array([0.0]),
                          coeffs=np.array([math.sqrt(sphere_area(params.n))]))
 
 
@@ -84,8 +85,10 @@ def _slices_ID(u, R, tol):
 
     One quad_log call takes D of every slice as its first rows and I as
     the rest; a slice's D and I rows share their nodes while both are
-    open, so each level evaluates the series once per open slice.  D = 0
-    or a D or I past the double range on any slice is an error.
+    open, so each level evaluates the series once per open slice, and
+    once in all when every slice has one interval (a series): then every
+    row has the same nodes.  D = 0 or a D or I past the double range on
+    any slice is an error.
     """
     if not np.all(R > 0):
         raise DomainValidationError(
@@ -94,6 +97,8 @@ def _slices_ID(u, R, tol):
     m = R.size
     t = -R * R
     lo, hi = np.array([_slice_bounds(u, s) for s in R.tolist()]).T
+    # a row's nodes depend only on its interval and panel count (quad_log)
+    shared = np.all(lo == lo[0]) and np.all(hi == hi[0])
 
     def log_integrand(x, rows):
         # rows k and m + k are the D and I rows of slice k
@@ -101,7 +106,9 @@ def _slices_ID(u, R, tol):
         _, first, back = np.unique(slices, return_index=True,
                                    return_inverse=True)
         ts = t[slices][:, None]
-        sF, lF, sD, lD = (v[back] for v in u.slice_log(x[first], ts[first]))
+        # shared: every open row has the nodes x[:1], and the times broadcast
+        x, nodes = (x[:1], x[:1]) if shared else (x, x[first])
+        sF, lF, sD, lD = (v[back] for v in u.slice_log(nodes, ts[first]))
         log_G = kernel_log(p, x, ts)
         with np.errstate(invalid="ignore"):  # F_r / F is nan where F = 0
             dlog = sF * sD * np.exp(lD - lF)

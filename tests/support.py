@@ -177,8 +177,7 @@ def sphere_quad(fn, tol=1e-12):
 def radial_value(state, r):
     """Linear-space (c f, c f') at t = 0 of a one-term state, from its
     term's (sign, log, dlog) radial evaluator and its coefficient c."""
-    (radial_log, _), = state.terms
-    sgn, lm, ld = radial_log(np.array([float(r)]))
+    sgn, lm, ld = state.radial(np.array([float(r)]), 0)
     f = 0.0 if sgn[0] == 0 else state.coeffs[0] * sgn[0] * math.exp(lm[0])
     return f, f * ld[0]
 
@@ -201,7 +200,7 @@ def oracle_E_2d(state, r, p, tol=1e-11):
         grad_r = fp * fp * sphere_quad(lambda th: phi1(th) ** 2)
         grad_a = 4.0 * s ** (-2.0 - 2.0 * p.eps) * f * f \
             * sphere_quad(lambda th: dphi1(th) ** 2)
-        lam = -state.terms[0][1]
+        lam = -state.rates[0]
         zee = lam * f * f * sphere_quad(lambda th: phi1(th) ** 2)
         return (grad_r + grad_a + zee) * w
 

@@ -15,8 +15,8 @@ from hornlab.cli import (COMMANDS, DEFAULT_CONFIG, EXIT_BOUNDS, EXIT_CONFIG,
                          EXIT_NUMERICAL, EXIT_OK, load_config, main, run)
 from hornlab.errors import ConfigError
 from hornlab.geometry import make_horn_params
-from hornlab.heat import CaloricSeries, _wkb_trials
-from hornlab.modes import RadialProfile, tip_window_top
+from hornlab.heat import CaloricSeries, Eigenfunctions, _wkb_trials
+from hornlab.modes import tip_window_top
 
 P_DEFAULT = make_horn_params(3, 4.0, 0.5, 0.25)
 
@@ -490,13 +490,13 @@ def test_numerical_error_writes_manifest(tmp_path, monkeypatch):
     # quad_log raises QuadratureError on an integrand that is NaN at a node:
     # eigenfunctions whose log|g| is NaN above r = 1 make the first norm of
     # the pipeline's series fail numerically
-    eval_log = RadialProfile.eval_log
+    call = Eigenfunctions.__call__
 
-    def broken(self, r):
-        sign, log_mag, dlog = eval_log(self, r)
+    def broken(self, r, rows=0):
+        sign, log_mag, dlog = call(self, r, rows)
         return sign, np.where(np.asarray(r) > 1.0, np.nan, log_mag), dlog
 
-    monkeypatch.setattr(RadialProfile, "eval_log", broken)
+    monkeypatch.setattr(Eigenfunctions, "__call__", broken)
     code = main(["freq-parabolic", "--out", str(tmp_path)])
     assert code == EXIT_NUMERICAL
     man = json.loads((tmp_path / "manifest.json").read_text())
@@ -615,8 +615,9 @@ def test_heat_command_reports_decay(tmp_path):
     assert set(rows[0]) == {"r", "t", "sign", "log_mag"}
 
 
-def test_heat_evaluates_the_series_once_per_time(tmp_path, monkeypatch):
-    # the heat.csv rows and the decay fit share one slice_log per time
+def test_heat_evaluates_the_series_once_for_all_times(tmp_path, monkeypatch):
+    # the heat.csv rows and the decay fits of every time share one
+    # slice_log call, on the grid's radii against a column of the times
     times = []
     slice_log = CaloricSeries.slice_log
 
@@ -630,7 +631,8 @@ def test_heat_evaluates_the_series_once_per_time(tmp_path, monkeypatch):
                  "--set", "heat.coeffs=[1.0,0.7]",
                  "--set", f"heat.t_list={t_list}", "--set", "heat.points=16"])
     assert code == EXIT_OK
-    assert times == t_list
+    assert len(times) == 1
+    assert np.array_equal(times[0], np.array(t_list)[:, None])
 
 
 def test_analyticity_command(tmp_path):

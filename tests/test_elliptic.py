@@ -47,7 +47,7 @@ def test_bessel_radial_log_matches_scalar_branch(p_default):
     nu = (p_default.c - 1.0) / 2.0
     limit = mu ** (nu / 2.0) / (2.0 ** nu * gamma_real(nu + 1.0))
     r = np.concatenate([[0.0, 1e-12, 5e-9], np.geomspace(1e-6, 5.0, 60)])
-    sign, lm, ld = st.terms[0][0](r)
+    sign, lm, ld = st.radial(r, 0)
     assert np.any(sign < 0)
     for k, rr in enumerate(r.tolist()):
         x = rr * math.sqrt(mu)
@@ -80,7 +80,7 @@ def test_bessel_radial_log_evaluates_each_order_once(p_default, monkeypatch):
         return jv(order, xs)
 
     monkeypatch.setattr(special, "jv", counted)
-    sign, lm, ld = bessel_state(p_default, mu, (0.01, 0.5)).terms[0][0](r)
+    sign, lm, ld = bessel_state(p_default, mu, (0.01, 0.5)).radial(r, 0)
     assert sorted(orders) == [nu, nu + 1.0]
     assert np.array_equal(sign, np.sign(want_f))
     assert np.array_equal(lm, np.log(np.abs(want_f)))
@@ -162,7 +162,7 @@ def test_E_bulk_boundary_agreement(state_i1_mu1):
     integral = _bulk_integrals(state_i1_mu1, np.array([state_i1_mu1.r_lo]),
                                r, 1e-10)
     (bulk,), (bdry,), (scale,) = _checked_energy(
-        state_i1_mu1, -1.0, r, state_i1_mu1.terms[0][0](r), integral)
+        state_i1_mu1, -1.0, r, state_i1_mu1.radial(r, 0), integral)
     assert bulk == pytest.approx(bdry, abs=1e-6 * max(scale, abs(bulk)))
 
 

@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 from dataclasses import replace
 
@@ -15,6 +16,7 @@ from hornlab import (ConsistencyError, DomainValidationError, EigenPair,
                      tail_bound, tip_rate, weyl_check)
 from hornlab import heat, modes, numerics
 from hornlab.elliptic import bessel_state, constant_state
+from hornlab.logspace import logsumexp_signed
 from hornlab.modes import solve_k2, tip_window_top
 
 # pairs8_rout2 eigenvalues from the earlier oscillation-count search
@@ -514,14 +516,17 @@ def test_tip_share_newton_drops_is_small(p_default):
     pairs = dirichlet_eigenvalues(p_default, 1, 1.8, 8)
     for q in pairs:
         r_sw = tip_window_top(p_default, q.nu)
-        (tip,) = modes.log_norm_sq([q.g], q.g.r_min, r_sw, 1e-12)
-        (rest,) = modes.log_norm_sq([q.g], r_sw, 1.8, 1e-12)
+        (tip,) = modes.log_norm_sq(p_default, q.g.evaluator, q.g.r_min,
+                                   r_sw, 1e-12)
+        (rest,) = modes.log_norm_sq(p_default, q.g.evaluator, r_sw, 1.8,
+                                    1e-12)
         share = math.exp(tip - rest)
         assert share <= 1e-8
-    # a list of profiles is one row a profile under scalar bounds too: each
-    # normalized pair keeps its whole norm above the largest r_min
-    norms = modes.log_norm_sq([q.g for q in pairs],
-                              max(q.g.r_min for q in pairs), 1.8, 1e-12)
+    # the pairs' stacked evaluator, one row a pair: each normalized pair
+    # keeps its whole norm above the largest r_min
+    norms = modes.log_norm_sq(
+        p_default, make_caloric_series(pairs, np.ones(8), 0.25).radial,
+        np.full(8, max(q.g.r_min for q in pairs)), 1.8, 1e-12)
     assert norms.shape == (8,)
     assert np.max(np.abs(norms)) <= 1e-10
 
@@ -677,7 +682,7 @@ def test_radial_evaluators_take_radii_of_any_shape(p_default, profile_i1_mu1,
         _assert_any_shape(pair.g.eval_log, pair.g.r_min, pair.r_out)
     for state in (bessel_state(p_default, 2.0, (0.01, 1.0)),
                   constant_state(p_default, (0.01, 1.0))):
-        _assert_any_shape(state.terms[0][0], 0.01, 1.0)
+        _assert_any_shape(lambda r: state.radial(r, 0), 0.01, 1.0)
     k2, = solve_k2(p_default, 1, 1.0, 12.0)
     _assert_any_shape(k2.log_eval, *k2.span)
 
@@ -829,21 +834,74 @@ def test_time_derivative_order_zero(series4):
     assert series4.slice_log(0.7, 0.6)[:2] == (sF[0], lF[0])
 
 
-def test_series_looks_up_eval_log_when_summed(series4, monkeypatch):
-    # a series built before RadialProfile.eval_log is wrapped still runs
-    # the wrapper, once per term on the 7 radii (eval_log also calls itself
-    # on its own points)
-    from hornlab.modes import RadialProfile
-    original = RadialProfile.eval_log
+def test_slice_log_reads_every_term_in_one_call(series4, pairs8_rout2):
+    # one call of the series' evaluator of rows reads all four terms on the
+    # radii alone, with the times broadcast after it; each time's slice is
+    # bitwise its own call, and the sum is bitwise that of the pairs' own
+    # one-row reads
     calls = []
 
-    def wrapped(self, r):
-        calls.append(np.size(r))
-        return original(self, r)
+    def counted(r, rows):
+        calls.append((np.shape(r), np.shape(rows)))
+        return series4.radial(r, rows)
 
-    monkeypatch.setattr(RadialProfile, "eval_log", wrapped)
-    series4.slice_log(np.geomspace(0.05, 1.5, 7), 0.5)
-    assert calls.count(7) == len(series4.terms)
+    r = np.geomspace(0.05, 1.5, 7)
+    t = np.array([0.25, 0.5, 1.0])
+    got = replace(series4, radial=counted).slice_log(r, t[:, None])
+    assert calls == [((1, 7), (4, 1, 1))]
+    for k, tk in enumerate(t):
+        for a, b in zip(got, series4.slice_log(r, tk)):
+            assert a[k].tobytes() == b.tobytes()
+    sign, lm, ld = (np.array(v) for v in zip(
+        *(q.g.eval_log(r) for q in pairs8_rout2[:4])))
+    nu = series4.rates[:, None]
+    lF = np.array([[math.log(c)] for c in series4.coeffs]) - nu * 0.5 + lm
+    want = (*logsumexp_signed(sign, lF),
+            *logsumexp_signed(sign * np.sign(ld), lF + np.log(np.abs(ld))))
+    for a, b in zip(series4.slice_log(r, 0.5), want):
+        assert a.tobytes() == b.tobytes()
+
+
+def test_eigenfunction_rows_equal_each_pairs_read(p_default, pairs8_rout2):
+    # the stacked evaluator reads every row bit for bit as its pair's own
+    # one-row evaluator, at radii on both sides of every seam r_sw and at
+    # both ends: on all rows, on a shuffled subset, and for a series of
+    # the pairs of two searches
+    mixed = dirichlet_eigenvalues(p_default, 1, 2.0, 4) + pairs8_rout2[4:]
+    for pairs in (pairs8_rout2, mixed):
+        seams = [tip_window_top(p_default, q.nu) for q in pairs]
+        lo = max(q.g.r_min for q in pairs)
+        r = np.sort(np.concatenate([
+            np.geomspace(lo, 2.0, 21), seams, np.nextafter(seams, 0.0),
+            np.nextafter(seams, 2.0)]))
+        assert min(seams) > lo
+        want = [q.g.eval_log(r) for q in pairs]
+        table = make_caloric_series(pairs, np.ones(8), 0.25).radial
+        shuffled = np.random.default_rng(3).permutation(8)[:5]
+        for rows in (np.arange(8), shuffled):
+            got = table(r, rows[:, None])
+            for k, row in enumerate(rows):
+                for a, b in zip(got, want[row]):
+                    assert a[k].tobytes() == b.tobytes()
+        # each row at the ends of its own range, the rows broadcast
+        # against the radii
+        ends = np.array([[q.g.r_min for q in pairs], [q.g.r_max for q in pairs]])
+        got = table(ends, np.arange(8))
+        for k, q in enumerate(pairs):
+            for a, b in zip(got, q.g.eval_log(ends[:, k])):
+                assert a[:, k].tobytes() == b.tobytes()
+
+
+def test_series_checks_each_terms_range(pairs8_rout2):
+    # the pairs' r_min differ: a radius just below the largest, though
+    # above the others, lies outside that term's represented range
+    r_mins = [q.g.r_min for q in pairs8_rout2]
+    r = max(r_mins) * (1.0 - 1e-9)
+    assert min(r_mins) < r
+    series = make_caloric_series(pairs8_rout2, np.ones(8), 0.25)
+    with pytest.raises(DomainValidationError,
+                       match=rf"^represented radius={re.escape(str(r))} "):
+        series.slice_log(np.array([1.0, r]), 0.5)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -912,23 +970,20 @@ def test_taylor_coefficients_are_time_derivatives(series4):
         analyticity_probe(series4, r0, t0, kmax)
 
 
-def test_taylor_coefficients_evaluate_each_term_once(series4):
-    # every order at (r0, t0) comes from one series evaluation: each term's
-    # radial evaluator runs once, not once per order, and each coefficient
-    # is bitwise that of the order's own time derivative
+def test_taylor_coefficients_evaluate_the_series_once(series4):
+    # every order at (r0, t0) comes from one call of the series' evaluator
+    # of rows, all terms at the one radius, and each coefficient is bitwise
+    # that of the order's own time derivative
     r0, t0, kmax = 0.8, 0.5, 16
     calls = []
 
-    def counted(radial_log):
-        def run(r):
-            calls.append(np.size(r))
-            return radial_log(r)
-        return run
+    def counted(r, rows):
+        calls.append((np.shape(r), np.shape(rows)))
+        return series4.radial(r, rows)
 
-    series = replace(series4, terms=[(counted(f), nu)
-                                     for f, nu in series4.terms])
-    log_ak = heat.taylor_coefficients(series, r0, t0, kmax)
-    assert calls == [1] * len(series4.terms)
+    log_ak = heat.taylor_coefficients(replace(series4, radial=counted), r0,
+                                      t0, kmax)
+    assert calls == [((1,), (4, 1))]
     for k, L in enumerate(log_ak):
         _, Ld, _, _ = series4.slice_log(r0, t0, k)
         assert L == Ld - lgamma_real(k + 1.0)
@@ -1000,6 +1055,15 @@ def test_caloric_decay_rejects_radial_part(pairs8_rout2):
     with pytest.raises(DomainValidationError):
         caloric_decay_check(bad, np.geomspace(0.02, 0.12, 10),
                             np.zeros(10))
+
+
+def test_series_refuses_pairs_of_two_horns(pairs8_rout2):
+    # one evaluator reads every term with one horn's eps, c and beta, so a
+    # pair of another horn is refused, not read with the wrong ones
+    other = make_horn_params(3, 4.0, 0.5, 0.3)
+    fake = replace(pairs8_rout2[1], g=replace(pairs8_rout2[1].g, params=other))
+    with pytest.raises(DomainValidationError, match="share the horn's params"):
+        make_caloric_series([pairs8_rout2[0], fake], [1.0, 1.0], t_min=0.25)
 
 
 def test_series_refuses_pairs_of_two_truncations(pairs8_rout2,

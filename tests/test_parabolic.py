@@ -121,12 +121,11 @@ def test_unit_caloric_time_derivatives(p_default):
 def test_every_caloric_state_is_a_series(p_default, mode_caloric,
                                          profile_i1_mu1):
     # a mode state and u == 1 are each one term of CaloricSeries, the one
-    # state type: (radial evaluator, rate) with the rate mu of L u = -mu u
+    # state type: one row of its evaluator, at the rate mu of L u = -mu u
     unit = UnitCaloric(p_default)
     for u, rate in ((mode_caloric, profile_i1_mu1.mu), (unit, 0.0)):
         assert type(u) is CaloricSeries
-        assert len(u.terms) == len(u.coeffs) == 1
-        assert u.terms[0][1] == rate
+        assert u.rates.tolist() == [rate] and len(u.coeffs) == 1
     assert mode_caloric.coeffs.tolist() == [1.0]
     assert mode_caloric.sphere_index == profile_i1_mu1.i
     assert mode_caloric.r_support == (profile_i1_mu1.r_min,
@@ -141,10 +140,10 @@ def test_mode_caloric_on_eigenpair_matches_series(pairs8_rout2):
     pair = pairs8_rout2[1]
     series = make_caloric_series([pair], [1.0], 0.25)
     assert series.r_support == (pair.g.r_min, pair.r_out)
-    (radial_log, nu), = series.terms
+    nu, = series.rates.tolist()
     assert nu == pair.nu and series.coeffs.tolist() == [1.0]
     r = np.geomspace(0.02, 1.9, 40)
-    sign, lm, ld = radial_log(r)
+    sign, lm, ld = series.radial(r, 0)
     for k in range(4):
         sF, lF, sD, lD = series.slice_log(r, 0.5, k)
         np.testing.assert_array_equal(sF, sign * (-1.0) ** k)
