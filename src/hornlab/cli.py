@@ -366,9 +366,22 @@ def _run_eigs(cfg, p, emit):
                           f"window top {top}")
     if e["count"] < 1:
         raise ConfigError(f"eigs.count={e['count']} must be >= 1")
-    pairs = dirichlet_eigenvalues(p, e["i"], e["r_out"], e["count"],
-                                  tol=min(cfg["tolerances"]["ode"], 1e-12),
-                                  root_rel=min(cfg["tolerances"]["root"], 1e-10))
+    cap = 1e-12
+    tol = min(cfg["tolerances"]["ode"], cap)
+    try:
+        pairs = dirichlet_eigenvalues(
+            p, e["i"], e["r_out"], e["count"], tol=tol,
+            root_rel=min(cfg["tolerances"]["root"], 1e-10))
+    except ToleranceFloorError as exc:
+        if tol < cap:
+            raise
+        # the shots' tolerance is at its cap, so no tolerances.ode clears
+        # the angle's floor, 10 eps sqrt(nu) (r_out - r_sw): the search
+        # reaches too high a nu
+        raise ConfigError(
+            f"eigs.count={e['count']} with eigs.r_out={e['r_out']} needs a "
+            f"shot finer than double precision at the capped ODE tolerance "
+            f"{cap:.3g}: {exc}; lower eigs.count or eigs.r_out") from exc
     emit("eigs.csv", ["j", "nu", "zeros", "norm_defect"],
          [(j + 1, q.nu, q.zeros, q.norm_defect) for j, q in enumerate(pairs)])
     report = {"eigenvalues": [q.nu for q in pairs],

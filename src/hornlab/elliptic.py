@@ -32,9 +32,6 @@ from .heat import CaloricSeries, one_row
 from .modes import decay_exponent_fit, radial_mode_zero_log
 from .numerics import check_in_range, fit_line, quad_log
 
-_KIND_ELLIPTIC = "elliptic"
-_KIND_PARABOLIC = "parabolic"
-
 
 # ---------------------------------------------------------------------------
 # Mode states
@@ -47,20 +44,20 @@ def _constant_radial_log(r):
     return np.ones_like(z), z, z
 
 
-def _mode_state(p, i, mu, radial_log, domain, r_lo=0.0):
-    """The one-term series exp(-mu t) f_i(r) phi_i of a separated solution,
-    L u = -mu u, with coefficient 1 on the radial window domain."""
+def _mode_state(p, i, mu, radial, domain, r_lo=0.0):
+    """The one-term series exp(-mu t) f_i(r) phi_i, L u = -mu u, with
+    coefficient 1 on the window domain, f_i read by radial's one row."""
     if not (len(domain) == 2 and 0 < domain[0] < domain[1]):
         raise DomainValidationError(f"invalid radial domain {domain}")
     return CaloricSeries(params=p, sphere_index=i,
                          r_support=(float(domain[0]), float(domain[1])),
-                         radial=one_row(radial_log), rates=np.array([mu]),
+                         radial=radial, rates=np.array([mu]),
                          coeffs=np.array([1.0]), r_lo=r_lo)
 
 
 def constant_state(p, domain):
     """f == 1, i = 0, mu = 0 (harmonic)."""
-    return _mode_state(p, 0, 0.0, _constant_radial_log, domain)
+    return _mode_state(p, 0, 0.0, one_row(_constant_radial_log), domain)
 
 
 def bessel_state(p, mu, domain):
@@ -68,15 +65,15 @@ def bessel_state(p, mu, domain):
     if not mu > 0:
         raise DomainValidationError("bessel_state needs mu > 0")
     mu = float(mu)
-    return _mode_state(p, 0, mu, lambda r: radial_mode_zero_log(p, mu, r),
-                       domain)
+    return _mode_state(p, 0, mu, one_row(
+        lambda r: radial_mode_zero_log(p, mu, r)), domain)
 
 
 def profile_state(profile):
-    """State carried by a tip RadialProfile (i >= 1) on the profile's
-    range; the energy below the profile's r_min is estimated once, here."""
+    """State of a tip RadialProfile (i >= 1), read by its Eigenfunctions
+    row on its range; the energy below r_min is estimated once, here."""
     state = _mode_state(profile.params, profile.i, profile.mu,
-                        profile.eval_log, (profile.r_min, profile.r_max),
+                        profile.evaluator, (profile.r_min, profile.r_max),
                         r_lo=profile.r_min)
     return replace(state, tip_tail=_tip_tail_bound(state, profile))
 
@@ -106,18 +103,14 @@ def _term(state):
 
 @dataclass(frozen=True)
 class FrequencyScan:
-    """Rows (scale, I, E-or-D, U-or-N) of a frequency scan; the ratio
-    column is derived, U = E/I (elliptic) or N = I/D (parabolic)."""
+    """Rows (scale, I, E-or-D, U-or-N) of a frequency scan; each scan
+    stores its own ratio, U = E/I (elliptic_scan) or N = I/D
+    (parabolic_scan)."""
 
-    kind: str
     scale: np.ndarray
     I: np.ndarray
     ED: np.ndarray
-
-    @property
-    def UN(self):
-        return self.ED / self.I if self.kind == _KIND_ELLIPTIC \
-            else self.I / self.ED
+    UN: np.ndarray
 
 
 # ---------------------------------------------------------------------------
@@ -261,7 +254,7 @@ def elliptic_scan(state, r_grid, tol=1e-10):
     segs = np.concatenate([[state.r_lo], r_grid])
     bulk = np.cumsum(_bulk_integrals(state, segs[:-1], segs[1:], tol))
     E = _checked_energy(state, lam, r_grid, radial, bulk)[0]
-    return FrequencyScan(kind=_KIND_ELLIPTIC, scale=r_grid, I=I, ED=E)
+    return FrequencyScan(scale=r_grid, I=I, ED=E, UN=E / I)
 
 
 # ---------------------------------------------------------------------------

@@ -29,10 +29,9 @@ The search runs every eigenvalue index in lockstep, one row an index
 (dirichlet_eigenvalues), and the eigenpairs of a search are built
 together, one row a pair (_build_pairs); each row is bit for bit its
 one-row call.  A failing pass names itself, its row's nu and the radius.
-The pairs are read by one evaluator of rows (Eigenfunctions: their septic
-tables stacked, one gather and one Horner pass for every pair at its
-radii); a pair's profile is its own row, and a series stacks its pairs'
-rows and sums over the term axis (CaloricSeries.slice_log).
+The pairs are read by one evaluator of rows (modes.Eigenfunctions); a
+pair's profile g is its own one-row Eigenfunctions, and a series stacks
+its pairs' rows and sums over the term axis (CaloricSeries.slice_log).
 
 Series evaluation, time derivatives and the tail bound all run in signed
 log space; the dropped tail is majorized through the empirical two-sided
@@ -52,11 +51,10 @@ from .errors import (ConsistencyError, DomainValidationError,
                      EigenSearchError)
 from .geometry import liouville_potential, liouville_potential_slope
 from .logspace import NEG_INF, logsumexp_signed
-from .modes import (RadialProfile, _naming, _tip_evaluator, _tip_log,
-                    log_norm_sq, r_mu, solve_k2, tip_anchor, tip_rate,
-                    tip_window_top)
-from .numerics import (SepticHermite, check_in_range, fit_line, lgamma_real,
-                       magnus_dense, magnus_prufer)
+from .modes import (Eigenfunctions, _naming, log_norm_sq, r_mu, solve_k2,
+                    tip_anchor, tip_rate, tip_window_top)
+from .numerics import (SepticHermite, fit_line, lgamma_real, magnus_dense,
+                       magnus_prufer)
 
 
 # ---------------------------------------------------------------------------
@@ -95,13 +93,14 @@ def _shoot_rows(p, i, nu, r_out, tol):
 class EigenPair:
     """One Dirichlet eigenpair on the truncated horn.
 
-    g is L^2(w dr)-normalized over (0, r_out], positive near the tip, and
-    satisfies the cap condition |g(r_out)| <= 1e-8 max|g|.
+    g, the pair's one-row modes.Eigenfunctions, is L^2(w dr)-normalized
+    over (0, r_out], positive near the tip, and satisfies the cap condition
+    |g(r_out)| <= 1e-8 max|g|.
     """
 
     nu: float
     mode_index: int
-    g: RadialProfile
+    g: Eigenfunctions
     r_out: float
     zeros: int
     norm_defect: float
@@ -278,8 +277,9 @@ def _build_pairs(p, i, nus, r_out, tol):
     # the tip span's top in the bits of r_tip_lo, a float's power
     s_max = [r ** (-p.eps) for r in r_tip_lo]
     tips = solve_k2(p, i, np.array(nus), np.array(s_max), tol=tol)
-    anchors = [[float(v) for v in _tip_evaluator(p, tip)(np.asarray(r))]
-               for tip, r in zip(tips, r_sw)]
+    # every tip branch read at its seam, where its outer pass starts
+    _, log_seam, dlog = Eigenfunctions.tip_only(p, tips, r_sw, r_sw)(
+        np.array(r_sw), np.arange(len(nus)))
     K = [r_out * math.sqrt(max(nu, 1.0)) for nu in nus]
     a = [0.5 * (1.0 - p.c) / k for k in K]
     # the powers one row at a time, as a float's power rounds them
@@ -311,8 +311,7 @@ def _build_pairs(p, i, nus, r_out, tol):
 
     span = (np.array([k * math.log(r) for k, r in zip(K, r_sw)]),
             np.array([k * math.log(r_out) for k in K]))
-    start = np.array([(r * dlog + 0.5 * p.c - 0.5) / k
-                      for r, (_, _, dlog), k in zip(r_sw, anchors, K)])
+    start = (np.array(r_sw) * dlog + 0.5 * p.c - 0.5) / np.array(K)
     with _naming("the eigenfunction's outer pass at nu", nus,
                  lambda x, row: math.exp(x / K[row])):
         outer = magnus_dense(potential, span, (1.0, start), tol, read)
@@ -324,15 +323,13 @@ def _build_pairs(p, i, nus, r_out, tol):
             raise ConsistencyError(
                 f"Dirichlet defect {defect} at r_out for nu = {nu}")
 
-    # the grid marks the cap, the seam and the bottom of the tip branch
-    grids = [np.array([r_out ** -p.eps, lo, top])
-             for lo, top in zip(s_lo, s_max)]
-    r_grids = [grid ** (-1.0 / p.eps) for grid in grids]
+    # the range: the cap, the seam and the tip bottom, through s and back
+    ends = [np.array([r_out ** -p.eps, lo, top]) ** (-1.0 / p.eps)
+            for lo, top in zip(s_lo, s_max)]
     table = np.array([[tip.rho for tip in tips], [tip.offset for tip in tips],
-                      K, r_sw, [math.log(f[0]) - anchor[1]
-                                for (_, f, _), anchor in zip(outer, anchors)],
-                      np.zeros(len(nus)), [r.min() for r in r_grids],
-                      [r.max() for r in r_grids]])
+                      K, r_sw, [math.log(f[0]) for _, f, _ in outer] - log_seam,
+                      np.zeros(len(nus)), [e.min() for e in ends],
+                      [e.max() for e in ends]])
     parts = [SepticHermite.stack([tip.interpolant, f])
              for tip, (_, _, f) in zip(tips, outer)]
     unit = Eigenfunctions(p, SepticHermite.stack(parts), table)
@@ -342,45 +339,9 @@ def _build_pairs(p, i, nus, r_out, tol):
     table[4:6] -= 0.5 * log_norm_sq(p, unit, table[6], r_out, 1e-12)
     return [EigenPair(
         nu=nu, mode_index=i, r_out=r_out, norm_defect=defects[k],
-        g=RadialProfile(params=p, i=i, mu=nu, s_grid=grids[k],
-                        evaluator=Eigenfunctions(p, parts[k],
-                                                 table[:, k:k + 1])),
+        g=Eigenfunctions(p, parts[k], table[:, k:k + 1]),
         zeros=int(np.count_nonzero(np.diff(np.signbit(outer[k][1][:-1])))))
         for k, nu in enumerate(nus)]
-
-
-class Eigenfunctions:
-    """Eigenfunctions as one evaluator of rows, one row a pair: the pairs'
-    septic tables stacked in one SepticHermite, two rows a pair, the tip
-    branch's in sigma = rho s (modes.TipBranch) and the outer pass's in
-    K log r.  Column k of table holds pair k's rho, tip offset, K, seam
-    r_sw, the log shifts of its tip branch and of its outer pass, and its
-    represented range [r_min, r_max].  Called on radii r and rows, row
-    indices that broadcast against r, it checks every point against its
-    own row's range (DomainValidationError naming the radius) and gives
-    (sign, log|g|, d log|g|/dr) there: the tip branch below r_sw, shifted
-    onto the outer pass's f(r_sw) > 0, and the outer pass above, each
-    point read on its own row by one gather and one Horner pass."""
-
-    def __init__(self, params, interpolant, table):
-        self.params, self.interpolant, self.table = params, interpolant, table
-
-    def __call__(self, r, rows=0):
-        p = self.params
-        r = np.asarray(r, dtype=float)
-        rho, offset, K, r_sw, tip_shift, shift, lo, hi = self.table[:, rows]
-        check_in_range(r, lo, hi, "represented radius")
-        inner = r < r_sw
-        s = r ** (-p.eps)
-        # either branch's formula runs on every point; np.where keeps the
-        # point's own
-        with np.errstate(divide="ignore", invalid="ignore"):
-            v, dv = self.interpolant(np.where(inner, rho * s, K * np.log(r)),
-                                     2 * rows + ~inner)
-            lm, ld = _tip_log(p, s, r, v + offset, rho * dv)
-            return (np.where(inner, 1.0, np.sign(v)),
-                    np.where(inner, lm + tip_shift, np.log(np.abs(v)) + shift),
-                    np.where(inner, ld, K * dv / (v * r)))
 
 
 # ---------------------------------------------------------------------------
@@ -542,8 +503,8 @@ def make_caloric_series(pairs, coeffs, t_min):
     return CaloricSeries(
         params=p, sphere_index=pairs[0].mode_index, r_support=r_support,
         radial=Eigenfunctions(p, SepticHermite.stack(
-            [q.g.evaluator.interpolant for q in pairs]),
-            np.hstack([q.g.evaluator.table for q in pairs])),
+            [q.g.interpolant for q in pairs]),
+            np.hstack([q.g.table for q in pairs])),
         rates=np.array(nus), coeffs=coeffs, tail_certificate=cert,
         r_lo=r_support[0])
 

@@ -50,7 +50,8 @@ mu and the radius r = (sigma / rho)^(-1/eps) (_naming).
 
 Everything tip-side is represented as (sign, log-magnitude): the physical
 profile f_i(r) = k2(r^-eps) r^(-(c-1-eps)/2) underflows double precision
-long before r = 0.
+long before r = 0.  Eigenfunctions reads each computed radial factor
+in that form, one row an eigenpair of heat or a tip profile.
 """
 
 import math
@@ -62,9 +63,9 @@ import numpy as np
 
 from .errors import ConsistencyError, DomainValidationError, IntegrationError
 from .geometry import measure_weight_log, sphere_eigenvalue
-from .numerics import (bessel_j, check_in_range, fit_line, gamma_real,
-                       magnus_dense, magnus_log_derivative, quad_log,
-                       row_count)
+from .numerics import (SepticHermite, bessel_j, check_in_range, fit_line,
+                       gamma_real, magnus_dense, magnus_log_derivative,
+                       quad_log, row_count)
 
 
 def tip_exponent(p):
@@ -333,16 +334,65 @@ def solve_k2(p, i, mu, s_max, tol=1e-12):
 # ---------------------------------------------------------------------------
 
 
+class Eigenfunctions:
+    """Radial factors as one evaluator of rows, one row a mode: their
+    septic tables stacked in one SepticHermite, two rows a mode, the tip
+    branch's in sigma = rho s (TipBranch) and the outer pass's in K log r.
+    Column k of table holds mode k's rho, tip offset, K, seam r_sw, the log
+    shifts of its tip branch and of its outer pass, and its represented
+    range [r_min, r_max].  Called on radii r and rows, row indices that
+    broadcast against r, it checks every point against its own row's range
+    (DomainValidationError naming the radius) and gives (sign, log|g|,
+    d log|g|/dr) there, the tip branch below r_sw and the outer pass above,
+    in one gather and one Horner pass.  r_min and r_max bound every row's
+    range; eval_log is the call by RadialProfile's name."""
+
+    def __init__(self, params, interpolant, table):
+        self.params, self.interpolant, self.table = params, interpolant, table
+
+    @classmethod
+    def tip_only(cls, params, branches, r_min, r_max):
+        """The tip branches alone, one row each on [r_min, r_max], seams at
+        +inf: each table in both its interpolant rows, so any rows stack."""
+        table = np.zeros((8, len(branches)))
+        table[:2] = np.array([(k2.rho, k2.offset) for k2 in branches]).T
+        table[3], table[6], table[7] = math.inf, r_min, r_max
+        return cls(params, SepticHermite.stack(
+            [k2.interpolant for k2 in branches for _ in (0, 1)]), table)
+
+    r_min = property(lambda self: float(self.table[6].max()))
+    r_max = property(lambda self: float(self.table[7].min()))
+
+    def __call__(self, r, rows=0):
+        p = self.params
+        r = np.asarray(r, dtype=float)
+        rho, offset, K, r_sw, tip_shift, shift, lo, hi = self.table[:, rows]
+        check_in_range(r, lo, hi, "represented radius")
+        inner = r < r_sw
+        s = r ** (-p.eps)
+        # either branch's formula runs on every point; np.where keeps the
+        # point's own
+        with np.errstate(divide="ignore", invalid="ignore"):
+            v, dv = self.interpolant(np.where(inner, rho * s, K * np.log(r)),
+                                     2 * rows + ~inner)
+            lm, ld = _tip_log(p, s, r, v + offset, rho * dv)
+            return (np.where(inner, 1.0, np.sign(v)),
+                    np.where(inner, lm + tip_shift, np.log(np.abs(v)) + shift),
+                    np.where(inner, ld, K * dv / (v * r)))
+
+    eval_log = __call__
+
+
 @dataclass
 class RadialProfile:
     """Underflow-safe radial mode: an abscissa grid and its evaluator.
 
     evaluator(r) gives (sign, log|f|, d log|f|/dr), three arrays of the
-    shape of the radii r, and is the one route to the mode's values.  The
-    grid is carried in the transformed abscissa s = r^-eps (increasing s
-    means approaching the tip); it fixes the represented range [r_min,
-    r_max], and sign / log_mag / log_deriv are the evaluator's values on it,
-    from one eval_log of the grid on the first read of any of them.
+    shape of the radii r: the one route to the mode's values, a tip
+    profile's Eigenfunctions row.  The grid, in the abscissa s = r^-eps
+    (increasing s means approaching the tip), fixes the represented range
+    [r_min, r_max], and sign / log_mag / log_deriv are the evaluator's
+    values on it, from one eval_log of the grid on the first read of any.
     """
 
     params: object
@@ -366,8 +416,6 @@ class RadialProfile:
 
     def eval_log(self, r):
         """(sign, log|f|, d log|f|/dr) at r, each of the shape of r."""
-        r = np.asarray(r, dtype=float)
-        check_in_range(r, self.r_min, self.r_max, "represented radius")
         return self.evaluator(r)
 
 
@@ -375,8 +423,8 @@ def profile_from_k2(p, i, mu, r_min, n_grid=64, tol=1e-12):
     """Tip profile f_i(r) = k2(r^-eps) r^(-(c-1-eps)/2) on [r_min, r_mu^(-1/eps)].
 
     Unit overall scale (the free factor cancels in every frequency
-    quantity); the grid is n_grid points uniform in s.  The evaluator works
-    entirely in (sign, log-magnitude) space:
+    quantity); the grid is n_grid points uniform in s.  The evaluator, an
+    Eigenfunctions row, works entirely in (sign, log-magnitude) space:
 
         log f = log k2(s) + beta log s,          s = r^-eps,
         d log f / dr = -(eps s / r) kappa2(s) - (c-1-eps)/(2 r).
@@ -403,17 +451,8 @@ def profile_from_k2(p, i, mu, r_min, n_grid=64, tol=1e-12):
     k2, = solve_k2(p, i, mu, s_max, tol=tol)
     return RadialProfile(params=p, i=i, mu=mu,
                          s_grid=np.linspace(r_mu(p, mu), s_max, int(n_grid)),
-                         evaluator=_tip_evaluator(p, k2))
-
-
-def _tip_evaluator(p, k2):
-    """The (sign, log f, d log f / dr) evaluator of the tip branch k2."""
-    def evaluator(r):
-        s = r ** (-p.eps)
-        lm, ld = _tip_log(p, s, r, *k2.log_eval(s))
-        return np.ones_like(lm), lm, ld
-
-    return evaluator
+                         evaluator=Eigenfunctions.tip_only(p, [k2], r_min,
+                                                           r_top))
 
 
 def _bounded_branch(p, mu, r):
@@ -472,8 +511,8 @@ def normalization_bound(p, i, mu, tol=1e-10):
     s_hi = s_lo + 10.0 / rho + 5.0
     r_min = s_hi ** (-1.0 / p.eps)
     prof = profile_from_k2(p, i, mu, r_min, n_grid=32, tol=1e-12)
-    norm2 = math.exp(log_norm_sq(p, lambda r, rows: prof.eval_log(r),
-                                 r_min, prof.r_max, tol)[0])
+    norm2 = math.exp(log_norm_sq(p, prof.evaluator, r_min, prof.r_max,
+                                 tol)[0])
     if norm2 <= 0:
         raise ConsistencyError("vanishing norm in normalization_bound")
     computed = 1.0 / math.sqrt(norm2)

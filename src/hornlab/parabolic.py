@@ -29,7 +29,7 @@ import math
 
 import numpy as np
 
-from .elliptic import (FrequencyScan, _KIND_PARABOLIC, _constant_radial_log,
+from .elliptic import (FrequencyScan, _constant_radial_log,
                        _energy_density_log, floor_fit)
 from .errors import ConsistencyError, DomainValidationError
 from .geometry import measure_weight_log, sphere_area
@@ -142,7 +142,7 @@ def parabolic_scan(u, R_grid, tol=1e-12):
     if R_grid.size < 1 or np.any(np.diff(R_grid) <= 0):
         raise DomainValidationError("R_grid must be strictly increasing")
     I, D = _slices_ID(u, R_grid, tol)
-    return FrequencyScan(kind=_KIND_PARABOLIC, scale=R_grid, I=I, ED=D)
+    return FrequencyScan(scale=R_grid, I=I, ED=D, UN=I / D)
 
 
 def parabolic_IDN(u, R, tol=1e-12):

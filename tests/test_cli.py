@@ -15,8 +15,8 @@ from hornlab.cli import (COMMANDS, DEFAULT_CONFIG, EXIT_BOUNDS, EXIT_CONFIG,
                          EXIT_NUMERICAL, EXIT_OK, load_config, main, run)
 from hornlab.errors import ConfigError
 from hornlab.geometry import make_horn_params
-from hornlab.heat import CaloricSeries, Eigenfunctions, _wkb_trials
-from hornlab.modes import tip_window_top
+from hornlab.heat import CaloricSeries, _wkb_trials
+from hornlab.modes import Eigenfunctions, tip_window_top
 
 P_DEFAULT = make_horn_params(3, 4.0, 0.5, 0.25)
 
@@ -432,6 +432,21 @@ def test_ode_tolerance_below_floor_is_config_error(tmp_path, command, value,
     assert error.startswith(f"tolerances.ode={value} is too small: {command}")
     assert f"the ODE tolerance {derived:.3g}," in error
     assert f"floor {10 * np.finfo(float).eps:.3g}" in error
+
+
+@pytest.mark.parametrize("command", ["eigs", "heat"])
+def test_search_past_the_capped_shot_floor_names_eigs_keys(tmp_path,
+                                                           command):
+    # the shots' tolerance is capped at 1e-12, so a search that reaches too
+    # high a nu fails the angle's floor whatever tolerances.ode is: the
+    # error names eigs.count, eigs.r_out and the failing nu, not the
+    # tolerance (count 120 runs at r_out 2)
+    code = main([command, "--out", str(tmp_path),
+                 "--set", "eigs.count=150", "--set", "tolerances.ode=1e-6"])
+    assert code == EXIT_CONFIG
+    error = json.loads((tmp_path / "manifest.json").read_text())["error"]
+    assert error.startswith("eigs.count=150 with eigs.r_out=2.0 needs a shot")
+    assert "for nu = " in error and "tolerances.ode" not in error
 
 
 def test_ode_tolerance_above_the_shot_floor_runs(tmp_path):

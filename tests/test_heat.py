@@ -172,9 +172,9 @@ def test_build_pairs_rows_equal_single_builds(pairs8_rout2, p_default):
     for pair, back in zip(pairs8_rout2, backward):
         one, = heat._build_pairs(p_default, 1, [pair.nu], 2.0, 1e-12)
         r = np.geomspace(one.g.r_min, 2.0, 57)
-        want = np.concatenate(one.g.eval_log(r)).tobytes()
+        want = np.concatenate(one.g(r)).tobytes()
         for got in (pair, back):
-            assert np.concatenate(got.g.eval_log(r)).tobytes() == want
+            assert np.concatenate(got.g(r)).tobytes() == want
             assert (got.zeros, got.norm_defect) == (one.zeros,
                                                    one.norm_defect)
 
@@ -399,7 +399,7 @@ def test_eigenfunctions_agree_with_the_dop853_pairs(p_default):
                                              DOP853_DEMO_PAIRS], 2.0, 1e-12)
     for pair, (nu, g_want, dg_want) in zip(pairs, DOP853_DEMO_PAIRS):
         g_want, dg_want = np.array(g_want), np.array(dg_want)
-        sgn, lm, ld = pair.g.eval_log(r)
+        sgn, lm, ld = pair.g(r)
         g = sgn * np.exp(lm)
         tip = r < tip_window_top(p_default, nu)
         for got, want in ((g, g_want), (g * ld, dg_want)):
@@ -516,10 +516,8 @@ def test_tip_share_newton_drops_is_small(p_default):
     pairs = dirichlet_eigenvalues(p_default, 1, 1.8, 8)
     for q in pairs:
         r_sw = tip_window_top(p_default, q.nu)
-        (tip,) = modes.log_norm_sq(p_default, q.g.evaluator, q.g.r_min,
-                                   r_sw, 1e-12)
-        (rest,) = modes.log_norm_sq(p_default, q.g.evaluator, r_sw, 1.8,
-                                    1e-12)
+        (tip,) = modes.log_norm_sq(p_default, q.g, q.g.r_min, r_sw, 1e-12)
+        (rest,) = modes.log_norm_sq(p_default, q.g, r_sw, 1.8, 1e-12)
         share = math.exp(tip - rest)
         assert share <= 1e-8
     # the pairs' stacked evaluator, one row a pair: each normalized pair
@@ -604,12 +602,65 @@ def test_dirichlet_and_norm_defect(pairs8_rout2, p_default):
 
         def sq(r):
             r = float(r)
-            _, lm, _ = pair.g.eval_log(np.array([r]))
+            _, lm, _ = pair.g(np.array([r]))
             return math.exp(2 * lm[0] + measure_weight_log(p_default, r))
 
         seam = tip_window_top(p_default, pair.nu)
         val = mpmath.quad(sq, [pair.g.r_min, seam, pair.r_out])
         assert float(val) == pytest.approx(1.0, abs=1e-8)
+
+
+@pytest.mark.parametrize("pairs", ["pairs8_rout2", "pairs12_rout16"])
+def test_eigenpairs_are_orthonormal(pairs, request, p_default):
+    # the Gram matrix G_jk = int g_j g_k w dr over [max r_min, r_out], one
+    # quad_log row a pair j <= k on the pairs' stacked evaluator; measured
+    # |G_jj - 1| <= 1.6e-15 and 5.1e-15, |G_jk| <= 1.6e-13 and 2.6e-13,
+    # held at 1e-11 with margin for the quadrature's tolerance
+    from hornlab.geometry import measure_weight_log
+    pairs = request.getfixturevalue(pairs)
+    radial = make_caloric_series(pairs, np.ones(len(pairs)), 0.25).radial
+    J, K = np.triu_indices(len(pairs))
+
+    def log_product(r, rows):
+        sj, lj, _ = radial(r, J[rows][:, None])
+        sk, lk, _ = radial(r, K[rows][:, None])
+        return sj * sk, lj + lk + measure_weight_log(p_default, r)
+
+    lo = max(q.g.r_min for q in pairs)
+    sign, log_val, _ = numerics.quad_log(log_product, np.full(J.size, lo),
+                                         np.full(J.size, pairs[0].r_out),
+                                         1e-12)
+    G = sign * np.exp(log_val)
+    assert np.max(np.abs(G[J == K] - 1.0)) <= 1e-11
+    assert np.max(np.abs(G[J != K])) <= 1e-11
+
+
+def test_each_evaluator_read_makes_one_range_check(pairs8_rout2, series4,
+                                                   profile_i1_mu1,
+                                                   monkeypatch):
+    # a pair's g, a tip profile and a series read their radii through one
+    # modes.Eigenfunctions call, which checks them once
+    calls = []
+    check = modes.check_in_range
+
+    def counted(*args):
+        calls.append(args[-1])
+        return check(*args)
+
+    monkeypatch.setattr(modes, "check_in_range", counted)
+    r = np.geomspace(0.05, 0.12, 5)
+    for read in (lambda: pairs8_rout2[0].g(r),
+                 lambda: profile_i1_mu1.eval_log(r),
+                 lambda: series4.slice_log(r, 0.5)):
+        calls.clear()
+        read()
+        assert calls == ["represented radius"]
+    # a radius outside the range is refused, named with its value
+    for read, bad in ((pairs8_rout2[0].g, pairs8_rout2[0].g.r_min * 0.999),
+                      (profile_i1_mu1.eval_log, profile_i1_mu1.r_max * 1.001)):
+        message = rf"^represented radius={re.escape(str(bad))} "
+        with pytest.raises(DomainValidationError, match=message):
+            read(np.array([r[2], bad]))
 
 
 def test_eigenfunction_ode_residual(pairs8_rout2, p_default):
@@ -619,7 +670,7 @@ def test_eigenfunction_ode_residual(pairs8_rout2, p_default):
     pair = pairs8_rout2[1]
 
     def val(r):
-        sgn, lm, _ = pair.g.eval_log(np.array([r]))
+        sgn, lm, _ = pair.g(np.array([r]))
         return sgn[0] * math.exp(lm[0])
 
     for r in np.linspace(0.3, 1.8, 9):
@@ -637,10 +688,10 @@ def test_eigenfunction_ode_residual(pairs8_rout2, p_default):
 def test_tip_outer_stitching_consistent(pairs8_rout2):
     # log-derivative continuous across the representation seam, which sits
     # at the threshold abscissa
-    prof = pairs8_rout2[0].g
-    r_seam = tip_window_top(prof.params, prof.mu)
-    _, _, ld_lo = prof.eval_log(np.array([r_seam * 0.999]))
-    _, _, ld_hi = prof.eval_log(np.array([r_seam * 1.001]))
+    g = pairs8_rout2[0].g
+    r_seam = tip_window_top(g.params, pairs8_rout2[0].nu)
+    _, _, ld_lo = g(np.array([r_seam * 0.999]))
+    _, _, ld_hi = g(np.array([r_seam * 1.001]))
     assert ld_lo[0] == pytest.approx(ld_hi[0], rel=2e-2)
 
 
@@ -652,7 +703,7 @@ def test_tip_branch_is_profile_from_k2(pairs8_rout2, p_default):
         r_seam = tip_window_top(p_default, pair.nu)
         prof = profile_from_k2(p_default, 1, pair.nu, g.r_min, n_grid=16)
         r = np.geomspace(g.r_min, r_seam, 40)[1:-1]
-        sg, lg, dg = g.eval_log(r)
+        sg, lg, dg = g(r)
         sp, lp, dp = prof.eval_log(r)
         assert np.all(sg == 1.0) and np.all(sp == 1.0)
         shift = lg - lp
@@ -679,7 +730,7 @@ def test_radial_evaluators_take_radii_of_any_shape(p_default, profile_i1_mu1,
     _assert_any_shape(profile_i1_mu1.eval_log, profile_i1_mu1.r_min,
                       profile_i1_mu1.r_max)
     for pair in pairs8_rout2[:2]:  # tip branch and outer solve alike
-        _assert_any_shape(pair.g.eval_log, pair.g.r_min, pair.r_out)
+        _assert_any_shape(pair.g, pair.g.r_min, pair.r_out)
     for state in (bessel_state(p_default, 2.0, (0.01, 1.0)),
                   constant_state(p_default, (0.01, 1.0))):
         _assert_any_shape(lambda r: state.radial(r, 0), 0.01, 1.0)
@@ -785,7 +836,7 @@ def test_single_pair_evaluation(pairs8_rout2):
     pair = pairs8_rout2[0]
     r, t = 0.8, 0.4
     s, L, _, _ = single.slice_log(r, t)
-    sgn, lm, _ = pair.g.eval_log(np.array([r]))
+    sgn, lm, _ = pair.g(np.array([r]))
     assert s == sgn[0]
     assert L == pytest.approx(lm[0] - pair.nu * t, rel=1e-12)
 
@@ -853,7 +904,7 @@ def test_slice_log_reads_every_term_in_one_call(series4, pairs8_rout2):
         for a, b in zip(got, series4.slice_log(r, tk)):
             assert a[k].tobytes() == b.tobytes()
     sign, lm, ld = (np.array(v) for v in zip(
-        *(q.g.eval_log(r) for q in pairs8_rout2[:4])))
+        *(q.g(r) for q in pairs8_rout2[:4])))
     nu = series4.rates[:, None]
     lF = np.array([[math.log(c)] for c in series4.coeffs]) - nu * 0.5 + lm
     want = (*logsumexp_signed(sign, lF),
@@ -875,7 +926,7 @@ def test_eigenfunction_rows_equal_each_pairs_read(p_default, pairs8_rout2):
             np.geomspace(lo, 2.0, 21), seams, np.nextafter(seams, 0.0),
             np.nextafter(seams, 2.0)]))
         assert min(seams) > lo
-        want = [q.g.eval_log(r) for q in pairs]
+        want = [q.g(r) for q in pairs]
         table = make_caloric_series(pairs, np.ones(8), 0.25).radial
         shuffled = np.random.default_rng(3).permutation(8)[:5]
         for rows in (np.arange(8), shuffled):
@@ -888,7 +939,7 @@ def test_eigenfunction_rows_equal_each_pairs_read(p_default, pairs8_rout2):
         ends = np.array([[q.g.r_min for q in pairs], [q.g.r_max for q in pairs]])
         got = table(ends, np.arange(8))
         for k, q in enumerate(pairs):
-            for a, b in zip(got, q.g.eval_log(ends[:, k])):
+            for a, b in zip(got, q.g(ends[:, k])):
                 assert a[:, k].tobytes() == b.tobytes()
 
 
@@ -916,7 +967,7 @@ def test_time_derivative_single_pair_closed_form(pairs8_rout2):
     single = make_caloric_series(pairs8_rout2[:1], [0.9], t_min=0.1)
     pair = pairs8_rout2[0]
     r, t = 0.9, 0.7
-    sgn, lm, _ = pair.g.eval_log(np.array([r]))
+    sgn, lm, _ = pair.g(np.array([r]))
     for k in (0, 1, 2, 5):
         s, L, _, _ = single.slice_log(r, t, k)
         assert L == pytest.approx(
@@ -1061,7 +1112,9 @@ def test_series_refuses_pairs_of_two_horns(pairs8_rout2):
     # one evaluator reads every term with one horn's eps, c and beta, so a
     # pair of another horn is refused, not read with the wrong ones
     other = make_horn_params(3, 4.0, 0.5, 0.3)
-    fake = replace(pairs8_rout2[1], g=replace(pairs8_rout2[1].g, params=other))
+    g = pairs8_rout2[1].g
+    fake = replace(pairs8_rout2[1],
+                   g=modes.Eigenfunctions(other, g.interpolant, g.table))
     with pytest.raises(DomainValidationError, match="share the horn's params"):
         make_caloric_series([pairs8_rout2[0], fake], [1.0, 1.0], t_min=0.25)
 

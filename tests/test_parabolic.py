@@ -196,7 +196,7 @@ def test_mode_caloric_N_nonnegative(mode_caloric):
 def test_parabolic_scan_rows(mode_caloric):
     grid = np.geomspace(0.01, 0.05, 8)
     scan = parabolic_scan(mode_caloric, grid)
-    assert scan.kind == "parabolic"
+    assert scan.UN.tobytes() == (scan.I / scan.ED).tobytes()
     ratio = scan.I / scan.ED
     assert np.max(np.abs(scan.UN - ratio)) <= 1e-12 * np.max(np.abs(ratio))
 
