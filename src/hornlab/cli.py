@@ -181,6 +181,12 @@ def _validate_config(cfg):
         raise ConfigError("heat.t_list must be a non-empty list")
     if any(not t > 0 for t in heat["t_list"]):
         raise ConfigError("heat.t_list entries must be positive")
+    # the heat report keys its decay fits by time, one entry a time
+    repeated = [t for k, t in enumerate(heat["t_list"])
+                if t in heat["t_list"][:k]]
+    if repeated:
+        raise ConfigError(f"heat.t_list={heat['t_list']!r} repeats the time "
+                          f"{repeated[0]!r}")
     if not heat["r_lo"] < heat["r_hi"]:
         raise ConfigError("heat.r_lo must be below heat.r_hi")
     if not (cfg["output"] is None or isinstance(cfg["output"], str)):

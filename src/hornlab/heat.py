@@ -29,9 +29,10 @@ The search runs every eigenvalue index in lockstep, one row an index
 (dirichlet_eigenvalues), and the eigenpairs of a search are built
 together, one row a pair (_build_pairs); each row is bit for bit its
 one-row call.  A failing pass names itself, its row's nu and the radius.
-The pairs are read by one evaluator of rows (modes.Eigenfunctions); a
-pair's profile g is its own one-row Eigenfunctions, and a series stacks
-its pairs' rows and sums over the term axis (CaloricSeries.slice_log).
+The pairs are read by one evaluator of rows (modes.Eigenfunctions), their
+tip parts the rows of one solve_k2 result; a pair's profile g is its own
+one-row Eigenfunctions, and a series stacks its pairs' rows and sums over
+the term axis (CaloricSeries.slice_log).
 
 Series evaluation, time derivatives and the tail bound all run in signed
 log space; the dropped tail is majorized through the empirical two-sided
@@ -261,8 +262,9 @@ def _build_pairs(p, i, nus, r_out, tol):
     quad_log call for the norms on the pairs' Eigenfunctions, each row bit
     for bit its pair's own call.
 
-    A pair is its tip branch below the anchor r_sw = r_mu^(-1/eps) and the
-    outer pass above, of w = r^((c-1)/2) f, w'' = (r^2 (V - nu) + 1/4) w in
+    A pair is its solve_k2 row below the anchor r_sw = r_mu^(-1/eps), whose
+    rho, offset and start uncertainty its table copies, and the outer pass
+    above, of w = r^((c-1)/2) f, w'' = (r^2 (V - nu) + 1/4) w in
     K log r (K = r_out sqrt(max(nu, 1)), the fastest turn per unit of
     log r), whose uniform mesh resolves the barrier above r_sw and the
     oscillations alike.  Every pair's Dirichlet defect is checked before
@@ -278,8 +280,7 @@ def _build_pairs(p, i, nus, r_out, tol):
     s_max = [r ** (-p.eps) for r in r_tip_lo]
     tips = solve_k2(p, i, np.array(nus), np.array(s_max), tol=tol)
     # every tip branch read at its seam, where its outer pass starts
-    _, log_seam, dlog = Eigenfunctions.tip_only(p, tips, r_sw, r_sw)(
-        np.array(r_sw), np.arange(len(nus)))
+    _, log_seam, dlog = tips(np.array(r_sw), np.arange(len(nus)))
     K = [r_out * math.sqrt(max(nu, 1.0)) for nu in nus]
     a = [0.5 * (1.0 - p.c) / k for k in K]
     # the powers one row at a time, as a float's power rounds them
@@ -326,12 +327,12 @@ def _build_pairs(p, i, nus, r_out, tol):
     # the range: the cap, the seam and the tip bottom, through s and back
     ends = [np.array([r_out ** -p.eps, lo, top]) ** (-1.0 / p.eps)
             for lo, top in zip(s_lo, s_max)]
-    table = np.array([[tip.rho for tip in tips], [tip.offset for tip in tips],
-                      K, r_sw, [math.log(f[0]) for _, f, _ in outer] - log_seam,
+    table = np.array([tips.table[0], tips.table[1], K, r_sw,
+                      [math.log(f[0]) for _, f, _ in outer] - log_seam,
                       np.zeros(len(nus)), [e.min() for e in ends],
-                      [e.max() for e in ends]])
-    parts = [SepticHermite.stack([tip.interpolant, f])
-             for tip, (_, _, f) in zip(tips, outer)]
+                      [e.max() for e in ends], tips.table[8]])
+    parts = [SepticHermite.stack([tips.interpolant.row(2 * k), f])
+             for k, (_, _, f) in enumerate(outer)]
     unit = Eigenfunctions(p, SepticHermite.stack(parts), table)
     # the L2(w dr) norm drops the part below r_tip_lo, where the density has
     # shed about 2*40 e-foldings; nothing bounds it.  The log shifts take

@@ -51,7 +51,8 @@ mu and the radius r = (sigma / rho)^(-1/eps) (_naming).
 Everything tip-side is represented as (sign, log-magnitude): the physical
 profile f_i(r) = k2(r^-eps) r^(-(c-1-eps)/2) underflows double precision
 long before r = 0.  Eigenfunctions reads each computed radial factor
-in that form, one row an eigenpair of heat or a tip profile.
+in that form, one row an eigenpair of heat or a tip branch of solve_k1 or
+solve_k2, whose (log k, kappa) Eigenfunctions.tip_log reads.
 """
 
 import math
@@ -129,45 +130,40 @@ def _q_factory(p, i, mu):
     return q
 
 
-def _check_sandwich(rho, span, log_k, lower, upper, branch):
-    """ConsistencyError unless log k, a function of an array of abscissas,
-    lies between the lines lower and upper at 65 points of span, with a
-    slack of 1e-9.  A line (a, b) is a + b (s - s_lo); the comparison
-    bounds need rho >= 1."""
-    if rho < 1.0:
+def _check_sandwich(tips, mus, lower, upper, branch):
+    """ConsistencyError, naming the branch, the row's mu in mus and the
+    radius, unless log k of every row of tips, tip-only rows of one rho,
+    lies between the lines lower and upper, with a slack of 1e-9, at 65
+    points of its span from s_lo, all read in one tip_log call.  A line
+    (a, b) is a + b (s - s_lo); the comparison bounds need rho >= 1."""
+    if tips.table[0, 0] < 1.0:
         return
-    s_lo, s_hi = span
-    ss = np.linspace(s_lo, s_hi, 65)
-    d = ss - s_lo
-    L = log_k(ss)
-    if not (np.all(L <= upper[0] + upper[1] * d + 1e-9)
-            and np.all(L >= lower[0] + lower[1] * d - 1e-9)):
+    eps = tips.params.eps
+    s_lo, s_hi = tips.table[7] ** -eps, tips.table[6] ** -eps
+    ss = np.linspace(s_lo, s_hi, 65, axis=1)
+    d = ss - s_lo[:, None]
+    L = tips.tip_log(ss, np.arange(s_lo.size)[:, None])[0]
+    bad = ((L > upper[0] + upper[1] * d + 1e-9)
+           | (L < lower[0] + lower[1] * d - 1e-9))
+    if np.any(bad):
+        k, j = np.argwhere(bad)[0]
         raise ConsistencyError(
-            f"{branch} tip branch violates its two-sided exponential bounds")
+            f"the {branch} tip branch at mu = {mus[k]} violates its "
+            f"two-sided exponential bounds at r = {ss[k, j] ** (-1.0 / eps)}")
 
 
-class TipBranch:
-    """A tip branch k on span = (s_lo, s_hi): log k is interpolant (of
-    sigma = rho s, from _tip_dense, a SepticHermite built on log k and its
-    first three derivatives at each node, the third from the Riccati
-    equation differentiated once) plus offset, kappa = k'/k rho times its
-    slope, both read by log_eval, which exponentiates nothing.
-    tail_rel_uncertainty bounds the error that a backward start
-    leaves in kappa at s_hi (0 from exact data)."""
-
-    def __init__(self, span, rho, interpolant, offset=0.0,
-                 tail_rel_uncertainty=0.0):
-        self.span = span
-        self.rho = rho
-        self.interpolant = interpolant
-        self.offset = offset
-        self.tail_rel_uncertainty = tail_rel_uncertainty
-
-    def log_eval(self, s):
-        """(log k, kappa = k'/k) at s (scalar or array)."""
-        check_in_range(s, *self.span, "tip abscissa s")
-        L, slope = self.interpolant(self.rho * np.asarray(s, dtype=float))
-        return L + self.offset, self.rho * slope
+def _tip_rows(p, rho, span, dense, offset=0.0, uncertainty=0.0):
+    """Tip-only rows of one Eigenfunctions, row k the interpolant of log k
+    in sigma = rho s of dense[k], a _tip_dense row, on s from span[0][k] to
+    span[1][k], with offset and uncertainty numbers or one a row: seams at
+    +inf and each table in both its interpolant rows, so any rows stack."""
+    table = np.zeros((9, len(dense)))
+    table[0], table[1], table[3], table[8] = rho, offset, math.inf, uncertainty
+    # the powers one row at a time, as a float's power rounds them
+    table[6:8] = [[s ** (-1.0 / p.eps) for s in ends]
+                  for ends in (span[1], span[0])]
+    return Eigenfunctions(p, SepticHermite.stack(
+        [f for _, _, f in dense for _ in (0, 1)]), table)
 
 
 def _in_sigma(q_of, rho, sweep, y0):
@@ -217,7 +213,8 @@ def _tip_dense(sweep, tol):
 
 
 def solve_k1(p, i, mu, s_max, tol=1e-12):
-    """Growing branch of the normal-form tip equation on [r_mu, s_max].
+    """Growing branch of the normal-form tip equation on [r_mu, s_max], as
+    a one-row Eigenfunctions of tip-only rows (start uncertainty 0).
 
     Unit Cauchy data k = k' = 1 at s = r_mu, swept forward; the solution is
     verified against its two-sided exponential bounds on construction.
@@ -232,11 +229,11 @@ def solve_k1(p, i, mu, s_max, tol=1e-12):
     rho = tip_rate(p, i)
     with _naming("the growing tip branch at mu", mu,
                  lambda sigma, row: (sigma / rho) ** (-1.0 / p.eps)):
-        (_, _, log_k), = _tip_dense(_in_sigma(lambda rows: q, rho,
-                                              (s_lo, s_max), (1.0, 1.0)), tol)
-    k1 = TipBranch((s_lo, s_max), rho, log_k)
-    _check_sandwich(rho, k1.span, lambda ss: k1.log_eval(ss)[0],
-                    (-math.log(rho), rho), (0.0, rho + 1.0), "growing")
+        dense = _tip_dense(_in_sigma(lambda rows: q, rho, (s_lo, s_max),
+                                     (1.0, 1.0)), tol)
+    k1 = _tip_rows(p, rho, ([s_lo], [s_max]), dense)
+    _check_sandwich(k1, [mu], (-math.log(rho), rho), (0.0, rho + 1.0),
+                    "growing")
     return k1
 
 
@@ -294,15 +291,16 @@ def tip_anchor(p, i, mu, tol):
 
 
 def solve_k2(p, i, mu, s_max, tol=1e-12):
-    """Decaying branches on [r_mu, s_max] as a list, one a row of mu and
-    s_max, scalars or 1-D arrays of one length (numerics.row_count): one
-    batched backward magnus_dense pass, s_far down to r_mu, scaled by the
-    Wronskian, each row bit for bit its one-row call.  The start at s_far
-    leaves a relative kappa error at s_max of at most
+    """Decaying branches on [r_mu, s_max] as tip-only rows of one
+    Eigenfunctions, one a row of mu and s_max, scalars or 1-D arrays of one
+    length (numerics.row_count): one batched backward magnus_dense pass,
+    s_far down to r_mu, scaled by the Wronskian, each row bit for bit its
+    one-row call.  The start at s_far leaves a relative kappa error at
+    s_max of at most
     (sqrt(rho^2 + 1) - rho) e^(-2 rho (s_far - s_max))
     = (sqrt(rho^2 + 1) - rho) e^(-30 - rho) / (rho + 1) <= e^-30, about
-    9.4e-14, whatever rho (_s_far), and less below s_max; each branch
-    carries its row's value as tail_rel_uncertainty.  An IntegrationError
+    9.4e-14, whatever rho (_s_far), and less below s_max; each row carries
+    its value as its start uncertainty, table[8].  An IntegrationError
     names the decaying tip branch, its row's mu and the radius.
     """
     n = row_count("solve_k2", {"mu": mu, "s_max": s_max})
@@ -315,18 +313,15 @@ def solve_k2(p, i, mu, s_max, tol=1e-12):
     with _naming("the decaying tip branch at mu", mus,
                  lambda sigma, row: (sigma / rho) ** (-1.0 / p.eps)):
         dense = _tip_dense(sweep, tol)
-    branches = []
-    for lo, top, unc, (sigma, _, log_k) in zip(s_lo.tolist(), tops.tolist(),
-                                               rel_unc, dense):
-        # the sweep ends at r_mu: its last node fixes the scale
-        L, slope = log_k(sigma[-1])
-        k2 = TipBranch((lo, top), rho, log_k,
-                       -float(L) - math.log(1.0 - rho * float(slope)), unc)
-        _check_sandwich(rho, k2.span, lambda ss: k2.log_eval(ss)[0],
-                        (-math.log(2.0 * (rho ** 2 + rho)), -rho - 2.0),
-                        (math.log(rho / 2.0), -rho + 1.0), "decaying")
-        branches.append(k2)
-    return branches
+    # each sweep ends at r_mu: its last node fixes the scale
+    ends = [log_k(sigma[-1]) for sigma, _, log_k in dense]
+    k2 = _tip_rows(p, rho, (s_lo.tolist(), tops.tolist()), dense,
+                   [-float(L) - math.log(1.0 - rho * float(slope))
+                    for L, slope in ends], rel_unc)
+    _check_sandwich(k2, mus,
+                    (-math.log(2.0 * (rho ** 2 + rho)), -rho - 2.0),
+                    (math.log(rho / 2.0), -rho + 1.0), "decaying")
+    return k2
 
 
 # ---------------------------------------------------------------------------
@@ -337,36 +332,39 @@ def solve_k2(p, i, mu, s_max, tol=1e-12):
 class Eigenfunctions:
     """Radial factors as one evaluator of rows, one row a mode: their
     septic tables stacked in one SepticHermite, two rows a mode, the tip
-    branch's in sigma = rho s (TipBranch) and the outer pass's in K log r.
-    Column k of table holds mode k's rho, tip offset, K, seam r_sw, the log
-    shifts of its tip branch and of its outer pass, and its represented
-    range [r_min, r_max].  Called on radii r and rows, row indices that
-    broadcast against r, it checks every point against its own row's range
-    (DomainValidationError naming the radius) and gives (sign, log|g|,
-    d log|g|/dr) there, the tip branch below r_sw and the outer pass above,
-    in one gather and one Horner pass.  r_min and r_max bound every row's
-    range; eval_log is the call by RadialProfile's name."""
+    branch's in sigma = rho s and the outer pass's in K log r (a tip-only
+    row's seam is +inf).  Column k of table holds mode k's rho, tip offset,
+    K, seam r_sw, the log shifts of its tip branch and of its outer pass,
+    its represented range [r_min, r_max] and its tip start uncertainty.
+    Called on radii r and rows, row indices that broadcast against r, it
+    checks every point against its own row's range (DomainValidationError
+    naming the radius) and gives (sign, log|g|, d log|g|/dr) there, the tip
+    branch below r_sw and the outer pass above, in one gather and one
+    Horner pass.  r_min and r_max bound every row's range; eval_log, the
+    call's alias, is kept for hornbench/record.py."""
 
     def __init__(self, params, interpolant, table):
         self.params, self.interpolant, self.table = params, interpolant, table
 
-    @classmethod
-    def tip_only(cls, params, branches, r_min, r_max):
-        """The tip branches alone, one row each on [r_min, r_max], seams at
-        +inf: each table in both its interpolant rows, so any rows stack."""
-        table = np.zeros((8, len(branches)))
-        table[:2] = np.array([(k2.rho, k2.offset) for k2 in branches]).T
-        table[3], table[6], table[7] = math.inf, r_min, r_max
-        return cls(params, SepticHermite.stack(
-            [k2.interpolant for k2 in branches for _ in (0, 1)]), table)
-
     r_min = property(lambda self: float(self.table[6].max()))
     r_max = property(lambda self: float(self.table[7].min()))
+
+    def tip_log(self, s, rows=0):
+        """(log k, kappa = k'/k) of the rows' tip branches at abscissae s,
+        rows broadcasting against s, each point checked as the tip abscissa
+        s against its row's tip range, from min(r_sw, r_max)^-eps to
+        r_min^-eps; nothing is exponentiated, and no log shift applied."""
+        rho, offset, _, r_sw, _, _, lo, hi = self.table[:8, rows]
+        check_in_range(s, np.minimum(r_sw, hi) ** -self.params.eps,
+                       lo ** -self.params.eps, "tip abscissa s")
+        L, slope = self.interpolant(rho * np.asarray(s, dtype=float),
+                                    2 * rows)
+        return L + offset, rho * slope
 
     def __call__(self, r, rows=0):
         p = self.params
         r = np.asarray(r, dtype=float)
-        rho, offset, K, r_sw, tip_shift, shift, lo, hi = self.table[:, rows]
+        rho, offset, K, r_sw, tip_shift, shift, lo, hi = self.table[:8, rows]
         check_in_range(r, lo, hi, "represented radius")
         inner = r < r_sw
         s = r ** (-p.eps)
@@ -423,8 +421,8 @@ def profile_from_k2(p, i, mu, r_min, n_grid=64, tol=1e-12):
     """Tip profile f_i(r) = k2(r^-eps) r^(-(c-1-eps)/2) on [r_min, r_mu^(-1/eps)].
 
     Unit overall scale (the free factor cancels in every frequency
-    quantity); the grid is n_grid points uniform in s.  The evaluator, an
-    Eigenfunctions row, works entirely in (sign, log-magnitude) space:
+    quantity); the grid is n_grid points uniform in s.  The evaluator, the
+    solve_k2 row, works entirely in (sign, log-magnitude) space:
 
         log f = log k2(s) + beta log s,          s = r^-eps,
         d log f / dr = -(eps s / r) kappa2(s) - (c-1-eps)/(2 r).
@@ -448,11 +446,9 @@ def profile_from_k2(p, i, mu, r_min, n_grid=64, tol=1e-12):
             f"r_min must lie in (0, r_mu^(-1/eps)) = (0, {r_top}), "
             f"got {r_min}")
     s_max = r_min ** (-p.eps)
-    k2, = solve_k2(p, i, mu, s_max, tol=tol)
     return RadialProfile(params=p, i=i, mu=mu,
                          s_grid=np.linspace(r_mu(p, mu), s_max, int(n_grid)),
-                         evaluator=Eigenfunctions.tip_only(p, [k2], r_min,
-                                                           r_top))
+                         evaluator=solve_k2(p, i, mu, s_max, tol=tol))
 
 
 def _bounded_branch(p, mu, r):
@@ -510,9 +506,8 @@ def normalization_bound(p, i, mu, tol=1e-10):
     s_lo = r_mu(p, mu)
     s_hi = s_lo + 10.0 / rho + 5.0
     r_min = s_hi ** (-1.0 / p.eps)
-    prof = profile_from_k2(p, i, mu, r_min, n_grid=32, tol=1e-12)
-    norm2 = math.exp(log_norm_sq(p, prof.evaluator, r_min, prof.r_max,
-                                 tol)[0])
+    k2 = solve_k2(p, i, mu, r_min ** (-p.eps), tol=1e-12)
+    norm2 = math.exp(log_norm_sq(p, k2, r_min, k2.r_max, tol)[0])
     if norm2 <= 0:
         raise ConsistencyError("vanishing norm in normalization_bound")
     computed = 1.0 / math.sqrt(norm2)

@@ -828,8 +828,9 @@ def quad_log(fn_log, a, b, tol):
     summed in units of the largest integrand magnitude among its nodes, so
     neither the integrand nor the integral has to be representable in
     linear space.  A row's first level has the smallest power of two of
-    panels at or above its span in e-folds, log(b/a), within [1, 8] (8
-    when a = 0), so no first panel is wider than max(1, log(b/a) / 8)
+    panels at or above its span S in e-folds, log(b/a) (log b - log a when
+    b/a overflows), within [1, 8], or at or above S / 16 when that is more
+    (8 when a = 0), so no first panel is wider than max(1, min(S / 8, 16))
     e-folds; the panel count doubles from level to level up to 1024.  The
     difference of two successive levels, one logsumexp_signed per level,
     is a row's error estimate, and the row closes at the finer level once
@@ -861,12 +862,17 @@ def quad_log(fn_log, a, b, tol):
     log_val = np.full(a.size, -math.inf)
     log_err = np.full(a.size, -math.inf)
     # each row's first panel count: the smallest power of two at or above
-    # its span in e-folds, log(b/a), within [1, _LOG_QUAD_PANELS]; a row
-    # with a = 0 (or a b/a past the double range) has an infinite span and
-    # so takes the cap
+    # its span S in e-folds, log(b/a), within [1, _LOG_QUAD_PANELS], or at
+    # or above S / 16 when that is more, so no first panel is wider than 16
+    # e-folds (wider ones held no node in most of their e-folds, and two
+    # levels could agree on a value that missed the mass there); S is
+    # log b - log a where b/a overflows, and a row with a = 0 takes the cap
     with np.errstate(divide="ignore", over="ignore"):
-        first = np.clip(np.exp2(np.ceil(np.log2(np.log(b / a)))),
-                        1, _LOG_QUAD_PANELS).astype(int)
+        span = np.log(b / a)
+        span = np.where(np.isinf(span), np.log(b) - np.log(a), span)
+        first = np.exp2(np.ceil(np.log2(np.maximum(
+            np.minimum(span, _LOG_QUAD_PANELS), span / 16.0))))
+    first = np.where(a > 0, np.maximum(first, 1), _LOG_QUAD_PANELS).astype(int)
     # the open rows, grouped by (a > 0, first panel count), those with
     # a = 0 first: every level keeps this order and these groups
     group_key = np.where(a > 0, first, 0)

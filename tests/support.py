@@ -128,7 +128,7 @@ def oracle_tip_branch_mu0(p, i, s):
 def tip_states(branch, s):
     """(k, k') of a tip branch at s, of shape (2, *shape of s), rebuilt in
     linear space from its (log k, kappa)."""
-    log_k, kappa = branch.log_eval(s)
+    log_k, kappa = branch.tip_log(s)
     k = np.exp(log_k)
     return np.array([k, kappa * k])
 

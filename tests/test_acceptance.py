@@ -75,12 +75,12 @@ def test_criterion_03_sandwich_bounds(p_default):
         for mu in (0.5, 1.0, 2.0):
             s0 = r_mu(p_default, mu)
             k1 = solve_k1(p_default, i, mu, s0 + 3.0)
-            k2, = solve_k2(p_default, i, mu, s0 + 3.0)
+            k2 = solve_k2(p_default, i, mu, s0 + 3.0)
             ss = np.linspace(s0, s0 + 3.0, 151)
             kv = tip_states(k1, ss)[0]
             assert np.all(kv <= np.exp((rho + 1) * (ss - s0)) * (1 + 1e-10))
             assert np.all(kv >= np.exp(rho * (ss - s0)) / rho * (1 - 1e-10))
-            L = k2.log_eval(ss)[0]
+            L = k2.tip_log(ss)[0]
             up = math.log(rho / 2) + (-rho + 1) * (ss - s0)
             lo = -math.log(2 * (rho ** 2 + rho)) + (-rho - 2) * (ss - s0)
             assert np.all(L <= up + 1e-9)

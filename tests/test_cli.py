@@ -463,6 +463,8 @@ def test_ode_tolerance_above_the_shot_floor_runs(tmp_path):
     ("heat", 'heat.t_list=[0.5, "x"]',
      "heat.t_list=[0.5, 'x'] must be a list of numbers"),
     ("heat", "heat.coeffs=1.0", "heat.coeffs=1.0 must be a list of numbers"),
+    ("heat", "heat.t_list=[0.5, 0.5, 1.0]",
+     "heat.t_list=[0.5, 0.5, 1.0] repeats the time 0.5"),
     ("freq-elliptic", "freq.points=NaN", "freq.points=nan must be finite"),
     ("modes", "mode.n_grid=Infinity", "mode.n_grid=inf must be finite"),
     ("analyticity", "analyticity.kmax=NaN",
@@ -490,8 +492,9 @@ def test_non_numeric_values_are_config_errors(tmp_path, capsys, command,
                                               assignment, message):
     # a leaf whose default is a number (or a list of numbers) must be a
     # finite one, integral where the default is an int, and at least its
-    # floor, and output a path string or null: the config error names the
-    # key before any computation
+    # floor, heat.t_list must repeat no time (the heat report keys its
+    # decay fits by time), and output a path string or null: the config
+    # error names the key before any computation
     with pytest.raises(ConfigError) as err:
         load_config(None, [assignment])
     assert str(err.value) == message

@@ -17,7 +17,7 @@ from hornlab import (ConsistencyError, DomainValidationError, EigenPair,
 from hornlab import heat, modes, numerics
 from hornlab.elliptic import bessel_state, constant_state
 from hornlab.logspace import logsumexp_signed
-from hornlab.modes import solve_k2, tip_window_top
+from hornlab.modes import r_mu, solve_k2, tip_window_top
 
 # pairs8_rout2 eigenvalues from the earlier oscillation-count search
 PAIRS8_ROUT2_NU = [10.00860578069562, 25.807764065364, 47.52967782392161,
@@ -177,6 +177,25 @@ def test_build_pairs_rows_equal_single_builds(pairs8_rout2, p_default):
             assert np.concatenate(got.g(r)).tobytes() == want
             assert (got.zeros, got.norm_defect) == (one.zeros,
                                                    one.norm_defect)
+
+
+def test_build_pairs_keep_the_tip_start_uncertainty(p_default, monkeypatch):
+    # each pair's table keeps its tip row's start uncertainty, bit for bit
+    # the batched solve_k2 result's, in row 8
+    tips = []
+    solve = heat.solve_k2
+
+    def recorded(*args, **kwargs):
+        tips.append(solve(*args, **kwargs))
+        return tips[-1]
+
+    monkeypatch.setattr(heat, "solve_k2", recorded)
+    pairs = heat._build_pairs(p_default, 1, NUS_ROUT18[:4], 1.8, 1e-12)
+    tip, = tips
+    assert np.all(tip.table[8] > 0.0)
+    for k, pair in enumerate(pairs):
+        assert pair.g.table.shape == (9, 1)
+        assert pair.g.table[8, 0].tobytes() == tip.table[8, k].tobytes()
 
 
 def test_build_pairs_checks_defects_before_norms(p_default, monkeypatch):
@@ -734,8 +753,8 @@ def test_radial_evaluators_take_radii_of_any_shape(p_default, profile_i1_mu1,
     for state in (bessel_state(p_default, 2.0, (0.01, 1.0)),
                   constant_state(p_default, (0.01, 1.0))):
         _assert_any_shape(lambda r: state.radial(r, 0), 0.01, 1.0)
-    k2, = solve_k2(p_default, 1, 1.0, 12.0)
-    _assert_any_shape(k2.log_eval, *k2.span)
+    k2 = solve_k2(p_default, 1, 1.0, 12.0)
+    _assert_any_shape(k2.tip_log, r_mu(p_default, 1.0), 12.0)
 
 
 def test_weyl_sandwich(pairs12_rout16, p_default):

@@ -13,8 +13,8 @@ from hornlab import (ConsistencyError, DomainValidationError,
                      normalization_bound, profile_from_k2, r_mu, solve_k1,
                      solve_k2, sphere_eigenvalue, tip_exponent, tip_rate)
 from hornlab import modes, numerics
-from hornlab.modes import (TipBranch, _bounded_branch, _in_sigma, _q_factory,
-                           _tip_dense, tip_anchor, tip_window_top)
+from hornlab.modes import (_bounded_branch, _in_sigma, _q_factory, _tip_dense,
+                           _tip_rows, tip_anchor, tip_window_top)
 
 
 # ---------------------------------------------------------------------------
@@ -116,9 +116,9 @@ def test_k1_constant_coefficient_limit(p_default):
         return np.full_like(s, rho * rho)
 
     q.slope = np.zeros_like
-    k = TipBranch((s0, s0 + 2.0), rho,
+    k = _tip_rows(p_default, rho, ([s0], [s0 + 2.0]),
                   _tip_dense(_in_sigma(lambda rows: q, rho, (s0, s0 + 2.0),
-                                       (1.0, 1.0)), 1e-12)[0][2])
+                                       (1.0, 1.0)), 1e-12))
     for ds in (0.0, 0.05, 0.5, 1.0, 2.0):
         exact = [math.cosh(rho * ds) + math.sinh(rho * ds) / rho,
                  rho * math.sinh(rho * ds) + math.cosh(rho * ds)]
@@ -135,7 +135,7 @@ def test_k2_is_solution(p_default):
     from hornlab.modes import _q_factory
     q = _q_factory(p_default, 1, 1.0)
     s0 = r_mu(p_default, 1.0)
-    k2, = solve_k2(p_default, 1, 1.0, s0 + 3.0)
+    k2 = solve_k2(p_default, 1, 1.0, s0 + 3.0)
     for s in np.linspace(s0 + 0.3, s0 + 2.7, 7):
         f = lambda t: tip_states(k2, t)[0]
         res = second_derivative_5pt(f, s, 1e-3) - q(s) * f(s)
@@ -145,7 +145,7 @@ def test_k2_is_solution(p_default):
 def test_k1_k2_wronskian_constant(p_default):
     s0 = r_mu(p_default, 1.0)
     k1 = solve_k1(p_default, 1, 1.0, s0 + 3.0)
-    k2, = solve_k2(p_default, 1, 1.0, s0 + 3.0)
+    k2 = solve_k2(p_default, 1, 1.0, s0 + 3.0)
     vals = []
     for s in np.linspace(s0, s0 + 3.0, 23):
         a, ap = tip_states(k1, s)
@@ -160,7 +160,7 @@ def test_k2_two_sided_bounds(p_default):
     # rates (-rho-2) and (-rho+1) bracket log k2 at r_mu + 2
     rho = tip_rate(p_default, 1)
     s0 = r_mu(p_default, 1.0)
-    k2, = solve_k2(p_default, 1, 1.0, s0 + 3.0)
+    k2 = solve_k2(p_default, 1, 1.0, s0 + 3.0)
     v = tip_states(k2, s0 + 2.0)[0]
     lo = math.exp((-rho - 2.0) * 2.0) / (2.0 * (rho ** 2 + rho))
     hi = (rho / 2.0) * math.exp((-rho + 1.0) * 2.0)
@@ -171,28 +171,28 @@ def test_k2_anchor_box(p_default):
     # k2(r_mu)^2 + k2'(r_mu)^2 is pinned inside an explicit positive box
     rho = tip_rate(p_default, 1)
     s0 = r_mu(p_default, 1.0)
-    k2, = solve_k2(p_default, 1, 1.0, s0 + 3.0)
-    L, kappa = k2.log_eval(s0)
+    k2 = solve_k2(p_default, 1, 1.0, s0 + 3.0)
+    L, kappa = k2.tip_log(s0)
     v = math.exp(L)
     vp = kappa * v
     energy = v * v + vp * vp
     assert 0.0 < energy < float("inf")
     # the value itself obeys the two-sided bounds at zero offset
     assert 1.0 / (2.0 * (rho ** 2 + rho)) <= v <= rho / 2.0
-    assert k2.tail_rel_uncertainty <= 1e-12
+    assert k2.table[8, 0] <= 1e-12
 
 
 def test_k2_long_span(p_default):
     # rho * span = 340: k1 would overflow there, the log-space Riccati
     # branch does not, and it agrees with a short solve where they overlap
     s0 = r_mu(p_default, 1.0)
-    long, = solve_k2(p_default, 1, 1.0, s0 + 60.0)
+    long = solve_k2(p_default, 1, 1.0, s0 + 60.0)
     assert tip_rate(p_default, 1) * 60.0 > 280.0
-    assert long.tail_rel_uncertainty <= 1e-12
-    short, = solve_k2(p_default, 1, 1.0, s0 + 10.0)
+    assert long.table[8, 0] <= 1e-12
+    short = solve_k2(p_default, 1, 1.0, s0 + 10.0)
     ss = np.linspace(s0, s0 + 10.0, 41)
-    assert np.max(np.abs(long.log_eval(ss)[0] - short.log_eval(ss)[0])) <= 1e-10
-    assert long.log_eval(s0 + 60.0)[0] < -330.0
+    assert np.max(np.abs(long.tip_log(ss)[0] - short.tip_log(ss)[0])) <= 1e-10
+    assert long.tip_log(s0 + 60.0)[0] < -330.0
 
 
 def test_k2_rows_equal_single_calls(p_default):
@@ -202,15 +202,56 @@ def test_k2_rows_equal_single_calls(p_default):
     mus = [100.0, 1.0, 600.0, 10.0]
     tops = [r_mu(p_default, mu) + span for mu, span in
             zip(mus, (3.0, 10.0, 5.0, 2.0))]
-    for k2, mu, top in zip(solve_k2(p_default, 2, mus, tops), mus, tops):
-        single = solve_k2(p_default, 2, mu, top)
-        assert len(single) == 1
-        one = single[0]
-        assert k2.span == one.span
-        assert k2.tail_rel_uncertainty == one.tail_rel_uncertainty
-        ss = np.linspace(*one.span, 33)
-        assert np.concatenate(k2.log_eval(ss)).tobytes() == \
-            np.concatenate(one.log_eval(ss)).tobytes()
+    k2 = solve_k2(p_default, 2, mus, tops)
+    for row, (mu, top) in enumerate(zip(mus, tops)):
+        one = solve_k2(p_default, 2, mu, top)
+        assert one.table.shape == (9, 1)
+        # the represented range and the start uncertainty
+        assert k2.table[6:, row].tolist() == one.table[6:, 0].tolist()
+        ss = np.linspace(r_mu(p_default, mu), top, 33)
+        assert np.concatenate(k2.tip_log(ss, row)).tobytes() == \
+            np.concatenate(one.tip_log(ss)).tobytes()
+
+
+def test_k2_sandwich_failure_names_the_row_mu_and_radius(p_default,
+                                                         monkeypatch):
+    # the second row's offset moved 30 below the lower line leaves every
+    # point of that row outside the bracket: the certificate names the
+    # decaying branch, that row's mu and the first radius at fault, its
+    # tip window top
+    check = modes._check_sandwich
+
+    def moved(tips, *args):
+        tips.table[1, 1] -= 30.0
+        return check(tips, *args)
+
+    monkeypatch.setattr(modes, "_check_sandwich", moved)
+    mus = [1.0, 10.0, 100.0]
+    with pytest.raises(ConsistencyError) as err:
+        solve_k2(p_default, 2, mus, [r_mu(p_default, mu) + 3.0 for mu in mus])
+    found = re.fullmatch(r"the decaying tip branch at mu = 10\.0 violates its "
+                         r"two-sided exponential bounds at r = (\S+)",
+                         str(err.value))
+    assert found
+    assert float(found[1]) == pytest.approx(tip_window_top(p_default, 10.0),
+                                            rel=1e-12)
+
+
+def test_k2_sandwich_reads_every_row_in_one_tip_log_call(p_default,
+                                                        monkeypatch):
+    # the sandwich check of a 4-row build reads the 65 points of every row
+    # in one tip_log call
+    calls = []
+    tip_log = modes.Eigenfunctions.tip_log
+
+    def counted(self, s, rows=0):
+        calls.append(np.shape(s))
+        return tip_log(self, s, rows)
+
+    monkeypatch.setattr(modes.Eigenfunctions, "tip_log", counted)
+    mus = [100.0, 1.0, 600.0, 10.0]
+    solve_k2(p_default, 2, mus, [r_mu(p_default, mu) + 3.0 for mu in mus])
+    assert calls == [(4, 65)]
 
 
 @pytest.mark.parametrize("i", [1, 2])
@@ -220,8 +261,8 @@ def test_k2_kappa_comparison_interval(p_default, i, mu):
     # log-derivative in [-sqrt(rho^2 + 1), -rho]
     rho = tip_rate(p_default, i)
     s0 = r_mu(p_default, mu)
-    k2, = solve_k2(p_default, i, mu, s0 + 10.0)
-    kappa = k2.log_eval(np.linspace(*k2.span, 1601))[1]
+    k2 = solve_k2(p_default, i, mu, s0 + 10.0)
+    kappa = k2.tip_log(np.linspace(s0, s0 + 10.0, 1601))[1]
     slack = 1e-12 * rho
     assert np.all(kappa <= -rho + slack)
     assert np.all(kappa >= -math.sqrt(rho * rho + 1.0) - slack)
@@ -240,8 +281,8 @@ def test_k2_kappa_comparison_interval(p_default, i, mu):
 def test_k2_matches_reduction_of_order(p_default, i, mu, span, offsets,
                                        log_k2):
     s0 = r_mu(p_default, mu)
-    k2, = solve_k2(p_default, i, mu, s0 + span)
-    got = k2.log_eval(s0 + np.array(offsets))[0]
+    k2 = solve_k2(p_default, i, mu, s0 + span)
+    got = k2.tip_log(s0 + np.array(offsets))[0]
     assert np.max(np.abs(got - np.array(log_k2))) <= 1e-10
 
 
@@ -297,8 +338,8 @@ def test_k2_matches_the_mu0_closed_form(point, i):
     # log k2 in absolute terms, with the Wronskian scale, and kappa relative
     p, s0, s_max = _mu0_span(point, i)
     ss = np.linspace(s0, s_max, 401)
-    k2, = solve_k2(p, i, 0.0, s_max)
-    log_k, kappa = k2.log_eval(ss)
+    k2 = solve_k2(p, i, 0.0, s_max)
+    log_k, kappa = k2.tip_log(ss)
     exact_log_k, exact_kappa = oracle_tip_branch_mu0(p, i, ss)
     assert np.max(np.abs(log_k - exact_log_k)) <= MU0_TOL
     assert np.max(np.abs(kappa / exact_kappa - 1.0)) <= MU0_TOL
@@ -324,15 +365,16 @@ def test_k2_start_uncertainty_is_below_e_minus_30():
     # the backward start at _s_far leaves a relative kappa error of
     # (sqrt(rho^2 + 1) - rho) e^(-30 - rho) / (rho + 1) <= e^-30 at the
     # span's top: at the mu = 0 points and over rho from 1 to 196 (n, eps
-    # and i swept), every branch's tail_rel_uncertainty is at most e^-30
+    # and i swept), every row's start uncertainty is at most e^-30
     points = MU0_POINTS + [(n, N, eps, 0.25) for n, N in ((2, 3.0), (4, 6.0))
                            for eps in (0.05, 0.25, 1.0, 2.0)]
     for point in points:
         p = make_horn_params(*point)
         for i in (1, 2, 4):
             mus = [0.0, 1.0, 10.0]
-            for k2 in solve_k2(p, i, mus, [r_mu(p, mu) + 1.0 for mu in mus]):
-                assert 0.0 < k2.tail_rel_uncertainty <= math.exp(-30.0)
+            k2 = solve_k2(p, i, mus, [r_mu(p, mu) + 1.0 for mu in mus])
+            assert np.all((0.0 < k2.table[8])
+                          & (k2.table[8] <= math.exp(-30.0)))
 
 
 # ---------------------------------------------------------------------------
@@ -357,21 +399,22 @@ def test_profile_rejects_bad_window(p_default):
 
 
 @pytest.mark.parametrize("end", ["lo", "hi"])
-@pytest.mark.parametrize("evaluator", ["eval_log", "states", "log_eval"])
+@pytest.mark.parametrize("evaluator", ["eval_log", "states", "tip_log"])
 def test_range_checks_share_one_rule(evaluator, end, profile_i1_mu1,
                                      p_default):
     # the profile, the growing branch's states and the decaying branch all
     # accept a point 5e-13 |bound| past a nonzero end, and refuse one
     # 1e-11 |bound| past it and NaN
+    s0 = r_mu(p_default, 1.0)
     if evaluator == "eval_log":
         fn = profile_i1_mu1.eval_log
         lo, hi = profile_i1_mu1.r_min, profile_i1_mu1.r_max
     elif evaluator == "states":
-        k1 = solve_k1(p_default, 1, 1.0, r_mu(p_default, 1.0) + 3.0)
-        fn, (lo, hi) = (lambda s: tip_states(k1, s)), k1.span
+        k1 = solve_k1(p_default, 1, 1.0, s0 + 3.0)
+        fn, (lo, hi) = (lambda s: tip_states(k1, s)), (s0, s0 + 3.0)
     else:
-        k2, = solve_k2(p_default, 1, 1.0, r_mu(p_default, 1.0) + 3.0)
-        fn, (lo, hi) = k2.log_eval, k2.span
+        k2 = solve_k2(p_default, 1, 1.0, s0 + 3.0)
+        fn, (lo, hi) = k2.tip_log, (s0, s0 + 3.0)
     bound, out = (lo, -1.0) if end == "lo" else (hi, 1.0)
     mid = 0.5 * (lo + hi)
     fn(np.array([mid, bound + out * 5e-13 * abs(bound)]))

@@ -914,12 +914,47 @@ def test_quad_log_polynomial_from_zero():
 
 
 def test_quad_log_span_past_the_double_range():
-    # b/a = 1e310 overflows: the span is read as infinite, the row takes 8
-    # first panels as a = 0 does, and no overflow warning is raised
-    (sign,), (log_val,), _ = quad_log(
-        lambda x, rows: (1.0, 2.0 * np.log(x)), 1e-300, 1e10, 1e-12)
+    # b/a = 1e310 overflows: the span is read as log b - log a, 714
+    # e-folds, the row takes 64 first panels of at most 16 e-folds, and no
+    # overflow warning is raised
+    widths = []
+
+    def f(x, rows):
+        widths.append(x.shape[1])
+        return 1.0, 2.0 * np.log(x)
+
+    (sign,), (log_val,), _ = quad_log(f, 1e-300, 1e10, 1e-12)
+    assert widths[0] == 64 * 16
     assert sign == 1
     assert log_val == pytest.approx(math.log(1e30 / 3.0), rel=1e-12)
+
+
+def test_quad_log_very_wide_rows_keep_their_first_panels_narrow():
+    # int e^-x on rows from 142 to 714 e-folds wide, and a log-normal bump
+    # centred at 1e-150 on [1e-200, 1], at tol 1e-10: with first panels up
+    # to 86 e-folds wide (8 panels, or 1 per 86 e-folds past the double
+    # range) they came out 3.9e-8 low from 165 e-folds on, 2.8e-4 and 13%
+    # low on [1e-300, 100] and [1e-300, 1e10], and the bump at half its
+    # value, each with an estimate of 0 or near it.  No first panel wider
+    # than 16 e-folds gets each row right to 2e-14.  [1e-300, 1e300] cannot
+    # close within 1024 panels and names its interval.
+    a = np.array([1e-60, 1e-70, 1e-150, 1e-300, 1e-300, 1e-300])
+    b = np.array([50.0, 50.0, 50.0, 50.0, 100.0, 1e10])
+    sign, log_val, log_err = quad_log(lambda x, rows: (1.0, -x), a, b, 1e-10)
+    exact = np.log(np.exp(-a) - np.exp(-b))
+    assert np.all(sign == 1)
+    assert np.max(np.abs(log_val - exact)) <= 2e-14
+    assert np.all(log_err <= math.log(1e-10) + log_val)
+    centre = math.log(1e-150)
+    (sign,), (log_val,), (log_err,) = quad_log(
+        lambda x, rows: (1.0, -0.5 * (np.log(x) - centre) ** 2 - np.log(x)),
+        1e-200, 1.0, 1e-10)
+    assert sign == 1
+    assert log_val == pytest.approx(0.5 * math.log(2.0 * math.pi), abs=2e-14)
+    assert log_err <= math.log(1e-10) + log_val
+    with pytest.raises(QuadratureError,
+                       match=r"on \[1e-300, 1e\+300\] did not reach"):
+        quad_log(lambda x, rows: (1.0, -x), 1e-300, 1e300, 1e-10)
 
 
 def test_quad_log_gaussian_moment():
