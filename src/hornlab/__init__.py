@@ -15,7 +15,7 @@ from .elliptic import (FrequencyScan, bessel_state, check_I_lower,
                        elliptic_scan, profile_state)
 from .errors import (ConfigError, ConsistencyError, DomainValidationError,
                      EigenSearchError, HornError, IntegrationError,
-                     QuadratureError, TipTailError, ToleranceFloorError)
+                     QuadratureError, ToleranceFloorError)
 from .geometry import (HornParams, angular_coupling, liouville_potential,
                        liouville_potential_slope, make_horn_params,
                        measure_weight_log, sphere_area, sphere_eigenvalue)

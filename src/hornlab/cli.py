@@ -31,7 +31,7 @@ from .artifacts import write_csv, write_json
 from .elliptic import (check_I_lower, check_logI_identity, check_U_growth,
                        constant_state, elliptic_scan, profile_state)
 from .errors import (ConfigError, DomainValidationError, HornError,
-                     TipTailError, ToleranceFloorError)
+                     ToleranceFloorError)
 from .geometry import HornParams
 from .heat import (caloric_decay_check, dirichlet_eigenvalues,
                    make_caloric_series, taylor_coefficients, taylor_radius,
@@ -295,16 +295,8 @@ def _run_modes(cfg, p, emit):
 def _run_freq_elliptic(cfg, p, emit, state):
     fr = cfg["freq"]
     grid = _grid(fr["lo"], fr["hi"], fr["points"], fr["spacing"])
-    quad_tol = min(cfg["tolerances"]["quad"], 1e-9)
-    try:
-        scan = elliptic_scan(state, grid, tol=quad_tol)
-    except TipTailError as exc:
-        # the energy between mode.r_min and a scan radius grows with the
-        # radius, so a higher freq.lo (or a lower mode.r_min) clears it
-        raise ConfigError(
-            f"freq.lo={fr['lo']} lies too close to "
-            f"mode.r_min={cfg['mode']['r_min']}: {exc}; raise freq.lo or "
-            "lower mode.r_min") from exc
+    scan = elliptic_scan(state, grid,
+                         tol=min(cfg["tolerances"]["quad"], 1e-9))
     emit("freq_elliptic.csv", ["r", "I", "E", "U"],
          _rows(scan.scale, scan.I, scan.ED, scan.UN))
     defect = check_logI_identity(state, scan)

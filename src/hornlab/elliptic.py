@@ -10,10 +10,14 @@ scale-invariant quantities reduce to radial form:
     U(r) = E(r) / I(r)
 
 A state is the one-term heat.CaloricSeries exp(-mu t) f(r) phi_i; a scan
-evaluates its term's (sign, log|f|, d log|f|/dr) once on the whole grid.
-Both routes to E are computed at every evaluation and must agree; a
-mismatch signals quadrature or profile inaccuracy and aborts rather than
-silently propagating.  The exact logarithmic-derivative identity
+evaluates its term's (sign, log|f|, d log|f|/dr) once on its support
+bottom r_lo = r_support[0] and the whole grid.  Every state solves the
+radial equation with w f f' -> 0 at the tip, so the energy integral below
+r_lo is exactly w f f'(r_lo): the bulk route integrates from r_lo and adds
+that floor once (none when r_lo = 0).  Both routes to E are computed at
+every evaluation and must agree; a mismatch signals quadrature or profile
+inaccuracy and aborts rather than silently propagating.  The exact
+logarithmic-derivative identity
 
     r (log I)'(r) - 2 U(r) = c - n + 1
 
@@ -22,14 +26,14 @@ against central differences of log I on the scan grid.
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConsistencyError, DomainValidationError, TipTailError
+from .errors import ConsistencyError, DomainValidationError
 from .geometry import angular_coupling, measure_weight_log, sphere_eigenvalue
 from .heat import CaloricSeries, one_row
-from .modes import decay_exponent_fit, radial_mode_zero_log
+from .modes import radial_mode_zero_log
 from .numerics import check_in_range, fit_line, quad_log
 
 
@@ -44,7 +48,7 @@ def _constant_radial_log(r):
     return np.ones_like(z), z, z
 
 
-def _mode_state(p, i, mu, radial, domain, r_lo=0.0):
+def _mode_state(p, i, mu, radial, domain):
     """The one-term series exp(-mu t) f_i(r) phi_i, L u = -mu u, with
     coefficient 1 on the window domain, f_i read by radial's one row."""
     if not (len(domain) == 2 and 0 < domain[0] < domain[1]):
@@ -52,7 +56,7 @@ def _mode_state(p, i, mu, radial, domain, r_lo=0.0):
     return CaloricSeries(params=p, sphere_index=i,
                          r_support=(float(domain[0]), float(domain[1])),
                          radial=radial, rates=np.array([mu]),
-                         coeffs=np.array([1.0]), r_lo=r_lo)
+                         coeffs=np.array([1.0]))
 
 
 def constant_state(p, domain):
@@ -71,11 +75,9 @@ def bessel_state(p, mu, domain):
 
 def profile_state(profile):
     """State of a tip RadialProfile (i >= 1), read by its Eigenfunctions
-    row on its range; the energy below r_min is estimated once, here."""
-    state = _mode_state(profile.params, profile.i, profile.mu,
-                        profile.evaluator, (profile.r_min, profile.r_max),
-                        r_lo=profile.r_min)
-    return replace(state, tip_tail=_tip_tail_bound(state, profile))
+    row on its range (r_min, r_max)."""
+    return _mode_state(profile.params, profile.i, profile.mu,
+                       profile.evaluator, (profile.r_min, profile.r_max))
 
 
 def _term(state):
@@ -118,13 +120,15 @@ class FrequencyScan:
 # ---------------------------------------------------------------------------
 
 
-def _boundary_mass(state, r, radial):
-    """I = r^(1-n) w(r) f(r)^2 at radii r of any shape, from radial_log(r);
-    0 where f vanishes or underflows."""
-    p = state.params
-    sign, lm, _ = radial
-    I = np.exp((1 - p.n) * np.log(r) + measure_weight_log(p, r) + 2.0 * lm)
-    return np.where((sign == 0) | ~np.isfinite(lm), 0.0, I)
+def _flux(p, r, radial, log_pref=0.0):
+    """exp(log_pref) w f f' = exp(log_pref) w f^2 d log|f|/dr at radii r
+    (array) from radial = (sign, log|f|, d log|f|/dr); 0 where f is an
+    exact zero.  With log_pref = (2 - n) log r it is the boundary form of
+    E; with 0, at the support bottom, the energy integral below it."""
+    sign, lm, ld = radial
+    with np.errstate(invalid="ignore"):
+        return np.where(sign == 0, 0.0, ld * np.exp(
+            log_pref + measure_weight_log(p, r) + 2.0 * lm))
 
 
 def _energy_density_log(state, lam, r, radial):
@@ -165,55 +169,26 @@ def _bulk_integrals(state, a, b, tol):
     return out
 
 
-def _tip_tail_bound(state, prof):
-    """Estimate of the energy integral below the profile window.
-
-    Uses the decay law of log|f| in r^-eps that decay_exponent_fit fits:
-    below r_min the density is dominated by f(r_min)^2 w(r_min)
-    r_min^(1+eps) (dlog^2 + V + |lam|) / (2 |slope| eps).  It divides by
-    that fitted slope, so it is a fitted estimate, not a proved bound.
-    """
-    fit = decay_exponent_fit(prof)
-    if fit.slope >= 0:
-        raise ConsistencyError("profile decay fit has non-negative slope")
-    radial_log, lam = _term(state)
-    r0 = np.array([prof.r_min])
-    env = _energy_density_log(state, abs(lam), r0, radial_log(r0))[1][0]
-    return math.exp(env) * prof.r_min ** (1.0 + state.params.eps) \
-        / (2.0 * abs(fit.slope) * state.params.eps)
-
-
 def _checked_energy(state, lam, r, radial, bulk):
     """(bulk E, boundary E, energy scale) at radii r (array), from lam and
-    radial, the state's (sign, log|f|, d log|f|/dr) at r, and the bulk
-    integrals over [state.r_lo, r], against the fitted tip tail estimate
-    state.tip_tail below r_lo.
+    radial, the state's (sign, log|f|, d log|f|/dr) at r, and bulk, the
+    energy integrals over [r_lo, r] plus the floor w f f'(r_lo) below
+    r_lo = state.r_support[0].
 
-    The tail must be negligible against each bulk integral (otherwise
-    TipTailError, a ConsistencyError), and the two routes to E, the bulk
-    form and the boundary form r^(2-n) w f f', must agree to 1e-6 of the
-    positive energy envelope (otherwise ConsistencyError); either names
-    the first radius at fault.
+    The two routes to E, the bulk form and the boundary form
+    r^(2-n) w f f', must agree to 1e-6 of the positive energy envelope
+    (otherwise ConsistencyError, naming the first radius at fault): the
+    integral over [r_lo, r] against B(r) - B(r_lo), B = w f f'.
     """
     p = state.params
-    sign, lm, ld = radial
-    bad = state.tip_tail > np.maximum(1e-9 * np.abs(bulk), 1e-300)
-    if np.any(bad):
-        k = int(np.argmax(bad))
-        raise TipTailError(
-            f"uncontrolled tip tail below the profile window at r={r[k]}: "
-            f"tail bound {state.tip_tail} against bulk integral {bulk[k]}")
     log_pref = (2 - p.n) * np.log(r)
     pref = np.exp(log_pref)
     E_bulk = pref * bulk
-    # r^(2-n) w f f' = r^(2-n) w f^2 dlog
-    with np.errstate(invalid="ignore"):
-        E_bdry = np.where(sign == 0, 0.0, ld * np.exp(
-            log_pref + measure_weight_log(p, r) + 2.0 * lm))
+    E_bdry = _flux(p, r, radial, log_pref)
     env = np.exp(_energy_density_log(state, abs(lam), r, radial)[1])
     # f^2 grows like exp(-2C r^-eps) toward r, so the envelope of the
     # density over [r_lo, r] peaks at r
-    scale = pref * env * (r - state.r_lo)
+    scale = pref * env * (r - state.r_support[0])
     bad = np.abs(E_bulk - E_bdry) > 1e-6 * np.maximum(
         scale, np.maximum(np.abs(E_bulk), np.abs(E_bdry)))
     if np.any(bad):
@@ -224,8 +199,9 @@ def _checked_energy(state, lam, r, radial, bulk):
 
 
 def elliptic_scan(state, r_grid, tol=1e-10):
-    """Scan rows (r, I, E, U) from one evaluation of the state on the
-    grid; E accumulated segment-by-segment (bulk form), every segment a
+    """Scan rows (r, I, E, U) from one evaluation of the state on its
+    support bottom r_lo and the grid; E accumulated segment-by-segment
+    from r_lo (bulk form) on the exact floor w f f'(r_lo), every segment a
     row of one quad_log call, with the boundary form cross-checked at
     every row.
 
@@ -234,26 +210,42 @@ def elliptic_scan(state, r_grid, tol=1e-10):
     has; dividing tol among the rows would only push a fine grid's
     tolerance into rounding.
 
-    A nodal sphere (I = 0) on the grid aborts with the offending radius:
-    U is genuinely singular there.
+    A nodal sphere (f = 0) on the grid aborts with the offending radius:
+    U is genuinely singular there.  An I below the double range aborts
+    too, naming the radius and log I.
     """
     r_grid = np.asarray(r_grid, dtype=float)
     if r_grid.size < 1 or np.any(np.diff(r_grid) <= 0):
         raise DomainValidationError("r_grid must be strictly increasing")
     radial_log, lam = _term(state)
     check_in_range(r_grid, *state.r_support, "state radius")
+    p = state.params
+    r_lo = state.r_support[0]
 
-    radial = radial_log(r_grid)
-    I = _boundary_mass(state, r_grid, radial)
+    # one evaluation reads r_lo, whose flux w f f'(r_lo) is the energy
+    # below it, and the grid; a support from the tip (r_lo = 0) has none
+    head = int(r_lo > 0)
+    both = radial_log(np.concatenate([[r_lo] * head, r_grid]))
+    radial = tuple(v[head:] for v in both)
+    sign, lm, ld = radial
     # a grid point within rounding distance of a node: the logarithmic
     # derivative blows up like 1/distance and U is genuinely singular
-    nodal = (I == 0.0) | (np.abs(r_grid * radial[2]) > 1e12)
+    nodal = (sign == 0) | ~np.isfinite(lm) | (np.abs(r_grid * ld) > 1e12)
     if np.any(nodal):
         raise ConsistencyError(
             f"nodal sphere: I vanishes at r = {r_grid[np.argmax(nodal)]}")
-    segs = np.concatenate([[state.r_lo], r_grid])
+    log_I = (1 - p.n) * np.log(r_grid) + measure_weight_log(p, r_grid) \
+        + 2.0 * lm
+    I = np.exp(log_I)
+    if np.any(I == 0.0):
+        k = int(np.argmax(I == 0.0))
+        raise ConsistencyError(f"I underflows the double range at "
+                               f"r = {r_grid[k]}: log I = {log_I[k]}")
+    floor = _flux(p, np.array([r_lo]), tuple(v[:1] for v in both))[0] \
+        if head else 0.0
+    segs = np.concatenate([[r_lo], r_grid])
     bulk = np.cumsum(_bulk_integrals(state, segs[:-1], segs[1:], tol))
-    E = _checked_energy(state, lam, r_grid, radial, bulk)[0]
+    E = _checked_energy(state, lam, r_grid, radial, floor + bulk)[0]
     return FrequencyScan(scale=r_grid, I=I, ED=E, UN=E / I)
 
 

@@ -55,10 +55,5 @@ class ConsistencyError(HornError, RuntimeError):
     """An internal cross-check failed (two routes to one quantity disagree)."""
 
 
-class TipTailError(ConsistencyError):
-    """The estimated energy below a profile window is not negligible
-    against the bulk energy integral of a scan row."""
-
-
 class EigenSearchError(HornError, RuntimeError):
     """Eigenvalue bracket search exhausted its budget."""

@@ -416,11 +416,9 @@ class CaloricSeries:
     the radii r, and rates holds the nu_j.  A series of eigenpairs stacks
     the pairs' Eigenfunctions rows; a one-term state passes its radial
     evaluator as one row (one_row).  tail_certificate bounds the
-    eigen-terms a truncation drops.  An elliptic state, L u = -mu u, is
-    one term of rate mu whose bulk energy starts at r_lo; tip_tail
-    estimates the energy below r_lo.  All three are 0 for an exact state
-    that reaches the tip; a series of eigenpairs starts its bulk energy at
-    its support bottom, where every pair's normalization stops."""
+    eigen-terms a truncation drops (0 for an exact state).  An elliptic
+    state, L u = -mu u, is one term of rate mu; its energy below the
+    support bottom r_support[0] is the flux w f f' there (elliptic)."""
 
     params: object
     sphere_index: int
@@ -429,8 +427,6 @@ class CaloricSeries:
     rates: np.ndarray
     coeffs: np.ndarray
     tail_certificate: float = 0.0
-    r_lo: float = 0.0
-    tip_tail: float = 0.0
 
     def slice_log(self, r, t, k=0):
         """(sign F, log|F|, sign dF/dr, log|dF/dr|), each of the broadcast
@@ -506,8 +502,7 @@ def make_caloric_series(pairs, coeffs, t_min):
         radial=Eigenfunctions(p, SepticHermite.stack(
             [q.g.interpolant for q in pairs]),
             np.hstack([q.g.table for q in pairs])),
-        rates=np.array(nus), coeffs=coeffs, tail_certificate=cert,
-        r_lo=r_support[0])
+        rates=np.array(nus), coeffs=coeffs, tail_certificate=cert)
 
 
 def taylor_coefficients(series, r0, t0, kmax):

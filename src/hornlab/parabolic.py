@@ -45,7 +45,8 @@ def kernel_log(p, r, t):
     broadcasts against r."""
     t = np.asarray(t, dtype=float)
     if not np.all(t < 0):
-        raise DomainValidationError(f"kernel_log needs t < 0, got {t}")
+        raise DomainValidationError(
+            f"kernel_log needs t < 0, got t = {t[~(t < 0)].flat[0]}")
     if np.any(np.asarray(r) < 0):
         raise DomainValidationError("kernel_log needs r >= 0")
     return -(p.c + 1.0) / 2.0 * np.log(-t) + np.asarray(r) ** 2 / (4.0 * t)
@@ -90,12 +91,17 @@ def _slices_ID(u, R, tol):
     row has the same nodes.  D = 0 or a D or I past the double range on
     any slice is an error.
     """
-    if not np.all(R > 0):
+    t = -R * R
+    bad = ~((R > 0) & (t < 0))
+    if np.any(bad):
+        k = int(np.argmax(bad))
+        # an R > 0 whose square underflows gives t = -0.0, no backward slice
+        why = ", too small for t = -R^2 < 0 in double precision" \
+            if R[k] > 0 else ""
         raise DomainValidationError(
-            f"backward slices need R > 0, got R = {R[np.argmax(~(R > 0))]}")
+            f"backward slices need R > 0, got R = {R[k]}{why}")
     p = u.params
     m = R.size
-    t = -R * R
     lo, hi = np.array([_slice_bounds(u, s) for s in R.tolist()]).T
     # a row's nodes depend only on its interval and panel count (quad_log)
     shared = np.all(lo == lo[0]) and np.all(hi == hi[0])

@@ -204,7 +204,8 @@ def oracle_E_2d(state, r, p, tol=1e-11):
         zee = lam * f * f * sphere_quad(lambda th: phi1(th) ** 2)
         return (grad_r + grad_a + zee) * w
 
-    val, _ = quad(radial_part, state.r_lo, r, epsabs=tol, epsrel=tol, limit=300)
+    val, _ = quad(radial_part, state.r_support[0], r, epsabs=tol, epsrel=tol,
+                  limit=300)
     return r ** (2 - p.n) * val
 
 

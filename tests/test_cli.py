@@ -550,26 +550,40 @@ def test_quad_tolerance_below_floor_is_config_error(tmp_path):
         f"{np.finfo(float).eps:.3g}")
 
 
-@pytest.mark.parametrize("command, settings", [
-    ("freq-elliptic", ["freq.lo=0.02"]),
-    ("freq-elliptic", ["freq.lo=0.0201"]),
-    # at n=2, N=3 the tail below mode.r_min outweighs the energy up to the
-    # default freq.lo; freq.lo=0.06 clears it
-    ("freq-elliptic", ["params.n=2", "params.N=3"]),
-    ("demo-counterexample", ["freq.lo=0.0201"]),
-])
-def test_uncontrolled_tip_tail_names_freq_lo(tmp_path, command, settings):
-    # a scan row whose energy above mode.r_min does not dwarf the fitted
-    # tail estimate below it is the window's fault: exit 2, naming freq.lo
-    # and the mode.r_min it must clear
-    args = [command, "--out", str(tmp_path)] + FAST_DEMO
-    for assignment in settings:
-        args += ["--set", assignment]
-    assert main(args) == EXIT_CONFIG
-    man = json.loads((tmp_path / "manifest.json").read_text())
-    assert "freq.lo=" in man["error"] and "mode.r_min=0.02" in man["error"]
-    assert "uncontrolled tip tail" in man["error"]
+def test_scan_from_mode_r_min_runs(tmp_path):
+    # the energy below mode.r_min is the exact flux w f f' there, so a scan
+    # may start at mode.r_min itself, and at n=2, N=3 the demo scans from
+    # the default freq.lo with every check holding
+    assert main(["freq-elliptic", "--out", str(tmp_path / "e"),
+                 "--set", "freq.lo=0.02"]) == EXIT_OK
+    assert main(["demo-counterexample", "--out", str(tmp_path / "d"),
+                 "--set", "params.n=2", "--set", "params.N=3"]) == EXIT_OK
+    checks = json.loads((tmp_path / "d" / "summary.json").read_text())["checks"]
+    assert len(checks) == 8 and all(checks.values())
+
+
+def test_underflowing_elliptic_row_is_not_a_node(tmp_path):
+    # at r = 2e-4 the profile has sign 1 but I = exp(-770.8) lies below the
+    # double range: exit 3 naming the radius and log I, not a nodal sphere
+    code = main(["freq-elliptic", "--out", str(tmp_path),
+                 "--set", "mode.r_min=1e-4", "--set", "freq.lo=2e-4"])
+    assert code == EXIT_NUMERICAL
+    error = json.loads((tmp_path / "manifest.json").read_text())["error"]
+    assert error.startswith("ConsistencyError: I underflows the double range "
+                            "at r = 0.0002: log I = -770.")
     assert not (tmp_path / "freq_elliptic.csv").exists()
+
+
+def test_slice_whose_square_underflows_names_R(tmp_path):
+    # t = -R^2 rounds to -0.0 at R = 1e-300: the error names that R in one
+    # line, not the array of slice times
+    code = main(["freq-parabolic", "--out", str(tmp_path), "--set", "mode.i=0",
+                 "--set", "mode.mu=0", "--set", "freq.R_lo=1e-300"])
+    assert code == EXIT_NUMERICAL
+    error = json.loads((tmp_path / "manifest.json").read_text())["error"]
+    assert error == ("DomainValidationError: backward slices need R > 0, got "
+                     "R = 1e-300, too small for t = -R^2 < 0 in double "
+                     "precision")
 
 
 def test_parabolic_mode_index_must_match_eigs_index(tmp_path):

@@ -1,14 +1,14 @@
 import math
 from dataclasses import replace
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy import special
 from scipy.optimize import brentq
 from support import oracle_E_2d, oracle_I_2d, scan_at
 
-from hornlab import (ConsistencyError, DomainValidationError, TipTailError,
-                     bessel_state, check_I_lower, check_logI_identity,
+from hornlab import (ConsistencyError, DomainValidationError, bessel_state, check_I_lower, check_logI_identity,
                      check_U_growth, constant_state, elliptic_scan,
                      gamma_real, make_caloric_series, profile_state)
 from hornlab.modes import _bounded_branch, radial_mode_zero_log
@@ -100,17 +100,6 @@ def test_I_outside_domain(state_i1_mu1):
         scan_at(state_i1_mu1, math.nan)
 
 
-def test_states_carry_bulk_floor_and_tail(profile_i1_mu1, p_default):
-    # a profile's bulk energy starts at its r_min, below which the tail is
-    # estimated once; the closed-form states integrate from r = 0
-    st = profile_state(profile_i1_mu1)
-    assert st.r_lo == profile_i1_mu1.r_min
-    assert st.tip_tail > 0.0
-    for st in (constant_state(p_default, (0.01, 2.0)),
-               bessel_state(p_default, 1.0, (0.01, 0.5))):
-        assert st.r_lo == st.tip_tail == 0.0
-
-
 def test_elliptic_functionals_refuse_several_terms(series2, scan_i1_mu1):
     # an elliptic state is one term of rate mu; a two-term series has no
     # single lam = -mu, and each functional says how many terms it got
@@ -133,7 +122,6 @@ def test_eigenpair_state_energy_starts_at_support_bottom(pairs8_rout2):
     # an eigenfunction is represented, and normalized, only down to its
     # support bottom, so its bulk energy starts there, not at r = 0
     series = make_caloric_series(pairs8_rout2[:1], [1.0], t_min=0.25)
-    assert series.r_lo == series.r_support[0]
     scan = elliptic_scan(series, np.geomspace(0.05, 0.5, 16))
     assert scan.ED[-1] == pytest.approx(scan_at(series, 0.5)[1], rel=1e-12)
     assert check_U_growth(series, scan)[0] == 0.0
@@ -157,21 +145,22 @@ def test_E_positive_on_tip_region(state_i1_mu1):
 def test_E_bulk_boundary_agreement(state_i1_mu1):
     # elliptic_scan enforces the agreement internally; a successful call at
     # r = 0.1 certifies the two routes match to 1e-6 of the energy scale
-    from hornlab.elliptic import _bulk_integrals, _checked_energy
-    r = np.array([0.1])
-    integral = _bulk_integrals(state_i1_mu1, np.array([state_i1_mu1.r_lo]),
-                               r, 1e-10)
+    # (the bulk route passes the floor w f f'(r_lo) with its integral)
+    from hornlab.elliptic import _bulk_integrals, _checked_energy, _flux
+    lo, r = np.array([state_i1_mu1.r_support[0]]), np.array([0.1])
+    integral = _bulk_integrals(state_i1_mu1, lo, r, 1e-10)
+    floor = _flux(state_i1_mu1.params, lo, state_i1_mu1.radial(lo, 0))
     (bulk,), (bdry,), (scale,) = _checked_energy(
-        state_i1_mu1, -1.0, r, state_i1_mu1.radial(r, 0), integral)
+        state_i1_mu1, -1.0, r, state_i1_mu1.radial(r, 0), integral + floor)
     assert bulk == pytest.approx(bdry, abs=1e-6 * max(scale, abs(bulk)))
 
 
 def test_bulk_integrals_skip_empty_rows(state_i1_mu1):
     # an empty segment (b <= a) is 0; when every segment is empty, as for a
-    # one-radius scan at r_lo, no quad_log call is made (it refuses an
+    # one-radius scan at r_support[0], no quad_log call is made (it refuses an
     # empty batch)
     from hornlab.elliptic import _bulk_integrals
-    lo = state_i1_mu1.r_lo
+    lo = state_i1_mu1.r_support[0]
     none = _bulk_integrals(state_i1_mu1, np.array([lo]), np.array([lo]), 1e-10)
     assert none.tolist() == [0.0]
     some = _bulk_integrals(state_i1_mu1, np.array([lo, lo]),
@@ -183,6 +172,27 @@ def test_E_matches_product_quadrature(state_i1_mu1, p_default):
     for r in (0.06, 0.09, 0.12):
         assert scan_at(state_i1_mu1, r)[1] == pytest.approx(
             oracle_E_2d(state_i1_mu1, r, p_default), rel=1e-6)
+
+
+def test_E_bessel_matches_mpmath_integral_from_the_tip(p_default):
+    # E of a Bessel state on (0.01, 0.5) against mpmath's integral of the
+    # closed-form density from r = 0 (measured: 2.7e-15 apart); the floor
+    # w f f'(0.01) carries 3.7% of E at r = 0.02, so a scan that dropped it
+    # would fail here
+    mu, grid = 1.5, np.array([0.02, 0.1, 0.3])
+    E = elliptic_scan(bessel_state(p_default, mu, (0.01, 0.5)), grid).ED
+    nu, k = mp.mpf(p_default.c - 1) / 2, mp.sqrt(mu)
+
+    def density(s):
+        f = mp.besselj(nu, k * s) * s ** -nu
+        df = -k * mp.besselj(nu + 1, k * s) * s ** -nu
+        return (df * df - mu * f * f) * 2 ** (1 - p_default.n) \
+            * s ** p_default.c
+
+    with mp.workdps(30):
+        for r, got in zip(grid.tolist(), E.tolist()):
+            want = r ** (2 - p_default.n) * mp.quad(density, [0, 0.01, r])
+            assert got == pytest.approx(float(want), rel=1e-13)
 
 
 def test_E_bessel_negative_near_tip(p_default):
@@ -245,15 +255,6 @@ def test_scan_U_grows_toward_tip(scan_i1_mu1, p_default):
     assert np.max(U * scan_i1_mu1.scale ** (2 * p_default.eps)) < 10.0
 
 
-def test_scan_row_at_window_bottom_has_uncontrolled_tail(state_i1_mu1):
-    # the energy between r_lo and a row just above it does not dwarf the
-    # fitted tail estimate below r_lo: TipTailError, a ConsistencyError
-    grid = np.array([1.01 * state_i1_mu1.r_lo, 0.1])
-    with pytest.raises(TipTailError, match="uncontrolled tip tail") as err:
-        elliptic_scan(state_i1_mu1, grid)
-    assert isinstance(err.value, ConsistencyError)
-
-
 def test_scan_requires_increasing_grid(state_i1_mu1):
     with pytest.raises(DomainValidationError):
         elliptic_scan(state_i1_mu1, np.array([0.1, 0.05]))
@@ -289,8 +290,7 @@ def test_logI_identity_second_order(state_i1_mu1):
 
 def test_logI_identity_wide_window(p_default):
     # over the widest tip window the 64-point defect sits just above 1e-3
-    # and still quarters under refinement; the deeper profile keeps the
-    # fitted below-window energy tail negligible
+    # and still quarters under refinement
     from hornlab import profile_from_k2
     prof = profile_from_k2(p_default, 1, 1.0, 0.0075, 64)
     st = profile_state(prof)

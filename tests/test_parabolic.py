@@ -39,6 +39,11 @@ def test_kernel_log_values(p_default):
         kernel_log(p_default, 1.0, 0.0)
     with pytest.raises(DomainValidationError):
         kernel_log(p_default, 1.0, 0.5)
+    # a column of times: the error names the first that is not < 0
+    with pytest.raises(DomainValidationError,
+                       match=r"needs t < 0, got t = -0\.0$"):
+        kernel_log(p_default, np.array([1.0, 2.0]),
+                   np.array([[-1.0], [-0.0], [-2.0], [0.5]]))
 
 
 def test_kernel_parabolic_scaling(p_default):
@@ -302,3 +307,7 @@ def test_parabolic_IDN_rejects_bad_R(series2):
     with pytest.raises(DomainValidationError,
                        match=r"need R > 0, got R = 0\.0"):
         parabolic_scan(series2, [0.0, 0.1, 0.2])
+    # R > 0, but t = -R^2 rounds to -0.0: no backward slice
+    with pytest.raises(DomainValidationError,
+                       match=r"got R = 1e-300, too small for t = -R\^2 < 0"):
+        parabolic_scan(series2, [1e-300, 0.1])
